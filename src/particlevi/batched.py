@@ -14,11 +14,11 @@ differently.
 
 smc_batch_logz and mpf_batch_logz are value-only and treat parameters as
 constants.  vmpf_ug_batch also differentiates, replaying the
-unbiased-gradient estimator with a row-batched implicit-reparameterization
-node; it is written for d = 1, where the distributional transform has no
-cross-coordinate coupling and the triangular solve collapses to one
-division.  Discrete models are rejected: their fast path is enumeration,
-not batching.
+unbiased-gradient estimator: the R * N draws of a step form one node of
+mixture_implicit_rule, the rule run_mpf uses with R = 1.  It is written
+for d = 1 because its tape pair-density kernel, _pair_logpdf_var, is.
+Discrete models are rejected: their fast path is enumeration, not
+batching.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _np_erf
 
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import models as mo
-from particlevi.distributions import LOG_2PI, _TAIL_PDF_FLOOR, TailCounter
+from particlevi.distributions import LOG_2PI, TailCounter, mixture_implicit_rule
 from particlevi.filters import ANCESTOR, PROPOSAL, DegeneracyError, _np_lse, _ys_of
 from particlevi.rng import batch_keys, normals_at_keys, uniforms_at_keys
 
@@ -233,51 +232,17 @@ def mpf_batch_logz(model, params, data, n_particles: int, seeds) -> np.ndarray:
 # batched unbiased gradients (d = 1)
 
 
-def _rule_1d(x, logw, means, logstds, tail: TailCounter):
-    """Distributional-transform cotangents for one row-batched mixture node.
+def _pair_logpdf_var(x3: Var, m3: Var, ls3: Var) -> Var:
+    """Tape version of _pair_logpdf for d = 1: products instead of matmuls.
 
-    Row for row the d=1 reduction of the per-run implicit rule: the prefix
-    term is empty, the within-row tail term vanishes, and the triangular
-    system is a single division by the conditional pdf.  Rows whose
-    conditional pdf underflows get zero cotangents and are counted.
+    x3 is (R, N, 1); m3 and ls3 are (R, M, 1); returns (R, N, M).
     """
-
-    def rule(g):
-        sig = np.exp(logstds)
-        z = (x[:, None] - means) / sig
-        logphi = -0.5 * LOG_2PI - logstds - 0.5 * z * z
-        pdf = np.exp(logphi)
-        stdphi = pdf * sig
-        big_phi = 0.5 * (1.0 + _np_erf(z / math.sqrt(2.0)))
-        lmat = logw - logw.max(axis=1, keepdims=True)
-        w_post = np.exp(lmat)
-        w_post /= w_post.sum(axis=1, keepdims=True)
-        f_vals = (w_post * big_phi).sum(axis=1)
-        cond_pdf = (w_post * pdf).sum(axis=1)
-        bad = (cond_pdf < _TAIL_PDF_FLOOR) | ~np.isfinite(cond_pdf)
-        if tail is not None:
-            tail.count += int(bad.sum())
-        lam = np.asarray(g, dtype=np.float64) / np.where(bad, 1.0, cond_pdf)
-        lam = np.where(bad, 0.0, lam)[:, None]
-        g_mat = w_post * (big_phi - f_vals[:, None])
-        grad_logw = -(lam * g_mat)
-        grad_mu = lam * w_post * pdf
-        grad_logstd = lam * w_post * z * stdphi
-        return grad_logw, grad_mu, grad_logstd
-
-    return rule
-
-
-def _pair_logpdf_var(xs: Var, m2: Var, ls2: Var) -> Var:
-    """Tape version of _pair_logpdf for d = 1: products instead of matmuls."""
-    r_runs, n = xs.data.shape
-    m = m2.data.shape[1]
-    inv_var = ad.exp(-2.0 * ls2)
-    x3 = ad.reshape(xs, (r_runs, n, 1))
-    cross = x3 * ad.reshape(m2 * inv_var, (r_runs, 1, m))
+    r_runs, m = m3.data.shape[:2]
+    inv_var = ad.exp(-2.0 * ls3)
+    cross = x3 * ad.reshape(m3 * inv_var, (r_runs, 1, m))
     sq = (x3 * x3) * ad.reshape(inv_var, (r_runs, 1, m))
-    msq3 = ad.reshape(m2 * m2 * inv_var, (r_runs, 1, m))
-    const3 = ad.reshape(-0.5 * LOG_2PI - ls2, (r_runs, 1, m))
+    msq3 = ad.reshape(m3 * m3 * inv_var, (r_runs, 1, m))
+    const3 = ad.reshape(-0.5 * LOG_2PI - ls3, (r_runs, 1, m))
     return const3 - 0.5 * (sq - 2.0 * cross + msq3)
 
 
@@ -298,31 +263,28 @@ def _ug_chunk(model, params, ys, n: int, seeds, names, tail: TailCounter) -> tup
             us = _uniforms(seeds, t, n)
             if t == 1:
                 p_m, p_ls = mo.proposal_build_many(model, lifted, 1, None, ys[0])
-                pad = ad.constant(np.zeros((r_runs, 1)))
+                pad = ad.constant(np.zeros((r_runs, 1, 1)))
                 logw2 = ad.constant(np.zeros((r_runs, 1)))
-                m2 = p_m + pad
-                ls2 = p_ls + pad
+                m3 = p_m + pad
+                ls3 = p_ls + pad
                 anc = np.zeros((r_runs, n), dtype=np.intp)
             else:
                 lse_prev = ad.logsumexp(lw, axis=1)
                 log_vbar = lw - ad.reshape(lse_prev, (r_runs, 1))
                 xpf = ad.reshape(xs, (r_runs * n, 1))
                 p_m, p_ls = mo.proposal_build_many(model, lifted, t, xpf, ys[t - 1])
-                m2 = ad.reshape(p_m, (r_runs, n))
-                ls2 = ad.reshape(p_ls, (r_runs, n))
+                m3 = ad.reshape(p_m, (r_runs, n, 1))
+                ls3 = ad.reshape(p_ls, (r_runs, n, 1))
                 logw2 = log_vbar
                 anc = _cat_rows(np.exp(log_vbar.data), us)
                 f_m, f_ls = mo.transition_build_many(model, t, xpf)
 
-            nodes = []
-            for i in range(n):
-                j = anc[:, i][:, None]
-                mu_j = np.take_along_axis(m2.data, j, axis=1)[:, 0]
-                sd_j = np.exp(np.take_along_axis(ls2.data, j, axis=1)[:, 0])
-                xv = mu_j + sd_j * eps[:, i]
-                rule = _rule_1d(xv, logw2.data, m2.data, ls2.data, tail)
-                nodes.append(ad.custom_vjp(xv, [logw2, m2, ls2], rule))
-            xs_new = ad.transpose(ad.stack_rows(nodes))
+            j = anc[:, :, None]
+            x = np.take_along_axis(m3.data, j, axis=1) + np.exp(
+                np.take_along_axis(ls3.data, j, axis=1)
+            ) * eps[:, :, None]
+            rule = mixture_implicit_rule(x, logw2.data, m3.data, ls3.data, tail)
+            xs_new = ad.custom_vjp(x, [logw2, m3, ls3], rule)
             xf = ad.reshape(xs_new, (r_runs * n, 1))
 
             log_g = ad.reshape(mo.emission_logpdf_rows(model, t, xf, ys[t - 1]), (r_runs, n))
@@ -338,10 +300,10 @@ def _ug_chunk(model, params, ys, n: int, seeds, names, tail: TailCounter) -> tup
                     log_f3 = ad.reshape(mo.gauss_logpdf_rows(xf, f_m, f_ls), (r_runs, 1, 1))
                     log_r3 = ad.reshape(mo.gauss_logpdf_rows(xf, p_m, p_ls), (r_runs, 1, 1))
                 else:
-                    fm2 = ad.reshape(f_m, (r_runs, n))
-                    fls2 = ad.reshape(f_ls, (r_runs, n))
-                    log_f3 = _pair_logpdf_var(xs_new, fm2, fls2)
-                    log_r3 = _pair_logpdf_var(xs_new, m2, ls2)
+                    fm3 = ad.reshape(f_m, (r_runs, n, 1))
+                    fls3 = ad.reshape(f_ls, (r_runs, n, 1))
+                    log_f3 = _pair_logpdf_var(xs_new, fm3, fls3)
+                    log_r3 = _pair_logpdf_var(xs_new, m3, ls3)
                 lv3 = ad.reshape(log_vbar, (r_runs, 1, n))
                 num = ad.logsumexp(lv3 + log_f3, axis=2)
                 den = ad.logsumexp(lv3 + log_r3, axis=2)
@@ -376,8 +338,11 @@ def vmpf_ug_batch(model, params, data, n_particles: int, seeds, chunk: int = 10_
     """Values and mean parameter gradient of the unbiased estimator.
 
     Replays run_mpf(grad_mode="unbiased") for every seed at once, d = 1
-    only.  Seeds are processed in chunks of `chunk` runs; each chunk is one
-    tape, so peak memory scales with chunk * n_particles * T.
+    only; each step records one implicit node over all chunk * n_particles
+    draws.  Seeds are processed in chunks of `chunk` runs; each chunk is one
+    tape, so peak memory scales with chunk * n_particles**2 * T.
+    tail_failures counts the tail draws of all runs, as the per-run
+    ParticleRun.tail_failures does after its backward pass.
     """
     _reject_discrete(model)
     if _dim_of(model) != 1:

@@ -509,7 +509,7 @@ def cmd_verify(suite: str, out: Path | None = None) -> int:
             status = "PASS" if ok else "FAIL"
             failures += 0 if ok else 1
             print(f"{status} {name}/{check_name} measured={measured:.3e} limit={limit:.3e}")
-            lines.append(f"{name},{check_name},{measured!r},{limit!r},{status}")
+            lines.append(f"{name},{check_name},{float(measured)!r},{float(limit)!r},{status}")
     if out is not None:
         _write_text(out / f"verify_{suite}.csv", "suite,check,measured,limit,status\n" + "\n".join(lines) + "\n")
     print(f"{'FAIL' if failures else 'PASS'}: {failures} failing check(s)" if failures else "PASS: all checks green")

@@ -7,7 +7,10 @@ reparameterization gradient for mixture sampling.
 
 The mixture sampler draws a genuinely categorical component and then a
 Gaussian within it; the gradient comes from a custom-VJP node implementing
-the distributional transform.  Writing the per-coordinate conditional CDF as
+the distributional transform (Figurnov et al. 2018; Graves 2016).  One node
+covers every draw of a filter step: mixture_implicit_rule takes the draws
+of R mixtures at once, so the per-run filter (R = 1) and the seed-batched
+one share it.  Writing the per-coordinate conditional CDF as
 
     F_e(x_e | x_{1:e-1}) = sum_j w_j(x_{1:e-1}) * Phi((x_e - mu_je)/sig_je),
 
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import erf as _np_erf
 
 from particlevi import autodiff as ad
@@ -53,8 +55,7 @@ class GaussianMixture:
     """Mixture of diagonal Gaussians with log-space normalized weights.
 
     Parameters are stored stacked (rows are components) because that is how
-    the marginal particle filter produces them; ``from_components`` stacks a
-    component list through the tape so gradients still reach each part.
+    the marginal particle filter produces them.
     """
 
     log_weights: Var  # (K,), logsumexp == 0
@@ -71,12 +72,6 @@ class GaussianMixture:
         if self.means.data.shape[0] != lw.shape[0]:
             raise ValueError("component count mismatch between weights and parameters")
 
-    @classmethod
-    def from_components(cls, log_weights: Var, components) -> "GaussianMixture":
-        means = ad.stack_rows([c.mean for c in components])
-        log_stds = ad.stack_rows([c.log_std for c in components])
-        return cls(log_weights, means, log_stds)
-
     @property
     def n_components(self) -> int:
         return self.log_weights.data.shape[0]
@@ -84,20 +79,6 @@ class GaussianMixture:
     @property
     def dim(self) -> int:
         return self.means.data.shape[1]
-
-
-@dataclass
-class Categorical:
-    """Plain probability vector; sampling is inverse-CDF and carries no gradient."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if np.any(self.probs < 0.0):
-            raise ValueError("categorical weights must be nonnegative")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("categorical weights must sum to 1")
 
 
 @dataclass
@@ -144,11 +125,6 @@ def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian):
     return DiagGaussian(mean, log_std), log_norm
 
 
-def categorical_sample(c: Categorical, u: float) -> int:
-    """Inverse-CDF index: smallest i whose cumulative weight exceeds u."""
-    return int(categorical_sample_many(c.probs, np.asarray([u]))[0])
-
-
 def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Vectorized inverse-CDF sampling; element k uses uniform us[k]."""
     if not np.any(probs > 0.0):
@@ -172,80 +148,84 @@ def mixture_logpdf(x, m: GaussianMixture) -> Var:
     return ad.logsumexp(m.log_weights + comp)
 
 
-def mixture_cdf_1d(x: float, m: GaussianMixture) -> float:
-    """Plain-number mixture CDF for d=1 (test oracle helper)."""
-    w = np.exp(m.log_weights.data)
-    z = (x - m.means.data[:, 0]) / np.exp(m.log_stds.data[:, 0])
-    return float(np.sum(w * 0.5 * (1.0 + _np_erf(z / math.sqrt(2.0)))))
+def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | None = None):
+    """Custom-VJP rule for realized draws x (R, N, d) of R mixtures.
 
-
-def _implicit_backward(x, logw, means, logstds, tail_counter):
-    """Build the custom-VJP rule for a realized mixture sample x."""
+    Mixture r has log-weights logw[r] (K,) and components means[r],
+    log_stds[r] (K, d); draw x[r, n] came from mixture r.  For every draw the
+    rule forms the conditional weights, CDFs and pdfs, then solves
+    J^T lam = g by back-substitution over the coordinates, batched over all
+    R * N draws.  J is lower triangular with the conditional pdfs on its
+    diagonal; its strictly-lower entries J[f, e] = sum_k G[k, f] s[k, e]
+    (G the weighted CDF gaps, s = d logphi / dx) are applied through the
+    running tail sums of lam * G instead of being formed.  The cotangents
+    of every draw are summed into (R, K), (R, K, d), (R, K, d).  A draw
+    whose conditional pdf falls below 1e-300 or is non-finite in any
+    coordinate contributes zero and adds one to the counter.
+    """
 
     def rule(g):
-        k, d = means.shape
-        sig = np.exp(logstds)
-        z = (x[None, :] - means) / sig
-        logphi = -0.5 * LOG_2PI - logstds - 0.5 * z * z
+        sig = np.exp(log_stds)[:, None]
+        z = (x[:, :, None, :] - means[:, None]) / sig  # (R, N, K, d)
+        logphi = -0.5 * LOG_2PI - log_stds[:, None] - 0.5 * z * z
         pdf = np.exp(logphi)
-        stdphi = pdf * sig
         big_phi = 0.5 * (1.0 + _np_erf(z / math.sqrt(2.0)))
-        prefix = np.zeros((k, d))
+        d = x.shape[2]
+        prefix = np.zeros_like(logphi)
         if d > 1:
-            prefix[:, 1:] = np.cumsum(logphi, axis=1)[:, : d - 1]
-        lmat = logw[:, None] + prefix
-        lmat = lmat - lmat.max(axis=0, keepdims=True)
+            prefix[..., 1:] = np.cumsum(logphi, axis=3)[..., : d - 1]
+        lmat = logw[:, None, :, None] + prefix
+        lmat = lmat - lmat.max(axis=2, keepdims=True)
         w_post = np.exp(lmat)
-        w_post /= w_post.sum(axis=0, keepdims=True)
-        f_vals = (w_post * big_phi).sum(axis=0)
-        cond_pdf = (w_post * pdf).sum(axis=0)
-        if np.min(cond_pdf) < _TAIL_PDF_FLOOR or not np.all(np.isfinite(cond_pdf)):
-            if tail_counter is not None:
-                tail_counter.count += 1
-            zero = np.zeros
-            return zero(logw.shape), zero(means.shape), zero(logstds.shape)
-        s = -z / sig  # d logphi / dx
-        g_mat = w_post * (big_phi - f_vals[None, :])
-        jac = np.tril(g_mat.T @ s, -1)
-        np.fill_diagonal(jac, cond_pdf)
-        lam = solve_triangular(jac.T, np.asarray(g, dtype=np.float64), lower=False)
-        lam_g = lam[None, :] * g_mat
-        tail = np.flip(np.cumsum(np.flip(lam_g, axis=1), axis=1), axis=1) - lam_g
-        grad_logw = -lam_g.sum(axis=1)
-        grad_mu = lam[None, :] * w_post * pdf - tail * z / sig
-        grad_logstd = lam[None, :] * w_post * z * stdphi - tail * (z * z - 1.0)
-        return grad_logw, grad_mu, grad_logstd
+        w_post /= w_post.sum(axis=2, keepdims=True)
+        f_vals = (w_post * big_phi).sum(axis=2)
+        cond_pdf = (w_post * pdf).sum(axis=2)  # (R, N, d)
+        bad = np.any((cond_pdf < _TAIL_PDF_FLOOR) | ~np.isfinite(cond_pdf), axis=2)
+        if tail_counter is not None:
+            tail_counter.count += int(bad.sum())
+        diag = np.where(bad[..., None], 1.0, cond_pdf)
+        s = -z / sig
+        g_mat = w_post * (big_phi - f_vals[:, :, None, :])
+        g = np.asarray(g, dtype=np.float64)
+        lam = np.empty(x.shape)
+        tail = np.empty(z.shape)  # tail[..., k, e] = sum_{f > e} lam_f G[k, f]
+        acc = np.zeros(z.shape[:3])
+        for e in range(d - 1, -1, -1):
+            tail[..., e] = acc
+            lam[..., e] = (g[..., e] - (s[..., e] * acc).sum(axis=2)) / diag[..., e]
+            acc = acc + lam[:, :, None, e] * g_mat[..., e]
+        lam = lam[:, :, None, :]
+        grad_logw = -(lam * g_mat).sum(axis=3)
+        grad_mu = lam * w_post * pdf - tail * z / sig
+        grad_logstd = lam * w_post * z * (pdf * sig) - tail * (z * z - 1.0)
+        if bad.any():
+            grad_logw = np.where(bad[..., None], 0.0, grad_logw)
+            grad_mu = np.where(bad[..., None, None], 0.0, grad_mu)
+            grad_logstd = np.where(bad[..., None, None], 0.0, grad_logstd)
+        return grad_logw.sum(axis=1), grad_mu.sum(axis=1), grad_logstd.sum(axis=1)
 
     return rule
 
 
 def mixture_implicit_rsample(
-    m: GaussianMixture,
-    rng: RngStream,
-    tail_counter: TailCounter | None = None,
-    u: float | None = None,
-    eps: np.ndarray | None = None,
+    m: GaussianMixture, us, eps, tail_counter: TailCounter | None = None
 ) -> Var:
-    """Exact mixture draw with implicit reparameterization gradients.
+    """N exact mixture draws with implicit reparameterization gradients.
 
-    Forward: pick component j by inverse-CDF on the mixture weights, then
-    draw x = mu_j + sig_j * eps.  Backward: the distributional-transform
-    rule above, flowing gradients into the mixture log-weights and every
-    component's mean and log-std.  A conditional pdf underflowing 1e-300 at
-    the sample marks an unresolvable tail draw: that node's gradient
-    contribution is zeroed and the counter incremented.
-
-    ``u`` and ``eps`` may be supplied to pin the underlying noise (filters
-    use this to keep vectorized and per-particle layouts bit-identical).
+    Forward: draw n picks component j_n by inverse CDF on the mixture
+    weights with uniform us[n], then x_n = mu_{j_n} + sig_{j_n} * eps[n].
+    Backward: one node for all N draws, mixture_implicit_rule with R = 1,
+    flowing gradients into the log-weights and every component's mean and
+    log-std.  Tail draws contribute zero and are counted.  Returns (N, d).
     """
-    if u is None:
-        u = rng.uniform()
-    j = categorical_sample(Categorical(np.exp(m.log_weights.data)), u)
-    if eps is None:
-        eps = rng.normals(m.dim)
+    j = categorical_sample_many(np.exp(m.log_weights.data), np.asarray(us))
     x = m.means.data[j] + np.exp(m.log_stds.data[j]) * eps
-    rule = _implicit_backward(x, m.log_weights.data, m.means.data, m.log_stds.data, tail_counter)
-    return ad.custom_vjp(x, [m.log_weights, m.means, m.log_stds], rule)
+    rule = mixture_implicit_rule(
+        x[None], m.log_weights.data[None], m.means.data[None], m.log_stds.data[None], tail_counter
+    )
+    return ad.custom_vjp(
+        x, [m.log_weights, m.means, m.log_stds], lambda g: [c[0] for c in rule(g[None])]
+    )
 
 
 def bernoulli_logpmf(y, logits: Var) -> Var:

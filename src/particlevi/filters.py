@@ -187,7 +187,16 @@ class ParticleRun:
     trajectories: np.ndarray | None = None
     params: object = None
     ys: np.ndarray | None = None
-    tail_failures: int = 0
+    tail: TailCounter | None = None
+
+    @property
+    def tail_failures(self) -> int:
+        """Tail draws of the implicit gradient so far.
+
+        The implicit rules run inside ``grad``, so the count is read live
+        from the run's counter; it is 0 before any backward pass.
+        """
+        return 0 if self.tail is None else self.tail.count
 
     @property
     def n_particles(self) -> int:
@@ -426,8 +435,11 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
 
     grad_mode picks the sampling estimator: "biased" draws the component
     index with detached probabilities then reparameterizes within it,
-    "unbiased" makes every draw a mixture_implicit_rsample node so the
-    mixture weights themselves carry gradients.
+    "unbiased" draws the N particles of a step through one
+    mixture_implicit_rsample node so the mixture weights themselves carry
+    gradients.  Both read the same noise, so their forward values are
+    bit-identical.  Tail draws of the implicit gradient are counted in
+    ``tail_failures`` as ``grad`` runs the rules.
     """
     backend = _make_backend(cfg.seed, backend)
     ys = _ys_of(data)
@@ -470,14 +482,9 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
             d = means.data.shape[1]
             eps = backend.normals(t, PROPOSAL, np.arange(n * d)).reshape(n, d)
             if cfg.grad_mode == "unbiased":
-                mix = GaussianMixture(log_vbar, means, log_stds)
                 us = backend.uniforms(t, ANCESTOR, np.arange(n))
-                x_new = ad.stack_rows(
-                    [
-                        mixture_implicit_rsample(mix, None, tail, u=us[i], eps=eps[i])
-                        for i in range(n)
-                    ]
-                )
+                mix = GaussianMixture(log_vbar, means, log_stds)
+                x_new = mixture_implicit_rsample(mix, us, eps, tail)
             elif t == 1:
                 x_new = means + ad.exp(log_stds) * ad.constant(eps)
             else:
@@ -519,7 +526,7 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         cumulative=False,
         params=params,
         ys=ys,
-        tail_failures=tail.count,
+        tail=tail,
     )
 
 

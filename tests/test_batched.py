@@ -11,6 +11,7 @@ import pytest
 
 import particlevi.autodiff as ad
 from particlevi import batched as bt
+from particlevi import distributions
 from particlevi import filters as fl
 from particlevi import models as mo
 from particlevi.distributions import categorical_sample_many
@@ -153,6 +154,19 @@ class TestUgBatch:
         res = bt.vmpf_ug_batch(m, p, ds, n, SEEDS, chunk=5)
         np.testing.assert_array_equal(res.values, vals)
         assert res.tail_failures == tails
+        for k, want in means.items():
+            scale = max(float(np.max(np.abs(want))), 1.0)
+            assert np.max(np.abs(res.grad_mean[k] - want)) / scale < 1e-12
+
+    def test_tail_counts_match_per_run_under_floor(self, monkeypatch):
+        # an infinite floor makes every draw a tail draw, so both counts are R*N*T
+        monkeypatch.setattr(distributions, "_TAIL_PDF_FLOOR", np.inf)
+        m, ds, p, n = lgssm_case(t_max=3, n=3)
+        vals, means, tails = self.per_run_reference(m, p, ds, n, SEEDS)
+        res = bt.vmpf_ug_batch(m, p, ds, n, SEEDS, chunk=5)
+        assert tails == len(SEEDS) * n * 3
+        assert res.tail_failures == tails
+        np.testing.assert_array_equal(res.values, vals)
         for k, want in means.items():
             scale = max(float(np.max(np.abs(want))), 1.0)
             assert np.max(np.abs(res.grad_mean[k] - want)) / scale < 1e-12

@@ -298,6 +298,14 @@ class TestVerifyCmd:
         assert status["smc-n3"] == "PASS"
         assert set(status.values()) == {"PASS"}
 
+    def test_gradients_csv_cells_are_numbers(self, tmp_path):
+        assert cli.cmd_verify("gradients", tmp_path) == 0
+        lines = (tmp_path / "verify_gradients.csv").read_text().strip().splitlines()[1:]
+        assert lines
+        for line in lines:
+            measured, limit = line.split(",")[2:4]
+            float(measured), float(limit)
+
     def test_gradients_suite_green(self):
         checks = cli._suite_gradients()
         assert all(measured <= limit for _, measured, limit in checks)

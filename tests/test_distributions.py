@@ -4,24 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import erf as np_erf
 from scipy.stats import kstest
 
 import particlevi.autodiff as ad
 from particlevi.distributions import (
-    Categorical,
     DiagGaussian,
     GaussianMixture,
     TailCounter,
     bernoulli_logpmf,
-    categorical_sample,
     categorical_sample_many,
     diag_gauss_logpdf,
     diag_gauss_rsample,
     gauss_product_fuse,
-    mixture_cdf_1d,
     mixture_implicit_rsample,
+    mixture_implicit_rule,
     mixture_logpdf,
 )
 from particlevi.rng import RngStream
@@ -139,16 +138,20 @@ class TestGaussProductFuse:
         assert ad.finite_diff_check(f, point) < 1e-5
 
 
+def sample_one(probs, u):
+    return int(categorical_sample_many(np.asarray(probs), np.asarray([u]))[0])
+
+
 class TestCategorical:
     def test_single_atom(self):
-        assert categorical_sample(Categorical(np.asarray([1.0])), 0.999) == 0
+        assert sample_one([1.0], 0.999) == 0
 
     def test_quarter_split(self):
-        assert categorical_sample(Categorical(np.asarray([0.25, 0.75])), 0.5) == 1
+        assert sample_one([0.25, 0.75], 0.5) == 1
 
     def test_tie_break_convention(self):
         """u exactly on a cumulative boundary selects the next atom."""
-        assert categorical_sample(Categorical(np.asarray([0.5, 0.5])), 0.5) == 1
+        assert sample_one([0.5, 0.5], 0.5) == 1
 
     def test_all_zero_raises(self):
         with pytest.raises(ValueError):
@@ -159,7 +162,7 @@ class TestCategorical:
         us = RngStream(9).uniforms(200)
         many = categorical_sample_many(probs, us)
         for k in range(200):
-            assert many[k] == categorical_sample(Categorical(probs), us[k])
+            assert many[k] == sample_one(probs, us[k])
         assert not np.any(many == 1)  # zero-weight atom never selected
 
     def test_empirical_frequencies(self):
@@ -213,6 +216,48 @@ class TestMixtureLogpdf:
         assert ad.finite_diff_check(f, point) < 1e-5
 
 
+def mixture_cdf_1d(x, m):
+    """Plain-number mixture CDF for d = 1, at every entry of x."""
+    w = np.exp(m.log_weights.data)
+    z = (np.asarray(x)[..., None] - m.means.data[:, 0]) / np.exp(m.log_stds.data[:, 0])
+    return np.sum(w * 0.5 * (1.0 + np_erf(z / math.sqrt(2.0))), axis=-1)
+
+
+def per_draw_rule(x, logw, means, logstds, g):
+    """Oracle: implicit cotangents of one draw x (d,), by a dense triangular solve.
+
+    Returns (grad_logw, grad_mu, grad_logstd, is_tail); a tail draw gets zeros.
+    """
+    k, d = means.shape
+    sig = np.exp(logstds)
+    z = (x[None, :] - means) / sig
+    logphi = -0.5 * math.log(2 * math.pi) - logstds - 0.5 * z * z
+    pdf = np.exp(logphi)
+    big_phi = 0.5 * (1.0 + np_erf(z / math.sqrt(2.0)))
+    prefix = np.zeros((k, d))
+    if d > 1:
+        prefix[:, 1:] = np.cumsum(logphi, axis=1)[:, : d - 1]
+    lmat = logw[:, None] + prefix
+    lmat = lmat - lmat.max(axis=0, keepdims=True)
+    w_post = np.exp(lmat)
+    w_post /= w_post.sum(axis=0, keepdims=True)
+    f_vals = (w_post * big_phi).sum(axis=0)
+    cond_pdf = (w_post * pdf).sum(axis=0)
+    if np.min(cond_pdf) < 1e-300 or not np.all(np.isfinite(cond_pdf)):
+        return np.zeros(k), np.zeros((k, d)), np.zeros((k, d)), True
+    s = -z / sig
+    g_mat = w_post * (big_phi - f_vals[None, :])
+    jac = np.tril(g_mat.T @ s, -1)
+    np.fill_diagonal(jac, cond_pdf)
+    lam = solve_triangular(jac.T, g, lower=False)
+    lam_g = lam[None, :] * g_mat
+    tail = np.flip(np.cumsum(np.flip(lam_g, axis=1), axis=1), axis=1) - lam_g
+    grad_logw = -lam_g.sum(axis=1)
+    grad_mu = lam[None, :] * w_post * pdf - tail * z / sig
+    grad_logstd = lam[None, :] * w_post * z * pdf * sig - tail * (z * z - 1.0)
+    return grad_logw, grad_mu, grad_logstd, False
+
+
 def conditional_cdf(e, xe, xprefix, logw, means, log_stds):
     """Oracle F_e(x_e | x_{1:e-1}) evaluated with plain numerics."""
     sig = np.exp(log_stds)
@@ -238,20 +283,27 @@ def invert_transform(u, logw, means, log_stds):
     return x
 
 
+def rsample_stream(m, rng, tail_counter=None):
+    """One draw (1, d), reading u and then d normals from rng in turn."""
+    u = rng.uniform()
+    eps = rng.normals(m.dim)
+    return mixture_implicit_rsample(m, [u], eps[None, :], tail_counter)
+
+
 class TestImplicitRsample:
     def test_single_component_reduces_to_pathwise(self):
         with ad.Tape():
             m = make_mixture([0.0], [[0.3, -0.5]], [[0.1, 0.4]])
-            x = mixture_implicit_rsample(m, RngStream(3))
+            x = rsample_stream(m, RngStream(3))
             glw, gmu, gls = ad.grad(x.sum(), [m.log_weights, m.means, m.log_stds])
         assert np.allclose(gmu, [[1.0, 1.0]], atol=1e-12)
-        assert np.allclose(gls, x.data[None, :] - m.means.data, atol=1e-10)
+        assert np.allclose(gls, x.data - m.means.data, atol=1e-10)
         assert np.allclose(glw, 0.0, atol=1e-12)
 
     def test_identical_components_weight_grad_zero(self):
         with ad.Tape():
             m = make_mixture([0.4, 0.4], [[0.2], [0.2]], [[-0.1], [-0.1]])
-            x = mixture_implicit_rsample(m, RngStream(4))
+            x = rsample_stream(m, RngStream(4))
             (glw,) = ad.grad(x.sum(), [m.log_weights])
         assert np.allclose(glw, 0.0, atol=1e-10)
 
@@ -265,7 +317,7 @@ class TestImplicitRsample:
 
         with ad.Tape():
             m = GaussianMixture(ad.leaf(logw), ad.leaf(means), ad.leaf(log_stds))
-            x = mixture_implicit_rsample(m, RngStream(7))
+            x = ad.reshape(rsample_stream(m, RngStream(7)), (d,))
             jac_lw = np.zeros((d, k))
             jac_mu = np.zeros((d, k, d))
             jac_ls = np.zeros((d, k, d))
@@ -305,14 +357,19 @@ class TestImplicitRsample:
         assert worst < 1e-4
 
     def test_forward_marginal_matches_logpdf(self):
-        """KS test on 1e5 one-dimensional draws against the mixture CDF."""
+        """KS test on 1e5 one-dimensional draws against the mixture CDF.
+
+        Draw k reads the uniform at offset 2k and the normal at 2k + 1, the
+        order in which a stream hands out one draw at a time.
+        """
+        n = 100_000
+        rng = RngStream(2026)
+        us = rng.uniforms_at(np.arange(0, 2 * n, 2))
+        eps = rng.normals_at(np.arange(1, 2 * n, 2))[:, None]
         with ad.Tape():
             m = make_mixture([0.5, -0.5], [[0.0], [3.0]], [[0.0], [0.5]])
-            rng = RngStream(2026)
-            draws = np.asarray(
-                [float(mixture_implicit_rsample(m, rng).data[0]) for _ in range(100_000)]
-            )
-            stat = kstest(draws, lambda t: np.asarray([mixture_cdf_1d(v, m) for v in np.atleast_1d(t)]))
+            draws = mixture_implicit_rsample(m, us, eps).data[:, 0]
+        stat = kstest(draws, lambda t: mixture_cdf_1d(np.atleast_1d(t), m))
         assert stat.pvalue > 0.001
 
     def test_conditional_cdf_monotone(self):
@@ -331,21 +388,56 @@ class TestImplicitRsample:
         counter = TailCounter()
         with ad.Tape():
             m = make_mixture([0.0], [[0.0]], [[0.0]])
-            x = mixture_implicit_rsample(m, RngStream(1), tail_counter=counter, u=0.5,
-                                         eps=np.asarray([40.0]))
+            x = mixture_implicit_rsample(m, [0.5], np.asarray([[40.0]]), tail_counter=counter)
             glw, gmu, gls = ad.grad(x.sum(), [m.log_weights, m.means, m.log_stds])
         assert counter.count == 1
         assert np.all(gmu == 0.0) and np.all(gls == 0.0) and np.all(glw == 0.0)
 
     def test_pinned_noise_reproduces_forward(self):
+        """One call drawing N equals N calls drawing one, noise for noise."""
+        us = RngStream(5).uniforms(6)
+        eps = RngStream(6).normals(12).reshape(6, 2)
         with ad.Tape():
-            m = make_mixture([0.1, -0.1], [[0.0], [2.0]], [[0.0], [0.2]])
-            a = mixture_implicit_rsample(m, RngStream(5))
-        rng = RngStream(5)
-        u, eps = rng.uniform(), rng.normals(1)
-        with ad.Tape():
-            b = mixture_implicit_rsample(m, RngStream(99), u=u, eps=eps)
-        assert np.array_equal(a.data, b.data)
+            m = make_mixture([0.1, -0.1, 0.3], [[0.0, 1.0], [2.0, -1.0], [-1.0, 0.5]],
+                             [[0.0, 0.1], [0.2, -0.3], [0.1, 0.0]])
+            many = mixture_implicit_rsample(m, us, eps)
+            ones = [mixture_implicit_rsample(m, us[i : i + 1], eps[i : i + 1]) for i in range(6)]
+        np.testing.assert_array_equal(many.data, np.concatenate([o.data for o in ones]))
+
+
+class TestImplicitRule:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_per_draw_oracle(self, d, k, n):
+        """R = 2 mixtures, N draws each, the last draw of mixture 1 in the tail."""
+        rng = np.random.default_rng(100 * d + 10 * k + n)
+        logw = rng.normal(size=(2, k))
+        logw -= np.logaddexp.reduce(logw, axis=1, keepdims=True)
+        means = rng.normal(size=(2, k, d))
+        log_stds = 0.3 * rng.normal(size=(2, k, d))
+        x = np.empty((2, n, d))
+        for r in range(2):
+            j = categorical_sample_many(np.exp(logw[r]), rng.uniform(size=n))
+            x[r] = means[r, j] + np.exp(log_stds[r, j]) * rng.normal(size=(n, d))
+        x[1, -1, 0] = 1e3
+        g = rng.normal(size=(2, n, d))
+
+        counter = TailCounter()
+        got = mixture_implicit_rule(x, logw, means, log_stds, counter)(g)
+        want = [np.zeros((2, k)), np.zeros((2, k, d)), np.zeros((2, k, d))]
+        tails = 0
+        for r in range(2):
+            for i in range(n):
+                *parts, is_tail = per_draw_rule(x[r, i], logw[r], means[r], log_stds[r], g[r, i])
+                tails += is_tail
+                for acc, part in zip(want, parts):
+                    acc[r] += part
+        assert tails == 1 and counter.count == 1
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            scale = max(float(np.max(np.abs(b))), 1.0)
+            assert np.max(np.abs(a - b)) / scale <= 1e-12
 
 
 class TestBernoulli:

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 import particlevi.autodiff as ad
+from particlevi import distributions
 from particlevi import filters as fl
 from particlevi import models as mo
 from particlevi.distributions import diag_gauss_logpdf
@@ -213,6 +214,17 @@ class TestMpf:
                 assert all(np.array_equal(a.data, b.data) for a, b in zip(bg.particles, ug.particles))
                 assert float(bg.log_evidence.data) == float(ug.log_evidence.data)
                 assert ug.tail_failures == 0
+
+    def test_tail_failures_counted_by_grad(self, monkeypatch):
+        # an infinite floor makes every draw a tail draw; the rules run in grad
+        monkeypatch.setattr(distributions, "_TAIL_PDF_FLOOR", np.inf)
+        m, ds, params0 = lgssm_setup(t_max=3)
+        with ad.Tape():
+            p = {k: ad.leaf(v) for k, v in params0.items()}
+            run = fl.run_mpf(m, p, ds, fl.FilterConfig(4, grad_mode="unbiased", seed=2))
+            assert run.tail_failures == 0
+            ad.grad(run.log_evidence, [p["mu"]])
+        assert run.tail_failures == 4 * 3
 
     def test_n1_gradients_coincide_across_modes(self):
         m, ds, params0 = lgssm_setup(t_max=2)
