@@ -12,7 +12,6 @@ from particlevi.autodiff import (
     Var,
     constant,
     custom_vjp,
-    elementwise,
     finite_diff_check,
     grad,
     leaf,
@@ -28,7 +27,6 @@ __all__ = [
     "RngStream",
     "constant",
     "custom_vjp",
-    "elementwise",
     "finite_diff_check",
     "grad",
     "leaf",

@@ -103,15 +103,11 @@ class Var:
         return reduce("max", self, axis)
 
 
-def _lift(x) -> Var:
+def constant(x) -> Var:
+    """Wrap a value as a non-differentiable Var; a Var passes through as is."""
     if isinstance(x, Var):
         return x
     return Var(np.asarray(x, dtype=np.float64))
-
-
-def constant(x) -> Var:
-    """Wrap a value as a non-differentiable Var."""
-    return _lift(x)
 
 
 def leaf(x) -> Var:
@@ -173,25 +169,25 @@ def _unb(g: np.ndarray, shape) -> np.ndarray:
 
 
 def add(a, b) -> Var:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     sa, sb = a.data.shape, b.data.shape
     return _rec2(a.data + b.data, a, lambda g: _unb(g, sa), b, lambda g: _unb(g, sb))
 
 
 def sub(a, b) -> Var:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     sa, sb = a.data.shape, b.data.shape
     return _rec2(a.data - b.data, a, lambda g: _unb(g, sa), b, lambda g: _unb(-g, sb))
 
 
 def mul(a, b) -> Var:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     da, db = a.data, b.data
     return _rec2(da * db, a, lambda g: _unb(g * db, da.shape), b, lambda g: _unb(g * da, db.shape))
 
 
 def div(a, b) -> Var:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     da, db = a.data, b.data
     out = da / db
     return _rec2(
@@ -204,18 +200,18 @@ def div(a, b) -> Var:
 
 
 def neg(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     return _rec1(-a.data, a, lambda g: -g)
 
 
 def exp(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     out = np.exp(a.data)
     return _rec1(out, a, lambda g: g * out)
 
 
 def log(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     if np.any(a.data < 0.0):
         raise ValueError("log of negative value")
     with np.errstate(divide="ignore"):
@@ -225,59 +221,35 @@ def log(a) -> Var:
 
 
 def sqrt(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     out = np.sqrt(a.data)
     return _rec1(out, a, lambda g: g / (2.0 * out))
 
 
 def erf(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     out = _special.erf(a.data)
     da = a.data
     return _rec1(out, a, lambda g: g * _INV_SQRT_PI_2 * np.exp(-da * da))
 
 
 def sigmoid(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     out = _special.expit(a.data)
     return _rec1(out, a, lambda g: g * out * (1.0 - out))
 
 
 def tanh(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     out = np.tanh(a.data)
     return _rec1(out, a, lambda g: g * (1.0 - out * out))
 
 
 def leaky_relu(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     pos = a.data > 0.0
     out = np.where(pos, a.data, LEAKY_SLOPE * a.data)
     return _rec1(out, a, lambda g: np.where(pos, g, LEAKY_SLOPE * g))
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "neg": neg,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "erf": erf,
-    "sigmoid": sigmoid,
-    "leaky-relu": leaky_relu,
-    "tanh": tanh,
-}
-
-
-def elementwise(kind: str, a, b=None) -> Var:
-    """Named dispatch over the elementwise op set."""
-    fn = _ELEMENTWISE.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown elementwise op {kind!r}")
-    return fn(a) if b is None else fn(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +257,7 @@ def elementwise(kind: str, a, b=None) -> Var:
 
 
 def matmul(a, b) -> Var:
-    a, b = _lift(a), _lift(b)
+    a, b = constant(a), constant(b)
     da, db = a.data, b.data
     if da.ndim == 0 or db.ndim == 0:
         raise ValueError("matmul requires rank >= 1 operands")
@@ -336,13 +308,23 @@ def _reduce_max(a: Var, axis) -> Var:
     return _rec1(out, a, back)
 
 
+def np_logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """Max-subtracted logsumexp of a plain array; all -inf gives -inf.
+
+    The one numpy form: the tape op ``logsumexp`` computes its forward value
+    here, and off-tape code calls it directly so it records no node.
+    """
+    m = np.max(a, axis=axis, keepdims=True)
+    safe = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = safe + np.log(np.sum(np.exp(a - safe), axis=axis, keepdims=True))
+    return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
+
+
 def _reduce_logsumexp(a: Var, axis) -> Var:
     data = a.data
-    m = np.max(data, axis=axis, keepdims=True)
-    msafe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        outk = msafe + np.log(np.sum(np.exp(data - msafe), axis=axis, keepdims=True))
-    out = outk.reshape(()) if axis is None else np.squeeze(outk, axis=axis)
+    out = np_logsumexp(data, axis)
+    outk = out if axis is None else np.expand_dims(out, axis)
 
     def back(g):
         with np.errstate(invalid="ignore"):
@@ -357,7 +339,7 @@ def _reduce_logsumexp(a: Var, axis) -> Var:
 
 def reduce(kind: str, a, axis=None) -> Var:
     """Reductions: sum, max, and max-subtracted logsumexp."""
-    a = _lift(a)
+    a = constant(a)
     if a.data.size == 0:
         raise ValueError("empty reduction")
     if kind == "sum":
@@ -379,18 +361,18 @@ def logsumexp(a, axis=None) -> Var:
 
 def stop_gradient(a) -> Var:
     """Forward identity, zero gradient to all ancestors."""
-    a = _lift(a)
+    a = constant(a)
     return Var(a.data)
 
 
 def reshape(a, shape) -> Var:
-    a = _lift(a)
+    a = constant(a)
     old = a.data.shape
     return _rec1(a.data.reshape(shape), a, lambda g: g.reshape(old))
 
 
 def transpose(a) -> Var:
-    a = _lift(a)
+    a = constant(a)
     if a.data.ndim != 2:
         raise ValueError("transpose expects a matrix")
     return _rec1(a.data.T.copy(), a, lambda g: g.T)
@@ -398,7 +380,7 @@ def transpose(a) -> Var:
 
 def gather_rows(a, idx) -> Var:
     """Select rows (or elements of a vector) by integer index; backward scatter-adds."""
-    a = _lift(a)
+    a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = a.data[idx]
     shape = a.data.shape
@@ -413,7 +395,7 @@ def gather_rows(a, idx) -> Var:
 
 def stack_rows(rows) -> Var:
     """Stack equal-shape Vars along a new leading axis; backward splits rows."""
-    rows = [_lift(r) for r in rows]
+    rows = [constant(r) for r in rows]
     out = np.stack([r.data for r in rows])
     tape = _ACTIVE.get()
     live = [(i, r.nid) for i, r in enumerate(rows) if r.nid is not None]

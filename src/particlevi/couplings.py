@@ -34,27 +34,8 @@ import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import models as mo
 from particlevi.distributions import diag_gauss_logpdf
-from particlevi.filters import (
-    ANCESTOR,
-    PROPOSAL,
-    RandomBackend,
-    _hmm_proposal_rows,
-    _np_lse,
-    _ys_of,
-)
+from particlevi.filters import ANCESTOR, PROPOSAL, hmm_proposal_rows, make_backend, ys_of
 from particlevi.rng import RngStream
-
-
-def _scalar(x) -> Var:
-    return x if isinstance(x, Var) else ad.constant(np.asarray(x, dtype=np.float64))
-
-
-def _as_backend(source):
-    if isinstance(source, RngStream):
-        return RandomBackend(source)
-    if isinstance(source, (int, np.integer)):
-        return RandomBackend(RngStream(int(source)))
-    return source
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +50,7 @@ class WeightedAtoms:
     normalized: bool = True
 
     def __post_init__(self):
-        if self.normalized and abs(float(_np_lse(self.log_weights()))) > 1e-10:
+        if self.normalized and abs(float(ad.np_logsumexp(self.log_weights()))) > 1e-10:
             raise ValueError("normalized atom weights must logsumexp to 0")
 
     def log_weights(self) -> np.ndarray:
@@ -133,7 +114,9 @@ class CouplingPair:
     description: str
 
     def draw(self, source) -> DrawResult:
-        backend = _as_backend(source)
+        """source: a root RngStream, an integer seed, or a draw backend."""
+        seeded = isinstance(source, (RngStream, int, np.integer))
+        backend = make_backend(source) if seeded else source
         return self.nu_part(backend, self.omega_part(backend), 0)
 
     @property
@@ -157,7 +140,7 @@ def _normalized(raw: list) -> WeightedAtoms:
         else:
             merged[key] = (value, lw)
     atoms = list(merged.values())
-    z = float(_np_lse(np.asarray([lw for _, lw in atoms])))
+    z = float(ad.np_logsumexp(np.asarray([lw for _, lw in atoms])))
     if z == -np.inf:
         raise ValueError("every atom weight vanished; coupling has no mass")
     return WeightedAtoms([(v, lw - z) for v, lw in atoms])
@@ -172,10 +155,10 @@ def basic_pair(log_density: Callable, proposal: StepProposal, description: str =
 
     def nu(backend, omega, lane):
         x = proposal.sample(backend, lane, None)
-        log_q = _scalar(proposal.logpdf(None, x))
+        log_q = ad.constant(proposal.logpdf(None, x))
         if float(log_q.data) == -np.inf:
             raise ValueError("proposal density vanished at its own draw")
-        log_r = _scalar(log_density(x)) - log_q
+        log_r = ad.constant(log_density(x)) - log_q
         return DrawResult({"new": x, "prev": None, "lane": lane}, log_r, _atom(x))
 
     return CouplingPair(lambda backend: None, nu, description)
@@ -218,10 +201,10 @@ def extend_target(p: CouplingPair, tr: TargetRatio) -> CouplingPair:
         j = backend.choose_one(tr.t, ANCESTOR, lane, prev.coupling.probs())
         old = prev.coupling.atoms[j][0]
         new = tr.proposal.sample(backend, lane, old)
-        log_q = _scalar(tr.proposal.logpdf(old, new))
+        log_q = ad.constant(tr.proposal.logpdf(old, new))
         if float(log_q.data) == -np.inf:
             raise ValueError("proposal density vanished at its own draw")
-        ratio = _scalar(tr.evaluator(old, new))
+        ratio = ad.constant(tr.evaluator(old, new))
         rv = float(ratio.data)
         if np.isnan(rv) or rv == np.inf:
             raise ValueError("target ratio must be finite or -inf wherever the proposal can land")
@@ -245,7 +228,7 @@ def marginalize(p: CouplingPair, selector: Callable) -> CouplingPair:
     def nu(backend, omega, lane):
         d0 = p.nu_part(backend, omega, lane)
         branches = selector(d0)
-        terms = [_scalar(cw) + _scalar(lr) for cw, lr, _ in branches]
+        terms = [ad.constant(cw) + ad.constant(lr) for cw, lr, _ in branches]
         log_r = ad.logsumexp(ad.stack_rows(terms))
         raw = []
         for (_, _, coupling), term in zip(branches, terms):
@@ -333,7 +316,7 @@ def step_proposal(model, params, ys: np.ndarray, t: int) -> StepProposal:
 
         def row_of(x_prev) -> np.ndarray:
             xp = None if x_prev is None else np.asarray([_hmm_idx(_last_state(x_prev))])
-            return _hmm_proposal_rows(model, params, t, xp, independent=False)[0]
+            return hmm_proposal_rows(model, params, t, xp, independent=False)[0]
 
         def sample(backend, lane, x_prev):
             k = backend.choose_one(t, PROPOSAL, lane, row_of(x_prev))
@@ -379,7 +362,7 @@ def _ancestor_selector(proposal: StepProposal, ratio: Callable) -> Callable:
         new = d0.omega["new"]
         log_vs = ad.stack_rows([ld.log_r for ld in lanes])
         log_vbar = log_vs - ad.logsumexp(log_vs)
-        log_qs = [_scalar(proposal.logpdf(ld.coupling.atoms[0][0], new)) for ld in lanes]
+        log_qs = [ad.constant(proposal.logpdf(ld.coupling.atoms[0][0], new)) for ld in lanes]
         mix = [
             ad.gather_rows(log_vbar, np.asarray([j])).sum() + log_qs[j]
             for j in range(len(lanes))
@@ -388,7 +371,7 @@ def _ancestor_selector(proposal: StepProposal, ratio: Callable) -> Callable:
         branches = []
         for j, ld in enumerate(lanes):
             old = ld.coupling.atoms[0][0]
-            log_r0 = prev.log_r + _scalar(ratio(old, new)) - log_qs[j]
+            log_r0 = prev.log_r + ad.constant(ratio(old, new)) - log_qs[j]
             branches.append((mix[j] - norm, log_r0, _atom(new)))
         return branches
 
@@ -401,7 +384,7 @@ def _ancestor_selector(proposal: StepProposal, ratio: Callable) -> Callable:
 
 def derive_smc(model, params, data, n_particles: int) -> CouplingPair:
     """Fold replicate(extend_target(...)) into the sequential filter's estimator."""
-    ys = _ys_of(data)
+    ys = ys_of(data)
     pair = replicate(
         basic_pair(step_density(model, ys), step_proposal(model, params, ys, 1), "Step1"),
         n_particles,
@@ -415,7 +398,7 @@ def derive_smc(model, params, data, n_particles: int) -> CouplingPair:
 def derive_mpf(model, params, data, n_particles: int) -> CouplingPair:
     """Like derive_smc, but each step changes target to the newest marginal and
     then integrates the drawn ancestor out of the estimator."""
-    ys = _ys_of(data)
+    ys = ys_of(data)
     pair = replicate(
         basic_pair(step_density(model, ys), step_proposal(model, params, ys, 1), "Step1"),
         n_particles,

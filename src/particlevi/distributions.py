@@ -8,9 +8,8 @@ reparameterization gradient for mixture sampling.
 The mixture sampler draws a genuinely categorical component and then a
 Gaussian within it; the gradient comes from a custom-VJP node implementing
 the distributional transform (Figurnov et al. 2018; Graves 2016).  One node
-covers every draw of a filter step: mixture_implicit_rule takes the draws
-of R mixtures at once, so the per-run filter (R = 1) and the seed-batched
-one share it.  Writing the per-coordinate conditional CDF as
+covers every draw of a filter step: mixture_implicit_rule takes all N draws
+of one mixture at once.  Writing the per-coordinate conditional CDF as
 
     F_e(x_e | x_{1:e-1}) = sum_j w_j(x_{1:e-1}) * Phi((x_e - mu_je)/sig_je),
 
@@ -24,14 +23,13 @@ analytic (dPhi/dmu = -pdf, dPhi/dsigma = -z*pdf), never finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf as _np_erf
 
 from particlevi import autodiff as ad
 from particlevi.autodiff import Var
-from particlevi.rng import RngStream
 
 LOG_2PI = math.log(2.0 * math.pi)
 _TAIL_PDF_FLOOR = 1e-300
@@ -45,9 +43,8 @@ class DiagGaussian:
     log_std: Var
 
     def __post_init__(self):
-        self.mean = ad.constant(self.mean) if not isinstance(self.mean, Var) else self.mean
-        if not isinstance(self.log_std, Var):
-            self.log_std = ad.constant(self.log_std)
+        self.mean = ad.constant(self.mean)
+        self.log_std = ad.constant(self.log_std)
 
 
 @dataclass
@@ -90,20 +87,12 @@ class TailCounter:
 
 def diag_gauss_logpdf(x, g: DiagGaussian) -> Var:
     """Log-density of a diagonal Gaussian, differentiable in x, mu, log-std."""
-    x = ad.constant(x) if not isinstance(x, Var) else x
+    x = ad.constant(x)
     if x.data.shape != g.mean.data.shape:
         raise ValueError(f"dimension mismatch: x {x.data.shape} vs mean {g.mean.data.shape}")
     z = (x - g.mean) * ad.exp(-g.log_std)
     terms = -0.5 * LOG_2PI - g.log_std - 0.5 * z * z
     return terms.sum()
-
-
-def diag_gauss_rsample(g: DiagGaussian, rng: RngStream, eps=None) -> Var:
-    """Reparameterized draw x = mu + sigma * eps; gradients flow to mu, log-std."""
-    d = g.mean.data.shape[0]
-    if eps is None:
-        eps = rng.normals(d)
-    return g.mean + ad.exp(g.log_std) * ad.constant(eps)
 
 
 def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian):
@@ -140,7 +129,7 @@ def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 def mixture_logpdf(x, m: GaussianMixture) -> Var:
     """Log-density of a diagonal-Gaussian mixture at a point."""
-    x = ad.constant(x) if not isinstance(x, Var) else x
+    x = ad.constant(x)
     if x.data.shape != (m.dim,):
         raise ValueError(f"dimension mismatch: x {x.data.shape} vs mixture dim {m.dim}")
     z = (x - m.means) * ad.exp(-m.log_stds)
@@ -149,60 +138,60 @@ def mixture_logpdf(x, m: GaussianMixture) -> Var:
 
 
 def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | None = None):
-    """Custom-VJP rule for realized draws x (R, N, d) of R mixtures.
+    """Custom-VJP rule for realized draws x (N, d) of one mixture.
 
-    Mixture r has log-weights logw[r] (K,) and components means[r],
-    log_stds[r] (K, d); draw x[r, n] came from mixture r.  For every draw the
-    rule forms the conditional weights, CDFs and pdfs, then solves
-    J^T lam = g by back-substitution over the coordinates, batched over all
-    R * N draws.  J is lower triangular with the conditional pdfs on its
-    diagonal; its strictly-lower entries J[f, e] = sum_k G[k, f] s[k, e]
-    (G the weighted CDF gaps, s = d logphi / dx) are applied through the
-    running tail sums of lam * G instead of being formed.  The cotangents
-    of every draw are summed into (R, K), (R, K, d), (R, K, d).  A draw
-    whose conditional pdf falls below 1e-300 or is non-finite in any
-    coordinate contributes zero and adds one to the counter.
+    The mixture has log-weights logw (K,) and components means, log_stds
+    (K, d).  For every draw the rule forms the conditional weights, CDFs and
+    pdfs, then solves J^T lam = g by back-substitution over the coordinates,
+    batched over all N draws.  J is lower triangular with the conditional
+    pdfs on its diagonal; its strictly-lower entries
+    J[f, e] = sum_k G[k, f] s[k, e] (G the weighted CDF gaps,
+    s = d logphi / dx) are applied through the running tail sums of lam * G
+    instead of being formed.  The cotangents of every draw are summed into
+    (K,), (K, d), (K, d).  A draw whose conditional pdf falls below 1e-300
+    or is non-finite in any coordinate contributes zero and adds one to the
+    counter.
     """
 
     def rule(g):
-        sig = np.exp(log_stds)[:, None]
-        z = (x[:, :, None, :] - means[:, None]) / sig  # (R, N, K, d)
-        logphi = -0.5 * LOG_2PI - log_stds[:, None] - 0.5 * z * z
+        sig = np.exp(log_stds)
+        z = (x[:, None, :] - means) / sig  # (N, K, d)
+        logphi = -0.5 * LOG_2PI - log_stds - 0.5 * z * z
         pdf = np.exp(logphi)
         big_phi = 0.5 * (1.0 + _np_erf(z / math.sqrt(2.0)))
-        d = x.shape[2]
+        d = x.shape[1]
         prefix = np.zeros_like(logphi)
         if d > 1:
-            prefix[..., 1:] = np.cumsum(logphi, axis=3)[..., : d - 1]
-        lmat = logw[:, None, :, None] + prefix
-        lmat = lmat - lmat.max(axis=2, keepdims=True)
+            prefix[..., 1:] = np.cumsum(logphi, axis=2)[..., : d - 1]
+        lmat = logw[None, :, None] + prefix
+        lmat = lmat - lmat.max(axis=1, keepdims=True)
         w_post = np.exp(lmat)
-        w_post /= w_post.sum(axis=2, keepdims=True)
-        f_vals = (w_post * big_phi).sum(axis=2)
-        cond_pdf = (w_post * pdf).sum(axis=2)  # (R, N, d)
-        bad = np.any((cond_pdf < _TAIL_PDF_FLOOR) | ~np.isfinite(cond_pdf), axis=2)
+        w_post /= w_post.sum(axis=1, keepdims=True)
+        f_vals = (w_post * big_phi).sum(axis=1)
+        cond_pdf = (w_post * pdf).sum(axis=1)  # (N, d)
+        bad = np.any((cond_pdf < _TAIL_PDF_FLOOR) | ~np.isfinite(cond_pdf), axis=1)
         if tail_counter is not None:
             tail_counter.count += int(bad.sum())
-        diag = np.where(bad[..., None], 1.0, cond_pdf)
+        diag = np.where(bad[:, None], 1.0, cond_pdf)
         s = -z / sig
-        g_mat = w_post * (big_phi - f_vals[:, :, None, :])
+        g_mat = w_post * (big_phi - f_vals[:, None, :])
         g = np.asarray(g, dtype=np.float64)
         lam = np.empty(x.shape)
-        tail = np.empty(z.shape)  # tail[..., k, e] = sum_{f > e} lam_f G[k, f]
-        acc = np.zeros(z.shape[:3])
+        tail = np.empty(z.shape)  # tail[n, k, e] = sum_{f > e} lam_f G[k, f]
+        acc = np.zeros(z.shape[:2])
         for e in range(d - 1, -1, -1):
             tail[..., e] = acc
-            lam[..., e] = (g[..., e] - (s[..., e] * acc).sum(axis=2)) / diag[..., e]
-            acc = acc + lam[:, :, None, e] * g_mat[..., e]
-        lam = lam[:, :, None, :]
-        grad_logw = -(lam * g_mat).sum(axis=3)
+            lam[:, e] = (g[:, e] - (s[..., e] * acc).sum(axis=1)) / diag[:, e]
+            acc = acc + lam[:, None, e] * g_mat[..., e]
+        lam = lam[:, None, :]
+        grad_logw = -(lam * g_mat).sum(axis=2)
         grad_mu = lam * w_post * pdf - tail * z / sig
         grad_logstd = lam * w_post * z * (pdf * sig) - tail * (z * z - 1.0)
         if bad.any():
-            grad_logw = np.where(bad[..., None], 0.0, grad_logw)
-            grad_mu = np.where(bad[..., None, None], 0.0, grad_mu)
-            grad_logstd = np.where(bad[..., None, None], 0.0, grad_logstd)
-        return grad_logw.sum(axis=1), grad_mu.sum(axis=1), grad_logstd.sum(axis=1)
+            grad_logw = np.where(bad[:, None], 0.0, grad_logw)
+            grad_mu = np.where(bad[:, None, None], 0.0, grad_mu)
+            grad_logstd = np.where(bad[:, None, None], 0.0, grad_logstd)
+        return grad_logw.sum(axis=0), grad_mu.sum(axis=0), grad_logstd.sum(axis=0)
 
     return rule
 
@@ -214,28 +203,14 @@ def mixture_implicit_rsample(
 
     Forward: draw n picks component j_n by inverse CDF on the mixture
     weights with uniform us[n], then x_n = mu_{j_n} + sig_{j_n} * eps[n].
-    Backward: one node for all N draws, mixture_implicit_rule with R = 1,
-    flowing gradients into the log-weights and every component's mean and
-    log-std.  Tail draws contribute zero and are counted.  Returns (N, d).
+    Backward: one node for all N draws, mixture_implicit_rule, flowing
+    gradients into the log-weights and every component's mean and log-std.
+    Tail draws contribute zero and are counted.  Returns (N, d).
     """
     j = categorical_sample_many(np.exp(m.log_weights.data), np.asarray(us))
     x = m.means.data[j] + np.exp(m.log_stds.data[j]) * eps
     rule = mixture_implicit_rule(
-        x[None], m.log_weights.data[None], m.means.data[None], m.log_stds.data[None], tail_counter
+        x, m.log_weights.data, m.means.data, m.log_stds.data, tail_counter
     )
-    return ad.custom_vjp(
-        x, [m.log_weights, m.means, m.log_stds], lambda g: [c[0] for c in rule(g[None])]
-    )
+    return ad.custom_vjp(x, [m.log_weights, m.means, m.log_stds], rule)
 
-
-def bernoulli_logpmf(y, logits: Var) -> Var:
-    """Sum_i [y_i * logit_i - softplus(logit_i)], softplus via logsumexp."""
-    y = np.asarray(y, dtype=np.float64)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("bernoulli observations must be binary")
-    logits = ad.constant(logits) if not isinstance(logits, Var) else logits
-    if y.shape != logits.data.shape:
-        raise ValueError("dimension mismatch between y and logits")
-    stacked = ad.stack_rows([logits, ad.constant(np.zeros_like(y))])
-    softplus = ad.logsumexp(stacked, axis=0)
-    return (ad.constant(y) * logits - softplus).sum()

@@ -207,19 +207,12 @@ class ParticleRun:
         return len(self.log_weights)
 
 
-def _ys_of(data) -> np.ndarray:
+def ys_of(data) -> np.ndarray:
+    """The (T, dy) observations of a Dataset or array."""
     ys = data.ys if isinstance(data, mo.Dataset) else np.asarray(data, dtype=np.float64)
     if ys.ndim != 2:
         raise ValueError("observations must be a (T, dy) array")
     return ys
-
-
-def _np_lse(a: np.ndarray, axis=None) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(a - safe), axis=axis, keepdims=True))
-    return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
 
 
 def _check_alive(logw: Var, t: int):
@@ -236,27 +229,20 @@ def _evidence(log_mean_weights: list, cumulative: bool) -> Var:
     return total
 
 
-def _log_mean_weight(logw: Var, log_n: float) -> Var:
-    # off-tape weights (discrete models, grad-free runs) fold to numpy;
-    # enumeration re-runs a filter per path, so this is the hot line
-    if logw.nid is None:
-        return ad.constant(_np_lse(logw.data) - log_n)
-    return ad.logsumexp(logw) - log_n
-
-
-def _make_backend(rng, backend):
+def make_backend(rng=None, backend=None):
+    """``backend`` if given, else random draws from ``rng`` (RngStream or seed)."""
     if backend is not None:
         return backend
     if rng is None:
         raise ValueError("either rng or backend must be given")
-    return RandomBackend(rng if isinstance(rng, RngStream) else RngStream(rng))
+    return RandomBackend(rng if isinstance(rng, RngStream) else RngStream(int(rng)))
 
 
 # ---------------------------------------------------------------------------
-# density helpers shared by the filters and the identity check
+# density helpers shared by the filters, the identity check and the couplings
 
 
-def _hmm_proposal_rows(model: mo.DiscreteHmm, params, t: int, xp_idx, independent: bool) -> np.ndarray:
+def hmm_proposal_rows(model: mo.DiscreteHmm, params, t: int, xp_idx, independent: bool) -> np.ndarray:
     """Proposal probability rows for a discrete model.
 
     Defaults: bootstrap (prior) proposals for the dependent filters,
@@ -276,7 +262,7 @@ def _hmm_proposal_rows(model: mo.DiscreteHmm, params, t: int, xp_idx, independen
 
 def _discrete_draw(model, params, t, xp_idx, n, backend, independent=False, mix_weights=None):
     """Draw n discrete states; returns (idx, log proposal density at idx)."""
-    rows = _hmm_proposal_rows(model, params, t, xp_idx, independent)
+    rows = hmm_proposal_rows(model, params, t, xp_idx, independent)
     if mix_weights is not None:
         rows = (mix_weights @ rows)[None, :]
     if rows.shape[0] == 1:
@@ -349,8 +335,8 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     """
     if cfg.grad_mode == "unbiased":
         raise ValueError("unbiased gradients are only defined for run_mpf")
-    backend = _make_backend(cfg.seed, backend)
-    ys = _ys_of(data)
+    backend = make_backend(cfg.seed, backend)
+    ys = ys_of(data)
     n, t_max = cfg.n_particles, ys.shape[0]
     discrete = isinstance(model, mo.DiscreteHmm)
     if discrete and cfg.grad_mode != "none":
@@ -367,7 +353,7 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
             anc = None
         elif cfg.resample:
             lw = log_weights[-1].data
-            anc = backend.choose_shared(t, ANCESTOR, n, np.exp(lw - _np_lse(lw)))
+            anc = backend.choose_shared(t, ANCESTOR, n, np.exp(lw - ad.np_logsumexp(lw)))
         else:
             anc = np.arange(n)
         if anc is not None:
@@ -441,8 +427,8 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     bit-identical.  Tail draws of the implicit gradient are counted in
     ``tail_failures`` as ``grad`` runs the rules.
     """
-    backend = _make_backend(cfg.seed, backend)
-    ys = _ys_of(data)
+    backend = make_backend(cfg.seed, backend)
+    ys = ys_of(data)
     n, t_max = cfg.n_particles, ys.shape[0]
     discrete = isinstance(model, mo.DiscreteHmm)
     if discrete and cfg.grad_mode != "none":
@@ -461,15 +447,15 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
                 logv_np = _hmm_log_f(model, 1, idx, None) + _hmm_log_g(model, idx, ys[0]) - log_r
                 x_new = ad.constant(idx[:, None].astype(np.float64))
             else:
-                log_vbar = log_weights[-1].data - _np_lse(log_weights[-1].data)
+                log_vbar = log_weights[-1].data - ad.np_logsumexp(log_weights[-1].data)
                 idx, _ = _discrete_draw(
                     model, params, t, x_idx, n, backend, mix_weights=np.exp(log_vbar)
                 )
                 x_new = ad.constant(idx[:, None].astype(np.float64))
                 log_f = _log_f_matrix(model, t, x_new, x).data
                 log_r = _log_r_matrix(model, params, t, x_new, x).data
-                num = _np_lse(log_vbar[None, :] + log_f, axis=1)
-                den = _np_lse(log_vbar[None, :] + log_r, axis=1)
+                num = ad.np_logsumexp(log_vbar[None, :] + log_f, axis=1)
+                den = ad.np_logsumexp(log_vbar[None, :] + log_r, axis=1)
                 logv_np = num + _hmm_log_g(model, idx, ys[t - 1]) - den
             x, x_idx, logv = x_new, idx, ad.constant(logv_np)
         else:
@@ -558,8 +544,8 @@ def run_ipf(
     """
     if not 1 <= l_perms <= n_particles:
         raise ValueError("l_perms must satisfy 1 <= L <= N")
-    backend = _make_backend(rng, backend)
-    ys = _ys_of(data)
+    backend = make_backend(rng, backend)
+    ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]
     discrete = isinstance(model, mo.DiscreteHmm)
     log_n, log_l = math.log(n), math.log(l_perms)
@@ -634,8 +620,8 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
     Proposals must be state-independent.  There is no resampling, so a run
     under an active tape is fully reparameterized.
     """
-    backend = _make_backend(rng, backend)
-    ys = _ys_of(data)
+    backend = make_backend(rng, backend)
+    ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]
     discrete = isinstance(model, mo.DiscreteHmm)
     log_n = math.log(n)
@@ -707,15 +693,15 @@ def mpf_tmc_identity_check(model, run: ParticleRun) -> float:
     for t in range(2, run.t_max + 1):
         x, xp = run.particles[t - 1], run.particles[t - 2]
         logv_prev = run.log_weights[t - 2].data
-        log_vbar = logv_prev - _np_lse(logv_prev)
+        log_vbar = logv_prev - ad.np_logsumexp(logv_prev)
         log_f = _log_f_matrix(model, t, x, xp).data
         log_r = _log_r_matrix(model, run.params, t, x, xp, run.ys[t - 1]).data
         if isinstance(model, mo.DiscreteHmm):
             log_g = _hmm_log_g(model, x.data[:, 0].astype(np.intp), run.ys[t - 1])
         else:
             log_g = mo.emission_logpdf_rows(model, t, x, run.ys[t - 1]).data
-        log_q = _np_lse(log_vbar[None, :] + log_r, axis=1)
-        line6 = _np_lse(log_z[None, :] + log_f, axis=1) + log_g - log_n - log_q
+        log_q = ad.np_logsumexp(log_vbar[None, :] + log_r, axis=1)
+        line6 = ad.np_logsumexp(log_z[None, :] + log_f, axis=1) + log_g - log_n - log_q
         running += float(run.log_mean_weights[t - 2].data)
         identity = run.log_weights[t - 1].data + running
         worst = max(worst, float(np.max(np.abs(line6 - identity))))
@@ -728,7 +714,7 @@ def posterior_draw(run: ParticleRun, rng: RngStream) -> np.ndarray:
     logw = run.log_weights[-1].data
     if not np.any(logw > -np.inf):
         raise DegeneracyError(run.t_max)
-    probs = np.exp(logw - _np_lse(logw))
+    probs = np.exp(logw - ad.np_logsumexp(logw))
     i = int(categorical_sample_many(probs, np.asarray([rng.uniform()]))[0])
     if run.kind == "smc":
         if run.trajectories is None:

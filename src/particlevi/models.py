@@ -10,8 +10,6 @@ used by the filters.  The two are thin wrappers over the same kernels.
 
 from __future__ import annotations
 
-import configparser
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -22,10 +20,6 @@ import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi.distributions import LOG_2PI, DiagGaussian, gauss_product_fuse
 from particlevi.rng import RngStream
-
-
-def _as_var(x):
-    return x if isinstance(x, Var) else ad.constant(np.asarray(x, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +120,7 @@ def sv_make(d: int, b_mode: str, rng: RngStream) -> StochVol:
 
 def sv_b_matrix(model: StochVol) -> Var:
     """B with positive diagonal; gradient flows only through used entries."""
-    b_raw = _as_var(model.b_raw)
+    b_raw = ad.constant(model.b_raw)
     d = b_raw.data.shape[0]
     eye = np.eye(d)
     b = ad.exp(b_raw) * ad.constant(eye)
@@ -177,15 +171,15 @@ def dmm_make(dx: int, dy: int, dh: int, rng: RngStream) -> Dmm:
 
 def mlp_two_head(params: dict, prefix: str, x) -> tuple:
     """(mean, log-std) heads over a shared leaky-relu hidden layer; x is (M, in)."""
-    h = ad.leaky_relu(_as_var(x) @ _as_var(params[prefix + "_h_w"]) + _as_var(params[prefix + "_h_b"]))
-    mean = h @ _as_var(params[prefix + "_mu_w"]) + _as_var(params[prefix + "_mu_b"])
-    raw = h @ _as_var(params[prefix + "_sig_w"]) + _as_var(params[prefix + "_sig_b"])
+    h = ad.leaky_relu(ad.constant(x) @ ad.constant(params[prefix + "_h_w"]) + ad.constant(params[prefix + "_h_b"]))
+    mean = h @ ad.constant(params[prefix + "_mu_w"]) + ad.constant(params[prefix + "_mu_b"])
+    raw = h @ ad.constant(params[prefix + "_sig_w"]) + ad.constant(params[prefix + "_sig_b"])
     return mean, raw * 0.5
 
 
 def mlp_single(params: dict, prefix: str, out_name: str, x) -> Var:
-    h = ad.leaky_relu(_as_var(x) @ _as_var(params[prefix + "_w"]) + _as_var(params[prefix + "_b"]))
-    return h @ _as_var(params[out_name + "_w"]) + _as_var(params[out_name + "_b"])
+    h = ad.leaky_relu(ad.constant(x) @ ad.constant(params[prefix + "_w"]) + ad.constant(params[prefix + "_b"]))
+    return h @ ad.constant(params[out_name + "_w"]) + ad.constant(params[out_name + "_b"])
 
 
 @dataclass
@@ -263,14 +257,8 @@ def hmm_forward(h: DiscreteHmm, symbols: np.ndarray) -> float:
         log_e = np.log(h.emis)
     alpha = log_pi + log_e[:, symbols[0]]
     for sym in symbols[1:]:
-        alpha = _np_logsumexp_cols(alpha[:, None] + log_t) + log_e[:, sym]
-    return float(_np_logsumexp_cols(alpha[:, None])[0])
-
-
-def _np_logsumexp_cols(a: np.ndarray) -> np.ndarray:
-    m = a.max(axis=0)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    return safe + np.log(np.exp(a - safe).sum(axis=0))
+        alpha = ad.np_logsumexp(alpha[:, None] + log_t, axis=0) + log_e[:, sym]
+    return float(ad.np_logsumexp(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +267,7 @@ def _np_logsumexp_cols(a: np.ndarray) -> np.ndarray:
 
 def gauss_logpdf_rows(x, means, log_stds) -> Var:
     """Row-aligned diagonal Gaussian log-densities: (N, d) against (N|1, d) -> (N,)."""
-    x, means, log_stds = _as_var(x), _as_var(means), _as_var(log_stds)
+    x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
     z = (x - means) * ad.exp(-log_stds)
     return (-0.5 * LOG_2PI - log_stds - 0.5 * z * z).sum(axis=1)
 
@@ -289,7 +277,7 @@ def gauss_logpdf_matrix(x, means, log_stds) -> Var:
 
     Expanded quadratic form so the N x M work is three matmuls.
     """
-    x, means, log_stds = _as_var(x), _as_var(means), _as_var(log_stds)
+    x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
     inv_var = ad.exp(-2.0 * log_stds)
     cross = x @ ad.transpose(means * inv_var)
     sq = (x * x) @ ad.transpose(inv_var)
@@ -300,7 +288,7 @@ def gauss_logpdf_matrix(x, means, log_stds) -> Var:
 
 def trisolve_rows(b: Var, u: Var) -> Var:
     """Rows of u through B^{-1} for lower-triangular B: (B^{-1} u_i)_i."""
-    b, u = _as_var(b), _as_var(u)
+    b, u = ad.constant(b), ad.constant(u)
     b_data, u_data = b.data, u.data
     z = solve_triangular(b_data, u_data.T, lower=True).T
 
@@ -324,29 +312,29 @@ def transition_build_many(model, t: int, x_prev=None) -> tuple:
     if isinstance(model, Lgssm):
         if t == 1:
             return ad.constant(np.zeros((1, model.dx))), ad.constant(np.zeros((1, model.dx)))
-        x_prev = _as_var(x_prev)
+        x_prev = ad.constant(x_prev)
         means = x_prev @ ad.constant(model.a.T)
         log_stds = 0.5 * np.log(np.tile(model.q_diag, (x_prev.data.shape[0], 1)))
         return means, ad.constant(log_stds)
     if isinstance(model, StochVol):
-        mu, ls = _as_var(model.mu), _as_var(model.log_q_std)
+        mu, ls = ad.constant(model.mu), ad.constant(model.log_q_std)
         if t == 1:
             return ad.reshape(mu, (1, model.dim)), ad.reshape(ls, (1, model.dim))
-        x_prev = _as_var(x_prev)
+        x_prev = ad.constant(x_prev)
         n = x_prev.data.shape[0]
-        phi = ad.sigmoid(_as_var(model.phi_logit))
+        phi = ad.sigmoid(ad.constant(model.phi_logit))
         means = mu + phi * (x_prev - mu)
         return means, ad.reshape(ls, (1, model.dim)) * ad.constant(np.ones((n, 1)))
     if isinstance(model, Dmm):
         if t == 1:
             x_prev = ad.constant(np.zeros((1, model.dx)))
-        return mlp_two_head(model.params, "trans", _as_var(x_prev))
+        return mlp_two_head(model.params, "trans", ad.constant(x_prev))
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 
 def emission_logpdf_rows(model, t: int, x, y_t) -> Var:
     """log g(y_t | x_i) for each particle row of x."""
-    x = _as_var(x)
+    x = ad.constant(x)
     y_t = np.asarray(y_t, dtype=np.float64)
     if isinstance(model, Lgssm):
         resid = ad.constant(y_t) - x @ ad.constant(model.c.T)
@@ -356,7 +344,7 @@ def emission_logpdf_rows(model, t: int, x, y_t) -> Var:
         b = sv_b_matrix(model)
         u = ad.constant(y_t) * ad.exp(-0.5 * x)
         z = trisolve_rows(b, u)
-        log_det_b = (_as_var(model.b_raw) * ad.constant(np.eye(model.dim))).sum()
+        log_det_b = (ad.constant(model.b_raw) * ad.constant(np.eye(model.dim))).sum()
         half_trace = 0.5 * x.sum(axis=1)
         return -0.5 * model.dim * LOG_2PI - log_det_b - half_trace - 0.5 * (z * z).sum(axis=1)
     if isinstance(model, Dmm):
@@ -375,13 +363,13 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
     factor, which keeps every family inside the diagonal-Gaussian class.
     """
     if isinstance(model, Lgssm):
-        mu_t = ad.gather_rows(_as_var(params["mu"]), np.asarray([t - 1]))
-        ls_t = ad.gather_rows(_as_var(params["log_sigma"]), np.asarray([t - 1]))
+        mu_t = ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1]))
+        ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
         if t == 1 or x_prev is None:
             # x_prev=None asks for the state-independent form (beta unused)
             return mu_t, ls_t
-        beta_t = ad.gather_rows(_as_var(params["beta"]), np.asarray([t - 1]))
-        x_prev = _as_var(x_prev)
+        beta_t = ad.gather_rows(ad.constant(params["beta"]), np.asarray([t - 1]))
+        x_prev = ad.constant(x_prev)
         means = mu_t + beta_t * (x_prev @ ad.constant(model.a.T))
         ones = ad.constant(np.ones((x_prev.data.shape[0], 1)))
         return means, ls_t * ones
@@ -392,14 +380,14 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
         )
     if isinstance(model, StochVol):
         f_mean, f_ls = transition_build_many(model, t, x_prev)
-        mu_t = ad.gather_rows(_as_var(params["mu"]), np.asarray([t - 1]))
-        ls_t = ad.gather_rows(_as_var(params["log_sigma"]), np.asarray([t - 1]))
+        mu_t = ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1]))
+        ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
         fused, _ = gauss_product_fuse(DiagGaussian(f_mean, f_ls), DiagGaussian(mu_t, ls_t))
         return fused.mean, fused.log_std
     if isinstance(model, Dmm):
         if t == 1:
             x_prev = np.zeros((1, model.dx))
-        x_mean, x_ls = mlp_two_head(params, "x", _as_var(x_prev))
+        x_mean, x_ls = mlp_two_head(params, "x", ad.constant(x_prev))
         y_mean, y_ls = mlp_two_head(params, "y", np.asarray(y_t, dtype=np.float64)[None, :])
         fused, _ = gauss_product_fuse(DiagGaussian(x_mean, x_ls), DiagGaussian(y_mean, y_ls))
         return fused.mean, fused.log_std
@@ -409,7 +397,7 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
 def proposal_build(model, params: dict, t: int, x_prev=None, y_t=None) -> DiagGaussian:
     """Single-state proposal r_t(. | x_prev) as a DiagGaussian."""
     if x_prev is not None:
-        x_prev = ad.reshape(_as_var(x_prev), (1, -1))
+        x_prev = ad.reshape(ad.constant(x_prev), (1, -1))
     means, log_stds = proposal_build_many(model, params, t, x_prev, y_t)
     d = means.data.shape[1]
     return DiagGaussian(ad.reshape(means, (d,)), ad.reshape(log_stds, (d,)))
@@ -417,9 +405,9 @@ def proposal_build(model, params: dict, t: int, x_prev=None, y_t=None) -> DiagGa
 
 def model_logdensities(model, t: int, x_t, x_prev=None, y_t=None) -> tuple:
     """(log f, log g) at a single state; t=1 omits x_prev."""
-    x_row = ad.reshape(_as_var(x_t), (1, -1))
+    x_row = ad.reshape(ad.constant(x_t), (1, -1))
     if x_prev is not None:
-        x_prev = ad.reshape(_as_var(x_prev), (1, -1))
+        x_prev = ad.reshape(ad.constant(x_prev), (1, -1))
     f_mean, f_ls = transition_build_many(model, t, x_prev)
     log_f = gauss_logpdf_rows(x_row, f_mean, f_ls).sum()
     log_g = emission_logpdf_rows(model, t, x_row, y_t).sum()
@@ -512,26 +500,3 @@ def generate(model, t_max: int, rng: RngStream) -> Dataset:
         return Dataset(ys, "dmm", meta)
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    """CSV with header t,y1..y{dy} plus a key-value metadata sidecar."""
-    dy = ds.ys.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"y{k + 1}" for k in range(dy)])
-        for t in range(ds.ys.shape[0]):
-            writer.writerow([t + 1] + [f"{v:.17g}" for v in ds.ys[t]])
-    cfg = configparser.ConfigParser()
-    cfg["dataset"] = {k: str(v) for k, v in ds.meta.items()}
-    with open(path + ".meta", "w") as fh:
-        cfg.write(fh)
-
-
-def load_dataset(path: str) -> Dataset:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    ys = np.asarray([[float(v) for v in row[1:]] for row in rows[1:]])
-    cfg = configparser.ConfigParser()
-    cfg.read(path + ".meta")
-    meta = dict(cfg["dataset"]) if cfg.has_section("dataset") else {}
-    return Dataset(ys, meta.get("kind", "unknown"), meta)

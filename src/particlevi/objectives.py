@@ -67,12 +67,8 @@ class Objective:
             )
 
 
-def _backend(rng) -> fl.RandomBackend:
-    return fl.RandomBackend(rng if isinstance(rng, RngStream) else RngStream(int(rng)))
-
-
 def _run(obj: Objective, model, params, data, rng, grad_mode: str) -> fl.ParticleRun:
-    be = _backend(rng)
+    be = fl.make_backend(rng)
     if obj.kind == "tmc":
         return fl.run_tmc(model, params, data, obj.n_particles, backend=be)
     cfg = fl.FilterConfig(
@@ -321,22 +317,17 @@ def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | Non
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
 
 
-def grad_variance_probe(obj: Objective, data, n_samples: int, rng, workers: int | None = None) -> float:
+def grad_variance_probe(obj: Objective, data, n_samples: int, rng) -> float:
     """Per-coordinate gradient variance, averaged over every coordinate.
 
-    Same fan-out and seeding convention as bound_estimate: draw i uses
-    rng.split(i).
+    The n_samples gradients run one after another; draw i uses
+    rng.split(i), the seeding convention of bound_estimate.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     rng = rng if isinstance(rng, RngStream) else RngStream(int(rng))
     grad_fn = _grad_fn(obj)
-
-    def one(i: int) -> dict:
-        return grad_fn(obj, data, rng.split(i))[1]
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        grads = list(ex.map(one, range(n_samples)))
+    grads = [grad_fn(obj, data, rng.split(i))[1] for i in range(n_samples)]
     names = sorted(grads[0])
     stacked = np.stack([np.concatenate([g[k].ravel() for k in names]) for g in grads])
     return float(stacked.var(axis=0, ddof=1).mean())

@@ -4,13 +4,14 @@ A stream is a pure function of (seed, stream-id, counter): re-creating a
 stream from the same coordinates reproduces the same draws, and distinct
 stream-ids give statistically independent sequences.  ``split`` derives a
 child stream-id by hashing integer labels into the parent id, so callers can
-address noise by meaning, e.g. (time-step, particle-index, purpose), instead
-of threading sequential generator state through every call site.
+address noise by meaning, e.g. (time-step, purpose) with one counter offset
+per particle, instead of threading sequential generator state through every
+call site.
 
 The mixer is the splitmix64 finalizer applied to a Weyl sequence offset by
 the stream key.  Keying a fresh stream costs a few integer operations, which
-is what makes one stream per (step, particle, purpose) affordable inside
-hot filter loops.
+is what makes one stream per (step, purpose) affordable inside hot filter
+loops.
 """
 
 from __future__ import annotations
@@ -63,9 +64,10 @@ class RngStream:
 
     Draw methods either advance the internal counter (``uniforms``,
     ``normals``) or read at absolute counter offsets without touching state
-    (``uniforms_at``, ``normals_at``).  The offset forms let vectorized and
-    per-particle code consume bit-identical noise: element k of a batched
-    draw equals a lone draw at counter offset k.
+    (``uniforms_at``, ``normals_at``).  The offset forms make noise
+    independent of how it is read: element k of a many-offset read equals a
+    lone read at counter offset k, so drawing N particles at once or one at
+    a time consumes bit-identical noise.
     """
 
     __slots__ = ("seed", "stream", "counter", "_key")
@@ -114,36 +116,3 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream}, counter={self.counter})"
 
-
-def batch_keys(seeds, stream: int = 0, labels: tuple = ()) -> np.ndarray:
-    """Stream keys for many seeds sharing one split path.
-
-    Row r equals the key of RngStream(seeds[r], stream).split(*labels), so
-    batched runs consume bit-identical noise to per-seed streams.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    s = stream & _MASK
-    for lab in labels:
-        s = _mix_int(s ^ ((int(lab) & _MASK) * _LABEL_SALT + _GOLDEN))
-    a = _mix_array(seeds ^ np.uint64(_SEED_SALT))
-    b = _mix_int(s ^ _STREAM_SALT)
-    return _mix_array(a ^ np.uint64((b * _GOLDEN) & _MASK))
-
-
-def _raw_keys(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    z = keys[:, None] + (offsets[None, :] + np.uint64(1)) * _U_GOLDEN
-    return _mix_array(z)
-
-
-def uniforms_at_keys(keys, offsets) -> np.ndarray:
-    """(len(keys), len(offsets)) uniforms; row r reads key r at the offsets."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    offsets = np.asarray(offsets, dtype=np.uint64)
-    return (_raw_keys(keys, offsets) >> _SH11).astype(np.float64) * _INV53
-
-
-def normals_at_keys(keys, offsets) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.uint64)
-    offsets = np.asarray(offsets, dtype=np.uint64)
-    u = (_raw_keys(keys, offsets) >> _SH11).astype(np.float64) * _INV53 + _HALF54
-    return ndtri(u)

@@ -99,7 +99,7 @@ class TestSmc:
         run = fl.run_smc(m, params, ds, fl.FilterConfig(3, seed=5, resample=False))
         assert run.cumulative
         assert all(np.array_equal(a, np.arange(3)) for a in run.ancestors)
-        manual = float(fl._np_lse(run.log_weights[-1].data) - math.log(3))
+        manual = float(ad.np_logsumexp(run.log_weights[-1].data) - math.log(3))
         assert abs(float(run.log_evidence.data) - manual) < 1e-14
 
     def test_trajectory_lineage(self):
@@ -431,7 +431,7 @@ class TestPosteriorDraw:
         for s in range(400):
             run = fl.run_smc(m, params, ds, fl.FilterConfig(64, seed=s))
             lw = run.log_weights[-1].data
-            wbar = np.exp(lw - fl._np_lse(lw))
+            wbar = np.exp(lw - ad.np_logsumexp(lw))
             estimates.append(float(wbar @ run.particles[-1].data[:, 0]))
         estimates = np.asarray(estimates)
         se = estimates.std(ddof=1) / math.sqrt(len(estimates))

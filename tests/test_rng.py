@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from particlevi.rng import RngStream, batch_keys, normals_at_keys, uniforms_at_keys
+from particlevi.rng import RngStream
 
 
 class TestDeterminism:
@@ -58,31 +58,6 @@ class TestOffsetAddressing:
         second = r.uniforms(4)
         assert not np.array_equal(first, second)
         assert np.array_equal(np.concatenate([first, second]), RngStream(7).uniforms(8))
-
-
-class TestBatchKeys:
-    """Vectorized multi-seed draws must be bit-exact with per-seed streams."""
-
-    def test_uniforms_match_per_seed(self):
-        seeds = np.asarray([3, 17, 912, 2**40], dtype=np.uint64)
-        keys = batch_keys(seeds, stream=2, labels=(4, 1))
-        offsets = np.arange(6)
-        got = uniforms_at_keys(keys, offsets)
-        for r, seed in enumerate(seeds):
-            ref = RngStream(int(seed), stream=2).split(4, 1).uniforms_at(offsets)
-            assert np.array_equal(got[r], ref)
-
-    def test_normals_match_per_seed(self):
-        seeds = np.asarray([0, 1, 2], dtype=np.uint64)
-        keys = batch_keys(seeds, labels=(7,))
-        got = normals_at_keys(keys, np.arange(5))
-        for r, seed in enumerate(seeds):
-            ref = RngStream(int(seed)).split(7).normals_at(np.arange(5))
-            assert np.array_equal(got[r], ref)
-
-    def test_distinct_rows(self):
-        keys = batch_keys(np.arange(64, dtype=np.uint64))
-        assert len(set(keys.tolist())) == 64
 
 
 class TestDistributionQuality:
