@@ -307,43 +307,3 @@ class TestGenerate:
         ds = mo.generate(mo.hmm_reference(), 10, RngStream(2))
         assert ds.ys.shape == (10, 1)
         assert set(np.unique(ds.ys)) <= {0.0, 1.0}
-
-
-
-def dmm_emission_at(dmm, x, y):
-    with ad.Tape():
-        return float(mo.emission_logpdf_rows(dmm, 1, x, y).data[0])
-
-
-class TestDmmEmission:
-    """The Bernoulli log-pmf inside the DMM emission, softplus via logsumexp."""
-
-    def test_logit_zero(self):
-        dmm = mo.dmm_make(2, 3, 4, RngStream(5))
-        dmm.params["emis_out_w"][:] = 0.0
-        x = RngStream(6).normals(2)[None, :]
-        for y in ([1.0, 0.0, 1.0], [0.0, 0.0, 0.0]):
-            assert abs(dmm_emission_at(dmm, x, np.asarray(y)) + 3 * math.log(2.0)) < 1e-12
-
-    def test_large_logit_stable(self):
-        """Logits (40, -40, 40): the likely symbols cost ~e^-40 each, the
-        unlikely ones 40 each, with no log(0) from a rounded sigmoid."""
-        dmm = mo.dmm_make(2, 3, 4, RngStream(5))
-        x = RngStream(6).normals(2)[None, :]
-        with ad.Tape():
-            logits = mo.mlp_single(dmm.params, "emis_h", "emis_out", ad.constant(x)).data[0]
-        dmm.params["emis_out_w"] *= np.asarray([40.0, -40.0, 40.0]) / logits
-        with ad.Tape():
-            scaled = mo.mlp_single(dmm.params, "emis_h", "emis_out", ad.constant(x)).data[0]
-        assert np.allclose(scaled, [40.0, -40.0, 40.0], atol=1e-9)
-        assert abs(dmm_emission_at(dmm, x, np.asarray([1.0, 0.0, 1.0]))) < 1e-12
-        assert abs(dmm_emission_at(dmm, x, np.asarray([0.0, 1.0, 0.0])) + 120.0) < 1e-6
-
-    def test_finite_difference(self):
-        dmm = mo.dmm_make(3, 4, 8, RngStream(11))
-        y = np.asarray([1.0, 0.0, 1.0, 1.0])
-        err = ad.finite_diff_check(
-            lambda x: mo.emission_logpdf_rows(dmm, 1, x, y).sum(),
-            [RngStream(12).normals(6).reshape(2, 3)],
-        )
-        assert err < 1e-5
