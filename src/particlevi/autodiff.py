@@ -150,7 +150,7 @@ def _rec2(out, a: Var, fa, b: Var, fb) -> Var:
     return Var(out, nid, tape)
 
 
-def _unb(g: np.ndarray, shape) -> np.ndarray:
+def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a cotangent back down to a (possibly broadcast-from) shape."""
     if g.shape == shape:
         return g
@@ -171,19 +171,21 @@ def _unb(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Var:
     a, b = constant(a), constant(b)
     sa, sb = a.data.shape, b.data.shape
-    return _rec2(a.data + b.data, a, lambda g: _unb(g, sa), b, lambda g: _unb(g, sb))
+    return _rec2(a.data + b.data, a, lambda g: unbroadcast(g, sa), b, lambda g: unbroadcast(g, sb))
 
 
 def sub(a, b) -> Var:
     a, b = constant(a), constant(b)
     sa, sb = a.data.shape, b.data.shape
-    return _rec2(a.data - b.data, a, lambda g: _unb(g, sa), b, lambda g: _unb(-g, sb))
+    return _rec2(a.data - b.data, a, lambda g: unbroadcast(g, sa), b, lambda g: unbroadcast(-g, sb))
 
 
 def mul(a, b) -> Var:
     a, b = constant(a), constant(b)
     da, db = a.data, b.data
-    return _rec2(da * db, a, lambda g: _unb(g * db, da.shape), b, lambda g: _unb(g * da, db.shape))
+    return _rec2(
+        da * db, a, lambda g: unbroadcast(g * db, da.shape), b, lambda g: unbroadcast(g * da, db.shape)
+    )
 
 
 def div(a, b) -> Var:
@@ -193,9 +195,9 @@ def div(a, b) -> Var:
     return _rec2(
         out,
         a,
-        lambda g: _unb(g / db, da.shape),
+        lambda g: unbroadcast(g / db, da.shape),
         b,
-        lambda g: _unb(-g * out / db, db.shape),
+        lambda g: unbroadcast(-g * out / db, db.shape),
     )
 
 
@@ -316,8 +318,10 @@ def np_logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     """
     m = np.max(a, axis=axis, keepdims=True)
     safe = np.where(np.isfinite(m), m, 0.0)
+    e = np.asarray(a - safe)  # exponentiated in place: one temporary the size of a
+    np.exp(e, out=e)
     with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(a - safe), axis=axis, keepdims=True))
+        out = safe + np.log(np.sum(e, axis=axis, keepdims=True))
     return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
 
 

@@ -445,6 +445,25 @@ def _suite_gradients():
         ad.finite_diff_check(lambda x: ad.gather_rows(x, np.asarray([1, 0, 1])).sum(), [rng.split(6).normals(6).reshape(3, 2)]),
         1e-5,
     ))
+    # the density kernels' analytic backwards, in x, means and log-stds;
+    # a fixed non-uniform cotangent reaches every entry of each rule
+    kernels = {
+        "kernel-rows": (mo.gauss_logpdf_rows, 3),
+        "kernel-matrix": (mo.gauss_logpdf_matrix, 3),
+        "kernel-matrix-shared": (mo.gauss_logpdf_matrix, 1),
+    }
+    for label, (name, (kernel, ls_rows)) in enumerate(kernels.items()):
+        pts = rng.split(200 + label)
+        weights = pts.split(0).normals(9).reshape(3, 3)
+        if kernel is mo.gauss_logpdf_rows:
+            weights = weights[:, 0]
+        point = [
+            pts.split(1).normals(6).reshape(3, 2),
+            pts.split(2).normals(6).reshape(3, 2),
+            pts.split(3).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
+        ]
+        err = ad.finite_diff_check(lambda x, m, ls: (kernel(x, m, ls) * ad.constant(weights)).sum(), point)
+        checks.append((name, err, 1e-5))
 
     # biased and unbiased particle gradients coincide at a single particle
     m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))

@@ -290,6 +290,17 @@ def _hmm_log_f(model: mo.DiscreteHmm, t: int, idx: np.ndarray, xp_idx) -> np.nda
         return np.log(model.trans)[xp_idx, idx]
 
 
+def _pair_logpdf(x, means, log_stds) -> Var:
+    """(N, M) matrix of log N(x_i; means_j, exp(log_stds_j)).
+
+    A single component goes through the row kernel as one column, so N=1
+    runs stay bit-aligned with run_smc.
+    """
+    if means.data.shape[0] == 1:
+        return ad.reshape(mo.gauss_logpdf_rows(x, means, log_stds), (-1, 1))
+    return mo.gauss_logpdf_matrix(x, means, log_stds)
+
+
 def _log_f_matrix(model, t: int, x, x_prev) -> Var:
     """(N, N_prev) matrix of log f(x_i | x_prev_j)."""
     if isinstance(model, mo.DiscreteHmm):
@@ -297,12 +308,7 @@ def _log_f_matrix(model, t: int, x, x_prev) -> Var:
         xp = x_prev.data[:, 0].astype(np.intp)
         with np.errstate(divide="ignore"):
             return ad.constant(np.log(model.trans)[np.ix_(xp, idx)].T.copy())
-    f_means, f_ls = mo.transition_build_many(model, t, x_prev)
-    if f_means.data.shape[0] == 1:
-        # single-column case goes through the row kernel so N=1 runs stay
-        # bit-aligned with run_smc
-        return ad.reshape(mo.gauss_logpdf_rows(x, f_means, f_ls), (-1, 1))
-    return mo.gauss_logpdf_matrix(x, f_means, f_ls)
+    return _pair_logpdf(x, *mo.transition_build_many(model, t, x_prev))
 
 
 def _log_r_matrix(model, params, t: int, x, x_prev, y_t=None) -> Var:
@@ -313,10 +319,7 @@ def _log_r_matrix(model, params, t: int, x, x_prev, y_t=None) -> Var:
         table = np.asarray((params or {}).get("trans_proposal", model.trans), dtype=np.float64)
         with np.errstate(divide="ignore"):
             return ad.constant(np.log(table)[np.ix_(xp, idx)].T.copy())
-    p_means, p_ls = mo.proposal_build_many(model, params, t, x_prev, y_t)
-    if p_means.data.shape[0] == 1:
-        return ad.reshape(mo.gauss_logpdf_rows(x, p_means, p_ls), (-1, 1))
-    return mo.gauss_logpdf_matrix(x, p_means, p_ls)
+    return _pair_logpdf(x, *mo.proposal_build_many(model, params, t, x_prev, y_t))
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +470,20 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
                 means, log_stds = mo.proposal_build_many(model, params, t, x, ys[t - 1])
             d = means.data.shape[1]
             eps = backend.normals(t, PROPOSAL, np.arange(n * d)).reshape(n, d)
+            shared = log_stds.data.shape[0] < means.data.shape[0]
             if cfg.grad_mode == "unbiased":
                 us = backend.uniforms(t, ANCESTOR, np.arange(n))
-                mix = GaussianMixture(log_vbar, means, log_stds)
+                mix_ls = log_stds
+                if shared:  # the mixture keeps one log-std row per component
+                    mix_ls = log_stds + ad.constant(np.zeros((means.data.shape[0], 1)))
+                mix = GaussianMixture(log_vbar, means, mix_ls)
                 x_new = mixture_implicit_rsample(mix, us, eps, tail)
             elif t == 1:
                 x_new = means + ad.exp(log_stds) * ad.constant(eps)
             else:
                 anc = backend.choose_shared(t, ANCESTOR, n, np.exp(log_vbar.data))
-                x_new = ad.gather_rows(means, anc) + ad.exp(
-                    ad.gather_rows(log_stds, anc)
-                ) * ad.constant(eps)
+                anc_ls = log_stds if shared else ad.gather_rows(log_stds, anc)
+                x_new = ad.gather_rows(means, anc) + ad.exp(anc_ls) * ad.constant(eps)
 
             log_g = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1])
             if t == 1:
@@ -489,10 +495,7 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
                 )
             else:
                 log_f = _log_f_matrix(model, t, x_new, x)
-                if n == 1:
-                    log_r = ad.reshape(mo.gauss_logpdf_rows(x_new, means, log_stds), (-1, 1))
-                else:
-                    log_r = mo.gauss_logpdf_matrix(x_new, means, log_stds)
+                log_r = _pair_logpdf(x_new, means, log_stds)
                 num = ad.logsumexp(log_vbar + log_f, axis=1)
                 den = ad.logsumexp(log_vbar + log_r, axis=1)
                 logv = num + log_g - den

@@ -6,6 +6,13 @@ oracle.  Each family exposes the transition / emission / proposal
 log-densities in two granularities: a single-state form used by the
 coupling combinators, and row/matrix forms vectorized over particles
 used by the filters.  The two are thin wrappers over the same kernels.
+
+Builders return Gaussian parameters as (rows, d) mean and log-std arrays.
+A log-std that every particle shares (the LGSSM and SV noise scales, the
+LGSSM proposal's) stays one (1, d) row that broadcasts over the particles,
+so the all-pairs kernel needs a single (N, d) @ (d, M) matmul; the DMM
+heads give each row its own scale.  Each density kernel records one tape
+node with an analytic backward.
 """
 
 from __future__ import annotations
@@ -266,24 +273,67 @@ def hmm_forward(h: DiscreteHmm, symbols: np.ndarray) -> float:
 
 
 def gauss_logpdf_rows(x, means, log_stds) -> Var:
-    """Row-aligned diagonal Gaussian log-densities: (N, d) against (N|1, d) -> (N,)."""
+    """Row-aligned diagonal Gaussian log-densities: (N|1, d) against (N|1, d) -> (N,).
+
+    One tape node.  With z = (x - mean) / std and incoming cotangent g, the
+    cotangents are -g z / std to x, g z / std to the means and g (z^2 - 1)
+    to the log-stds, each summed back to its parent's shape.
+    """
     x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
-    z = (x - means) * ad.exp(-log_stds)
-    return (-0.5 * LOG_2PI - log_stds - 0.5 * z * z).sum(axis=1)
+    # the rule closes over arrays only: a Var would tie the tape into a cycle
+    x_shape, m_shape, ls = x.data.shape, means.data.shape, log_stds.data
+    inv_std = np.exp(-ls)
+    z = (x.data - means.data) * inv_std
+    out = (-0.5 * LOG_2PI - ls - 0.5 * z * z).sum(axis=1)
+
+    def rule(g):
+        g = g[:, None]
+        gz = g * z * inv_std
+        return (
+            ad.unbroadcast(-gz, x_shape),
+            ad.unbroadcast(gz, m_shape),
+            ad.unbroadcast(g * (z * z - 1.0), ls.shape),
+        )
+
+    return ad.custom_vjp(out, [x, means, log_stds], rule)
 
 
 def gauss_logpdf_matrix(x, means, log_stds) -> Var:
     """All-pairs diagonal Gaussian log-densities: (N, d) against (M, d) -> (N, M).
 
-    Expanded quadratic form so the N x M work is three matmuls.
+    Expanded quadratic form c_j - 0.5 (sq_ij - 2 cross_ij + msq_j), built in
+    one (N, M) buffer.  Log-stds are (M, d), or one (1, d) row that every
+    component shares; then sq is a column and the pair work is the single
+    (N, d) @ (d, M) cross matmul.  One tape node: the backward contracts the
+    (N, M) cotangent G by matmuls (G @ (m iv), G @ iv, G^T @ x, G^T @ x^2,
+    with iv the inverse variances).
     """
     x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
-    inv_var = ad.exp(-2.0 * log_stds)
-    cross = x @ ad.transpose(means * inv_var)
-    sq = (x * x) @ ad.transpose(inv_var)
-    msq = (means * means * inv_var).sum(axis=1)
-    const = (-0.5 * LOG_2PI - log_stds).sum(axis=1)
-    return const - 0.5 * (sq - 2.0 * cross + msq)
+    xd, md, ls = x.data, means.data, log_stds.data
+    need_ls = log_stds.nid is not None  # constant noise scales need no cotangent
+    inv_var = np.exp(-2.0 * ls)
+    m_iv = md * inv_var
+    x_sq = xd * xd
+    out = xd @ m_iv.T
+    out *= -2.0
+    out += x_sq @ inv_var.T
+    out += (md * md * inv_var).sum(axis=1)
+    out *= -0.5
+    out += (-0.5 * LOG_2PI - ls).sum(axis=1)
+
+    def rule(g):
+        col = g.sum(axis=0)[:, None]
+        gt_x = g.T @ xd
+        g_iv = g.sum(axis=1)[:, None] * inv_var if ls.shape[0] == 1 else g @ inv_var
+        grad_x = g @ m_iv - xd * g_iv
+        grad_means = inv_var * (gt_x - md * col)
+        grad_ls = None
+        if need_ls:
+            quad = g.T @ x_sq - 2.0 * md * gt_x + md * md * col
+            grad_ls = ad.unbroadcast(inv_var * quad - col, ls.shape)
+        return grad_x, grad_means, grad_ls
+
+    return ad.custom_vjp(out, [x, means, log_stds], rule)
 
 
 def trisolve_rows(b: Var, u: Var) -> Var:
@@ -308,23 +358,20 @@ def transition_build_many(model, t: int, x_prev=None) -> tuple:
     """Mean and log-std rows of f(. | x_prev_j) for each previous particle.
 
     t is 1-based; t=1 ignores x_prev and returns a single row (the prior).
+    The log-std may be one (1, d) row shared by every particle (LGSSM, SV).
     """
     if isinstance(model, Lgssm):
         if t == 1:
             return ad.constant(np.zeros((1, model.dx))), ad.constant(np.zeros((1, model.dx)))
-        x_prev = ad.constant(x_prev)
-        means = x_prev @ ad.constant(model.a.T)
-        log_stds = 0.5 * np.log(np.tile(model.q_diag, (x_prev.data.shape[0], 1)))
-        return means, ad.constant(log_stds)
+        means = ad.constant(x_prev) @ ad.constant(model.a.T)
+        return means, ad.constant(0.5 * np.log(model.q_diag)[None, :])
     if isinstance(model, StochVol):
         mu, ls = ad.constant(model.mu), ad.constant(model.log_q_std)
         if t == 1:
             return ad.reshape(mu, (1, model.dim)), ad.reshape(ls, (1, model.dim))
-        x_prev = ad.constant(x_prev)
-        n = x_prev.data.shape[0]
         phi = ad.sigmoid(ad.constant(model.phi_logit))
-        means = mu + phi * (x_prev - mu)
-        return means, ad.reshape(ls, (1, model.dim)) * ad.constant(np.ones((n, 1)))
+        means = mu + phi * (ad.constant(x_prev) - mu)
+        return means, ad.reshape(ls, (1, model.dim))
     if isinstance(model, Dmm):
         if t == 1:
             x_prev = ad.constant(np.zeros((1, model.dx)))
@@ -337,9 +384,8 @@ def emission_logpdf_rows(model, t: int, x, y_t) -> Var:
     x = ad.constant(x)
     y_t = np.asarray(y_t, dtype=np.float64)
     if isinstance(model, Lgssm):
-        resid = ad.constant(y_t) - x @ ad.constant(model.c.T)
-        log_r = np.log(model.r_diag)
-        return (-0.5 * LOG_2PI - 0.5 * log_r - 0.5 * resid * resid / ad.constant(model.r_diag)).sum(axis=1)
+        log_r_std = 0.5 * np.log(model.r_diag)[None, :]
+        return gauss_logpdf_rows(y_t[None, :], x @ ad.constant(model.c.T), log_r_std)
     if isinstance(model, StochVol):
         b = sv_b_matrix(model)
         u = ad.constant(y_t) * ad.exp(-0.5 * x)
@@ -361,6 +407,7 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
     LGSSM proposals are the free-form Gaussians of the experiments; SV and
     DMM proposals fuse the transition density with a learned Gaussian
     factor, which keeps every family inside the diagonal-Gaussian class.
+    The log-std may be one (1, d) row shared by every particle (LGSSM, SV).
     """
     if isinstance(model, Lgssm):
         mu_t = ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1]))
@@ -369,10 +416,8 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
             # x_prev=None asks for the state-independent form (beta unused)
             return mu_t, ls_t
         beta_t = ad.gather_rows(ad.constant(params["beta"]), np.asarray([t - 1]))
-        x_prev = ad.constant(x_prev)
-        means = mu_t + beta_t * (x_prev @ ad.constant(model.a.T))
-        ones = ad.constant(np.ones((x_prev.data.shape[0], 1)))
-        return means, ls_t * ones
+        means = mu_t + beta_t * (ad.constant(x_prev) @ ad.constant(model.a.T))
+        return means, ls_t
     if t > 1 and x_prev is None:
         raise ValueError(
             f"{type(model).__name__} proposals condition on the previous state; "

@@ -191,6 +191,14 @@ class TestReduce:
             (g,) = ad.grad(y, [x])
         assert abs(float(g) - 0.5) < 1e-12
 
+    def test_np_logsumexp_keeps_input_and_all_neg_inf_row(self):
+        a = np.asarray([[0.5, -1.0, 2.0], [-np.inf, -np.inf, -np.inf]])
+        before = a.copy()
+        out = ad.np_logsumexp(a, axis=1)
+        assert np.array_equal(a, before)
+        assert abs(out[0] - math.log(np.exp(a[0]).sum())) < 1e-15
+        assert out[1] == -np.inf
+
     def test_empty_reduction_raises(self):
         with pytest.raises(ValueError):
             with ad.Tape():

@@ -120,6 +120,51 @@ class TestDensityKernels:
         point = [RngStream(18).normals(4).reshape(2, 2), RngStream(19).normals(4).reshape(2, 2) * 0.2]
         assert ad.finite_diff_check(f, point) < 1e-5
 
+    def test_shared_log_std_matches_tiled_and_oracle(self):
+        x = RngStream(21).normals(12).reshape(4, 3)
+        means = RngStream(22).normals(15).reshape(5, 3)
+        shared = RngStream(23).normals(3).reshape(1, 3) * 0.3
+        tiled = np.tile(shared, (5, 1))
+        mat_shared = mo.gauss_logpdf_matrix(x, means, shared).data
+        mat_tiled = mo.gauss_logpdf_matrix(x, means, tiled).data
+        assert np.max(np.abs(mat_shared - mat_tiled)) < 1e-12
+        for i in range(4):
+            for j in range(5):
+                ref = diag_gauss_logpdf(x[i], DiagGaussian(means[j], shared[0])).data
+                assert abs(mat_shared[i, j] - float(ref)) < 1e-12
+        rows_shared = mo.gauss_logpdf_rows(x, means[:4], shared).data
+        rows_tiled = mo.gauss_logpdf_rows(x, means[:4], tiled[:4]).data
+        assert np.max(np.abs(rows_shared - rows_tiled)) < 1e-12
+        assert np.max(np.abs(rows_shared - np.diag(mat_shared[:, :4]))) < 1e-12
+
+    @pytest.mark.parametrize("kernel", ["rows", "matrix"])
+    @pytest.mark.parametrize("ls_rows", [1, 3], ids=["shared", "per-row"])
+    def test_kernel_finite_difference_in_all_arguments(self, kernel, ls_rows):
+        fn = mo.gauss_logpdf_rows if kernel == "rows" else mo.gauss_logpdf_matrix
+        weights = RngStream(30).normals(9).reshape(3, 3)
+        if kernel == "rows":
+            weights = weights[:, 0]
+
+        def f(x, means, log_stds):
+            # a non-uniform cotangent exercises every entry of the backward
+            return (fn(x, means, log_stds) * ad.constant(weights)).sum()
+
+        point = [
+            RngStream(31).normals(6).reshape(3, 2),
+            RngStream(32).normals(6).reshape(3, 2),
+            RngStream(33).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
+        ]
+        assert ad.finite_diff_check(f, point) < 1e-5
+
+    @pytest.mark.parametrize("kernel", ["rows", "matrix"])
+    def test_kernel_records_one_node(self, kernel):
+        fn = mo.gauss_logpdf_rows if kernel == "rows" else mo.gauss_logpdf_matrix
+        with ad.Tape() as tape:
+            args = [ad.leaf(RngStream(40 + k).normals(6).reshape(3, 2)) for k in range(3)]
+            before = len(tape.nodes)
+            fn(*args)
+            assert len(tape.nodes) == before + 1
+
     def test_trisolve_forward_and_gradient(self):
         b = np.tril(RngStream(5).normals(9).reshape(3, 3) * 0.3) + np.eye(3)
         u = RngStream(6).normals(6).reshape(2, 3)

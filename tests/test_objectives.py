@@ -163,6 +163,26 @@ class TestGradients:
         for k, g in grads.items():
             assert np.all(g[3:] == 0.0), k
 
+    def test_vmpf_bg_tape_budget(self, monkeypatch):
+        """One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
+
+        Each density kernel is one node, so the step records a few dozen
+        nodes; the budget catches a kernel that falls back to elementwise ops.
+        """
+        m = mo.lgssm_make(10, 10, 0.42, "sparse", RngStream(0))
+        ds = mo.generate(m, 10, RngStream(7))
+        counts = []
+        grad = ad.grad
+
+        def counting_grad(loss, wrt):
+            counts.append(len(loss.tape.nodes))
+            return grad(loss, wrt)
+
+        monkeypatch.setattr(ad, "grad", counting_grad)
+        ob.gradient_biased(ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10), 16), ds, RngStream(3))
+        assert len(counts) == 1
+        assert counts[0] <= 320
+
     def test_vem_reaches_model_parameters(self):
         sv = mo.sv_make(1, "diagonal", RngStream(2))
         ds = mo.generate(sv, 4, RngStream(6))
