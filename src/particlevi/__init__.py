@@ -17,7 +17,6 @@ from particlevi.autodiff import (
     leaf,
     logsumexp,
     reduce,
-    stop_gradient,
 )
 from particlevi.rng import RngStream
 
@@ -32,7 +31,6 @@ __all__ = [
     "leaf",
     "logsumexp",
     "reduce",
-    "stop_gradient",
 ]
 
 __version__ = "0.1.0"

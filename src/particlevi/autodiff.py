@@ -17,7 +17,6 @@ exactly zero weight, so no infinite gradient is materialized.
 
 from __future__ import annotations
 
-import math
 from contextvars import ContextVar
 
 import numpy as np
@@ -25,7 +24,6 @@ from scipy import special as _special
 
 _ACTIVE: ContextVar["Tape | None"] = ContextVar("particlevi_tape", default=None)
 
-_INV_SQRT_PI_2 = 2.0 / math.sqrt(math.pi)
 LEAKY_SLOPE = 0.01
 
 
@@ -98,9 +96,6 @@ class Var:
 
     def sum(self, axis=None):
         return reduce("sum", self, axis)
-
-    def max(self, axis=None):
-        return reduce("max", self, axis)
 
 
 def constant(x) -> Var:
@@ -222,29 +217,10 @@ def log(a) -> Var:
     return _rec1(out, a, lambda g: g / da)
 
 
-def sqrt(a) -> Var:
-    a = constant(a)
-    out = np.sqrt(a.data)
-    return _rec1(out, a, lambda g: g / (2.0 * out))
-
-
-def erf(a) -> Var:
-    a = constant(a)
-    out = _special.erf(a.data)
-    da = a.data
-    return _rec1(out, a, lambda g: g * _INV_SQRT_PI_2 * np.exp(-da * da))
-
-
 def sigmoid(a) -> Var:
     a = constant(a)
     out = _special.expit(a.data)
     return _rec1(out, a, lambda g: g * out * (1.0 - out))
-
-
-def tanh(a) -> Var:
-    a = constant(a)
-    out = np.tanh(a.data)
-    return _rec1(out, a, lambda g: g * (1.0 - out * out))
 
 
 def leaky_relu(a) -> Var:
@@ -259,27 +235,16 @@ def leaky_relu(a) -> Var:
 
 
 def matmul(a, b) -> Var:
+    """Matrix product of two rank-2 operands."""
     a, b = constant(a), constant(b)
     da, db = a.data, b.data
-    if da.ndim == 0 or db.ndim == 0:
-        raise ValueError("matmul requires rank >= 1 operands")
-    if da.shape[-1] != db.shape[0]:
+    if da.ndim != 2 or db.ndim != 2:
+        raise ValueError(f"matmul expects matrices, got ranks {da.ndim} and {db.ndim}")
+    if da.shape[1] != db.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {da.shape} @ {db.shape}")
-    out = np.matmul(da, db)
-
-    if da.ndim == 2 and db.ndim == 2:
-        fa = lambda g: np.matmul(g, db.T)
-        fb = lambda g: np.matmul(da.T, g)
-    elif da.ndim == 2 and db.ndim == 1:
-        fa = lambda g: np.outer(g, db)
-        fb = lambda g: np.matmul(da.T, g)
-    elif da.ndim == 1 and db.ndim == 2:
-        fa = lambda g: np.matmul(db, g)
-        fb = lambda g: np.outer(da, g)
-    else:
-        fa = lambda g: g * db
-        fb = lambda g: g * da
-    return _rec2(out, a, fa, b, fb)
+    return _rec2(
+        np.matmul(da, db), a, lambda g: np.matmul(g, db.T), b, lambda g: np.matmul(da.T, g)
+    )
 
 
 def _reduce_sum(a: Var, axis) -> Var:
@@ -290,22 +255,6 @@ def _reduce_sum(a: Var, axis) -> Var:
         if axis is None:
             return np.broadcast_to(g, shape).copy() if shape else np.asarray(g)
         return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
-
-    return _rec1(out, a, back)
-
-
-def _reduce_max(a: Var, axis) -> Var:
-    data = a.data
-    out = np.max(data, axis=axis)
-
-    def back(g):
-        if axis is None:
-            mask = data == out
-            return np.where(mask, g / mask.sum(), 0.0)
-        outk = np.expand_dims(out, axis)
-        mask = data == outk
-        counts = mask.sum(axis=axis, keepdims=True)
-        return np.where(mask, np.expand_dims(g, axis) / counts, 0.0)
 
     return _rec1(out, a, back)
 
@@ -342,14 +291,12 @@ def _reduce_logsumexp(a: Var, axis) -> Var:
 
 
 def reduce(kind: str, a, axis=None) -> Var:
-    """Reductions: sum, max, and max-subtracted logsumexp."""
+    """Reductions: sum and max-subtracted logsumexp."""
     a = constant(a)
     if a.data.size == 0:
         raise ValueError("empty reduction")
     if kind == "sum":
         return _reduce_sum(a, axis)
-    if kind == "max":
-        return _reduce_max(a, axis)
     if kind == "logsumexp":
         return _reduce_logsumexp(a, axis)
     raise ValueError(f"unknown reduction {kind!r}")
@@ -363,23 +310,10 @@ def logsumexp(a, axis=None) -> Var:
 # structural ops
 
 
-def stop_gradient(a) -> Var:
-    """Forward identity, zero gradient to all ancestors."""
-    a = constant(a)
-    return Var(a.data)
-
-
 def reshape(a, shape) -> Var:
     a = constant(a)
     old = a.data.shape
     return _rec1(a.data.reshape(shape), a, lambda g: g.reshape(old))
-
-
-def transpose(a) -> Var:
-    a = constant(a)
-    if a.data.ndim != 2:
-        raise ValueError("transpose expects a matrix")
-    return _rec1(a.data.T.copy(), a, lambda g: g.T)
 
 
 def gather_rows(a, idx) -> Var:

@@ -344,6 +344,8 @@ _RESULTS_HEADER = "config,objective,n,bound,se,kalman,wall_s,seed"
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path, params_path: Path | None = None,
                  n_samples: int = 1000, workers: int | None = None) -> int:
+    if n_samples < 2:
+        raise CliError(f"--samples must be >= 2 (a standard error needs two), got {n_samples}")
     model = build_model(cfg)
     ds = load_dataset(cfg, out)
     obj = build_objective(cfg, model)
@@ -417,20 +419,21 @@ def _suite_identity():
 def _suite_gradients():
     rng = RngStream(17)
     checks = []
-    unary = {
-        "exp": (ad.exp, 0.0),
-        "log": (ad.log, 1.5),
-        "sqrt": (ad.sqrt, 1.5),
-        "erf": (ad.erf, 0.0),
-        "sigmoid": (ad.sigmoid, 0.0),
-        "tanh": (ad.tanh, 0.0),
-    }
     # fixed labels, clear of the split(1..6) streams below: the points are
-    # the same in every process (str hashes are salted per process)
-    for label, (name, (op, shift)) in enumerate(unary.items()):
-        pts = np.abs(rng.split(100 + label).normals(12)) + shift
+    # the same in every process (str hashes are salted per process) and stay
+    # put when a check is added or removed
+    unary = {
+        "exp": (ad.exp, 0.0, 100),
+        "log": (ad.log, 1.5, 101),
+        "sigmoid": (ad.sigmoid, 0.0, 104),
+    }
+    for name, (op, shift, label) in unary.items():
+        pts = np.abs(rng.split(label).normals(12)) + shift
         err = ad.finite_diff_check(lambda x: op(x).sum(), [pts])
         checks.append((f"op-{name}", err, 1e-5))
+    pts = rng.split(106).normals(12)
+    pts = pts + 0.2 * np.sign(pts)  # both slopes, at least 0.2 from the kink
+    checks.append(("op-leaky-relu", ad.finite_diff_check(lambda x: ad.leaky_relu(x).sum(), [pts]), 1e-5))
     a = rng.split(1).normals(6) + 3.0
     b = rng.split(2).normals(6) + 3.0
     for name, op in (("add", ad.add), ("sub", ad.sub), ("mul", ad.mul), ("div", ad.div)):
@@ -443,6 +446,14 @@ def _suite_gradients():
     checks.append((
         "op-gather",
         ad.finite_diff_check(lambda x: ad.gather_rows(x, np.asarray([1, 0, 1])).sum(), [rng.split(6).normals(6).reshape(3, 2)]),
+        1e-5,
+    ))
+    pts = rng.split(107)
+    weights = ad.constant(pts.split(0).normals(6).reshape(2, 3))
+    checks.append((
+        "op-stack",
+        ad.finite_diff_check(lambda x, y: (ad.stack_rows([x, y]) * weights).sum(),
+                             [pts.split(1).normals(3), pts.split(2).normals(3)]),
         1e-5,
     ))
     # the density kernels' analytic backwards, in x, means and log-stds;
@@ -555,6 +566,10 @@ def _fit_quadratic(ns, ms):
 
 
 def cmd_bench(model_kind: str, n_list, reps: int, t_max: int, out: Path | None = None) -> dict:
+    if reps < 1:
+        raise CliError(f"--reps must be >= 1, got {reps}")
+    if t_max < 1:
+        raise CliError(f"--t must be >= 1, got {t_max}")
     rng = RngStream(0)
     if model_kind == "lgssm":
         model = mo.lgssm_make(5, 5, 0.42, "dense", rng.split(1))

@@ -33,7 +33,6 @@ import numpy as np
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import models as mo
-from particlevi.distributions import diag_gauss_logpdf
 from particlevi.filters import ANCESTOR, PROPOSAL, hmm_proposal_rows, make_backend, ys_of
 from particlevi.rng import RngStream
 
@@ -118,10 +117,6 @@ class CouplingPair:
         seeded = isinstance(source, (RngStream, int, np.integer))
         backend = make_backend(source) if seeded else source
         return self.nu_part(backend, self.omega_part(backend), 0)
-
-    @property
-    def sampler(self) -> Callable:
-        return self.draw
 
 
 def _atom(value) -> WeightedAtoms:
@@ -261,12 +256,14 @@ def _hmm_idx(value) -> int:
     return int(data.reshape(-1)[0])
 
 
-def _state_dim(model) -> int:
-    if isinstance(model, (mo.Lgssm, mo.Dmm)):
-        return model.dx
-    if isinstance(model, mo.StochVol):
-        return model.dim
-    raise TypeError(f"unsupported model: {type(model).__name__}")
+def _row(value) -> Var | None:
+    """The newest state of a value as the (1, d) row the filters' kernels take.
+
+    None, the previous state at t=1, stays None.
+    """
+    if value is None:
+        return None
+    return ad.reshape(ad.constant(_last_state(value)), (1, -1))
 
 
 def step_density(model, ys: np.ndarray) -> Callable:
@@ -282,11 +279,8 @@ def step_density(model, ys: np.ndarray) -> Callable:
 
         return dens
 
-    def dens(x):
-        log_f, log_g = mo.model_logdensities(model, 1, x, None, y)
-        return log_f + log_g
-
-    return dens
+    ratio = step_ratio(model, ys, 1)  # at t=1 the transition is the prior
+    return lambda x: ratio(None, x)
 
 
 def step_ratio(model, ys: np.ndarray, t: int) -> Callable:
@@ -303,8 +297,9 @@ def step_ratio(model, ys: np.ndarray, t: int) -> Callable:
         return ratio
 
     def ratio(old, new):
-        log_f, log_g = mo.model_logdensities(model, t, new, _last_state(old), y)
-        return log_f + log_g
+        x = _row(new)
+        f_means, f_ls = mo.transition_build_many(model, t, _row(old))
+        return (mo.gauss_logpdf_rows(x, f_means, f_ls) + mo.emission_logpdf_rows(model, t, x, y)).sum()
 
     return ratio
 
@@ -328,19 +323,15 @@ def step_proposal(model, params, ys: np.ndarray, t: int) -> StepProposal:
 
         return StepProposal(sample, logpdf)
 
-    d = _state_dim(model)
-
-    def build(x_prev):
-        xp = None if x_prev is None else _last_state(x_prev)
-        return mo.proposal_build(model, params, t, xp, y)
-
     def sample(backend, lane, x_prev):
-        q = build(x_prev)
+        means, log_stds = mo.proposal_build_many(model, params, t, _row(x_prev), y)
+        d = means.data.shape[1]
         eps = backend.normals(t, PROPOSAL, np.arange(lane * d, (lane + 1) * d))
-        return q.mean + ad.exp(q.log_std) * ad.constant(eps)
+        return ad.reshape(means + ad.exp(log_stds) * ad.constant(eps[None, :]), (d,))
 
     def logpdf(x_prev, x):
-        return diag_gauss_logpdf(x, build(x_prev))
+        means, log_stds = mo.proposal_build_many(model, params, t, _row(x_prev), y)
+        return mo.gauss_logpdf_rows(_row(x), means, log_stds).sum()
 
     return StepProposal(sample, logpdf)
 

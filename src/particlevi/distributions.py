@@ -1,9 +1,10 @@
 """Distribution families: diagonal Gaussians, their mixtures, categoricals.
 
-Everything a proposal or model density needs lives here: log-densities that
-are differentiable in parameters and argument, reparameterized sampling, the
-closed-form product of two diagonal Gaussians, and the implicit
-reparameterization gradient for mixture sampling.
+The parameter containers of the proposals live here, together with the
+closed-form product of two diagonal Gaussians, inverse-CDF categorical
+sampling and the implicit reparameterization gradient for mixture
+sampling.  The Gaussian log-densities are the row and all-pairs kernels of
+``models``, the one implementation that the filters and the couplings share.
 
 The mixture sampler draws a genuinely categorical component and then a
 Gaussian within it; the gradient comes from a custom-VJP node implementing
@@ -69,30 +70,12 @@ class GaussianMixture:
         if self.means.data.shape[0] != lw.shape[0]:
             raise ValueError("component count mismatch between weights and parameters")
 
-    @property
-    def n_components(self) -> int:
-        return self.log_weights.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.data.shape[1]
-
 
 @dataclass
 class TailCounter:
     """Counts implicit-gradient tail failures (conditional pdf underflow)."""
 
     count: int = 0
-
-
-def diag_gauss_logpdf(x, g: DiagGaussian) -> Var:
-    """Log-density of a diagonal Gaussian, differentiable in x, mu, log-std."""
-    x = ad.constant(x)
-    if x.data.shape != g.mean.data.shape:
-        raise ValueError(f"dimension mismatch: x {x.data.shape} vs mean {g.mean.data.shape}")
-    z = (x - g.mean) * ad.exp(-g.log_std)
-    terms = -0.5 * LOG_2PI - g.log_std - 0.5 * z * z
-    return terms.sum()
 
 
 def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian):
@@ -125,16 +108,6 @@ def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     while np.any(probs[idx] == 0.0):
         idx = np.where(probs[idx] == 0.0, idx - 1, idx)
     return idx
-
-
-def mixture_logpdf(x, m: GaussianMixture) -> Var:
-    """Log-density of a diagonal-Gaussian mixture at a point."""
-    x = ad.constant(x)
-    if x.data.shape != (m.dim,):
-        raise ValueError(f"dimension mismatch: x {x.data.shape} vs mixture dim {m.dim}")
-    z = (x - m.means) * ad.exp(-m.log_stds)
-    comp = (-0.5 * LOG_2PI - m.log_stds - 0.5 * z * z).sum(axis=1)
-    return ad.logsumexp(m.log_weights + comp)
 
 
 def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | None = None):

@@ -157,7 +157,6 @@ class FilterConfig:
     n_particles: int
     grad_mode: str = "none"
     seed: int = 0
-    keep_trajectories: bool = False
     resample: bool = True  # False: ancestors i->i, cumulative weights
 
     def __post_init__(self):
@@ -184,7 +183,6 @@ class ParticleRun:
     log_evidence: Var
     cumulative: bool
     ancestors: list | None = None
-    trajectories: np.ndarray | None = None
     params: object = None
     ys: np.ndarray | None = None
     tail: TailCounter | None = None
@@ -330,7 +328,8 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     """Multinomial-resampling particle filter.
 
     Per step: ancestors drawn from the normalized previous weights, states
-    extended through the proposal, weight f*g/r, trajectories reindexed.
+    extended through the proposal, weight f*g/r.  The run records each step's
+    ancestor indices.
     grad_mode "biased" keeps the reparameterization path through every
     state but none through the resampling probabilities.  resample=False
     turns the run into independent importance-sampling chains whose
@@ -347,7 +346,6 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     log_n = math.log(n)
 
     particles, log_weights, log_mean_weights, ancestors = [], [], [], []
-    hist = [] if cfg.keep_trajectories else None
     x = None
     x_idx = None
 
@@ -361,8 +359,6 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
             anc = np.arange(n)
         if anc is not None:
             ancestors.append(anc)
-            if hist is not None:
-                hist = [h[anc] for h in hist]
 
         if discrete:
             parent_idx = None if t == 1 else x_idx[anc]
@@ -392,8 +388,6 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         particles.append(x)
         log_weights.append(logw)
         log_mean_weights.append(ad.logsumexp(logw) - log_n)
-        if hist is not None:
-            hist.append(x.data.copy())
 
     return ParticleRun(
         kind="smc",
@@ -403,7 +397,6 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         log_evidence=_evidence(log_mean_weights, not cfg.resample),
         cumulative=not cfg.resample,
         ancestors=ancestors,
-        trajectories=np.stack(hist) if hist is not None else None,
         params=params,
         ys=ys,
     )
@@ -675,7 +668,7 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
 
 
 # ---------------------------------------------------------------------------
-# cross-estimator identity and posterior access
+# cross-estimator identity
 
 
 def mpf_tmc_identity_check(model, run: ParticleRun) -> float:
@@ -711,16 +704,3 @@ def mpf_tmc_identity_check(model, run: ParticleRun) -> float:
         log_z = identity
     return worst
 
-
-def posterior_draw(run: ParticleRun, rng: RngStream) -> np.ndarray:
-    """One atom from the final weights: a trajectory for SMC, x_T otherwise."""
-    logw = run.log_weights[-1].data
-    if not np.any(logw > -np.inf):
-        raise DegeneracyError(run.t_max)
-    probs = np.exp(logw - ad.np_logsumexp(logw))
-    i = int(categorical_sample_many(probs, np.asarray([rng.uniform()]))[0])
-    if run.kind == "smc":
-        if run.trajectories is None:
-            raise ValueError("trajectory draw needs keep_trajectories=True")
-        return run.trajectories[:, i, :].copy()
-    return run.particles[-1].data[i].copy()

@@ -2,10 +2,12 @@
 
 Three continuous state space models (linear Gaussian, stochastic
 volatility, deep Markov) plus a discrete HMM used as an enumeration
-oracle.  Each family exposes the transition / emission / proposal
-log-densities in two granularities: a single-state form used by the
-coupling combinators, and row/matrix forms vectorized over particles
-used by the filters.  The two are thin wrappers over the same kernels.
+oracle.  Each family exposes its transition, emission and proposal in one
+granularity, vectorized over particle rows: builders of Gaussian
+parameters, a row kernel that scores row i against row i, and an all-pairs
+kernel that scores every row against every component.  The filters call
+them on N rows; the coupling combinators call the same functions on
+one-row arrays, so each Gaussian log-density has one implementation.
 
 Builders return Gaussian parameters as (rows, d) mean and log-std arrays.
 A log-std that every particle shares (the LGSSM and SV noise scales, the
@@ -25,7 +27,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
-from particlevi.distributions import LOG_2PI, DiagGaussian, gauss_product_fuse
+from particlevi.distributions import LOG_2PI, DiagGaussian, categorical_sample_many, gauss_product_fuse
 from particlevi.rng import RngStream
 
 
@@ -439,26 +441,6 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 
-def proposal_build(model, params: dict, t: int, x_prev=None, y_t=None) -> DiagGaussian:
-    """Single-state proposal r_t(. | x_prev) as a DiagGaussian."""
-    if x_prev is not None:
-        x_prev = ad.reshape(ad.constant(x_prev), (1, -1))
-    means, log_stds = proposal_build_many(model, params, t, x_prev, y_t)
-    d = means.data.shape[1]
-    return DiagGaussian(ad.reshape(means, (d,)), ad.reshape(log_stds, (d,)))
-
-
-def model_logdensities(model, t: int, x_t, x_prev=None, y_t=None) -> tuple:
-    """(log f, log g) at a single state; t=1 omits x_prev."""
-    x_row = ad.reshape(ad.constant(x_t), (1, -1))
-    if x_prev is not None:
-        x_prev = ad.reshape(ad.constant(x_prev), (1, -1))
-    f_mean, f_ls = transition_build_many(model, t, x_prev)
-    log_f = gauss_logpdf_rows(x_row, f_mean, f_ls).sum()
-    log_g = emission_logpdf_rows(model, t, x_row, y_t).sum()
-    return log_f, log_g
-
-
 def proposal_init(model, t_max: int, rng: RngStream | None = None) -> dict:
     """Default proposal parameters phi."""
     if isinstance(model, Lgssm):
@@ -505,8 +487,8 @@ def generate(model, t_max: int, rng: RngStream) -> Dataset:
         for t in range(t_max):
             u_state, u_sym = rng.split(t, 0).uniform(), rng.split(t, 1).uniform()
             probs = model.pi0 if t == 0 else model.trans[state]
-            state = int(np.searchsorted(np.cumsum(probs), u_state, side="right"))
-            symbols[t] = int(np.searchsorted(np.cumsum(model.emis[state]), u_sym, side="right"))
+            state = int(categorical_sample_many(probs, np.asarray([u_state]))[0])
+            symbols[t] = categorical_sample_many(model.emis[state], np.asarray([u_sym]))[0]
         meta = {"kind": "hmm", "dy": 1, "t_max": t_max}
         return Dataset(symbols[:, None].astype(np.float64), "hmm", meta)
     if isinstance(model, Lgssm):

@@ -30,15 +30,6 @@ class TestElementwise:
             assert float(y.data) == 0.0
             assert float(ad.grad(y, [x])[0]) == 1.0
 
-    def test_erf_value_and_grad(self):
-        # erf(0.5) = 0.5204998778...; d/dx erf = 2/sqrt(pi) * exp(-x^2)
-        with ad.Tape():
-            x = ad.leaf(np.asarray(0.5))
-            y = ad.erf(x)
-            assert abs(float(y.data) - 0.5204998778130465) < 1e-12
-            g = float(ad.grad(y, [x])[0])
-            assert abs(g - 2.0 / math.sqrt(math.pi) * math.exp(-0.25)) < 1e-12
-
     def test_log_of_zero_is_neg_inf(self):
         with ad.Tape():
             y = ad.log(ad.leaf(np.asarray([1.0, 0.0])))
@@ -75,18 +66,16 @@ class TestElementwise:
     def test_all_unary_ops_finite_difference(self):
         """Every differentiable unary op passes central differences at 20 points."""
         rng = RngStream(314)
+        # fixed labels: each op keeps its points when another op goes
         ops = {
-            "exp": ad.exp,
-            "log": ad.log,
-            "sqrt": ad.sqrt,
-            "erf": ad.erf,
-            "sigmoid": ad.sigmoid,
-            "tanh": ad.tanh,
-            "leaky-relu": ad.leaky_relu,
+            "exp": (ad.exp, 0),
+            "log": (ad.log, 1),
+            "sigmoid": (ad.sigmoid, 4),
+            "leaky-relu": (ad.leaky_relu, 6),
         }
-        for label, (name, op) in enumerate(ops.items()):
+        for name, (op, label) in ops.items():
             pts = rng.split(label).normals(20) * 0.7
-            if name in ("log", "sqrt"):
+            if name == "log":
                 pts = np.abs(pts) + 0.5
             if name == "leaky-relu":
                 pts = pts + np.sign(pts) * 0.2  # keep away from the kink
@@ -109,50 +98,34 @@ class TestElementwise:
         assert np.array_equal(r.data, [[0.0, 1.0]])
 
 
-class TestTranspose:
-    def test_forward_and_gradient(self):
-        a = RngStream(30).normals(6).reshape(2, 3)
-        w = RngStream(31).normals(6).reshape(3, 2)
-        with ad.Tape():
-            av = ad.leaf(a)
-            out = (ad.transpose(av) * ad.constant(w)).sum()
-            (g,) = ad.grad(out, [av])
-        assert np.array_equal(g, w.T)
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            ad.transpose(ad.constant(np.zeros(3)))
-
-    def test_finite_difference(self):
-        b = RngStream(32).normals(6).reshape(3, 2)
-        err = ad.finite_diff_check(
-            lambda x: (ad.transpose(x) @ ad.constant(b)).sum(),
-            [RngStream(33).normals(6).reshape(3, 2)],
-        )
-        assert err < 1e-5
-
-
 class TestMatmul:
     def test_identity_matrix(self):
         with ad.Tape():
             eye = ad.constant(np.eye(2))
-            v = ad.leaf(np.asarray([3.0, -1.0]))
+            v = ad.leaf(np.asarray([[3.0], [-1.0]]))
             out = eye @ v
-        assert np.array_equal(out.data, [3.0, -1.0])
+        assert np.array_equal(out.data, [[3.0], [-1.0]])
 
     def test_hand_product(self):
         with ad.Tape():
             a = ad.constant(np.asarray([[1.0, 2.0], [3.0, 4.0]]))
-            v = ad.constant(np.asarray([1.0, 1.0]))
-            assert np.array_equal((a @ v).data, [3.0, 7.0])
+            v = ad.constant(np.asarray([[1.0], [1.0]]))
+            assert np.array_equal((a @ v).data, [[3.0], [7.0]])
 
     def test_grad_of_sum_is_column_sums(self):
         a_np = np.asarray([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         with ad.Tape():
             a = ad.constant(a_np)
-            x = ad.leaf(np.asarray([1.0, -2.0, 0.5]))
+            x = ad.leaf(np.asarray([[1.0], [-2.0], [0.5]]))
             (g,) = ad.grad((a @ x).sum(), [x])
-        assert np.allclose(g, a_np.sum(axis=0))
+        assert np.allclose(g, a_np.sum(axis=0)[:, None])
+
+    def test_rank1_operands_raise(self):
+        a = ad.constant(np.ones((2, 3)))
+        v = ad.constant(np.ones(3))
+        for left, right in ((a, v), (ad.constant(np.ones(2)), a), (v, v)):
+            with pytest.raises(ValueError, match="matrices"):
+                ad.matmul(left, right)
 
     def test_inner_dim_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -204,41 +177,11 @@ class TestReduce:
             with ad.Tape():
                 ad.reduce("sum", ad.leaf(np.zeros((0,))))
 
-    def test_max_and_sum_values(self):
-        with ad.Tape():
-            x = ad.leaf(np.asarray([[1.0, 5.0], [2.0, -3.0]]))
-            assert float(ad.reduce("max", x).data) == 5.0
-            assert np.array_equal(ad.reduce("sum", x, axis=0).data, [3.0, 2.0])
-
     def test_reduce_finite_difference(self):
         x = RngStream(41).normals(10)
         for kind in ("sum", "logsumexp"):
             err = ad.finite_diff_check(lambda v: ad.reduce(kind, v), [x])
             assert err < 1e-6
-
-
-class TestStopGradient:
-    def test_forward_identity_grad_zero(self):
-        with ad.Tape():
-            x = ad.leaf(np.asarray(3.0))
-            y = ad.stop_gradient(x)
-            assert float(y.data) == 3.0
-            assert float(ad.grad(y * ad.constant(np.asarray(1.0)), [x])[0]) == 0.0
-
-    def test_product_rule_with_frozen_factor(self):
-        with ad.Tape():
-            x = ad.leaf(np.asarray(2.0))
-            y = x * ad.stop_gradient(x)
-            assert float(y.data) == 4.0
-            assert float(ad.grad(y, [x])[0]) == 2.0
-
-    def test_inside_logsumexp_forward_unchanged(self):
-        vals = np.asarray([0.3, -1.2, 2.0])
-        with ad.Tape():
-            x = ad.leaf(vals)
-            a = float(ad.logsumexp(x).data)
-            b = float(ad.logsumexp(ad.stop_gradient(x)).data)
-        assert a == b
 
 
 class TestCustomVjp:

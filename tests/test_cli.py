@@ -404,6 +404,17 @@ class TestMain:
         assert cli.main(["generate", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_integer_argument_errors_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        for argv, flag in (
+            (["evaluate", "--config", cfg_path, "--out", str(tmp_path), "--samples", "1"], "--samples"),
+            (["bench", "--model", "lgssm", "--reps", "0"], "--reps"),
+            (["bench", "--model", "lgssm", "--t", "0"], "--t"),
+        ):
+            assert cli.main(argv) == 2, flag
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and flag in err
+
     def test_train_before_generate_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
         assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "fresh")]) == 2

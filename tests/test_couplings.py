@@ -277,16 +277,23 @@ class TestDerivations:
                 assert abs(per_atom[(x1, x2)] - gamma) < 1e-12
 
     def test_shared_rng_filter_parity(self):
-        m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))
-        ds = mo.generate(m, 3, RngStream(7))
-        params = mo.proposal_init(m, 3)
-        for seed in range(8):
-            a = cp.derive_smc(m, params, ds, 2).draw(RngStream(seed))
-            b = fl.run_smc(m, params, ds, fl.FilterConfig(2, seed=seed))
-            assert abs(float(a.log_r.data) - float(b.log_evidence.data)) < 1e-10
-            c = cp.derive_mpf(m, params, ds, 2).draw(RngStream(seed))
-            d = fl.run_mpf(m, params, ds, fl.FilterConfig(2, seed=seed))
-            assert abs(float(c.log_r.data) - float(d.log_evidence.data)) < 1e-10
+        """The derived pairs reproduce both filters on every continuous family."""
+        cases = [
+            ("lgssm-d1-sparse", mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0)), None),
+            ("lgssm-d3-dense", mo.lgssm_make(3, 3, 0.42, "dense", RngStream(1)), None),
+            ("sv-d2-triangular", mo.sv_make(2, "triangular", RngStream(3)), None),
+            ("dmm-2-3-8", mo.dmm_make(2, 3, 8, RngStream(4)), RngStream(5)),
+        ]
+        for name, m, init_rng in cases:
+            ds = mo.generate(m, 3, RngStream(7))
+            params = mo.proposal_init(m, 3, init_rng)
+            for seed in range(8):
+                a = cp.derive_smc(m, params, ds, 3).draw(RngStream(seed))
+                b = fl.run_smc(m, params, ds, fl.FilterConfig(3, seed=seed))
+                assert abs(float(a.log_r.data) - float(b.log_evidence.data)) < 1e-10, (name, seed)
+                c = cp.derive_mpf(m, params, ds, 3).draw(RngStream(seed))
+                d = fl.run_mpf(m, params, ds, fl.FilterConfig(3, seed=seed))
+                assert abs(float(c.log_r.data) - float(d.log_evidence.data)) < 1e-10, (name, seed)
 
     def test_marginal_step_equals_filter_weight(self):
         """Each lane's marginalized increment is the direct filter's v_t."""

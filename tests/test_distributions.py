@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import erf as np_erf
+from scipy.special import logsumexp
 from scipy.stats import kstest
 
 import particlevi.autodiff as ad
@@ -16,11 +17,9 @@ from particlevi.distributions import (
     GaussianMixture,
     TailCounter,
     categorical_sample_many,
-    diag_gauss_logpdf,
     gauss_product_fuse,
     mixture_implicit_rsample,
     mixture_implicit_rule,
-    mixture_logpdf,
 )
 from particlevi.rng import RngStream
 
@@ -29,6 +28,34 @@ HALF_LOG_2PI = 0.9189385332046727
 
 def make_gauss(mean, log_std):
     return DiagGaussian(np.asarray(mean, dtype=float), np.asarray(log_std, dtype=float))
+
+
+def gauss_logpdf_np(x, mean, log_std):
+    """Numpy oracle: diagonal Gaussian log-density, summed over the last axis."""
+    log_std = np.asarray(log_std, dtype=float)
+    z = (np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)) * np.exp(-log_std)
+    return np.sum(-HALF_LOG_2PI - log_std - 0.5 * z * z, axis=-1)
+
+
+def mixture_logpdf_np(x, logw, means, log_stds):
+    """Numpy oracle: mixture log-density at each row of x (n, d); logw unnormalized."""
+    logw = np.asarray(logw, dtype=float)
+    comp = gauss_logpdf_np(np.asarray(x, dtype=float)[:, None, :], means, log_stds)
+    return logsumexp(logw - logsumexp(logw) + comp, axis=1)
+
+
+def row_logpdf(x, mean, log_std):
+    """Log-density of one state through the row kernel, on one-row arrays."""
+    row = lambda v: ad.reshape(ad.constant(v), (1, -1))
+    return mo.gauss_logpdf_rows(row(x), row(mean), row(log_std)).sum()
+
+
+def mixture_logpdf_kernel(x, logw, means, log_stds):
+    """Mixture log-density at each row of x as run_mpf forms it, on the tape:
+    a logsumexp over the all-pairs kernel; logw unnormalized."""
+    logw = ad.constant(logw)
+    norm = logw - ad.logsumexp(logw)
+    return ad.logsumexp(norm + mo.gauss_logpdf_matrix(x, means, log_stds), axis=1)
 
 
 def make_mixture(logw, means, log_stds):
@@ -40,31 +67,28 @@ def make_mixture(logw, means, log_stds):
 
 
 class TestDiagGaussian:
+    """One diagonal Gaussian state through the row kernel the filters use."""
+
     def test_standard_normal_at_origin(self):
         with ad.Tape():
-            lp = diag_gauss_logpdf(np.zeros(1), make_gauss([0.0], [0.0]))
+            lp = row_logpdf(np.zeros(1), [0.0], [0.0])
             assert abs(float(lp.data) + HALF_LOG_2PI) < 1e-12
 
     def test_at_mean_only_normalizer_remains(self):
         with ad.Tape():
-            lp = diag_gauss_logpdf(np.asarray([2.5]), make_gauss([2.5], [0.7]))
+            lp = row_logpdf(np.asarray([2.5]), [2.5], [0.7])
             assert abs(float(lp.data) - (-HALF_LOG_2PI - 0.7)) < 1e-12
 
     def test_independence_sum(self):
         with ad.Tape():
-            lp = diag_gauss_logpdf(np.zeros(2), make_gauss([0.0, 0.0], [0.0, 0.0]))
+            lp = row_logpdf(np.zeros(2), [0.0, 0.0], [0.0, 0.0])
             assert abs(float(lp.data) + 2 * HALF_LOG_2PI) < 1e-12
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            with ad.Tape():
-                diag_gauss_logpdf(np.zeros(3), make_gauss([0.0], [0.0]))
 
     def test_logpdf_finite_difference(self):
         x_obs = np.asarray([0.4, -1.1, 0.0])
 
         def f(mu, ls):
-            return diag_gauss_logpdf(x_obs, DiagGaussian(mu, ls))
+            return row_logpdf(x_obs, mu, ls)
 
         err = ad.finite_diff_check(f, [np.asarray([0.1, 0.2, -0.4]), np.asarray([0.3, -0.2, 0.1])])
         assert err < 1e-5
@@ -104,8 +128,10 @@ class TestGaussProductFuse:
             x = rng.normals(3) * 2.0
             with ad.Tape():
                 fused, log_norm = gauss_product_fuse(a, b)
-                lhs = float(diag_gauss_logpdf(x, a).data) + float(diag_gauss_logpdf(x, b).data)
-                rhs = float(log_norm.data) + float(diag_gauss_logpdf(x, fused).data)
+            lhs = gauss_logpdf_np(x, a.mean.data, a.log_std.data) + gauss_logpdf_np(
+                x, b.mean.data, b.log_std.data
+            )
+            rhs = float(log_norm.data) + gauss_logpdf_np(x, fused.mean.data, fused.log_std.data)
             assert abs(lhs - rhs) < 1e-10
 
     def test_fuse_finite_difference(self):
@@ -113,7 +139,7 @@ class TestGaussProductFuse:
 
         def f(ma, la, mb, lb):
             fused, log_norm = gauss_product_fuse(DiagGaussian(ma, la), DiagGaussian(mb, lb))
-            return log_norm + diag_gauss_logpdf(x_obs, fused)
+            return log_norm + row_logpdf(x_obs, fused.mean, fused.log_std)
 
         point = [np.asarray([0.1, 0.5]), np.asarray([-0.2, 0.3]),
                  np.asarray([0.9, -0.1]), np.asarray([0.2, 0.0])]
@@ -155,42 +181,38 @@ class TestCategorical:
 
 
 class TestMixtureLogpdf:
+    """The mixture density as run_mpf forms it, against closed forms and the numpy oracle."""
+
     def test_single_component_matches_gaussian(self):
-        x = np.asarray([0.3, -0.4])
-        with ad.Tape():
-            m = make_mixture([0.0], [[0.1, 0.2]], [[0.0, -0.3]])
-            a = float(mixture_logpdf(x, m).data)
-            b = float(diag_gauss_logpdf(x, make_gauss([0.1, 0.2], [0.0, -0.3])).data)
+        x = np.asarray([[0.3, -0.4]])
+        a = mixture_logpdf_kernel(x, [0.0], [[0.1, 0.2]], [[0.0, -0.3]]).data[0]
+        b = gauss_logpdf_np(x[0], [0.1, 0.2], [0.0, -0.3])
         assert abs(a - b) < 1e-12
 
     def test_identical_components_collapse(self):
-        x = np.asarray([1.1])
-        with ad.Tape():
-            m = make_mixture([0.8, -0.4], [[0.5], [0.5]], [[0.2], [0.2]])
-            a = float(mixture_logpdf(x, m).data)
-            b = float(diag_gauss_logpdf(x, make_gauss([0.5], [0.2])).data)
+        x = np.asarray([[1.1]])
+        a = mixture_logpdf_kernel(x, [0.8, -0.4], [[0.5], [0.5]], [[0.2], [0.2]]).data[0]
+        b = gauss_logpdf_np(x[0], [0.5], [0.2])
         assert abs(a - b) < 1e-12
 
     def test_two_component_closed_form(self):
-        with ad.Tape():
-            m = make_mixture([math.log(0.5)] * 2, [[0.0], [2.0]], [[0.0], [0.0]])
-            v = float(mixture_logpdf(np.asarray([1.0]), m).data)
+        lp = mixture_logpdf_kernel(np.asarray([[1.0]]), [math.log(0.5)] * 2, [[0.0], [2.0]], [[0.0], [0.0]])
+        v = lp.data[0]
         assert abs(v - (-HALF_LOG_2PI - 0.5)) < 1e-9
 
     def test_integrates_to_one_on_grid(self):
         grid = np.linspace(-12.0, 14.0, 20_001)
-        with ad.Tape():
-            m = make_mixture([0.3, -0.2], [[0.0], [2.5]], [[0.0], [0.4]])
-            dens = [math.exp(float(mixture_logpdf(np.asarray([g]), m).data)) for g in grid]
-        integral = np.trapezoid(dens, grid)
+        args = ([0.3, -0.2], [[0.0], [2.5]], [[0.0], [0.4]])
+        log_dens = mixture_logpdf_np(grid[:, None], *args)
+        integral = np.trapezoid(np.exp(log_dens), grid)
         assert 0.999 < integral < 1.001
+        assert np.max(np.abs(mixture_logpdf_kernel(grid[:, None], *args).data - log_dens)) < 1e-10
 
     def test_logpdf_finite_difference(self):
-        x = np.asarray([0.4, -0.6])
+        x = np.asarray([[0.4, -0.6]])
 
         def f(lw, mu, ls):
-            norm = lw - ad.logsumexp(lw)
-            return mixture_logpdf(x, GaussianMixture(norm, mu, ls))
+            return mixture_logpdf_kernel(x, lw, mu, ls).sum()
 
         point = [np.asarray([0.2, -0.1]),
                  np.asarray([[0.0, 1.0], [1.0, -1.0]]),
@@ -268,7 +290,7 @@ def invert_transform(u, logw, means, log_stds):
 def rsample_stream(m, rng, tail_counter=None):
     """One draw (1, d), reading u and then d normals from rng in turn."""
     u = rng.uniform()
-    eps = rng.normals(m.dim)
+    eps = rng.normals(m.means.data.shape[1])
     return mixture_implicit_rsample(m, [u], eps[None, :], tail_counter)
 
 

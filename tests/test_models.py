@@ -8,8 +8,32 @@ from scipy.stats import multivariate_normal
 
 import particlevi.autodiff as ad
 from particlevi import models as mo
-from particlevi.distributions import DiagGaussian, diag_gauss_logpdf, gauss_product_fuse
+from particlevi.distributions import DiagGaussian, gauss_product_fuse
 from particlevi.rng import RngStream
+
+
+def gauss_logpdf_np(x, mean, log_std):
+    """Numpy oracle: diagonal Gaussian log-density, summed over the last axis."""
+    log_std = np.asarray(log_std, dtype=float)
+    z = (np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)) * np.exp(-log_std)
+    return np.sum(-0.5 * math.log(2 * math.pi) - log_std - 0.5 * z * z, axis=-1)
+
+
+def log_fg(model, t, x_t, x_prev, y_t):
+    """(log f, log g) at one state: the filters' builders and kernels on one-row arrays."""
+    x = np.asarray(x_t, dtype=float)[None, :]
+    xp = None if x_prev is None else np.asarray(x_prev, dtype=float)[None, :]
+    f_means, f_ls = mo.transition_build_many(model, t, xp)
+    log_f = mo.gauss_logpdf_rows(x, f_means, f_ls).data[0]
+    log_g = mo.emission_logpdf_rows(model, t, x, y_t).data[0]
+    return float(log_f), float(log_g)
+
+
+def proposal_row(model, params, t, x_prev, y_t=None):
+    """Mean and log-std (d,) of r_t(. | x_prev) for one previous state."""
+    xp = None if x_prev is None else np.asarray(x_prev, dtype=float)[None, :]
+    means, log_stds = mo.proposal_build_many(model, params, t, xp, y_t)
+    return means.data[0], log_stds.data[0]
 
 
 class TestLgssmMake:
@@ -105,11 +129,8 @@ class TestDensityKernels:
         log_stds = RngStream(9).normals(6).reshape(3, 2) * 0.3
         with ad.Tape():
             mat = mo.gauss_logpdf_matrix(ad.constant(x), ad.constant(means), ad.constant(log_stds)).data
-        for i in range(4):
-            for j in range(3):
-                with ad.Tape():
-                    ref = diag_gauss_logpdf(x[i], DiagGaussian(means[j], log_stds[j])).data
-                assert abs(mat[i, j] - float(ref)) < 1e-9
+        ref = gauss_logpdf_np(x[:, None, :], means, log_stds)
+        assert np.max(np.abs(mat - ref)) < 1e-9
 
     def test_matrix_kernel_finite_difference(self):
         x = RngStream(17).normals(4).reshape(2, 2)
@@ -128,10 +149,8 @@ class TestDensityKernels:
         mat_shared = mo.gauss_logpdf_matrix(x, means, shared).data
         mat_tiled = mo.gauss_logpdf_matrix(x, means, tiled).data
         assert np.max(np.abs(mat_shared - mat_tiled)) < 1e-12
-        for i in range(4):
-            for j in range(5):
-                ref = diag_gauss_logpdf(x[i], DiagGaussian(means[j], shared[0])).data
-                assert abs(mat_shared[i, j] - float(ref)) < 1e-12
+        ref = gauss_logpdf_np(x[:, None, :], means, shared[0])
+        assert np.max(np.abs(mat_shared - ref)) < 1e-12
         rows_shared = mo.gauss_logpdf_rows(x, means[:4], shared).data
         rows_tiled = mo.gauss_logpdf_rows(x, means[:4], tiled[:4]).data
         assert np.max(np.abs(rows_shared - rows_tiled)) < 1e-12
@@ -186,18 +205,16 @@ class TestLogdensities:
         m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
         x_prev = np.asarray([0.5, -1.0])
         x_t = np.asarray([0.2, 0.1])
-        with ad.Tape():
-            log_f, log_g = mo.model_logdensities(m, 2, x_t, x_prev, np.zeros(2))
-            ref_f = diag_gauss_logpdf(x_t, DiagGaussian(m.a @ x_prev, np.zeros(2)))
-            ref_g = diag_gauss_logpdf(np.zeros(2), DiagGaussian(m.c @ x_t, np.zeros(2)))
-        assert abs(float(log_f.data) - float(ref_f.data)) < 1e-10
-        assert abs(float(log_g.data) - float(ref_g.data)) < 1e-10
+        log_f, log_g = log_fg(m, 2, x_t, x_prev, np.zeros(2))
+        ref_f = gauss_logpdf_np(x_t, m.a @ x_prev, np.zeros(2))
+        ref_g = gauss_logpdf_np(np.zeros(2), m.c @ x_t, np.zeros(2))
+        assert abs(log_f - ref_f) < 1e-10
+        assert abs(log_g - ref_g) < 1e-10
 
     def test_lgssm_prior_at_t1(self):
         m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
-        with ad.Tape():
-            log_f, _ = mo.model_logdensities(m, 1, np.zeros(2), None, np.zeros(2))
-        assert abs(float(log_f.data) + math.log(2 * math.pi)) < 1e-12
+        log_f, _ = log_fg(m, 1, np.zeros(2), None, np.zeros(2))
+        assert abs(log_f + math.log(2 * math.pi)) < 1e-12
 
     def test_sv_emission_matches_dense_normal(self):
         """y = diag(exp(x/2)) B e gives y ~ N(0, D B B' D)."""
@@ -205,49 +222,42 @@ class TestLogdensities:
             sv = mo.sv_make(3, mode, RngStream(11))
             x = RngStream(12).normals(3)
             y = RngStream(13).normals(3) * 0.5
-            with ad.Tape():
-                _, log_g = mo.model_logdensities(sv, 1, x, None, y)
+            _, log_g = log_fg(sv, 1, x, None, y)
             b = mo.sv_b_matrix(sv).data
             d = np.diag(np.exp(x / 2.0))
             oracle = multivariate_normal(np.zeros(3), d @ b @ b.T @ d).logpdf(y)
-            assert abs(float(log_g.data) - oracle) < 1e-9
+            assert abs(log_g - oracle) < 1e-9
 
     def test_sv_transition_definition(self):
         sv = mo.sv_make(2, "diagonal", RngStream(3))
         x_prev, x_t = np.asarray([0.4, -0.2]), np.asarray([0.1, 0.3])
         phi = 1.0 / (1.0 + np.exp(-sv.phi_logit))
-        with ad.Tape():
-            log_f, _ = mo.model_logdensities(sv, 2, x_t, x_prev, np.zeros(2))
-            ref = diag_gauss_logpdf(
-                x_t, DiagGaussian(sv.mu + phi * (x_prev - sv.mu), sv.log_q_std)
-            )
-        assert abs(float(log_f.data) - float(ref.data)) < 1e-10
+        log_f, _ = log_fg(sv, 2, x_t, x_prev, np.zeros(2))
+        ref = gauss_logpdf_np(x_t, sv.mu + phi * (x_prev - sv.mu), sv.log_q_std)
+        assert abs(log_f - ref) < 1e-10
 
     def test_dmm_emission_is_bernoulli(self):
         dmm = mo.dmm_make(2, 4, 8, RngStream(5))
         x = RngStream(6).normals(2)
         y = np.asarray([1.0, 0.0, 0.0, 1.0])
-        with ad.Tape():
-            _, log_g = mo.model_logdensities(dmm, 1, x, None, y)
-            logits = mo.mlp_single(dmm.params, "emis_h", "emis_out", ad.constant(x[None, :])).data[0]
+        _, log_g = log_fg(dmm, 1, x, None, y)
+        logits = mo.mlp_single(dmm.params, "emis_h", "emis_out", ad.constant(x[None, :])).data[0]
         probs = 1.0 / (1.0 + np.exp(-logits))
         oracle = np.sum(y * np.log(probs) + (1 - y) * np.log1p(-probs))
-        assert abs(float(log_g.data) - oracle) < 1e-10
+        assert abs(log_g - oracle) < 1e-10
 
     def test_transition_density_integrates_to_one(self):
         grid = np.linspace(-10.0, 10.0, 4001)
         cases = [
-            (mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0)), np.zeros(1)),
-            (mo.sv_make(1, "diagonal", RngStream(1)), np.zeros(1)),
-            (mo.dmm_make(1, 2, 4, RngStream(2)), np.zeros(2)),
+            mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0)),
+            mo.sv_make(1, "diagonal", RngStream(1)),
+            mo.dmm_make(1, 2, 4, RngStream(2)),
         ]
-        x_prev = np.asarray([0.3])
-        for m, y in cases:
-            with ad.Tape():
-                vals = [
-                    math.exp(float(mo.model_logdensities(m, 2, np.asarray([g]), x_prev, y)[0].data))
-                    for g in grid
-                ]
+        x_prev = np.asarray([[0.3]])
+        for m in cases:
+            # the whole grid in one row-kernel call against the one transition row
+            f_means, f_ls = mo.transition_build_many(m, 2, x_prev)
+            vals = np.exp(mo.gauss_logpdf_rows(grid[:, None], f_means, f_ls).data)
             assert 0.999 < np.trapezoid(vals, grid) < 1.001
 
 
@@ -259,19 +269,17 @@ class TestProposals:
         params["beta"][1] = [2.0, 0.5]
         params["log_sigma"][1] = [0.1, -0.1]
         x_prev = np.asarray([1.0, 2.0])
-        with ad.Tape():
-            g = mo.proposal_build(m, params, 2, x_prev)
-        assert np.allclose(g.mean.data, np.asarray([0.5, -0.5]) + np.asarray([2.0, 0.5]) * (m.a @ x_prev))
-        assert np.allclose(g.log_std.data, [0.1, -0.1])
+        mean, log_std = proposal_row(m, params, 2, x_prev)
+        assert np.allclose(mean, np.asarray([0.5, -0.5]) + np.asarray([2.0, 0.5]) * (m.a @ x_prev))
+        assert np.allclose(log_std, [0.1, -0.1])
 
     def test_lgssm_beta_zero_ignores_history(self):
         m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
         params = mo.proposal_init(m, 2)
         params["beta"][:] = 0.0
-        with ad.Tape():
-            a = mo.proposal_build(m, params, 2, np.asarray([5.0, -3.0]))
-            b = mo.proposal_build(m, params, 2, np.asarray([0.0, 0.0]))
-        assert np.array_equal(a.mean.data, b.mean.data)
+        a, _ = proposal_row(m, params, 2, np.asarray([5.0, -3.0]))
+        b, _ = proposal_row(m, params, 2, np.asarray([0.0, 0.0]))
+        assert np.array_equal(a, b)
 
     def test_sv_proposal_is_fused_product(self):
         """log f + log N(mu_t, Sigma_t) = log-normalizer + log r pointwise."""
@@ -282,14 +290,12 @@ class TestProposals:
         x_prev = np.asarray([0.5, 0.8])
         x_t = np.asarray([-0.1, 0.4])
         phi = 1.0 / (1.0 + np.exp(-sv.phi_logit))
-        with ad.Tape():
-            r = mo.proposal_build(sv, params, 2, x_prev)
-            log_r = diag_gauss_logpdf(x_t, r)
-            f_gauss = DiagGaussian(sv.mu + phi * (x_prev - sv.mu), sv.log_q_std)
-            factor = DiagGaussian(np.asarray([0.3, -0.2]), np.asarray([0.2, 0.1]))
-            _, log_norm = gauss_product_fuse(f_gauss, factor)
-            lhs = diag_gauss_logpdf(x_t, f_gauss).data + diag_gauss_logpdf(x_t, factor).data
-        assert abs(float(lhs) - (float(log_norm.data) + float(log_r.data))) < 1e-10
+        log_r = gauss_logpdf_np(x_t, *proposal_row(sv, params, 2, x_prev))
+        f_mean, f_ls = sv.mu + phi * (x_prev - sv.mu), sv.log_q_std
+        factor_mean, factor_ls = np.asarray([0.3, -0.2]), np.asarray([0.2, 0.1])
+        _, log_norm = gauss_product_fuse(DiagGaussian(f_mean, f_ls), DiagGaussian(factor_mean, factor_ls))
+        lhs = gauss_logpdf_np(x_t, f_mean, f_ls) + gauss_logpdf_np(x_t, factor_mean, factor_ls)
+        assert abs(lhs - (float(log_norm.data) + log_r)) < 1e-10
 
     def test_dmm_flat_y_factor_recovers_x_network(self):
         dmm = mo.dmm_make(2, 3, 8, RngStream(9))
@@ -298,11 +304,10 @@ class TestProposals:
         params["y_sig_b"][:] = 40.0  # variance e^40: flat factor
         x_prev = RngStream(11).normals(2)
         y_t = np.asarray([1.0, 0.0, 1.0])
-        with ad.Tape():
-            fused = mo.proposal_build(dmm, params, 2, x_prev, y_t)
-            x_mean, x_ls = mo.mlp_two_head(params, "x", ad.constant(x_prev[None, :]))
-        assert np.allclose(fused.mean.data, x_mean.data[0], atol=1e-8)
-        assert np.allclose(fused.log_std.data, x_ls.data[0], atol=1e-8)
+        fused_mean, fused_ls = proposal_row(dmm, params, 2, x_prev, y_t)
+        x_mean, x_ls = mo.mlp_two_head(params, "x", ad.constant(x_prev[None, :]))
+        assert np.allclose(fused_mean, x_mean.data[0], atol=1e-8)
+        assert np.allclose(fused_ls, x_ls.data[0], atol=1e-8)
 
     def test_proposal_gradients_finite_difference(self):
         m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))
@@ -352,3 +357,20 @@ class TestGenerate:
         ds = mo.generate(mo.hmm_reference(), 10, RngStream(2))
         assert ds.ys.shape == (10, 1)
         assert set(np.unique(ds.ys)) <= {0.0, 1.0}
+        # pinned: a change to the inverse-CDF draws must not move them
+        assert ds.ys[:, 0].astype(int).tolist() == [1, 1, 1, 0, 1, 1, 0, 1, 1, 0]
+
+    def test_hmm_draws_clamped_when_rows_sum_below_one(self):
+        """Rows summing to 1 - 1e-11 are valid, and the top uniform stays in range."""
+
+        class TopStream:
+            def split(self, *keys):
+                return self
+
+            def uniform(self):
+                return 1.0 - 2.0**-53  # above every cumulative sum of such a row
+
+        short = np.asarray([0.5, 0.5 - 1e-11])
+        h = mo.DiscreteHmm(short, np.stack([short, short]), np.stack([short, short]))
+        ds = mo.generate(h, 3, TopStream())
+        assert np.array_equal(ds.ys, np.ones((3, 1)))
