@@ -346,6 +346,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, params_path: Path | None = No
                  n_samples: int = 1000, workers: int | None = None) -> int:
     if n_samples < 2:
         raise CliError(f"--samples must be >= 2 (a standard error needs two), got {n_samples}")
+    if workers is not None and workers < 1:
+        raise CliError(f"--workers must be >= 1, got {workers}")
     model = build_model(cfg)
     ds = load_dataset(cfg, out)
     obj = build_objective(cfg, model)
@@ -456,24 +458,29 @@ def _suite_gradients():
                              [pts.split(1).normals(3), pts.split(2).normals(3)]),
         1e-5,
     ))
-    # the density kernels' analytic backwards, in x, means and log-stds;
-    # a fixed non-uniform cotangent reaches every entry of each rule
+    # the density kernels' analytic backwards, in x, means and log-stds (and
+    # the mixture's log-weights); a fixed non-uniform cotangent reaches every
+    # entry of each rule
     kernels = {
-        "kernel-rows": (mo.gauss_logpdf_rows, 3),
-        "kernel-matrix": (mo.gauss_logpdf_matrix, 3),
-        "kernel-matrix-shared": (mo.gauss_logpdf_matrix, 1),
+        "kernel-rows": (mo.gauss_logpdf_rows, 3, 200),
+        "kernel-matrix": (mo.gauss_logpdf_matrix, 3, 201),
+        "kernel-matrix-shared": (mo.gauss_logpdf_matrix, 1, 202),
+        "kernel-mixture": (mo.gauss_mixture_logpdf, 3, 203),
+        "kernel-mixture-shared": (mo.gauss_mixture_logpdf, 1, 204),
     }
-    for label, (name, (kernel, ls_rows)) in enumerate(kernels.items()):
-        pts = rng.split(200 + label)
+    for name, (kernel, ls_rows, label) in kernels.items():
+        pts = rng.split(label)
         weights = pts.split(0).normals(9).reshape(3, 3)
-        if kernel is mo.gauss_logpdf_rows:
+        if kernel is not mo.gauss_logpdf_matrix:
             weights = weights[:, 0]
         point = [
             pts.split(1).normals(6).reshape(3, 2),
             pts.split(2).normals(6).reshape(3, 2),
             pts.split(3).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
         ]
-        err = ad.finite_diff_check(lambda x, m, ls: (kernel(x, m, ls) * ad.constant(weights)).sum(), point)
+        if kernel is mo.gauss_mixture_logpdf:
+            point.insert(1, pts.split(4).normals(3))
+        err = ad.finite_diff_check(lambda *args: (kernel(*args) * ad.constant(weights)).sum(), point)
         checks.append((name, err, 1e-5))
 
     # biased and unbiased particle gradients coincide at a single particle

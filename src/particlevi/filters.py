@@ -288,25 +288,25 @@ def _hmm_log_f(model: mo.DiscreteHmm, t: int, idx: np.ndarray, xp_idx) -> np.nda
         return np.log(model.trans)[xp_idx, idx]
 
 
-def _pair_logpdf(x, means, log_stds) -> Var:
-    """(N, M) matrix of log N(x_i; means_j, exp(log_stds_j)).
+def _mixture_logpdf(x, log_w, means, log_stds) -> Var:
+    """(N,) log sum_j exp(log_w_j) N(x_i; means_j, exp(log_stds_j)).
 
-    A single component goes through the row kernel as one column, so N=1
-    runs stay bit-aligned with run_smc.
+    A single component goes through the row kernel plus its log-weight, so
+    N=1 runs stay bit-aligned with run_smc.
     """
     if means.data.shape[0] == 1:
-        return ad.reshape(mo.gauss_logpdf_rows(x, means, log_stds), (-1, 1))
-    return mo.gauss_logpdf_matrix(x, means, log_stds)
+        return log_w + mo.gauss_logpdf_rows(x, means, log_stds)
+    return mo.gauss_mixture_logpdf(x, log_w, means, log_stds)
 
 
 def _log_f_matrix(model, t: int, x, x_prev) -> Var:
-    """(N, N_prev) matrix of log f(x_i | x_prev_j)."""
+    """(N, N_prev) matrix of log f(x_i | x_prev_j), for tables and the identity check."""
     if isinstance(model, mo.DiscreteHmm):
         idx = x.data[:, 0].astype(np.intp)
         xp = x_prev.data[:, 0].astype(np.intp)
         with np.errstate(divide="ignore"):
             return ad.constant(np.log(model.trans)[np.ix_(xp, idx)].T.copy())
-    return _pair_logpdf(x, *mo.transition_build_many(model, t, x_prev))
+    return mo.gauss_logpdf_matrix(x, *mo.transition_build_many(model, t, x_prev))
 
 
 def _log_r_matrix(model, params, t: int, x, x_prev, y_t=None) -> Var:
@@ -317,7 +317,7 @@ def _log_r_matrix(model, params, t: int, x, x_prev, y_t=None) -> Var:
         table = np.asarray((params or {}).get("trans_proposal", model.trans), dtype=np.float64)
         with np.errstate(divide="ignore"):
             return ad.constant(np.log(table)[np.ix_(xp, idx)].T.copy())
-    return _pair_logpdf(x, *mo.proposal_build_many(model, params, t, x_prev, y_t))
+    return mo.gauss_logpdf_matrix(x, *mo.proposal_build_many(model, params, t, x_prev, y_t))
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +415,11 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         log v_t^i = logsumexp_j(log vbar_j + log f_ij) + log g_i
                   - logsumexp_j(log vbar_j + log r_ij)
 
+    Each logsumexp is one ``models.gauss_mixture_logpdf`` node, so the
+    (N, N) pair terms of a step never reach the tape as matrices; at N=1
+    the row kernel plus log vbar stands in, which keeps the run bit-aligned
+    with run_smc.  Discrete models use their numpy tables.
+
     grad_mode picks the sampling estimator: "biased" draws the component
     index with detached probabilities then reparameterizes within it,
     "unbiased" draws the N particles of a step through one
@@ -487,10 +492,8 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
                     - mo.gauss_logpdf_rows(x_new, means, log_stds)
                 )
             else:
-                log_f = _log_f_matrix(model, t, x_new, x)
-                log_r = _pair_logpdf(x_new, means, log_stds)
-                num = ad.logsumexp(log_vbar + log_f, axis=1)
-                den = ad.logsumexp(log_vbar + log_r, axis=1)
+                num = _mixture_logpdf(x_new, log_vbar, *mo.transition_build_many(model, t, x))
+                den = _mixture_logpdf(x_new, log_vbar, means, log_stds)
                 logv = num + log_g - den
             x = x_new
 
@@ -614,7 +617,9 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
         z_t^i = sum_j z_{t-1}^j f(x_t^i | x_{t-1}^j) g_i / (N r_t(x_t^i))
 
     Proposals must be state-independent.  There is no resampling, so a run
-    under an active tape is fully reparameterized.
+    under an active tape is fully reparameterized.  On continuous models
+    the sum over j is one ``models.gauss_mixture_logpdf`` node with the
+    unnormalized log z_{t-1} as mixture weights.
     """
     backend = make_backend(rng, backend)
     ys = ys_of(data)
@@ -645,9 +650,12 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
 
         if t == 1:
             logz = log_f1 + extra
-        else:
+        elif discrete:
             log_f = _log_f_matrix(model, t, x_new, x)
             logz = ad.logsumexp(log_weights[-1] + log_f, axis=1) - log_n + extra
+        else:
+            f_means, f_ls = mo.transition_build_many(model, t, x)
+            logz = _mixture_logpdf(x_new, log_weights[-1], f_means, f_ls) - log_n + extra
 
         _check_alive(logz, t)
         x = x_new

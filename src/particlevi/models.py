@@ -4,17 +4,20 @@ Three continuous state space models (linear Gaussian, stochastic
 volatility, deep Markov) plus a discrete HMM used as an enumeration
 oracle.  Each family exposes its transition, emission and proposal in one
 granularity, vectorized over particle rows: builders of Gaussian
-parameters, a row kernel that scores row i against row i, and an all-pairs
-kernel that scores every row against every component.  The filters call
-them on N rows; the coupling combinators call the same functions on
-one-row arrays, so each Gaussian log-density has one implementation.
+parameters and three density kernels.  The row kernel scores row i against
+row i; the all-pairs kernel scores every row against every component; the
+mixture kernel scores every row under a weighted mixture of the components,
+which is the all-pairs matrix reduced by a logsumexp over the components.
+The filters call them on N rows; the coupling combinators call the same
+functions on one-row arrays, so each Gaussian log-density has one
+implementation.
 
 Builders return Gaussian parameters as (rows, d) mean and log-std arrays.
 A log-std that every particle shares (the LGSSM and SV noise scales, the
 LGSSM proposal's) stays one (1, d) row that broadcasts over the particles,
-so the all-pairs kernel needs a single (N, d) @ (d, M) matmul; the DMM
-heads give each row its own scale.  Each density kernel records one tape
-node with an analytic backward.
+so the pair work is a single (N, d) @ (d, M) matmul; the DMM heads give
+each row its own scale.  Each density kernel records one tape node with an
+analytic backward, and the pair kernels share one backward contraction.
 """
 
 from __future__ import annotations
@@ -274,6 +277,13 @@ def hmm_forward(h: DiscreteHmm, symbols: np.ndarray) -> float:
 # density kernels (vectorized over particles)
 
 
+def _check_dims(x: Var, means: Var, log_stds: Var):
+    """The kernels broadcast rows, never coordinates: every trailing dimension must agree."""
+    d_x, d_m, d_ls = x.data.shape[-1], means.data.shape[-1], log_stds.data.shape[-1]
+    if not d_x == d_m == d_ls:
+        raise ValueError(f"state dimensions disagree: x {d_x}, means {d_m}, log-stds {d_ls}")
+
+
 def gauss_logpdf_rows(x, means, log_stds) -> Var:
     """Row-aligned diagonal Gaussian log-densities: (N|1, d) against (N|1, d) -> (N,).
 
@@ -282,6 +292,7 @@ def gauss_logpdf_rows(x, means, log_stds) -> Var:
     to the log-stds, each summed back to its parent's shape.
     """
     x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
+    _check_dims(x, means, log_stds)
     # the rule closes over arrays only: a Var would tie the tape into a cycle
     x_shape, m_shape, ls = x.data.shape, means.data.shape, log_stds.data
     inv_std = np.exp(-ls)
@@ -300,17 +311,36 @@ def gauss_logpdf_rows(x, means, log_stds) -> Var:
     return ad.custom_vjp(out, [x, means, log_stds], rule)
 
 
+def _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls: bool) -> tuple:
+    """Cotangents of sum_ij g_ij log N(x_i; m_j, exp(ls_j)) to x, means and log-stds.
+
+    Matmul contractions of the (N, M) cotangent G: G @ (m iv), G @ iv,
+    G^T @ x and G^T @ x^2, with iv the inverse variances.  None for the
+    log-stds when need_ls is False.
+    """
+    col = g.sum(axis=0)[:, None]
+    gt_x = g.T @ xd
+    g_iv = g.sum(axis=1)[:, None] * inv_var if ls.shape[0] == 1 else g @ inv_var
+    grad_x = g @ m_iv - xd * g_iv
+    grad_means = inv_var * (gt_x - md * col)
+    grad_ls = None
+    if need_ls:
+        quad = g.T @ (xd * xd) - 2.0 * md * gt_x + md * md * col
+        grad_ls = ad.unbroadcast(inv_var * quad - col, ls.shape)
+    return grad_x, grad_means, grad_ls
+
+
 def gauss_logpdf_matrix(x, means, log_stds) -> Var:
     """All-pairs diagonal Gaussian log-densities: (N, d) against (M, d) -> (N, M).
 
     Expanded quadratic form c_j - 0.5 (sq_ij - 2 cross_ij + msq_j), built in
     one (N, M) buffer.  Log-stds are (M, d), or one (1, d) row that every
     component shares; then sq is a column and the pair work is the single
-    (N, d) @ (d, M) cross matmul.  One tape node: the backward contracts the
-    (N, M) cotangent G by matmuls (G @ (m iv), G @ iv, G^T @ x, G^T @ x^2,
-    with iv the inverse variances).
+    (N, d) @ (d, M) cross matmul.  One tape node, with the backward of
+    ``_pair_cotangents``.
     """
     x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
+    _check_dims(x, means, log_stds)
     xd, md, ls = x.data, means.data, log_stds.data
     need_ls = log_stds.nid is not None  # constant noise scales need no cotangent
     inv_var = np.exp(-2.0 * ls)
@@ -324,18 +354,57 @@ def gauss_logpdf_matrix(x, means, log_stds) -> Var:
     out += (-0.5 * LOG_2PI - ls).sum(axis=1)
 
     def rule(g):
-        col = g.sum(axis=0)[:, None]
-        gt_x = g.T @ xd
-        g_iv = g.sum(axis=1)[:, None] * inv_var if ls.shape[0] == 1 else g @ inv_var
-        grad_x = g @ m_iv - xd * g_iv
-        grad_means = inv_var * (gt_x - md * col)
-        grad_ls = None
-        if need_ls:
-            quad = g.T @ x_sq - 2.0 * md * gt_x + md * md * col
-            grad_ls = ad.unbroadcast(inv_var * quad - col, ls.shape)
-        return grad_x, grad_means, grad_ls
+        return _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls)
 
     return ad.custom_vjp(out, [x, means, log_stds], rule)
+
+
+def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
+    """Mixture log-densities log sum_j exp(log_w_j) N(x_i; means_j, exp(log_stds_j)) -> (N,).
+
+    x is (N, d), log_w (M,) and means (M, d); log-stds are (M, d) or one
+    shared (1, d) row, as for ``gauss_logpdf_matrix``.  The weights are not
+    normalized here.  The pair terms live in one (N, M) buffer that is
+    max-shifted, exponentiated and row-summed in place.  With a shared
+    scale the row term -0.5 sum_k x_ik^2 iv_k is the same for every
+    component, so it is added after the reduction and the buffer is one
+    cross matmul plus a column bias.  A row whose weights are all -inf
+    scores -inf.  One tape node: with responsibilities P = buf / rowsum and
+    G = g P, the log_w cotangent is the column sums of G and the others are
+    ``_pair_cotangents`` of G.
+    """
+    x, log_w, means, log_stds = (ad.constant(v) for v in (x, log_w, means, log_stds))
+    _check_dims(x, means, log_stds)
+    if log_w.data.shape != means.data.shape[:1]:
+        raise ValueError(f"log-weights {log_w.data.shape} do not match {means.data.shape[0]} components")
+    xd, lw, md, ls = x.data, log_w.data, means.data, log_stds.data
+    need_ls = log_stds.nid is not None
+    inv_var = np.exp(-2.0 * ls)
+    m_iv = md * inv_var
+    bias = lw + (-0.5 * LOG_2PI - ls).sum(axis=1) - 0.5 * (md * m_iv).sum(axis=1)
+    if ls.shape[0] == 1:
+        buf = xd @ m_iv.T
+        row = -0.5 * ((xd * xd) @ inv_var[0])
+    else:  # x^2 joins the contraction: [x, x^2] @ [m iv, -iv / 2]^T
+        buf = np.hstack([xd, xd * xd]) @ np.hstack([m_iv, -0.5 * inv_var]).T
+        row = 0.0
+    buf += bias
+    peak = buf.max(axis=1)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    buf -= shift[:, None]
+    np.exp(buf, out=buf)
+    total = buf.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        out = np.log(total) + shift + row
+
+    def rule(g):
+        # a dead row (all weights -inf) passes nothing back
+        scale = np.divide(g, total, out=np.zeros_like(total), where=total > 0.0)
+        resp = buf * scale[:, None]
+        grad_x, grad_means, grad_ls = _pair_cotangents(resp, xd, md, ls, inv_var, m_iv, need_ls)
+        return grad_x, resp.sum(axis=0), grad_means, grad_ls
+
+    return ad.custom_vjp(out, [x, log_w, means, log_stds], rule)
 
 
 def trisolve_rows(b: Var, u: Var) -> Var:

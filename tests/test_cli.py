@@ -408,6 +408,7 @@ class TestMain:
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
         for argv, flag in (
             (["evaluate", "--config", cfg_path, "--out", str(tmp_path), "--samples", "1"], "--samples"),
+            (["evaluate", "--config", cfg_path, "--out", str(tmp_path), "--workers", "0"], "--workers"),
             (["bench", "--model", "lgssm", "--reps", "0"], "--reps"),
             (["bench", "--model", "lgssm", "--t", "0"], "--t"),
         ):

@@ -51,11 +51,10 @@ def row_logpdf(x, mean, log_std):
 
 
 def mixture_logpdf_kernel(x, logw, means, log_stds):
-    """Mixture log-density at each row of x as run_mpf forms it, on the tape:
-    a logsumexp over the all-pairs kernel; logw unnormalized."""
+    """Mixture log-density at each row of x through the mixture kernel that
+    run_mpf calls, on the tape; logw unnormalized."""
     logw = ad.constant(logw)
-    norm = logw - ad.logsumexp(logw)
-    return ad.logsumexp(norm + mo.gauss_logpdf_matrix(x, means, log_stds), axis=1)
+    return mo.gauss_mixture_logpdf(x, logw - ad.logsumexp(logw), means, log_stds)
 
 
 def make_mixture(logw, means, log_stds):
@@ -181,7 +180,7 @@ class TestCategorical:
 
 
 class TestMixtureLogpdf:
-    """The mixture density as run_mpf forms it, against closed forms and the numpy oracle."""
+    """The mixture kernel that run_mpf calls, against closed forms and the numpy oracle."""
 
     def test_single_component_matches_gaussian(self):
         x = np.asarray([[0.3, -0.4]])

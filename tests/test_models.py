@@ -1,6 +1,7 @@
 """Model families against exact oracles: Kalman, forward algorithm, closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,13 @@ def gauss_logpdf_np(x, mean, log_std):
     log_std = np.asarray(log_std, dtype=float)
     z = (np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)) * np.exp(-log_std)
     return np.sum(-0.5 * math.log(2 * math.pi) - log_std - 0.5 * z * z, axis=-1)
+
+
+KERNELS = {
+    "rows": mo.gauss_logpdf_rows,
+    "matrix": mo.gauss_logpdf_matrix,
+    "mixture": mo.gauss_mixture_logpdf,
+}
 
 
 def log_fg(model, t, x_t, x_prev, y_t):
@@ -159,7 +167,7 @@ class TestDensityKernels:
     @pytest.mark.parametrize("kernel", ["rows", "matrix"])
     @pytest.mark.parametrize("ls_rows", [1, 3], ids=["shared", "per-row"])
     def test_kernel_finite_difference_in_all_arguments(self, kernel, ls_rows):
-        fn = mo.gauss_logpdf_rows if kernel == "rows" else mo.gauss_logpdf_matrix
+        fn = KERNELS[kernel]
         weights = RngStream(30).normals(9).reshape(3, 3)
         if kernel == "rows":
             weights = weights[:, 0]
@@ -175,14 +183,74 @@ class TestDensityKernels:
         ]
         assert ad.finite_diff_check(f, point) < 1e-5
 
-    @pytest.mark.parametrize("kernel", ["rows", "matrix"])
+    @pytest.mark.parametrize("kernel", ["rows", "matrix", "mixture"])
     def test_kernel_records_one_node(self, kernel):
-        fn = mo.gauss_logpdf_rows if kernel == "rows" else mo.gauss_logpdf_matrix
         with ad.Tape() as tape:
             args = [ad.leaf(RngStream(40 + k).normals(6).reshape(3, 2)) for k in range(3)]
+            if kernel == "mixture":
+                args.insert(1, ad.leaf(RngStream(43).normals(3)))
             before = len(tape.nodes)
-            fn(*args)
+            KERNELS[kernel](*args)
             assert len(tape.nodes) == before + 1
+
+    @pytest.mark.parametrize("ls_rows", [1, 256], ids=["shared", "per-row"])
+    def test_mixture_kernel_matches_pairs_and_logsumexp(self, ls_rows):
+        x = RngStream(50).normals(256 * 3).reshape(256, 3)
+        means = RngStream(51).normals(256 * 3).reshape(256, 3)
+        log_stds = RngStream(52).normals(3 * ls_rows).reshape(ls_rows, 3) * 0.3
+        log_w = RngStream(53).normals(256)
+        ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, means, log_stds).data, axis=1)
+        got = mo.gauss_mixture_logpdf(x, log_w, means, log_stds).data
+        assert got.shape == (256,)
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+    @pytest.mark.parametrize("ls_rows", [1, 3], ids=["shared", "per-row"])
+    def test_mixture_kernel_finite_difference_in_all_arguments(self, ls_rows):
+        weights = RngStream(60).normals(4)
+
+        def f(x, log_w, means, log_stds):
+            return (mo.gauss_mixture_logpdf(x, log_w, means, log_stds) * ad.constant(weights)).sum()
+
+        point = [
+            RngStream(61).normals(8).reshape(4, 2),
+            RngStream(62).normals(3),
+            RngStream(63).normals(6).reshape(3, 2),
+            RngStream(64).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
+        ]
+        assert ad.finite_diff_check(f, point) < 1e-5
+
+    def test_mixture_kernel_minus_inf_weights(self):
+        x = RngStream(70).normals(8).reshape(4, 2)
+        means = RngStream(71).normals(6).reshape(3, 2)
+        log_stds = RngStream(72).normals(2).reshape(1, 2) * 0.3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with ad.Tape():
+                args = [ad.leaf(a) for a in (x, np.asarray([-np.inf, 0.2, -0.5]), means, log_stds)]
+                out = mo.gauss_mixture_logpdf(*args)
+                grads = ad.grad(out.sum(), args)
+            ref = ad.np_logsumexp(np.asarray([0.2, -0.5]) + mo.gauss_logpdf_matrix(x, means[1:], log_stds).data, axis=1)
+            assert np.all(np.isfinite(out.data)) and np.max(np.abs(out.data - ref)) < 1e-12
+            assert grads[1][0] == 0.0 and np.all(grads[2][0] == 0.0)
+            assert all(np.all(np.isfinite(g)) for g in grads)
+            with ad.Tape():
+                args = [ad.leaf(a) for a in (x, np.full(3, -np.inf), means, log_stds)]
+                out = mo.gauss_mixture_logpdf(*args)
+                grads = ad.grad((out * ad.constant(np.ones(4))).sum(), args)
+        assert np.all(out.data == -np.inf)
+        assert all(np.all(g == 0.0) for g in grads)
+
+    @pytest.mark.parametrize("kernel", ["rows", "matrix", "mixture"])
+    def test_kernels_reject_mismatched_state_dimensions(self, kernel):
+        # x scores three coordinates, means and log-stds describe one
+        args = [np.zeros((1, 3)), np.zeros((1, 1)), np.zeros((1, 1))]
+        if kernel == "mixture":
+            args.insert(1, np.zeros(1))
+        with pytest.raises(ValueError, match="state dimensions"):
+            KERNELS[kernel](*args)
+        args[-1] = np.zeros((1, 3))
+        with pytest.raises(ValueError, match="state dimensions"):
+            KERNELS[kernel](*args)
 
     def test_trisolve_forward_and_gradient(self):
         b = np.tril(RngStream(5).normals(9).reshape(3, 3) * 0.3) + np.eye(3)
