@@ -10,9 +10,9 @@ because ids strictly increase at creation.
 The contract callers may rely on for elementwise shapes is scalar-with-tensor
 and equal-shape; internally the library also leans on general numpy
 broadcasting (row/column vectors against matrices), and cotangents are summed
-back to the parent shape.  log(0) produces -inf; downstream code only ever
-feeds such values through logsumexp, whose softmax backward assigns them
-exactly zero weight, so no infinite gradient is materialized.
+back to the parent shape.  A -inf log-value (a zero weight, a mixture row
+with no live component) only ever reaches logsumexp, whose softmax backward
+assigns it exactly zero weight, so no infinite gradient is materialized.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 from scipy import special as _special
 
 _ACTIVE: ContextVar["Tape | None"] = ContextVar("particlevi_tape", default=None)
-
-LEAKY_SLOPE = 0.01
 
 
 class Tape:
@@ -81,15 +79,6 @@ class Var:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -183,51 +172,16 @@ def mul(a, b) -> Var:
     )
 
 
-def div(a, b) -> Var:
-    a, b = constant(a), constant(b)
-    da, db = a.data, b.data
-    out = da / db
-    return _rec2(
-        out,
-        a,
-        lambda g: unbroadcast(g / db, da.shape),
-        b,
-        lambda g: unbroadcast(-g * out / db, db.shape),
-    )
-
-
-def neg(a) -> Var:
-    a = constant(a)
-    return _rec1(-a.data, a, lambda g: -g)
-
-
 def exp(a) -> Var:
     a = constant(a)
     out = np.exp(a.data)
     return _rec1(out, a, lambda g: g * out)
 
 
-def log(a) -> Var:
-    a = constant(a)
-    if np.any(a.data < 0.0):
-        raise ValueError("log of negative value")
-    with np.errstate(divide="ignore"):
-        out = np.log(a.data)
-    da = a.data
-    return _rec1(out, a, lambda g: g / da)
-
-
 def sigmoid(a) -> Var:
     a = constant(a)
     out = _special.expit(a.data)
     return _rec1(out, a, lambda g: g * out * (1.0 - out))
-
-
-def leaky_relu(a) -> Var:
-    a = constant(a)
-    pos = a.data > 0.0
-    out = np.where(pos, a.data, LEAKY_SLOPE * a.data)
-    return _rec1(out, a, lambda g: np.where(pos, g, LEAKY_SLOPE * g))
 
 
 # ---------------------------------------------------------------------------

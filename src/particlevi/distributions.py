@@ -1,10 +1,11 @@
 """Distribution families: diagonal Gaussians, their mixtures, categoricals.
 
 The parameter containers of the proposals live here, together with the
-closed-form product of two diagonal Gaussians, inverse-CDF categorical
-sampling and the implicit reparameterization gradient for mixture
-sampling.  The Gaussian log-densities are the row and all-pairs kernels of
-``models``, the one implementation that the filters and the couplings share.
+closed-form product of two diagonal Gaussians (its mean and its log-std are
+one tape node each), inverse-CDF categorical sampling and the implicit
+reparameterization gradient for mixture sampling.  The Gaussian
+log-densities are the row and all-pairs kernels of ``models``, the one
+implementation that the filters and the couplings share.
 
 The mixture sampler draws a genuinely categorical component and then a
 Gaussian within it; the gradient comes from a custom-VJP node implementing
@@ -78,23 +79,39 @@ class TailCounter:
     count: int = 0
 
 
-def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian):
-    """Normalize the product of two diagonal Gaussian densities.
+def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian) -> DiagGaussian:
+    """The normalized product of two diagonal Gaussian densities.
 
-    Returns the fused DiagGaussian and the log-normalizer
-    sum_i log N(mu_a_i; mu_b_i, va_i + vb_i), so that pointwise
-    logpdf_a(x) + logpdf_b(x) = log-normalizer + logpdf_fused(x).
+    With variances va, vb and weights wa = vb / (va + vb), wb = va / (va + vb),
+    the product is proportional to the Gaussian with mean wa mu_a + wb mu_b
+    and log-std ls_a + ls_b - log(va + vb) / 2.  The mean and the log-std are
+    one tape node each.  Rows broadcast: a (1, d) factor pairs with every row
+    of an (N, d) one, and its cotangents are summed back to (1, d).  The
+    log-normalizer sum_i log N(mu_a_i; mu_b_i, va_i + vb_i) of the product
+    does not depend on the state, so it is not formed.
     """
-    va = ad.exp(2.0 * a.log_std)
-    vb = ad.exp(2.0 * b.log_std)
+    ma, la, mb, lb = a.mean.data, a.log_std.data, b.mean.data, b.log_std.data
+    va = np.exp(la * 2.0)
+    vb = np.exp(lb * 2.0)
     vsum = va + vb
-    log_vsum = ad.log(vsum)
-    var = va * vb / vsum
-    mean = (a.mean * vb + b.mean * va) / vsum
-    log_std = a.log_std + b.log_std - 0.5 * log_vsum
-    delta = a.mean - b.mean
-    log_norm = (-0.5 * LOG_2PI - 0.5 * log_vsum - 0.5 * delta * delta / vsum).sum()
-    return DiagGaussian(mean, log_std), log_norm
+    wa, wb = vb / vsum, va / vsum
+
+    def mean_rule(g):
+        # d mean / d ls_a = 2 wa wb (mu_b - mu_a) = -d mean / d ls_b
+        k = g * (2.0 * wa * wb) * (ma - mb)
+        return (
+            ad.unbroadcast(g * wa, ma.shape),
+            ad.unbroadcast(-k, la.shape),
+            ad.unbroadcast(g * wb, mb.shape),
+            ad.unbroadcast(k, lb.shape),
+        )
+
+    def log_std_rule(g):
+        return ad.unbroadcast(g * wa, la.shape), ad.unbroadcast(g * wb, lb.shape)
+
+    mean = ad.custom_vjp((ma * vb + mb * va) / vsum, [a.mean, a.log_std, b.mean, b.log_std], mean_rule)
+    log_std = ad.custom_vjp(la + lb - np.log(vsum) * 0.5, [a.log_std, b.log_std], log_std_rule)
+    return DiagGaussian(mean, log_std)
 
 
 def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:

@@ -18,6 +18,11 @@ LGSSM proposal's) stays one (1, d) row that broadcasts over the particles,
 so the pair work is a single (N, d) @ (d, M) matmul; the DMM heads give
 each row its own scale.  Each density kernel records one tape node with an
 analytic backward, and the pair kernels share one backward contraction.
+
+The DMM networks are built from ``dense`` layers, each one tape node that
+applies its activation too, and the DMM emission scores its logits with
+the one-node Bernoulli kernel.  The SV and DMM proposals fuse two Gaussian
+factors with ``distributions.gauss_product_fuse``, one node per output.
 """
 
 from __future__ import annotations
@@ -27,11 +32,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.special import expit
 
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi.distributions import LOG_2PI, DiagGaussian, categorical_sample_many, gauss_product_fuse
 from particlevi.rng import RngStream
+
+LEAKY_SLOPE = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +189,46 @@ def dmm_make(dx: int, dy: int, dh: int, rng: RngStream) -> Dmm:
     return Dmm(dx, dy, dh, params)
 
 
+def dense(x, w, b, act=None) -> Var:
+    """One dense layer act(x @ w + b): (M, in) against (in, out) and (out,) -> (M, out).
+
+    act is None, "leaky" (leaky relu with slope LEAKY_SLOPE) or "half" (times
+    0.5: the log-std head, whose network output is a log variance).  One tape
+    node: with G the incoming cotangent times the activation's slope, the
+    cotangents are G @ w^T to x, x^T @ G to w and the column sums of G to b.
+    """
+    x, w, b = ad.constant(x), ad.constant(w), ad.constant(b)
+    xd, wd = x.data, w.data
+    need_x, need_w = x.nid is not None, w.nid is not None
+    out = xd @ wd + b.data
+    if act == "leaky":
+        pos = out > 0.0
+        out = np.where(pos, out, LEAKY_SLOPE * out)
+    elif act == "half":
+        out = out * 0.5
+    elif act is not None:
+        raise ValueError(f"unknown activation {act!r}")
+
+    def rule(g):
+        if act == "leaky":
+            g = np.where(pos, g, LEAKY_SLOPE * g)
+        elif act == "half":
+            g = g * 0.5
+        return g @ wd.T if need_x else None, xd.T @ g if need_w else None, g.sum(axis=0)
+
+    return ad.custom_vjp(out, [x, w, b], rule)
+
+
 def mlp_two_head(params: dict, prefix: str, x) -> tuple:
     """(mean, log-std) heads over a shared leaky-relu hidden layer; x is (M, in)."""
-    h = ad.leaky_relu(ad.constant(x) @ ad.constant(params[prefix + "_h_w"]) + ad.constant(params[prefix + "_h_b"]))
-    mean = h @ ad.constant(params[prefix + "_mu_w"]) + ad.constant(params[prefix + "_mu_b"])
-    raw = h @ ad.constant(params[prefix + "_sig_w"]) + ad.constant(params[prefix + "_sig_b"])
-    return mean, raw * 0.5
+    h = dense(x, params[prefix + "_h_w"], params[prefix + "_h_b"], "leaky")
+    mean = dense(h, params[prefix + "_mu_w"], params[prefix + "_mu_b"])
+    return mean, dense(h, params[prefix + "_sig_w"], params[prefix + "_sig_b"], "half")
 
 
 def mlp_single(params: dict, prefix: str, out_name: str, x) -> Var:
-    h = ad.leaky_relu(ad.constant(x) @ ad.constant(params[prefix + "_w"]) + ad.constant(params[prefix + "_b"]))
-    return h @ ad.constant(params[out_name + "_w"]) + ad.constant(params[out_name + "_b"])
+    h = dense(x, params[prefix + "_w"], params[prefix + "_b"], "leaky")
+    return dense(h, params[out_name + "_w"], params[out_name + "_b"])
 
 
 @dataclass
@@ -407,6 +444,25 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
     return ad.custom_vjp(out, [x, log_w, means, log_stds], rule)
 
 
+def bernoulli_logpmf_rows(logits, y) -> Var:
+    """Bernoulli log-pmfs of one 0/1 row y (d,) under each row of logits (N, d) -> (N,).
+
+    log p = sum_k y_k l_k - softplus(l_k), with the softplus a two-term
+    logsumexp, so logits of either sign and any size stay finite.  One tape
+    node: the logits' cotangent is g (y - sigmoid(logits)).
+    """
+    logits = ad.constant(logits)
+    ld = logits.data
+    y = np.asarray(y, dtype=np.float64)
+    softplus = ad.np_logsumexp(np.stack([ld, np.zeros_like(ld)]), axis=0)
+    out = (y * ld - softplus).sum(axis=1)
+
+    def rule(g):
+        return (g[:, None] * (y - expit(ld)),)
+
+    return ad.custom_vjp(out, [logits], rule)
+
+
 def trisolve_rows(b: Var, u: Var) -> Var:
     """Rows of u through B^{-1} for lower-triangular B: (B^{-1} u_i)_i."""
     b, u = ad.constant(b), ad.constant(u)
@@ -465,10 +521,7 @@ def emission_logpdf_rows(model, t: int, x, y_t) -> Var:
         half_trace = 0.5 * x.sum(axis=1)
         return -0.5 * model.dim * LOG_2PI - log_det_b - half_trace - 0.5 * (z * z).sum(axis=1)
     if isinstance(model, Dmm):
-        logits = mlp_single(model.params, "emis_h", "emis_out", x)
-        zeros = ad.constant(np.zeros(logits.data.shape))
-        softplus = ad.logsumexp(ad.stack_rows([logits, zeros]), axis=0)
-        return (ad.constant(y_t) * logits - softplus).sum(axis=1)
+        return bernoulli_logpmf_rows(mlp_single(model.params, "emis_h", "emis_out", x), y_t)
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 
@@ -498,14 +551,14 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
         f_mean, f_ls = transition_build_many(model, t, x_prev)
         mu_t = ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1]))
         ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
-        fused, _ = gauss_product_fuse(DiagGaussian(f_mean, f_ls), DiagGaussian(mu_t, ls_t))
+        fused = gauss_product_fuse(DiagGaussian(f_mean, f_ls), DiagGaussian(mu_t, ls_t))
         return fused.mean, fused.log_std
     if isinstance(model, Dmm):
         if t == 1:
             x_prev = np.zeros((1, model.dx))
         x_mean, x_ls = mlp_two_head(params, "x", ad.constant(x_prev))
         y_mean, y_ls = mlp_two_head(params, "y", np.asarray(y_t, dtype=np.float64)[None, :])
-        fused, _ = gauss_product_fuse(DiagGaussian(x_mean, x_ls), DiagGaussian(y_mean, y_ls))
+        fused = gauss_product_fuse(DiagGaussian(x_mean, x_ls), DiagGaussian(y_mean, y_ls))
         return fused.mean, fused.log_std
     raise TypeError(f"unsupported model: {type(model).__name__}")
 

@@ -23,24 +23,6 @@ class TestElementwise:
             x = ad.leaf(np.asarray(0.0))
             assert float(ad.exp(x).data) == 1.0
 
-    def test_log_identity(self):
-        with ad.Tape():
-            x = ad.leaf(np.asarray(1.0))
-            y = ad.log(x)
-            assert float(y.data) == 0.0
-            assert float(ad.grad(y, [x])[0]) == 1.0
-
-    def test_log_of_zero_is_neg_inf(self):
-        with ad.Tape():
-            y = ad.log(ad.leaf(np.asarray([1.0, 0.0])))
-            assert float(y.data[0]) == 0.0
-            assert float(y.data[1]) == -np.inf
-
-    def test_log_of_negative_raises(self):
-        with pytest.raises(ValueError):
-            with ad.Tape():
-                ad.log(ad.leaf(np.asarray(-1.0)))
-
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             with ad.Tape():
@@ -55,37 +37,23 @@ class TestElementwise:
         assert np.allclose(ga, [2.0, 2.0, 2.0])
         assert float(gs) == 6.0
 
-    def test_leaky_relu_slope(self):
-        with ad.Tape():
-            x = ad.leaf(np.asarray([-2.0, 3.0]))
-            y = ad.leaky_relu(x).sum()
-            (g,) = ad.grad(y, [x])
-        assert np.allclose(x.data * np.asarray([1.0, 1.0]), [-2.0, 3.0])
-        assert np.allclose(g, [0.01, 1.0])
-
     def test_all_unary_ops_finite_difference(self):
         """Every differentiable unary op passes central differences at 20 points."""
         rng = RngStream(314)
         # fixed labels: each op keeps its points when another op goes
         ops = {
             "exp": (ad.exp, 0),
-            "log": (ad.log, 1),
             "sigmoid": (ad.sigmoid, 4),
-            "leaky-relu": (ad.leaky_relu, 6),
         }
         for name, (op, label) in ops.items():
             pts = rng.split(label).normals(20) * 0.7
-            if name == "log":
-                pts = np.abs(pts) + 0.5
-            if name == "leaky-relu":
-                pts = pts + np.sign(pts) * 0.2  # keep away from the kink
             err = ad.finite_diff_check(lambda x: op(x).sum(), [pts])
             assert err < 1e-5, f"{name}: {err}"
 
     def test_binary_ops_finite_difference(self):
         a = RngStream(21).normals(6) + 3.0
         b = RngStream(22).normals(6) + 3.0
-        for op in (ad.add, ad.sub, ad.mul, ad.div):
+        for op in (ad.add, ad.sub, ad.mul):
             err = ad.finite_diff_check(lambda x, y: op(x, y).sum(), [a, b])
             assert err < 1e-5
 
@@ -300,7 +268,7 @@ class TestFiniteDiffCheck:
         x_obs = np.asarray([0.7, -0.2])
 
         def f(mu, log_std):
-            z = (ad.constant(x_obs) - mu) * ad.exp(-log_std)
+            z = (ad.constant(x_obs) - mu) * ad.exp(-1.0 * log_std)
             return (-0.5 * math.log(2 * math.pi) - log_std - 0.5 * z * z).sum()
 
         err = ad.finite_diff_check(f, [np.asarray([0.1, 0.4]), np.asarray([-0.3, 0.2])])

@@ -93,28 +93,36 @@ class TestDiagGaussian:
         assert err < 1e-5
 
 
+def product_log_norm_np(ma, la, mb, lb):
+    """Numpy oracle: log-normalizer sum_i log N(ma_i; mb_i, va_i + vb_i) of the
+    product of two diagonal Gaussians, so that pointwise
+    logpdf_a(x) + logpdf_b(x) = log-normalizer + logpdf_fused(x)."""
+    vsum = np.exp(2.0 * np.asarray(la, float)) + np.exp(2.0 * np.asarray(lb, float))
+    return gauss_logpdf_np(ma, mb, 0.5 * np.log(vsum))
+
+
 class TestGaussProductFuse:
     def test_symmetric_pair(self):
         with ad.Tape():
-            fused, _ = gauss_product_fuse(make_gauss([0.0], [0.0]), make_gauss([0.0], [0.0]))
+            fused = gauss_product_fuse(make_gauss([0.0], [0.0]), make_gauss([0.0], [0.0]))
         assert abs(float(fused.mean.data[0])) < 1e-14
         assert abs(float(np.exp(2 * fused.log_std.data[0])) - 0.5) < 1e-14
 
     def test_offset_pair_closed_form(self):
         with ad.Tape():
-            fused, log_norm = gauss_product_fuse(make_gauss([0.0], [0.0]), make_gauss([2.0], [0.0]))
+            fused = gauss_product_fuse(make_gauss([0.0], [0.0]), make_gauss([2.0], [0.0]))
         assert abs(float(fused.mean.data[0]) - 1.0) < 1e-14
         assert abs(float(np.exp(2 * fused.log_std.data[0])) - 0.5) < 1e-14
         # log N(0; 2, var=2)
         expected = -0.5 * math.log(2 * math.pi * 2.0) - 4.0 / (2 * 2.0)
-        assert abs(float(log_norm.data) - expected) < 1e-12
+        assert abs(product_log_norm_np([0.0], [0.0], [2.0], [0.0]) - expected) < 1e-12
         assert abs(expected + 2.2655121234846454) < 1e-12
 
     def test_near_flat_prior_is_identity(self):
         with ad.Tape():
             g = make_gauss([1.3, -0.2], [0.4, 0.1])
             flat = make_gauss([0.0, 0.0], [0.5 * math.log(1e12)] * 2)
-            fused, _ = gauss_product_fuse(g, flat)
+            fused = gauss_product_fuse(g, flat)
         assert np.allclose(fused.mean.data, g.mean.data, atol=1e-9)
         assert np.allclose(fused.log_std.data, g.log_std.data, atol=1e-9)
 
@@ -126,23 +134,55 @@ class TestGaussProductFuse:
             b = make_gauss(rng.normals(3), rng.normals(3) * 0.3)
             x = rng.normals(3) * 2.0
             with ad.Tape():
-                fused, log_norm = gauss_product_fuse(a, b)
+                fused = gauss_product_fuse(a, b)
             lhs = gauss_logpdf_np(x, a.mean.data, a.log_std.data) + gauss_logpdf_np(
                 x, b.mean.data, b.log_std.data
             )
-            rhs = float(log_norm.data) + gauss_logpdf_np(x, fused.mean.data, fused.log_std.data)
+            log_norm = product_log_norm_np(a.mean.data, a.log_std.data, b.mean.data, b.log_std.data)
+            rhs = log_norm + gauss_logpdf_np(x, fused.mean.data, fused.log_std.data)
             assert abs(lhs - rhs) < 1e-10
 
     def test_fuse_finite_difference(self):
         x_obs = np.asarray([0.3, -0.7])
 
         def f(ma, la, mb, lb):
-            fused, log_norm = gauss_product_fuse(DiagGaussian(ma, la), DiagGaussian(mb, lb))
-            return log_norm + row_logpdf(x_obs, fused.mean, fused.log_std)
+            fused = gauss_product_fuse(DiagGaussian(ma, la), DiagGaussian(mb, lb))
+            return row_logpdf(x_obs, fused.mean, fused.log_std)
 
         point = [np.asarray([0.1, 0.5]), np.asarray([-0.2, 0.3]),
                  np.asarray([0.9, -0.1]), np.asarray([0.2, 0.0])]
         assert ad.finite_diff_check(f, point) < 1e-5
+
+    @pytest.mark.parametrize("output", ["mean", "log_std"])
+    @pytest.mark.parametrize("shared", ["a", "b"])
+    def test_node_finite_difference_with_broadcast_factor(self, output, shared):
+        """Each product node against central differences, with one factor a
+        (1, d) row paired with every row of an (N, d) one (the SV and DMM
+        proposals); a non-uniform cotangent reaches every entry of the rule."""
+        rng = RngStream(130)
+        weights = ad.constant(rng.split(0).normals(8).reshape(4, 2))
+        rows = {"a": 4, "b": 4}
+        rows[shared] = 1
+
+        def f(ma, la, mb, lb):
+            fused = gauss_product_fuse(DiagGaussian(ma, la), DiagGaussian(mb, lb))
+            return (getattr(fused, output) * weights).sum()
+
+        point = [
+            rng.split(1).normals(2 * rows["a"]).reshape(rows["a"], 2),
+            rng.split(2).normals(2 * rows["a"]).reshape(rows["a"], 2) * 0.3,
+            rng.split(3).normals(2 * rows["b"]).reshape(rows["b"], 2),
+            rng.split(4).normals(2 * rows["b"]).reshape(rows["b"], 2) * 0.3,
+        ]
+        assert ad.finite_diff_check(f, point) < 1e-5
+
+    def test_one_node_per_output(self):
+        with ad.Tape() as tape:
+            parts = [ad.leaf(RngStream(140 + k).normals(6).reshape(3, 2)) for k in range(4)]
+            before = len(tape.nodes)
+            fused = gauss_product_fuse(DiagGaussian(*parts[:2]), DiagGaussian(*parts[2:]))
+            assert len(tape.nodes) == before + 2
+        assert fused.mean.data.shape == fused.log_std.data.shape == (3, 2)
 
 
 def sample_one(probs, u):
@@ -449,8 +489,8 @@ def dmm_emission_at(dmm, x, y):
 
 
 class TestBernoulli:
-    """The Bernoulli log-pmf, computed inline by the DMM emission as a
-    softplus via logsumexp, checked through `models.emission_logpdf_rows`."""
+    """The Bernoulli log-pmf kernel `models.bernoulli_logpmf_rows`, checked
+    through the DMM emission `models.emission_logpdf_rows` that calls it."""
 
     def test_logit_zero(self):
         dmm = mo.dmm_make(2, 3, 4, RngStream(5))

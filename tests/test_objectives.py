@@ -163,14 +163,9 @@ class TestGradients:
         for k, g in grads.items():
             assert np.all(g[3:] == 0.0), k
 
-    def test_vmpf_bg_tape_budget(self, monkeypatch):
-        """One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
-
-        Each density kernel is one node, so the step records a few dozen
-        nodes; the budget catches a kernel that falls back to elementwise ops.
-        """
-        m = mo.lgssm_make(10, 10, 0.42, "sparse", RngStream(0))
-        ds = mo.generate(m, 10, RngStream(7))
+    @staticmethod
+    def tape_size(monkeypatch, obj, ds):
+        """Nodes on the tape of one gradient_biased call."""
         counts = []
         grad = ad.grad
 
@@ -179,9 +174,71 @@ class TestGradients:
             return grad(loss, wrt)
 
         monkeypatch.setattr(ad, "grad", counting_grad)
-        ob.gradient_biased(ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10), 16), ds, RngStream(3))
+        ob.gradient_biased(obj, ds, RngStream(3))
         assert len(counts) == 1
-        assert counts[0] <= 320
+        return counts[0]
+
+    def test_vmpf_bg_tape_budget(self, monkeypatch):
+        """One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
+
+        Each density kernel is one node, so the step records a few dozen
+        nodes; the budget catches a kernel that falls back to elementwise ops.
+        """
+        m = mo.lgssm_make(10, 10, 0.42, "sparse", RngStream(0))
+        ds = mo.generate(m, 10, RngStream(7))
+        obj = ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10), 16)
+        assert self.tape_size(monkeypatch, obj, ds) <= 320
+
+    def test_dmm_vsmc_tape_budget(self, monkeypatch):
+        """One VEM gradient on the dmm-vem-train shape (dx=5, dy=20, dh=16,
+        T=10, N=16) stays small.
+
+        Each network layer, Bernoulli emission and Gaussian product output is
+        one node, so the gradient records 270 nodes; the budget catches a
+        layer that falls back to elementwise ops.
+        """
+        m = mo.dmm_make(5, 20, 16, RngStream(0))
+        ds = mo.generate(m, 10, RngStream(7))
+        obj = ob.Objective("vsmc", m, mo.proposal_init(m, 10, RngStream(1)), 16, learn_theta=True)
+        assert self.tape_size(monkeypatch, obj, ds) <= 300
+
+    @pytest.mark.parametrize("family", ["dmm", "sv"])
+    def test_vem_gradients_match_finite_differences(self, family):
+        """iwvi under VEM, end to end: in every phi and theta array, the
+        coordinate with the largest gradient against central differences."""
+        if family == "dmm":
+            m = mo.dmm_make(2, 3, 4, RngStream(4))
+            p = mo.proposal_init(m, 3, RngStream(5))
+            # nonzero biases: with the zero initial ones, every hidden unit
+            # of the t=1 networks (input x_0 = 0) sits on the leaky kink
+            for k, params in enumerate((p, m.params)):
+                for j, name in enumerate(sorted(params)):
+                    if name.endswith("_b"):
+                        params[name] = RngStream(6).split(k, j).normals(params[name].size)
+        else:
+            m = mo.sv_make(2, "triangular", RngStream(3))
+            p = mo.proposal_init(m, 3)
+            p["mu"] += 0.2
+            p["log_sigma"] -= 0.3
+        ds = mo.generate(m, 3, RngStream(8))
+        obj = ob.Objective("iwvi", m, p, 3, learn_theta=True)
+        _, grads = ob.gradient_biased(obj, ds, RngStream(5))
+        packed = ob.pack_params(obj)
+        assert set(grads) == set(packed)
+        assert any(k.startswith("theta.") for k in packed)
+        h = 1e-6
+
+        def value_at(key, j, delta):
+            bumped = {k: v.copy() for k, v in packed.items()}
+            bumped[key].reshape(-1)[j] += delta
+            return float(ob.objective_value(ob.apply_params(obj, bumped), ds, RngStream(5)).data)
+
+        for key in sorted(packed):
+            flat = grads[key].reshape(-1)
+            j = int(np.argmax(np.abs(flat)))
+            fd = (value_at(key, j, h) - value_at(key, j, -h)) / (2 * h)
+            assert fd != 0.0, key
+            assert abs(flat[j] - fd) / max(abs(fd), 1.0) < 1e-5, key
 
     def test_vem_reaches_model_parameters(self):
         sv = mo.sv_make(1, "diagonal", RngStream(2))
