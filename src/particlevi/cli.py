@@ -518,6 +518,29 @@ def _suite_gradients():
         pts.split(5).normals(2).reshape(1, 2) * 0.3,
     ]
     checks.append(("kernel-product", ad.finite_diff_check(product, point), 1e-5))
+    # the reparameterized draw, with a (1, d) log-std shared by (3, d) means
+    # and with components picked by ancestor rows, and the LGSSM proposal mean
+    for name, ls_rows, rows, label in (
+        ("kernel-rsample", 1, None, 210),
+        ("kernel-rsample-rows", 4, np.asarray([3, 0, 3]), 211),
+    ):
+        pts = rng.split(label)
+        weights = ad.constant(pts.split(0).normals(6).reshape(3, 2))
+        eps = pts.split(1).normals(6).reshape(3, 2)
+        point = [
+            pts.split(2).normals(6 if rows is None else 8).reshape(-1, 2),
+            pts.split(3).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
+        ]
+        err = ad.finite_diff_check(
+            lambda means, ls: (mo.gauss_rsample(means, ls, eps, rows=rows) * weights).sum(), point)
+        checks.append((name, err, 1e-5))
+    pts = rng.split(212)
+    weights = ad.constant(pts.split(0).normals(6).reshape(3, 2))
+    a = pts.split(4).normals(4).reshape(2, 2)  # not symmetric, unlike the model's
+    point = [pts.split(k).normals(6).reshape(3, 2) for k in (1, 2, 3)]
+    err = ad.finite_diff_check(
+        lambda mu, beta, x: (mo.lgssm_proposal_mean(mu, beta, x, a, 2) * weights).sum(), point)
+    checks.append(("kernel-lgssm-mean", err, 1e-5))
 
     # biased and unbiased particle gradients coincide at a single particle
     m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))

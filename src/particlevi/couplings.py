@@ -327,7 +327,7 @@ def step_proposal(model, params, ys: np.ndarray, t: int) -> StepProposal:
         means, log_stds = mo.proposal_build_many(model, params, t, _row(x_prev), y)
         d = means.data.shape[1]
         eps = backend.normals(t, PROPOSAL, np.arange(lane * d, (lane + 1) * d))
-        return ad.reshape(means + ad.exp(log_stds) * ad.constant(eps[None, :]), (d,))
+        return ad.reshape(mo.gauss_rsample(means, log_stds, eps[None, :]), (d,))
 
     def logpdf(x_prev, x):
         means, log_stds = mo.proposal_build_many(model, params, t, _row(x_prev), y)

@@ -8,7 +8,10 @@ multinomial inverse-CDF only.
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
 same noise can be replayed under a different estimator, and runs on finite
-models can be enumerated exhaustively instead of sampled.
+models can be enumerated exhaustively instead of sampled.  A backend may
+also serve one purpose for every step of a run in one read (RandomBackend
+does); a continuous run then reads its proposal normals and its ancestor
+uniforms once each, and gets the same values as step-by-step reads.
 """
 
 from __future__ import annotations
@@ -48,10 +51,24 @@ class DegeneracyError(RuntimeError):
 
 
 class RandomBackend:
-    """Counter-addressed pseudo-random draws from a root stream."""
+    """Counter-addressed pseudo-random draws from a root stream.
+
+    The draws of (t, purpose) come from the child stream
+    ``rng.split(t, purpose)``.  ``run_uniforms`` and ``run_normals`` read one
+    purpose for steps 1..t_max at once, bit-identical to the per-step reads.
+    A backend that changes the per-step reads must drop or change these too.
+    """
 
     def __init__(self, rng: RngStream):
         self.rng = rng
+
+    def run_uniforms(self, purpose: int, t_max: int, count: int) -> np.ndarray:
+        """(t_max, count) uniforms; row t-1 is ``uniforms(t, purpose, range(count))``."""
+        return self.rng.split_uniforms_at(_step_labels(purpose, t_max), np.arange(count))
+
+    def run_normals(self, purpose: int, t_max: int, count: int) -> np.ndarray:
+        """(t_max, count) normals; row t-1 is ``normals(t, purpose, range(count))``."""
+        return self.rng.split_normals_at(_step_labels(purpose, t_max), np.arange(count))
 
     def uniforms(self, t: int, purpose: int, offsets) -> np.ndarray:
         return self.rng.split(t, purpose).uniforms_at(np.asarray(offsets))
@@ -67,6 +84,52 @@ class RandomBackend:
     def choose_one(self, t: int, purpose: int, offset: int, probs: np.ndarray) -> int:
         u = self.uniforms(t, purpose, np.asarray([offset]))[0]
         return int(categorical_sample_many(probs, np.asarray([u]))[0])
+
+
+def _step_labels(purpose: int, t_max: int) -> np.ndarray:
+    """The (t, purpose) label paths of steps 1..t_max, one row per step."""
+    steps = np.arange(1, t_max + 1)
+    return np.stack([steps, np.full(t_max, purpose)], axis=1)
+
+
+class _RunDraws:
+    """One filter run's reads from its draw backend.
+
+    A backend with run-level reads (``run_uniforms`` and ``run_normals``) is
+    read once per purpose, for every step, the first time the run asks for
+    that purpose; step t then takes row t-1.  Any other backend serves each
+    step as it is asked.  Either way step t sees the backend's
+    (t, purpose, offsets) draws at offsets 0..count-1, and a purpose is
+    always asked for the same count within a run.  Discrete choices with
+    per-particle rows go to ``backend`` directly.
+    """
+
+    __slots__ = ("backend", "t_max", "blocks")
+
+    def __init__(self, backend, t_max: int):
+        self.backend = backend
+        self.t_max = t_max
+        self.blocks = {} if hasattr(backend, "run_normals") else None
+
+    def _read(self, kind: str, t: int, purpose: int, count: int) -> np.ndarray:
+        if self.blocks is None:
+            return getattr(self.backend, kind)(t, purpose, np.arange(count))
+        block = self.blocks.get((kind, purpose))
+        if block is None:
+            block = getattr(self.backend, "run_" + kind)(purpose, self.t_max, count)
+            self.blocks[kind, purpose] = block
+        return block[t - 1]
+
+    def uniforms(self, t: int, purpose: int, count: int) -> np.ndarray:
+        return self._read("uniforms", t, purpose, count)
+
+    def normals(self, t: int, purpose: int, count: int) -> np.ndarray:
+        return self._read("normals", t, purpose, count)
+
+    def choose_shared(self, t: int, purpose: int, n: int, probs: np.ndarray) -> np.ndarray:
+        if self.blocks is None:
+            return self.backend.choose_shared(t, purpose, n, probs)
+        return categorical_sample_many(probs, self.uniforms(t, purpose, n))
 
 
 class ScriptBackend:
@@ -328,8 +391,9 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     """Multinomial-resampling particle filter.
 
     Per step: ancestors drawn from the normalized previous weights, states
-    extended through the proposal, weight f*g/r.  The run records each step's
-    ancestor indices.
+    extended through the proposal, weight f*g/r.  The logsumexp node of a
+    step's log mean weight also normalizes the next step's resampling
+    probabilities.  The run records each step's ancestor indices.
     grad_mode "biased" keeps the reparameterization path through every
     state but none through the resampling probabilities.  resample=False
     turns the run into independent importance-sampling chains whose
@@ -337,9 +401,9 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     """
     if cfg.grad_mode == "unbiased":
         raise ValueError("unbiased gradients are only defined for run_mpf")
-    backend = make_backend(cfg.seed, backend)
     ys = ys_of(data)
     n, t_max = cfg.n_particles, ys.shape[0]
+    draws = _RunDraws(make_backend(cfg.seed, backend), t_max)
     discrete = isinstance(model, mo.DiscreteHmm)
     if discrete and cfg.grad_mode != "none":
         raise ValueError("discrete models support grad_mode='none' only")
@@ -348,13 +412,14 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     particles, log_weights, log_mean_weights, ancestors = [], [], [], []
     x = None
     x_idx = None
+    lse = None  # logsumexp of the previous step's log weights
 
     for t in range(1, t_max + 1):
         if t == 1:
             anc = None
         elif cfg.resample:
-            lw = log_weights[-1].data
-            anc = backend.choose_shared(t, ANCESTOR, n, np.exp(lw - ad.np_logsumexp(lw)))
+            probs = np.exp(log_weights[-1].data - lse.data)
+            anc = draws.choose_shared(t, ANCESTOR, n, probs)
         else:
             anc = np.arange(n)
         if anc is not None:
@@ -362,7 +427,7 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
 
         if discrete:
             parent_idx = None if t == 1 else x_idx[anc]
-            idx, log_r = _discrete_draw(model, params, t, parent_idx, n, backend)
+            idx, log_r = _discrete_draw(model, params, t, parent_idx, n, draws.backend)
             inc_np = (
                 _hmm_log_f(model, t, idx, parent_idx)
                 + _hmm_log_g(model, idx, ys[t - 1])
@@ -374,8 +439,7 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
             parent = None if t == 1 else ad.gather_rows(x, anc)
             p_means, p_ls = mo.proposal_build_many(model, params, t, parent, ys[t - 1])
             d = p_means.data.shape[1]
-            eps = backend.normals(t, PROPOSAL, np.arange(n * d)).reshape(n, d)
-            x = p_means + ad.exp(p_ls) * ad.constant(eps)
+            x = mo.gauss_rsample(p_means, p_ls, draws.normals(t, PROPOSAL, n * d).reshape(n, d))
             f_means, f_ls = mo.transition_build_many(model, t, parent)
             inc = (
                 mo.gauss_logpdf_rows(x, f_means, f_ls)
@@ -387,7 +451,8 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         _check_alive(logw, t)
         particles.append(x)
         log_weights.append(logw)
-        log_mean_weights.append(ad.logsumexp(logw) - log_n)
+        lse = ad.logsumexp(logw)
+        log_mean_weights.append(lse - log_n)
 
     return ParticleRun(
         kind="smc",
@@ -418,19 +483,21 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     Each logsumexp is one ``models.gauss_mixture_logpdf`` node, so the
     (N, N) pair terms of a step never reach the tape as matrices; at N=1
     the row kernel plus log vbar stands in, which keeps the run bit-aligned
-    with run_smc.  Discrete models use their numpy tables.
+    with run_smc.  log vbar reuses the logsumexp node of the previous step's
+    log mean weight.  Discrete models use their numpy tables.
 
-    grad_mode picks the sampling estimator: "biased" draws the component
-    index with detached probabilities then reparameterizes within it,
-    "unbiased" draws the N particles of a step through one
+    grad_mode picks the sampling estimator from t=2 on: "biased" draws the
+    component index with detached probabilities then reparameterizes within
+    it, "unbiased" draws the N particles of a step through one
     mixture_implicit_rsample node so the mixture weights themselves carry
     gradients.  Both read the same noise, so their forward values are
-    bit-identical.  Tail draws of the implicit gradient are counted in
-    ``tail_failures`` as ``grad`` runs the rules.
+    bit-identical.  The t=1 proposal is one Gaussian, drawn by the
+    reparameterized kernel in every mode.  Tail draws of the implicit
+    gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
     """
-    backend = make_backend(cfg.seed, backend)
     ys = ys_of(data)
     n, t_max = cfg.n_particles, ys.shape[0]
+    draws = _RunDraws(make_backend(cfg.seed, backend), t_max)
     discrete = isinstance(model, mo.DiscreteHmm)
     if discrete and cfg.grad_mode != "none":
         raise ValueError("discrete models support grad_mode='none' only")
@@ -440,17 +507,18 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     particles, log_weights, log_mean_weights = [], [], []
     x = None
     x_idx = None
+    lse = None  # logsumexp of the previous step's log weights
 
     for t in range(1, t_max + 1):
         if discrete:
             if t == 1:
-                idx, log_r = _discrete_draw(model, params, 1, None, n, backend)
+                idx, log_r = _discrete_draw(model, params, 1, None, n, draws.backend)
                 logv_np = _hmm_log_f(model, 1, idx, None) + _hmm_log_g(model, idx, ys[0]) - log_r
                 x_new = ad.constant(idx[:, None].astype(np.float64))
             else:
-                log_vbar = log_weights[-1].data - ad.np_logsumexp(log_weights[-1].data)
+                log_vbar = log_weights[-1].data - lse.data
                 idx, _ = _discrete_draw(
-                    model, params, t, x_idx, n, backend, mix_weights=np.exp(log_vbar)
+                    model, params, t, x_idx, n, draws.backend, mix_weights=np.exp(log_vbar)
                 )
                 x_new = ad.constant(idx[:, None].astype(np.float64))
                 log_f = _log_f_matrix(model, t, x_new, x).data
@@ -460,28 +528,23 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
                 logv_np = num + _hmm_log_g(model, idx, ys[t - 1]) - den
             x, x_idx, logv = x_new, idx, ad.constant(logv_np)
         else:
-            if t == 1:
-                log_vbar = ad.constant(np.zeros(1))
-                means, log_stds = mo.proposal_build_many(model, params, 1, None, ys[0])
-            else:
-                log_vbar = log_weights[-1] - ad.logsumexp(log_weights[-1])
-                means, log_stds = mo.proposal_build_many(model, params, t, x, ys[t - 1])
+            if t > 1:
+                log_vbar = log_weights[-1] - lse
+            means, log_stds = mo.proposal_build_many(model, params, t, x, ys[t - 1])
             d = means.data.shape[1]
-            eps = backend.normals(t, PROPOSAL, np.arange(n * d)).reshape(n, d)
-            shared = log_stds.data.shape[0] < means.data.shape[0]
-            if cfg.grad_mode == "unbiased":
-                us = backend.uniforms(t, ANCESTOR, np.arange(n))
+            eps = draws.normals(t, PROPOSAL, n * d).reshape(n, d)
+            if t == 1:
+                x_new = mo.gauss_rsample(means, log_stds, eps)
+            elif cfg.grad_mode == "unbiased":
                 mix_ls = log_stds
-                if shared:  # the mixture keeps one log-std row per component
+                if log_stds.data.shape[0] < means.data.shape[0]:
+                    # the mixture keeps one log-std row per component
                     mix_ls = log_stds + ad.constant(np.zeros((means.data.shape[0], 1)))
                 mix = GaussianMixture(log_vbar, means, mix_ls)
-                x_new = mixture_implicit_rsample(mix, us, eps, tail)
-            elif t == 1:
-                x_new = means + ad.exp(log_stds) * ad.constant(eps)
+                x_new = mixture_implicit_rsample(mix, draws.uniforms(t, ANCESTOR, n), eps, tail)
             else:
-                anc = backend.choose_shared(t, ANCESTOR, n, np.exp(log_vbar.data))
-                anc_ls = log_stds if shared else ad.gather_rows(log_stds, anc)
-                x_new = ad.gather_rows(means, anc) + ad.exp(anc_ls) * ad.constant(eps)
+                anc = draws.choose_shared(t, ANCESTOR, n, np.exp(log_vbar.data))
+                x_new = mo.gauss_rsample(means, log_stds, eps, rows=anc)
 
             log_g = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1])
             if t == 1:
@@ -500,7 +563,8 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         _check_alive(logv, t)
         particles.append(x)
         log_weights.append(logv)
-        log_mean_weights.append(ad.logsumexp(logv) - log_n)
+        lse = ad.logsumexp(logv)
+        log_mean_weights.append(lse - log_n)
 
     return ParticleRun(
         kind="mpf",
@@ -543,9 +607,9 @@ def run_ipf(
     """
     if not 1 <= l_perms <= n_particles:
         raise ValueError("l_perms must satisfy 1 <= L <= N")
-    backend = make_backend(rng, backend)
     ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]
+    draws = _RunDraws(make_backend(rng, backend), t_max)
     discrete = isinstance(model, mo.DiscreteHmm)
     log_n, log_l = math.log(n), math.log(l_perms)
 
@@ -555,14 +619,13 @@ def run_ipf(
 
     for t in range(1, t_max + 1):
         if discrete:
-            idx, log_r_np = _discrete_draw(model, params, t, None, n, backend, independent=True)
+            idx, log_r_np = _discrete_draw(model, params, t, None, n, draws.backend, independent=True)
             x_new = ad.constant(idx[:, None].astype(np.float64))
             extra = ad.constant(_hmm_log_g(model, idx, ys[t - 1]) - log_r_np)
         else:
             means, log_stds = mo.proposal_build_many(model, params, t, None, ys[t - 1])
             d = means.data.shape[1]
-            eps = backend.normals(t, PROPOSAL, np.arange(n * d)).reshape(n, d)
-            x_new = means + ad.exp(log_stds) * ad.constant(eps)
+            x_new = mo.gauss_rsample(means, log_stds, draws.normals(t, PROPOSAL, n * d).reshape(n, d))
             extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - mo.gauss_logpdf_rows(
                 x_new, means, log_stds
             )
@@ -574,7 +637,7 @@ def run_ipf(
                 f_means, f_ls = mo.transition_build_many(model, 1)
                 logu = mo.gauss_logpdf_rows(x_new, f_means, f_ls) + extra
         else:
-            base = _permutation(backend, t, n)
+            base = _permutation(draws.backend, t, n)
             terms = []
             for l in range(l_perms):
                 k_l = base[(np.arange(n) + l) % n]
@@ -621,9 +684,9 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
     the sum over j is one ``models.gauss_mixture_logpdf`` node with the
     unnormalized log z_{t-1} as mixture weights.
     """
-    backend = make_backend(rng, backend)
     ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]
+    draws = _RunDraws(make_backend(rng, backend), t_max)
     discrete = isinstance(model, mo.DiscreteHmm)
     log_n = math.log(n)
 
@@ -632,15 +695,14 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
 
     for t in range(1, t_max + 1):
         if discrete:
-            idx, log_r_np = _discrete_draw(model, params, t, None, n, backend, independent=True)
+            idx, log_r_np = _discrete_draw(model, params, t, None, n, draws.backend, independent=True)
             x_new = ad.constant(idx[:, None].astype(np.float64))
             extra = ad.constant(_hmm_log_g(model, idx, ys[t - 1]) - log_r_np)
             log_f1 = ad.constant(_hmm_log_f(model, 1, idx, None)) if t == 1 else None
         else:
             means, log_stds = mo.proposal_build_many(model, params, t, None, ys[t - 1])
             d = means.data.shape[1]
-            eps = backend.normals(t, PROPOSAL, np.arange(n * d)).reshape(n, d)
-            x_new = means + ad.exp(log_stds) * ad.constant(eps)
+            x_new = mo.gauss_rsample(means, log_stds, draws.normals(t, PROPOSAL, n * d).reshape(n, d))
             extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - mo.gauss_logpdf_rows(
                 x_new, means, log_stds
             )

@@ -18,6 +18,9 @@ LGSSM proposal's) stays one (1, d) row that broadcasts over the particles,
 so the pair work is a single (N, d) @ (d, M) matmul; the DMM heads give
 each row its own scale.  Each density kernel records one tape node with an
 analytic backward, and the pair kernels share one backward contraction.
+The reparameterized draw ``gauss_rsample`` (every filter and the
+couplings draw continuous states with it) and the LGSSM proposal mean
+``lgssm_proposal_mean`` are one node each as well.
 
 The DMM networks are built from ``dense`` layers, each one tape node that
 applies its activation too, and the DMM emission scores its logits with
@@ -196,6 +199,10 @@ def dense(x, w, b, act=None) -> Var:
     0.5: the log-std head, whose network output is a log variance).  One tape
     node: with G the incoming cotangent times the activation's slope, the
     cotangents are G @ w^T to x, x^T @ G to w and the column sums of G to b.
+    At a pre-activation of exactly 0 the leaky relu is differentiated on its
+    negative side, with slope LEAKY_SLOPE.  The DMM's t=1 networks sit there
+    at initialization: their biases start at zero and they read x_0 = 0, so
+    their first gradients see the 0.01 slope for every hidden unit.
     """
     x, w, b = ad.constant(x), ad.constant(w), ad.constant(b)
     xd, wd = x.data, w.data
@@ -444,6 +451,70 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
     return ad.custom_vjp(out, [x, log_w, means, log_stds], rule)
 
 
+def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
+    """Reparameterized diagonal Gaussian draws means + exp(log_stds) * eps -> (N, d).
+
+    eps is the (N, d) standard-normal noise, a constant.  Means and
+    log-stds are (N|1, d) rows that broadcast against it; with rows, draw i
+    takes component rows[i] of (M, d) means and of (M, d) log-stds, while a
+    shared (1, d) log-std serves every draw.  One tape node: with incoming
+    cotangent g, the means get g and the log-stds g eps std, each summed
+    back to its parent's shape or scattered onto the chosen components.
+    """
+    means, log_stds = ad.constant(means), ad.constant(log_stds)
+    md, ls = means.data, log_stds.data
+    pick_ls = rows is not None and ls.shape[0] > 1
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        md = md[rows]
+        if pick_ls:
+            ls = ls[rows]
+    std = np.exp(ls)
+    out = md + std * eps
+    m_shape, ls_shape = means.data.shape, log_stds.data.shape
+
+    def rule(g):
+        g_ls = ad.unbroadcast(g * eps, ls.shape) * std
+        if rows is None:
+            return ad.unbroadcast(g, m_shape), g_ls
+        g_means = np.zeros(m_shape)
+        np.add.at(g_means, rows, g)
+        if pick_ls:
+            acc = np.zeros(ls_shape)
+            np.add.at(acc, rows, g_ls)
+            g_ls = acc
+        return g_means, g_ls
+
+    return ad.custom_vjp(out, [means, log_stds], rule)
+
+
+def lgssm_proposal_mean(mu, beta, x_prev, a: np.ndarray, t: int) -> Var:
+    """LGSSM proposal means mu_t + beta_t * (x_prev @ a^T) at step t: (N, d).
+
+    mu and beta are the (T, d) proposal parameters and x_prev the (N, d)
+    previous states.  One tape node whose cotangents to mu and beta are
+    (T, d) arrays that are zero outside row t - 1: with incoming cotangent g,
+    that row gets the column sums of g and of g * (x_prev @ a^T), and x_prev
+    gets (g * beta_t) @ a.
+    """
+    mu, beta, x_prev = ad.constant(mu), ad.constant(beta), ad.constant(x_prev)
+    i = t - 1
+    m_shape, b_shape = mu.data.shape, beta.data.shape
+    need_x = x_prev.nid is not None
+    b = beta.data[i]
+    xa = x_prev.data @ a.T
+    out = mu.data[i] + b * xa
+
+    def rule(g):
+        g_mu = np.zeros(m_shape)
+        g_mu[i] = g.sum(axis=0)
+        g_beta = np.zeros(b_shape)
+        g_beta[i] = (g * xa).sum(axis=0)
+        return g_mu, g_beta, (g * b) @ a if need_x else None
+
+    return ad.custom_vjp(out, [mu, beta, x_prev], rule)
+
+
 def bernoulli_logpmf_rows(logits, y) -> Var:
     """Bernoulli log-pmfs of one 0/1 row y (d,) under each row of logits (N, d) -> (N,).
 
@@ -534,14 +605,11 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
     The log-std may be one (1, d) row shared by every particle (LGSSM, SV).
     """
     if isinstance(model, Lgssm):
-        mu_t = ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1]))
         ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
         if t == 1 or x_prev is None:
             # x_prev=None asks for the state-independent form (beta unused)
-            return mu_t, ls_t
-        beta_t = ad.gather_rows(ad.constant(params["beta"]), np.asarray([t - 1]))
-        means = mu_t + beta_t * (ad.constant(x_prev) @ ad.constant(model.a.T))
-        return means, ls_t
+            return ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1])), ls_t
+        return lgssm_proposal_mean(params["mu"], params["beta"], x_prev, model.a, t), ls_t
     if t > 1 and x_prev is None:
         raise ValueError(
             f"{type(model).__name__} proposals condition on the previous state; "

@@ -11,7 +11,10 @@ call site.
 The mixer is the splitmix64 finalizer applied to a Weyl sequence offset by
 the stream key.  Keying a fresh stream costs a few integer operations, which
 is what makes one stream per (step, purpose) affordable inside hot filter
-loops.
+loops.  ``split_uniforms_at`` and ``split_normals_at`` key many child streams
+at once with the same arithmetic on uint64 arrays, so a filter run reads one
+purpose for all of its steps in one call, bit-identical to one
+``split(t, purpose)`` read per step.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
+_U_LABEL_SALT = np.uint64(_LABEL_SALT)
+_U_STREAM_SALT = np.uint64(_STREAM_SALT)
 _INV53 = 2.0 ** -53
 _HALF54 = 2.0 ** -54
+_BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
 
 
 def _mix_int(z: int) -> int:
@@ -57,6 +63,27 @@ def _key(seed: int, stream: int) -> int:
     a = _mix_int(seed ^ _SEED_SALT)
     b = _mix_int(stream ^ _STREAM_SALT)
     return _mix_int(a ^ ((b * _GOLDEN) & _MASK))
+
+
+def _raw_at(keys, offsets) -> np.ndarray:
+    """Raw words of stream keys at counter offsets; the uint64 shapes broadcast."""
+    return _mix_array(keys + (np.asarray(offsets, dtype=np.uint64) + np.uint64(1)) * _U_GOLDEN)
+
+
+def _uniforms_of(raw: np.ndarray) -> np.ndarray:
+    """Raw words -> uniforms in [0, 1) from their top 53 bits."""
+    return (raw >> _SH11).astype(np.float64) * _INV53
+
+
+def _normals_of(raw: np.ndarray) -> np.ndarray:
+    """Raw words -> standard normals by inverse CDF at the bin centres of the top 53 bits.
+
+    The top bin's centre rounds to 1.0, where ndtri is +inf; it is held at
+    the largest double below 1 (a normal of 8.21), and every other word keeps
+    its centre.  Every normal is finite, between -8.30 and 8.21.
+    """
+    u = (raw >> _SH11).astype(np.float64) * _INV53 + _HALF54
+    return ndtri(np.minimum(u, _BELOW_ONE))
 
 
 class RngStream:
@@ -85,20 +112,34 @@ class RngStream:
             s = _mix_int(s ^ ((int(lab) & _MASK) * _LABEL_SALT + _GOLDEN))
         return RngStream(self.seed, s)
 
-    def _raw(self, offsets: np.ndarray) -> np.ndarray:
-        z = (np.uint64(self._key) + (offsets + np.uint64(1)) * _U_GOLDEN)
-        return _mix_array(z)
-
     def uniforms_at(self, offsets) -> np.ndarray:
         """Uniforms in [0,1) at absolute counter offsets (stateless read)."""
-        offsets = np.asarray(offsets, dtype=np.uint64)
-        return (self._raw(offsets) >> _SH11).astype(np.float64) * _INV53
+        return _uniforms_of(_raw_at(np.uint64(self._key), offsets))
 
     def normals_at(self, offsets) -> np.ndarray:
         """Standard normals at absolute counter offsets via inverse CDF."""
-        offsets = np.asarray(offsets, dtype=np.uint64)
-        u = (self._raw(offsets) >> _SH11).astype(np.float64) * _INV53 + _HALF54
-        return ndtri(u)
+        return _normals_of(_raw_at(np.uint64(self._key), offsets))
+
+    def _split_keys(self, labels) -> np.ndarray:
+        """Keys of ``split(*row)`` for each row of a (K, L) array of label paths."""
+        labels = np.asarray(labels, dtype=np.int64).astype(np.uint64)  # -1 wraps as & _MASK does
+        s = np.full(labels.shape[0], self.stream, dtype=np.uint64)
+        for col in labels.T:
+            s = _mix_array(s ^ (col * _U_LABEL_SALT + _U_GOLDEN))
+        b = _mix_array(s ^ _U_STREAM_SALT)
+        return _mix_array(np.uint64(_mix_int(self.seed ^ _SEED_SALT)) ^ (b * _U_GOLDEN))
+
+    def split_uniforms_at(self, labels, offsets) -> np.ndarray:
+        """(K, M) uniforms: row k is ``split(*labels[k]).uniforms_at(offsets)``.
+
+        One vectorized read over K child streams; labels is a (K, L) integer
+        array of label paths (int64 range) and offsets has M entries.
+        """
+        return _uniforms_of(_raw_at(self._split_keys(labels)[:, None], offsets))
+
+    def split_normals_at(self, labels, offsets) -> np.ndarray:
+        """(K, M) normals: row k is ``split(*labels[k]).normals_at(offsets)``."""
+        return _normals_of(_raw_at(self._split_keys(labels)[:, None], offsets))
 
     def uniforms(self, n: int) -> np.ndarray:
         out = self.uniforms_at(np.arange(self.counter, self.counter + n))

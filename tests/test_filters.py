@@ -216,7 +216,8 @@ class TestMpf:
             run = fl.run_mpf(m, p, ds, fl.FilterConfig(4, grad_mode="unbiased", seed=2))
             assert run.tail_failures == 0
             ad.grad(run.log_evidence, [p["mu"]])
-        assert run.tail_failures == 4 * 3
+        # the implicit node draws steps 2 and 3; t=1 is one Gaussian, drawn pathwise
+        assert run.tail_failures == 4 * 2
 
     def test_n1_gradients_coincide_across_modes(self):
         m, ds, params0 = lgssm_setup(t_max=2)
@@ -435,6 +436,134 @@ class TestBackends:
         a = be.normals(3, fl.PROPOSAL, np.arange(6))
         b = fl.RandomBackend(RngStream(4)).normals(3, fl.PROPOSAL, np.asarray([4, 5]))
         assert np.array_equal(a[4:], b)
+
+
+class OneStepBackend:
+    """A RandomBackend that serves one (t, purpose) read at a time: no run-level reads."""
+
+    def __init__(self, rng):
+        self.inner = fl.RandomBackend(rng)
+
+    def uniforms(self, t, purpose, offsets):
+        return self.inner.uniforms(t, purpose, offsets)
+
+    def normals(self, t, purpose, offsets):
+        return self.inner.normals(t, purpose, offsets)
+
+    def choose_shared(self, t, purpose, n, probs):
+        return self.inner.choose_shared(t, purpose, n, probs)
+
+    def choose_one(self, t, purpose, offset, probs):
+        return self.inner.choose_one(t, purpose, offset, probs)
+
+
+class CountingBackend(fl.RandomBackend):
+    """A RandomBackend that counts its reads by kind and purpose."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.reads = []
+
+    def run_uniforms(self, purpose, t_max, count):
+        self.reads.append(("run_uniforms", purpose))
+        return super().run_uniforms(purpose, t_max, count)
+
+    def run_normals(self, purpose, t_max, count):
+        self.reads.append(("run_normals", purpose))
+        return super().run_normals(purpose, t_max, count)
+
+    def uniforms(self, t, purpose, offsets):
+        self.reads.append(("uniforms", purpose))
+        return super().uniforms(t, purpose, offsets)
+
+    def normals(self, t, purpose, offsets):
+        self.reads.append(("normals", purpose))
+        return super().normals(t, purpose, offsets)
+
+
+def seam_cases():
+    """(model, params, data) on LGSSM (d=2, T=4) and the DMM (T=4)."""
+    m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+    params = mo.proposal_init(m, 4)
+    params["beta"][:] = 0.7
+    dmm = mo.dmm_make(2, 3, 8, RngStream(4))
+    return {
+        "lgssm": (m, params, mo.generate(m, 4, RngStream(7))),
+        "dmm": (dmm, mo.proposal_init(dmm, 4, RngStream(5)), mo.generate(dmm, 4, RngStream(12))),
+    }
+
+
+SEAM_RUNS = {
+    "smc": lambda m, p, ds, be: fl.run_smc(m, p, ds, fl.FilterConfig(4, grad_mode="biased"), backend=be),
+    "smc-no-resampling": lambda m, p, ds, be: fl.run_smc(
+        m, p, ds, fl.FilterConfig(4, grad_mode="biased", resample=False), backend=be),
+    "mpf-none": lambda m, p, ds, be: fl.run_mpf(m, p, ds, fl.FilterConfig(4), backend=be),
+    "mpf-biased": lambda m, p, ds, be: fl.run_mpf(
+        m, p, ds, fl.FilterConfig(4, grad_mode="biased"), backend=be),
+    "mpf-unbiased": lambda m, p, ds, be: fl.run_mpf(
+        m, p, ds, fl.FilterConfig(4, grad_mode="unbiased"), backend=be),
+    "tmc": lambda m, p, ds, be: fl.run_tmc(m, p, ds, 4, backend=be),
+    "ipf": lambda m, p, ds, be: fl.run_ipf(m, p, ds, 4, 2, backend=be),
+}
+
+
+class TestRunLevelReads:
+    """A run reads each purpose once for all its steps, as step-by-step reads would."""
+
+    @pytest.mark.parametrize("family", ["lgssm", "dmm"])
+    @pytest.mark.parametrize("kind", sorted(SEAM_RUNS))
+    def test_one_step_backend_gives_the_same_run(self, family, kind):
+        """Particles, weights and gradients are bit-identical under both backends.
+
+        tmc and ipf need state-independent proposals, which the DMM has only
+        at t=1, so on the DMM they run one step.
+        """
+        model, p0, data = seam_cases()[family]
+        if family == "dmm" and kind in ("tmc", "ipf"):
+            data = data.ys[:1]
+
+        def run(backend):
+            with ad.Tape():
+                p = {k: ad.leaf(v) for k, v in p0.items()}
+                out = SEAM_RUNS[kind](model, p, data, backend)
+                names = sorted(p)
+                grads = ad.grad(out.log_evidence, [p[k] for k in names])
+            return out, grads
+
+        for seed in (1, 2):
+            a, ga = run(fl.RandomBackend(RngStream(seed)))
+            b, gb = run(OneStepBackend(RngStream(seed)))
+            for xa, xb in zip(a.particles + a.log_weights, b.particles + b.log_weights):
+                assert np.array_equal(xa.data, xb.data)
+            assert float(a.log_evidence.data) == float(b.log_evidence.data)
+            for u, v in zip(ga, gb):
+                assert np.array_equal(u, v)
+
+    @pytest.mark.parametrize("kind,purposes", [
+        ("smc", {fl.PROPOSAL, fl.ANCESTOR}),
+        ("smc-no-resampling", {fl.PROPOSAL}),
+        ("mpf-none", {fl.PROPOSAL, fl.ANCESTOR}),
+        ("mpf-biased", {fl.PROPOSAL, fl.ANCESTOR}),
+        ("mpf-unbiased", {fl.PROPOSAL, fl.ANCESTOR}),
+        ("tmc", {fl.PROPOSAL}),
+    ])
+    def test_one_read_per_purpose(self, kind, purposes):
+        """No per-step read at all; ipf's permutations still choose one by one."""
+        model, params, data = seam_cases()["lgssm"]
+        backend = CountingBackend(RngStream(3))
+        with ad.Tape():
+            p = {k: ad.leaf(v) for k, v in params.items()}
+            SEAM_RUNS[kind](model, p, data, backend)
+        kinds = {fl.PROPOSAL: "run_normals", fl.ANCESTOR: "run_uniforms"}
+        assert sorted(backend.reads) == sorted((kinds[q], q) for q in purposes)
+
+    def test_run_reads_equal_step_reads(self):
+        backend = fl.RandomBackend(RngStream(9))
+        normals = backend.run_normals(fl.PROPOSAL, 5, 7)
+        uniforms = backend.run_uniforms(fl.ANCESTOR, 5, 3)
+        for t in range(1, 6):
+            assert np.array_equal(normals[t - 1], backend.normals(t, fl.PROPOSAL, np.arange(7)))
+            assert np.array_equal(uniforms[t - 1], backend.uniforms(t, fl.ANCESTOR, np.arange(3)))
 
 
 class TestLogSpaceSafety:

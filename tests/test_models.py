@@ -267,6 +267,94 @@ class TestDensityKernels:
         assert ad.finite_diff_check(f, [RngStream(5).normals(9).reshape(3, 3) * 0.3, u]) < 1e-5
 
 
+class TestReparamDraw:
+    """models.gauss_rsample: means + exp(log_stds) * eps in one node."""
+
+    @pytest.mark.parametrize("m_rows,ls_rows", [(3, 1), (1, 1), (3, 3)],
+                             ids=["shared-scale", "one-row", "per-row"])
+    def test_forward_matches_elementwise_ops(self, m_rows, ls_rows):
+        means = RngStream(60).normals(2 * m_rows).reshape(m_rows, 2)
+        log_stds = RngStream(61).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3
+        eps = RngStream(62).normals(6).reshape(3, 2)
+        x = mo.gauss_rsample(means, log_stds, eps)
+        assert np.array_equal(x.data, means + np.exp(log_stds) * eps)
+
+    def test_rows_pick_components(self):
+        means = RngStream(63).normals(8).reshape(4, 2)
+        log_stds = RngStream(64).normals(8).reshape(4, 2) * 0.3
+        eps = RngStream(65).normals(6).reshape(3, 2)
+        rows = np.asarray([2, 0, 2])
+        x = mo.gauss_rsample(means, log_stds, eps, rows=rows)
+        assert np.array_equal(x.data, means[rows] + np.exp(log_stds[rows]) * eps)
+        shared = mo.gauss_rsample(means, log_stds[:1], eps, rows=rows)
+        assert np.array_equal(shared.data, means[rows] + np.exp(log_stds[:1]) * eps)
+
+    @pytest.mark.parametrize("ls_rows,rows", [(1, None), (1, [3, 0, 3]), (4, [3, 0, 3])],
+                             ids=["shared-scale", "rows-shared-scale", "rows-per-row"])
+    def test_finite_difference(self, ls_rows, rows):
+        """A (1, d) log-std broadcast against (N, d) means, and components picked by rows."""
+        m_rows = 3 if rows is None else 4
+        eps = RngStream(66).normals(6).reshape(3, 2)
+        weights = ad.constant(RngStream(67).normals(6).reshape(3, 2))
+
+        def f(means, log_stds):
+            return (mo.gauss_rsample(means, log_stds, eps, rows=rows) * weights).sum()
+
+        point = [
+            RngStream(68).normals(2 * m_rows).reshape(m_rows, 2),
+            RngStream(69).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
+        ]
+        assert ad.finite_diff_check(f, point) < 1e-5
+
+    def test_one_node(self):
+        with ad.Tape() as tape:
+            means, log_stds = ad.leaf(np.zeros((3, 2))), ad.leaf(np.zeros((1, 2)))
+            before = len(tape.nodes)
+            mo.gauss_rsample(means, log_stds, np.ones((3, 2)))
+            assert len(tape.nodes) == before + 1
+
+
+class TestLgssmProposalMean:
+    """models.lgssm_proposal_mean: mu_t + beta_t * (x_prev @ A^T) in one node.
+
+    The model's A is symmetric; a general A tells A from A^T apart.
+    """
+
+    a = RngStream(77).normals(9).reshape(3, 3)
+
+    def test_forward_matches_elementwise_ops(self):
+        mu, beta = RngStream(70).normals(12).reshape(4, 3), RngStream(71).normals(12).reshape(4, 3)
+        x_prev = RngStream(72).normals(15).reshape(5, 3)
+        out = mo.lgssm_proposal_mean(mu, beta, x_prev, self.a, 3)
+        assert np.array_equal(out.data, mu[2:3] + beta[2:3] * (x_prev @ self.a.T))
+
+    def test_finite_difference(self):
+        """In mu, beta and x_prev; the rows of mu and beta off step t get zeros."""
+        weights = ad.constant(RngStream(73).normals(15).reshape(5, 3))
+
+        def f(mu, beta, x_prev):
+            return (mo.lgssm_proposal_mean(mu, beta, x_prev, self.a, 2) * weights).sum()
+
+        point = [
+            RngStream(74).normals(12).reshape(4, 3),
+            RngStream(75).normals(12).reshape(4, 3),
+            RngStream(76).normals(15).reshape(5, 3),
+        ]
+        assert ad.finite_diff_check(f, point) < 1e-5
+        with ad.Tape():
+            mu, beta = ad.leaf(point[0]), ad.leaf(point[1])
+            g_mu, g_beta = ad.grad(f(mu, beta, ad.constant(point[2])), [mu, beta])
+        for g in (g_mu, g_beta):
+            assert np.all(g[[0, 2, 3]] == 0.0) and np.all(g[1] != 0.0)
+
+    def test_one_node(self):
+        with ad.Tape() as tape:
+            args = [ad.leaf(np.ones((3, 2))), ad.leaf(np.ones((3, 2))), ad.leaf(np.ones((4, 2)))]
+            before = len(tape.nodes)
+            mo.lgssm_proposal_mean(*args, np.eye(2), 2)
+            assert len(tape.nodes) == before + 1
+
+
 class TestDenseLayer:
     def test_leaky_slope(self):
         with ad.Tape():

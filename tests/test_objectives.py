@@ -165,7 +165,7 @@ class TestGradients:
 
     @staticmethod
     def tape_size(monkeypatch, obj, ds):
-        """Nodes on the tape of one gradient_biased call."""
+        """Nodes on the tape of one gradient call of the objective's kind."""
         counts = []
         grad = ad.grad
 
@@ -174,33 +174,45 @@ class TestGradients:
             return grad(loss, wrt)
 
         monkeypatch.setattr(ad, "grad", counting_grad)
-        ob.gradient_biased(obj, ds, RngStream(3))
+        grad_fn = ob.gradient_unbiased if obj.kind == "vmpf-ug" else ob.gradient_biased
+        grad_fn(obj, ds, RngStream(3))
         assert len(counts) == 1
         return counts[0]
 
-    def test_vmpf_bg_tape_budget(self, monkeypatch):
-        """One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
-
-        Each density kernel is one node, so the step records a few dozen
-        nodes; the budget catches a kernel that falls back to elementwise ops.
-        """
+    @staticmethod
+    def lgssm_tape_size(monkeypatch, kind):
         m = mo.lgssm_make(10, 10, 0.42, "sparse", RngStream(0))
         ds = mo.generate(m, 10, RngStream(7))
-        obj = ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10), 16)
-        assert self.tape_size(monkeypatch, obj, ds) <= 320
+        obj = ob.Objective(kind, m, mo.proposal_init(m, 10), 16)
+        return TestGradients.tape_size(monkeypatch, obj, ds)
+
+    # One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
+    # Each density kernel, draw and proposal mean is one node, so a step
+    # records about 15 nodes: 140 in all for vsmc and vmpf-bg, 149 for
+    # vmpf-ug.  The budgets catch a kernel that falls back to elementwise ops
+    # (a three-op draw adds 20 nodes, a five-op proposal mean 36).
+
+    def test_vsmc_tape_budget(self, monkeypatch):
+        assert self.lgssm_tape_size(monkeypatch, "vsmc") <= 150
+
+    def test_vmpf_bg_tape_budget(self, monkeypatch):
+        assert self.lgssm_tape_size(monkeypatch, "vmpf-bg") <= 150
+
+    def test_vmpf_ug_tape_budget(self, monkeypatch):
+        assert self.lgssm_tape_size(monkeypatch, "vmpf-ug") <= 160
 
     def test_dmm_vsmc_tape_budget(self, monkeypatch):
         """One VEM gradient on the dmm-vem-train shape (dx=5, dy=20, dh=16,
         T=10, N=16) stays small.
 
-        Each network layer, Bernoulli emission and Gaussian product output is
-        one node, so the gradient records 270 nodes; the budget catches a
-        layer that falls back to elementwise ops.
+        Each network layer, Bernoulli emission, Gaussian product output and
+        draw is one node, so the gradient records 250 nodes; the budget
+        catches a layer that falls back to elementwise ops.
         """
         m = mo.dmm_make(5, 20, 16, RngStream(0))
         ds = mo.generate(m, 10, RngStream(7))
         obj = ob.Objective("vsmc", m, mo.proposal_init(m, 10, RngStream(1)), 16, learn_theta=True)
-        assert self.tape_size(monkeypatch, obj, ds) <= 300
+        assert self.tape_size(monkeypatch, obj, ds) <= 260
 
     @pytest.mark.parametrize("family", ["dmm", "sv"])
     def test_vem_gradients_match_finite_differences(self, family):

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from scipy.special import ndtri
+
+from particlevi import rng as rng_module
 from particlevi.rng import RngStream
 
 
@@ -77,3 +80,46 @@ class TestDistributionQuality:
         u = RngStream(11).uniforms(100_000)
         r = np.corrcoef(u[:-1], u[1:])[0, 1]
         assert abs(r) < 0.02
+
+
+class TestNormalMap:
+    def test_extreme_words_give_finite_normals(self):
+        """The lowest word maps near -8.29 and the highest stays finite.
+
+        The top word's bin centre (2^53 - 1/2) 2^-53 rounds to 1.0, where the
+        inverse CDF is +inf; the map holds it at the largest double below 1.
+        """
+        words = np.asarray([0, 2**64 - 1], dtype=np.uint64)
+        z = rng_module._normals_of(words)
+        assert np.all(np.isfinite(z))
+        assert z[0] == ndtri(2.0**-54) and -8.30 < z[0] < -8.29
+        assert z[1] == ndtri(1.0 - 2.0**-53) and 8.20 < z[1] < 8.21
+
+    def test_other_words_keep_their_bin_centres(self):
+        """Below the top bin every word maps to ndtri(k 2^-53 + 2^-54) of its top 53 bits."""
+        tops = np.asarray([0, 1, 2**52, 2**53 - 3, 2**53 - 2], dtype=np.uint64)
+        z = rng_module._normals_of(tops << np.uint64(11))
+        assert np.array_equal(z, ndtri(tops.astype(np.float64) * 2.0**-53 + 2.0**-54))
+
+
+class TestSplitReads:
+    """One vectorized read over many child streams equals one split read per row."""
+
+    labels = np.asarray([[t, p] for t in range(1, 12) for p in (0, 1, 2)] + [[-1, 5], [2**62, 3]])
+
+    def test_rows_equal_per_split_reads(self):
+        root = RngStream(123456789, stream=77)
+        offsets = np.arange(37)
+        normals = root.split_normals_at(self.labels, offsets)
+        uniforms = root.split_uniforms_at(self.labels, offsets)
+        for row, lab in enumerate(self.labels):
+            child = root.split(*lab)
+            assert np.array_equal(normals[row], child.normals_at(offsets))
+            assert np.array_equal(uniforms[row], child.uniforms_at(offsets))
+
+    def test_label_paths_of_any_length(self):
+        root = RngStream(2**64 - 1, stream=2**64 - 1)
+        for labels in ([[3]], [[4, 1, 5]], [[9, 2], [2, 9]]):
+            got = root.split_normals_at(labels, [5, 0])
+            want = [root.split(*lab).normals_at([5, 0]) for lab in labels]
+            assert np.array_equal(got, np.stack(want))
