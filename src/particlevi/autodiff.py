@@ -374,7 +374,9 @@ def finite_diff_check(f, point, step: float = 1e-5) -> float:
     """Max relative error between reverse-mode and central-difference grads.
 
     ``f`` maps one Var per entry of ``point`` to a scalar Var.  The error
-    metric per coordinate is |autodiff - numeric| / max(1, |numeric|).
+    metric per coordinate is |autodiff - numeric| / max(1, |numeric|); a
+    coordinate where either is nan or infinite (say, f is -inf near the
+    point) has infinite error.
     """
     point = [np.asarray(p, dtype=np.float64) for p in point]
     with Tape():
@@ -397,5 +399,7 @@ def finite_diff_check(f, point, step: float = 1e-5) -> float:
             fm = value_at(bumped)
             numeric = (fp - fm) / (2.0 * step)
             err = abs(gflat[j] - numeric) / max(1.0, abs(numeric))
+            if not np.isfinite(err):
+                return np.inf
             worst = max(worst, err)
     return worst

@@ -457,13 +457,17 @@ def _suite_gradients():
     ))
     # the density kernels' analytic backwards, in x, means and log-stds (and
     # the mixture's log-weights); a fixed non-uniform cotangent reaches every
-    # entry of each rule
+    # entry of each rule.  In the -far cases the first row sits 60 units out
+    # in each coordinate, thousands of nats below the mixture kernel's shift
+    # bound, so it is redone with its own maximum.
     kernels = {
         "kernel-rows": (mo.gauss_logpdf_rows, 3, 200),
         "kernel-matrix": (mo.gauss_logpdf_matrix, 3, 201),
         "kernel-matrix-shared": (mo.gauss_logpdf_matrix, 1, 202),
         "kernel-mixture": (mo.gauss_mixture_logpdf, 3, 203),
         "kernel-mixture-shared": (mo.gauss_mixture_logpdf, 1, 204),
+        "kernel-mixture-far": (mo.gauss_mixture_logpdf, 3, 213),
+        "kernel-mixture-shared-far": (mo.gauss_mixture_logpdf, 1, 214),
     }
     for name, (kernel, ls_rows, label) in kernels.items():
         pts = rng.split(label)
@@ -475,6 +479,8 @@ def _suite_gradients():
             pts.split(2).normals(6).reshape(3, 2),
             pts.split(3).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
         ]
+        if name.endswith("-far"):
+            point[0][0] += 60.0
         if kernel is mo.gauss_mixture_logpdf:
             point.insert(1, pts.split(4).normals(3))
         err = ad.finite_diff_check(lambda *args: (kernel(*args) * ad.constant(weights)).sum(), point)

@@ -11,7 +11,10 @@ The mixture sampler draws a genuinely categorical component and then a
 Gaussian within it; the gradient comes from a custom-VJP node implementing
 the distributional transform (Figurnov et al. 2018; Graves 2016).  One node
 covers every draw of a filter step: mixture_implicit_rule takes all N draws
-of one mixture at once.  Writing the per-coordinate conditional CDF as
+of one mixture at once.  A mixture keeps one log-std row per component or,
+when every component has the same scale (the LGSSM and SV proposals), one
+shared (1, d) row, which the draws and the rule broadcast and whose
+cotangent stays (1, d).  Writing the per-coordinate conditional CDF as
 
     F_e(x_e | x_{1:e-1}) = sum_j w_j(x_{1:e-1}) * Phi((x_e - mu_je)/sig_je),
 
@@ -54,20 +57,22 @@ class GaussianMixture:
     """Mixture of diagonal Gaussians with log-space normalized weights.
 
     Parameters are stored stacked (rows are components) because that is how
-    the marginal particle filter produces them.
+    the marginal particle filter produces them.  The log-stds are one row
+    per component or one (1, d) row that every component shares.
     """
 
     log_weights: Var  # (K,), logsumexp == 0
     means: Var  # (K, d)
-    log_stds: Var  # (K, d)
+    log_stds: Var  # (K, d) or (1, d)
 
     def __post_init__(self):
         lw = self.log_weights.data
         total = float(np.logaddexp.reduce(lw))
         if abs(total) > 1e-12:
             raise ValueError(f"mixture log-weights not normalized (logsumexp={total:.3e})")
-        if self.means.data.shape != self.log_stds.data.shape:
-            raise ValueError("mixture means and log-stds must share a shape")
+        m_shape, ls_shape = self.means.data.shape, self.log_stds.data.shape
+        if ls_shape[1:] != m_shape[1:] or ls_shape[0] not in (1, m_shape[0]):
+            raise ValueError("mixture log-stds must be one row per component or one shared row")
         if self.means.data.shape[0] != lw.shape[0]:
             raise ValueError("component count mismatch between weights and parameters")
 
@@ -130,16 +135,18 @@ def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
 def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | None = None):
     """Custom-VJP rule for realized draws x (N, d) of one mixture.
 
-    The mixture has log-weights logw (K,) and components means, log_stds
-    (K, d).  For every draw the rule forms the conditional weights, CDFs and
-    pdfs, then solves J^T lam = g by back-substitution over the coordinates,
-    batched over all N draws.  J is lower triangular with the conditional
-    pdfs on its diagonal; its strictly-lower entries
+    The mixture has log-weights logw (K,), means (K, d) and log-stds
+    log_stds (K, d) or one (1, d) row that every component shares.  For
+    every draw the rule forms the conditional weights, CDFs and pdfs, then
+    solves J^T lam = g by back-substitution over the coordinates, batched
+    over all N draws.  J is lower triangular with the conditional pdfs on
+    its diagonal; its strictly-lower entries
     J[f, e] = sum_k G[k, f] s[k, e] (G the weighted CDF gaps,
     s = d logphi / dx) are applied through the running tail sums of lam * G
     instead of being formed.  The cotangents of every draw are summed into
-    (K,), (K, d), (K, d).  A draw whose conditional pdf falls below 1e-300
-    or is non-finite in any coordinate contributes zero and adds one to the
+    (K,), (K, d) and the log-stds' own shape, so a shared row gets one
+    (1, d) cotangent.  A draw whose conditional pdf falls below 1e-300 or
+    is non-finite in any coordinate contributes zero and adds one to the
     counter.
     """
 
@@ -181,7 +188,7 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
             grad_logw = np.where(bad[:, None], 0.0, grad_logw)
             grad_mu = np.where(bad[:, None, None], 0.0, grad_mu)
             grad_logstd = np.where(bad[:, None, None], 0.0, grad_logstd)
-        return grad_logw.sum(axis=0), grad_mu.sum(axis=0), grad_logstd.sum(axis=0)
+        return grad_logw.sum(axis=0), grad_mu.sum(axis=0), ad.unbroadcast(grad_logstd, log_stds.shape)
 
     return rule
 
@@ -198,7 +205,8 @@ def mixture_implicit_rsample(
     Tail draws contribute zero and are counted.  Returns (N, d).
     """
     j = categorical_sample_many(np.exp(m.log_weights.data), np.asarray(us))
-    x = m.means.data[j] + np.exp(m.log_stds.data[j]) * eps
+    ls = m.log_stds.data
+    x = m.means.data[j] + np.exp(ls if ls.shape[0] == 1 else ls[j]) * eps
     rule = mixture_implicit_rule(
         x, m.log_weights.data, m.means.data, m.log_stds.data, tail_counter
     )

@@ -100,8 +100,10 @@ class _RunDraws:
     that purpose; step t then takes row t-1.  Any other backend serves each
     step as it is asked.  Either way step t sees the backend's
     (t, purpose, offsets) draws at offsets 0..count-1, and a purpose is
-    always asked for the same count within a run.  Discrete choices with
-    per-particle rows go to ``backend`` directly.
+    always asked for the same count within a run.  ``choose_shared`` and
+    ``choose_each`` (IPF's swaps) pick by inverse CDF from those draws, or
+    ask a backend without run-level reads to choose.  The HMM's discrete
+    draws with per-particle rows go to ``backend`` directly.
     """
 
     __slots__ = ("backend", "t_max", "blocks")
@@ -130,6 +132,13 @@ class _RunDraws:
         if self.blocks is None:
             return self.backend.choose_shared(t, purpose, n, probs)
         return categorical_sample_many(probs, self.uniforms(t, purpose, n))
+
+    def choose_each(self, t: int, purpose: int, rows: list) -> list:
+        """One inverse-CDF choice per probability vector; vector k uses offset k."""
+        if self.blocks is None:
+            return [self.backend.choose_one(t, purpose, k, p) for k, p in enumerate(rows)]
+        us = self.uniforms(t, purpose, len(rows))
+        return [int(categorical_sample_many(p, us[k : k + 1])[0]) for k, p in enumerate(rows)]
 
 
 class ScriptBackend:
@@ -481,19 +490,24 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
                   - logsumexp_j(log vbar_j + log r_ij)
 
     Each logsumexp is one ``models.gauss_mixture_logpdf`` node, so the
-    (N, N) pair terms of a step never reach the tape as matrices; at N=1
-    the row kernel plus log vbar stands in, which keeps the run bit-aligned
-    with run_smc.  log vbar reuses the logsumexp node of the previous step's
-    log mean weight.  Discrete models use their numpy tables.
+    (N, N) pair terms of a step never reach the tape as matrices.  The
+    node shifts them by a bound, the highest weighted component peak,
+    instead of by each row's maximum, and redoes a row that falls far below
+    that bound.  At N=1 the row kernel plus log vbar stands in, which keeps
+    the run bit-aligned with run_smc.  log vbar reuses the logsumexp node
+    of the previous step's log mean weight.  Discrete models use their
+    numpy tables.
 
     grad_mode picks the sampling estimator from t=2 on: "biased" draws the
     component index with detached probabilities then reparameterizes within
     it, "unbiased" draws the N particles of a step through one
     mixture_implicit_rsample node so the mixture weights themselves carry
-    gradients.  Both read the same noise, so their forward values are
-    bit-identical.  The t=1 proposal is one Gaussian, drawn by the
-    reparameterized kernel in every mode.  Tail draws of the implicit
-    gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
+    gradients; a proposal log-std that every particle shares enters that
+    node as one (1, d) row and gets a (1, d) cotangent.  Both read the same
+    noise, so their forward values are bit-identical.  The t=1 proposal is
+    one Gaussian, drawn by the reparameterized kernel in every mode.  Tail
+    draws of the implicit gradient are counted in ``tail_failures`` as
+    ``grad`` runs the rules.
     """
     ys = ys_of(data)
     n, t_max = cfg.n_particles, ys.shape[0]
@@ -536,11 +550,7 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
             if t == 1:
                 x_new = mo.gauss_rsample(means, log_stds, eps)
             elif cfg.grad_mode == "unbiased":
-                mix_ls = log_stds
-                if log_stds.data.shape[0] < means.data.shape[0]:
-                    # the mixture keeps one log-std row per component
-                    mix_ls = log_stds + ad.constant(np.zeros((means.data.shape[0], 1)))
-                mix = GaussianMixture(log_vbar, means, mix_ls)
+                mix = GaussianMixture(log_vbar, means, log_stds)
                 x_new = mixture_implicit_rsample(mix, draws.uniforms(t, ANCESTOR, n), eps, tail)
             else:
                 anc = draws.choose_shared(t, ANCESTOR, n, np.exp(log_vbar.data))
@@ -583,13 +593,16 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
 # Independent particle filter
 
 
-def _permutation(backend, t: int, n: int) -> np.ndarray:
-    """Fisher-Yates permutation driven by backend choices."""
+def _permutation(draws: _RunDraws, t: int, n: int) -> np.ndarray:
+    """Fisher-Yates permutation of step t: swap c moves position n-1-c.
+
+    The swaps choose uniformly among 0..n-1-c, swap c at offset c of the
+    step's PERM draws, so a backend with run-level reads serves a run's
+    swaps in one read and any other backend chooses them one at a time.
+    """
+    picks = draws.choose_each(t, PERM, [np.full(k, 1.0 / k) for k in range(n, 1, -1)])
     perm = np.arange(n)
-    c = 0
-    for i in range(n - 1, 0, -1):
-        j = backend.choose_one(t, PERM, c, np.full(i + 1, 1.0 / (i + 1)))
-        c += 1
+    for i, j in zip(range(n - 1, 0, -1), picks):
         perm[i], perm[j] = perm[j], perm[i]
     return perm
 
@@ -637,7 +650,7 @@ def run_ipf(
                 f_means, f_ls = mo.transition_build_many(model, 1)
                 logu = mo.gauss_logpdf_rows(x_new, f_means, f_ls) + extra
         else:
-            base = _permutation(draws.backend, t, n)
+            base = _permutation(draws, t, n)
             terms = []
             for l in range(l_perms):
                 k_l = base[(np.arange(n) + l) % n]
@@ -682,7 +695,10 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
     Proposals must be state-independent.  There is no resampling, so a run
     under an active tape is fully reparameterized.  On continuous models
     the sum over j is one ``models.gauss_mixture_logpdf`` node with the
-    unnormalized log z_{t-1} as mixture weights.
+    unnormalized log z_{t-1} as mixture weights.  Those can spread over
+    hundreds of nats, so a particle near only low-weight parents can fall
+    far below the node's shift bound, which the top weight sets; the node
+    redoes such rows with their own maximum.
     """
     ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]

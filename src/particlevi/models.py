@@ -8,7 +8,10 @@ parameters and three density kernels.  The row kernel scores row i against
 row i; the all-pairs kernel scores every row against every component; the
 mixture kernel scores every row under a weighted mixture of the components,
 which is the all-pairs matrix reduced by a logsumexp over the components.
-The filters call them on N rows; the coupling combinators call the same
+That logsumexp is shifted by an analytic bound, the highest weighted peak
+of any component density, rather than by each row's maximum, so the pair
+buffer takes three passes: one matmul, an exp and a row sum.  The filters
+call the kernels on N rows; the coupling combinators call the same
 functions on one-row arrays, so each Gaussian log-density has one
 implementation.
 
@@ -16,8 +19,10 @@ Builders return Gaussian parameters as (rows, d) mean and log-std arrays.
 A log-std that every particle shares (the LGSSM and SV noise scales, the
 LGSSM proposal's) stays one (1, d) row that broadcasts over the particles,
 so the pair work is a single (N, d) @ (d, M) matmul; the DMM heads give
-each row its own scale.  Each density kernel records one tape node with an
-analytic backward, and the pair kernels share one backward contraction.
+each row its own scale.  The implicit mixture draw of
+``distributions.mixture_implicit_rsample`` takes a shared row as it is.
+Each density kernel records one tape node with an analytic backward, and
+the pair kernels share one backward contraction.
 The reparameterized draw ``gauss_rsample`` (every filter and the
 couplings draw continuous states with it) and the LGSSM proposal mean
 ``lgssm_proposal_mean`` are one node each as well.
@@ -43,6 +48,8 @@ from particlevi.distributions import LOG_2PI, DiagGaussian, categorical_sample_m
 from particlevi.rng import RngStream
 
 LEAKY_SLOPE = 0.01
+# a mixture row whose bound-shifted total is below this is redone with its own maximum
+_FAR_TOTAL = 1e-280
 
 
 # ---------------------------------------------------------------------------
@@ -408,38 +415,71 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
 
     x is (N, d), log_w (M,) and means (M, d); log-stds are (M, d) or one
     shared (1, d) row, as for ``gauss_logpdf_matrix``.  The weights are not
-    normalized here.  The pair terms live in one (N, M) buffer that is
-    max-shifted, exponentiated and row-summed in place.  With a shared
-    scale the row term -0.5 sum_k x_ik^2 iv_k is the same for every
-    component, so it is added after the reduction and the buffer is one
-    cross matmul plus a column bias.  A row whose weights are all -inf
-    scores -inf.  One tape node: with responsibilities P = buf / rowsum and
-    G = g P, the log_w cotangent is the column sums of G and the others are
-    ``_pair_cotangents`` of G.
+    normalized here.  A Gaussian density peaks at its mean, so no pair term
+    exceeds top = max_j (log_w_j - sum_e (log(2 pi) / 2 + log_stds_je)), and
+    the terms are shifted by that bound instead of by each row's maximum:
+    one matmul with extra columns forms the shifted terms in one (N, M)
+    buffer, which is exponentiated and row-summed in place.  With iv the
+    inverse variances and bias_j = log_w_j - sum_e (log(2 pi) / 2 + ls_je
+    + m_je^2 iv_je / 2), a shared scale contracts [x, 1, row_i - top]
+    against [m iv, bias_j, 1], where row_i = -sum_e x_ie^2 iv_e / 2 is the
+    same for every component; per-component scales contract [x, x^2, 1]
+    against [m iv, -iv / 2, bias_j - top].  A row far below the bound (its
+    total under 1e-280, some 640 nats down) is redone with its own maximum.
+    A row whose weights are all -inf scores -inf.  One tape node: with
+    responsibilities P = buf / rowsum and G = g P, which do not depend on
+    the shift, the log_w cotangent is the column sums of G and the others
+    are ``_pair_cotangents`` of G.
     """
     x, log_w, means, log_stds = (ad.constant(v) for v in (x, log_w, means, log_stds))
     _check_dims(x, means, log_stds)
     if log_w.data.shape != means.data.shape[:1]:
         raise ValueError(f"log-weights {log_w.data.shape} do not match {means.data.shape[0]} components")
     xd, lw, md, ls = x.data, log_w.data, means.data, log_stds.data
+    (n, d), m = xd.shape, md.shape[0]
     need_ls = log_stds.nid is not None
     inv_var = np.exp(-2.0 * ls)
     m_iv = md * inv_var
-    bias = lw + (-0.5 * LOG_2PI - ls).sum(axis=1) - 0.5 * (md * m_iv).sum(axis=1)
+    peaks = lw + (-0.5 * LOG_2PI - ls).sum(axis=1)
+    top = peaks.max()
+    if top == -np.inf:  # every weight -inf: any finite shift leaves the rows at 0
+        top = 0.0
+    bias = peaks - 0.5 * (md * m_iv).sum(axis=1)
     if ls.shape[0] == 1:
-        buf = xd @ m_iv.T
-        row = -0.5 * ((xd * xd) @ inv_var[0])
-    else:  # x^2 joins the contraction: [x, x^2] @ [m iv, -iv / 2]^T
-        buf = np.hstack([xd, xd * xd]) @ np.hstack([m_iv, -0.5 * inv_var]).T
-        row = 0.0
-    buf += bias
-    peak = buf.max(axis=1)
-    shift = np.where(np.isfinite(peak), peak, 0.0)
-    buf -= shift[:, None]
+        lhs = np.empty((n, d + 2))
+        rhs = np.empty((m, d + 2))
+        lhs[:, d] = 1.0
+        lhs[:, d + 1] = (xd * xd) @ (-0.5 * inv_var[0]) - top
+        rhs[:, d] = bias
+        rhs[:, d + 1] = 1.0
+    else:
+        lhs = np.empty((n, 2 * d + 1))
+        rhs = np.empty((m, 2 * d + 1))
+        np.multiply(xd, xd, out=lhs[:, d:-1])
+        lhs[:, -1] = 1.0
+        rhs[:, d:-1] = -0.5 * inv_var
+        rhs[:, -1] = bias - top
+    lhs[:, :d] = xd
+    rhs[:, :d] = m_iv
+    buf = lhs @ rhs.T
     np.exp(buf, out=buf)
-    total = buf.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        out = np.log(total) + shift + row
+    total = buf @ np.ones(m)
+    if total.min() >= _FAR_TOTAL:
+        out = np.log(total)
+        out += top
+    else:
+        far = np.flatnonzero(total < _FAR_TOTAL)
+        terms = lhs[far] @ rhs.T
+        peak = terms.max(axis=1)
+        peak[peak == -np.inf] = 0.0  # a dead row scores -inf below
+        terms -= peak[:, None]
+        np.exp(terms, out=terms)
+        buf[far] = terms
+        total[far] = terms.sum(axis=1)
+        shift = np.full(n, top)
+        shift[far] += peak
+        with np.errstate(divide="ignore"):
+            out = np.log(total) + shift
 
     def rule(g):
         # a dead row (all weights -inf) passes nothing back

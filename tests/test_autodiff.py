@@ -277,3 +277,9 @@ class TestFiniteDiffCheck:
     def test_logsumexp_of_random_values(self):
         err = ad.finite_diff_check(ad.logsumexp, [RngStream(77).normals(10)])
         assert err < 1e-6
+
+    def test_non_finite_difference_fails_the_check(self):
+        """A function that is -inf around the point has no central difference;
+        the check reports an infinite error rather than skipping it."""
+        dead = ad.constant(np.full(3, -np.inf))
+        assert ad.finite_diff_check(lambda x: (x + dead).sum(), [np.ones(3)]) == np.inf

@@ -447,6 +447,35 @@ class TestImplicitRsample:
             ones = [mixture_implicit_rsample(m, us[i : i + 1], eps[i : i + 1]) for i in range(6)]
         np.testing.assert_array_equal(many.data, np.concatenate([o.data for o in ones]))
 
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_shared_log_std_row_matches_tiled(self, d):
+        """A (1, d) log-std that every component shares draws the states of
+        its tiled (K, d) copy, bit for bit, and its cotangent is the tiled
+        one summed over the components."""
+        rng = np.random.default_rng(40 + d)
+        logw, means = rng.normal(size=3), rng.normal(size=(3, d))
+        shared = 0.3 * rng.normal(size=(1, d))
+        us, eps, g = rng.uniform(size=6), rng.normal(size=(6, d)), rng.normal(size=(6, d))
+        runs = []
+        for log_stds in (shared, np.tile(shared, (3, 1))):
+            with ad.Tape():
+                m = make_mixture(logw, means, log_stds)
+                x = mixture_implicit_rsample(m, us, eps)
+                grads = ad.grad((x * ad.constant(g)).sum(), [m.log_weights, m.means, m.log_stds])
+            runs.append((x.data, grads))
+        (x_shared, g_shared), (x_tiled, g_tiled) = runs
+        np.testing.assert_array_equal(x_shared, x_tiled)
+        g_tiled[2] = g_tiled[2].sum(axis=0, keepdims=True)
+        for a, b in zip(g_shared, g_tiled):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-13 * max(float(np.max(np.abs(b))), 1.0)
+
+    def test_log_std_rows_must_match_components_or_be_shared(self):
+        with pytest.raises(ValueError, match="one row per component or one shared row"):
+            make_mixture([0.1, 0.2, 0.3], np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="one row per component or one shared row"):
+            make_mixture([0.1, 0.2, 0.3], np.zeros((3, 2)), np.zeros((1, 3)))
+
 
 class TestImplicitRule:
     @pytest.mark.parametrize("d", [1, 2, 5])

@@ -299,9 +299,12 @@ class TestIpf:
 
     def test_permutations_are_valid_and_columns_distinct(self):
         for seed in range(20):
-            base = fl._permutation(fl.RandomBackend(RngStream(seed)), 2, 5)
+            base = fl._permutation(fl._RunDraws(fl.RandomBackend(RngStream(seed)), 3), 2, 5)
             assert sorted(base.tolist()) == list(range(5))
-        base = fl._permutation(fl.RandomBackend(RngStream(0)), 2, 5)
+            # the one-read swaps are the swaps chosen one at a time
+            one_by_one = fl._permutation(fl._RunDraws(OneStepBackend(RngStream(seed)), 3), 2, 5)
+            assert np.array_equal(base, one_by_one)
+        base = fl._permutation(fl._RunDraws(fl.RandomBackend(RngStream(0)), 3), 2, 5)
         for i in range(5):
             picks = {base[(i + l) % 5] for l in range(4)}
             assert len(picks) == 4
@@ -546,15 +549,16 @@ class TestRunLevelReads:
         ("mpf-biased", {fl.PROPOSAL, fl.ANCESTOR}),
         ("mpf-unbiased", {fl.PROPOSAL, fl.ANCESTOR}),
         ("tmc", {fl.PROPOSAL}),
+        ("ipf", {fl.PROPOSAL, fl.PERM}),
     ])
     def test_one_read_per_purpose(self, kind, purposes):
-        """No per-step read at all; ipf's permutations still choose one by one."""
+        """No per-step read at all, ipf's permutation swaps included."""
         model, params, data = seam_cases()["lgssm"]
         backend = CountingBackend(RngStream(3))
         with ad.Tape():
             p = {k: ad.leaf(v) for k, v in params.items()}
             SEAM_RUNS[kind](model, p, data, backend)
-        kinds = {fl.PROPOSAL: "run_normals", fl.ANCESTOR: "run_uniforms"}
+        kinds = {fl.PROPOSAL: "run_normals", fl.ANCESTOR: "run_uniforms", fl.PERM: "run_uniforms"}
         assert sorted(backend.reads) == sorted((kinds[q], q) for q in purposes)
 
     def test_run_reads_equal_step_reads(self):

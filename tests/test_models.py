@@ -218,6 +218,46 @@ class TestDensityKernels:
         ]
         assert ad.finite_diff_check(f, point) < 1e-5
 
+    @staticmethod
+    def mixture_matches_pairs(x, log_w, means, log_stds, min_far):
+        """The mixture kernel against logsumexp over the pair matrix, to 1e-12
+        relative, with finite gradients under a non-uniform cotangent.
+
+        At least min_far rows must score more than 700 nats below the
+        kernel's shift bound max_j (log_w_j - sum_e (log(2 pi) / 2 + ls_je)),
+        where the bound-shifted total underflows and the row is redone with
+        its own maximum.
+        """
+        ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, means, log_stds).data, axis=1)
+        bound = np.max(log_w - (0.5 * math.log(2 * math.pi) + log_stds).sum(axis=1))
+        assert np.sum(ref < bound - 700.0) >= min_far
+        weights = ad.constant(RngStream(89).normals(x.shape[0]))
+        with ad.Tape():
+            args = [ad.leaf(a) for a in (x, log_w, means, log_stds)]
+            out = mo.gauss_mixture_logpdf(*args)
+            grads = ad.grad((out * weights).sum(), args)
+        assert np.all(np.abs(out.data - ref) <= 1e-12 * np.abs(ref))
+        assert all(np.all(np.isfinite(g)) for g in grads)
+
+    @pytest.mark.parametrize("ls_rows", [1, 5], ids=["shared", "per-row"])
+    def test_mixture_kernel_rows_far_from_every_mean(self, ls_rows):
+        x = RngStream(80).normals(6 * 3).reshape(6, 3)
+        x[2] += 60.0
+        x[4] -= 200.0
+        means = RngStream(81).normals(5 * 3).reshape(5, 3)
+        log_stds = RngStream(82).normals(3 * ls_rows).reshape(ls_rows, 3) * 0.3
+        self.mixture_matches_pairs(x, RngStream(83).normals(5), means, log_stds, min_far=2)
+
+    @pytest.mark.parametrize("ls_rows", [1, 64], ids=["shared", "per-row"])
+    def test_mixture_kernel_weights_spread_over_a_thousand_nats(self, ls_rows):
+        """Weights like TMC's unnormalized log z: a row beside a low-weight
+        component sits far below the bound that the top weight sets."""
+        means = RngStream(84).normals(64 * 3).reshape(64, 3) * 50.0
+        x = means + 0.5 * RngStream(85).normals(64 * 3).reshape(64, 3)
+        log_stds = RngStream(86).normals(3 * ls_rows).reshape(ls_rows, 3) * 0.3
+        log_w = -1000.0 * RngStream(87).uniforms(64) - 300.0
+        self.mixture_matches_pairs(x, log_w, means, log_stds, min_far=10)
+
     def test_mixture_kernel_minus_inf_weights(self):
         x = RngStream(70).normals(8).reshape(4, 2)
         means = RngStream(71).normals(6).reshape(3, 2)

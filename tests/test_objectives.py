@@ -188,9 +188,10 @@ class TestGradients:
 
     # One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
     # Each density kernel, draw and proposal mean is one node, so a step
-    # records about 15 nodes: 140 in all for vsmc and vmpf-bg, 149 for
-    # vmpf-ug.  The budgets catch a kernel that falls back to elementwise ops
-    # (a three-op draw adds 20 nodes, a five-op proposal mean 36).
+    # records about 15 nodes: 140 in all for each kind.  The budgets catch a
+    # kernel that falls back to elementwise ops (a three-op draw adds 20
+    # nodes, a five-op proposal mean 36, widening vmpf-ug's shared log-std
+    # for its implicit draw 9).
 
     def test_vsmc_tape_budget(self, monkeypatch):
         assert self.lgssm_tape_size(monkeypatch, "vsmc") <= 150
@@ -199,7 +200,7 @@ class TestGradients:
         assert self.lgssm_tape_size(monkeypatch, "vmpf-bg") <= 150
 
     def test_vmpf_ug_tape_budget(self, monkeypatch):
-        assert self.lgssm_tape_size(monkeypatch, "vmpf-ug") <= 160
+        assert self.lgssm_tape_size(monkeypatch, "vmpf-ug") <= 150
 
     def test_dmm_vsmc_tape_budget(self, monkeypatch):
         """One VEM gradient on the dmm-vem-train shape (dx=5, dy=20, dh=16,
