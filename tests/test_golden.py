@@ -1,0 +1,50 @@
+"""The golden fixture: filters, objectives and couplings reproduce tests/golden.json.
+
+``make_golden.py`` holds the grid and writes the file.  Forward values must
+match exactly; gradient projections and max-abs values to 1e-13 relative.
+"""
+
+import json
+
+import make_golden as mg
+
+GRAD_RTOL = 1e-13
+
+
+def _grad_mismatches(got: dict, want: dict) -> list:
+    out = []
+    for name in sorted(set(got) | set(want)):
+        if name not in got or name not in want:
+            out.append(f"gradient {name!r} present on one side only")
+            continue
+        w = [float.fromhex(v) for v in want[name]]
+        g = [float.fromhex(v) for v in got[name]]
+        for i, (a, b) in enumerate(zip(g, w)):
+            if abs(a - b) > GRAD_RTOL * max(abs(b), w[-1]):
+                out.append(f"gradient {name!r}[{i}]: {a!r} != {b!r}")
+    return out
+
+
+def mismatches(got, want) -> list:
+    """What differs between a recomputed entry and its golden value."""
+    if not isinstance(want, dict) or "grads" not in want:
+        return [] if got == want else [f"{got!r} != {want!r}"]
+    out = [f"{k}: {got.get(k)!r} != {v!r}" for k, v in want.items() if k != "grads" and got.get(k) != v]
+    return out + _grad_mismatches(got["grads"], want["grads"])
+
+
+def test_grad_comparison_is_relative():
+    want = {"value": "0x1.0p+0", "grads": {"a": [(1.0).hex(), (2.0).hex(), (0.0).hex(), (3.0).hex()]}}
+    near = {"value": "0x1.0p+0", "grads": {"a": [(1.0 + 1e-15).hex(), (2.0).hex(), (1e-14).hex(), (3.0).hex()]}}
+    far = {"value": "0x1.0p+0", "grads": {"a": [(1.0 + 1e-12).hex(), (2.0).hex(), (0.0).hex(), (3.0).hex()]}}
+    assert mismatches(near, want) == []
+    assert len(mismatches(far, want)) == 1
+    assert len(mismatches({**near, "value": "0x1.0000000000001p+0"}, want)) == 1
+
+
+def test_golden_values_are_reproduced():
+    want = json.loads(mg.GOLDEN.read_text())
+    got = mg.compute()
+    assert sorted(got) == sorted(want)
+    bad = [f"{key}: {m}" for key in sorted(want) for m in mismatches(got[key], want[key])]
+    assert not bad, f"{len(bad)} golden mismatches:\n" + "\n".join(bad[:20])
