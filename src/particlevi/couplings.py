@@ -33,7 +33,7 @@ import numpy as np
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import models as mo
-from particlevi.filters import ANCESTOR, PROPOSAL, hmm_proposal_rows, make_backend, ys_of
+from particlevi.filters import ANCESTOR, make_backend, ys_of
 from particlevi.rng import RngStream
 
 
@@ -251,11 +251,6 @@ def trajectory_of(value) -> list:
     return [value]
 
 
-def _hmm_idx(value) -> int:
-    data = value.data if isinstance(value, Var) else np.asarray(value)
-    return int(data.reshape(-1)[0])
-
-
 def _row(value) -> Var | None:
     """The newest state of a value as the (1, d) row the filters' kernels take.
 
@@ -266,19 +261,29 @@ def _row(value) -> Var | None:
     return ad.reshape(ad.constant(_last_state(value)), (1, -1))
 
 
+class _Lane:
+    """One lane's reads from a draw backend, for a rows object's draw of one particle.
+
+    That draw asks for offsets 0..count-1 of a step; lane k serves offsets
+    k*count..(k+1)*count-1, which the filters' particle k reads, so a lane
+    draws exactly what the matching particle does.
+    """
+
+    __slots__ = ("backend", "lane")
+
+    def __init__(self, backend, lane: int):
+        self.backend = backend
+        self.lane = lane
+
+    def normals(self, t: int, purpose: int, count: int) -> np.ndarray:
+        return self.backend.normals(t, purpose, np.arange(self.lane * count, (self.lane + 1) * count))
+
+    def choose_shared(self, t: int, purpose: int, n: int, probs: np.ndarray) -> np.ndarray:
+        return np.asarray([self.backend.choose_one(t, purpose, self.lane, probs)], dtype=np.intp)
+
+
 def step_density(model, ys: np.ndarray) -> Callable:
     """log gamma_1(x) = log f(x) + log g(y_1 | x)."""
-    y = ys[0]
-    if isinstance(model, mo.DiscreteHmm):
-        with np.errstate(divide="ignore"):
-            log_pi0, log_emis = np.log(model.pi0), np.log(model.emis)
-
-        def dens(x):
-            i = _hmm_idx(x)
-            return float(log_pi0[i] + log_emis[i, int(y[0])])
-
-        return dens
-
     ratio = step_ratio(model, ys, 1)  # at t=1 the transition is the prior
     return lambda x: ratio(None, x)
 
@@ -286,20 +291,11 @@ def step_density(model, ys: np.ndarray) -> Callable:
 def step_ratio(model, ys: np.ndarray, t: int) -> Callable:
     """log[gamma_t / gamma_{t-1}] = log f(x_t | x_{t-1}) + log g(y_t | x_t)."""
     y = ys[t - 1]
-    if isinstance(model, mo.DiscreteHmm):
-        with np.errstate(divide="ignore"):
-            log_trans, log_emis = np.log(model.trans), np.log(model.emis)
-
-        def ratio(old, new):
-            i = _hmm_idx(new)
-            return float(log_trans[_hmm_idx(_last_state(old)), i] + log_emis[i, int(y[0])])
-
-        return ratio
 
     def ratio(old, new):
         x = _row(new)
-        f_means, f_ls = mo.transition_build_many(model, t, _row(old))
-        return (mo.gauss_logpdf_rows(x, f_means, f_ls) + mo.emission_logpdf_rows(model, t, x, y)).sum()
+        log_f = mo.transition_build_many(model, t, _row(old)).logpdf_rows(x)
+        return (log_f + mo.emission_logpdf_rows(model, t, x, y)).sum()
 
     return ratio
 
@@ -307,31 +303,13 @@ def step_ratio(model, ys: np.ndarray, t: int) -> Callable:
 def step_proposal(model, params, ys: np.ndarray, t: int) -> StepProposal:
     """Lane-addressed draw from r_t plus its log-density, as the filters draw it."""
     y = ys[t - 1]
-    if isinstance(model, mo.DiscreteHmm):
-
-        def row_of(x_prev) -> np.ndarray:
-            xp = None if x_prev is None else np.asarray([_hmm_idx(_last_state(x_prev))])
-            return hmm_proposal_rows(model, params, t, xp, independent=False)[0]
-
-        def sample(backend, lane, x_prev):
-            k = backend.choose_one(t, PROPOSAL, lane, row_of(x_prev))
-            return np.asarray([float(k)])
-
-        def logpdf(x_prev, x):
-            with np.errstate(divide="ignore"):
-                return float(np.log(row_of(x_prev)[_hmm_idx(x)]))
-
-        return StepProposal(sample, logpdf)
 
     def sample(backend, lane, x_prev):
-        means, log_stds = mo.proposal_build_many(model, params, t, _row(x_prev), y)
-        d = means.data.shape[1]
-        eps = backend.normals(t, PROPOSAL, np.arange(lane * d, (lane + 1) * d))
-        return ad.reshape(mo.gauss_rsample(means, log_stds, eps[None, :]), (d,))
+        x = mo.proposal_build_many(model, params, t, _row(x_prev), y).draw(_Lane(backend, lane), t, 1)
+        return ad.reshape(x, (x.data.shape[1],))
 
     def logpdf(x_prev, x):
-        means, log_stds = mo.proposal_build_many(model, params, t, _row(x_prev), y)
-        return mo.gauss_logpdf_rows(_row(x), means, log_stds).sum()
+        return mo.proposal_build_many(model, params, t, _row(x_prev), y).logpdf_rows(_row(x)).sum()
 
     return StepProposal(sample, logpdf)
 

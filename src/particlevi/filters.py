@@ -5,13 +5,18 @@ only as exp(log w - logsumexp) at the categorical sampling boundary, which
 is also where the gradient path is cut in biased mode.  Resampling is
 multinomial inverse-CDF only.
 
+Each filter has one body for every model family.  It asks the model's
+builders for rows (``models.GaussRows`` for the continuous families,
+``models.TableRows`` for the HMM) and scores and draws through their
+methods, so only the ``models`` module decides what a family is.
+
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
 same noise can be replayed under a different estimator, and runs on finite
 models can be enumerated exhaustively instead of sampled.  A backend may
 also serve one purpose for every step of a run in one read (RandomBackend
-does); a continuous run then reads its proposal normals and its ancestor
-uniforms once each, and gets the same values as step-by-step reads.
+does); a run then reads each purpose it uses once, and gets the same values
+as step-by-step reads.
 """
 
 from __future__ import annotations
@@ -24,16 +29,9 @@ import numpy as np
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import models as mo
-from particlevi.distributions import (
-    GaussianMixture,
-    TailCounter,
-    categorical_sample_many,
-    mixture_implicit_rsample,
-)
+from particlevi.distributions import TailCounter, categorical_sample_many
+from particlevi.models import ANCESTOR, PERM, PROPOSAL  # noqa: F401  (re-exported)
 from particlevi.rng import RngStream
-
-# sub-stream purposes within a time step
-ANCESTOR, PROPOSAL, PERM = 0, 1, 2
 
 _GRAD_MODES = ("none", "biased", "unbiased")
 
@@ -101,9 +99,9 @@ class _RunDraws:
     step as it is asked.  Either way step t sees the backend's
     (t, purpose, offsets) draws at offsets 0..count-1, and a purpose is
     always asked for the same count within a run.  ``choose_shared`` and
-    ``choose_each`` (IPF's swaps) pick by inverse CDF from those draws, or
-    ask a backend without run-level reads to choose.  The HMM's discrete
-    draws with per-particle rows go to ``backend`` directly.
+    ``choose_each`` (IPF's swaps, the HMM's per-particle rows) pick by
+    inverse CDF from those draws, or ask a backend without run-level reads
+    to choose.
     """
 
     __slots__ = ("backend", "t_max", "blocks")
@@ -309,90 +307,6 @@ def make_backend(rng=None, backend=None):
 
 
 # ---------------------------------------------------------------------------
-# density helpers shared by the filters, the identity check and the couplings
-
-
-def hmm_proposal_rows(model: mo.DiscreteHmm, params, t: int, xp_idx, independent: bool) -> np.ndarray:
-    """Proposal probability rows for a discrete model.
-
-    Defaults: bootstrap (prior) proposals for the dependent filters,
-    uniform for the independent ones; params may override with
-    init_proposal / trans_proposal / indep_proposal tables.
-    """
-    params = params or {}
-    k = model.pi0.shape[0]
-    if t == 1:
-        return np.asarray(params.get("init_proposal", model.pi0), dtype=np.float64)[None, :]
-    if independent:
-        dflt = np.full(k, 1.0 / k)
-        return np.asarray(params.get("indep_proposal", dflt), dtype=np.float64)[None, :]
-    table = np.asarray(params.get("trans_proposal", model.trans), dtype=np.float64)
-    return table[xp_idx]
-
-
-def _discrete_draw(model, params, t, xp_idx, n, backend, independent=False, mix_weights=None):
-    """Draw n discrete states; returns (idx, log proposal density at idx)."""
-    rows = hmm_proposal_rows(model, params, t, xp_idx, independent)
-    if mix_weights is not None:
-        rows = (mix_weights @ rows)[None, :]
-    if rows.shape[0] == 1:
-        idx = backend.choose_shared(t, PROPOSAL, n, rows[0])
-        chosen = np.broadcast_to(rows[0], (n, rows.shape[1]))
-    else:
-        idx = np.asarray(
-            [backend.choose_one(t, PROPOSAL, i, rows[i]) for i in range(n)], dtype=np.intp
-        )
-        chosen = rows
-    with np.errstate(divide="ignore"):
-        log_r = np.log(chosen[np.arange(n), idx])
-    return idx, log_r
-
-
-def _hmm_log_g(model: mo.DiscreteHmm, idx: np.ndarray, y_row: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(model.emis)[idx, int(y_row[0])]
-
-
-def _hmm_log_f(model: mo.DiscreteHmm, t: int, idx: np.ndarray, xp_idx) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        if t == 1:
-            return np.log(model.pi0)[idx]
-        return np.log(model.trans)[xp_idx, idx]
-
-
-def _mixture_logpdf(x, log_w, means, log_stds) -> Var:
-    """(N,) log sum_j exp(log_w_j) N(x_i; means_j, exp(log_stds_j)).
-
-    A single component goes through the row kernel plus its log-weight, so
-    N=1 runs stay bit-aligned with run_smc.
-    """
-    if means.data.shape[0] == 1:
-        return log_w + mo.gauss_logpdf_rows(x, means, log_stds)
-    return mo.gauss_mixture_logpdf(x, log_w, means, log_stds)
-
-
-def _log_f_matrix(model, t: int, x, x_prev) -> Var:
-    """(N, N_prev) matrix of log f(x_i | x_prev_j), for tables and the identity check."""
-    if isinstance(model, mo.DiscreteHmm):
-        idx = x.data[:, 0].astype(np.intp)
-        xp = x_prev.data[:, 0].astype(np.intp)
-        with np.errstate(divide="ignore"):
-            return ad.constant(np.log(model.trans)[np.ix_(xp, idx)].T.copy())
-    return mo.gauss_logpdf_matrix(x, *mo.transition_build_many(model, t, x_prev))
-
-
-def _log_r_matrix(model, params, t: int, x, x_prev, y_t=None) -> Var:
-    """(N, N_prev) matrix of log r_t(x_i | x_prev_j)."""
-    if isinstance(model, mo.DiscreteHmm):
-        idx = x.data[:, 0].astype(np.intp)
-        xp = x_prev.data[:, 0].astype(np.intp)
-        table = np.asarray((params or {}).get("trans_proposal", model.trans), dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            return ad.constant(np.log(table)[np.ix_(xp, idx)].T.copy())
-    return mo.gauss_logpdf_matrix(x, *mo.proposal_build_many(model, params, t, x_prev, y_t))
-
-
-# ---------------------------------------------------------------------------
 # Sequential Monte Carlo
 
 
@@ -413,14 +327,12 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     ys = ys_of(data)
     n, t_max = cfg.n_particles, ys.shape[0]
     draws = _RunDraws(make_backend(cfg.seed, backend), t_max)
-    discrete = isinstance(model, mo.DiscreteHmm)
-    if discrete and cfg.grad_mode != "none":
+    if isinstance(model, mo.DiscreteHmm) and cfg.grad_mode != "none":
         raise ValueError("discrete models support grad_mode='none' only")
     log_n = math.log(n)
 
     particles, log_weights, log_mean_weights, ancestors = [], [], [], []
     x = None
-    x_idx = None
     lse = None  # logsumexp of the previous step's log weights
 
     for t in range(1, t_max + 1):
@@ -434,27 +346,14 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         if anc is not None:
             ancestors.append(anc)
 
-        if discrete:
-            parent_idx = None if t == 1 else x_idx[anc]
-            idx, log_r = _discrete_draw(model, params, t, parent_idx, n, draws.backend)
-            inc_np = (
-                _hmm_log_f(model, t, idx, parent_idx)
-                + _hmm_log_g(model, idx, ys[t - 1])
-                - log_r
-            )
-            x, x_idx = ad.constant(idx[:, None].astype(np.float64)), idx
-            inc = ad.constant(inc_np)
-        else:
-            parent = None if t == 1 else ad.gather_rows(x, anc)
-            p_means, p_ls = mo.proposal_build_many(model, params, t, parent, ys[t - 1])
-            d = p_means.data.shape[1]
-            x = mo.gauss_rsample(p_means, p_ls, draws.normals(t, PROPOSAL, n * d).reshape(n, d))
-            f_means, f_ls = mo.transition_build_many(model, t, parent)
-            inc = (
-                mo.gauss_logpdf_rows(x, f_means, f_ls)
-                + mo.emission_logpdf_rows(model, t, x, ys[t - 1])
-                - mo.gauss_logpdf_rows(x, p_means, p_ls)
-            )
+        parent = None if t == 1 else ad.gather_rows(x, anc)
+        proposal = mo.proposal_build_many(model, params, t, parent, ys[t - 1])
+        x = proposal.draw(draws, t, n)
+        inc = (
+            mo.transition_build_many(model, t, parent).logpdf_rows(x)
+            + mo.emission_logpdf_rows(model, t, x, ys[t - 1])
+            - proposal.logpdf_rows(x)
+        )
 
         logw = inc if (cfg.resample or t == 1) else log_weights[-1] + inc
         _check_alive(logw, t)
@@ -489,20 +388,23 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         log v_t^i = logsumexp_j(log vbar_j + log f_ij) + log g_i
                   - logsumexp_j(log vbar_j + log r_ij)
 
-    Each logsumexp is one ``models.gauss_mixture_logpdf`` node, so the
-    (N, N) pair terms of a step never reach the tape as matrices.  The
-    node shifts them by a bound, the highest weighted component peak,
-    instead of by each row's maximum, and redoes a row that falls far below
-    that bound.  At N=1 the row kernel plus log vbar stands in, which keeps
-    the run bit-aligned with run_smc.  log vbar reuses the logsumexp node
-    of the previous step's log mean weight.  Discrete models use their
-    numpy tables.
+    Each logsumexp is the ``mixture_logpdf`` of the transition or the
+    proposal rows.  On continuous models that is one
+    ``models.gauss_mixture_logpdf`` node, so the (N, N) pair terms of a
+    step never reach the tape as matrices.  The node shifts them by a
+    bound, the highest weighted component peak, instead of by each row's
+    maximum, and redoes a row that falls far below that bound.  At N=1 the
+    row kernel plus log vbar stands in, which keeps the run bit-aligned
+    with run_smc.  log vbar reuses the logsumexp node of the previous
+    step's log mean weight.  The HMM's rows are tables: each logsumexp is
+    one over table entries, and a step draws its states from the marginal
+    row sum_j vbar_j r_t(. | x_{t-1}^j).
 
-    grad_mode picks the sampling estimator from t=2 on: "biased" draws the
-    component index with detached probabilities then reparameterizes within
-    it, "unbiased" draws the N particles of a step through one
-    mixture_implicit_rsample node so the mixture weights themselves carry
-    gradients; a proposal log-std that every particle shares enters that
+    On continuous models grad_mode picks the sampling estimator from t=2 on
+    (``models.GaussRows.draw_mixture``): "biased" draws the component index
+    with detached probabilities then reparameterizes within it, "unbiased"
+    draws the N particles of a step through one mixture_implicit_rsample
+    node so the mixture weights themselves carry gradients; a proposal log-std that every particle shares enters that
     node as one (1, d) row and gets a (1, d) cotangent.  Both read the same
     noise, so their forward values are bit-identical.  The t=1 proposal is
     one Gaussian, drawn by the reparameterized kernel in every mode.  Tail
@@ -512,63 +414,29 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     ys = ys_of(data)
     n, t_max = cfg.n_particles, ys.shape[0]
     draws = _RunDraws(make_backend(cfg.seed, backend), t_max)
-    discrete = isinstance(model, mo.DiscreteHmm)
-    if discrete and cfg.grad_mode != "none":
+    if isinstance(model, mo.DiscreteHmm) and cfg.grad_mode != "none":
         raise ValueError("discrete models support grad_mode='none' only")
     log_n = math.log(n)
     tail = TailCounter()
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
-    x_idx = None
     lse = None  # logsumexp of the previous step's log weights
 
     for t in range(1, t_max + 1):
-        if discrete:
-            if t == 1:
-                idx, log_r = _discrete_draw(model, params, 1, None, n, draws.backend)
-                logv_np = _hmm_log_f(model, 1, idx, None) + _hmm_log_g(model, idx, ys[0]) - log_r
-                x_new = ad.constant(idx[:, None].astype(np.float64))
-            else:
-                log_vbar = log_weights[-1].data - lse.data
-                idx, _ = _discrete_draw(
-                    model, params, t, x_idx, n, draws.backend, mix_weights=np.exp(log_vbar)
-                )
-                x_new = ad.constant(idx[:, None].astype(np.float64))
-                log_f = _log_f_matrix(model, t, x_new, x).data
-                log_r = _log_r_matrix(model, params, t, x_new, x).data
-                num = ad.np_logsumexp(log_vbar[None, :] + log_f, axis=1)
-                den = ad.np_logsumexp(log_vbar[None, :] + log_r, axis=1)
-                logv_np = num + _hmm_log_g(model, idx, ys[t - 1]) - den
-            x, x_idx, logv = x_new, idx, ad.constant(logv_np)
+        log_vbar = None if t == 1 else log_weights[-1] - lse
+        proposal = mo.proposal_build_many(model, params, t, x, ys[t - 1])
+        if t == 1:
+            x_new = proposal.draw(draws, 1, n)
+            log_g = mo.emission_logpdf_rows(model, 1, x_new, ys[0])
+            logv = mo.transition_build_many(model, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
         else:
-            if t > 1:
-                log_vbar = log_weights[-1] - lse
-            means, log_stds = mo.proposal_build_many(model, params, t, x, ys[t - 1])
-            d = means.data.shape[1]
-            eps = draws.normals(t, PROPOSAL, n * d).reshape(n, d)
-            if t == 1:
-                x_new = mo.gauss_rsample(means, log_stds, eps)
-            elif cfg.grad_mode == "unbiased":
-                mix = GaussianMixture(log_vbar, means, log_stds)
-                x_new = mixture_implicit_rsample(mix, draws.uniforms(t, ANCESTOR, n), eps, tail)
-            else:
-                anc = draws.choose_shared(t, ANCESTOR, n, np.exp(log_vbar.data))
-                x_new = mo.gauss_rsample(means, log_stds, eps, rows=anc)
-
+            x_new = proposal.draw_mixture(draws, t, n, log_vbar, cfg.grad_mode == "unbiased", tail)
             log_g = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1])
-            if t == 1:
-                f_means, f_ls = mo.transition_build_many(model, 1)
-                logv = (
-                    mo.gauss_logpdf_rows(x_new, f_means, f_ls)
-                    + log_g
-                    - mo.gauss_logpdf_rows(x_new, means, log_stds)
-                )
-            else:
-                num = _mixture_logpdf(x_new, log_vbar, *mo.transition_build_many(model, t, x))
-                den = _mixture_logpdf(x_new, log_vbar, means, log_stds)
-                logv = num + log_g - den
-            x = x_new
+            num = mo.transition_build_many(model, t, x).mixture_logpdf(x_new, log_vbar)
+            den = proposal.mixture_logpdf(x_new, log_vbar)
+            logv = num + log_g - den
+        x = x_new
 
         _check_alive(logv, t)
         particles.append(x)
@@ -623,50 +491,29 @@ def run_ipf(
     ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]
     draws = _RunDraws(make_backend(rng, backend), t_max)
-    discrete = isinstance(model, mo.DiscreteHmm)
     log_n, log_l = math.log(n), math.log(l_perms)
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
-    x_idx = None
 
     for t in range(1, t_max + 1):
-        if discrete:
-            idx, log_r_np = _discrete_draw(model, params, t, None, n, draws.backend, independent=True)
-            x_new = ad.constant(idx[:, None].astype(np.float64))
-            extra = ad.constant(_hmm_log_g(model, idx, ys[t - 1]) - log_r_np)
-        else:
-            means, log_stds = mo.proposal_build_many(model, params, t, None, ys[t - 1])
-            d = means.data.shape[1]
-            x_new = mo.gauss_rsample(means, log_stds, draws.normals(t, PROPOSAL, n * d).reshape(n, d))
-            extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - mo.gauss_logpdf_rows(
-                x_new, means, log_stds
-            )
-
+        proposal = mo.proposal_build_many(model, params, t, None, ys[t - 1])
+        x_new = proposal.draw(draws, t, n)
+        extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - proposal.logpdf_rows(x_new)
         if t == 1:
-            if discrete:
-                logu = ad.constant(_hmm_log_f(model, 1, idx, None)) + extra
-            else:
-                f_means, f_ls = mo.transition_build_many(model, 1)
-                logu = mo.gauss_logpdf_rows(x_new, f_means, f_ls) + extra
+            logu = mo.transition_build_many(model, 1).logpdf_rows(x_new) + extra
         else:
             base = _permutation(draws, t, n)
             terms = []
             for l in range(l_perms):
                 k_l = base[(np.arange(n) + l) % n]
-                if discrete:
-                    log_f_l = ad.constant(_hmm_log_f(model, t, idx, x_idx[k_l]))
-                else:
-                    f_means, f_ls = mo.transition_build_many(model, t, ad.gather_rows(x, k_l))
-                    log_f_l = mo.gauss_logpdf_rows(x_new, f_means, f_ls)
+                log_f_l = mo.transition_build_many(model, t, ad.gather_rows(x, k_l)).logpdf_rows(x_new)
                 terms.append(ad.gather_rows(log_weights[-1], k_l) + log_f_l)
             pooled = ad.logsumexp(ad.stack_rows(terms), axis=0) - log_l
             logu = pooled + extra
 
         _check_alive(logu, t)
         x = x_new
-        if discrete:
-            x_idx = idx
         particles.append(x)
         log_weights.append(logu)
         log_mean_weights.append(ad.logsumexp(logu) - log_n)
@@ -693,9 +540,10 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
         z_t^i = sum_j z_{t-1}^j f(x_t^i | x_{t-1}^j) g_i / (N r_t(x_t^i))
 
     Proposals must be state-independent.  There is no resampling, so a run
-    under an active tape is fully reparameterized.  On continuous models
-    the sum over j is one ``models.gauss_mixture_logpdf`` node with the
-    unnormalized log z_{t-1} as mixture weights.  Those can spread over
+    under an active tape is fully reparameterized.  The sum over j is the
+    transition rows' ``mixture_logpdf`` with the unnormalized log z_{t-1}
+    as mixture weights; on continuous models that is one
+    ``models.gauss_mixture_logpdf`` node.  Those can spread over
     hundreds of nats, so a particle near only low-weight parents can fall
     far below the node's shift bound, which the top weight sets; the node
     redoes such rows with their own maximum.
@@ -703,37 +551,19 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
     ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]
     draws = _RunDraws(make_backend(rng, backend), t_max)
-    discrete = isinstance(model, mo.DiscreteHmm)
     log_n = math.log(n)
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
 
     for t in range(1, t_max + 1):
-        if discrete:
-            idx, log_r_np = _discrete_draw(model, params, t, None, n, draws.backend, independent=True)
-            x_new = ad.constant(idx[:, None].astype(np.float64))
-            extra = ad.constant(_hmm_log_g(model, idx, ys[t - 1]) - log_r_np)
-            log_f1 = ad.constant(_hmm_log_f(model, 1, idx, None)) if t == 1 else None
-        else:
-            means, log_stds = mo.proposal_build_many(model, params, t, None, ys[t - 1])
-            d = means.data.shape[1]
-            x_new = mo.gauss_rsample(means, log_stds, draws.normals(t, PROPOSAL, n * d).reshape(n, d))
-            extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - mo.gauss_logpdf_rows(
-                x_new, means, log_stds
-            )
-            if t == 1:
-                f_means, f_ls = mo.transition_build_many(model, 1)
-                log_f1 = mo.gauss_logpdf_rows(x_new, f_means, f_ls)
-
+        proposal = mo.proposal_build_many(model, params, t, None, ys[t - 1])
+        x_new = proposal.draw(draws, t, n)
+        extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - proposal.logpdf_rows(x_new)
         if t == 1:
-            logz = log_f1 + extra
-        elif discrete:
-            log_f = _log_f_matrix(model, t, x_new, x)
-            logz = ad.logsumexp(log_weights[-1] + log_f, axis=1) - log_n + extra
+            logz = mo.transition_build_many(model, 1).logpdf_rows(x_new) + extra
         else:
-            f_means, f_ls = mo.transition_build_many(model, t, x)
-            logz = _mixture_logpdf(x_new, log_weights[-1], f_means, f_ls) - log_n + extra
+            logz = mo.transition_build_many(model, t, x).mixture_logpdf(x_new, log_weights[-1]) - log_n + extra
 
         _check_alive(logz, t)
         x = x_new
@@ -776,12 +606,9 @@ def mpf_tmc_identity_check(model, run: ParticleRun) -> float:
         x, xp = run.particles[t - 1], run.particles[t - 2]
         logv_prev = run.log_weights[t - 2].data
         log_vbar = logv_prev - ad.np_logsumexp(logv_prev)
-        log_f = _log_f_matrix(model, t, x, xp).data
-        log_r = _log_r_matrix(model, run.params, t, x, xp, run.ys[t - 1]).data
-        if isinstance(model, mo.DiscreteHmm):
-            log_g = _hmm_log_g(model, x.data[:, 0].astype(np.intp), run.ys[t - 1])
-        else:
-            log_g = mo.emission_logpdf_rows(model, t, x, run.ys[t - 1]).data
+        log_f = mo.transition_build_many(model, t, xp).logpdf_matrix(x).data
+        log_r = mo.proposal_build_many(model, run.params, t, xp, run.ys[t - 1]).logpdf_matrix(x).data
+        log_g = mo.emission_logpdf_rows(model, t, x, run.ys[t - 1]).data
         log_q = ad.np_logsumexp(log_vbar[None, :] + log_r, axis=1)
         line6 = ad.np_logsumexp(log_z[None, :] + log_f, axis=1) + log_g - log_n - log_q
         running += float(run.log_mean_weights[t - 2].data)

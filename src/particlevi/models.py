@@ -1,13 +1,28 @@
 """Model families, their proposals, exact oracles, and synthetic data.
 
-Three continuous state space models (linear Gaussian, stochastic
-volatility, deep Markov) plus a discrete HMM used as an enumeration
-oracle.  Each family exposes its transition, emission and proposal in one
-granularity, vectorized over particle rows: builders of Gaussian
-parameters and three density kernels.  The row kernel scores row i against
-row i; the all-pairs kernel scores every row against every component; the
-mixture kernel scores every row under a weighted mixture of the components,
-which is the all-pairs matrix reduced by a logsumexp over the components.
+Four families: three continuous state space models (linear Gaussian,
+stochastic volatility, deep Markov) and a finite HMM used as an
+enumeration oracle.  This module is the one seam between them and the
+filters.  Each family exposes its transition, emission and proposal in
+one granularity, vectorized over particle rows: ``transition_build_many``
+and ``proposal_build_many`` return a rows object with one row per
+previous particle, and ``emission_logpdf_rows`` scores particle rows.
+There are two rows types with the same methods, so the filters and the
+couplings never ask which family they hold:
+
+  GaussRows  (means, log-stds) of diagonal Gaussians, the continuous families
+  TableRows  (rows, K) categorical probabilities, the HMM
+
+Both score a row against row i (``logpdf_rows``), every row against every
+component (``logpdf_matrix``, for the MPF-TMC identity check) and every
+row under a weighted mixture of the components (``mixture_logpdf``), and
+both draw a step's particles from their rows (``draw``) or from the
+weighted mixture (``draw_mixture``).  HMM states are (N, 1) columns of
+state indices.
+
+For the Gaussians the row kernel scores row i against row i; the
+all-pairs kernel scores every row against every component; the mixture
+kernel is the all-pairs matrix reduced by a logsumexp over the components.
 That logsumexp is shifted by an analytic bound, the highest weighted peak
 of any component density, rather than by each row's maximum, so the pair
 buffer takes three passes: one matmul, an exp and a row sum.  The filters
@@ -15,8 +30,8 @@ call the kernels on N rows; the coupling combinators call the same
 functions on one-row arrays, so each Gaussian log-density has one
 implementation.
 
-Builders return Gaussian parameters as (rows, d) mean and log-std arrays.
-A log-std that every particle shares (the LGSSM and SV noise scales, the
+``GaussRows`` is a named tuple of (rows, d) mean and log-std arrays, so it
+unpacks as ``means, log_stds``.  A log-std that every particle shares (the LGSSM and SV noise scales, the
 LGSSM proposal's) stays one (1, d) row that broadcasts over the particles,
 so the pair work is a single (N, d) @ (d, M) matmul; the DMM heads give
 each row its own scale.  The implicit mixture draw of
@@ -37,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -44,8 +60,18 @@ from scipy.special import expit
 
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
-from particlevi.distributions import LOG_2PI, DiagGaussian, categorical_sample_many, gauss_product_fuse
+from particlevi.distributions import (
+    LOG_2PI,
+    DiagGaussian,
+    GaussianMixture,
+    categorical_sample_many,
+    gauss_product_fuse,
+    mixture_implicit_rsample,
+)
 from particlevi.rng import RngStream
+
+# sub-stream purposes within a time step
+ANCESTOR, PROPOSAL, PERM = 0, 1, 2
 
 LEAKY_SLOPE = 0.01
 # a mixture row whose bound-shifted total is below this is redone with its own maximum
@@ -589,31 +615,139 @@ def trisolve_rows(b: Var, u: Var) -> Var:
 
 
 # ---------------------------------------------------------------------------
+# rows: what the builders return
+
+
+class GaussRows(NamedTuple):
+    """Diagonal Gaussian rows: (rows, d) means and (rows, d) or shared (1, d) log-stds.
+
+    The draw methods of both rows types take ``draws``, a filter run's reads
+    (``filters._RunDraws``, or one lane of a coupling): a step's
+    ``normals``, ``uniforms``, ``choose_shared`` and ``choose_each`` at
+    offsets 0..count-1.
+    """
+
+    means: Var
+    log_stds: Var
+
+    def logpdf_rows(self, x) -> Var:
+        return gauss_logpdf_rows(x, self.means, self.log_stds)
+
+    def logpdf_matrix(self, x) -> Var:
+        return gauss_logpdf_matrix(x, self.means, self.log_stds)
+
+    def mixture_logpdf(self, x, log_w) -> Var:
+        """(N,) log sum_j exp(log_w_j) N(x_i; row j).
+
+        A single row goes through the row kernel plus its log-weight, so N=1
+        runs stay bit-aligned with the sequential filter.
+        """
+        if self.means.data.shape[0] == 1:
+            return log_w + gauss_logpdf_rows(x, self.means, self.log_stds)
+        return gauss_mixture_logpdf(x, log_w, self.means, self.log_stds)
+
+    def _normals(self, draws, t: int, n: int) -> np.ndarray:
+        d = self.means.data.shape[1]
+        return draws.normals(t, PROPOSAL, n * d).reshape(n, d)
+
+    def draw(self, draws, t: int, n: int) -> Var:
+        """n reparameterized draws of step t; every row is one draw's Gaussian, or one row serves all."""
+        return gauss_rsample(self.means, self.log_stds, self._normals(draws, t, n))
+
+    def draw_mixture(self, draws, t: int, n: int, log_w, implicit: bool, tail) -> Var:
+        """n draws from the mixture of the rows weighted by exp(log_w), normalized.
+
+        Both estimators read the same PROPOSAL normals and ANCESTOR uniforms.
+        implicit draws all n through one ``mixture_implicit_rsample`` node,
+        which counts its tail draws in tail; otherwise the component index is
+        picked with detached probabilities and the draw reparameterized
+        within it.
+        """
+        eps = self._normals(draws, t, n)
+        if implicit:
+            mix = GaussianMixture(log_w, self.means, self.log_stds)
+            return mixture_implicit_rsample(mix, draws.uniforms(t, ANCESTOR, n), eps, tail)
+        anc = draws.choose_shared(t, ANCESTOR, n, np.exp(log_w.data))
+        return gauss_rsample(self.means, self.log_stds, eps, rows=anc)
+
+
+def _state_index(x) -> np.ndarray:
+    """The (N,) state indices of a finite model's (N, 1) state column."""
+    return ad.constant(x).data[:, 0].astype(np.intp)
+
+
+class TableRows:
+    """Categorical rows of a finite model: (rows, K) probabilities over K states.
+
+    States are (N, 1) columns of indices, as float constants; one row may
+    serve every particle.  The methods mirror ``GaussRows`` and return
+    constants: the finite models carry no gradient.
+    """
+
+    __slots__ = ("probs",)
+
+    def __init__(self, probs):
+        self.probs = np.asarray(probs, dtype=np.float64)
+
+    def logpdf_rows(self, x) -> Var:
+        idx = _state_index(x)
+        rows = np.arange(idx.size) if self.probs.shape[0] > 1 else 0
+        with np.errstate(divide="ignore"):
+            return ad.constant(np.log(self.probs[rows, idx]))
+
+    def logpdf_matrix(self, x) -> Var:
+        """(N, rows) log-probabilities of each state under each row."""
+        with np.errstate(divide="ignore"):
+            return ad.constant(np.ascontiguousarray(np.log(self.probs[:, _state_index(x)]).T))
+
+    def mixture_logpdf(self, x, log_w) -> Var:
+        terms = ad.constant(log_w).data[None, :] + self.logpdf_matrix(x).data
+        return ad.constant(ad.np_logsumexp(terms, axis=1))
+
+    def draw(self, draws, t: int, n: int) -> Var:
+        """n PROPOSAL choices of step t: from the one row, or one from each row."""
+        if self.probs.shape[0] == 1:
+            idx = draws.choose_shared(t, PROPOSAL, n, self.probs[0])
+        else:
+            idx = np.asarray(draws.choose_each(t, PROPOSAL, list(self.probs)), dtype=np.intp)
+        return ad.constant(idx[:, None].astype(np.float64))
+
+    def draw_mixture(self, draws, t: int, n: int, log_w, implicit: bool, tail) -> Var:
+        """n PROPOSAL choices from the marginal row exp(log_w) @ probs."""
+        marginal = np.exp(ad.constant(log_w).data) @ self.probs
+        return TableRows(marginal[None, :]).draw(draws, t, n)
+
+
+# ---------------------------------------------------------------------------
 # transition / emission / proposal, per family
 
 
-def transition_build_many(model, t: int, x_prev=None) -> tuple:
-    """Mean and log-std rows of f(. | x_prev_j) for each previous particle.
+def transition_build_many(model, t: int, x_prev=None):
+    """Rows of f(. | x_prev_j), one per previous particle.
 
     t is 1-based; t=1 ignores x_prev and returns a single row (the prior).
-    The log-std may be one (1, d) row shared by every particle (LGSSM, SV).
+    The continuous families return ``GaussRows``, whose log-std may be one
+    (1, d) row shared by every particle (LGSSM, SV); the HMM returns
+    ``TableRows``.
     """
     if isinstance(model, Lgssm):
         if t == 1:
-            return ad.constant(np.zeros((1, model.dx))), ad.constant(np.zeros((1, model.dx)))
+            return GaussRows(ad.constant(np.zeros((1, model.dx))), ad.constant(np.zeros((1, model.dx))))
         means = ad.constant(x_prev) @ ad.constant(model.a.T)
-        return means, ad.constant(0.5 * np.log(model.q_diag)[None, :])
+        return GaussRows(means, ad.constant(0.5 * np.log(model.q_diag)[None, :]))
     if isinstance(model, StochVol):
         mu, ls = ad.constant(model.mu), ad.constant(model.log_q_std)
         if t == 1:
-            return ad.reshape(mu, (1, model.dim)), ad.reshape(ls, (1, model.dim))
+            return GaussRows(ad.reshape(mu, (1, model.dim)), ad.reshape(ls, (1, model.dim)))
         phi = ad.sigmoid(ad.constant(model.phi_logit))
         means = mu + phi * (ad.constant(x_prev) - mu)
-        return means, ad.reshape(ls, (1, model.dim))
+        return GaussRows(means, ad.reshape(ls, (1, model.dim)))
     if isinstance(model, Dmm):
         if t == 1:
             x_prev = ad.constant(np.zeros((1, model.dx)))
-        return mlp_two_head(model.params, "trans", ad.constant(x_prev))
+        return GaussRows(*mlp_two_head(model.params, "trans", ad.constant(x_prev)))
+    if isinstance(model, DiscreteHmm):
+        return TableRows(model.pi0[None, :] if t == 1 else model.trans[_state_index(x_prev)])
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 
@@ -633,23 +767,39 @@ def emission_logpdf_rows(model, t: int, x, y_t) -> Var:
         return -0.5 * model.dim * LOG_2PI - log_det_b - half_trace - 0.5 * (z * z).sum(axis=1)
     if isinstance(model, Dmm):
         return bernoulli_logpmf_rows(mlp_single(model.params, "emis_h", "emis_out", x), y_t)
+    if isinstance(model, DiscreteHmm):
+        with np.errstate(divide="ignore"):
+            return ad.constant(np.log(model.emis[_state_index(x), int(y_t[0])]))
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 
-def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> tuple:
-    """Proposal mean and log-std rows r_t(. | x_prev_j); single row at t=1.
+def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None):
+    """Proposal rows r_t(. | x_prev_j), one per previous particle; single row at t=1.
 
     LGSSM proposals are the free-form Gaussians of the experiments; SV and
     DMM proposals fuse the transition density with a learned Gaussian
     factor, which keeps every family inside the diagonal-Gaussian class.
     The log-std may be one (1, d) row shared by every particle (LGSSM, SV).
+    x_prev=None at t > 1 asks for the state-independent form, which the
+    LGSSM and the HMM have.  HMM proposals default to the model's own
+    tables (bootstrap) and to the uniform row when state-independent;
+    params may override them with init_proposal, trans_proposal and
+    indep_proposal tables.
     """
     if isinstance(model, Lgssm):
         ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
         if t == 1 or x_prev is None:
-            # x_prev=None asks for the state-independent form (beta unused)
-            return ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1])), ls_t
-        return lgssm_proposal_mean(params["mu"], params["beta"], x_prev, model.a, t), ls_t
+            # beta is unused in the state-independent form
+            return GaussRows(ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1])), ls_t)
+        return GaussRows(lgssm_proposal_mean(params["mu"], params["beta"], x_prev, model.a, t), ls_t)
+    if isinstance(model, DiscreteHmm):
+        params = params or {}
+        if t == 1:
+            return TableRows(np.asarray(params.get("init_proposal", model.pi0))[None, :])
+        if x_prev is None:
+            k = model.n_states
+            return TableRows(np.asarray(params.get("indep_proposal", np.full(k, 1.0 / k)))[None, :])
+        return TableRows(np.asarray(params.get("trans_proposal", model.trans))[_state_index(x_prev)])
     if t > 1 and x_prev is None:
         raise ValueError(
             f"{type(model).__name__} proposals condition on the previous state; "
@@ -660,14 +810,14 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None) -> t
         mu_t = ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1]))
         ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
         fused = gauss_product_fuse(DiagGaussian(f_mean, f_ls), DiagGaussian(mu_t, ls_t))
-        return fused.mean, fused.log_std
+        return GaussRows(fused.mean, fused.log_std)
     if isinstance(model, Dmm):
         if t == 1:
             x_prev = np.zeros((1, model.dx))
         x_mean, x_ls = mlp_two_head(params, "x", ad.constant(x_prev))
         y_mean, y_ls = mlp_two_head(params, "y", np.asarray(y_t, dtype=np.float64)[None, :])
         fused = gauss_product_fuse(DiagGaussian(x_mean, x_ls), DiagGaussian(y_mean, y_ls))
-        return fused.mean, fused.log_std
+        return GaussRows(fused.mean, fused.log_std)
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 

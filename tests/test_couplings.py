@@ -12,6 +12,12 @@ from particlevi import models as mo
 from particlevi.rng import RngStream
 
 
+def _hmm_idx(value) -> int:
+    """The state index of a finite model's coupling value, an array or a Var."""
+    data = value.data if isinstance(value, ad.Var) else np.asarray(value)
+    return int(data.reshape(-1)[0])
+
+
 def table_proposal(row: np.ndarray, t: int = 1) -> cp.StepProposal:
     """Finite-support proposal shared by every parent."""
     row = np.asarray(row, dtype=np.float64)
@@ -21,14 +27,14 @@ def table_proposal(row: np.ndarray, t: int = 1) -> cp.StepProposal:
 
     def logpdf(x_prev, x):
         with np.errstate(divide="ignore"):
-            return float(np.log(row[cp._hmm_idx(x)]))
+            return float(np.log(row[_hmm_idx(x)]))
 
     return cp.StepProposal(sample, logpdf)
 
 
 def table_density(gamma: np.ndarray):
     gamma = np.asarray(gamma, dtype=np.float64)
-    return lambda x: float(np.log(gamma[cp._hmm_idx(x)]))
+    return lambda x: float(np.log(gamma[_hmm_idx(x)]))
 
 
 def moments(pair) -> tuple:
@@ -48,7 +54,7 @@ def atom_expectations(pair) -> dict:
     for d, prob, _ in fl.enumerate_paths(lambda be: pair.draw(be)):
         r = math.exp(float(d.log_r.data))
         for value, lw in d.coupling.atoms:
-            key = tuple(cp._hmm_idx(v) for v in cp.trajectory_of(value))
+            key = tuple(_hmm_idx(v) for v in cp.trajectory_of(value))
             out[key] = out.get(key, 0.0) + prob * r * math.exp(lw)
     return out
 
@@ -146,7 +152,7 @@ def two_state_chain(gamma1, trans, emit2, proposal_row, drop_old):
 
     def evaluator(old, new):
         with np.errstate(divide="ignore"):
-            return float(np.log(trans[cp._hmm_idx(cp._last_state(old)), cp._hmm_idx(new)] * emit2[cp._hmm_idx(new)]))
+            return float(np.log(trans[_hmm_idx(cp._last_state(old)), _hmm_idx(new)] * emit2[_hmm_idx(new)]))
 
     base = cp.basic_pair(table_density(gamma1), table_proposal([0.5, 0.5]))
     tr = cp.TargetRatio(evaluator, table_proposal(proposal_row, t=2), drop_old=drop_old, t=2)
@@ -159,7 +165,7 @@ class TestExtendTarget:
         base, tr = two_state_chain([0.3, 0.9], np.outer(np.ones(2), h), [1.0, 1.0], h, drop_old=False)
         ext = cp.extend_target(base, tr)
         for d, _, _ in fl.enumerate_paths(lambda be: ext.draw(be)):
-            first = cp._hmm_idx(cp.trajectory_of(d.coupling.atoms[0][0])[0])
+            first = _hmm_idx(cp.trajectory_of(d.coupling.atoms[0][0])[0])
             base_log_r = math.log(np.asarray([0.3, 0.9])[first] / 0.5)
             assert abs(float(d.log_r.data) - base_log_r) < 1e-12
 

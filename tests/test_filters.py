@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import particlevi.autodiff as ad
+from particlevi import couplings as cp
 from particlevi import distributions
 from particlevi import filters as fl
 from particlevi import models as mo
@@ -20,6 +21,21 @@ def lgssm_setup(t_max=5, seed=7, dx=1, dy=1):
 
 def norm_logpdf(x, mean, var):
     return -0.5 * math.log(2 * math.pi * var) - (x - mean) ** 2 / (2 * var)
+
+
+def hmm_tables():
+    """A three-state HMM and proposal tables that differ from its own tables."""
+    h = mo.DiscreteHmm(
+        np.asarray([0.5, 0.3, 0.2]),
+        np.asarray([[0.7, 0.2, 0.1], [0.15, 0.7, 0.15], [0.2, 0.2, 0.6]]),
+        np.asarray([[0.8, 0.2], [0.4, 0.6], [0.1, 0.9]]),
+    )
+    params = {
+        "init_proposal": np.asarray([0.3, 0.3, 0.4]),
+        "trans_proposal": np.asarray([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]]),
+        "indep_proposal": np.asarray([0.25, 0.35, 0.4]),
+    }
+    return h, params
 
 
 class TestConfig:
@@ -187,6 +203,16 @@ class TestMpf:
                 run = fl.run_mpf(model, params, data, fl.FilterConfig(4, seed=seed))
                 assert fl.mpf_tmc_identity_check(model, run) < 1e-9
 
+    def test_hmm_identity_reads_the_proposal_table(self):
+        """The check's log r matrix comes from trans_proposal, as the run's draws did."""
+        h, params = hmm_tables()
+        data = mo.generate(h, 6, RngStream(13))
+        for seed in (1, 2, 3):
+            run = fl.run_mpf(h, params, data, fl.FilterConfig(4, seed=seed))
+            assert fl.mpf_tmc_identity_check(h, run) < 1e-9
+            run.params = {"init_proposal": params["init_proposal"]}  # r_t falls back to model.trans
+            assert fl.mpf_tmc_identity_check(h, run) > 1e-3
+
     def test_identity_check_rejects_other_kinds(self):
         m, ds, params = lgssm_setup()
         run = fl.run_smc(m, params, ds, fl.FilterConfig(2, seed=1))
@@ -268,6 +294,49 @@ class TestMpf:
             var_mpf = m2 / mass - e_mpf**2
             assert abs(e_smc - e_mpf) < 1e-12
             assert var_mpf <= var_smc + 1e-15
+
+
+HMM_TABLE_RUNS = {
+    "smc": lambda h, p, ys, be: fl.run_smc(h, p, ys, fl.FilterConfig(2), backend=be).log_evidence,
+    "smc-no-resampling": lambda h, p, ys, be: fl.run_smc(
+        h, p, ys, fl.FilterConfig(2, resample=False), backend=be).log_evidence,
+    "mpf": lambda h, p, ys, be: fl.run_mpf(h, p, ys, fl.FilterConfig(2), backend=be).log_evidence,
+    "tmc": lambda h, p, ys, be: fl.run_tmc(h, p, ys, 2, backend=be).log_evidence,
+    "ipf-l1": lambda h, p, ys, be: fl.run_ipf(h, p, ys, 2, 1, backend=be).log_evidence,
+    "ipf-l2": lambda h, p, ys, be: fl.run_ipf(h, p, ys, 2, 2, backend=be).log_evidence,
+    "derive-mpf": lambda h, p, ys, be: cp.derive_mpf(h, p, ys, 2).draw(be).log_r,
+}
+
+
+class TestHmmProposalTables:
+    """init_proposal, trans_proposal and indep_proposal replace the bootstrap and uniform rows."""
+
+    @pytest.mark.parametrize("kind", sorted(HMM_TABLE_RUNS))
+    def test_enumeration_unbiased(self, kind):
+        h, params = hmm_tables()
+        symbols = [1, 0]
+        ys = np.asarray(symbols, dtype=np.float64)[:, None]
+        truth = math.exp(mo.hmm_forward(h, symbols))
+
+        def phat(backend):
+            return math.exp(float(HMM_TABLE_RUNS[kind](h, params, ys, backend).data))
+
+        assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
+
+    def test_tables_set_the_branch_probabilities(self):
+        """Each choice point offers the overriding table's row."""
+        h, params = hmm_tables()
+        ys = np.zeros((2, 1))
+        expected = {
+            "smc": [params["init_proposal"]] * 2 + [params["trans_proposal"][0]] * 2,
+            "tmc": [params["init_proposal"]] * 2 + [params["indep_proposal"]] * 2,
+        }
+        for kind, rows in expected.items():
+            backend = fl.ScriptBackend([])
+            HMM_TABLE_RUNS[kind](h, params, ys, backend)
+            offered = [p for _, p in backend.trace if p.shape == (3,)]
+            assert all(np.array_equal(a, b) for a, b in zip(offered, rows)), kind
+            assert len(offered) == len(rows)
 
 
 class TestIpf:
@@ -485,14 +554,16 @@ class CountingBackend(fl.RandomBackend):
 
 
 def seam_cases():
-    """(model, params, data) on LGSSM (d=2, T=4) and the DMM (T=4)."""
+    """(model, params, data) on LGSSM (d=2, T=4), the DMM (T=4) and the HMM (T=5)."""
     m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
     params = mo.proposal_init(m, 4)
     params["beta"][:] = 0.7
     dmm = mo.dmm_make(2, 3, 8, RngStream(4))
+    h, tables = hmm_tables()
     return {
         "lgssm": (m, params, mo.generate(m, 4, RngStream(7))),
         "dmm": (dmm, mo.proposal_init(dmm, 4, RngStream(5)), mo.generate(dmm, 4, RngStream(12))),
+        "hmm": (h, tables, mo.generate(h, 5, RngStream(13))),
     }
 
 
@@ -509,23 +580,36 @@ SEAM_RUNS = {
     "ipf": lambda m, p, ds, be: fl.run_ipf(m, p, ds, 4, 2, backend=be),
 }
 
+# the HMM runs with grad_mode='none' only
+HMM_SEAM_RUNS = {
+    "smc-none": lambda m, p, ds, be: fl.run_smc(m, p, ds, fl.FilterConfig(4), backend=be),
+    "smc-no-resampling-none": lambda m, p, ds, be: fl.run_smc(
+        m, p, ds, fl.FilterConfig(4, resample=False), backend=be),
+    **{kind: SEAM_RUNS[kind] for kind in ("mpf-none", "tmc", "ipf")},
+}
+
 
 class TestRunLevelReads:
     """A run reads each purpose once for all its steps, as step-by-step reads would."""
 
-    @pytest.mark.parametrize("family", ["lgssm", "dmm"])
-    @pytest.mark.parametrize("kind", sorted(SEAM_RUNS))
+    @pytest.mark.parametrize(
+        "kind,family",
+        [(kind, family) for family in ("lgssm", "dmm") for kind in sorted(SEAM_RUNS)]
+        + [(kind, "hmm") for kind in sorted(HMM_SEAM_RUNS)],
+    )
     def test_one_step_backend_gives_the_same_run(self, family, kind):
         """Particles, weights and gradients are bit-identical under both backends.
 
         tmc and ipf need state-independent proposals, which the DMM has only
-        at t=1, so on the DMM they run one step.
+        at t=1, so on the DMM they run one step.  The HMM has no gradient.
         """
         model, p0, data = seam_cases()[family]
         if family == "dmm" and kind in ("tmc", "ipf"):
             data = data.ys[:1]
 
         def run(backend):
+            if family == "hmm":
+                return HMM_SEAM_RUNS[kind](model, p0, data, backend), []
             with ad.Tape():
                 p = {k: ad.leaf(v) for k, v in p0.items()}
                 out = SEAM_RUNS[kind](model, p, data, backend)
@@ -560,6 +644,20 @@ class TestRunLevelReads:
             SEAM_RUNS[kind](model, p, data, backend)
         kinds = {fl.PROPOSAL: "run_normals", fl.ANCESTOR: "run_uniforms", fl.PERM: "run_uniforms"}
         assert sorted(backend.reads) == sorted((kinds[q], q) for q in purposes)
+
+    @pytest.mark.parametrize("kind,purposes", [
+        ("smc-none", {fl.PROPOSAL, fl.ANCESTOR}),
+        ("smc-no-resampling-none", {fl.PROPOSAL}),
+        ("mpf-none", {fl.PROPOSAL}),
+        ("tmc", {fl.PROPOSAL}),
+        ("ipf", {fl.PROPOSAL, fl.PERM}),
+    ])
+    def test_hmm_one_read_per_purpose(self, kind, purposes):
+        """The HMM's choices, one per particle row included, read uniforms once per purpose."""
+        model, params, data = seam_cases()["hmm"]
+        backend = CountingBackend(RngStream(3))
+        HMM_SEAM_RUNS[kind](model, params, data, backend)
+        assert sorted(backend.reads) == sorted(("run_uniforms", q) for q in purposes)
 
     def test_run_reads_equal_step_reads(self):
         backend = fl.RandomBackend(RngStream(9))
