@@ -190,6 +190,16 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if fix_beta and model_kind != "lgssm":
         raise CliError(f"{path}: objective.fix_beta applies to the lgssm proposal only")
 
+    clip = values.get("train.clip")
+    if clip is not None and not clip > 0:
+        raise CliError(f"{path}: train.clip must be > 0 (omit it for no clipping)")
+    probe_every = values.get("train.probe_every", 0)
+    if probe_every < 0:
+        raise CliError(f"{path}: train.probe_every must be >= 0 (0 turns probing off)")
+    probe_samples = values.get("train.probe_samples", 8)
+    if probe_samples < 2:
+        raise CliError(f"{path}: train.probe_samples must be >= 2 (a variance needs two)")
+
     seed = values.get("run.seed", 0)
     if seed_override is not None:
         seed = int(seed_override)
@@ -202,9 +212,9 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         learn_theta=values.get("objective.learn_theta", False),
         fix_beta=fix_beta,
         schedule=values.get("train.schedule", ()),
-        clip=values.get("train.clip"),
-        probe_every=values.get("train.probe_every", 0),
-        probe_samples=values.get("train.probe_samples", 8),
+        clip=clip,
+        probe_every=probe_every,
+        probe_samples=probe_samples,
         seed=seed,
     )
 
@@ -385,14 +395,14 @@ def _suite_unbiasedness():
         return fl.enumerate_expectation(lambda be: math.exp(float(run_fn(be).log_evidence.data)))
 
     for n in (2, 3):
-        val = expectation(lambda be: fl.run_smc(h, None, ys, fl.FilterConfig(n), backend=be))
+        val = expectation(lambda be: fl.run_smc(h, None, ys, n, be))
         checks.append((f"smc-n{n}", abs(val - truth), 1e-12))
-        val = expectation(lambda be: fl.run_mpf(h, None, ys, fl.FilterConfig(n), backend=be))
+        val = expectation(lambda be: fl.run_mpf(h, None, ys, n, be))
         checks.append((f"mpf-n{n}", abs(val - truth), 1e-12))
-        val = expectation(lambda be: fl.run_tmc(h, None, ys, n, backend=be))
+        val = expectation(lambda be: fl.run_tmc(h, None, ys, n, be))
         checks.append((f"tmc-n{n}", abs(val - truth), 1e-12))
         for l_perms in (1, 2):
-            val = expectation(lambda be: fl.run_ipf(h, None, ys, n, l_perms, backend=be))
+            val = expectation(lambda be: fl.run_ipf(h, None, ys, n, l_perms, be))
             checks.append((f"ipf-n{n}-l{l_perms}", abs(val - truth), 1e-12))
     return checks
 
@@ -413,7 +423,7 @@ def _suite_identity():
     for name, model, params, data in _verify_cases():
         worst = 0.0
         for seed in range(1, 21):
-            run = fl.run_mpf(model, params, data, fl.FilterConfig(4, seed=seed))
+            run = fl.run_mpf(model, params, data, 4, seed)
             worst = max(worst, fl.mpf_tmc_identity_check(model, run))
         checks.append((f"mpf-tmc-{name}", worst, 1e-9))
     return checks
@@ -655,8 +665,8 @@ def cmd_bench(model_kind: str, n_list, reps: int, t_max: int, out: Path | None =
     params = mo.proposal_init(model, t_max, rng.split(3))
 
     runners = {
-        "smc": lambda n, seed: fl.run_smc(model, params, data, fl.FilterConfig(n, seed=seed)),
-        "mpf": lambda n, seed: fl.run_mpf(model, params, data, fl.FilterConfig(n, seed=seed)),
+        "smc": lambda n, seed: fl.run_smc(model, params, data, n, seed),
+        "mpf": lambda n, seed: fl.run_mpf(model, params, data, n, seed),
     }
     # interleave every (algo, n) cell within each rep so slow machine drift
     # lands evenly across cells instead of bending the fitted curve
@@ -792,7 +802,10 @@ def _svg_plot(path: Path, series, title: str, xlabel: str, ylabel: str,
 
 
 def _read_csv_columns(path: Path) -> dict:
-    text = Path(path).read_text().strip()
+    try:
+        text = Path(path).read_text().strip()
+    except FileNotFoundError:
+        raise CliError(f"table not found: {path}") from None
     if not text:
         return {}
     lines = text.splitlines()
@@ -808,29 +821,41 @@ def _read_csv_columns(path: Path) -> dict:
 
 
 def _floats(cells) -> np.ndarray:
-    return np.asarray([float(c) if c else math.nan for c in cells])
+    try:
+        return np.asarray([float(c) if c else math.nan for c in cells])
+    except ValueError as exc:
+        raise CliError(f"plot table: {exc}") from None
+
+
+_PLOT_COLUMNS = {
+    "training": ("iter", "objective"),
+    "variance": ("iter", "grad_var"),
+    "sweep": ("objective", "n", "bound", "kalman"),
+}
 
 
 def cmd_plot(kind: str, table: Path, out: Path, reference: float | None = None) -> int:
+    if kind not in _PLOT_COLUMNS:
+        raise CliError(f"unknown plot kind {kind!r}; pick training, variance, or sweep")
     cols = _read_csv_columns(table)
-    stem = Path(table).stem
-    path = out / f"plot_{kind}_{stem}.svg"
+    missing = [name for name in _PLOT_COLUMNS[kind] if cols and name not in cols]
+    if missing:
+        raise CliError(f"{table}: a {kind} plot needs the columns {missing}")
+    path = out / f"plot_{kind}_{Path(table).stem}.svg"
+    series = []
     if kind == "training":
-        series = []
         if cols:
             series.append(("objective", _floats(cols["iter"]), _floats(cols["objective"])))
         _svg_plot(path, series, "bound vs iteration", "iteration", "objective",
                   hline=reference, hline_label="reference" if reference is not None else "")
     elif kind == "variance":
-        series = []
         if cols:
             it, gv = _floats(cols["iter"]), _floats(cols["grad_var"])
             keep = np.isfinite(gv)
             series.append(("grad variance", it[keep], gv[keep]))
         _svg_plot(path, series, "gradient variance vs iteration", "iteration",
                   "per-coordinate variance", log_y=True)
-    elif kind == "sweep":
-        series = []
+    else:
         hline = reference
         if cols:
             kinds = sorted(set(cols["objective"]))
@@ -845,8 +870,6 @@ def cmd_plot(kind: str, table: Path, out: Path, reference: float | None = None) 
                 hline = float(np.nanmean(kal))
         _svg_plot(path, series, "final bound vs N", "particles N", "bound",
                   hline=hline, hline_label="kalman" if hline is not None else "")
-    else:
-        raise CliError(f"unknown plot kind {kind!r}; pick training, variance, or sweep")
     return 0
 
 

@@ -34,7 +34,6 @@ import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import models as mo
 from particlevi.filters import ANCESTOR, make_backend, ys_of
-from particlevi.rng import RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +112,10 @@ class CouplingPair:
     description: str
 
     def draw(self, source) -> DrawResult:
-        """source: a root RngStream, an integer seed, or a draw backend."""
-        seeded = isinstance(source, (RngStream, int, np.integer))
-        backend = make_backend(source) if seeded else source
+        """One realization from source, which ``filters.make_backend`` takes:
+        a seed, a root RngStream, or a draw backend.  Against the stream a
+        filter run reads, the derived pairs draw what that run draws."""
+        backend = make_backend(source)
         return self.nu_part(backend, self.omega_part(backend), 0)
 
 

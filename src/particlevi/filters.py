@@ -2,8 +2,11 @@
 
 Weights live in log space end to end; normalized weights are materialized
 only as exp(log w - logsumexp) at the categorical sampling boundary, which
-is also where the gradient path is cut in biased mode.  Resampling is
-multinomial inverse-CDF only.
+is also where the gradient path is cut (bar MPF's ``implicit`` draw).
+Resampling is multinomial inverse-CDF only.  The filters share one
+signature; two switches tell the paper's bounds apart: ``run_smc``'s
+``resample`` (vsmc, or iwvi) and ``run_mpf``'s ``implicit`` (vmpf-ug, or
+vmpf-bg).
 
 Each filter has one body for every model family.  It asks the model's
 builders for rows (``models.GaussRows`` for the continuous families,
@@ -13,16 +16,17 @@ methods, so only the ``models`` module decides what a family is.
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
 same noise can be replayed under a different estimator, and runs on finite
-models can be enumerated exhaustively instead of sampled.  A backend may
-also serve one purpose for every step of a run in one read (RandomBackend
-does); a run then reads each purpose it uses once, and gets the same values
-as step-by-step reads.
+models can be enumerated exhaustively instead of sampled.  A filter's
+``source`` is a seed, an ``RngStream`` or a backend with ``uniforms``,
+``normals`` and ``choose_one``.  A backend may also serve one purpose for
+every step of a run in one read (RandomBackend does); a run then reads
+each purpose it uses once, and gets the same values as step-by-step reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +36,6 @@ from particlevi import models as mo
 from particlevi.distributions import TailCounter, categorical_sample_many
 from particlevi.models import ANCESTOR, PERM, PROPOSAL  # noqa: F401  (re-exported)
 from particlevi.rng import RngStream
-
-_GRAD_MODES = ("none", "biased", "unbiased")
-
 
 class DegeneracyError(RuntimeError):
     """Every particle weight vanished at one step; the estimate is meaningless."""
@@ -74,11 +75,6 @@ class RandomBackend:
     def normals(self, t: int, purpose: int, offsets) -> np.ndarray:
         return self.rng.split(t, purpose).normals_at(np.asarray(offsets))
 
-    def choose_shared(self, t: int, purpose: int, n: int, probs: np.ndarray) -> np.ndarray:
-        """n inverse-CDF draws from one probability vector, offsets 0..n-1."""
-        us = self.uniforms(t, purpose, np.arange(n))
-        return categorical_sample_many(probs, us)
-
     def choose_one(self, t: int, purpose: int, offset: int, probs: np.ndarray) -> int:
         u = self.uniforms(t, purpose, np.asarray([offset]))[0]
         return int(categorical_sample_many(probs, np.asarray([u]))[0])
@@ -101,7 +97,7 @@ class _RunDraws:
     always asked for the same count within a run.  ``choose_shared`` and
     ``choose_each`` (IPF's swaps, the HMM's per-particle rows) pick by
     inverse CDF from those draws, or ask a backend without run-level reads
-    to choose.
+    to choose at each offset with ``choose_one``.
     """
 
     __slots__ = ("backend", "t_max", "blocks")
@@ -127,8 +123,9 @@ class _RunDraws:
         return self._read("normals", t, purpose, count)
 
     def choose_shared(self, t: int, purpose: int, n: int, probs: np.ndarray) -> np.ndarray:
+        """n inverse-CDF choices from one probability vector, offsets 0..n-1."""
         if self.blocks is None:
-            return self.backend.choose_shared(t, purpose, n, probs)
+            return np.asarray(self.choose_each(t, purpose, [probs] * n), dtype=np.intp)
         return categorical_sample_many(probs, self.uniforms(t, purpose, n))
 
     def choose_each(self, t: int, purpose: int, rows: list) -> list:
@@ -173,9 +170,6 @@ class ScriptBackend:
         self._pos += 1
         return k
 
-    def choose_shared(self, t, purpose, n, probs):
-        return np.asarray([self._choose(probs) for _ in range(n)], dtype=np.intp)
-
     def choose_one(self, t, purpose, offset, probs):
         return self._choose(probs)
 
@@ -219,21 +213,7 @@ def enumerate_expectation(run_fn, cap: int = 1_000_000) -> float:
 
 
 # ---------------------------------------------------------------------------
-# configuration and run record
-
-
-@dataclass
-class FilterConfig:
-    n_particles: int
-    grad_mode: str = "none"
-    seed: int = 0
-    resample: bool = True  # False: ancestors i->i, cumulative weights
-
-    def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.grad_mode not in _GRAD_MODES:
-            raise ValueError(f"grad_mode must be one of {_GRAD_MODES}")
+# run record
 
 
 @dataclass
@@ -243,19 +223,24 @@ class ParticleRun:
     log_weights holds the per-step quantity native to the algorithm: the
     increment w_t / v_t for the resampling filters, the running product
     u_t / z_t for the cumulative ones (flagged by ``cumulative``).  Either
-    way log_mean_weights[t] = logsumexp(log_weights[t]) - log N.
+    way log_mean_weights[t] = logsumexp(log_weights[t]) - log N, and
+    log_evidence is the last of them (cumulative) or their sum.
     """
 
     kind: str
     particles: list
     log_weights: list
     log_mean_weights: list
-    log_evidence: Var
     cumulative: bool
     ancestors: list | None = None
     params: object = None
     ys: np.ndarray | None = None
     tail: TailCounter | None = None
+    log_evidence: Var = field(init=False)
+
+    def __post_init__(self):
+        lmw = self.log_mean_weights
+        self.log_evidence = lmw[-1] if self.cumulative else sum(lmw[1:], lmw[0])
 
     @property
     def tail_failures(self) -> int:
@@ -288,48 +273,44 @@ def _check_alive(logw: Var, t: int):
         raise DegeneracyError(t)
 
 
-def _evidence(log_mean_weights: list, cumulative: bool) -> Var:
-    if cumulative:
-        return log_mean_weights[-1]
-    total = log_mean_weights[0]
-    for v in log_mean_weights[1:]:
-        total = total + v
-    return total
+def make_backend(source):
+    """The one seed/stream -> backend step: a seed or an ``RngStream`` gives a
+    ``RandomBackend`` on that root stream, a backend is returned as it is."""
+    if isinstance(source, RngStream):
+        return RandomBackend(source)
+    if isinstance(source, (int, np.integer)):
+        return RandomBackend(RngStream(int(source)))
+    if not hasattr(source, "normals"):
+        raise TypeError(f"source must be a seed, an RngStream or a draw backend, got {source!r}")
+    return source
 
 
-def make_backend(rng=None, backend=None):
-    """``backend`` if given, else random draws from ``rng`` (RngStream or seed)."""
-    if backend is not None:
-        return backend
-    if rng is None:
-        raise ValueError("either rng or backend must be given")
-    return RandomBackend(rng if isinstance(rng, RngStream) else RngStream(int(rng)))
+def _start(data, n_particles: int, source) -> tuple:
+    """(ys, the run's draws, log N): the set-up every filter shares."""
+    if n_particles < 1:
+        raise ValueError("n_particles must be >= 1")
+    ys = ys_of(data)
+    return ys, _RunDraws(make_backend(source), ys.shape[0]), math.log(n_particles)
 
 
 # ---------------------------------------------------------------------------
 # Sequential Monte Carlo
 
 
-def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun:
+def run_smc(model, params, data, n_particles: int, source, resample: bool = True) -> ParticleRun:
     """Multinomial-resampling particle filter.
 
     Per step: ancestors drawn from the normalized previous weights, states
     extended through the proposal, weight f*g/r.  The logsumexp node of a
     step's log mean weight also normalizes the next step's resampling
-    probabilities.  The run records each step's ancestor indices.
-    grad_mode "biased" keeps the reparameterization path through every
-    state but none through the resampling probabilities.  resample=False
-    turns the run into independent importance-sampling chains whose
-    weights accumulate across steps.
+    probabilities.  The run records each step's ancestor indices.  Under
+    a tape the reparameterization path runs through every state but none
+    through the resampling probabilities (vsmc).  resample=False turns the
+    run into independent importance-sampling chains (ancestors i -> i)
+    whose weights accumulate across steps (iwvi).
     """
-    if cfg.grad_mode == "unbiased":
-        raise ValueError("unbiased gradients are only defined for run_mpf")
-    ys = ys_of(data)
-    n, t_max = cfg.n_particles, ys.shape[0]
-    draws = _RunDraws(make_backend(cfg.seed, backend), t_max)
-    if isinstance(model, mo.DiscreteHmm) and cfg.grad_mode != "none":
-        raise ValueError("discrete models support grad_mode='none' only")
-    log_n = math.log(n)
+    ys, draws, log_n = _start(data, n_particles, source)
+    n, t_max = n_particles, ys.shape[0]
 
     particles, log_weights, log_mean_weights, ancestors = [], [], [], []
     x = None
@@ -338,7 +319,7 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     for t in range(1, t_max + 1):
         if t == 1:
             anc = None
-        elif cfg.resample:
+        elif resample:
             probs = np.exp(log_weights[-1].data - lse.data)
             anc = draws.choose_shared(t, ANCESTOR, n, probs)
         else:
@@ -355,31 +336,22 @@ def run_smc(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
             - proposal.logpdf_rows(x)
         )
 
-        logw = inc if (cfg.resample or t == 1) else log_weights[-1] + inc
+        logw = inc if (resample or t == 1) else log_weights[-1] + inc
         _check_alive(logw, t)
         particles.append(x)
         log_weights.append(logw)
         lse = ad.logsumexp(logw)
         log_mean_weights.append(lse - log_n)
 
-    return ParticleRun(
-        kind="smc",
-        particles=particles,
-        log_weights=log_weights,
-        log_mean_weights=log_mean_weights,
-        log_evidence=_evidence(log_mean_weights, not cfg.resample),
-        cumulative=not cfg.resample,
-        ancestors=ancestors,
-        params=params,
-        ys=ys,
-    )
+    return ParticleRun("smc", particles, log_weights, log_mean_weights, cumulative=not resample,
+                       ancestors=ancestors, params=params, ys=ys)
 
 
 # ---------------------------------------------------------------------------
 # Marginal particle filter
 
 
-def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun:
+def run_mpf(model, params, data, n_particles: int, source, implicit: bool = False) -> ParticleRun:
     """Marginal particle filter with the mixture proposal.
 
     New states are drawn from sum_j vbar_{t-1}^j r_t(. | x_{t-1}^j); the
@@ -400,23 +372,20 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
     one over table entries, and a step draws its states from the marginal
     row sum_j vbar_j r_t(. | x_{t-1}^j).
 
-    On continuous models grad_mode picks the sampling estimator from t=2 on
-    (``models.GaussRows.draw_mixture``): "biased" draws the component index
-    with detached probabilities then reparameterizes within it, "unbiased"
-    draws the N particles of a step through one mixture_implicit_rsample
-    node so the mixture weights themselves carry gradients; a proposal log-std that every particle shares enters that
-    node as one (1, d) row and gets a (1, d) cotangent.  Both read the same
-    noise, so their forward values are bit-identical.  The t=1 proposal is
-    one Gaussian, drawn by the reparameterized kernel in every mode.  Tail
-    draws of the implicit gradient are counted in ``tail_failures`` as
-    ``grad`` runs the rules.
+    implicit picks the sampling estimator from t=2 on (the proposal rows'
+    ``draw_mixture``): by default the component index is drawn with
+    detached probabilities and the draw reparameterized within it
+    (vmpf-bg); implicit=True draws a step's N particles through one
+    mixture_implicit_rsample node, so the mixture weights themselves carry
+    gradients (vmpf-ug), and the HMM's tables reject it.  A proposal
+    log-std that every particle shares enters that node as one (1, d) row
+    and gets a (1, d) cotangent.  Both read the same noise, so their
+    forward values are bit-identical.  The t=1 proposal is drawn the same
+    way in both.  Tail draws of the implicit gradient are counted in
+    ``tail_failures`` as ``grad`` runs the rules.
     """
-    ys = ys_of(data)
-    n, t_max = cfg.n_particles, ys.shape[0]
-    draws = _RunDraws(make_backend(cfg.seed, backend), t_max)
-    if isinstance(model, mo.DiscreteHmm) and cfg.grad_mode != "none":
-        raise ValueError("discrete models support grad_mode='none' only")
-    log_n = math.log(n)
+    ys, draws, log_n = _start(data, n_particles, source)
+    n, t_max = n_particles, ys.shape[0]
     tail = TailCounter()
 
     particles, log_weights, log_mean_weights = [], [], []
@@ -431,7 +400,7 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
             log_g = mo.emission_logpdf_rows(model, 1, x_new, ys[0])
             logv = mo.transition_build_many(model, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
         else:
-            x_new = proposal.draw_mixture(draws, t, n, log_vbar, cfg.grad_mode == "unbiased", tail)
+            x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
             log_g = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1])
             num = mo.transition_build_many(model, t, x).mixture_logpdf(x_new, log_vbar)
             den = proposal.mixture_logpdf(x_new, log_vbar)
@@ -444,17 +413,8 @@ def run_mpf(model, params, data, cfg: FilterConfig, backend=None) -> ParticleRun
         lse = ad.logsumexp(logv)
         log_mean_weights.append(lse - log_n)
 
-    return ParticleRun(
-        kind="mpf",
-        particles=particles,
-        log_weights=log_weights,
-        log_mean_weights=log_mean_weights,
-        log_evidence=_evidence(log_mean_weights, False),
-        cumulative=False,
-        params=params,
-        ys=ys,
-        tail=tail,
-    )
+    return ParticleRun("mpf", particles, log_weights, log_mean_weights, cumulative=False,
+                       params=params, ys=ys, tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +435,7 @@ def _permutation(draws: _RunDraws, t: int, n: int) -> np.ndarray:
     return perm
 
 
-def run_ipf(
-    model, params, data, n_particles: int, l_perms: int, rng=None, backend=None
-) -> ParticleRun:
+def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> ParticleRun:
     """Independent particle filter: proposals may not condition on the past.
 
     Each step pairs particle i with the L parents k_{1..L,i} read off L
@@ -486,12 +444,11 @@ def run_ipf(
 
         u_t^i = sum_l u_{t-1}^{k_li} f(x_t^i | x_{t-1}^{k_li}) g_i / (L r_t(x_t^i))
     """
+    ys, draws, log_n = _start(data, n_particles, source)
     if not 1 <= l_perms <= n_particles:
         raise ValueError("l_perms must satisfy 1 <= L <= N")
-    ys = ys_of(data)
     n, t_max = n_particles, ys.shape[0]
-    draws = _RunDraws(make_backend(rng, backend), t_max)
-    log_n, log_l = math.log(n), math.log(l_perms)
+    log_l = math.log(l_perms)
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
@@ -518,23 +475,15 @@ def run_ipf(
         log_weights.append(logu)
         log_mean_weights.append(ad.logsumexp(logu) - log_n)
 
-    return ParticleRun(
-        kind="ipf",
-        particles=particles,
-        log_weights=log_weights,
-        log_mean_weights=log_mean_weights,
-        log_evidence=_evidence(log_mean_weights, True),
-        cumulative=True,
-        params=params,
-        ys=ys,
-    )
+    return ParticleRun("ipf", particles, log_weights, log_mean_weights, cumulative=True,
+                       params=params, ys=ys)
 
 
 # ---------------------------------------------------------------------------
 # Tensor Monte Carlo
 
 
-def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> ParticleRun:
+def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
     """Factorized tensor Monte Carlo: every pairing of consecutive particles.
 
         z_t^i = sum_j z_{t-1}^j f(x_t^i | x_{t-1}^j) g_i / (N r_t(x_t^i))
@@ -548,10 +497,8 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
     far below the node's shift bound, which the top weight sets; the node
     redoes such rows with their own maximum.
     """
-    ys = ys_of(data)
+    ys, draws, log_n = _start(data, n_particles, source)
     n, t_max = n_particles, ys.shape[0]
-    draws = _RunDraws(make_backend(rng, backend), t_max)
-    log_n = math.log(n)
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
@@ -571,16 +518,8 @@ def run_tmc(model, params, data, n_particles: int, rng=None, backend=None) -> Pa
         log_weights.append(logz)
         log_mean_weights.append(ad.logsumexp(logz) - log_n)
 
-    return ParticleRun(
-        kind="tmc",
-        particles=particles,
-        log_weights=log_weights,
-        log_mean_weights=log_mean_weights,
-        log_evidence=_evidence(log_mean_weights, True),
-        cumulative=True,
-        params=params,
-        ys=ys,
-    )
+    return ParticleRun("tmc", particles, log_weights, log_mean_weights, cumulative=True,
+                       params=params, ys=ys)
 
 
 # ---------------------------------------------------------------------------

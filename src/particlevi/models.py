@@ -713,7 +713,9 @@ class TableRows:
         return ad.constant(idx[:, None].astype(np.float64))
 
     def draw_mixture(self, draws, t: int, n: int, log_w, implicit: bool, tail) -> Var:
-        """n PROPOSAL choices from the marginal row exp(log_w) @ probs."""
+        """n PROPOSAL choices from the marginal row exp(log_w) @ probs; no implicit draw."""
+        if implicit:
+            raise ValueError("a finite model has no implicit reparameterization")
         marginal = np.exp(ad.constant(log_w).data) @ self.probs
         return TableRows(marginal[None, :]).draw(draws, t, n)
 
@@ -784,7 +786,7 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None):
     LGSSM and the HMM have.  HMM proposals default to the model's own
     tables (bootstrap) and to the uniform row when state-independent;
     params may override them with init_proposal, trans_proposal and
-    indep_proposal tables.
+    indep_proposal tables, which are constants: they take no gradient.
     """
     if isinstance(model, Lgssm):
         ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
@@ -794,6 +796,8 @@ def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None):
         return GaussRows(lgssm_proposal_mean(params["mu"], params["beta"], x_prev, model.a, t), ls_t)
     if isinstance(model, DiscreteHmm):
         params = params or {}
+        if any(isinstance(v, Var) for v in params.values()):
+            raise ValueError("the HMM's proposal tables are constants; they take no gradient")
         if t == 1:
             return TableRows(np.asarray(params.get("init_proposal", model.pi0))[None, :])
         if x_prev is None:

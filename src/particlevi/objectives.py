@@ -11,9 +11,12 @@ evidence estimator, so every kind is a lower bound on log p(y) by Jensen.
     vmpf-ug  marginal particle filter with implicit reparameterization
              through the mixture weights themselves
 
+Each kind is one filter call: ``run_smc`` with or without resampling,
+``run_tmc``, or ``run_mpf`` with or without its implicit mixture draw.
 Gradients are single-draw: one filter run per call, differentiated in
-reverse mode.  iwvi and tmc contain no categorical draws, so their
-"biased" gradient is exactly the reparameterized gradient.  Training is
+reverse mode.  A categorical draw carries no gradient, except vmpf-ug's
+implicit one; iwvi and tmc contain no categorical draw at all, so their
+gradient is exactly the reparameterized gradient.  Training is
 Adam ascent on a (learning-rate, iterations) schedule with optional
 global-norm clipping; phi (proposal) and, under VEM, theta (model)
 parameters are updated jointly in one flat namespace: "phi.mu",
@@ -67,26 +70,22 @@ class Objective:
             )
 
 
-def _run(obj: Objective, model, params, data, rng, grad_mode: str) -> fl.ParticleRun:
-    be = fl.make_backend(rng)
+def _run(obj: Objective, model, params, data, rng) -> fl.ParticleRun:
+    n = obj.n_particles
     if obj.kind == "tmc":
-        return fl.run_tmc(model, params, data, obj.n_particles, backend=be)
-    cfg = fl.FilterConfig(
-        obj.n_particles, grad_mode=grad_mode, resample=(obj.kind == "vsmc")
-    )
+        return fl.run_tmc(model, params, data, n, rng)
     if obj.kind in ("iwvi", "vsmc"):
-        return fl.run_smc(model, params, data, cfg, backend=be)
-    return fl.run_mpf(model, params, data, cfg, backend=be)
+        return fl.run_smc(model, params, data, n, rng, resample=obj.kind == "vsmc")
+    return fl.run_mpf(model, params, data, n, rng, implicit=obj.kind == "vmpf-ug")
 
 
 def objective_value(obj: Objective, data, rng) -> Var:
     """One draw of log p-hat, differentiable when evaluated under a tape.
 
-    The filter runs in the kind's native gradient mode, so the same call
-    serves value estimation (no tape) and training (tape active).
+    The filter run is the kind's own, so the same call serves value
+    estimation (no tape) and training (tape active).
     """
-    mode = "unbiased" if obj.kind == "vmpf-ug" else "biased"
-    return _run(obj, obj.model, obj.params, data, rng, mode).log_evidence
+    return _run(obj, obj.model, obj.params, data, rng).log_evidence
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +104,10 @@ def _lift(obj: Objective):
     return model, phi, leaves
 
 
-def _gradient(obj: Objective, data, rng, mode: str) -> tuple:
+def _gradient(obj: Objective, data, rng) -> tuple:
     with ad.Tape():
         model, phi, leaves = _lift(obj)
-        run = _run(obj, model, phi, data, rng, mode)
+        run = _run(obj, model, phi, data, rng)
         names = sorted(leaves)
         grads = ad.grad(run.log_evidence, [leaves[k] for k in names])
     return float(run.log_evidence.data), dict(zip(names, grads))
@@ -121,14 +120,14 @@ def gradient_biased(obj: Objective, data, rng) -> tuple:
     """
     if obj.kind == "vmpf-ug":
         raise ValueError("vmpf-ug trains with gradient_unbiased")
-    return _gradient(obj, data, rng, "biased")
+    return _gradient(obj, data, rng)
 
 
 def gradient_unbiased(obj: Objective, data, rng) -> tuple:
     """(value, gradient dict) with implicit mixture reparameterization."""
     if obj.kind != "vmpf-ug":
         raise ValueError("gradient_unbiased applies to the vmpf-ug kind only")
-    return _gradient(obj, data, rng, "unbiased")
+    return _gradient(obj, data, rng)
 
 
 def _grad_fn(obj: Objective):
@@ -259,10 +258,16 @@ def train(
     raw gradient norm exceeds 1e6 (instability is reported, never papered
     over).  Deterministic for a fixed rng seed and schedule.  Parameters
     named in freeze keep their initial values; their gradients are zeroed
-    before the update and excluded from the recorded norm.
+    before the update and excluded from the recorded norm.  A clip <= 0
+    (which would freeze or reverse the ascent) or bad probe settings fail
+    before the first iteration.
     """
     if not schedule:
         raise ValueError("schedule must hold at least one (learning-rate, iterations) pair")
+    if clip is not None and not clip > 0:
+        raise ValueError(f"clip must be > 0 (or None for no clipping), got {clip}")
+    if probe_every < 0 or (probe_every and probe_samples < 2):
+        raise ValueError("probe_every must be >= 0 and probe_samples >= 2")
     rng = rng if isinstance(rng, RngStream) else RngStream(int(rng))
     grad_fn = _grad_fn(obj)
     packed = pack_params(obj)

@@ -145,16 +145,15 @@ def _run_entry(run: fl.ParticleRun, backend=None, states: bool = False) -> dict:
 def _filter_runs(model, params, data, n: int, continuous: bool) -> dict:
     """name -> runner(backend) for every filter the model supports at N particles."""
     runs = {
-        "smc": lambda be: fl.run_smc(model, params, data, fl.FilterConfig(n), backend=be),
-        "smc-no-resampling": lambda be: fl.run_smc(
-            model, params, data, fl.FilterConfig(n, resample=False), backend=be),
-        "mpf": lambda be: fl.run_mpf(model, params, data, fl.FilterConfig(n), backend=be),
+        "smc": lambda be: fl.run_smc(model, params, data, n, be),
+        "smc-no-resampling": lambda be: fl.run_smc(model, params, data, n, be, resample=False),
+        "mpf": lambda be: fl.run_mpf(model, params, data, n, be),
     }
     independent = not continuous or isinstance(model, mo.Lgssm)
     if independent:
-        runs["tmc"] = lambda be: fl.run_tmc(model, params, data, n, backend=be)
+        runs["tmc"] = lambda be: fl.run_tmc(model, params, data, n, be)
         for l_perms in sorted({1, min(2, n)}):
-            runs[f"ipf-l{l_perms}"] = lambda be, l=l_perms: fl.run_ipf(model, params, data, n, l, backend=be)
+            runs[f"ipf-l{l_perms}"] = lambda be, l=l_perms: fl.run_ipf(model, params, data, n, l, be)
     return runs
 
 
@@ -212,7 +211,7 @@ def compute() -> dict:
                 out[f"coupling/{label}/{maker.__name__}/s{seed}"] = {"log_r": _hex(d.log_r.data)}
     short = hd.ys[:2]
     out["enumeration/hmm-tables/mpf-n2"] = _enumeration_entry(
-        lambda be: fl.run_mpf(h, hp, short, fl.FilterConfig(2), backend=be))
+        lambda be: fl.run_mpf(h, hp, short, 2, be))
     return out
 
 

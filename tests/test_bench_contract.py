@@ -61,7 +61,7 @@ def test_recorder_reads_tail_failures_of_unbiased_runs(monkeypatch):
     with recorder:
         with ad.Tape():
             p = {k: ad.leaf(v) for k, v in params0.items()}
-            run = fl.run_mpf(m, p, ds, fl.FilterConfig(4, grad_mode="unbiased", seed=1))
+            run = fl.run_mpf(m, p, ds, 4, 1, implicit=True)
             ad.grad(run.log_evidence, [p["mu"]])
     stats, _, counts = recorder.finish()
     # steps 2 and 3 draw through the implicit node; t=1 is one Gaussian

@@ -112,6 +112,18 @@ fix_beta = true
         assert again.exp_hash == lgssm_cfg.exp_hash
         assert len(lgssm_cfg.exp_hash) == 12
 
+    @pytest.mark.parametrize("line,match", [
+        ("clip = 0", "train.clip must be > 0"),
+        ("clip = -1", "train.clip must be > 0"),
+        ("clip = nan", "train.clip must be > 0"),
+        ("probe_every = -1", "train.probe_every must be >= 0"),
+        ("probe_samples = 1", "train.probe_samples must be >= 2"),
+    ])
+    def test_bad_train_settings_rejected(self, tmp_path, line, match):
+        body = LGSSM_INI.replace("schedule = 5@0.05", f"schedule = 5@0.05\n{line}")
+        with pytest.raises(cli.CliError, match=match):
+            cli.load_config(write_config(tmp_path / "bad.ini", body))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(cli.CliError, match="not found"):
             cli.load_config(tmp_path / "nope.ini")
@@ -403,6 +415,10 @@ class TestMain:
     def test_config_errors_exit_2(self, tmp_path, capsys):
         assert cli.main(["generate", "--config", str(tmp_path / "nope.ini")]) == 2
         assert "error:" in capsys.readouterr().err
+        body = LGSSM_INI.replace("schedule = 5@0.05", "schedule = 5@0.05\nclip = -1")
+        cfg_path = write_config(tmp_path / "bad.ini", body)
+        assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert "train.clip must be > 0" in capsys.readouterr().err
 
     def test_integer_argument_errors_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
@@ -415,6 +431,21 @@ class TestMain:
             assert cli.main(argv) == 2, flag
             err = capsys.readouterr().err
             assert err.startswith("error:") and flag in err
+
+    def test_plot_input_errors_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "ab.csv"
+        table.write_text("a,b\n1,2\n")
+        text_cell = tmp_path / "text.csv"
+        text_cell.write_text("iter,objective\n0,x\n")
+        for argv, match in (
+            (["plot", "training", "--table", str(tmp_path / "nope.csv")], "table not found"),
+            (["plot", "training", "--table", str(table)], "['iter', 'objective']"),
+            (["plot", "sweep", "--table", str(table)], "['objective', 'n', 'bound', 'kalman']"),
+            (["plot", "training", "--table", str(text_cell)], "could not convert string to float: 'x'"),
+        ):
+            assert cli.main(argv + ["--out", str(tmp_path)]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and match in err, err
 
     def test_train_before_generate_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)

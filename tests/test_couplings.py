@@ -105,7 +105,7 @@ class TestBasicPair:
         params = mo.proposal_init(m, 1)
         pair = cp.basic_pair(cp.step_density(m, ds.ys), cp.step_proposal(m, params, ds.ys, 1))
         d = pair.draw(RngStream(11))
-        run = fl.run_smc(m, params, ds, fl.FilterConfig(1, seed=11))
+        run = fl.run_smc(m, params, ds, 1, 11)
         assert abs(float(d.log_r.data) - float(run.log_weights[0].data[0])) < 1e-12
 
 
@@ -295,10 +295,10 @@ class TestDerivations:
             params = mo.proposal_init(m, 3, init_rng)
             for seed in range(8):
                 a = cp.derive_smc(m, params, ds, 3).draw(RngStream(seed))
-                b = fl.run_smc(m, params, ds, fl.FilterConfig(3, seed=seed))
+                b = fl.run_smc(m, params, ds, 3, seed)
                 assert abs(float(a.log_r.data) - float(b.log_evidence.data)) < 1e-10, (name, seed)
                 c = cp.derive_mpf(m, params, ds, 3).draw(RngStream(seed))
-                d = fl.run_mpf(m, params, ds, fl.FilterConfig(3, seed=seed))
+                d = fl.run_mpf(m, params, ds, 3, seed)
                 assert abs(float(c.log_r.data) - float(d.log_evidence.data)) < 1e-10, (name, seed)
 
     def test_marginal_step_equals_filter_weight(self):
@@ -307,7 +307,7 @@ class TestDerivations:
         ds = mo.generate(m, 2, RngStream(7))
         params = mo.proposal_init(m, 2)
         top = cp.derive_mpf(m, params, ds, 2).draw(RngStream(5))
-        run = fl.run_mpf(m, params, ds, fl.FilterConfig(2, seed=5))
+        run = fl.run_mpf(m, params, ds, 2, 5)
         for i, lane in enumerate(top.omega["draws"]):
             inc = float(lane.log_r.data) - float(lane.omega["prev"].log_r.data)
             assert abs(inc - float(run.log_weights[1].data[i])) < 1e-10
@@ -320,7 +320,7 @@ class TestDerivations:
         def filter_grads(runner):
             with ad.Tape():
                 p = {k: ad.leaf(v) for k, v in p0.items()}
-                run = runner(m, p, ds, fl.FilterConfig(2, grad_mode="biased", seed=3))
+                run = runner(m, p, ds, 2, 3)
                 return ad.grad(run.log_evidence, [p["mu"], p["beta"], p["log_sigma"]])
 
         def pair_grads(maker):

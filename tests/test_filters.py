@@ -40,27 +40,34 @@ def hmm_tables():
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fl.FilterConfig(0)
-        with pytest.raises(ValueError):
-            fl.FilterConfig(2, grad_mode="exact")
-
-    def test_unbiased_mode_rejected_outside_mpf(self):
+        """Every filter rejects N < 1 up front, with one message."""
         m, ds, params = lgssm_setup()
-        with pytest.raises(ValueError):
-            fl.run_smc(m, params, ds, fl.FilterConfig(2, grad_mode="unbiased"))
+        for run in (
+            lambda: fl.run_smc(m, params, ds, 0, 1),
+            lambda: fl.run_mpf(m, params, ds, 0, 1),
+            lambda: fl.run_ipf(m, params, ds, 0, 1, 1),
+            lambda: fl.run_tmc(m, params, ds, 0, 1),
+        ):
+            with pytest.raises(ValueError, match="n_particles must be >= 1"):
+                run()
+        with pytest.raises(TypeError, match="source must be"):
+            fl.run_smc(m, params, ds, 2, None)
 
     def test_discrete_models_are_value_only(self):
+        """The HMM's mixture draw has no implicit reparameterization; the plain run works."""
         h = mo.hmm_reference()
-        with pytest.raises(ValueError):
-            fl.run_mpf(h, None, np.zeros((2, 1)), fl.FilterConfig(2, grad_mode="biased"))
+        with pytest.raises(ValueError, match="no implicit reparameterization"):
+            fl.run_mpf(h, None, np.zeros((2, 1)), 2, 1, implicit=True)
+        assert np.isfinite(float(fl.run_mpf(h, None, np.zeros((2, 1)), 2, 1).log_evidence.data))
+        with ad.Tape(), pytest.raises(ValueError, match="take no gradient"):
+            fl.run_smc(h, {"trans_proposal": ad.leaf(h.trans)}, np.zeros((2, 1)), 2, 1)
 
 
 class TestSmc:
     def test_n1_is_joint_minus_proposal(self):
         """Single chain: log-evidence = log p(x, y) - log q(x) on the drawn path."""
         m, ds, params = lgssm_setup(t_max=4)
-        run = fl.run_smc(m, params, ds, fl.FilterConfig(1, seed=3))
+        run = fl.run_smc(m, params, ds, 1, 3)
         total = 0.0
         for t in range(1, 5):
             x_t = float(run.particles[t - 1].data[0, 0])
@@ -82,7 +89,7 @@ class TestSmc:
         truth = math.exp(mo.hmm_forward(h, [0, 0]))
 
         def phat(backend):
-            run = fl.run_smc(h, None, ys, fl.FilterConfig(2), backend=backend)
+            run = fl.run_smc(h, None, ys, 2, backend)
             return math.exp(float(run.log_evidence.data))
 
         assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
@@ -94,8 +101,7 @@ class TestSmc:
         truth = math.exp(mo.hmm_forward(h, [0, 0]))
         for n in (2, 3):
             def phat(backend):
-                cfg = fl.FilterConfig(n, resample=False)
-                run = fl.run_smc(h, None, ys, cfg, backend=backend)
+                run = fl.run_smc(h, None, ys, n, backend, resample=False)
                 return math.exp(float(run.log_evidence.data))
 
             assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12, n
@@ -105,7 +111,7 @@ class TestSmc:
         truth = math.exp(mo.kalman_loglik(m, ds.ys))
         phats = np.asarray(
             [
-                math.exp(float(fl.run_smc(m, params, ds, fl.FilterConfig(4, seed=s)).log_evidence.data))
+                math.exp(float(fl.run_smc(m, params, ds, 4, s).log_evidence.data))
                 for s in range(1000)
             ]
         )
@@ -115,7 +121,7 @@ class TestSmc:
     def test_iwvi_mode_accumulates(self):
         """resample=False: evidence = logsumexp over chains of summed increments."""
         m, ds, params = lgssm_setup(t_max=4)
-        run = fl.run_smc(m, params, ds, fl.FilterConfig(3, seed=5, resample=False))
+        run = fl.run_smc(m, params, ds, 3, 5, resample=False)
         assert run.cumulative
         assert all(np.array_equal(a, np.arange(3)) for a in run.ancestors)
         manual = float(ad.np_logsumexp(run.log_weights[-1].data) - math.log(3))
@@ -132,13 +138,13 @@ class TestSmc:
                     "log_sigma": ad.constant(params0["log_sigma"]),
                 }
                 return float(
-                    fl.run_smc(m, p, ds, fl.FilterConfig(3, grad_mode="biased", seed=5)).log_evidence.data
+                    fl.run_smc(m, p, ds, 3, 5).log_evidence.data
                 )
 
         with ad.Tape():
             mu = ad.leaf(params0["mu"])
             p = {"mu": mu, "beta": ad.constant(params0["beta"]), "log_sigma": ad.constant(params0["log_sigma"])}
-            run = fl.run_smc(m, p, ds, fl.FilterConfig(3, grad_mode="biased", seed=5))
+            run = fl.run_smc(m, p, ds, 3, 5)
             (g,) = ad.grad(run.log_evidence, [mu])
         h = 1e-6
         for k in range(3):
@@ -152,15 +158,15 @@ class TestSmc:
             np.asarray([0.5, 0.5]), np.full((2, 2), 0.5), np.asarray([[1.0, 0.0], [1.0, 0.0]])
         )
         with pytest.raises(fl.DegeneracyError, match="t=2") as err:
-            fl.run_smc(h, None, np.asarray([[0.0], [1.0]]), fl.FilterConfig(3, seed=1))
+            fl.run_smc(h, None, np.asarray([[0.0], [1.0]]), 3, 1)
         assert err.value.t == 2
 
 
 class TestMpf:
     def test_n1_weights_equal_smc_bitwise(self):
         m, ds, params = lgssm_setup(t_max=4)
-        a = fl.run_smc(m, params, ds, fl.FilterConfig(1, seed=3))
-        b = fl.run_mpf(m, params, ds, fl.FilterConfig(1, seed=3))
+        a = fl.run_smc(m, params, ds, 1, 3)
+        b = fl.run_mpf(m, params, ds, 1, 3)
         for wa, wb in zip(a.log_weights, b.log_weights):
             assert np.array_equal(wa.data, wb.data)
         assert float(a.log_evidence.data) == float(b.log_evidence.data)
@@ -174,7 +180,7 @@ class TestMpf:
         )
         params = {"trans_proposal": np.asarray([[0.3, 0.7], [0.1, 0.9]])}
         backend = fl.ScriptBackend([0, 1, 0, 0])  # states (0,1) at t=1 then (0,0)
-        run = fl.run_mpf(h, params, np.zeros((2, 1)), fl.FilterConfig(2), backend=backend)
+        run = fl.run_mpf(h, params, np.zeros((2, 1)), 2, backend)
         assert abs(math.exp(run.log_weights[1].data[0]) - 0.75) < 1e-12
 
     def test_hmm_enumeration_unbiased(self):
@@ -183,7 +189,7 @@ class TestMpf:
         truth = math.exp(mo.hmm_forward(h, [0, 0]))
 
         def phat(backend):
-            run = fl.run_mpf(h, None, ys, fl.FilterConfig(2), backend=backend)
+            run = fl.run_mpf(h, None, ys, 2, backend)
             return math.exp(float(run.log_evidence.data))
 
         assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
@@ -200,7 +206,7 @@ class TestMpf:
         cases.append((h, None, mo.generate(h, 6, RngStream(13))))
         for model, params, data in cases:
             for seed in (1, 2, 3):
-                run = fl.run_mpf(model, params, data, fl.FilterConfig(4, seed=seed))
+                run = fl.run_mpf(model, params, data, 4, seed)
                 assert fl.mpf_tmc_identity_check(model, run) < 1e-9
 
     def test_hmm_identity_reads_the_proposal_table(self):
@@ -208,14 +214,14 @@ class TestMpf:
         h, params = hmm_tables()
         data = mo.generate(h, 6, RngStream(13))
         for seed in (1, 2, 3):
-            run = fl.run_mpf(h, params, data, fl.FilterConfig(4, seed=seed))
+            run = fl.run_mpf(h, params, data, 4, seed)
             assert fl.mpf_tmc_identity_check(h, run) < 1e-9
             run.params = {"init_proposal": params["init_proposal"]}  # r_t falls back to model.trans
             assert fl.mpf_tmc_identity_check(h, run) > 1e-3
 
     def test_identity_check_rejects_other_kinds(self):
         m, ds, params = lgssm_setup()
-        run = fl.run_smc(m, params, ds, fl.FilterConfig(2, seed=1))
+        run = fl.run_smc(m, params, ds, 2, 1)
         with pytest.raises(ValueError):
             fl.mpf_tmc_identity_check(m, run)
 
@@ -225,10 +231,10 @@ class TestMpf:
         cases = [(m, params, ds), (sv, mo.proposal_init(sv, 4), mo.generate(sv, 4, RngStream(9)))]
         for model, p0, data in cases:
             for seed in (1, 4):
-                bg = fl.run_mpf(model, p0, data, fl.FilterConfig(3, grad_mode="none", seed=seed))
+                bg = fl.run_mpf(model, p0, data, 3, seed)
                 with ad.Tape():
                     p = {k: ad.leaf(v) for k, v in p0.items()}
-                    ug = fl.run_mpf(model, p, data, fl.FilterConfig(3, grad_mode="unbiased", seed=seed))
+                    ug = fl.run_mpf(model, p, data, 3, seed, implicit=True)
                 assert all(np.array_equal(a.data, b.data) for a, b in zip(bg.particles, ug.particles))
                 assert float(bg.log_evidence.data) == float(ug.log_evidence.data)
                 assert ug.tail_failures == 0
@@ -239,7 +245,7 @@ class TestMpf:
         m, ds, params0 = lgssm_setup(t_max=3)
         with ad.Tape():
             p = {k: ad.leaf(v) for k, v in params0.items()}
-            run = fl.run_mpf(m, p, ds, fl.FilterConfig(4, grad_mode="unbiased", seed=2))
+            run = fl.run_mpf(m, p, ds, 4, 2, implicit=True)
             assert run.tail_failures == 0
             ad.grad(run.log_evidence, [p["mu"]])
         # the implicit node draws steps 2 and 3; t=1 is one Gaussian, drawn pathwise
@@ -248,13 +254,13 @@ class TestMpf:
     def test_n1_gradients_coincide_across_modes(self):
         m, ds, params0 = lgssm_setup(t_max=2)
 
-        def grads(mode):
+        def grads(implicit):
             with ad.Tape():
                 p = {k: ad.leaf(v) for k, v in params0.items()}
-                run = fl.run_mpf(m, p, ds, fl.FilterConfig(1, grad_mode=mode, seed=6))
+                run = fl.run_mpf(m, p, ds, 1, 6, implicit=implicit)
                 return ad.grad(run.log_evidence, [p["mu"], p["beta"], p["log_sigma"]])
 
-        for gb, gu in zip(grads("biased"), grads("unbiased")):
+        for gb, gu in zip(grads(False), grads(True)):
             assert np.max(np.abs(gb - gu)) <= 1e-10
 
     def test_rao_blackwell_conditional_variance(self):
@@ -282,8 +288,8 @@ class TestMpf:
                 acc[2] += prob * value * value
             return groups
 
-        smc_groups = collect(lambda be: fl.run_smc(h, params, ys, fl.FilterConfig(2), backend=be))
-        mpf_groups = collect(lambda be: fl.run_mpf(h, params, ys, fl.FilterConfig(2), backend=be))
+        smc_groups = collect(lambda be: fl.run_smc(h, params, ys, 2, be))
+        mpf_groups = collect(lambda be: fl.run_mpf(h, params, ys, 2, be))
         assert set(smc_groups) == set(mpf_groups)
         for key in smc_groups:
             mass, s1, s2 = smc_groups[key]
@@ -297,13 +303,12 @@ class TestMpf:
 
 
 HMM_TABLE_RUNS = {
-    "smc": lambda h, p, ys, be: fl.run_smc(h, p, ys, fl.FilterConfig(2), backend=be).log_evidence,
-    "smc-no-resampling": lambda h, p, ys, be: fl.run_smc(
-        h, p, ys, fl.FilterConfig(2, resample=False), backend=be).log_evidence,
-    "mpf": lambda h, p, ys, be: fl.run_mpf(h, p, ys, fl.FilterConfig(2), backend=be).log_evidence,
-    "tmc": lambda h, p, ys, be: fl.run_tmc(h, p, ys, 2, backend=be).log_evidence,
-    "ipf-l1": lambda h, p, ys, be: fl.run_ipf(h, p, ys, 2, 1, backend=be).log_evidence,
-    "ipf-l2": lambda h, p, ys, be: fl.run_ipf(h, p, ys, 2, 2, backend=be).log_evidence,
+    "smc": lambda h, p, ys, be: fl.run_smc(h, p, ys, 2, be).log_evidence,
+    "smc-no-resampling": lambda h, p, ys, be: fl.run_smc(h, p, ys, 2, be, resample=False).log_evidence,
+    "mpf": lambda h, p, ys, be: fl.run_mpf(h, p, ys, 2, be).log_evidence,
+    "tmc": lambda h, p, ys, be: fl.run_tmc(h, p, ys, 2, be).log_evidence,
+    "ipf-l1": lambda h, p, ys, be: fl.run_ipf(h, p, ys, 2, 1, be).log_evidence,
+    "ipf-l2": lambda h, p, ys, be: fl.run_ipf(h, p, ys, 2, 2, be).log_evidence,
     "derive-mpf": lambda h, p, ys, be: cp.derive_mpf(h, p, ys, 2).draw(be).log_r,
 }
 
@@ -343,9 +348,9 @@ class TestIpf:
     def test_l_bounds(self):
         m, ds, params = lgssm_setup()
         with pytest.raises(ValueError):
-            fl.run_ipf(m, params, ds, 2, 3, rng=1)
+            fl.run_ipf(m, params, ds, 2, 3, 1)
         with pytest.raises(ValueError):
-            fl.run_ipf(m, params, ds, 2, 0, rng=1)
+            fl.run_ipf(m, params, ds, 2, 0, 1)
 
     def test_hmm_enumeration_unbiased_both_l(self):
         h = mo.hmm_reference()
@@ -353,7 +358,7 @@ class TestIpf:
         truth = math.exp(mo.hmm_forward(h, [0, 0]))
         for l_perms in (1, 2):
             def phat(backend):
-                run = fl.run_ipf(h, None, ys, 2, l_perms, backend=backend)
+                run = fl.run_ipf(h, None, ys, 2, l_perms, backend)
                 return math.exp(float(run.log_evidence.data))
 
             assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
@@ -361,8 +366,8 @@ class TestIpf:
     def test_l_equals_n_matches_tmc(self):
         m, ds, params = lgssm_setup(t_max=5, dx=2, dy=2)
         for seed in (1, 2, 3):
-            a = fl.run_ipf(m, params, ds, 3, 3, rng=seed)
-            b = fl.run_tmc(m, params, ds, 3, rng=seed)
+            a = fl.run_ipf(m, params, ds, 3, 3, seed)
+            b = fl.run_tmc(m, params, ds, 3, seed)
             for wa, wb in zip(a.log_weights, b.log_weights):
                 assert np.max(np.abs(wa.data - wb.data)) < 1e-12
 
@@ -381,7 +386,7 @@ class TestIpf:
     def test_l1_pairs_one_to_one(self):
         """With L=1 every particle pools exactly one parent."""
         m, ds, params = lgssm_setup(t_max=2)
-        run = fl.run_ipf(m, params, ds, 4, 1, rng=9)
+        run = fl.run_ipf(m, params, ds, 4, 1, 9)
         logu = run.log_weights[1].data
         # each weight must decompose as u_prev[k] * f / r * g for a single k
         x = run.particles[1].data
@@ -408,7 +413,7 @@ class TestTmc:
         truth = math.exp(mo.hmm_forward(h, [0, 0]))
 
         def phat(backend):
-            run = fl.run_tmc(h, None, ys, 2, backend=backend)
+            run = fl.run_tmc(h, None, ys, 2, backend)
             return math.exp(float(run.log_evidence.data))
 
         assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
@@ -417,7 +422,7 @@ class TestTmc:
         """p_hat equals the explicit N^T-term sum over all pairings."""
         m, ds, params = lgssm_setup(t_max=3)
         for n in (2, 3):
-            run = fl.run_tmc(m, params, ds, n, rng=4)
+            run = fl.run_tmc(m, params, ds, n, 4)
             xs = [p.data[:, 0] for p in run.particles]
             total = 0.0
             for i1 in range(n):
@@ -442,8 +447,8 @@ class TestTmc:
         m, ds, params = lgssm_setup(t_max=4)
         params = dict(params)
         params["beta"] = np.zeros_like(params["beta"])
-        a = fl.run_tmc(m, params, ds, 1, rng=8)
-        b = fl.run_smc(m, params, ds, fl.FilterConfig(1, seed=8, resample=False))
+        a = fl.run_tmc(m, params, ds, 1, 8)
+        b = fl.run_smc(m, params, ds, 1, 8, resample=False)
         assert abs(float(a.log_evidence.data) - float(b.log_evidence.data)) < 1e-12
 
     def test_fully_reparameterized_gradient(self):
@@ -451,7 +456,7 @@ class TestTmc:
 
         def value(mu):
             p = {"mu": mu, "beta": params0["beta"] * 0.0, "log_sigma": params0["log_sigma"]}
-            return fl.run_tmc(m, p, ds, 3, rng=5).log_evidence
+            return fl.run_tmc(m, p, ds, 3, 5).log_evidence
 
         with ad.Tape():
             mu = ad.leaf(params0["mu"])
@@ -474,7 +479,7 @@ class TestPosteriorDraw:
         _, means, _ = mo.kalman_filter(m, ds.ys)
         estimates = []
         for s in range(400):
-            run = fl.run_smc(m, params, ds, fl.FilterConfig(64, seed=s))
+            run = fl.run_smc(m, params, ds, 64, s)
             lw = run.log_weights[-1].data
             wbar = np.exp(lw - ad.np_logsumexp(lw))
             estimates.append(float(wbar @ run.particles[-1].data[:, 0]))
@@ -490,14 +495,14 @@ class TestBackends:
     def test_script_backend_rejects_continuous(self):
         m, ds, params = lgssm_setup(t_max=2)
         with pytest.raises(RuntimeError):
-            fl.run_smc(m, params, ds, fl.FilterConfig(2), backend=fl.ScriptBackend([]))
+            fl.run_smc(m, params, ds, 2, fl.ScriptBackend([]))
 
     def test_enumeration_cap(self):
         h = mo.hmm_reference()
         ys = np.zeros((2, 1))
 
         def phat(backend):
-            run = fl.run_smc(h, None, ys, fl.FilterConfig(2), backend=backend)
+            run = fl.run_smc(h, None, ys, 2, backend)
             return math.exp(float(run.log_evidence.data))
 
         with pytest.raises(RuntimeError):
@@ -521,9 +526,6 @@ class OneStepBackend:
 
     def normals(self, t, purpose, offsets):
         return self.inner.normals(t, purpose, offsets)
-
-    def choose_shared(self, t, purpose, n, probs):
-        return self.inner.choose_shared(t, purpose, n, probs)
 
     def choose_one(self, t, purpose, offset, probs):
         return self.inner.choose_one(t, purpose, offset, probs)
@@ -568,23 +570,19 @@ def seam_cases():
 
 
 SEAM_RUNS = {
-    "smc": lambda m, p, ds, be: fl.run_smc(m, p, ds, fl.FilterConfig(4, grad_mode="biased"), backend=be),
-    "smc-no-resampling": lambda m, p, ds, be: fl.run_smc(
-        m, p, ds, fl.FilterConfig(4, grad_mode="biased", resample=False), backend=be),
-    "mpf-none": lambda m, p, ds, be: fl.run_mpf(m, p, ds, fl.FilterConfig(4), backend=be),
-    "mpf-biased": lambda m, p, ds, be: fl.run_mpf(
-        m, p, ds, fl.FilterConfig(4, grad_mode="biased"), backend=be),
-    "mpf-unbiased": lambda m, p, ds, be: fl.run_mpf(
-        m, p, ds, fl.FilterConfig(4, grad_mode="unbiased"), backend=be),
-    "tmc": lambda m, p, ds, be: fl.run_tmc(m, p, ds, 4, backend=be),
-    "ipf": lambda m, p, ds, be: fl.run_ipf(m, p, ds, 4, 2, backend=be),
+    "smc": lambda m, p, ds, be: fl.run_smc(m, p, ds, 4, be),
+    "smc-no-resampling": lambda m, p, ds, be: fl.run_smc(m, p, ds, 4, be, resample=False),
+    "mpf-none": lambda m, p, ds, be: fl.run_mpf(m, p, ds, 4, be),
+    "mpf-unbiased": lambda m, p, ds, be: fl.run_mpf(m, p, ds, 4, be, implicit=True),
+    "tmc": lambda m, p, ds, be: fl.run_tmc(m, p, ds, 4, be),
+    "ipf": lambda m, p, ds, be: fl.run_ipf(m, p, ds, 4, 2, be),
 }
 
-# the HMM runs with grad_mode='none' only
+# "-none": no gradient estimator to pick (the HMM's runs carry no gradient;
+# "mpf-none" draws the mixture without the implicit node)
 HMM_SEAM_RUNS = {
-    "smc-none": lambda m, p, ds, be: fl.run_smc(m, p, ds, fl.FilterConfig(4), backend=be),
-    "smc-no-resampling-none": lambda m, p, ds, be: fl.run_smc(
-        m, p, ds, fl.FilterConfig(4, resample=False), backend=be),
+    "smc-none": SEAM_RUNS["smc"],
+    "smc-no-resampling-none": SEAM_RUNS["smc-no-resampling"],
     **{kind: SEAM_RUNS[kind] for kind in ("mpf-none", "tmc", "ipf")},
 }
 
@@ -630,7 +628,6 @@ class TestRunLevelReads:
         ("smc", {fl.PROPOSAL, fl.ANCESTOR}),
         ("smc-no-resampling", {fl.PROPOSAL}),
         ("mpf-none", {fl.PROPOSAL, fl.ANCESTOR}),
-        ("mpf-biased", {fl.PROPOSAL, fl.ANCESTOR}),
         ("mpf-unbiased", {fl.PROPOSAL, fl.ANCESTOR}),
         ("tmc", {fl.PROPOSAL}),
         ("ipf", {fl.PROPOSAL, fl.PERM}),
@@ -674,7 +671,7 @@ class TestLogSpaceSafety:
         ds = mo.generate(m, 200, RngStream(1))
         params = mo.proposal_init(m, 200)
         for runner in (
-            lambda: fl.run_smc(m, params, ds, fl.FilterConfig(8, seed=1)),
-            lambda: fl.run_mpf(m, params, ds, fl.FilterConfig(8, seed=1)),
+            lambda: fl.run_smc(m, params, ds, 8, 1),
+            lambda: fl.run_mpf(m, params, ds, 8, 1),
         ):
             assert np.isfinite(float(runner().log_evidence.data))

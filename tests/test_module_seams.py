@@ -4,9 +4,14 @@ Every ``src/particlevi/*.py`` is parsed with ``ast``.  A module may not
 import an underscore-prefixed name from another particlevi module, nor read
 ``<module>._name`` through a module alias such as ``fl._helper``.  Dunder
 names (``__version__``) are public.
+
+The estimator modules (filters, couplings, objectives) never name a model
+family: only ``models`` decides what a family is, and they go through the
+rows its builders return.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -97,3 +102,12 @@ def test_own_private_names_are_allowed():
 def test_no_private_cross_module_access(path):
     module = PACKAGE if path.stem == "__init__" else f"{PACKAGE}.{path.stem}"
     assert seam_violations(path.read_text(), module) == []
+
+
+FAMILY = re.compile(r"isinstance\(model\b|\bmo\.(?:Lgssm|StochVol|Dmm|DiscreteHmm)\b")
+
+
+@pytest.mark.parametrize("name", ["filters.py", "couplings.py", "objectives.py"])
+def test_estimators_never_name_a_model_family(name):
+    lines = (SRC / name).read_text().splitlines()
+    assert [(i, line.strip()) for i, line in enumerate(lines, 1) if FAMILY.search(line)] == []

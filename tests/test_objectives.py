@@ -85,11 +85,8 @@ class TestObjectiveValue:
         m, ds, p = lgssm_case()
         o = ob.Objective("iwvi", m, p, 3)
         got = float(ob.objective_value(o, ds, RngStream(5)).data)
-        want = fl.run_smc(
-            m, p, ds, fl.FilterConfig(3, grad_mode="biased", resample=False),
-            backend=fl.RandomBackend(RngStream(5)),
-        ).log_evidence.data
-        assert got == float(want)
+        run = fl.run_smc(m, p, ds, 3, fl.RandomBackend(RngStream(5)), resample=False)
+        assert got == float(run.log_evidence.data)
 
     def test_smoothing_proposal_is_exact_for_iwvi(self):
         # without resampling every path weight telescopes to the evidence,
@@ -316,6 +313,16 @@ class TestTrain:
         m, ds, p = lgssm_case()
         with pytest.raises(ValueError, match="schedule"):
             ob.train(ob.Objective("vsmc", m, p, 3), ds, [], 1)
+
+    def test_bad_settings_rejected_before_training(self, monkeypatch):
+        """A clip <= 0 would reverse or freeze the ascent; bad probing would fail late."""
+        m, ds, p = lgssm_case()
+        o = ob.Objective("vsmc", m, p, 3)
+        monkeypatch.setattr(ob, "gradient_biased", None)  # no iteration may start
+        for kwargs in ({"clip": 0.0}, {"clip": -1.0}, {"probe_every": -1},
+                       {"probe_every": 2, "probe_samples": 1}):
+            with pytest.raises(ValueError, match="clip|probe"):
+                ob.train(o, ds, [(0.01, 3)], 1, **kwargs)
 
     def test_deterministic_given_seed(self):
         m, ds, p = lgssm_case()
