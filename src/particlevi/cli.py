@@ -227,13 +227,17 @@ _MODEL_STREAM, _DATA_STREAM, _PROPOSAL_STREAM, _TRAIN_STREAM, _EVAL_STREAM = 1, 
 
 
 def build_model(cfg: ExperimentConfig):
+    """The configured model; a setting it cannot be built from is a ``CliError``."""
     rng = RngStream(cfg.seed).split(_MODEL_STREAM)
     m = cfg.model
-    if cfg.model_kind == "lgssm":
-        return mo.lgssm_make(m["dx"], m["dy"], m["alpha"], m["c_mode"], rng)
-    if cfg.model_kind == "sv":
-        return mo.sv_make(m["dim"], m["b_mode"], rng)
-    return mo.dmm_make(m["dx"], m["dy"], m["dh"], rng)
+    try:
+        if cfg.model_kind == "lgssm":
+            return mo.lgssm_make(m["dx"], m["dy"], m["alpha"], m["c_mode"], rng)
+        if cfg.model_kind == "sv":
+            return mo.sv_make(m["dim"], m["b_mode"], rng)
+        return mo.dmm_make(m["dx"], m["dy"], m["dh"], rng)
+    except ValueError as exc:
+        raise CliError(f"[model] {exc}") from exc
 
 
 def build_objective(cfg: ExperimentConfig, model) -> ob.Objective:
@@ -250,7 +254,7 @@ def load_dataset(cfg: ExperimentConfig, out: Path) -> mo.Dataset:
     if not csv_path.exists():
         raise CliError(f"dataset missing: {csv_path} (run `generate` first)")
     ys = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    return mo.Dataset(ys=ys, kind=cfg.model_kind, meta={"data_hash": cfg.data_hash})
+    return mo.Dataset(ys)
 
 
 def _write_text(path: Path, text: str):
@@ -297,12 +301,7 @@ def cmd_generate(cfg: ExperimentConfig, out: Path) -> Path:
         }
         meta["kalman_loglik"] = mo.kalman_loglik(model, ds.ys)
     elif cfg.model_kind == "sv":
-        meta["arrays"] = {
-            "mu": np.asarray(model.mu).tolist(),
-            "phi_logit": np.asarray(model.phi_logit).tolist(),
-            "log_q_std": np.asarray(model.log_q_std).tolist(),
-            "b_raw": np.asarray(model.b_raw).tolist(),
-        }
+        meta["arrays"] = {k: np.asarray(v).tolist() for k, v in model.theta().items()}
     _write_text(meta_path, json.dumps(meta, sort_keys=True, indent=1) + "\n")
     print(f"wrote {csv_path} and {meta_path}")
     return csv_path
@@ -421,11 +420,8 @@ def _verify_cases():
 def _suite_identity():
     checks = []
     for name, model, params, data in _verify_cases():
-        worst = 0.0
-        for seed in range(1, 21):
-            run = fl.run_mpf(model, params, data, 4, seed)
-            worst = max(worst, fl.mpf_tmc_identity_check(model, run))
-        checks.append((f"mpf-tmc-{name}", worst, 1e-9))
+        runs = (fl.run_mpf(model, params, data, 4, seed) for seed in range(1, 21))
+        checks.append((f"mpf-tmc-{name}", max(map(fl.mpf_tmc_identity_check, runs)), 1e-9))
     return checks
 
 

@@ -14,10 +14,12 @@ combinators are enough to build particle filters out of such pairs:
                  auxiliary, which never increases variance
 
 derive_smc and derive_mpf perform the corresponding folds literally, one
-operation per time step.  Randomness routes through the same
-(step, purpose, offset) backend seam as the filters module, so a derived
-pair executed against the same root stream reproduces the matching filter's
-log estimator to float-roundoff precision.  Execution here favors mechanical
+operation per time step.  Each binds the model once (``models.bind``), and
+the step densities and proposals score and draw through that bound model,
+as the filters do.  Randomness routes through the same (step, purpose,
+offset) backend seam as the filters module, so a derived pair executed
+against the same root stream reproduces the matching filter's log
+estimator to float-roundoff precision.  Execution here favors mechanical
 transparency over speed (lanes are drawn one by one, marginalization is
 quadratic); the filters module is the vectorized path.
 """
@@ -33,7 +35,7 @@ import numpy as np
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import models as mo
-from particlevi.filters import ANCESTOR, make_backend, ys_of
+from particlevi.filters import ANCESTOR, make_backend
 
 
 # ---------------------------------------------------------------------------
@@ -282,34 +284,32 @@ class _Lane:
         return np.asarray([self.backend.choose_one(t, purpose, self.lane, probs)], dtype=np.intp)
 
 
-def step_density(model, ys: np.ndarray) -> Callable:
-    """log gamma_1(x) = log f(x) + log g(y_1 | x)."""
-    ratio = step_ratio(model, ys, 1)  # at t=1 the transition is the prior
+def step_density(bound) -> Callable:
+    """log gamma_1(x) = log f(x) + log g(y_1 | x) of a ``models.bind`` result."""
+    ratio = step_ratio(bound, 1)  # at t=1 the transition is the prior
     return lambda x: ratio(None, x)
 
 
-def step_ratio(model, ys: np.ndarray, t: int) -> Callable:
+def step_ratio(bound, t: int) -> Callable:
     """log[gamma_t / gamma_{t-1}] = log f(x_t | x_{t-1}) + log g(y_t | x_t)."""
-    y = ys[t - 1]
 
     def ratio(old, new):
         x = _row(new)
-        log_f = mo.transition_build_many(model, t, _row(old)).logpdf_rows(x)
-        return (log_f + mo.emission_logpdf_rows(model, t, x, y)).sum()
+        log_f = mo.transition_build_many(bound, t, _row(old)).logpdf_rows(x)
+        return (log_f + mo.emission_logpdf_rows(bound, t, x)).sum()
 
     return ratio
 
 
-def step_proposal(model, params, ys: np.ndarray, t: int) -> StepProposal:
+def step_proposal(bound, t: int) -> StepProposal:
     """Lane-addressed draw from r_t plus its log-density, as the filters draw it."""
-    y = ys[t - 1]
 
     def sample(backend, lane, x_prev):
-        x = mo.proposal_build_many(model, params, t, _row(x_prev), y).draw(_Lane(backend, lane), t, 1)
+        x = mo.proposal_build_many(bound, t, _row(x_prev)).draw(_Lane(backend, lane), t, 1)
         return ad.reshape(x, (x.data.shape[1],))
 
     def logpdf(x_prev, x):
-        return mo.proposal_build_many(model, params, t, _row(x_prev), y).logpdf_rows(_row(x)).sum()
+        return mo.proposal_build_many(bound, t, _row(x_prev)).logpdf_rows(_row(x)).sum()
 
     return StepProposal(sample, logpdf)
 
@@ -353,13 +353,10 @@ def _ancestor_selector(proposal: StepProposal, ratio: Callable) -> Callable:
 
 def derive_smc(model, params, data, n_particles: int) -> CouplingPair:
     """Fold replicate(extend_target(...)) into the sequential filter's estimator."""
-    ys = ys_of(data)
-    pair = replicate(
-        basic_pair(step_density(model, ys), step_proposal(model, params, ys, 1), "Step1"),
-        n_particles,
-    )
-    for t in range(2, ys.shape[0] + 1):
-        tr = TargetRatio(step_ratio(model, ys, t), step_proposal(model, params, ys, t), drop_old=False, t=t)
+    bound = mo.bind(model, params, data)
+    pair = replicate(basic_pair(step_density(bound), step_proposal(bound, 1), "Step1"), n_particles)
+    for t in range(2, bound.ys.shape[0] + 1):
+        tr = TargetRatio(step_ratio(bound, t), step_proposal(bound, t), drop_old=False, t=t)
         pair = replicate(extend_target(pair, tr), n_particles)
     return pair
 
@@ -367,14 +364,10 @@ def derive_smc(model, params, data, n_particles: int) -> CouplingPair:
 def derive_mpf(model, params, data, n_particles: int) -> CouplingPair:
     """Like derive_smc, but each step changes target to the newest marginal and
     then integrates the drawn ancestor out of the estimator."""
-    ys = ys_of(data)
-    pair = replicate(
-        basic_pair(step_density(model, ys), step_proposal(model, params, ys, 1), "Step1"),
-        n_particles,
-    )
-    for t in range(2, ys.shape[0] + 1):
-        proposal = step_proposal(model, params, ys, t)
-        ratio = step_ratio(model, ys, t)
+    bound = mo.bind(model, params, data)
+    pair = replicate(basic_pair(step_density(bound), step_proposal(bound, 1), "Step1"), n_particles)
+    for t in range(2, bound.ys.shape[0] + 1):
+        proposal, ratio = step_proposal(bound, t), step_ratio(bound, t)
         tr = TargetRatio(ratio, proposal, drop_old=True, t=t)
         pair = replicate(marginalize(extend_target(pair, tr), _ancestor_selector(proposal, ratio)), n_particles)
     return pair

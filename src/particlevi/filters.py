@@ -8,10 +8,11 @@ signature; two switches tell the paper's bounds apart: ``run_smc``'s
 ``resample`` (vsmc, or iwvi) and ``run_mpf``'s ``implicit`` (vmpf-ug, or
 vmpf-bg).
 
-Each filter has one body for every model family.  It asks the model's
-builders for rows (``models.GaussRows`` for the continuous families,
-``models.TableRows`` for the HMM) and scores and draws through their
-methods, so only the ``models`` module decides what a family is.
+Each filter has one body for every model family.  It binds the model to
+the run once (``models.bind``, on the caller's tape), asks the bound
+model's builders for rows (``models.GaussRows`` or, for the HMM,
+``models.TableRows``) and scores and draws through their methods, so only
+``models.bind`` decides what a family is.
 
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
@@ -96,7 +97,8 @@ class _RunDraws:
     (t, purpose, offsets) draws at offsets 0..count-1, and a purpose is
     always asked for the same count within a run.  ``choose_shared`` and
     ``choose_each`` (IPF's swaps, the HMM's per-particle rows) pick by
-    inverse CDF from those draws, or ask a backend without run-level reads
+    inverse CDF from those draws, with the clamp and zero-weight guard of
+    ``categorical_sample_many``, or ask a backend without run-level reads
     to choose at each offset with ``choose_one``.
     """
 
@@ -125,15 +127,25 @@ class _RunDraws:
     def choose_shared(self, t: int, purpose: int, n: int, probs: np.ndarray) -> np.ndarray:
         """n inverse-CDF choices from one probability vector, offsets 0..n-1."""
         if self.blocks is None:
-            return np.asarray(self.choose_each(t, purpose, [probs] * n), dtype=np.intp)
+            return self.choose_each(t, purpose, [probs] * n)
         return categorical_sample_many(probs, self.uniforms(t, purpose, n))
 
-    def choose_each(self, t: int, purpose: int, rows: list) -> list:
-        """One inverse-CDF choice per probability vector; vector k uses offset k."""
+    def choose_each(self, t: int, purpose: int, rows: list) -> np.ndarray:
+        """One choice per probability vector, vector k at offset k; ragged vectors are zero-padded."""
         if self.blocks is None:
-            return [self.backend.choose_one(t, purpose, k, p) for k, p in enumerate(rows)]
+            return np.asarray([self.backend.choose_one(t, purpose, k, p) for k, p in enumerate(rows)], np.intp)
         us = self.uniforms(t, purpose, len(rows))
-        return [int(categorical_sample_many(p, us[k : k + 1])[0]) for k, p in enumerate(rows)]
+        sizes = np.asarray([len(p) for p in rows], dtype=np.intp)
+        probs = np.zeros((len(rows), max(sizes, default=0)))
+        for k, p in enumerate(rows):
+            probs[k, : sizes[k]] = p
+        if not np.all(np.any(probs > 0.0, axis=1)):
+            raise ValueError("total particle degeneracy: all categorical weights zero")
+        idx = np.minimum((np.cumsum(probs, axis=1) <= us[:, None]).sum(axis=1), sizes - 1)
+        at = np.arange(len(rows))
+        while np.any(probs[at, idx] == 0.0):
+            idx = np.where(probs[at, idx] == 0.0, idx - 1, idx)
+        return idx
 
 
 class ScriptBackend:
@@ -224,7 +236,8 @@ class ParticleRun:
     increment w_t / v_t for the resampling filters, the running product
     u_t / z_t for the cumulative ones (flagged by ``cumulative``).  Either
     way log_mean_weights[t] = logsumexp(log_weights[t]) - log N, and
-    log_evidence is the last of them (cumulative) or their sum.
+    log_evidence is the last of them (cumulative) or their sum.  bound is
+    the run's ``models.bind`` result: its model, proposal and observations.
     """
 
     kind: str
@@ -233,8 +246,7 @@ class ParticleRun:
     log_mean_weights: list
     cumulative: bool
     ancestors: list | None = None
-    params: object = None
-    ys: np.ndarray | None = None
+    bound: object = None
     tail: TailCounter | None = None
     log_evidence: Var = field(init=False)
 
@@ -260,14 +272,6 @@ class ParticleRun:
         return len(self.log_weights)
 
 
-def ys_of(data) -> np.ndarray:
-    """The (T, dy) observations of a Dataset or array."""
-    ys = data.ys if isinstance(data, mo.Dataset) else np.asarray(data, dtype=np.float64)
-    if ys.ndim != 2:
-        raise ValueError("observations must be a (T, dy) array")
-    return ys
-
-
 def _check_alive(logw: Var, t: int):
     if not np.any(logw.data > -np.inf):
         raise DegeneracyError(t)
@@ -285,12 +289,12 @@ def make_backend(source):
     return source
 
 
-def _start(data, n_particles: int, source) -> tuple:
-    """(ys, the run's draws, log N): the set-up every filter shares."""
+def _start(model, params, data, n_particles: int, source) -> tuple:
+    """(the run's ``models.bind`` result, its draws, log N): the set-up every filter shares."""
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    ys = ys_of(data)
-    return ys, _RunDraws(make_backend(source), ys.shape[0]), math.log(n_particles)
+    bound = mo.bind(model, params, data)
+    return bound, _RunDraws(make_backend(source), bound.ys.shape[0]), math.log(n_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +313,8 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
     run into independent importance-sampling chains (ancestors i -> i)
     whose weights accumulate across steps (iwvi).
     """
-    ys, draws, log_n = _start(data, n_particles, source)
-    n, t_max = n_particles, ys.shape[0]
+    bound, draws, log_n = _start(model, params, data, n_particles, source)
+    n, t_max = n_particles, bound.ys.shape[0]
 
     particles, log_weights, log_mean_weights, ancestors = [], [], [], []
     x = None
@@ -328,11 +332,11 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
             ancestors.append(anc)
 
         parent = None if t == 1 else ad.gather_rows(x, anc)
-        proposal = mo.proposal_build_many(model, params, t, parent, ys[t - 1])
+        proposal = mo.proposal_build_many(bound, t, parent)
         x = proposal.draw(draws, t, n)
         inc = (
-            mo.transition_build_many(model, t, parent).logpdf_rows(x)
-            + mo.emission_logpdf_rows(model, t, x, ys[t - 1])
+            mo.transition_build_many(bound, t, parent).logpdf_rows(x)
+            + mo.emission_logpdf_rows(bound, t, x)
             - proposal.logpdf_rows(x)
         )
 
@@ -344,7 +348,7 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
         log_mean_weights.append(lse - log_n)
 
     return ParticleRun("smc", particles, log_weights, log_mean_weights, cumulative=not resample,
-                       ancestors=ancestors, params=params, ys=ys)
+                       ancestors=ancestors, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +365,10 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
                   - logsumexp_j(log vbar_j + log r_ij)
 
     Each logsumexp is the ``mixture_logpdf`` of the transition or the
-    proposal rows.  On continuous models that is one
-    ``models.gauss_mixture_logpdf`` node, so the (N, N) pair terms of a
-    step never reach the tape as matrices.  The node shifts them by a
-    bound, the highest weighted component peak, instead of by each row's
-    maximum, and redoes a row that falls far below that bound.  At N=1 the
-    row kernel plus log vbar stands in, which keeps the run bit-aligned
-    with run_smc.  log vbar reuses the logsumexp node of the previous
+    proposal rows, on continuous models one ``models.gauss_mixture_logpdf``
+    node, so the (N, N) pair terms never reach the tape.  At N=1 the row
+    kernel plus log vbar stands in, which keeps the run bit-aligned with
+    run_smc.  log vbar reuses the logsumexp node of the previous
     step's log mean weight.  The HMM's rows are tables: each logsumexp is
     one over table entries, and a step draws its states from the marginal
     row sum_j vbar_j r_t(. | x_{t-1}^j).
@@ -377,15 +378,13 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     detached probabilities and the draw reparameterized within it
     (vmpf-bg); implicit=True draws a step's N particles through one
     mixture_implicit_rsample node, so the mixture weights themselves carry
-    gradients (vmpf-ug), and the HMM's tables reject it.  A proposal
-    log-std that every particle shares enters that node as one (1, d) row
-    and gets a (1, d) cotangent.  Both read the same noise, so their
-    forward values are bit-identical.  The t=1 proposal is drawn the same
-    way in both.  Tail draws of the implicit gradient are counted in
-    ``tail_failures`` as ``grad`` runs the rules.
+    gradients (vmpf-ug), and the HMM's tables reject it.  Both read the
+    same noise, so their forward values are bit-identical.  The t=1
+    proposal is drawn the same way in both.  Tail draws of the implicit
+    gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
     """
-    ys, draws, log_n = _start(data, n_particles, source)
-    n, t_max = n_particles, ys.shape[0]
+    bound, draws, log_n = _start(model, params, data, n_particles, source)
+    n, t_max = n_particles, bound.ys.shape[0]
     tail = TailCounter()
 
     particles, log_weights, log_mean_weights = [], [], []
@@ -394,15 +393,15 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
 
     for t in range(1, t_max + 1):
         log_vbar = None if t == 1 else log_weights[-1] - lse
-        proposal = mo.proposal_build_many(model, params, t, x, ys[t - 1])
+        proposal = mo.proposal_build_many(bound, t, x)
         if t == 1:
             x_new = proposal.draw(draws, 1, n)
-            log_g = mo.emission_logpdf_rows(model, 1, x_new, ys[0])
-            logv = mo.transition_build_many(model, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
+            log_g = mo.emission_logpdf_rows(bound, 1, x_new)
+            logv = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
         else:
             x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
-            log_g = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1])
-            num = mo.transition_build_many(model, t, x).mixture_logpdf(x_new, log_vbar)
+            log_g = mo.emission_logpdf_rows(bound, t, x_new)
+            num = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_vbar)
             den = proposal.mixture_logpdf(x_new, log_vbar)
             logv = num + log_g - den
         x = x_new
@@ -414,7 +413,7 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
         log_mean_weights.append(lse - log_n)
 
     return ParticleRun("mpf", particles, log_weights, log_mean_weights, cumulative=False,
-                       params=params, ys=ys, tail=tail)
+                       bound=bound, tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -444,27 +443,27 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
 
         u_t^i = sum_l u_{t-1}^{k_li} f(x_t^i | x_{t-1}^{k_li}) g_i / (L r_t(x_t^i))
     """
-    ys, draws, log_n = _start(data, n_particles, source)
+    bound, draws, log_n = _start(model, params, data, n_particles, source)
     if not 1 <= l_perms <= n_particles:
         raise ValueError("l_perms must satisfy 1 <= L <= N")
-    n, t_max = n_particles, ys.shape[0]
+    n, t_max = n_particles, bound.ys.shape[0]
     log_l = math.log(l_perms)
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
 
     for t in range(1, t_max + 1):
-        proposal = mo.proposal_build_many(model, params, t, None, ys[t - 1])
+        proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
-        extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - proposal.logpdf_rows(x_new)
+        extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
         if t == 1:
-            logu = mo.transition_build_many(model, 1).logpdf_rows(x_new) + extra
+            logu = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
         else:
             base = _permutation(draws, t, n)
             terms = []
             for l in range(l_perms):
                 k_l = base[(np.arange(n) + l) % n]
-                log_f_l = mo.transition_build_many(model, t, ad.gather_rows(x, k_l)).logpdf_rows(x_new)
+                log_f_l = mo.transition_build_many(bound, t, ad.gather_rows(x, k_l)).logpdf_rows(x_new)
                 terms.append(ad.gather_rows(log_weights[-1], k_l) + log_f_l)
             pooled = ad.logsumexp(ad.stack_rows(terms), axis=0) - log_l
             logu = pooled + extra
@@ -475,8 +474,7 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
         log_weights.append(logu)
         log_mean_weights.append(ad.logsumexp(logu) - log_n)
 
-    return ParticleRun("ipf", particles, log_weights, log_mean_weights, cumulative=True,
-                       params=params, ys=ys)
+    return ParticleRun("ipf", particles, log_weights, log_mean_weights, cumulative=True, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -497,20 +495,20 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
     far below the node's shift bound, which the top weight sets; the node
     redoes such rows with their own maximum.
     """
-    ys, draws, log_n = _start(data, n_particles, source)
-    n, t_max = n_particles, ys.shape[0]
+    bound, draws, log_n = _start(model, params, data, n_particles, source)
+    n, t_max = n_particles, bound.ys.shape[0]
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
 
     for t in range(1, t_max + 1):
-        proposal = mo.proposal_build_many(model, params, t, None, ys[t - 1])
+        proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
-        extra = mo.emission_logpdf_rows(model, t, x_new, ys[t - 1]) - proposal.logpdf_rows(x_new)
+        extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
         if t == 1:
-            logz = mo.transition_build_many(model, 1).logpdf_rows(x_new) + extra
+            logz = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
         else:
-            logz = mo.transition_build_many(model, t, x).mixture_logpdf(x_new, log_weights[-1]) - log_n + extra
+            logz = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_weights[-1]) - log_n + extra
 
         _check_alive(logz, t)
         x = x_new
@@ -518,21 +516,21 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
         log_weights.append(logz)
         log_mean_weights.append(ad.logsumexp(logz) - log_n)
 
-    return ParticleRun("tmc", particles, log_weights, log_mean_weights, cumulative=True,
-                       params=params, ys=ys)
+    return ParticleRun("tmc", particles, log_weights, log_mean_weights, cumulative=True, bound=bound)
 
 
 # ---------------------------------------------------------------------------
 # cross-estimator identity
 
 
-def mpf_tmc_identity_check(model, run: ParticleRun) -> float:
+def mpf_tmc_identity_check(run: ParticleRun) -> float:
     """Max log-space gap between the MPF weights and TMC under its mixture.
 
     With proposal q_t(x) = sum_j vbar_{t-1}^j r_t(x | x_{t-1}^j), the TMC
-    weight recursion applied to the recorded particles must reproduce
-    z_t^i = v_t^i * prod_{tau<t} mean(v_tau).  Returns the largest
-    absolute log-space discrepancy over all (t, i).
+    weight recursion applied to the recorded particles, rescored by the
+    run's bound model, must reproduce z_t^i = v_t^i * prod_{tau<t}
+    mean(v_tau).  Returns the largest absolute log-space discrepancy over
+    all (t, i).
     """
     if run.kind != "mpf":
         raise ValueError("identity check expects an MPF run")
@@ -545,9 +543,9 @@ def mpf_tmc_identity_check(model, run: ParticleRun) -> float:
         x, xp = run.particles[t - 1], run.particles[t - 2]
         logv_prev = run.log_weights[t - 2].data
         log_vbar = logv_prev - ad.np_logsumexp(logv_prev)
-        log_f = mo.transition_build_many(model, t, xp).logpdf_matrix(x).data
-        log_r = mo.proposal_build_many(model, run.params, t, xp, run.ys[t - 1]).logpdf_matrix(x).data
-        log_g = mo.emission_logpdf_rows(model, t, x, run.ys[t - 1]).data
+        log_f = mo.transition_build_many(run.bound, t, xp).logpdf_matrix(x).data
+        log_r = mo.proposal_build_many(run.bound, t, xp).logpdf_matrix(x).data
+        log_g = mo.emission_logpdf_rows(run.bound, t, x).data
         log_q = ad.np_logsumexp(log_vbar[None, :] + log_r, axis=1)
         line6 = ad.np_logsumexp(log_z[None, :] + log_f, axis=1) + log_g - log_n - log_q
         running += float(run.log_mean_weights[t - 2].data)

@@ -3,12 +3,16 @@
 Four families: three continuous state space models (linear Gaussian,
 stochastic volatility, deep Markov) and a finite HMM used as an
 enumeration oracle.  This module is the one seam between them and the
-filters.  Each family exposes its transition, emission and proposal in
-one granularity, vectorized over particle rows: ``transition_build_many``
-and ``proposal_build_many`` return a rows object with one row per
-previous particle, and ``emission_logpdf_rows`` scores particle rows.
-There are two rows types with the same methods, so the filters and the
-couplings never ask which family they hold:
+filters.  ``bind(model, params, ys)`` is the one family dispatch on the
+filter path: it returns one run's model, built on the caller's tape with
+the work no particle changes done once (lifted constants, SV's B and
+log det B, the DMM's observation encoder over all T rows, the HMM's
+proposal tables).  The filters and the couplings bind once per run, then
+call three builders that forward to the bound model and dispatch on
+nothing: ``transition_build_many`` and ``proposal_build_many`` return a
+rows object with one row per previous particle, and
+``emission_logpdf_rows`` scores particle rows against y_t.  There are two
+rows types with the same methods, so no caller asks which family it holds:
 
   GaussRows  (means, log-stds) of diagonal Gaussians, the continuous families
   TableRows  (rows, K) categorical probabilities, the HMM
@@ -17,35 +21,11 @@ Both score a row against row i (``logpdf_rows``), every row against every
 component (``logpdf_matrix``, for the MPF-TMC identity check) and every
 row under a weighted mixture of the components (``mixture_logpdf``), and
 both draw a step's particles from their rows (``draw``) or from the
-weighted mixture (``draw_mixture``).  HMM states are (N, 1) columns of
-state indices.
-
-For the Gaussians the row kernel scores row i against row i; the
-all-pairs kernel scores every row against every component; the mixture
-kernel is the all-pairs matrix reduced by a logsumexp over the components.
-That logsumexp is shifted by an analytic bound, the highest weighted peak
-of any component density, rather than by each row's maximum, so the pair
-buffer takes three passes: one matmul, an exp and a row sum.  The filters
-call the kernels on N rows; the coupling combinators call the same
-functions on one-row arrays, so each Gaussian log-density has one
+weighted mixture (``draw_mixture``).  Each density kernel,
+reparameterized draw, network layer (``dense``) and Gaussian product is one
+tape node with an analytic backward; the filters call the kernels on N rows
+and the couplings on one-row arrays, so each log-density has one
 implementation.
-
-``GaussRows`` is a named tuple of (rows, d) mean and log-std arrays, so it
-unpacks as ``means, log_stds``.  A log-std that every particle shares (the LGSSM and SV noise scales, the
-LGSSM proposal's) stays one (1, d) row that broadcasts over the particles,
-so the pair work is a single (N, d) @ (d, M) matmul; the DMM heads give
-each row its own scale.  The implicit mixture draw of
-``distributions.mixture_implicit_rsample`` takes a shared row as it is.
-Each density kernel records one tape node with an analytic backward, and
-the pair kernels share one backward contraction.
-The reparameterized draw ``gauss_rsample`` (every filter and the
-couplings draw continuous states with it) and the LGSSM proposal mean
-``lgssm_proposal_mean`` are one node each as well.
-
-The DMM networks are built from ``dense`` layers, each one tape node that
-applies its activation too, and the DMM emission scores its logits with
-the one-node Bernoulli kernel.  The SV and DMM proposals fuse two Gaussian
-factors with ``distributions.gauss_product_fuse``, one node per output.
 """
 
 from __future__ import annotations
@@ -164,6 +144,8 @@ class StochVol:
 
 def sv_make(d: int, b_mode: str, rng: RngStream) -> StochVol:
     """Synthetic generating parameters for a d-dimensional SV model."""
+    if d < 1:
+        raise ValueError("dimensions must be >= 1")
     mu = rng.split(1).normals(d) * 0.5
     phi_logit = np.full(d, 2.2)  # Phi ~ 0.9, the persistent-volatility regime
     log_q_std = np.full(d, math.log(0.3))
@@ -178,11 +160,9 @@ def sv_b_matrix(model: StochVol) -> Var:
     """B with positive diagonal; gradient flows only through used entries."""
     b_raw = ad.constant(model.b_raw)
     d = b_raw.data.shape[0]
-    eye = np.eye(d)
-    b = ad.exp(b_raw) * ad.constant(eye)
+    b = ad.exp(b_raw) * ad.constant(np.eye(d))
     if model.b_mode == "triangular":
-        strict = np.tril(np.ones((d, d)), -1)
-        b = b + b_raw * ad.constant(strict)
+        b = b + b_raw * ad.constant(np.tril(np.ones((d, d)), -1))
     return b
 
 
@@ -218,6 +198,8 @@ def _mlp_init(rng: RngStream, sizes: list, names: list) -> dict:
 
 
 def dmm_make(dx: int, dy: int, dh: int, rng: RngStream) -> Dmm:
+    if min(dx, dy, dh) < 1:
+        raise ValueError("dimensions must be >= 1")
     params = {}
     params.update(_mlp_init(rng.split(0), [(dx, dh), (dh, dx), (dh, dx)],
                             ["trans_h", "trans_mu", "trans_sig"]))
@@ -283,10 +265,6 @@ class DiscreteHmm:
         for name, rows in (("pi0", self.pi0[None, :]), ("trans", self.trans), ("emis", self.emis)):
             if not np.allclose(rows.sum(axis=1), 1.0, atol=1e-10):
                 raise ValueError(f"{name} rows must sum to 1")
-
-    @property
-    def n_states(self) -> int:
-        return self.pi0.shape[0]
 
 
 def hmm_reference() -> DiscreteHmm:
@@ -709,7 +687,7 @@ class TableRows:
         if self.probs.shape[0] == 1:
             idx = draws.choose_shared(t, PROPOSAL, n, self.probs[0])
         else:
-            idx = np.asarray(draws.choose_each(t, PROPOSAL, list(self.probs)), dtype=np.intp)
+            idx = draws.choose_each(t, PROPOSAL, list(self.probs))
         return ad.constant(idx[:, None].astype(np.float64))
 
     def draw_mixture(self, draws, t: int, n: int, log_w, implicit: bool, tail) -> Var:
@@ -721,108 +699,153 @@ class TableRows:
 
 
 # ---------------------------------------------------------------------------
-# transition / emission / proposal, per family
+# one run's model: bind, and the three builders that forward to it
 
 
-def transition_build_many(model, t: int, x_prev=None):
-    """Rows of f(. | x_prev_j), one per previous particle.
+def bind(model, params, data):
+    """One run's model: the model, its proposal params and data, a Dataset or (T, dy) ys.
 
-    t is 1-based; t=1 ignores x_prev and returns a single row (the prior).
-    The continuous families return ``GaussRows``, whose log-std may be one
-    (1, d) row shared by every particle (LGSSM, SV); the HMM returns
-    ``TableRows``.
+    It has ``transition(t, x_prev)``, ``emission(t, x)``, ``proposal(t,
+    x_prev)`` and the (T, dy) ``ys``.  What no particle changes is built
+    here, on the caller's tape, so its gradient flows as before.  One object
+    serves one run; nothing is cached across runs.
     """
-    if isinstance(model, Lgssm):
-        if t == 1:
-            return GaussRows(ad.constant(np.zeros((1, model.dx))), ad.constant(np.zeros((1, model.dx))))
-        means = ad.constant(x_prev) @ ad.constant(model.a.T)
-        return GaussRows(means, ad.constant(0.5 * np.log(model.q_diag)[None, :]))
-    if isinstance(model, StochVol):
-        mu, ls = ad.constant(model.mu), ad.constant(model.log_q_std)
-        if t == 1:
-            return GaussRows(ad.reshape(mu, (1, model.dim)), ad.reshape(ls, (1, model.dim)))
-        phi = ad.sigmoid(ad.constant(model.phi_logit))
-        means = mu + phi * (ad.constant(x_prev) - mu)
-        return GaussRows(means, ad.reshape(ls, (1, model.dim)))
-    if isinstance(model, Dmm):
-        if t == 1:
-            x_prev = ad.constant(np.zeros((1, model.dx)))
-        return GaussRows(*mlp_two_head(model.params, "trans", ad.constant(x_prev)))
-    if isinstance(model, DiscreteHmm):
-        return TableRows(model.pi0[None, :] if t == 1 else model.trans[_state_index(x_prev)])
+    ys = data.ys if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
+    if ys.ndim != 2:
+        raise ValueError("observations must be a (T, dy) array")
+    for family, run in ((Lgssm, _LgssmRun), (StochVol, _SvRun), (Dmm, _DmmRun), (DiscreteHmm, _HmmRun)):
+        if isinstance(model, family):
+            return run(model, params, ys)
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 
-def emission_logpdf_rows(model, t: int, x, y_t) -> Var:
-    """log g(y_t | x_i) for each particle row of x."""
-    x = ad.constant(x)
-    y_t = np.asarray(y_t, dtype=np.float64)
-    if isinstance(model, Lgssm):
-        log_r_std = 0.5 * np.log(model.r_diag)[None, :]
-        return gauss_logpdf_rows(y_t[None, :], x @ ad.constant(model.c.T), log_r_std)
-    if isinstance(model, StochVol):
-        b = sv_b_matrix(model)
-        u = ad.constant(y_t) * ad.exp(-0.5 * x)
-        z = trisolve_rows(b, u)
-        log_det_b = (ad.constant(model.b_raw) * ad.constant(np.eye(model.dim))).sum()
-        half_trace = 0.5 * x.sum(axis=1)
-        return -0.5 * model.dim * LOG_2PI - log_det_b - half_trace - 0.5 * (z * z).sum(axis=1)
-    if isinstance(model, Dmm):
-        return bernoulli_logpmf_rows(mlp_single(model.params, "emis_h", "emis_out", x), y_t)
-    if isinstance(model, DiscreteHmm):
-        with np.errstate(divide="ignore"):
-            return ad.constant(np.log(model.emis[_state_index(x), int(y_t[0])]))
-    raise TypeError(f"unsupported model: {type(model).__name__}")
+def _conditional(family: str, t: int, x_prev):
+    if t > 1 and x_prev is None:
+        raise ValueError(f"{family} proposals condition on the previous state; none is state-independent")
 
 
-def proposal_build_many(model, params: dict, t: int, x_prev=None, y_t=None):
-    """Proposal rows r_t(. | x_prev_j), one per previous particle; single row at t=1.
+def _fuse_row(rows, means, log_stds, t: int) -> GaussRows:
+    """The product of Gaussian rows with row t-1 of a (T, d) Gaussian factor."""
+    pick = np.asarray([t - 1])
+    factor = DiagGaussian(ad.gather_rows(means, pick), ad.gather_rows(log_stds, pick))
+    fused = gauss_product_fuse(DiagGaussian(*rows), factor)
+    return GaussRows(fused.mean, fused.log_std)
 
-    LGSSM proposals are the free-form Gaussians of the experiments; SV and
-    DMM proposals fuse the transition density with a learned Gaussian
-    factor, which keeps every family inside the diagonal-Gaussian class.
-    The log-std may be one (1, d) row shared by every particle (LGSSM, SV).
-    x_prev=None at t > 1 asks for the state-independent form, which the
-    LGSSM and the HMM have.  HMM proposals default to the model's own
-    tables (bootstrap) and to the uniform row when state-independent;
-    params may override them with init_proposal, trans_proposal and
-    indep_proposal tables, which are constants: they take no gradient.
-    """
-    if isinstance(model, Lgssm):
-        ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
-        if t == 1 or x_prev is None:
-            # beta is unused in the state-independent form
-            return GaussRows(ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1])), ls_t)
-        return GaussRows(lgssm_proposal_mean(params["mu"], params["beta"], x_prev, model.a, t), ls_t)
-    if isinstance(model, DiscreteHmm):
+
+class _LgssmRun:
+    """LGSSM: free-form Gaussian proposals mu_t + beta_t * (A x_prev), or mu_t alone."""
+
+    def __init__(self, model: Lgssm, params: dict, ys):
+        self.ys, self.a = ys, model.a
+        zeros = ad.constant(np.zeros((1, model.dx)))
+        self.prior = GaussRows(zeros, zeros)
+        self.a_t, self.c_t = ad.constant(model.a.T), ad.constant(model.c.T)
+        self.q_ls, self.r_ls = (ad.constant(0.5 * np.log(v)[None, :]) for v in (model.q_diag, model.r_diag))
+        self.mu, self.beta, self.log_sigma = (ad.constant(params[k]) for k in ("mu", "beta", "log_sigma"))
+
+    def transition(self, t: int, x_prev=None):
+        return self.prior if t == 1 else GaussRows(ad.constant(x_prev) @ self.a_t, self.q_ls)
+
+    def emission(self, t: int, x) -> Var:
+        return gauss_logpdf_rows(self.ys[t - 1 : t], ad.constant(x) @ self.c_t, self.r_ls)
+
+    def proposal(self, t: int, x_prev=None):
+        ls_t = ad.gather_rows(self.log_sigma, np.asarray([t - 1]))
+        if t == 1 or x_prev is None:  # beta is unused in the state-independent form
+            return GaussRows(ad.gather_rows(self.mu, np.asarray([t - 1])), ls_t)
+        return GaussRows(lgssm_proposal_mean(self.mu, self.beta, x_prev, self.a, t), ls_t)
+
+
+class _SvRun:
+    """SV: proposals fuse the transition with a learned Gaussian factor (mu_t, log_sigma_t)."""
+
+    def __init__(self, model: StochVol, params: dict, ys):
+        self.ys, d = ys, model.dim
+        self.mu = ad.constant(model.mu)
+        self.q_ls = ad.reshape(ad.constant(model.log_q_std), (1, d))
+        self.prior = GaussRows(ad.reshape(self.mu, (1, d)), self.q_ls)
+        self.phi = ad.sigmoid(ad.constant(model.phi_logit))
+        self.b = sv_b_matrix(model)
+        log_det_b = (ad.constant(model.b_raw) * ad.constant(np.eye(d))).sum()
+        self.log_norm = -0.5 * d * LOG_2PI - log_det_b
+        self.p_mu, self.p_ls = ad.constant(params["mu"]), ad.constant(params["log_sigma"])
+
+    def transition(self, t: int, x_prev=None):
+        return self.prior if t == 1 else GaussRows(self.mu + self.phi * (ad.constant(x_prev) - self.mu), self.q_ls)
+
+    def emission(self, t: int, x) -> Var:
+        x = ad.constant(x)
+        z = trisolve_rows(self.b, ad.constant(self.ys[t - 1]) * ad.exp(-0.5 * x))
+        return self.log_norm - 0.5 * x.sum(axis=1) - 0.5 * (z * z).sum(axis=1)
+
+    def proposal(self, t: int, x_prev=None):
+        _conditional("StochVol", t, x_prev)
+        return _fuse_row(self.transition(t, x_prev), self.p_mu, self.p_ls, t)
+
+
+class _DmmRun:
+    """DMM: proposals fuse an x_prev network with an observation encoder, both two-head MLPs."""
+
+    def __init__(self, model: Dmm, params: dict, ys):
+        self.ys, self.theta, self.params = ys, model.params, params
+        self.x0 = ad.constant(np.zeros((1, model.dx)))
+        self.y_means, self.y_ls = mlp_two_head(params, "y", ys)
+
+    def transition(self, t: int, x_prev=None):
+        return GaussRows(*mlp_two_head(self.theta, "trans", self.x0 if t == 1 else ad.constant(x_prev)))
+
+    def emission(self, t: int, x) -> Var:
+        return bernoulli_logpmf_rows(mlp_single(self.theta, "emis_h", "emis_out", ad.constant(x)), self.ys[t - 1])
+
+    def proposal(self, t: int, x_prev=None):
+        _conditional("Dmm", t, x_prev)
+        x_rows = mlp_two_head(self.params, "x", self.x0 if t == 1 else ad.constant(x_prev))
+        return _fuse_row(x_rows, self.y_means, self.y_ls, t)
+
+
+class _HmmRun:
+    """HMM: the model's own proposal tables (bootstrap; uniform when state-independent), or
+    params' init_proposal, trans_proposal and indep_proposal: constants, with no gradient."""
+
+    def __init__(self, model: DiscreteHmm, params, ys):
         params = params or {}
         if any(isinstance(v, Var) for v in params.values()):
             raise ValueError("the HMM's proposal tables are constants; they take no gradient")
+        self.ys, self.model, k = ys, model, model.pi0.shape[0]
+        self.prior = TableRows(model.pi0[None, :])
+        self.init = TableRows(np.asarray(params.get("init_proposal", model.pi0))[None, :])
+        self.indep = TableRows(np.asarray(params.get("indep_proposal", np.full(k, 1.0 / k)))[None, :])
+        self.trans = np.asarray(params.get("trans_proposal", model.trans))
+
+    def transition(self, t: int, x_prev=None):
+        return self.prior if t == 1 else TableRows(self.model.trans[_state_index(x_prev)])
+
+    def emission(self, t: int, x) -> Var:
+        with np.errstate(divide="ignore"):
+            return ad.constant(np.log(self.model.emis[_state_index(x), int(self.ys[t - 1, 0])]))
+
+    def proposal(self, t: int, x_prev=None):
         if t == 1:
-            return TableRows(np.asarray(params.get("init_proposal", model.pi0))[None, :])
-        if x_prev is None:
-            k = model.n_states
-            return TableRows(np.asarray(params.get("indep_proposal", np.full(k, 1.0 / k)))[None, :])
-        return TableRows(np.asarray(params.get("trans_proposal", model.trans))[_state_index(x_prev)])
-    if t > 1 and x_prev is None:
-        raise ValueError(
-            f"{type(model).__name__} proposals condition on the previous state; "
-            "no state-independent form exists"
-        )
-    if isinstance(model, StochVol):
-        f_mean, f_ls = transition_build_many(model, t, x_prev)
-        mu_t = ad.gather_rows(ad.constant(params["mu"]), np.asarray([t - 1]))
-        ls_t = ad.gather_rows(ad.constant(params["log_sigma"]), np.asarray([t - 1]))
-        fused = gauss_product_fuse(DiagGaussian(f_mean, f_ls), DiagGaussian(mu_t, ls_t))
-        return GaussRows(fused.mean, fused.log_std)
-    if isinstance(model, Dmm):
-        if t == 1:
-            x_prev = np.zeros((1, model.dx))
-        x_mean, x_ls = mlp_two_head(params, "x", ad.constant(x_prev))
-        y_mean, y_ls = mlp_two_head(params, "y", np.asarray(y_t, dtype=np.float64)[None, :])
-        fused = gauss_product_fuse(DiagGaussian(x_mean, x_ls), DiagGaussian(y_mean, y_ls))
-        return GaussRows(fused.mean, fused.log_std)
-    raise TypeError(f"unsupported model: {type(model).__name__}")
+            return self.init
+        return self.indep if x_prev is None else TableRows(self.trans[_state_index(x_prev)])
+
+
+def transition_build_many(bound, t: int, x_prev=None):
+    """Rows of f(. | x_prev_j) of a ``bind`` result, one per previous particle; the prior at t=1."""
+    return bound.transition(t, x_prev)
+
+
+def emission_logpdf_rows(bound, t: int, x) -> Var:
+    """log g(y_t | x_i) of a ``bind`` result for each particle row of x."""
+    return bound.emission(t, x)
+
+
+def proposal_build_many(bound, t: int, x_prev=None):
+    """Proposal rows r_t(. | x_prev_j) of a ``bind`` result, one per previous particle.
+
+    A single row at t=1; x_prev=None at t > 1 asks for the state-independent form.
+    """
+    return bound.proposal(t, x_prev)
 
 
 def proposal_init(model, t_max: int, rng: RngStream | None = None) -> dict:
@@ -853,12 +876,6 @@ def proposal_init(model, t_max: int, rng: RngStream | None = None) -> dict:
 @dataclass
 class Dataset:
     ys: np.ndarray
-    kind: str
-    meta: dict
-
-    @property
-    def t_max(self) -> int:
-        return self.ys.shape[0]
 
 
 def generate(model, t_max: int, rng: RngStream) -> Dataset:
@@ -873,8 +890,7 @@ def generate(model, t_max: int, rng: RngStream) -> Dataset:
             probs = model.pi0 if t == 0 else model.trans[state]
             state = int(categorical_sample_many(probs, np.asarray([u_state]))[0])
             symbols[t] = categorical_sample_many(model.emis[state], np.asarray([u_sym]))[0]
-        meta = {"kind": "hmm", "dy": 1, "t_max": t_max}
-        return Dataset(symbols[:, None].astype(np.float64), "hmm", meta)
+        return Dataset(symbols[:, None].astype(np.float64))
     if isinstance(model, Lgssm):
         ys = np.zeros((t_max, model.dy))
         x = rng.split(0, 0).normals(model.dx)
@@ -882,8 +898,7 @@ def generate(model, t_max: int, rng: RngStream) -> Dataset:
             if t > 0:
                 x = model.a @ x + np.sqrt(model.q_diag) * rng.split(t, 0).normals(model.dx)
             ys[t] = model.c @ x + np.sqrt(model.r_diag) * rng.split(t, 1).normals(model.dy)
-        meta = {"kind": "lgssm", "dx": model.dx, "dy": model.dy, "t_max": t_max}
-        return Dataset(ys, "lgssm", meta)
+        return Dataset(ys)
     if isinstance(model, StochVol):
         d = model.dim
         mu = np.asarray(getattr(model.mu, "data", model.mu))
@@ -896,8 +911,7 @@ def generate(model, t_max: int, rng: RngStream) -> Dataset:
             if t > 0:
                 x = mu + phi * (x - mu) + q_std * rng.split(t, 0).normals(d)
             ys[t] = np.exp(x / 2.0) * (b @ rng.split(t, 1).normals(d))
-        meta = {"kind": "sv", "dy": d, "t_max": t_max, "b_mode": model.b_mode}
-        return Dataset(ys, "sv", meta)
+        return Dataset(ys)
     if isinstance(model, Dmm):
         ys = np.zeros((t_max, model.dy))
         x = np.zeros((1, model.dx))
@@ -907,7 +921,6 @@ def generate(model, t_max: int, rng: RngStream) -> Dataset:
             logits = mlp_single(model.params, "emis_h", "emis_out", x).data[0]
             probs = 1.0 / (1.0 + np.exp(-logits))
             ys[t] = (rng.split(t, 1).uniforms(model.dy) < probs).astype(np.float64)
-        meta = {"kind": "dmm", "dx": model.dx, "dy": model.dy, "dh": model.dh, "t_max": t_max}
-        return Dataset(ys, "dmm", meta)
+        return Dataset(ys)
     raise TypeError(f"unsupported model: {type(model).__name__}")
 

@@ -419,6 +419,20 @@ class TestMain:
         cfg_path = write_config(tmp_path / "bad.ini", body)
         assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 2
         assert "train.clip must be > 0" in capsys.readouterr().err
+        # models that cannot be built from their settings
+        for model, match in (
+            ("kind = lgssm\ndx = 0\ndy = 2\nalpha = 0.42\nc_mode = sparse", "dimensions must be >= 1"),
+            ("kind = lgssm\ndx = 2\ndy = 3\nalpha = 0.42\nc_mode = sparse", "sparse C needs dy <= dx"),
+            ("kind = lgssm\ndx = 2\ndy = 2\nalpha = 0.42\nc_mode = banded", "unknown C mode"),
+            ("kind = dmm\ndx = 2\ndy = 3\ndh = 0", "dimensions must be >= 1"),
+            ("kind = sv\ndim = 0\nb_mode = diagonal", "dimensions must be >= 1"),
+            ("kind = sv\ndim = 2\nb_mode = full", "unknown B mode"),
+        ):
+            cfg_path = write_config(tmp_path / "model.ini", f"[model]\n{model}\nt = 4\n[objective]\nkind = vsmc\nn = 3\n")
+            assert cli.main(["generate", "--config", cfg_path, "--out", str(tmp_path / "data")]) == 2, model
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and match in err, err
+        assert not (tmp_path / "data").exists()
 
     def test_integer_argument_errors_exit_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)

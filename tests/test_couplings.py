@@ -103,7 +103,8 @@ class TestBasicPair:
         m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))
         ds = mo.generate(m, 1, RngStream(3))
         params = mo.proposal_init(m, 1)
-        pair = cp.basic_pair(cp.step_density(m, ds.ys), cp.step_proposal(m, params, ds.ys, 1))
+        bound = mo.bind(m, params, ds.ys)
+        pair = cp.basic_pair(cp.step_density(bound), cp.step_proposal(bound, 1))
         d = pair.draw(RngStream(11))
         run = fl.run_smc(m, params, ds, 1, 11)
         assert abs(float(d.log_r.data) - float(run.log_weights[0].data[0])) < 1e-12
@@ -214,11 +215,10 @@ def mpf_step_pair(n=2):
     )
     params = {"trans_proposal": np.asarray([[0.55, 0.45], [0.35, 0.65]])}
     ys = np.zeros((2, 1))
-    rep = cp.replicate(
-        cp.basic_pair(cp.step_density(h, ys), cp.step_proposal(h, params, ys, 1)), n
-    )
-    proposal = cp.step_proposal(h, params, ys, 2)
-    ratio = cp.step_ratio(h, ys, 2)
+    bound = mo.bind(h, params, ys)
+    rep = cp.replicate(cp.basic_pair(cp.step_density(bound), cp.step_proposal(bound, 1)), n)
+    proposal = cp.step_proposal(bound, 2)
+    ratio = cp.step_ratio(bound, 2)
     tr = cp.TargetRatio(ratio, proposal, drop_old=True, t=2)
     changed = cp.extend_target(rep, tr)
     marged = cp.marginalize(changed, cp._ancestor_selector(proposal, ratio))
@@ -255,9 +255,8 @@ class TestDerivations:
         h = mo.hmm_reference()
         ys = np.zeros((1, 1))
         derived = cp.derive_smc(h, None, ys, 2)
-        manual = cp.replicate(
-            cp.basic_pair(cp.step_density(h, ys), cp.step_proposal(h, None, ys, 1)), 2
-        )
+        bound = mo.bind(h, None, ys)
+        manual = cp.replicate(cp.basic_pair(cp.step_density(bound), cp.step_proposal(bound, 1)), 2)
         a = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: derived.draw(be))]
         b = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: manual.draw(be))]
         assert a == b

@@ -512,9 +512,15 @@ class TestImplicitRule:
                 assert np.max(np.abs(a - b)) / scale <= 1e-12
 
 
+def dmm_emission(dmm, y):
+    """x -> log g(y | x) per row: the DMM emission of a run bound to the one observation y."""
+    bound = mo.bind(dmm, mo.proposal_init(dmm, 1, RngStream(0)), np.asarray(y, dtype=float)[None, :])
+    return lambda x: mo.emission_logpdf_rows(bound, 1, x)
+
+
 def dmm_emission_at(dmm, x, y):
     with ad.Tape():
-        return float(mo.emission_logpdf_rows(dmm, 1, x, y).data[0])
+        return float(dmm_emission(dmm, y)(x).data[0])
 
 
 class TestBernoulli:
@@ -546,7 +552,7 @@ class TestBernoulli:
         dmm = mo.dmm_make(3, 4, 8, RngStream(11))
         y = np.asarray([1.0, 0.0, 1.0, 1.0])
         err = ad.finite_diff_check(
-            lambda x: mo.emission_logpdf_rows(dmm, 1, x, y).sum(),
+            lambda x: dmm_emission(dmm, y)(x).sum(),
             [RngStream(12).normals(6).reshape(2, 3)],
         )
         assert err < 1e-5

@@ -207,7 +207,7 @@ class TestMpf:
         for model, params, data in cases:
             for seed in (1, 2, 3):
                 run = fl.run_mpf(model, params, data, 4, seed)
-                assert fl.mpf_tmc_identity_check(model, run) < 1e-9
+                assert fl.mpf_tmc_identity_check(run) < 1e-9
 
     def test_hmm_identity_reads_the_proposal_table(self):
         """The check's log r matrix comes from trans_proposal, as the run's draws did."""
@@ -215,15 +215,16 @@ class TestMpf:
         data = mo.generate(h, 6, RngStream(13))
         for seed in (1, 2, 3):
             run = fl.run_mpf(h, params, data, 4, seed)
-            assert fl.mpf_tmc_identity_check(h, run) < 1e-9
-            run.params = {"init_proposal": params["init_proposal"]}  # r_t falls back to model.trans
-            assert fl.mpf_tmc_identity_check(h, run) > 1e-3
+            assert fl.mpf_tmc_identity_check(run) < 1e-9
+            # r_t falls back to model.trans
+            run.bound = mo.bind(h, {"init_proposal": params["init_proposal"]}, data.ys)
+            assert fl.mpf_tmc_identity_check(run) > 1e-3
 
     def test_identity_check_rejects_other_kinds(self):
         m, ds, params = lgssm_setup()
         run = fl.run_smc(m, params, ds, 2, 1)
         with pytest.raises(ValueError):
-            fl.mpf_tmc_identity_check(m, run)
+            fl.mpf_tmc_identity_check(run)
 
     def test_biased_and_unbiased_share_the_forward_trace(self):
         m, ds, params = lgssm_setup(t_max=4)
@@ -382,6 +383,38 @@ class TestIpf:
         for i in range(5):
             picks = {base[(i + l) % 5] for l in range(4)}
             assert len(picks) == 4
+
+    def test_choose_each_matches_the_per_row_sampler(self):
+        """One row-wise inverse CDF picks what categorical_sample_many picks row by row.
+
+        Ragged rows with zero-weight atoms at the front, inside and at the
+        end, one summing to 1 - 1e-11, against random uniforms plus 0, the
+        top uniform and values on the cumulative sums.
+        """
+        rows = [
+            [0.0, 0.5, 0.0, 0.5], [0.2, 0.8], [0.0, 0.0, 1.0], [1.0],
+            [0.3, 0.3, 0.4 - 1e-11, 0.0, 0.0], [0.25] * 4, [0.5, 0.0, 0.5, 0.0],
+        ]
+        edges = [0.0, 1.0 - 2.0**-53, 0.5, 0.2, 0.3, 0.6, 0.25, 0.75]
+
+        class Fixed:
+            run_normals = None
+
+            def __init__(self, us):
+                self.us = us
+
+            def run_uniforms(self, purpose, t_max, count):
+                return self.us[None, :count]
+
+        draws_list = [RngStream(s).uniforms(len(rows)) for s in range(200)]
+        draws_list += [np.full(len(rows), u) for u in edges]
+        for us in draws_list:
+            got = fl._RunDraws(Fixed(us), 1).choose_each(1, fl.PERM, rows)
+            want = [distributions.categorical_sample_many(np.asarray(p), us[k : k + 1])[0] for k, p in enumerate(rows)]
+            assert got.tolist() == [int(w) for w in want]
+        assert fl._RunDraws(Fixed(np.zeros(0)), 1).choose_each(1, fl.PERM, []).tolist() == []
+        with pytest.raises(ValueError, match="degeneracy"):
+            fl._RunDraws(Fixed(np.zeros(2)), 1).choose_each(1, fl.PERM, [[0.5, 0.5], [0.0, 0.0]])
 
     def test_l1_pairs_one_to_one(self):
         """With L=1 every particle pools exactly one parent."""

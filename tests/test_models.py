@@ -26,20 +26,28 @@ KERNELS = {
 }
 
 
+def bound_at(model, t, y_t, params=None):
+    """``mo.bind`` on t observations, y_t the last; default proposal parameters."""
+    params = mo.proposal_init(model, t, RngStream(0)) if params is None else params
+    return mo.bind(model, params, np.tile(np.asarray(y_t, dtype=float), (t, 1)))
+
+
 def log_fg(model, t, x_t, x_prev, y_t):
     """(log f, log g) at one state: the filters' builders and kernels on one-row arrays."""
     x = np.asarray(x_t, dtype=float)[None, :]
     xp = None if x_prev is None else np.asarray(x_prev, dtype=float)[None, :]
-    f_means, f_ls = mo.transition_build_many(model, t, xp)
+    bound = bound_at(model, t, y_t)
+    f_means, f_ls = mo.transition_build_many(bound, t, xp)
     log_f = mo.gauss_logpdf_rows(x, f_means, f_ls).data[0]
-    log_g = mo.emission_logpdf_rows(model, t, x, y_t).data[0]
+    log_g = mo.emission_logpdf_rows(bound, t, x).data[0]
     return float(log_f), float(log_g)
 
 
 def proposal_row(model, params, t, x_prev, y_t=None):
     """Mean and log-std (d,) of r_t(. | x_prev) for one previous state."""
     xp = None if x_prev is None else np.asarray(x_prev, dtype=float)[None, :]
-    means, log_stds = mo.proposal_build_many(model, params, t, xp, y_t)
+    y_t = np.zeros(getattr(model, "dy", 1)) if y_t is None else y_t
+    means, log_stds = mo.proposal_build_many(bound_at(model, t, y_t, params), t, xp)
     return means.data[0], log_stds.data[0]
 
 
@@ -416,7 +424,7 @@ class TestDenseLayer:
             mo.dense(x, w, b, "relu")
 
     def test_one_node_per_layer(self):
-        """mlp_two_head is 3 nodes, mlp_single 2 and the DMM emission 3."""
+        """mlp_two_head is 3 nodes, mlp_single 2, binding (the encoder) 3 and the DMM emission 3."""
         dmm = mo.dmm_make(2, 3, 4, RngStream(5))
         with ad.Tape() as tape:
             params = {k: ad.leaf(v) for k, v in mo.proposal_init(dmm, 2, RngStream(6)).items()}
@@ -427,9 +435,11 @@ class TestDenseLayer:
             sizes.append(len(tape.nodes))
             mo.mlp_single(theta, "emis_h", "emis_out", x)
             sizes.append(len(tape.nodes))
-            mo.emission_logpdf_rows(dmm.with_theta(theta), 1, x, np.asarray([1.0, 0.0, 1.0]))
+            bound = mo.bind(dmm.with_theta(theta), params, np.asarray([[1.0, 0.0, 1.0]]))
             sizes.append(len(tape.nodes))
-        assert np.diff(sizes).tolist() == [3, 2, 3]
+            mo.emission_logpdf_rows(bound, 1, x)
+            sizes.append(len(tape.nodes))
+        assert np.diff(sizes).tolist() == [3, 2, 3, 3]
 
 
 class TestLogdensities:
@@ -488,7 +498,7 @@ class TestLogdensities:
         x_prev = np.asarray([[0.3]])
         for m in cases:
             # the whole grid in one row-kernel call against the one transition row
-            f_means, f_ls = mo.transition_build_many(m, 2, x_prev)
+            f_means, f_ls = mo.transition_build_many(bound_at(m, 2, np.zeros(getattr(m, "dy", 1))), 2, x_prev)
             vals = np.exp(mo.gauss_logpdf_rows(grid[:, None], f_means, f_ls).data)
             assert 0.999 < np.trapezoid(vals, grid) < 1.001
 
@@ -549,9 +559,8 @@ class TestProposals:
         x_t = np.asarray([[0.2]])
 
         def f(mu, beta, log_sigma):
-            means, log_stds = mo.proposal_build_many(
-                m, {"mu": mu, "beta": beta, "log_sigma": log_sigma}, 2, ad.constant(x_prev)
-            )
+            params = {"mu": mu, "beta": beta, "log_sigma": log_sigma}
+            means, log_stds = mo.proposal_build_many(bound_at(m, 2, [0.0], params), 2, ad.constant(x_prev))
             return mo.gauss_logpdf_rows(ad.constant(x_t), means, log_stds).sum()
 
         point = [np.zeros((2, 1)), np.ones((2, 1)), np.zeros((2, 1))]
@@ -562,7 +571,7 @@ class TestProposals:
         with ad.Tape():
             mu = ad.leaf(np.zeros((4, 1)))
             params = {"mu": mu, "beta": ad.leaf(np.ones((4, 1))), "log_sigma": ad.leaf(np.zeros((4, 1)))}
-            means, _ = mo.proposal_build_many(m, params, 2, ad.constant(np.asarray([[0.3]])))
+            means, _ = mo.proposal_build_many(bound_at(m, 2, [0.0], params), 2, ad.constant(np.asarray([[0.3]])))
             (g,) = ad.grad(means.sum(), [mu])
         assert np.array_equal(g[:, 0], [0.0, 1.0, 0.0, 0.0])
 

@@ -7,7 +7,8 @@ names (``__version__``) are public.
 
 The estimator modules (filters, couplings, objectives) never name a model
 family: only ``models`` decides what a family is, and they go through the
-rows its builders return.
+rows its builders return.  Within ``models`` the three builders forward to
+the run's bound model (``models.bind``) and name no family either.
 """
 
 import ast
@@ -111,3 +112,18 @@ FAMILY = re.compile(r"isinstance\(model\b|\bmo\.(?:Lgssm|StochVol|Dmm|DiscreteHm
 def test_estimators_never_name_a_model_family(name):
     lines = (SRC / name).read_text().splitlines()
     assert [(i, line.strip()) for i, line in enumerate(lines, 1) if FAMILY.search(line)] == []
+
+
+BUILDERS = ("transition_build_many", "emission_logpdf_rows", "proposal_build_many")
+FAMILY_NAME = re.compile(r"isinstance\(model\b|\b(?:Lgssm|StochVol|Dmm|DiscreteHmm)\b")
+
+
+def test_builders_dispatch_on_nothing():
+    tree = ast.parse((SRC / "models.py").read_text())
+    bodies = {
+        node.name: "\n".join(ast.unparse(stmt) for stmt in node.body if not isinstance(stmt, ast.Expr))
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in BUILDERS
+    }
+    assert sorted(bodies) == sorted(BUILDERS)
+    assert {name: FAMILY_NAME.findall(body) for name, body in bodies.items()} == {name: [] for name in BUILDERS}

@@ -204,13 +204,40 @@ class TestGradients:
         T=10, N=16) stays small.
 
         Each network layer, Bernoulli emission, Gaussian product output and
-        draw is one node, so the gradient records 250 nodes; the budget
+        draw is one node, so the gradient records 243 nodes; the budget
         catches a layer that falls back to elementwise ops.
         """
         m = mo.dmm_make(5, 20, 16, RngStream(0))
         ds = mo.generate(m, 10, RngStream(7))
         obj = ob.Objective("vsmc", m, mo.proposal_init(m, 10, RngStream(1)), 16, learn_theta=True)
-        assert self.tape_size(monkeypatch, obj, ds) <= 260
+        assert self.tape_size(monkeypatch, obj, ds) <= 250
+
+    @staticmethod
+    def vem_tape_sizes(monkeypatch, model) -> tuple:
+        """Nodes of one vsmc VEM gradient (N=16) at T=10 and at T=11."""
+        sizes = []
+        for t_max in (10, 11):
+            ds = mo.generate(model, t_max, RngStream(7))
+            obj = ob.Objective("vsmc", model, mo.proposal_init(model, t_max, RngStream(1)), 16, learn_theta=True)
+            sizes.append(TestGradients.tape_size(monkeypatch, obj, ds))
+        return tuple(sizes)
+
+    def test_sv_vem_step_budget(self, monkeypatch):
+        """SV (d=5, triangular) builds B, log det B and Phi once per run, not per
+        step: at most 35 nodes per step (41 when they were rebuilt) and 354 at T=10."""
+        at_10, at_11 = self.vem_tape_sizes(monkeypatch, mo.sv_make(5, "triangular", RngStream(0)))
+        assert at_10 <= 354
+        assert at_11 - at_10 <= 35
+
+    def test_dmm_vem_step_budget(self, monkeypatch):
+        """The DMM's observation encoder runs once per run over all T rows: a step adds at most 23 nodes."""
+        at_10, at_11 = self.vem_tape_sizes(monkeypatch, mo.dmm_make(5, 20, 16, RngStream(0)))
+        assert at_11 - at_10 <= 23
+
+    def test_lgssm_tape_size_is_pinned(self, monkeypatch):
+        """Binding lifts the LGSSM's constants once and adds no node: 140 for every kind."""
+        for kind in ("vsmc", "vmpf-bg", "vmpf-ug"):
+            assert self.lgssm_tape_size(monkeypatch, kind) == 140, kind
 
     @pytest.mark.parametrize("family", ["dmm", "sv"])
     def test_vem_gradients_match_finite_differences(self, family):
