@@ -353,11 +353,9 @@ _RESULTS_HEADER = "config,objective,n,bound,se,kalman,wall_s,seed"
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path, params_path: Path | None = None,
-                 n_samples: int = 1000, workers: int | None = None) -> int:
+                 n_samples: int = 1000) -> int:
     if n_samples < 2:
         raise CliError(f"--samples must be >= 2 (a standard error needs two), got {n_samples}")
-    if workers is not None and workers < 1:
-        raise CliError(f"--workers must be >= 1, got {workers}")
     model = build_model(cfg)
     ds = load_dataset(cfg, out)
     obj = build_objective(cfg, model)
@@ -365,7 +363,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, params_path: Path | None = No
     obj = ob.apply_params(obj, packed)
 
     t0 = time.perf_counter()
-    mean, se = ob.bound_estimate(obj, ds, n_samples, RngStream(cfg.seed).split(_EVAL_STREAM), workers=workers)
+    mean, se = ob.bound_estimate(obj, ds, n_samples, RngStream(cfg.seed).split(_EVAL_STREAM))
     wall = time.perf_counter() - t0
     kal = mo.kalman_loglik(model, ds.ys) if cfg.model_kind == "lgssm" else None
     kal_text = "" if kal is None else repr(kal)
@@ -897,7 +895,6 @@ def main(argv=None) -> int:
     add_common(p_eval)
     p_eval.add_argument("--params", default=None, help="params .npz (default: this config's)")
     p_eval.add_argument("--samples", type=int, default=1000)
-    p_eval.add_argument("--workers", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="run an oracle/property suite")
     p_verify.add_argument("suite", help=f"one of {list(_SUITES)} or 'all'")
@@ -927,7 +924,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             params = Path(args.params) if args.params else None
             return cmd_evaluate(load_config(args.config, args.seed), Path(args.out),
-                                params, args.samples, args.workers)
+                                params, args.samples)
         if args.command == "verify":
             return cmd_verify(args.suite, Path(args.out) if args.out else None)
         if args.command == "bench":

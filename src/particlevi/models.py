@@ -451,21 +451,21 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
     bias = peaks - 0.5 * (md * m_iv).sum(axis=1)
     if ls.shape[0] == 1:
         lhs = np.empty((n, d + 2))
-        rhs = np.empty((m, d + 2))
+        rhs = np.empty((d + 2, m))
         lhs[:, d] = 1.0
         lhs[:, d + 1] = (xd * xd) @ (-0.5 * inv_var[0]) - top
-        rhs[:, d] = bias
-        rhs[:, d + 1] = 1.0
+        rhs[d] = bias
+        rhs[d + 1] = 1.0
     else:
         lhs = np.empty((n, 2 * d + 1))
-        rhs = np.empty((m, 2 * d + 1))
+        rhs = np.empty((2 * d + 1, m))
         np.multiply(xd, xd, out=lhs[:, d:-1])
         lhs[:, -1] = 1.0
-        rhs[:, d:-1] = -0.5 * inv_var
-        rhs[:, -1] = bias - top
+        rhs[d:-1] = -0.5 * inv_var.T
+        rhs[-1] = bias - top
     lhs[:, :d] = xd
-    rhs[:, :d] = m_iv
-    buf = lhs @ rhs.T
+    rhs[:d] = m_iv.T
+    buf = lhs @ rhs
     np.exp(buf, out=buf)
     total = buf @ np.ones(m)
     if total.min() >= _FAR_TOTAL:
@@ -473,7 +473,9 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
         out += top
     else:
         far = np.flatnonzero(total < _FAR_TOTAL)
-        terms = lhs[far] @ rhs.T
+        # a lone far row makes this a gemv, whose rounding follows the operand's
+        # layout; F order is the one the recorded golden and verify values use
+        terms = lhs[far] @ np.asfortranarray(rhs)
         peak = terms.max(axis=1)
         peak[peak == -np.inf] = 0.0  # a dead row scores -inf below
         terms -= peak[:, None]
@@ -757,7 +759,11 @@ class _LgssmRun:
 
 
 class _SvRun:
-    """SV: proposals fuse the transition with a learned Gaussian factor (mu_t, log_sigma_t)."""
+    """SV: proposals fuse the transition with a learned Gaussian factor (mu_t, log_sigma_t).
+
+    The last step's transition rows are kept, keyed on t and the x_prev
+    object, so the filter's log f reuses the rows its proposal fused.
+    """
 
     def __init__(self, model: StochVol, params: dict, ys):
         self.ys, d = ys, model.dim
@@ -769,9 +775,14 @@ class _SvRun:
         log_det_b = (ad.constant(model.b_raw) * ad.constant(np.eye(d))).sum()
         self.log_norm = -0.5 * d * LOG_2PI - log_det_b
         self.p_mu, self.p_ls = ad.constant(params["mu"]), ad.constant(params["log_sigma"])
+        self.last = (1, None, self.prior)
 
     def transition(self, t: int, x_prev=None):
-        return self.prior if t == 1 else GaussRows(self.mu + self.phi * (ad.constant(x_prev) - self.mu), self.q_ls)
+        last_t, last_x, rows = self.last
+        if t != last_t or x_prev is not last_x:
+            rows = self.prior if t == 1 else GaussRows(self.mu + self.phi * (ad.constant(x_prev) - self.mu), self.q_ls)
+            self.last = (t, x_prev, rows)
+        return rows
 
     def emission(self, t: int, x) -> Var:
         x = ad.constant(x)

@@ -438,13 +438,19 @@ class TestMain:
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
         for argv, flag in (
             (["evaluate", "--config", cfg_path, "--out", str(tmp_path), "--samples", "1"], "--samples"),
-            (["evaluate", "--config", cfg_path, "--out", str(tmp_path), "--workers", "0"], "--workers"),
             (["bench", "--model", "lgssm", "--reps", "0"], "--reps"),
             (["bench", "--model", "lgssm", "--t", "0"], "--t"),
         ):
             assert cli.main(argv) == 2, flag
             err = capsys.readouterr().err
             assert err.startswith("error:") and flag in err
+
+    def test_evaluate_has_no_workers_flag(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evaluate", "--config", cfg_path, "--out", str(tmp_path), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_plot_input_errors_exit_2(self, tmp_path, capsys):
         table = tmp_path / "ab.csv"

@@ -9,6 +9,9 @@ The estimator modules (filters, couplings, objectives) never name a model
 family: only ``models`` decides what a family is, and they go through the
 rows its builders return.  Within ``models`` the three builders forward to
 the run's bound model (``models.bind``) and name no family either.
+
+No module imports a thread pool or threads: every run goes on the
+calling thread.
 """
 
 import ast
@@ -127,3 +130,34 @@ def test_builders_dispatch_on_nothing():
     }
     assert sorted(bodies) == sorted(BUILDERS)
     assert {name: FAMILY_NAME.findall(body) for name, body in bodies.items()} == {name: [] for name in BUILDERS}
+
+
+THREAD_MODULES = ("concurrent", "threading")
+
+
+def thread_imports(source: str) -> list:
+    """(line, module) for every import of concurrent.futures or threading."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, n) for n in names if n.split(".")[0] in THREAD_MODULES]
+    return found
+
+
+def test_thread_import_checker_catches_every_form():
+    source = (
+        "import concurrent.futures\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "from concurrent import futures\nimport threading as th\nfrom threading import Thread\n"
+        "import numpy\nfrom particlevi.rng import RngStream\n"
+    )
+    assert [line for line, _ in thread_imports(source)] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_thread_pool_or_threads(path):
+    assert thread_imports(path.read_text()) == []

@@ -1,6 +1,7 @@
 """Objectives: bound wiring, gradient exactness, Adam, and the train loop."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -224,10 +225,12 @@ class TestGradients:
 
     def test_sv_vem_step_budget(self, monkeypatch):
         """SV (d=5, triangular) builds B, log det B and Phi once per run, not per
-        step: at most 35 nodes per step (41 when they were rebuilt) and 354 at T=10."""
+        step (41 nodes per step when they were rebuilt), and a step's transition
+        rows once for its proposal and log f (30 when built twice): at most 27
+        nodes per step and 281 at T=10."""
         at_10, at_11 = self.vem_tape_sizes(monkeypatch, mo.sv_make(5, "triangular", RngStream(0)))
-        assert at_10 <= 354
-        assert at_11 - at_10 <= 35
+        assert at_10 <= 281
+        assert at_11 - at_10 <= 27
 
     def test_dmm_vem_step_budget(self, monkeypatch):
         """The DMM's observation encoder runs once per run over all T rows: a step adds at most 23 nodes."""
@@ -416,13 +419,32 @@ class TestEvaluation:
         manual = np.array(
             [float(ob.objective_value(o, ds, RngStream(11).split(i)).data) for i in range(16)]
         )
-        assert mean == pytest.approx(manual.mean(), abs=1e-15)
-        assert se == pytest.approx(manual.std(ddof=1) / 4.0, abs=1e-15)
+        assert mean == manual.mean()
+        assert se == manual.std(ddof=1) / 4.0
+
+    def test_bound_estimate_runs_on_calling_thread(self, monkeypatch):
+        m, ds, p = lgssm_case()
+        o = ob.Objective("vsmc", m, p, 2)
+        idents = []
+        value = ob.objective_value
+
+        def recording_value(*args):
+            idents.append(threading.get_ident())
+            return value(*args)
+
+        monkeypatch.setattr(ob, "objective_value", recording_value)
+        ob.bound_estimate(o, ds, 6, 5, workers=4)
+        assert idents == [threading.get_ident()] * 6
 
     def test_bound_estimate_worker_count_irrelevant(self):
         m, ds, p = lgssm_case()
         o = ob.Objective("vsmc", m, p, 2)
         assert ob.bound_estimate(o, ds, 12, 5, workers=1) == ob.bound_estimate(o, ds, 12, 5, workers=8)
+
+    def test_bound_estimate_rejects_zero_workers(self):
+        m, ds, p = lgssm_case()
+        with pytest.raises(ValueError, match="workers"):
+            ob.bound_estimate(ob.Objective("vsmc", m, p, 2), ds, 4, 5, workers=0)
 
     def test_zero_variance_objective_has_tiny_se(self):
         m, ds, _ = lgssm_case()
