@@ -42,6 +42,11 @@ class Tape:
         return False
 
 
+def recording() -> bool:
+    """Whether a tape is active, so new nodes are recorded."""
+    return _ACTIVE.get() is not None
+
+
 class Var:
     """A float64 array plus its position on a tape (None for constants)."""
 
@@ -188,8 +193,21 @@ def sigmoid(a) -> Var:
 # matmul and reductions
 
 
-def matmul(a, b) -> Var:
-    """Matrix product of two rank-2 operands."""
+def np_matmul(a: np.ndarray, b: np.ndarray, blocks: int = 1) -> np.ndarray:
+    """a @ b, with the rows of a taken as ``blocks`` equal blocks that each get their own product.
+
+    BLAS rounds a product by its shape, so blocks stacked into one matrix
+    need not match each block's own product bit for bit; one batched
+    (blocks, rows, k) product does.  A lone row is one product whatever
+    blocks says: it is a row that every block shares.
+    """
+    if blocks == 1 or a.shape[0] == 1:
+        return a @ b
+    return (a.reshape(blocks, -1, a.shape[1]) @ b).reshape(a.shape[0], *b.shape[1:])
+
+
+def matmul(a, b, blocks: int = 1) -> Var:
+    """Matrix product of two rank-2 operands; the rows of a may stack ``blocks`` runs (``np_matmul``)."""
     a, b = constant(a), constant(b)
     da, db = a.data, b.data
     if da.ndim != 2 or db.ndim != 2:
@@ -197,7 +215,7 @@ def matmul(a, b) -> Var:
     if da.shape[1] != db.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {da.shape} @ {db.shape}")
     return _rec2(
-        np.matmul(da, db), a, lambda g: np.matmul(g, db.T), b, lambda g: np.matmul(da.T, g)
+        np_matmul(da, db, blocks), a, lambda g: np.matmul(g, db.T), b, lambda g: np.matmul(da.T, g)
     )
 
 

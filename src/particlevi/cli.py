@@ -937,6 +937,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except fl.DegeneracyError as exc:  # a run, not the config, failed: it names the step and the sample or iteration
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,6 +22,19 @@ models can be enumerated exhaustively instead of sampled.  A filter's
 ``normals`` and ``choose_one``.  A backend may also serve one purpose for
 every step of a run in one read (RandomBackend does); a run then reads
 each purpose it uses once, and gets the same values as step-by-step reads.
+
+Off tape, one pass of a filter can run R independent runs at once: a
+``RandomBackend`` given R run labels serves each run the draws of its own
+child stream, and the pass stacks the runs' particle rows, R N in all.
+Row-wise work (proposals, draws, row kernels) is unchanged; what a run
+sums or picks over its particles is done per run: the step's logsumexp and
+log mean weight, resampling and mixture draws, the mixture densities, the
+degeneracy check, and every matrix product or solve over particle rows,
+which each run makes as it would alone (``ad.np_matmul``).  So each run is
+bit-identical to the same run alone, and a step's log weights stay one
+vector.  ``objectives.bound_estimate`` picks R from N, T and the
+observation width; a tape records one run, so a pass of R > 1 under a tape
+is refused.
 """
 
 from __future__ import annotations
@@ -39,11 +52,18 @@ from particlevi.models import ANCESTOR, PERM, PROPOSAL  # noqa: F401  (re-export
 from particlevi.rng import RngStream
 
 class DegeneracyError(RuntimeError):
-    """Every particle weight vanished at one step; the estimate is meaningless."""
+    """A step's weights leave nothing to estimate: all are zero, or one is NaN or +inf.
 
-    def __init__(self, t: int):
-        super().__init__(f"particle degeneracy: all weights are zero at t={t}")
-        self.t = t
+    t is the step and sample the degenerate run's index, the lowest if
+    several are: its index in the filter pass (``label`` "run"), which
+    ``objectives.bound_estimate`` reports as a "sample" and
+    ``objectives.train`` as an "iteration".
+    """
+
+    def __init__(self, t: int, sample: int = 0, label: str = "run"):
+        super().__init__(f"particle degeneracy at t={t} in {label} {sample}: "
+                         "every weight is zero, or one is NaN or +inf")
+        self.t, self.sample, self.label = t, sample, label
 
 
 # ---------------------------------------------------------------------------
@@ -57,18 +77,31 @@ class RandomBackend:
     ``rng.split(t, purpose)``.  ``run_uniforms`` and ``run_normals`` read one
     purpose for steps 1..t_max at once, bit-identical to the per-step reads.
     A backend that changes the per-step reads must drop or change these too.
+
+    runs, a sequence of integer labels, makes the backend serve a pass of
+    len(runs) stacked runs: run r draws what ``RandomBackend(rng.split(
+    runs[r]))`` draws, through the label paths (runs[r], t, purpose).  Such
+    a backend serves run-level reads only.
     """
 
-    def __init__(self, rng: RngStream):
+    def __init__(self, rng: RngStream, runs=None):
         self.rng = rng
+        self.runs = runs
+
+    def _labels(self, purpose: int, t_max: int) -> np.ndarray:
+        steps = _step_labels(purpose, t_max)
+        if self.runs is None:
+            return steps
+        runs = np.asarray(self.runs)
+        return np.column_stack([np.tile(runs, t_max), np.repeat(steps, len(runs), axis=0)])
 
     def run_uniforms(self, purpose: int, t_max: int, count: int) -> np.ndarray:
-        """(t_max, count) uniforms; row t-1 is ``uniforms(t, purpose, range(count))``."""
-        return self.rng.split_uniforms_at(_step_labels(purpose, t_max), np.arange(count))
+        """(t_max, R * count) uniforms; row t-1 is each run's ``uniforms(t, purpose, range(count))`` in turn."""
+        return self.rng.split_uniforms_at(self._labels(purpose, t_max), np.arange(count)).reshape(t_max, -1)
 
     def run_normals(self, purpose: int, t_max: int, count: int) -> np.ndarray:
-        """(t_max, count) normals; row t-1 is ``normals(t, purpose, range(count))``."""
-        return self.rng.split_normals_at(_step_labels(purpose, t_max), np.arange(count))
+        """(t_max, R * count) normals; row t-1 is each run's ``normals(t, purpose, range(count))`` in turn."""
+        return self.rng.split_normals_at(self._labels(purpose, t_max), np.arange(count)).reshape(t_max, -1)
 
     def uniforms(self, t: int, purpose: int, offsets) -> np.ndarray:
         return self.rng.split(t, purpose).uniforms_at(np.asarray(offsets))
@@ -88,25 +121,28 @@ def _step_labels(purpose: int, t_max: int) -> np.ndarray:
 
 
 class _RunDraws:
-    """One filter run's reads from its draw backend.
+    """One filter pass's reads from its draw backend.
 
     A backend with run-level reads (``run_uniforms`` and ``run_normals``) is
-    read once per purpose, for every step, the first time the run asks for
+    read once per purpose, for every step, the first time the pass asks for
     that purpose; step t then takes row t-1.  Any other backend serves each
     step as it is asked.  Either way step t sees the backend's
     (t, purpose, offsets) draws at offsets 0..count-1, and a purpose is
-    always asked for the same count within a run.  ``choose_shared`` and
-    ``choose_each`` (IPF's swaps, the HMM's per-particle rows) pick by
-    inverse CDF from those draws, with the clamp and zero-weight guard of
-    ``categorical_sample_many``, or ask a backend without run-level reads
-    to choose at each offset with ``choose_one``.
+    always asked for the same count within a pass.  A pass of ``runs``
+    stacked runs (a backend with ``runs`` labels) gets each run's count
+    draws in turn.  ``choose_shared`` and ``choose_each`` (IPF's swaps, the
+    HMM's per-particle rows) pick by inverse CDF from those draws, with the
+    clamp and zero-weight guard of ``categorical_sample_many``, or ask a
+    backend without run-level reads to choose at each offset with
+    ``choose_one``.
     """
 
-    __slots__ = ("backend", "t_max", "blocks")
+    __slots__ = ("backend", "t_max", "runs", "blocks")
 
-    def __init__(self, backend, t_max: int):
+    def __init__(self, backend, t_max: int, runs: int = 1):
         self.backend = backend
         self.t_max = t_max
+        self.runs = runs
         self.blocks = {} if hasattr(backend, "run_normals") else None
 
     def _read(self, kind: str, t: int, purpose: int, count: int) -> np.ndarray:
@@ -125,16 +161,31 @@ class _RunDraws:
         return self._read("normals", t, purpose, count)
 
     def choose_shared(self, t: int, purpose: int, n: int, probs: np.ndarray) -> np.ndarray:
-        """n inverse-CDF choices from one probability vector, offsets 0..n-1."""
+        """n inverse-CDF choices per run at offsets 0..n-1, from one (K,) vector for every run.
+
+        An (R, K) table gives run r its own row r, and its choice k comes
+        back as r * K + k, an index into the runs' stacked rows.
+        """
+        if probs.ndim == 2 and probs.shape[0] == 1:
+            probs = probs[0]
         if self.blocks is None:
             return self.choose_each(t, purpose, [probs] * n)
-        return categorical_sample_many(probs, self.uniforms(t, purpose, n))
+        us = self.uniforms(t, purpose, n)
+        if probs.ndim == 1:
+            return categorical_sample_many(probs, us)
+        k = probs.shape[1]
+        return np.concatenate([categorical_sample_many(p, u) + r * k
+                               for r, (p, u) in enumerate(zip(probs, us.reshape(-1, n)))])
 
     def choose_each(self, t: int, purpose: int, rows: list) -> np.ndarray:
-        """One choice per probability vector, vector k at offset k; ragged vectors are zero-padded."""
+        """One choice per probability vector; ragged vectors are zero-padded.
+
+        rows holds each run's vectors in turn, as many for every run, and a
+        run's vector k is chosen at offset k.
+        """
         if self.blocks is None:
             return np.asarray([self.backend.choose_one(t, purpose, k, p) for k, p in enumerate(rows)], np.intp)
-        us = self.uniforms(t, purpose, len(rows))
+        us = self.uniforms(t, purpose, len(rows) // self.runs)
         sizes = np.asarray([len(p) for p in rows], dtype=np.intp)
         probs = np.zeros((len(rows), max(sizes, default=0)))
         for k, p in enumerate(rows):
@@ -238,6 +289,9 @@ class ParticleRun:
     way log_mean_weights[t] = logsumexp(log_weights[t]) - log N, and
     log_evidence is the last of them (cumulative) or their sum.  bound is
     the run's ``models.bind`` result: its model, proposal and observations.
+    A pass of runs > 1 stacks each run's N particle rows in turn, so each
+    step's log weights stay one vector of R * N, and its log mean weights
+    and the log evidence hold one value per run.
     """
 
     kind: str
@@ -248,6 +302,7 @@ class ParticleRun:
     ancestors: list | None = None
     bound: object = None
     tail: TailCounter | None = None
+    runs: int = 1
     log_evidence: Var = field(init=False)
 
     def __post_init__(self):
@@ -265,16 +320,33 @@ class ParticleRun:
 
     @property
     def n_particles(self) -> int:
-        return self.log_weights[0].data.shape[0]
+        return self.log_weights[0].data.shape[0] // self.runs
 
     @property
     def t_max(self) -> int:
         return len(self.log_weights)
 
 
-def _check_alive(logw: Var, t: int):
-    if not np.any(logw.data > -np.inf):
-        raise DegeneracyError(t)
+def _check_alive(logw: Var, t: int, runs: int):
+    """Raise for the lowest run whose weights are all zero or hold a NaN or +inf.
+
+    The largest log weight of such a run, and only of such a run, is not finite.
+    """
+    live = np.isfinite(logw.data.reshape(runs, -1).max(axis=1))
+    if not live.all():
+        raise DegeneracyError(t, int(np.argmin(live)))
+
+
+def _logsumexp(logw: Var, runs: int) -> Var:
+    """logsumexp of each run's weights: the tape's node for one run, (R,) values for a pass."""
+    if runs == 1:
+        return ad.logsumexp(logw)
+    return ad.constant(ad.np_logsumexp(logw.data.reshape(runs, -1), axis=1))
+
+
+def _per_row(lse: Var, n: int) -> Var:
+    """Each run's value on its n particle rows; one run's scalar stays as it is."""
+    return lse if lse.data.ndim == 0 else ad.constant(np.repeat(lse.data, n))
 
 
 def make_backend(source):
@@ -290,11 +362,19 @@ def make_backend(source):
 
 
 def _start(model, params, data, n_particles: int, source) -> tuple:
-    """(the run's ``models.bind`` result, its draws, log N): the set-up every filter shares."""
+    """(the pass's ``models.bind`` result, its draws, log N): the set-up every filter shares.
+
+    A backend with ``runs`` labels asks for a pass of that many runs, which
+    a tape cannot record: it holds one run's nodes.
+    """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    bound = mo.bind(model, params, data)
-    return bound, _RunDraws(make_backend(source), bound.ys.shape[0]), math.log(n_particles)
+    backend = make_backend(source)
+    runs = 1 if getattr(backend, "runs", None) is None else len(backend.runs)
+    if runs > 1 and ad.recording():
+        raise ValueError(f"a pass of {runs} runs is off tape only; a tape records one run")
+    bound = mo.bind(model, params, data, runs)
+    return bound, _RunDraws(backend, bound.ys.shape[0], runs), math.log(n_particles)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +394,7 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
     whose weights accumulate across steps (iwvi).
     """
     bound, draws, log_n = _start(model, params, data, n_particles, source)
-    n, t_max = n_particles, bound.ys.shape[0]
+    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
 
     particles, log_weights, log_mean_weights, ancestors = [], [], [], []
     x = None
@@ -324,10 +404,10 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
         if t == 1:
             anc = None
         elif resample:
-            probs = np.exp(log_weights[-1].data - lse.data)
-            anc = draws.choose_shared(t, ANCESTOR, n, probs)
+            probs = np.exp(log_weights[-1].data - _per_row(lse, n).data)
+            anc = draws.choose_shared(t, ANCESTOR, n, probs.reshape(runs, n))
         else:
-            anc = np.arange(n)
+            anc = np.arange(runs * n)
         if anc is not None:
             ancestors.append(anc)
 
@@ -341,14 +421,14 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
         )
 
         logw = inc if (resample or t == 1) else log_weights[-1] + inc
-        _check_alive(logw, t)
+        _check_alive(logw, t, runs)
         particles.append(x)
         log_weights.append(logw)
-        lse = ad.logsumexp(logw)
+        lse = _logsumexp(logw, runs)
         log_mean_weights.append(lse - log_n)
 
     return ParticleRun("smc", particles, log_weights, log_mean_weights, cumulative=not resample,
-                       ancestors=ancestors, bound=bound)
+                       ancestors=ancestors, bound=bound, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +459,13 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     (vmpf-bg); implicit=True draws a step's N particles through one
     mixture_implicit_rsample node, so the mixture weights themselves carry
     gradients (vmpf-ug), and the HMM's tables reject it.  Both read the
-    same noise, so their forward values are bit-identical.  The t=1
+    same noise, so their forward values are bit-identical, and off tape
+    implicit=True draws the vmpf-bg way.  The t=1
     proposal is drawn the same way in both.  Tail draws of the implicit
     gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
     """
     bound, draws, log_n = _start(model, params, data, n_particles, source)
-    n, t_max = n_particles, bound.ys.shape[0]
+    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
     tail = TailCounter()
 
     particles, log_weights, log_mean_weights = [], [], []
@@ -392,7 +473,7 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     lse = None  # logsumexp of the previous step's log weights
 
     for t in range(1, t_max + 1):
-        log_vbar = None if t == 1 else log_weights[-1] - lse
+        log_vbar = None if t == 1 else log_weights[-1] - _per_row(lse, n)
         proposal = mo.proposal_build_many(bound, t, x)
         if t == 1:
             x_new = proposal.draw(draws, 1, n)
@@ -401,19 +482,19 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
         else:
             x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
             log_g = mo.emission_logpdf_rows(bound, t, x_new)
-            num = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_vbar)
-            den = proposal.mixture_logpdf(x_new, log_vbar)
+            num = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_vbar, runs)
+            den = proposal.mixture_logpdf(x_new, log_vbar, runs)
             logv = num + log_g - den
         x = x_new
 
-        _check_alive(logv, t)
+        _check_alive(logv, t, runs)
         particles.append(x)
         log_weights.append(logv)
-        lse = ad.logsumexp(logv)
+        lse = _logsumexp(logv, runs)
         log_mean_weights.append(lse - log_n)
 
     return ParticleRun("mpf", particles, log_weights, log_mean_weights, cumulative=False,
-                       bound=bound, tail=tail)
+                       bound=bound, tail=tail, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +505,17 @@ def _permutation(draws: _RunDraws, t: int, n: int) -> np.ndarray:
     """Fisher-Yates permutation of step t: swap c moves position n-1-c.
 
     The swaps choose uniformly among 0..n-1-c, swap c at offset c of the
-    step's PERM draws, so a backend with run-level reads serves a run's
+    step's PERM draws, so a backend with run-level reads serves a pass's
     swaps in one read and any other backend chooses them one at a time.
+    A pass permutes each run's n stacked rows among themselves.
     """
-    picks = draws.choose_each(t, PERM, [np.full(k, 1.0 / k) for k in range(n, 1, -1)])
-    perm = np.arange(n)
-    for i, j in zip(range(n - 1, 0, -1), picks):
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    runs = draws.runs
+    picks = draws.choose_each(t, PERM, [np.full(k, 1.0 / k) for k in range(n, 1, -1)] * runs)
+    perm = np.tile(np.arange(n), (runs, 1))
+    each = np.arange(runs)
+    for i, j in zip(range(n - 1, 0, -1), picks.reshape(runs, -1).T):
+        perm[each, i], perm[each, j] = perm[each, j], perm[each, i]
+    return (perm + each[:, None] * n).reshape(-1)
 
 
 def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> ParticleRun:
@@ -446,7 +530,7 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
     bound, draws, log_n = _start(model, params, data, n_particles, source)
     if not 1 <= l_perms <= n_particles:
         raise ValueError("l_perms must satisfy 1 <= L <= N")
-    n, t_max = n_particles, bound.ys.shape[0]
+    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
     log_l = math.log(l_perms)
 
     particles, log_weights, log_mean_weights = [], [], []
@@ -459,22 +543,23 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
         if t == 1:
             logu = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
         else:
-            base = _permutation(draws, t, n)
+            base = _permutation(draws, t, n).reshape(runs, n)
             terms = []
             for l in range(l_perms):
-                k_l = base[(np.arange(n) + l) % n]
+                k_l = base[:, (np.arange(n) + l) % n].reshape(-1)
                 log_f_l = mo.transition_build_many(bound, t, ad.gather_rows(x, k_l)).logpdf_rows(x_new)
                 terms.append(ad.gather_rows(log_weights[-1], k_l) + log_f_l)
             pooled = ad.logsumexp(ad.stack_rows(terms), axis=0) - log_l
             logu = pooled + extra
 
-        _check_alive(logu, t)
+        _check_alive(logu, t, runs)
         x = x_new
         particles.append(x)
         log_weights.append(logu)
-        log_mean_weights.append(ad.logsumexp(logu) - log_n)
+        log_mean_weights.append(_logsumexp(logu, runs) - log_n)
 
-    return ParticleRun("ipf", particles, log_weights, log_mean_weights, cumulative=True, bound=bound)
+    return ParticleRun("ipf", particles, log_weights, log_mean_weights, cumulative=True, bound=bound,
+                       runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +581,7 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
     redoes such rows with their own maximum.
     """
     bound, draws, log_n = _start(model, params, data, n_particles, source)
-    n, t_max = n_particles, bound.ys.shape[0]
+    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
 
     particles, log_weights, log_mean_weights = [], [], []
     x = None
@@ -508,15 +593,16 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
         if t == 1:
             logz = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
         else:
-            logz = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_weights[-1]) - log_n + extra
+            logz = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_weights[-1], runs) - log_n + extra
 
-        _check_alive(logz, t)
+        _check_alive(logz, t, runs)
         x = x_new
         particles.append(x)
         log_weights.append(logz)
-        log_mean_weights.append(ad.logsumexp(logz) - log_n)
+        log_mean_weights.append(_logsumexp(logz, runs) - log_n)
 
-    return ParticleRun("tmc", particles, log_weights, log_mean_weights, cumulative=True, bound=bound)
+    return ParticleRun("tmc", particles, log_weights, log_mean_weights, cumulative=True, bound=bound,
+                       runs=runs)
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def dmm_make(dx: int, dy: int, dh: int, rng: RngStream) -> Dmm:
     return Dmm(dx, dy, dh, params)
 
 
-def dense(x, w, b, act=None) -> Var:
+def dense(x, w, b, act=None, runs: int = 1) -> Var:
     """One dense layer act(x @ w + b): (M, in) against (in, out) and (out,) -> (M, out).
 
     act is None, "leaky" (leaky relu with slope LEAKY_SLOPE) or "half" (times
@@ -217,12 +217,13 @@ def dense(x, w, b, act=None) -> Var:
     At a pre-activation of exactly 0 the leaky relu is differentiated on its
     negative side, with slope LEAKY_SLOPE.  The DMM's t=1 networks sit there
     at initialization: their biases start at zero and they read x_0 = 0, so
-    their first gradients see the 0.01 slope for every hidden unit.
+    their first gradients see the 0.01 slope for every hidden unit.  x may
+    stack the particle rows of several runs (``ad.np_matmul``'s blocks).
     """
     x, w, b = ad.constant(x), ad.constant(w), ad.constant(b)
     xd, wd = x.data, w.data
     need_x, need_w = x.nid is not None, w.nid is not None
-    out = xd @ wd + b.data
+    out = ad.np_matmul(xd, wd, runs) + b.data
     if act == "leaky":
         pos = out > 0.0
         out = np.where(pos, out, LEAKY_SLOPE * out)
@@ -241,16 +242,16 @@ def dense(x, w, b, act=None) -> Var:
     return ad.custom_vjp(out, [x, w, b], rule)
 
 
-def mlp_two_head(params: dict, prefix: str, x) -> tuple:
+def mlp_two_head(params: dict, prefix: str, x, runs: int = 1) -> tuple:
     """(mean, log-std) heads over a shared leaky-relu hidden layer; x is (M, in)."""
-    h = dense(x, params[prefix + "_h_w"], params[prefix + "_h_b"], "leaky")
-    mean = dense(h, params[prefix + "_mu_w"], params[prefix + "_mu_b"])
-    return mean, dense(h, params[prefix + "_sig_w"], params[prefix + "_sig_b"], "half")
+    h = dense(x, params[prefix + "_h_w"], params[prefix + "_h_b"], "leaky", runs)
+    mean = dense(h, params[prefix + "_mu_w"], params[prefix + "_mu_b"], None, runs)
+    return mean, dense(h, params[prefix + "_sig_w"], params[prefix + "_sig_b"], "half", runs)
 
 
-def mlp_single(params: dict, prefix: str, out_name: str, x) -> Var:
-    h = dense(x, params[prefix + "_w"], params[prefix + "_b"], "leaky")
-    return dense(h, params[out_name + "_w"], params[out_name + "_b"])
+def mlp_single(params: dict, prefix: str, out_name: str, x, runs: int = 1) -> Var:
+    h = dense(x, params[prefix + "_w"], params[prefix + "_b"], "leaky", runs)
+    return dense(h, params[out_name + "_w"], params[out_name + "_b"], None, runs)
 
 
 @dataclass
@@ -414,7 +415,7 @@ def gauss_logpdf_matrix(x, means, log_stds) -> Var:
     return ad.custom_vjp(out, [x, means, log_stds], rule)
 
 
-def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
+def gauss_mixture_logpdf(x, log_w, means, log_stds, runs: int = 1) -> Var:
     """Mixture log-densities log sum_j exp(log_w_j) N(x_i; means_j, exp(log_stds_j)) -> (N,).
 
     x is (N, d), log_w (M,) and means (M, d); log-stds are (M, d) or one
@@ -434,16 +435,46 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
     responsibilities P = buf / rowsum and G = g P, which do not depend on
     the shift, the log_w cotangent is the column sums of G and the others
     are ``_pair_cotangents`` of G.
+
+    runs > 1 stacks that many runs off tape: x, log_w and the means hold
+    each run's rows in turn, and each run's rows mix only its own
+    components.  The runs go through the one-run arithmetic in turn, so
+    each is bit-identical to the run alone and a pass holds one run's (N, M)
+    buffer at a time.
     """
     x, log_w, means, log_stds = (ad.constant(v) for v in (x, log_w, means, log_stds))
     _check_dims(x, means, log_stds)
     if log_w.data.shape != means.data.shape[:1]:
         raise ValueError(f"log-weights {log_w.data.shape} do not match {means.data.shape[0]} components")
     xd, lw, md, ls = x.data, log_w.data, means.data, log_stds.data
-    (n, d), m = xd.shape, md.shape[0]
     need_ls = log_stds.nid is not None
     inv_var = np.exp(-2.0 * ls)
     m_iv = md * inv_var
+    if runs == 1:
+        out, buf, total = _mixture_rows(xd, lw, md, ls, inv_var, m_iv)
+    else:
+        n, m = xd.shape[0] // runs, md.shape[0] // runs
+
+        def run(r):  # run r's rows against its own components
+            rows, comps = slice(r * n, (r + 1) * n), slice(r * m, (r + 1) * m)
+            scale = comps if ls.shape[0] > 1 else slice(None)
+            return _mixture_rows(xd[rows], lw[comps], md[comps], ls[scale], inv_var[scale], m_iv[comps])[0]
+
+        out = np.concatenate([run(r) for r in range(runs)])
+
+    def rule(g):
+        # runs is 1 on a tape; a dead row (all weights -inf) passes nothing back
+        scale = np.divide(g, total, out=np.zeros_like(total), where=total > 0.0)
+        resp = buf * scale[:, None]
+        grad_x, grad_means, grad_ls = _pair_cotangents(resp, xd, md, ls, inv_var, m_iv, need_ls)
+        return grad_x, resp.sum(axis=0), grad_means, grad_ls
+
+    return ad.custom_vjp(out, [x, log_w, means, log_stds], rule)
+
+
+def _mixture_rows(xd, lw, md, ls, inv_var, m_iv) -> tuple:
+    """One run's (log-densities, shifted pair buffer, row totals) for ``gauss_mixture_logpdf``."""
+    (n, d), m = xd.shape, md.shape[0]
     peaks = lw + (-0.5 * LOG_2PI - ls).sum(axis=1)
     top = peaks.max()
     if top == -np.inf:  # every weight -inf: any finite shift leaves the rows at 0
@@ -486,15 +517,7 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds) -> Var:
         shift[far] += peak
         with np.errstate(divide="ignore"):
             out = np.log(total) + shift
-
-    def rule(g):
-        # a dead row (all weights -inf) passes nothing back
-        scale = np.divide(g, total, out=np.zeros_like(total), where=total > 0.0)
-        resp = buf * scale[:, None]
-        grad_x, grad_means, grad_ls = _pair_cotangents(resp, xd, md, ls, inv_var, m_iv, need_ls)
-        return grad_x, resp.sum(axis=0), grad_means, grad_ls
-
-    return ad.custom_vjp(out, [x, log_w, means, log_stds], rule)
+    return out, buf, total
 
 
 def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
@@ -534,21 +557,21 @@ def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
     return ad.custom_vjp(out, [means, log_stds], rule)
 
 
-def lgssm_proposal_mean(mu, beta, x_prev, a: np.ndarray, t: int) -> Var:
+def lgssm_proposal_mean(mu, beta, x_prev, a: np.ndarray, t: int, runs: int = 1) -> Var:
     """LGSSM proposal means mu_t + beta_t * (x_prev @ a^T) at step t: (N, d).
 
     mu and beta are the (T, d) proposal parameters and x_prev the (N, d)
     previous states.  One tape node whose cotangents to mu and beta are
     (T, d) arrays that are zero outside row t - 1: with incoming cotangent g,
     that row gets the column sums of g and of g * (x_prev @ a^T), and x_prev
-    gets (g * beta_t) @ a.
+    gets (g * beta_t) @ a.  x_prev may stack several runs' rows (``ad.np_matmul``).
     """
     mu, beta, x_prev = ad.constant(mu), ad.constant(beta), ad.constant(x_prev)
     i = t - 1
     m_shape, b_shape = mu.data.shape, beta.data.shape
     need_x = x_prev.nid is not None
     b = beta.data[i]
-    xa = x_prev.data @ a.T
+    xa = ad.np_matmul(x_prev.data, a.T, runs)
     out = mu.data[i] + b * xa
 
     def rule(g):
@@ -580,11 +603,18 @@ def bernoulli_logpmf_rows(logits, y) -> Var:
     return ad.custom_vjp(out, [logits], rule)
 
 
-def trisolve_rows(b: Var, u: Var) -> Var:
-    """Rows of u through B^{-1} for lower-triangular B: (B^{-1} u_i)_i."""
+def trisolve_rows(b: Var, u: Var, runs: int = 1) -> Var:
+    """Rows of u through B^{-1} for lower-triangular B: (B^{-1} u_i)_i.
+
+    With runs > 1, u stacks that many runs' rows and each run is solved
+    alone: LAPACK rounds a lone right-hand side unlike a block of them.
+    """
     b, u = ad.constant(b), ad.constant(u)
     b_data, u_data = b.data, u.data
-    z = solve_triangular(b_data, u_data.T, lower=True).T
+    if runs == 1:
+        z = solve_triangular(b_data, u_data.T, lower=True).T
+    else:
+        z = np.concatenate([solve_triangular(b_data, rows.T, lower=True).T for rows in np.split(u_data, runs)])
 
     def rule(g):
         gt = solve_triangular(b_data.T, np.asarray(g).T, lower=False)
@@ -604,7 +634,8 @@ class GaussRows(NamedTuple):
     The draw methods of both rows types take ``draws``, a filter run's reads
     (``filters._RunDraws``, or one lane of a coupling): a step's
     ``normals``, ``uniforms``, ``choose_shared`` and ``choose_each`` at
-    offsets 0..count-1.
+    offsets 0..count-1, for each run of a pass in turn.  The rows of a pass
+    of R runs stack each run's rows, and ``mixture_logpdf`` takes R.
     """
 
     means: Var
@@ -616,19 +647,19 @@ class GaussRows(NamedTuple):
     def logpdf_matrix(self, x) -> Var:
         return gauss_logpdf_matrix(x, self.means, self.log_stds)
 
-    def mixture_logpdf(self, x, log_w) -> Var:
-        """(N,) log sum_j exp(log_w_j) N(x_i; row j).
+    def mixture_logpdf(self, x, log_w, runs: int = 1) -> Var:
+        """(N,) log sum_j exp(log_w_j) N(x_i; row j), over each run's own rows.
 
-        A single row goes through the row kernel plus its log-weight, so N=1
-        runs stay bit-aligned with the sequential filter.
+        A single row per run goes through the row kernel plus its
+        log-weight, so N=1 runs stay bit-aligned with the sequential filter.
         """
-        if self.means.data.shape[0] == 1:
+        if self.means.data.shape[0] == runs:
             return log_w + gauss_logpdf_rows(x, self.means, self.log_stds)
-        return gauss_mixture_logpdf(x, log_w, self.means, self.log_stds)
+        return gauss_mixture_logpdf(x, log_w, self.means, self.log_stds, runs)
 
     def _normals(self, draws, t: int, n: int) -> np.ndarray:
         d = self.means.data.shape[1]
-        return draws.normals(t, PROPOSAL, n * d).reshape(n, d)
+        return draws.normals(t, PROPOSAL, n * d).reshape(-1, d)
 
     def draw(self, draws, t: int, n: int) -> Var:
         """n reparameterized draws of step t; every row is one draw's Gaussian, or one row serves all."""
@@ -641,13 +672,15 @@ class GaussRows(NamedTuple):
         implicit draws all n through one ``mixture_implicit_rsample`` node,
         which counts its tail draws in tail; otherwise the component index is
         picked with detached probabilities and the draw reparameterized
-        within it.
+        within it.  The two give the same values, so off tape, where no
+        gradient is asked for, implicit draws the second way; that is also
+        the way that serves a pass of several runs, each from its own n rows.
         """
         eps = self._normals(draws, t, n)
-        if implicit:
+        if implicit and ad.recording():
             mix = GaussianMixture(log_w, self.means, self.log_stds)
             return mixture_implicit_rsample(mix, draws.uniforms(t, ANCESTOR, n), eps, tail)
-        anc = draws.choose_shared(t, ANCESTOR, n, np.exp(log_w.data))
+        anc = draws.choose_shared(t, ANCESTOR, n, np.exp(log_w.data).reshape(-1, n))
         return gauss_rsample(self.means, self.log_stds, eps, rows=anc)
 
 
@@ -680,9 +713,14 @@ class TableRows:
         with np.errstate(divide="ignore"):
             return ad.constant(np.ascontiguousarray(np.log(self.probs[:, _state_index(x)]).T))
 
-    def mixture_logpdf(self, x, log_w) -> Var:
-        terms = ad.constant(log_w).data[None, :] + self.logpdf_matrix(x).data
-        return ad.constant(ad.np_logsumexp(terms, axis=1))
+    def mixture_logpdf(self, x, log_w, runs: int = 1) -> Var:
+        """(N,) log sum_j exp(log_w_j) p_j(x_i), over each run's own rows."""
+        probs = self.probs.reshape(runs, -1, self.probs.shape[1])
+        idx = _state_index(x).reshape(runs, 1, -1)
+        with np.errstate(divide="ignore"):
+            log_p = np.log(np.take_along_axis(probs, idx, axis=2))  # [r, j, i] = log p_rj(x_ri)
+        terms = ad.constant(log_w).data.reshape(runs, 1, -1) + np.ascontiguousarray(log_p.transpose(0, 2, 1))
+        return ad.constant(ad.np_logsumexp(terms, axis=2).reshape(-1))
 
     def draw(self, draws, t: int, n: int) -> Var:
         """n PROPOSAL choices of step t: from the one row, or one from each row."""
@@ -693,31 +731,37 @@ class TableRows:
         return ad.constant(idx[:, None].astype(np.float64))
 
     def draw_mixture(self, draws, t: int, n: int, log_w, implicit: bool, tail) -> Var:
-        """n PROPOSAL choices from the marginal row exp(log_w) @ probs; no implicit draw."""
+        """n PROPOSAL choices per run from its marginal row exp(log_w) @ probs; no implicit draw."""
         if implicit:
             raise ValueError("a finite model has no implicit reparameterization")
-        marginal = np.exp(ad.constant(log_w).data) @ self.probs
-        return TableRows(marginal[None, :]).draw(draws, t, n)
+        w = np.exp(ad.constant(log_w).data).reshape(-1, n)
+        rows = self.probs.reshape(len(w), n, -1)
+        marginals = np.stack([w_r @ rows_r for w_r, rows_r in zip(w, rows)])
+        return TableRows(np.repeat(marginals, n, axis=0)).draw(draws, t, n)
 
 
 # ---------------------------------------------------------------------------
 # one run's model: bind, and the three builders that forward to it
 
 
-def bind(model, params, data):
+def bind(model, params, data, runs: int = 1):
     """One run's model: the model, its proposal params and data, a Dataset or (T, dy) ys.
 
     It has ``transition(t, x_prev)``, ``emission(t, x)``, ``proposal(t,
-    x_prev)`` and the (T, dy) ``ys``.  What no particle changes is built
-    here, on the caller's tape, so its gradient flows as before.  One object
-    serves one run; nothing is cached across runs.
+    x_prev)``, the (T, dy) ``ys`` and ``runs``.  What no particle changes is
+    built here, on the caller's tape, so its gradient flows as before.  One
+    object serves one filter pass; nothing is cached across passes.  A pass
+    of runs > 1 stacks that many runs' particle rows, and the bound model's
+    products and solves over particle rows treat each run's rows alone.
     """
     ys = data.ys if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if ys.ndim != 2:
         raise ValueError("observations must be a (T, dy) array")
     for family, run in ((Lgssm, _LgssmRun), (StochVol, _SvRun), (Dmm, _DmmRun), (DiscreteHmm, _HmmRun)):
         if isinstance(model, family):
-            return run(model, params, ys)
+            bound = run(model, params, ys)
+            bound.runs = runs
+            return bound
     raise TypeError(f"unsupported model: {type(model).__name__}")
 
 
@@ -746,16 +790,16 @@ class _LgssmRun:
         self.mu, self.beta, self.log_sigma = (ad.constant(params[k]) for k in ("mu", "beta", "log_sigma"))
 
     def transition(self, t: int, x_prev=None):
-        return self.prior if t == 1 else GaussRows(ad.constant(x_prev) @ self.a_t, self.q_ls)
+        return self.prior if t == 1 else GaussRows(ad.matmul(x_prev, self.a_t, self.runs), self.q_ls)
 
     def emission(self, t: int, x) -> Var:
-        return gauss_logpdf_rows(self.ys[t - 1 : t], ad.constant(x) @ self.c_t, self.r_ls)
+        return gauss_logpdf_rows(self.ys[t - 1 : t], ad.matmul(x, self.c_t, self.runs), self.r_ls)
 
     def proposal(self, t: int, x_prev=None):
         ls_t = ad.gather_rows(self.log_sigma, np.asarray([t - 1]))
         if t == 1 or x_prev is None:  # beta is unused in the state-independent form
             return GaussRows(ad.gather_rows(self.mu, np.asarray([t - 1])), ls_t)
-        return GaussRows(lgssm_proposal_mean(self.mu, self.beta, x_prev, self.a, t), ls_t)
+        return GaussRows(lgssm_proposal_mean(self.mu, self.beta, x_prev, self.a, t, self.runs), ls_t)
 
 
 class _SvRun:
@@ -786,7 +830,7 @@ class _SvRun:
 
     def emission(self, t: int, x) -> Var:
         x = ad.constant(x)
-        z = trisolve_rows(self.b, ad.constant(self.ys[t - 1]) * ad.exp(-0.5 * x))
+        z = trisolve_rows(self.b, ad.constant(self.ys[t - 1]) * ad.exp(-0.5 * x), self.runs)
         return self.log_norm - 0.5 * x.sum(axis=1) - 0.5 * (z * z).sum(axis=1)
 
     def proposal(self, t: int, x_prev=None):
@@ -803,14 +847,15 @@ class _DmmRun:
         self.y_means, self.y_ls = mlp_two_head(params, "y", ys)
 
     def transition(self, t: int, x_prev=None):
-        return GaussRows(*mlp_two_head(self.theta, "trans", self.x0 if t == 1 else ad.constant(x_prev)))
+        return GaussRows(*mlp_two_head(self.theta, "trans", self.x0 if t == 1 else ad.constant(x_prev), self.runs))
 
     def emission(self, t: int, x) -> Var:
-        return bernoulli_logpmf_rows(mlp_single(self.theta, "emis_h", "emis_out", ad.constant(x)), self.ys[t - 1])
+        logits = mlp_single(self.theta, "emis_h", "emis_out", ad.constant(x), self.runs)
+        return bernoulli_logpmf_rows(logits, self.ys[t - 1])
 
     def proposal(self, t: int, x_prev=None):
         _conditional("Dmm", t, x_prev)
-        x_rows = mlp_two_head(self.params, "x", self.x0 if t == 1 else ad.constant(x_prev))
+        x_rows = mlp_two_head(self.params, "x", self.x0 if t == 1 else ad.constant(x_prev), self.runs)
         return _fuse_row(x_rows, self.y_means, self.y_ls, t)
 
 

@@ -17,9 +17,12 @@ Gradients are single-draw: one filter run per call, differentiated in
 reverse mode.  A categorical draw carries no gradient, except vmpf-ug's
 implicit one; iwvi and tmc contain no categorical draw at all, so their
 gradient is exactly the reparameterized gradient.  ``bound_estimate``
-averages independent runs one after another on the calling thread.
-Training is Adam ascent on a (learning-rate, iterations) schedule with
-optional global-norm clipping; phi (proposal) and, under VEM, theta
+averages independent runs, R of them per pass of the kind's filter: the
+pass stacks the runs' particle rows, off tape.  R is set by the shapes
+alone, R = 2^18 // (N max(N, T dy)) capped at the sample count, so that a
+pass's R N^2 pair terms and its (R T, N dy) noise reads stay near 2^18
+words.  Training is Adam ascent on a (learning-rate, iterations) schedule
+with optional global-norm clipping; phi (proposal) and, under VEM, theta
 (model) parameters are updated jointly in one flat namespace: "phi.mu",
 "theta.b_raw", and so on.
 """
@@ -39,6 +42,9 @@ from particlevi import filters as fl
 from particlevi.rng import RngStream
 
 KINDS = ("iwvi", "vsmc", "tmc", "vmpf-bg", "vmpf-ug")
+
+# a bound_estimate pass's pair terms and noise words stay near this many
+_PASS_WORDS = 2**18
 
 
 @dataclass
@@ -256,7 +262,8 @@ def train(
     persist across segments.  One objective draw per iteration.  The run
     aborts with the iteration index if the objective goes non-finite or the
     raw gradient norm exceeds 1e6 (instability is reported, never papered
-    over).  Deterministic for a fixed rng seed and schedule.  Parameters
+    over); a degenerate filter run raises ``DegeneracyError`` naming the
+    iteration.  Deterministic for a fixed rng seed and schedule.  Parameters
     named in freeze keep their initial values; their gradients are zeroed
     before the update and excluded from the recorded norm.  A clip <= 0
     (which would freeze or reverse the ascent) or bad probe settings fail
@@ -282,17 +289,20 @@ def train(
         state.lr = float(lr)
         for _ in range(int(iters)):
             t0 = time.perf_counter()
-            value, grads = grad_fn(current, data, rng.split(10, it))
-            for name in freeze:
-                grads[name] = np.zeros_like(grads[name])
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite objective at iteration {it}")
-            gnorm = _global_norm(grads)
-            if gnorm > _NORM_ABORT:
-                raise ValueError(f"gradient norm {gnorm:.3e} at iteration {it}; run diverged")
-            gvar = math.nan
-            if probe_every and it % probe_every == 0:
-                gvar = grad_variance_probe(current, data, probe_samples, rng.split(11, it))
+            try:
+                value, grads = grad_fn(current, data, rng.split(10, it))
+                for name in freeze:
+                    grads[name] = np.zeros_like(grads[name])
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite objective at iteration {it}")
+                gnorm = _global_norm(grads)
+                if gnorm > _NORM_ABORT:
+                    raise ValueError(f"gradient norm {gnorm:.3e} at iteration {it}; run diverged")
+                gvar = math.nan
+                if probe_every and it % probe_every == 0:
+                    gvar = grad_variance_probe(current, data, probe_samples, rng.split(11, it))
+            except fl.DegeneracyError as exc:
+                raise fl.DegeneracyError(exc.t, it, "iteration") from None
             packed = adam_step(state, packed, grads)
             current = apply_params(obj, packed)
             record.append(it, value, gnorm, gvar, (time.perf_counter() - t0) * 1e3)
@@ -304,20 +314,42 @@ def train(
 # evaluation
 
 
+def _runs_per_pass(obj: Objective, data, n_samples: int) -> int:
+    """R = 2^18 // (N max(N, T dy)), at least 1 and at most n_samples; 1 under a tape."""
+    if ad.recording():
+        return 1
+    n, t_dy = obj.n_particles, np.size(getattr(data, "ys", data))
+    return max(1, min(n_samples, _PASS_WORDS // (n * max(n, t_dy))))
+
+
 def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | None = None) -> tuple:
     """(mean, standard error) of log p-hat over n_samples independent runs.
 
-    The runs go in index order on the calling thread; sample i always uses
-    rng.split(i), so the result is deterministic.  ``workers`` changes
-    neither the result nor the thread: it is kept, with its >= 1 check,
-    until the benchmark stops passing it (ROADMAP Direction 5).
+    Sample i always reads the streams of rng.split(i), so the result is
+    deterministic and equal to a loop of ``objective_value(obj, data,
+    rng.split(i))``.  The samples go in index order on the calling thread,
+    R to a pass of the kind's filter (``filters.RandomBackend``'s runs);
+    R comes from N, T and the observation width alone, and is 1 under a
+    tape.  A degenerate pass raises ``DegeneracyError`` for its lowest
+    degenerate sample.  ``workers`` changes neither the result nor the
+    thread: it is kept, with its >= 1 check, until the benchmark stops
+    passing it.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     rng = rng if isinstance(rng, RngStream) else RngStream(int(rng))
-    values = np.array([float(objective_value(obj, data, rng.split(i)).data) for i in range(n_samples)])
+    runs = _runs_per_pass(obj, data, n_samples)
+    values = []
+    for start in range(0, n_samples, runs):
+        source = fl.RandomBackend(rng, np.arange(start, min(start + runs, n_samples)))
+        try:  # keep the evidence alone: the pass's particles go before the next pass
+            evidence = _run(obj, obj.model, obj.params, data, source).log_evidence
+        except fl.DegeneracyError as exc:
+            raise fl.DegeneracyError(exc.t, start + exc.sample, "sample") from None
+        values.append(np.ravel(evidence.data))
+    values = np.concatenate(values)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
 
 

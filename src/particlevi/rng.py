@@ -53,10 +53,16 @@ def _mix_int(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on a uint64 array (wraps mod 2^64)."""
-    z = (z ^ (z >> _SH30)) * _U_MIX1
-    z = (z ^ (z >> _SH27)) * _U_MIX2
-    return z ^ (z >> _SH31)
+    """splitmix64 finalizer on a uint64 array (wraps mod 2^64), in place; returns z.
+
+    Each step updates z itself, so a read holds z and one shifted temporary.
+    """
+    z ^= z >> _SH30
+    z *= _U_MIX1
+    z ^= z >> _SH27
+    z *= _U_MIX2
+    z ^= z >> _SH31
+    return z
 
 
 def _key(seed: int, stream: int) -> int:
@@ -71,8 +77,11 @@ def _raw_at(keys, offsets) -> np.ndarray:
 
 
 def _uniforms_of(raw: np.ndarray) -> np.ndarray:
-    """Raw words -> uniforms in [0, 1) from their top 53 bits."""
-    return (raw >> _SH11).astype(np.float64) * _INV53
+    """Raw words -> uniforms in [0, 1) from their top 53 bits; raw is shifted in place."""
+    raw >>= _SH11
+    u = raw.astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def _normals_of(raw: np.ndarray) -> np.ndarray:
@@ -80,10 +89,13 @@ def _normals_of(raw: np.ndarray) -> np.ndarray:
 
     The top bin's centre rounds to 1.0, where ndtri is +inf; it is held at
     the largest double below 1 (a normal of 8.21), and every other word keeps
-    its centre.  Every normal is finite, between -8.30 and 8.21.
+    its centre.  Every normal is finite, between -8.30 and 8.21.  raw is
+    shifted in place, and the doubles are mapped in place.
     """
-    u = (raw >> _SH11).astype(np.float64) * _INV53 + _HALF54
-    return ndtri(np.minimum(u, _BELOW_ONE))
+    u = _uniforms_of(raw)
+    u += _HALF54
+    np.minimum(u, _BELOW_ONE, out=u)
+    return ndtri(u, out=u)
 
 
 class RngStream:

@@ -467,6 +467,41 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith("error:") and match in err, err
 
+    @staticmethod
+    def too_wide_params(tmp_path, cfg_path):
+        """A params file whose proposal std is exp(400): no weight survives t=1."""
+        cfg = cli.load_config(cfg_path)
+        packed = ob.pack_params(cli.build_objective(cfg, cli.build_model(cfg)))
+        packed["phi.log_sigma"] = np.full_like(packed["phi.log_sigma"], 400.0)
+        path = tmp_path / "wide.npz"
+        np.savez(path, **packed)
+        return str(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_degenerate_evaluate_exits_1_naming_step_and_sample(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        out = str(tmp_path / "runs")
+        assert cli.main(["generate", "--config", cfg_path, "--out", out]) == 0
+        params = self.too_wide_params(tmp_path, cfg_path)
+        assert cli.main(["evaluate", "--config", cfg_path, "--out", out, "--params", params]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: particle degeneracy at t=1 in sample 0"), err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_degenerate_train_exits_1_naming_step_and_iteration(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        out = str(tmp_path / "runs")
+        assert cli.main(["generate", "--config", cfg_path, "--out", out]) == 0
+        params = self.too_wide_params(tmp_path, cfg_path)
+        assert cli.main(["train", "--config", cfg_path, "--out", out, "--warm-start", params]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: particle degeneracy at t=1 in iteration 0"), err
+        # with no iteration to run, the closing 64-sample bound is the first to degenerate
+        zero = write_config(tmp_path / "zero.ini", LGSSM_INI.replace("5@0.05", "0@0.05"))
+        assert cli.main(["train", "--config", zero, "--out", out, "--warm-start", params]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: particle degeneracy at t=1 in sample 0"), err
+
     def test_train_before_generate_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
         assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "fresh")]) == 2

@@ -708,3 +708,97 @@ class TestLogSpaceSafety:
             lambda: fl.run_mpf(m, params, ds, 8, 1),
         ):
             assert np.isfinite(float(runner().log_evidence.data))
+
+
+def run_axis_cases():
+    """name -> (model, params, data, continuous): the golden fixture's families."""
+    import make_golden as mg
+
+    cases = {name: (m, p, ds, True) for name, (m, p, ds, _) in mg.continuous_cases().items()}
+    h, tables, hd = mg.hmm_case()
+    cases["hmm-tables"] = (h, tables, hd, False)
+    cases["hmm-default"] = (h, None, hd, False)
+    return cases
+
+
+class NanParticle(fl.RandomBackend):
+    """Random draws whose PROPOSAL normals are NaN for particle 1 of the listed runs."""
+
+    def __init__(self, rng, runs=None, nan_runs=(0,), n=3):
+        super().__init__(rng, runs)
+        self.nan_runs, self.n = nan_runs, n
+
+    def run_normals(self, purpose, t_max, count):
+        block = super().run_normals(purpose, t_max, count)
+        d = count // self.n
+        for r in self.nan_runs:
+            block[:, r * count + d : r * count + 2 * d] = np.nan
+        return block
+
+
+class TestRunAxis:
+    """A pass of R runs stacks their particle rows and equals the runs one at a time, bit for bit."""
+
+    LABELS = np.asarray([4, 0, 7, 2, 9])
+
+    @pytest.mark.parametrize("family", sorted(run_axis_cases()))
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_pass_equals_runs_one_at_a_time(self, family, n):
+        import make_golden as mg
+
+        model, params, data, continuous = run_axis_cases()[family]
+        root = RngStream(31)
+        for name, runner in mg._filter_runs(model, params, data, n, continuous).items():
+            stacked = runner(fl.RandomBackend(root, self.LABELS))
+            assert stacked.runs == len(self.LABELS) and stacked.n_particles == n
+            for r, label in enumerate(self.LABELS):
+                alone = runner(fl.RandomBackend(root.split(int(label))))
+                rows = slice(r * n, (r + 1) * n)
+                for a, b in zip(stacked.particles + stacked.log_weights, alone.particles + alone.log_weights):
+                    assert np.array_equal(a.data[rows], b.data), (name, r)
+                for a, b in zip(stacked.log_mean_weights, alone.log_mean_weights):
+                    assert a.data[r] == b.data, (name, r)
+                assert stacked.log_evidence.data[r] == alone.log_evidence.data, (name, r)
+
+    def test_pass_is_off_tape_only(self):
+        m, ds, params = lgssm_setup(t_max=3)
+        backend = fl.RandomBackend(RngStream(1), [0, 1])
+        for run in (
+            lambda: fl.run_smc(m, params, ds, 4, backend),
+            lambda: fl.run_mpf(m, params, ds, 4, backend),
+            lambda: fl.run_ipf(m, params, ds, 4, 2, backend),
+            lambda: fl.run_tmc(m, params, ds, 4, backend),
+        ):
+            with ad.Tape(), pytest.raises(ValueError, match="off tape only"):
+                run()
+        with ad.Tape():  # a pass of one run is a run
+            fl.run_smc(m, params, ds, 4, fl.RandomBackend(RngStream(1), [0]))
+
+    def test_nan_weight_is_degeneracy(self):
+        """One NaN weight among finite ones stops the run at its step, not in the next step's sampler."""
+        m, ds, params = lgssm_setup(t_max=3)
+        for run in (fl.run_smc, fl.run_mpf, fl.run_tmc):
+            with pytest.raises(fl.DegeneracyError, match="t=1 in run 0") as err:
+                run(m, params, ds, 3, NanParticle(RngStream(2)))
+            assert (err.value.t, err.value.sample, err.value.label) == (1, 0, "run")
+
+    def test_pass_names_its_lowest_degenerate_run(self):
+        m, ds, params = lgssm_setup(t_max=3)
+        with pytest.raises(fl.DegeneracyError, match="t=1 in run 2") as err:
+            fl.run_smc(m, params, ds, 3, NanParticle(RngStream(2), [5, 6, 7, 8, 9], nan_runs=(4, 2)))
+        assert err.value.sample == 2
+
+    @pytest.mark.parametrize("weights,degenerate", [
+        ([np.nan, 0.0], True),
+        ([np.inf, 0.0], True),
+        ([-np.inf, -np.inf], True),
+        ([-np.inf, 0.0], False),
+        ([-700.0, 3.0], False),
+    ])
+    def test_check_alive(self, weights, degenerate):
+        logw = ad.constant(np.asarray(weights))
+        if degenerate:
+            with pytest.raises(fl.DegeneracyError, match="t=3"):
+                fl._check_alive(logw, 3, 1)
+        else:
+            fl._check_alive(logw, 3, 1)

@@ -19,6 +19,21 @@ def lgssm_case(t_max=3, seed=7):
     return m, ds, mo.proposal_init(m, t_max)
 
 
+def bound_cases() -> dict:
+    """name -> (model, params, data): the golden fixture's families and non-default proposals."""
+    import make_golden as mg
+
+    cases = {name: case[:3] for name, case in mg.continuous_cases().items()}
+    cases["hmm-tables"] = mg.hmm_case()
+    return cases
+
+
+def bound_kinds(model) -> list:
+    """The kinds a model runs: tmc needs state-independent proposals, and the HMM has no implicit draw."""
+    kinds = [k for k in ob.KINDS if k != "tmc" or isinstance(model, (mo.Lgssm, mo.DiscreteHmm))]
+    return [k for k in kinds if k != "vmpf-ug" or not isinstance(model, mo.DiscreteHmm)]
+
+
 def smoothing_proposal(m, ys):
     """Exact p(x_t | x_{t-1}, y_{t:T}) for a d=1 LGSSM.
 
@@ -423,18 +438,59 @@ class TestEvaluation:
         assert se == manual.std(ddof=1) / 4.0
 
     def test_bound_estimate_runs_on_calling_thread(self, monkeypatch):
+        """Each pass of the filter runs on the calling thread, the samples in index order.
+
+        N=300 on a T=3, dy=1 model gives R = 2^18 // 300^2 = 2 runs a pass.
+        """
         m, ds, p = lgssm_case()
-        o = ob.Objective("vsmc", m, p, 2)
-        idents = []
-        value = ob.objective_value
+        o = ob.Objective("vsmc", m, p, 300)
+        passes = []
+        run_smc = fl.run_smc
 
-        def recording_value(*args):
-            idents.append(threading.get_ident())
-            return value(*args)
+        def recording_run(model, params, data, n, source, **kw):
+            passes.append((threading.get_ident(), list(source.runs)))
+            return run_smc(model, params, data, n, source, **kw)
 
-        monkeypatch.setattr(ob, "objective_value", recording_value)
-        ob.bound_estimate(o, ds, 6, 5, workers=4)
-        assert idents == [threading.get_ident()] * 6
+        monkeypatch.setattr(fl, "run_smc", recording_run)
+        ob.bound_estimate(o, ds, 5, 5, workers=4)
+        assert passes == [(threading.get_ident(), [0, 1]), (threading.get_ident(), [2, 3]),
+                          (threading.get_ident(), [4])]
+
+    @pytest.mark.parametrize("family", sorted(bound_cases()))
+    def test_bound_estimate_equals_the_per_sample_loop(self, family, monkeypatch):
+        """(mean, se) of every kind is == to the one-sample-at-a-time loop.
+
+        N in {1, 3, 16}, with R from the shapes (one pass of all samples) and
+        with R forced to 3 by a smaller pass size, so that 7 samples leave a
+        last pass of one.
+        """
+        model, params, data = bound_cases()[family]
+        t_max, dy = data.ys.shape
+        for kind in bound_kinds(model):
+            for n in (1, 3, 16):
+                o = ob.Objective(kind, model, params, n)
+                loop = np.array([float(ob.objective_value(o, data, RngStream(17).split(i)).data) for i in range(7)])
+                want = (loop.mean(), loop.std(ddof=1) / math.sqrt(7))
+                for words in (ob._PASS_WORDS, 3 * n * max(n, t_max * dy)):
+                    monkeypatch.setattr(ob, "_PASS_WORDS", words)
+                    assert ob.bound_estimate(o, data, 7, RngStream(17)) == want, (kind, n, words)
+
+    def test_bound_estimate_names_the_degenerate_sample(self, monkeypatch):
+        """A NaN weight of sample 5 stops the pass of samples 3..5, naming sample 5."""
+
+        class NanInSampleFive(fl.RandomBackend):
+            def run_normals(self, purpose, t_max, count):
+                block = super().run_normals(purpose, t_max, count)
+                for r in np.flatnonzero(np.asarray(self.runs) == 5):
+                    block[:, r * count] = np.nan
+                return block
+
+        m, ds, p = lgssm_case()
+        monkeypatch.setattr(fl, "RandomBackend", NanInSampleFive)
+        monkeypatch.setattr(ob, "_PASS_WORDS", 3 * 4 * 4)  # N=4, T dy=3: R = 3
+        with pytest.raises(fl.DegeneracyError, match="t=1 in sample 5") as err:
+            ob.bound_estimate(ob.Objective("vsmc", m, p, 4), ds, 7, 3)
+        assert (err.value.t, err.value.sample, err.value.label) == (1, 5, "sample")
 
     def test_bound_estimate_worker_count_irrelevant(self):
         m, ds, p = lgssm_case()
