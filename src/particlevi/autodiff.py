@@ -13,10 +13,19 @@ broadcasting (row/column vectors against matrices), and cotangents are summed
 back to the parent shape.  A -inf log-value (a zero weight, a mixture row
 with no live component) only ever reaches logsumexp, whose softmax backward
 assigns it exactly zero weight, so no infinite gradient is materialized.
+
+A node's closure forms cotangents for its live parents only: a constant
+parent (a Var off the tape) gets none, and the analytic kernels of
+``models`` skip the work for it (``custom_vjp`` lets a rule return None
+there).  ``np_logsumexp`` and the logsumexp node's backward take a short
+path, with no masks or error-state guards, when every maximum is finite;
+the guarded path serves a maximum of -inf, +inf or NaN and gives the
+short path's bits on finite rows.
 """
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 
 import numpy as np
@@ -89,12 +98,12 @@ class Var:
         return matmul(self, other)
 
     def sum(self, axis=None):
-        return reduce("sum", self, axis)
+        return _reduce_sum(_nonempty(self), axis)
 
 
 def constant(x) -> Var:
     """Wrap a value as a non-differentiable Var; a Var passes through as is."""
-    if isinstance(x, Var):
+    if x.__class__ is Var:
         return x
     return Var(np.asarray(x, dtype=np.float64))
 
@@ -224,22 +233,45 @@ def _reduce_sum(a: Var, axis) -> Var:
     out = np.sum(a.data, axis=axis)
 
     def back(g):
-        if axis is None:
-            return np.broadcast_to(g, shape).copy() if shape else np.asarray(g)
-        return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
+        acc = np.empty(shape)
+        acc[...] = g if axis is None else np.expand_dims(g, axis)
+        return acc
 
     return _rec1(out, a, back)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite, read off the extremes: no mask, and no warning for NaN or inf."""
+    return math.isfinite(a.min()) and math.isfinite(a.max())
 
 
 def np_logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     """Max-subtracted logsumexp of a plain array; all -inf gives -inf.
 
     The one numpy form: the tape op ``logsumexp`` computes its forward value
-    here, and off-tape code calls it directly so it records no node.
+    here, and off-tape code calls it directly so it records no node.  When
+    every maximum is finite the terms are shifted by it and summed with no
+    masks or error-state guards; otherwise a maximum of -inf (a row of zero
+    weights) shifts by 0, and +inf or NaN propagate.  Both paths make the
+    same arithmetic, so a row gets the same bits either way.
     """
+    if axis is None:
+        m = a.max()
+        if math.isfinite(m):
+            e = np.asarray(a - m)  # exponentiated in place: one temporary the size of a
+            np.exp(e, out=e)
+            return np.asarray(np.log(e.sum()) + m)
+    else:
+        m = a.max(axis=axis, keepdims=True)
+        if _all_finite(m):
+            e = a - m
+            np.exp(e, out=e)
+            out = np.log(e.sum(axis=axis))
+            out += m.reshape(out.shape)
+            return out
     m = np.max(a, axis=axis, keepdims=True)
     safe = np.where(np.isfinite(m), m, 0.0)
-    e = np.asarray(a - safe)  # exponentiated in place: one temporary the size of a
+    e = np.asarray(a - safe)
     np.exp(e, out=e)
     with np.errstate(divide="ignore"):
         out = safe + np.log(np.sum(e, axis=axis, keepdims=True))
@@ -252,30 +284,38 @@ def _reduce_logsumexp(a: Var, axis) -> Var:
     outk = out if axis is None else np.expand_dims(out, axis)
 
     def back(g):
-        with np.errstate(invalid="ignore"):
+        finite = math.isfinite(out) if axis is None else _all_finite(out)
+        if finite:
             soft = np.exp(data - outk)
-        soft = np.where(np.isfinite(outk), soft, 0.0)
-        if axis is None:
-            return g * soft
-        return np.expand_dims(g, axis) * soft
+        else:  # a row whose logsumexp is -inf (all weights zero) passes back exact zeros
+            with np.errstate(invalid="ignore"):
+                soft = np.exp(data - outk)
+            soft = np.where(np.isfinite(outk), soft, 0.0)
+        soft *= g if axis is None else np.expand_dims(g, axis)
+        return soft
 
     return _rec1(out, a, back)
 
 
-def reduce(kind: str, a, axis=None) -> Var:
-    """Reductions: sum and max-subtracted logsumexp."""
+def _nonempty(a) -> Var:
     a = constant(a)
     if a.data.size == 0:
         raise ValueError("empty reduction")
-    if kind == "sum":
-        return _reduce_sum(a, axis)
-    if kind == "logsumexp":
-        return _reduce_logsumexp(a, axis)
-    raise ValueError(f"unknown reduction {kind!r}")
+    return a
+
+
+_REDUCTIONS = {"sum": _reduce_sum, "logsumexp": _reduce_logsumexp}
+
+
+def reduce(kind: str, a, axis=None) -> Var:
+    """Reductions: sum and max-subtracted logsumexp."""
+    if kind not in _REDUCTIONS:
+        raise ValueError(f"unknown reduction {kind!r}")
+    return _REDUCTIONS[kind](_nonempty(a), axis)
 
 
 def logsumexp(a, axis=None) -> Var:
-    return reduce("logsumexp", a, axis)
+    return _reduce_logsumexp(_nonempty(a), axis)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +337,10 @@ def gather_rows(a, idx) -> Var:
 
     def back(g):
         acc = np.zeros(shape)
-        np.add.at(acc, idx, g)
+        if idx.shape == (1,):  # one row (a step's parameter row): no scatter
+            acc[idx[0]] += g[0]
+        else:
+            np.add.at(acc, idx, g)
         return acc
 
     return _rec1(out, a, back)
@@ -325,14 +368,19 @@ def custom_vjp(forward_value, parents, backward_rule) -> Var:
 
     The rule receives the incoming cotangent and must return one cotangent
     per parent, in order; it is invoked exactly once per backward call.
-    Entries for constant parents are ignored.
+    Entries for constant parents are ignored, so a rule may return None
+    there instead of forming them.
     """
     out = np.asarray(forward_value, dtype=np.float64)
     tape = _ACTIVE.get()
-    live = [(i, p.nid) for i, p in enumerate(parents) if p.nid is not None]
-    if tape is None or not live:
+    if tape is None:
+        return Var(out)
+    pids = tuple(p.nid for p in parents if p.nid is not None)
+    if not pids:
         return Var(out)
     n_parents = len(parents)
+    # None when every parent is live: the rule's cotangents pass through as they are
+    live = None if len(pids) == n_parents else [i for i, p in enumerate(parents) if p.nid is not None]
 
     def fn(g):
         outs = backward_rule(g)
@@ -340,10 +388,10 @@ def custom_vjp(forward_value, parents, backward_rule) -> Var:
             raise ValueError(
                 f"custom_vjp rule returned {len(outs)} cotangents for {n_parents} parents"
             )
-        return tuple(outs[i] for i, _ in live)
+        return outs if live is None else [outs[i] for i in live]
 
     nid = len(tape.nodes)
-    tape.nodes.append((tuple(pid for _, pid in live), fn))
+    tape.nodes.append((pids, fn))
     return Var(out, nid, tape)
 
 
@@ -377,14 +425,13 @@ def grad(loss: Var, wrt) -> list:
             prev = acc.get(pid)
             acc[pid] = pg if prev is None else prev + pg
     for k, w in enumerate(wrt):
-        if w.nid is None:
+        g = None if w.nid is None else acc.get(w.nid)
+        if g is None:
             out[k] = np.zeros_like(np.asarray(w.data))
+        elif isinstance(g, np.ndarray) and g.shape == w.data.shape and g.dtype == np.float64:
+            out[k] = g.copy()
         else:
-            g = acc.get(w.nid)
-            if g is None:
-                out[k] = np.zeros_like(np.asarray(w.data))
-            else:
-                out[k] = np.broadcast_to(g, w.data.shape).astype(np.float64).copy()
+            out[k] = np.broadcast_to(g, w.data.shape).astype(np.float64).copy()
     return out
 
 

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,8 +311,36 @@ def cmd_generate(cfg: ExperimentConfig, out: Path) -> Path:
 def _load_packed(path: Path) -> dict:
     if not path.exists():
         raise CliError(f"params file missing: {path}")
-    with np.load(path) as fh:
-        return {k: fh[k] for k in fh.files}
+    try:
+        fh = np.load(path)
+        if not isinstance(fh, np.lib.npyio.NpzFile):
+            raise ValueError("it holds a single array")
+        with fh:
+            return {k: fh[k] for k in fh.files}
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+        raise CliError(f"params file {path} is not an .npz of arrays: {exc}") from exc
+
+
+def _load_params(path: Path, obj: ob.Objective, complete: bool) -> dict:
+    """A params file's arrays, each checked by name and shape against ``ob.pack_params(obj)``.
+
+    An unknown name or a wrong shape is an error; complete (evaluate) also
+    asks for every name, while a warm start may set only some.  The check
+    runs once here, not in ``apply_params``, which every training iteration
+    calls.
+    """
+    packed = _load_packed(path)
+    want = ob.pack_params(obj)
+    for key, value in packed.items():
+        if key not in want:
+            raise CliError(f"params file {path}: unknown key {key!r} (this objective has {sorted(want)})")
+        if value.shape != want[key].shape:
+            raise CliError(f"params file {path}: key {key!r} has shape {value.shape}, "
+                           f"this objective needs {want[key].shape}")
+    missing = sorted(set(want) - set(packed)) if complete else []
+    if missing:
+        raise CliError(f"params file {path}: missing key {missing[0]!r}")
+    return packed
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: Path | None = None):
@@ -321,7 +350,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path, warm_start: Path | None = None):
     ds = load_dataset(cfg, out)
     obj = build_objective(cfg, model)
     if warm_start is not None:
-        obj = ob.apply_params(obj, _load_packed(warm_start))
+        obj = ob.apply_params(obj, _load_params(warm_start, obj, complete=False))
     freeze = ("phi.beta",) if cfg.fix_beta else ()
     try:
         trained, record = ob.train(
@@ -359,8 +388,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, params_path: Path | None = No
     model = build_model(cfg)
     ds = load_dataset(cfg, out)
     obj = build_objective(cfg, model)
-    packed = _load_packed(params_path if params_path is not None else out / f"params_{cfg.exp_hash}.npz")
-    obj = ob.apply_params(obj, packed)
+    path = params_path if params_path is not None else out / f"params_{cfg.exp_hash}.npz"
+    obj = ob.apply_params(obj, _load_params(path, obj, complete=True))
 
     t0 = time.perf_counter()
     mean, se = ob.bound_estimate(obj, ds, n_samples, RngStream(cfg.seed).split(_EVAL_STREAM))

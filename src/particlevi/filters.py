@@ -332,6 +332,10 @@ def _check_alive(logw: Var, t: int, runs: int):
 
     The largest log weight of such a run, and only of such a run, is not finite.
     """
+    if runs == 1:
+        if not math.isfinite(logw.data.max()):
+            raise DegeneracyError(t)
+        return
     live = np.isfinite(logw.data.reshape(runs, -1).max(axis=1))
     if not live.all():
         raise DegeneracyError(t, int(np.argmin(live)))

@@ -23,9 +23,10 @@ row under a weighted mixture of the components (``mixture_logpdf``), and
 both draw a step's particles from their rows (``draw``) or from the
 weighted mixture (``draw_mixture``).  Each density kernel,
 reparameterized draw, network layer (``dense``) and Gaussian product is one
-tape node with an analytic backward; the filters call the kernels on N rows
-and the couplings on one-row arrays, so each log-density has one
-implementation.
+tape node with an analytic backward, which forms no cotangent for a
+constant parent (the kernels' rules return None there); the filters call
+the kernels on N rows and the couplings on one-row arrays, so each
+log-density has one implementation.
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def dense(x, w, b, act=None, runs: int = 1) -> Var:
     act is None, "leaky" (leaky relu with slope LEAKY_SLOPE) or "half" (times
     0.5: the log-std head, whose network output is a log variance).  One tape
     node: with G the incoming cotangent times the activation's slope, the
-    cotangents are G @ w^T to x, x^T @ G to w and the column sums of G to b.
+    cotangents are G @ w^T to x, x^T @ G to w and the column sums of G to b;
+    a constant parent gets none.
     At a pre-activation of exactly 0 the leaky relu is differentiated on its
     negative side, with slope LEAKY_SLOPE.  The DMM's t=1 networks sit there
     at initialization: their biases start at zero and they read x_0 = 0, so
@@ -222,7 +224,7 @@ def dense(x, w, b, act=None, runs: int = 1) -> Var:
     """
     x, w, b = ad.constant(x), ad.constant(w), ad.constant(b)
     xd, wd = x.data, w.data
-    need_x, need_w = x.nid is not None, w.nid is not None
+    need_x, need_w, need_b = x.nid is not None, w.nid is not None, b.nid is not None
     out = ad.np_matmul(xd, wd, runs) + b.data
     if act == "leaky":
         pos = out > 0.0
@@ -237,7 +239,7 @@ def dense(x, w, b, act=None, runs: int = 1) -> Var:
             g = np.where(pos, g, LEAKY_SLOPE * g)
         elif act == "half":
             g = g * 0.5
-        return g @ wd.T if need_x else None, xd.T @ g if need_w else None, g.sum(axis=0)
+        return g @ wd.T if need_x else None, xd.T @ g if need_w else None, g.sum(axis=0) if need_b else None
 
     return ad.custom_vjp(out, [x, w, b], rule)
 
@@ -263,9 +265,20 @@ class DiscreteHmm:
     emis: np.ndarray
 
     def __post_init__(self):
-        for name, rows in (("pi0", self.pi0[None, :]), ("trans", self.trans), ("emis", self.emis)):
-            if not np.allclose(rows.sum(axis=1), 1.0, atol=1e-10):
-                raise ValueError(f"{name} rows must sum to 1")
+        k = self.pi0.shape[0]
+        for name, rows, shape in (("pi0", self.pi0, (k,)), ("trans", self.trans, (k, k)),
+                                  ("emis", self.emis, (k, self.emis.shape[-1]))):
+            _probability_rows(name, rows, shape)
+
+
+def _probability_rows(name: str, rows, shape: tuple) -> np.ndarray:
+    """rows as an array of the given shape whose rows are non-negative and sum to 1 within 1e-10."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {rows.shape}")
+    if not (np.all(rows >= 0.0) and np.all(np.abs(rows.sum(axis=-1) - 1.0) <= 1e-10)):
+        raise ValueError(f"{name} rows must be non-negative and sum to 1")
+    return rows
 
 
 def hmm_reference() -> DiscreteHmm:
@@ -345,10 +358,12 @@ def gauss_logpdf_rows(x, means, log_stds) -> Var:
 
     One tape node.  With z = (x - mean) / std and incoming cotangent g, the
     cotangents are -g z / std to x, g z / std to the means and g (z^2 - 1)
-    to the log-stds, each summed back to its parent's shape.
+    to the log-stds, each summed back to its parent's shape; a constant
+    parent gets none.
     """
     x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
     _check_dims(x, means, log_stds)
+    need_x, need_m, need_ls = x.nid is not None, means.nid is not None, log_stds.nid is not None
     # the rule closes over arrays only: a Var would tie the tape into a cycle
     x_shape, m_shape, ls = x.data.shape, means.data.shape, log_stds.data
     inv_std = np.exp(-ls)
@@ -357,11 +372,11 @@ def gauss_logpdf_rows(x, means, log_stds) -> Var:
 
     def rule(g):
         g = g[:, None]
-        gz = g * z * inv_std
+        gz = g * z * inv_std if need_x or need_m else None
         return (
-            ad.unbroadcast(-gz, x_shape),
-            ad.unbroadcast(gz, m_shape),
-            ad.unbroadcast(g * (z * z - 1.0), ls.shape),
+            ad.unbroadcast(-gz, x_shape) if need_x else None,
+            ad.unbroadcast(gz, m_shape) if need_m else None,
+            ad.unbroadcast(g * (z * z - 1.0), ls.shape) if need_ls else None,
         )
 
     return ad.custom_vjp(out, [x, means, log_stds], rule)
@@ -528,9 +543,11 @@ def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
     takes component rows[i] of (M, d) means and of (M, d) log-stds, while a
     shared (1, d) log-std serves every draw.  One tape node: with incoming
     cotangent g, the means get g and the log-stds g eps std, each summed
-    back to its parent's shape or scattered onto the chosen components.
+    back to its parent's shape or scattered onto the chosen components; a
+    constant parent gets none.
     """
     means, log_stds = ad.constant(means), ad.constant(log_stds)
+    need_m, need_ls = means.nid is not None, log_stds.nid is not None
     md, ls = means.data, log_stds.data
     pick_ls = rows is not None and ls.shape[0] > 1
     if rows is not None:
@@ -543,15 +560,18 @@ def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
     m_shape, ls_shape = means.data.shape, log_stds.data.shape
 
     def rule(g):
-        g_ls = ad.unbroadcast(g * eps, ls.shape) * std
-        if rows is None:
-            return ad.unbroadcast(g, m_shape), g_ls
-        g_means = np.zeros(m_shape)
-        np.add.at(g_means, rows, g)
-        if pick_ls:
-            acc = np.zeros(ls_shape)
-            np.add.at(acc, rows, g_ls)
-            g_ls = acc
+        g_means = g_ls = None
+        if need_ls:
+            g_ls = ad.unbroadcast(g * eps, ls.shape) * std
+            if pick_ls:
+                acc = np.zeros(ls_shape)
+                np.add.at(acc, rows, g_ls)
+                g_ls = acc
+        if need_m and rows is None:
+            g_means = ad.unbroadcast(g, m_shape)
+        elif need_m:
+            g_means = np.zeros(m_shape)
+            np.add.at(g_means, rows, g)
         return g_means, g_ls
 
     return ad.custom_vjp(out, [means, log_stds], rule)
@@ -564,21 +584,25 @@ def lgssm_proposal_mean(mu, beta, x_prev, a: np.ndarray, t: int, runs: int = 1) 
     previous states.  One tape node whose cotangents to mu and beta are
     (T, d) arrays that are zero outside row t - 1: with incoming cotangent g,
     that row gets the column sums of g and of g * (x_prev @ a^T), and x_prev
-    gets (g * beta_t) @ a.  x_prev may stack several runs' rows (``ad.np_matmul``).
+    gets (g * beta_t) @ a; a constant parent gets none.  x_prev may stack
+    several runs' rows (``ad.np_matmul``).
     """
     mu, beta, x_prev = ad.constant(mu), ad.constant(beta), ad.constant(x_prev)
     i = t - 1
     m_shape, b_shape = mu.data.shape, beta.data.shape
-    need_x = x_prev.nid is not None
+    need_mu, need_beta, need_x = mu.nid is not None, beta.nid is not None, x_prev.nid is not None
     b = beta.data[i]
     xa = ad.np_matmul(x_prev.data, a.T, runs)
     out = mu.data[i] + b * xa
 
     def rule(g):
-        g_mu = np.zeros(m_shape)
-        g_mu[i] = g.sum(axis=0)
-        g_beta = np.zeros(b_shape)
-        g_beta[i] = (g * xa).sum(axis=0)
+        g_mu = g_beta = None
+        if need_mu:
+            g_mu = np.zeros(m_shape)
+            g_mu[i] = g.sum(axis=0)
+        if need_beta:
+            g_beta = np.zeros(b_shape)
+            g_beta[i] = (g * xa).sum(axis=0)
         return g_mu, g_beta, (g * b) @ a if need_x else None
 
     return ad.custom_vjp(out, [mu, beta, x_prev], rule)
@@ -616,10 +640,11 @@ def trisolve_rows(b: Var, u: Var, runs: int = 1) -> Var:
     else:
         z = np.concatenate([solve_triangular(b_data, rows.T, lower=True).T for rows in np.split(u_data, runs)])
 
+    need_b, need_u = b.nid is not None, u.nid is not None
+
     def rule(g):
         gt = solve_triangular(b_data.T, np.asarray(g).T, lower=False)
-        grad_b = -np.tril(gt @ z)
-        return grad_b, gt.T
+        return -np.tril(gt @ z) if need_b else None, gt.T if need_u else None
 
     return ad.custom_vjp(z, [b, u], rule)
 
@@ -861,17 +886,24 @@ class _DmmRun:
 
 class _HmmRun:
     """HMM: the model's own proposal tables (bootstrap; uniform when state-independent), or
-    params' init_proposal, trans_proposal and indep_proposal: constants, with no gradient."""
+    params' init_proposal, trans_proposal and indep_proposal: constants, with no gradient.
+
+    A table given in params must hold probability rows, as the model's own do.
+    """
 
     def __init__(self, model: DiscreteHmm, params, ys):
         params = params or {}
         if any(isinstance(v, Var) for v in params.values()):
             raise ValueError("the HMM's proposal tables are constants; they take no gradient")
         self.ys, self.model, k = ys, model, model.pi0.shape[0]
+
+        def table(name, default, shape):
+            return default if name not in params else _probability_rows(name, params[name], shape)
+
         self.prior = TableRows(model.pi0[None, :])
-        self.init = TableRows(np.asarray(params.get("init_proposal", model.pi0))[None, :])
-        self.indep = TableRows(np.asarray(params.get("indep_proposal", np.full(k, 1.0 / k)))[None, :])
-        self.trans = np.asarray(params.get("trans_proposal", model.trans))
+        self.init = TableRows(table("init_proposal", model.pi0, (k,))[None, :])
+        self.indep = TableRows(table("indep_proposal", np.full(k, 1.0 / k), (k,))[None, :])
+        self.trans = table("trans_proposal", model.trans, (k, k))
 
     def transition(self, t: int, x_prev=None):
         return self.prior if t == 1 else TableRows(self.model.trans[_state_index(x_prev)])

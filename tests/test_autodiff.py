@@ -140,6 +140,43 @@ class TestReduce:
         assert abs(out[0] - math.log(np.exp(a[0]).sum())) < 1e-15
         assert out[1] == -np.inf
 
+    # rows: finite, +inf, NaN, all -inf, mixed -inf and finite, +inf with -inf,
+    # +inf with NaN, huge finite, and terms whose exp underflows
+    EDGE_ROWS = np.asarray([
+        [0.5, -1.0, 2.0], [np.inf, 0.0, 1.0], [np.nan, 0.0, 1.0], [-np.inf, -np.inf, -np.inf],
+        [-np.inf, 3.0, -2.5], [np.inf, -np.inf, 0.0], [np.inf, np.nan, 1.0], [1e308, 1e308, 1e308],
+        [-745.0, -800.0, 5.0],
+    ])
+    EDGE_OUT = ["0x1.1ee349dfa61fcp+1", "inf", "nan", "-inf", "0x1.8085a4763b9bdp+1", "inf", "nan",
+                "0x1.1ccf385ebc8a0p+1023", "0x1.4000000000000p+2"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_np_logsumexp_edge_rows_are_pinned_bit_for_bit(self):
+        """Finite maxima take the short path, the others the guarded one; neither warns."""
+        rows = self.EDGE_ROWS
+        for got in (ad.np_logsumexp(rows, axis=1), ad.np_logsumexp(rows.T.copy(), axis=0)):
+            assert got.shape == (len(rows),)
+            assert [float(v).hex() for v in got] == self.EDGE_OUT
+        for row, want in zip(rows, self.EDGE_OUT):
+            got = ad.np_logsumexp(row)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+            assert float(got).hex() == want
+        whole = ad.np_logsumexp(rows[[0, 3, 4, 7, 8]])
+        assert float(whole).hex() == "0x1.1ccf385ebc8a0p+1023"
+        assert [float(v).hex() for v in ad.np_logsumexp(rows[[0, 4]], axis=1)] == [self.EDGE_OUT[0], self.EDGE_OUT[4]]
+
+    @pytest.mark.filterwarnings("error")
+    def test_logsumexp_backward_all_neg_inf_rows_are_exact_zeros(self):
+        with ad.Tape():
+            x = ad.leaf(np.asarray([[0.5, -np.inf, 2.0], [-np.inf, -np.inf, -np.inf]]))
+            (g,) = ad.grad(ad.logsumexp(x, axis=1).sum(), [x])
+            dead = ad.leaf(np.full(3, -np.inf))
+            (g_dead,) = ad.grad(ad.logsumexp(dead), [dead])
+        soft = np.exp(np.asarray([0.5, -np.inf, 2.0]) - ad.np_logsumexp(np.asarray([0.5, -np.inf, 2.0])))
+        assert np.array_equal(g[0], soft) and g[0, 1] == 0.0
+        assert np.array_equal(g[1], np.zeros(3)) and not np.signbit(g[1]).any()
+        assert np.array_equal(g_dead, np.zeros(3)) and not np.signbit(g_dead).any()
+
     def test_empty_reduction_raises(self):
         with pytest.raises(ValueError):
             with ad.Tape():
@@ -246,6 +283,30 @@ class TestGatherStack:
             (g,) = ad.grad(y.sum(), [x])
         assert np.array_equal(y.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
         assert np.array_equal(g, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+
+    def test_gather_rows_single_pick_backward(self):
+        """One index (a step's parameter row) writes its row; the rest stay exact zeros."""
+        w = np.asarray([[2.0, -0.0]])
+        with ad.Tape():
+            x = ad.leaf(np.arange(6.0).reshape(3, 2))
+            y = ad.gather_rows(x, np.asarray([1]))
+            (g,) = ad.grad((y * ad.constant(w)).sum(), [x])
+            v = ad.leaf(np.arange(4.0))
+            (gv,) = ad.grad((ad.gather_rows(v, np.asarray([3])) * ad.constant(np.asarray([-0.0]))).sum(), [v])
+        assert np.array_equal(y.data, [[2.0, 3.0]])
+        # a scatter-add onto zeros: the -0.0 cotangent lands as +0.0, as np.add.at gives
+        want = np.zeros((3, 2))
+        np.add.at(want, np.asarray([1]), w)
+        assert g.tobytes() == want.tobytes()
+        assert gv.tobytes() == np.zeros(4).tobytes()
+
+    def test_gather_rows_repeated_indices_backward(self):
+        g_in = np.asarray([[1.0, 2.0], [10.0, 20.0], [100.0, 200.0], [0.5, 0.25]])
+        with ad.Tape():
+            x = ad.leaf(np.zeros((3, 2)))
+            y = ad.gather_rows(x, np.asarray([1, 1, 0, 1]))
+            (g,) = ad.grad((y * ad.constant(g_in)).sum(), [x])
+        assert np.array_equal(g, [[100.0, 200.0], [11.5, 22.25], [0.0, 0.0]])
 
     def test_stack_rows_splits_gradient(self):
         with ad.Tape():

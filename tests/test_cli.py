@@ -1,6 +1,10 @@
 """CLI harness: config schema, artifact plumbing, suites, bench, plots."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,6 +505,57 @@ class TestMain:
         assert cli.main(["train", "--config", zero, "--out", out, "--warm-start", params]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: particle degeneracy at t=1 in sample 0"), err
+
+    @staticmethod
+    def bad_params_files(tmp_path) -> dict:
+        """name -> (params file, text its error names); the config's params are phi.mu/beta/log_sigma (4, 2)."""
+        files = {}
+        for name, arrays in (("typo", {"phi.mu_typo": np.zeros((4, 2))}),
+                             ("shape", {"phi.mu": np.zeros((4, 3))})):
+            np.savez(tmp_path / f"{name}.npz", **arrays)
+        files["typo"] = (tmp_path / "typo.npz", "unknown key 'phi.mu_typo'")
+        files["shape"] = (tmp_path / "shape.npz", "key 'phi.mu' has shape (4, 3), this objective needs (4, 2)")
+        (tmp_path / "text.npz").write_text("not an archive\n")
+        files["text"] = (tmp_path / "text.npz", "is not an .npz of arrays")
+        np.save(tmp_path / "single.npy", np.zeros((4, 2)))
+        files["single"] = (tmp_path / "single.npy", "is not an .npz of arrays")
+        return files
+
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_bad_params_files_exit_2_naming_the_key(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        out = str(tmp_path / "runs")
+        assert cli.main(["generate", "--config", cfg_path, "--out", out]) == 0
+        flag = "--params" if command == "evaluate" else "--warm-start"
+        for name, (path, match) in self.bad_params_files(tmp_path).items():
+            assert cli.main([command, "--config", cfg_path, "--out", out, flag, str(path)]) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: params file") and match in err, (name, err)
+        assert not (tmp_path / "runs" / "results.csv").exists()
+        assert not list((tmp_path / "runs").glob("params_*.npz"))
+
+    def test_evaluate_needs_every_param_and_a_warm_start_does_not(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        out = str(tmp_path / "runs")
+        assert cli.main(["generate", "--config", cfg_path, "--out", out]) == 0
+        partial = tmp_path / "partial.npz"
+        np.savez(partial, **{"phi.mu": np.full((4, 2), 0.1)})
+        assert cli.main(["evaluate", "--config", cfg_path, "--out", out, "--params", str(partial)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: params file") and "missing key 'phi.beta'" in err, err
+        assert cli.main(["train", "--config", cfg_path, "--out", out, "--warm-start", str(partial)]) == 0
+
+    def test_python_dash_m_runs_the_cli(self):
+        """A checkout without an install runs the CLI as `python -m particlevi`."""
+        src = Path(cli.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "particlevi", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: particlevi")
+        bad = subprocess.run([sys.executable, "-m", "particlevi", "verify", "nope"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert bad.returncode == 2 and bad.stderr.startswith("error: unknown suite")
 
     def test_train_before_generate_exits_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)

@@ -345,6 +345,25 @@ class TestHmmProposalTables:
             assert len(offered) == len(rows)
 
 
+    @pytest.mark.parametrize("name,table", [
+        ("trans_proposal", [[1.5, -0.5, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]),
+        ("trans_proposal", [[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.3, 0.3, 0.4]]),
+        ("trans_proposal", [[0.5, 0.5], [0.5, 0.5]]),
+        ("init_proposal", [0.6, 0.6, -0.2]),
+        ("init_proposal", [0.3, 0.3, 0.3]),
+        ("indep_proposal", [0.0, 0.0, 0.0]),
+        ("indep_proposal", [np.nan, 0.5, 0.5]),
+    ], ids=["negative", "zero-row", "wrong-shape", "init-negative", "init-short-sum", "indep-zero", "indep-nan"])
+    def test_bad_tables_are_refused_at_bind(self, name, table):
+        """A table must hold probability rows; before, a negative entry gave a finite 'bound'."""
+        h, _ = hmm_tables()
+        ys = np.zeros((2, 1))
+        with pytest.raises(ValueError, match=name):
+            fl.run_smc(h, {name: np.asarray(table)}, ys, 4, 1)
+        with pytest.raises(ValueError, match=name):
+            mo.bind(h, {name: np.asarray(table)}, ys)
+
+
 class TestIpf:
     def test_l_bounds(self):
         m, ds, params = lgssm_setup()

@@ -135,6 +135,10 @@ class TestHmmForward:
     def test_invalid_rows_raise(self):
         with pytest.raises(ValueError):
             mo.DiscreteHmm(np.asarray([0.7, 0.7]), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="trans rows must be non-negative"):
+            mo.DiscreteHmm(np.asarray([0.5, 0.5]), np.asarray([[1.5, -0.5], [0.5, 0.5]]), np.eye(2))
+        with pytest.raises(ValueError, match="emis must have shape"):
+            mo.DiscreteHmm(np.asarray([0.5, 0.5]), np.eye(2), np.eye(3))
 
 
 class TestDensityKernels:
@@ -440,6 +444,77 @@ class TestDenseLayer:
             mo.emission_logpdf_rows(bound, 1, x)
             sizes.append(len(tape.nodes))
         assert np.diff(sizes).tolist() == [3, 2, 3, 3]
+
+
+def _lower_triangular(seed: int, d: int) -> np.ndarray:
+    return np.tril(RngStream(seed).normals(d * d).reshape(d, d) * 0.3) + np.eye(d)
+
+
+# kernel -> (call on its parents, the parents' values)
+CONSTANT_PARENT_CASES = {
+    "gauss_logpdf_rows": (
+        mo.gauss_logpdf_rows,
+        [RngStream(90).normals(12).reshape(4, 3), RngStream(91).normals(12).reshape(4, 3),
+         RngStream(92).normals(3).reshape(1, 3) * 0.3],
+    ),
+    "gauss_rsample": (
+        lambda m, ls: mo.gauss_rsample(m, ls, RngStream(93).normals(12).reshape(4, 3)),
+        [RngStream(94).normals(12).reshape(4, 3), RngStream(95).normals(3).reshape(1, 3) * 0.3],
+    ),
+    "gauss_rsample-rows": (
+        lambda m, ls: mo.gauss_rsample(m, ls, RngStream(93).normals(12).reshape(4, 3), rows=[2, 0, 2, 1]),
+        [RngStream(94).normals(9).reshape(3, 3), RngStream(95).normals(9).reshape(3, 3) * 0.3],
+    ),
+    "lgssm_proposal_mean": (
+        lambda mu, beta, x: mo.lgssm_proposal_mean(mu, beta, x, _lower_triangular(96, 3), 2),
+        [RngStream(97).normals(15).reshape(5, 3), RngStream(98).normals(15).reshape(5, 3),
+         RngStream(99).normals(12).reshape(4, 3)],
+    ),
+    "dense": (
+        lambda x, w, b: mo.dense(x, w, b, "leaky"),
+        [RngStream(100).normals(8).reshape(4, 2), RngStream(101).normals(6).reshape(2, 3), RngStream(102).normals(3)],
+    ),
+    "trisolve_rows": (
+        mo.trisolve_rows,
+        [_lower_triangular(103, 3), RngStream(104).normals(12).reshape(4, 3)],
+    ),
+}
+
+
+class TestConstantParents:
+    """A kernel forms no cotangent for a constant parent; its live parents get the same bits as when all are live."""
+
+    @staticmethod
+    def grads(call, values, live, monkeypatch):
+        rules = []
+        real = ad.custom_vjp
+
+        def spy(out, parents, rule):
+            rules.append(rule)
+            return real(out, parents, rule)
+
+        monkeypatch.setattr(ad, "custom_vjp", spy)
+        with ad.Tape():
+            parents = [ad.leaf(v) if on else ad.constant(v) for v, on in zip(values, live)]
+            out = call(*parents)
+            weights = ad.constant(RngStream(105).normals(out.data.size).reshape(out.data.shape))
+            loss = (out * weights).sum()
+            grads = ad.grad(loss, [p for p, on in zip(parents, live) if on])
+            formed = rules[-1](weights.data)
+        monkeypatch.undo()
+        return grads, formed
+
+    @pytest.mark.parametrize("kernel", sorted(CONSTANT_PARENT_CASES))
+    def test_constant_parents_get_no_cotangent(self, kernel, monkeypatch):
+        call, values = CONSTANT_PARENT_CASES[kernel]
+        every, formed = self.grads(call, values, [True] * len(values), monkeypatch)
+        assert all(c is not None for c in formed)
+        for mask in range(1, 2 ** len(values) - 1):
+            live = [bool(mask >> k & 1) for k in range(len(values))]
+            got, formed = self.grads(call, values, live, monkeypatch)
+            assert [c is not None for c in formed] == live, live
+            want = [g for g, on in zip(every, live) if on]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), live
 
 
 class TestLogdensities:
