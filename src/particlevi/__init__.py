@@ -16,7 +16,6 @@ from particlevi.autodiff import (
     grad,
     leaf,
     logsumexp,
-    reduce,
 )
 from particlevi.rng import RngStream
 
@@ -30,7 +29,6 @@ __all__ = [
     "grad",
     "leaf",
     "logsumexp",
-    "reduce",
 ]
 
 __version__ = "0.1.0"

@@ -304,16 +304,6 @@ def _nonempty(a) -> Var:
     return a
 
 
-_REDUCTIONS = {"sum": _reduce_sum, "logsumexp": _reduce_logsumexp}
-
-
-def reduce(kind: str, a, axis=None) -> Var:
-    """Reductions: sum and max-subtracted logsumexp."""
-    if kind not in _REDUCTIONS:
-        raise ValueError(f"unknown reduction {kind!r}")
-    return _REDUCTIONS[kind](_nonempty(a), axis)
-
-
 def logsumexp(a, axis=None) -> Var:
     return _reduce_logsumexp(_nonempty(a), axis)
 

@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 import particlevi.autodiff as ad
+from particlevi import couplings as cp
 from particlevi import filters as fl
 from particlevi import models as mo
 from particlevi import objectives as ob
-from particlevi.distributions import DiagGaussian, gauss_product_fuse
+from particlevi.distributions import gauss_product_fuse
 from particlevi.rng import RngStream
 
 
@@ -446,9 +447,17 @@ def _verify_cases():
 
 def _suite_identity():
     checks = []
-    for name, model, params, data in _verify_cases():
+    cases = _verify_cases()
+    for name, model, params, data in cases:
         runs = (fl.run_mpf(model, params, data, 4, seed) for seed in range(1, 21))
         checks.append((f"mpf-tmc-{name}", max(map(fl.mpf_tmc_identity_check, runs)), 1e-9))
+    # the coupling derivation reproduces each filter's estimate on shared draws
+    for algo, derive, run in (("smc", cp.derive_smc, fl.run_smc), ("mpf", cp.derive_mpf, fl.run_mpf)):
+        for name, model, params, data in cases:
+            pair = derive(model, params, data, 3)
+            gap = max(abs(float(pair.draw(RngStream(seed)).log_r.data)
+                          - float(run(model, params, data, 3, seed).log_evidence.data)) for seed in range(1, 5))
+            checks.append((f"derive-{algo}-{name}", gap, 1e-10))
     return checks
 
 
@@ -547,8 +556,8 @@ def _suite_gradients():
     w_mean, w_ls = (ad.constant(pts.split(k).normals(6).reshape(3, 2)) for k in (0, 1))
 
     def product(ma, la, mb, lb):
-        fused = gauss_product_fuse(DiagGaussian(ma, la), DiagGaussian(mb, lb))
-        return (fused.mean * w_mean).sum() + (fused.log_std * w_ls).sum()
+        mean, log_std = gauss_product_fuse(ma, la, mb, lb)
+        return (mean * w_mean).sum() + (log_std * w_ls).sum()
 
     point = [
         pts.split(2).normals(6).reshape(3, 2),

@@ -133,7 +133,7 @@ def _normalized(raw: list) -> WeightedAtoms:
     for value, lw in raw:
         key = id(value)
         if key in merged:
-            merged[key] = (value, np.logaddexp(merged[key][1], lw))
+            merged[key] = (value, float(ad.np_logsumexp(np.asarray([merged[key][1], lw]))))
         else:
             merged[key] = (value, lw)
     atoms = list(merged.values())

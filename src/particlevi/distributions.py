@@ -1,19 +1,21 @@
-"""Distribution families: diagonal Gaussians, their mixtures, categoricals.
+"""Distribution kernels: the Gaussian product, categorical sampling, implicit mixture gradients.
 
-The parameter containers of the proposals live here, together with the
-closed-form product of two diagonal Gaussians (its mean and its log-std are
-one tape node each), inverse-CDF categorical sampling and the implicit
-reparameterization gradient for mixture sampling.  The Gaussian
-log-densities are the row and all-pairs kernels of ``models``, the one
-implementation that the filters and the couplings share.
+The closed-form product of two diagonal Gaussians takes and returns
+(mean, log-std) arrays, like every kernel of ``models``; its mean and its
+log-std are one tape node each.  ``categorical_sample_many`` is the one
+inverse-CDF sampler, for one probability vector or a table of rows.  The
+Gaussian log-densities and the reparameterized draw are the row,
+all-pairs and mixture kernels of ``models``, the one implementation that
+the filters and the couplings share.
 
-The mixture sampler draws a genuinely categorical component and then a
-Gaussian within it; the gradient comes from a custom-VJP node implementing
-the distributional transform (Figurnov et al. 2018; Graves 2016).  One node
-covers every draw of a filter step: mixture_implicit_rule takes all N draws
-of one mixture at once.  A mixture keeps one log-std row per component or,
-when every component has the same scale (the LGSSM and SV proposals), one
-shared (1, d) row, which the draws and the rule broadcast and whose
+A mixture draw picks a genuinely categorical component and then a Gaussian
+within it (``models.GaussRows.draw_mixture``).  The implicit
+reparameterization gradient of such draws (Figurnov et al. 2018; Graves
+2016) is a custom-VJP node on the realized draws: it draws nothing.  One
+node covers every draw of a filter step: mixture_implicit_rule takes all N
+draws of one mixture at once.  A mixture keeps one log-std row per
+component or, when every component has the same scale (the LGSSM and SV
+proposals), one shared (1, d) row, which the rule broadcasts and whose
 cotangent stays (1, d).  Writing the per-coordinate conditional CDF as
 
     F_e(x_e | x_{1:e-1}) = sum_j w_j(x_{1:e-1}) * Phi((x_e - mu_je)/sig_je),
@@ -41,50 +43,13 @@ _TAIL_PDF_FLOOR = 1e-300
 
 
 @dataclass
-class DiagGaussian:
-    """Diagonal Gaussian with differentiable mean and log standard deviation."""
-
-    mean: Var
-    log_std: Var
-
-    def __post_init__(self):
-        self.mean = ad.constant(self.mean)
-        self.log_std = ad.constant(self.log_std)
-
-
-@dataclass
-class GaussianMixture:
-    """Mixture of diagonal Gaussians with log-space normalized weights.
-
-    Parameters are stored stacked (rows are components) because that is how
-    the marginal particle filter produces them.  The log-stds are one row
-    per component or one (1, d) row that every component shares.
-    """
-
-    log_weights: Var  # (K,), logsumexp == 0
-    means: Var  # (K, d)
-    log_stds: Var  # (K, d) or (1, d)
-
-    def __post_init__(self):
-        lw = self.log_weights.data
-        total = float(np.logaddexp.reduce(lw))
-        if abs(total) > 1e-12:
-            raise ValueError(f"mixture log-weights not normalized (logsumexp={total:.3e})")
-        m_shape, ls_shape = self.means.data.shape, self.log_stds.data.shape
-        if ls_shape[1:] != m_shape[1:] or ls_shape[0] not in (1, m_shape[0]):
-            raise ValueError("mixture log-stds must be one row per component or one shared row")
-        if self.means.data.shape[0] != lw.shape[0]:
-            raise ValueError("component count mismatch between weights and parameters")
-
-
-@dataclass
 class TailCounter:
     """Counts implicit-gradient tail failures (conditional pdf underflow)."""
 
     count: int = 0
 
 
-def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian) -> DiagGaussian:
+def gauss_product_fuse(mean_a, log_std_a, mean_b, log_std_b) -> tuple:
     """The normalized product of two diagonal Gaussian densities.
 
     With variances va, vb and weights wa = vb / (va + vb), wb = va / (va + vb),
@@ -93,9 +58,11 @@ def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian) -> DiagGaussian:
     one tape node each.  Rows broadcast: a (1, d) factor pairs with every row
     of an (N, d) one, and its cotangents are summed back to (1, d).  The
     log-normalizer sum_i log N(mu_a_i; mu_b_i, va_i + vb_i) of the product
-    does not depend on the state, so it is not formed.
+    does not depend on the state, so it is not formed.  Returns (mean,
+    log_std).
     """
-    ma, la, mb, lb = a.mean.data, a.log_std.data, b.mean.data, b.log_std.data
+    parts = [ad.constant(v) for v in (mean_a, log_std_a, mean_b, log_std_b)]
+    ma, la, mb, lb = (v.data for v in parts)
     va = np.exp(la * 2.0)
     vb = np.exp(lb * 2.0)
     vsum = va + vb
@@ -114,21 +81,32 @@ def gauss_product_fuse(a: DiagGaussian, b: DiagGaussian) -> DiagGaussian:
     def log_std_rule(g):
         return ad.unbroadcast(g * wa, la.shape), ad.unbroadcast(g * wb, lb.shape)
 
-    mean = ad.custom_vjp((ma * vb + mb * va) / vsum, [a.mean, a.log_std, b.mean, b.log_std], mean_rule)
-    log_std = ad.custom_vjp(la + lb - np.log(vsum) * 0.5, [a.log_std, b.log_std], log_std_rule)
-    return DiagGaussian(mean, log_std)
+    mean = ad.custom_vjp((ma * vb + mb * va) / vsum, parts, mean_rule)
+    log_std = ad.custom_vjp(la + lb - np.log(vsum) * 0.5, parts[1::2], log_std_rule)
+    return mean, log_std
 
 
 def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF sampling; element k uses uniform us[k]."""
-    if not np.any(probs > 0.0):
+    """Inverse-CDF sampling: the first atom whose cumulative sum exceeds u.
+
+    probs is one (K,) vector, which every uniform in us draws from, or an
+    (M, K) table whose row m draws with us[m]; a table's rows may be
+    zero-padded on the right.  A u beyond a row's total picks its last
+    atom, and no draw lands on a zero-weight atom: stepping back through a
+    row's zero padding ends where clamping to its own length would.
+    """
+    if not (probs > 0.0).any(axis=-1).all():
         raise ValueError("total particle degeneracy: all categorical weights zero")
-    cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, us, side="right")
-    idx = np.minimum(idx, probs.shape[0] - 1)
+    if probs.ndim == 1:
+        idx = np.cumsum(probs).searchsorted(us, side="right")
+        rows = ()
+    else:
+        idx = (np.cumsum(probs, axis=1) <= us[:, None]).sum(axis=1)
+        rows = (np.arange(idx.size),)
+    idx = np.minimum(idx, probs.shape[-1] - 1)
     # float-tail guard: never land on a zero-weight atom
-    while np.any(probs[idx] == 0.0):
-        idx = np.where(probs[idx] == 0.0, idx - 1, idx)
+    while (zero := probs[(*rows, idx)] == 0.0).any():
+        idx = np.where(zero, idx - 1, idx)
     return idx
 
 
@@ -193,22 +171,24 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
     return rule
 
 
-def mixture_implicit_rsample(
-    m: GaussianMixture, us, eps, tail_counter: TailCounter | None = None
-) -> Var:
-    """N exact mixture draws with implicit reparameterization gradients.
+def mixture_implicit_rsample(log_w, means, log_stds, x, tail_counter: TailCounter | None = None) -> Var:
+    """Realized draws x (N, d) of one mixture, with implicit reparameterization gradients.
 
-    Forward: draw n picks component j_n by inverse CDF on the mixture
-    weights with uniform us[n], then x_n = mu_{j_n} + sig_{j_n} * eps[n].
-    Backward: one node for all N draws, mixture_implicit_rule, flowing
+    The mixture has log-weights log_w (K,), normalized, means (K, d) and
+    log-stds (K, d) or one shared (1, d) row.  x is the constant value of
+    its draws, formed elsewhere (``models.GaussRows.draw_mixture``); this
+    draws nothing.  One node for all N draws, mixture_implicit_rule, flows
     gradients into the log-weights and every component's mean and log-std.
     Tail draws contribute zero and are counted.  Returns (N, d).
     """
-    j = categorical_sample_many(np.exp(m.log_weights.data), np.asarray(us))
-    ls = m.log_stds.data
-    x = m.means.data[j] + np.exp(ls if ls.shape[0] == 1 else ls[j]) * eps
-    rule = mixture_implicit_rule(
-        x, m.log_weights.data, m.means.data, m.log_stds.data, tail_counter
-    )
-    return ad.custom_vjp(x, [m.log_weights, m.means, m.log_stds], rule)
-
+    log_w, means, log_stds = ad.constant(log_w), ad.constant(means), ad.constant(log_stds)
+    lw, md, ls = log_w.data, means.data, log_stds.data
+    total = float(ad.np_logsumexp(lw))
+    if abs(total) > 1e-12:
+        raise ValueError(f"mixture log-weights not normalized (logsumexp={total:.3e})")
+    if ls.shape[1:] != md.shape[1:] or ls.shape[0] not in (1, md.shape[0]):
+        raise ValueError("mixture log-stds must be one row per component or one shared row")
+    if md.shape[0] != lw.shape[0]:
+        raise ValueError("component count mismatch between weights and parameters")
+    x = ad.constant(x).data
+    return ad.custom_vjp(x, [log_w, means, log_stds], mixture_implicit_rule(x, lw, md, ls, tail_counter))

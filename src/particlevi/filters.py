@@ -131,10 +131,9 @@ class _RunDraws:
     always asked for the same count within a pass.  A pass of ``runs``
     stacked runs (a backend with ``runs`` labels) gets each run's count
     draws in turn.  ``choose_shared`` and ``choose_each`` (IPF's swaps, the
-    HMM's per-particle rows) pick by inverse CDF from those draws, with the
-    clamp and zero-weight guard of ``categorical_sample_many``, or ask a
-    backend without run-level reads to choose at each offset with
-    ``choose_one``.
+    HMM's per-particle rows) pick from those draws with
+    ``categorical_sample_many``, or ask a backend without run-level reads
+    to choose at each offset with ``choose_one``.
     """
 
     __slots__ = ("backend", "t_max", "runs", "blocks")
@@ -186,17 +185,10 @@ class _RunDraws:
         if self.blocks is None:
             return np.asarray([self.backend.choose_one(t, purpose, k, p) for k, p in enumerate(rows)], np.intp)
         us = self.uniforms(t, purpose, len(rows) // self.runs)
-        sizes = np.asarray([len(p) for p in rows], dtype=np.intp)
-        probs = np.zeros((len(rows), max(sizes, default=0)))
+        probs = np.zeros((len(rows), max(map(len, rows), default=0)))
         for k, p in enumerate(rows):
-            probs[k, : sizes[k]] = p
-        if not np.all(np.any(probs > 0.0, axis=1)):
-            raise ValueError("total particle degeneracy: all categorical weights zero")
-        idx = np.minimum((np.cumsum(probs, axis=1) <= us[:, None]).sum(axis=1), sizes - 1)
-        at = np.arange(len(rows))
-        while np.any(probs[at, idx] == 0.0):
-            idx = np.where(probs[at, idx] == 0.0, idx - 1, idx)
-        return idx
+            probs[k, : len(p)] = p
+        return categorical_sample_many(probs, us)
 
 
 class ScriptBackend:
@@ -457,14 +449,14 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     one over table entries, and a step draws its states from the marginal
     row sum_j vbar_j r_t(. | x_{t-1}^j).
 
-    implicit picks the sampling estimator from t=2 on (the proposal rows'
-    ``draw_mixture``): by default the component index is drawn with
-    detached probabilities and the draw reparameterized within it
-    (vmpf-bg); implicit=True draws a step's N particles through one
-    mixture_implicit_rsample node, so the mixture weights themselves carry
-    gradients (vmpf-ug), and the HMM's tables reject it.  Both read the
-    same noise, so their forward values are bit-identical, and off tape
-    implicit=True draws the vmpf-bg way.  The t=1
+    implicit picks the gradient estimator from t=2 on (the proposal rows'
+    ``draw_mixture``).  Both draw the same particles: the component index
+    is chosen with detached probabilities and the draw reparameterized
+    within it.  By default that is the whole gradient (vmpf-bg);
+    implicit=True attaches one mixture_implicit_rsample node to a step's N
+    realized draws, so the mixture weights themselves carry gradients
+    (vmpf-ug), and the HMM's tables reject it.  Their forward values are
+    bit-identical, and off tape implicit=True changes nothing.  The t=1
     proposal is drawn the same way in both.  Tail draws of the implicit
     gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
     """

@@ -43,8 +43,6 @@ import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi.distributions import (
     LOG_2PI,
-    DiagGaussian,
-    GaussianMixture,
     categorical_sample_many,
     gauss_product_fuse,
     mixture_implicit_rsample,
@@ -129,7 +127,7 @@ class StochVol:
 
     @property
     def dim(self) -> int:
-        return int(np.asarray(getattr(self.mu, "data", self.mu)).shape[0])
+        return int(ad.constant(self.mu).data.shape[0])
 
     def theta(self) -> dict:
         return {
@@ -693,19 +691,19 @@ class GaussRows(NamedTuple):
     def draw_mixture(self, draws, t: int, n: int, log_w, implicit: bool, tail) -> Var:
         """n draws from the mixture of the rows weighted by exp(log_w), normalized.
 
-        Both estimators read the same PROPOSAL normals and ANCESTOR uniforms.
-        implicit draws all n through one ``mixture_implicit_rsample`` node,
-        which counts its tail draws in tail; otherwise the component index is
-        picked with detached probabilities and the draw reparameterized
-        within it.  The two give the same values, so off tape, where no
-        gradient is asked for, implicit draws the second way; that is also
-        the way that serves a pass of several runs, each from its own n rows.
+        One draw serves both estimators: the ANCESTOR choices pick each
+        draw's component with detached probabilities, from each run's own n
+        rows, and the PROPOSAL normals reparameterize the draw within it.
+        implicit instead hands the constant value of that draw to one
+        ``mixture_implicit_rsample`` node, which counts its tail draws in
+        tail, so the gradient flows through the mixture weights too.  Only a
+        tape asks for that gradient, so off tape implicit changes nothing.
         """
         eps = self._normals(draws, t, n)
-        if implicit and ad.recording():
-            mix = GaussianMixture(log_w, self.means, self.log_stds)
-            return mixture_implicit_rsample(mix, draws.uniforms(t, ANCESTOR, n), eps, tail)
         anc = draws.choose_shared(t, ANCESTOR, n, np.exp(log_w.data).reshape(-1, n))
+        if implicit and ad.recording():
+            x = gauss_rsample(self.means.data, self.log_stds.data, eps, rows=anc).data
+            return mixture_implicit_rsample(log_w, self.means, self.log_stds, x, tail)
         return gauss_rsample(self.means, self.log_stds, eps, rows=anc)
 
 
@@ -798,9 +796,7 @@ def _conditional(family: str, t: int, x_prev):
 def _fuse_row(rows, means, log_stds, t: int) -> GaussRows:
     """The product of Gaussian rows with row t-1 of a (T, d) Gaussian factor."""
     pick = np.asarray([t - 1])
-    factor = DiagGaussian(ad.gather_rows(means, pick), ad.gather_rows(log_stds, pick))
-    fused = gauss_product_fuse(DiagGaussian(*rows), factor)
-    return GaussRows(fused.mean, fused.log_std)
+    return GaussRows(*gauss_product_fuse(*rows, ad.gather_rows(means, pick), ad.gather_rows(log_stds, pick)))
 
 
 class _LgssmRun:
@@ -989,9 +985,9 @@ def generate(model, t_max: int, rng: RngStream) -> Dataset:
         return Dataset(ys)
     if isinstance(model, StochVol):
         d = model.dim
-        mu = np.asarray(getattr(model.mu, "data", model.mu))
-        phi = 1.0 / (1.0 + np.exp(-np.asarray(getattr(model.phi_logit, "data", model.phi_logit))))
-        q_std = np.exp(np.asarray(getattr(model.log_q_std, "data", model.log_q_std)))
+        mu = ad.constant(model.mu).data
+        phi = 1.0 / (1.0 + np.exp(-ad.constant(model.phi_logit).data))
+        q_std = np.exp(ad.constant(model.log_q_std).data)
         b = sv_b_matrix(model).data
         ys = np.zeros((t_max, d))
         x = mu + q_std * rng.split(0, 0).normals(d)

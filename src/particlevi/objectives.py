@@ -8,14 +8,14 @@ evidence estimator, so every kind is a lower bound on log p(y) by Jensen.
     tmc      tensor estimator, state-independent proposals, no resampling
     vmpf-bg  marginal particle filter, reparameterized inside the drawn
              mixture component; the categorical probabilities are detached
-    vmpf-ug  marginal particle filter with implicit reparameterization
-             through the mixture weights themselves
+    vmpf-ug  marginal particle filter on the same draws, with implicit
+             reparameterization through the mixture weights themselves
 
 Each kind is one filter call: ``run_smc`` with or without resampling,
-``run_tmc``, or ``run_mpf`` with or without its implicit mixture draw.
-Gradients are single-draw: one filter run per call, differentiated in
-reverse mode.  A categorical draw carries no gradient, except vmpf-ug's
-implicit one; iwvi and tmc contain no categorical draw at all, so their
+``run_tmc``, or ``run_mpf`` with or without the implicit gradient of its
+mixture draws.  Gradients are single-draw: one filter run per call,
+differentiated in reverse mode.  A categorical draw carries no gradient,
+except through vmpf-ug's implicit node on the realized mixture draws; iwvi and tmc contain no categorical draw at all, so their
 gradient is exactly the reparameterized gradient.  ``bound_estimate``
 averages independent runs, R of them per pass of the kind's filter: the
 pass stacks the runs' particle rows, off tape.  R is set by the shapes
@@ -173,14 +173,15 @@ def apply_params(obj: Objective, packed: dict) -> Objective:
 # Adam
 
 
+# Adam's moment decay rates and denominator guard
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam moments, lazily shaped to the parameters."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip: float | None = None  # global-norm threshold, None = off
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -203,16 +204,16 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
             scale = state.clip / norm
             grads = {k: g * scale for k, g in grads.items()}
     state.step += 1
-    c1 = 1.0 - state.beta1**state.step
-    c2 = 1.0 - state.beta2**state.step
+    c1 = 1.0 - _BETA1**state.step
+    c2 = 1.0 - _BETA2**state.step
     out = dict(params)
     for name, g in grads.items():
         m = state.m.get(name)
         v = state.v.get(name)
-        m = (1.0 - state.beta1) * g if m is None else state.beta1 * m + (1.0 - state.beta1) * g
-        v = (1.0 - state.beta2) * g * g if v is None else state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = (1.0 - _BETA1) * g if m is None else _BETA1 * m + (1.0 - _BETA1) * g
+        v = (1.0 - _BETA2) * g * g if v is None else _BETA2 * v + (1.0 - _BETA2) * g * g
         state.m[name], state.v[name] = m, v
-        out[name] = params[name] + state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        out[name] = params[name] + state.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
     return out
 
 

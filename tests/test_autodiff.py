@@ -178,14 +178,15 @@ class TestReduce:
         assert np.array_equal(g_dead, np.zeros(3)) and not np.signbit(g_dead).any()
 
     def test_empty_reduction_raises(self):
-        with pytest.raises(ValueError):
-            with ad.Tape():
-                ad.reduce("sum", ad.leaf(np.zeros((0,))))
+        for reduction in (lambda v: v.sum(), ad.logsumexp):
+            with pytest.raises(ValueError, match="empty reduction"):
+                with ad.Tape():
+                    reduction(ad.leaf(np.zeros((0,))))
 
     def test_reduce_finite_difference(self):
         x = RngStream(41).normals(10)
-        for kind in ("sum", "logsumexp"):
-            err = ad.finite_diff_check(lambda v: ad.reduce(kind, v), [x])
+        for reduction in (lambda v: v.sum(), ad.logsumexp):
+            err = ad.finite_diff_check(reduction, [x])
             assert err < 1e-6
 
 

@@ -314,6 +314,16 @@ class TestVerifyCmd:
         assert status["smc-n3"] == "PASS"
         assert set(status.values()) == {"PASS"}
 
+    def test_identity_suite_has_the_derivation_rows(self, tmp_path):
+        """The MPF-TMC rows, then the derived pairs against both filters, all green."""
+        assert cli.cmd_verify("identity", tmp_path) == 0
+        rows = [line.split(",") for line in (tmp_path / "verify_identity.csv").read_text().strip().splitlines()[1:]]
+        cases = ("lgssm", "sv", "dmm")
+        want = [f"mpf-tmc-{c}" for c in cases] + [f"derive-{a}-{c}" for a in ("smc", "mpf") for c in cases]
+        assert [row[1] for row in rows] == want
+        assert [float(row[3]) for row in rows] == [1e-9] * 3 + [1e-10] * 6
+        assert {row[-1] for row in rows} == {"PASS"}
+
     def test_gradients_csv_cells_are_numbers(self, tmp_path):
         assert cli.cmd_verify("gradients", tmp_path) == 0
         lines = (tmp_path / "verify_gradients.csv").read_text().strip().splitlines()[1:]

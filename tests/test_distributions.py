@@ -13,8 +13,6 @@ from scipy.stats import kstest
 import particlevi.autodiff as ad
 from particlevi import models as mo
 from particlevi.distributions import (
-    DiagGaussian,
-    GaussianMixture,
     TailCounter,
     categorical_sample_many,
     gauss_product_fuse,
@@ -27,7 +25,7 @@ HALF_LOG_2PI = 0.9189385332046727
 
 
 def make_gauss(mean, log_std):
-    return DiagGaussian(np.asarray(mean, dtype=float), np.asarray(log_std, dtype=float))
+    return np.asarray(mean, dtype=float), np.asarray(log_std, dtype=float)
 
 
 def gauss_logpdf_np(x, mean, log_std):
@@ -58,11 +56,22 @@ def mixture_logpdf_kernel(x, logw, means, log_stds):
 
 
 def make_mixture(logw, means, log_stds):
+    """(log-weights, means, log-stds) leaves of one mixture; logw is normalized here."""
     logw = np.asarray(logw, dtype=float)
     logw = logw - np.logaddexp.reduce(logw)
-    return GaussianMixture(
-        ad.leaf(logw), ad.leaf(np.asarray(means, float)), ad.leaf(np.asarray(log_stds, float))
-    )
+    return ad.leaf(logw), ad.leaf(np.asarray(means, float)), ad.leaf(np.asarray(log_stds, float))
+
+
+def implicit_draws(mix, us, eps, tail_counter=None):
+    """Mixture draws as run_mpf forms them, with the implicit node attached.
+
+    Draw n picks its component by inverse CDF with uniform us[n] and takes
+    the reparameterized Gaussian draw with noise eps[n] within it.
+    """
+    log_w, means, log_stds = mix
+    j = categorical_sample_many(np.exp(log_w.data), np.asarray(us))
+    x = mo.gauss_rsample(means.data, log_stds.data, np.asarray(eps, dtype=float), rows=j).data
+    return mixture_implicit_rsample(log_w, means, log_stds, x, tail_counter)
 
 
 class TestDiagGaussian:
@@ -104,15 +113,15 @@ def product_log_norm_np(ma, la, mb, lb):
 class TestGaussProductFuse:
     def test_symmetric_pair(self):
         with ad.Tape():
-            fused = gauss_product_fuse(make_gauss([0.0], [0.0]), make_gauss([0.0], [0.0]))
-        assert abs(float(fused.mean.data[0])) < 1e-14
-        assert abs(float(np.exp(2 * fused.log_std.data[0])) - 0.5) < 1e-14
+            mean, log_std = gauss_product_fuse(*make_gauss([0.0], [0.0]), *make_gauss([0.0], [0.0]))
+        assert abs(float(mean.data[0])) < 1e-14
+        assert abs(float(np.exp(2 * log_std.data[0])) - 0.5) < 1e-14
 
     def test_offset_pair_closed_form(self):
         with ad.Tape():
-            fused = gauss_product_fuse(make_gauss([0.0], [0.0]), make_gauss([2.0], [0.0]))
-        assert abs(float(fused.mean.data[0]) - 1.0) < 1e-14
-        assert abs(float(np.exp(2 * fused.log_std.data[0])) - 0.5) < 1e-14
+            mean, log_std = gauss_product_fuse(*make_gauss([0.0], [0.0]), *make_gauss([2.0], [0.0]))
+        assert abs(float(mean.data[0]) - 1.0) < 1e-14
+        assert abs(float(np.exp(2 * log_std.data[0])) - 0.5) < 1e-14
         # log N(0; 2, var=2)
         expected = -0.5 * math.log(2 * math.pi * 2.0) - 4.0 / (2 * 2.0)
         assert abs(product_log_norm_np([0.0], [0.0], [2.0], [0.0]) - expected) < 1e-12
@@ -122,9 +131,9 @@ class TestGaussProductFuse:
         with ad.Tape():
             g = make_gauss([1.3, -0.2], [0.4, 0.1])
             flat = make_gauss([0.0, 0.0], [0.5 * math.log(1e12)] * 2)
-            fused = gauss_product_fuse(g, flat)
-        assert np.allclose(fused.mean.data, g.mean.data, atol=1e-9)
-        assert np.allclose(fused.log_std.data, g.log_std.data, atol=1e-9)
+            mean, log_std = gauss_product_fuse(*g, *flat)
+        assert np.allclose(mean.data, g[0], atol=1e-9)
+        assert np.allclose(log_std.data, g[1], atol=1e-9)
 
     def test_pointwise_product_identity(self):
         """logpdf_a(x) + logpdf_b(x) = log_norm + logpdf_fused(x) at random x."""
@@ -134,20 +143,17 @@ class TestGaussProductFuse:
             b = make_gauss(rng.normals(3), rng.normals(3) * 0.3)
             x = rng.normals(3) * 2.0
             with ad.Tape():
-                fused = gauss_product_fuse(a, b)
-            lhs = gauss_logpdf_np(x, a.mean.data, a.log_std.data) + gauss_logpdf_np(
-                x, b.mean.data, b.log_std.data
-            )
-            log_norm = product_log_norm_np(a.mean.data, a.log_std.data, b.mean.data, b.log_std.data)
-            rhs = log_norm + gauss_logpdf_np(x, fused.mean.data, fused.log_std.data)
+                mean, log_std = gauss_product_fuse(*a, *b)
+            lhs = gauss_logpdf_np(x, *a) + gauss_logpdf_np(x, *b)
+            log_norm = product_log_norm_np(*a, *b)
+            rhs = log_norm + gauss_logpdf_np(x, mean.data, log_std.data)
             assert abs(lhs - rhs) < 1e-10
 
     def test_fuse_finite_difference(self):
         x_obs = np.asarray([0.3, -0.7])
 
         def f(ma, la, mb, lb):
-            fused = gauss_product_fuse(DiagGaussian(ma, la), DiagGaussian(mb, lb))
-            return row_logpdf(x_obs, fused.mean, fused.log_std)
+            return row_logpdf(x_obs, *gauss_product_fuse(ma, la, mb, lb))
 
         point = [np.asarray([0.1, 0.5]), np.asarray([-0.2, 0.3]),
                  np.asarray([0.9, -0.1]), np.asarray([0.2, 0.0])]
@@ -165,8 +171,8 @@ class TestGaussProductFuse:
         rows[shared] = 1
 
         def f(ma, la, mb, lb):
-            fused = gauss_product_fuse(DiagGaussian(ma, la), DiagGaussian(mb, lb))
-            return (getattr(fused, output) * weights).sum()
+            fused = dict(zip(("mean", "log_std"), gauss_product_fuse(ma, la, mb, lb)))
+            return (fused[output] * weights).sum()
 
         point = [
             rng.split(1).normals(2 * rows["a"]).reshape(rows["a"], 2),
@@ -180,13 +186,21 @@ class TestGaussProductFuse:
         with ad.Tape() as tape:
             parts = [ad.leaf(RngStream(140 + k).normals(6).reshape(3, 2)) for k in range(4)]
             before = len(tape.nodes)
-            fused = gauss_product_fuse(DiagGaussian(*parts[:2]), DiagGaussian(*parts[2:]))
+            mean, log_std = gauss_product_fuse(*parts)
             assert len(tape.nodes) == before + 2
-        assert fused.mean.data.shape == fused.log_std.data.shape == (3, 2)
+        assert mean.data.shape == log_std.data.shape == (3, 2)
 
 
 def sample_one(probs, u):
     return int(categorical_sample_many(np.asarray(probs), np.asarray([u]))[0])
+
+
+def padded(rows):
+    """Ragged probability rows as one (M, K) table, zero-padded on the right."""
+    table = np.zeros((len(rows), max(map(len, rows), default=0)))
+    for k, p in enumerate(rows):
+        table[k, : len(p)] = p
+    return table
 
 
 class TestCategorical:
@@ -211,6 +225,33 @@ class TestCategorical:
         for k in range(200):
             assert many[k] == sample_one(probs, us[k])
         assert not np.any(many == 1)  # zero-weight atom never selected
+
+    def test_row_table_matches_the_per_row_sampler(self):
+        """An (M, K) table picks in row m what row m's own vector picks with us[m].
+
+        Ragged rows with zero-weight atoms at the front, inside and at the
+        end, one summing to 1 - 1e-11, against random uniforms plus 0, the
+        top uniform and values on the cumulative sums.
+        """
+        rows = [
+            [0.0, 0.5, 0.0, 0.5], [0.2, 0.8], [0.0, 0.0, 1.0], [1.0],
+            [0.3, 0.3, 0.4 - 1e-11, 0.0, 0.0], [0.25] * 4, [0.5, 0.0, 0.5, 0.0],
+        ]
+        edges = [0.0, 1.0 - 2.0**-53, 0.5, 0.2, 0.3, 0.6, 0.25, 0.75]
+        table = padded(rows)
+        uniforms = [RngStream(s).uniforms(len(rows)) for s in range(200)]
+        uniforms += [np.full(len(rows), u) for u in edges]
+        for us in uniforms:
+            got = categorical_sample_many(table, us)
+            assert got.tolist() == [sample_one(p, u) for p, u in zip(rows, us)]
+        # past the short row's total: its last live atom, not the padding
+        assert categorical_sample_many(table, np.full(len(rows), 1.0 - 2.0**-53)).tolist() == [3, 1, 2, 0, 2, 3, 2]
+
+    def test_row_table_edges(self):
+        """An empty (0, 0) table picks nothing (IPF's swaps at N=1); a zero row raises."""
+        assert categorical_sample_many(np.zeros((0, 0)), np.zeros(0)).tolist() == []
+        with pytest.raises(ValueError, match="degeneracy"):
+            categorical_sample_many(padded([[0.5, 0.5], [0.0, 0.0]]), np.zeros(2))
 
     def test_empirical_frequencies(self):
         probs = np.asarray([0.1, 0.6, 0.3])
@@ -261,8 +302,9 @@ class TestMixtureLogpdf:
 
 def mixture_cdf_1d(x, m):
     """Plain-number mixture CDF for d = 1, at every entry of x."""
-    w = np.exp(m.log_weights.data)
-    z = (np.asarray(x)[..., None] - m.means.data[:, 0]) / np.exp(m.log_stds.data[:, 0])
+    log_w, means, log_stds = (v.data for v in m)
+    w = np.exp(log_w)
+    z = (np.asarray(x)[..., None] - means[:, 0]) / np.exp(log_stds[:, 0])
     return np.sum(w * 0.5 * (1.0 + np_erf(z / math.sqrt(2.0))), axis=-1)
 
 
@@ -329,8 +371,8 @@ def invert_transform(u, logw, means, log_stds):
 def rsample_stream(m, rng, tail_counter=None):
     """One draw (1, d), reading u and then d normals from rng in turn."""
     u = rng.uniform()
-    eps = rng.normals(m.means.data.shape[1])
-    return mixture_implicit_rsample(m, [u], eps[None, :], tail_counter)
+    eps = rng.normals(m[1].data.shape[1])
+    return implicit_draws(m, [u], eps[None, :], tail_counter)
 
 
 class TestImplicitRsample:
@@ -338,16 +380,16 @@ class TestImplicitRsample:
         with ad.Tape():
             m = make_mixture([0.0], [[0.3, -0.5]], [[0.1, 0.4]])
             x = rsample_stream(m, RngStream(3))
-            glw, gmu, gls = ad.grad(x.sum(), [m.log_weights, m.means, m.log_stds])
+            glw, gmu, gls = ad.grad(x.sum(), list(m))
         assert np.allclose(gmu, [[1.0, 1.0]], atol=1e-12)
-        assert np.allclose(gls, x.data - m.means.data, atol=1e-10)
+        assert np.allclose(gls, x.data - m[1].data, atol=1e-10)
         assert np.allclose(glw, 0.0, atol=1e-12)
 
     def test_identical_components_weight_grad_zero(self):
         with ad.Tape():
             m = make_mixture([0.4, 0.4], [[0.2], [0.2]], [[-0.1], [-0.1]])
             x = rsample_stream(m, RngStream(4))
-            (glw,) = ad.grad(x.sum(), [m.log_weights])
+            (glw,) = ad.grad(x.sum(), [m[0]])
         assert np.allclose(glw, 0.0, atol=1e-10)
 
     def test_full_jacobian_matches_numeric_inversion(self):
@@ -359,14 +401,14 @@ class TestImplicitRsample:
         k, d = means.shape
 
         with ad.Tape():
-            m = GaussianMixture(ad.leaf(logw), ad.leaf(means), ad.leaf(log_stds))
+            m = (ad.leaf(logw), ad.leaf(means), ad.leaf(log_stds))
             x = ad.reshape(rsample_stream(m, RngStream(7)), (d,))
             jac_lw = np.zeros((d, k))
             jac_mu = np.zeros((d, k, d))
             jac_ls = np.zeros((d, k, d))
             for e in range(d):
                 sel = ad.gather_rows(x, np.asarray([e])).sum()
-                glw, gmu, gls = ad.grad(sel, [m.log_weights, m.means, m.log_stds])
+                glw, gmu, gls = ad.grad(sel, list(m))
                 jac_lw[e], jac_mu[e], jac_ls[e] = glw, gmu, gls
 
         u = np.asarray([
@@ -411,7 +453,7 @@ class TestImplicitRsample:
         eps = rng.normals_at(np.arange(1, 2 * n, 2))[:, None]
         with ad.Tape():
             m = make_mixture([0.5, -0.5], [[0.0], [3.0]], [[0.0], [0.5]])
-            draws = mixture_implicit_rsample(m, us, eps).data[:, 0]
+            draws = implicit_draws(m, us, eps).data[:, 0]
         stat = kstest(draws, lambda t: mixture_cdf_1d(np.atleast_1d(t), m))
         assert stat.pvalue > 0.001
 
@@ -431,8 +473,8 @@ class TestImplicitRsample:
         counter = TailCounter()
         with ad.Tape():
             m = make_mixture([0.0], [[0.0]], [[0.0]])
-            x = mixture_implicit_rsample(m, [0.5], np.asarray([[40.0]]), tail_counter=counter)
-            glw, gmu, gls = ad.grad(x.sum(), [m.log_weights, m.means, m.log_stds])
+            x = implicit_draws(m, [0.5], [[40.0]], tail_counter=counter)
+            glw, gmu, gls = ad.grad(x.sum(), list(m))
         assert counter.count == 1
         assert np.all(gmu == 0.0) and np.all(gls == 0.0) and np.all(glw == 0.0)
 
@@ -443,8 +485,8 @@ class TestImplicitRsample:
         with ad.Tape():
             m = make_mixture([0.1, -0.1, 0.3], [[0.0, 1.0], [2.0, -1.0], [-1.0, 0.5]],
                              [[0.0, 0.1], [0.2, -0.3], [0.1, 0.0]])
-            many = mixture_implicit_rsample(m, us, eps)
-            ones = [mixture_implicit_rsample(m, us[i : i + 1], eps[i : i + 1]) for i in range(6)]
+            many = implicit_draws(m, us, eps)
+            ones = [implicit_draws(m, us[i : i + 1], eps[i : i + 1]) for i in range(6)]
         np.testing.assert_array_equal(many.data, np.concatenate([o.data for o in ones]))
 
     @pytest.mark.parametrize("d", [1, 5])
@@ -460,8 +502,8 @@ class TestImplicitRsample:
         for log_stds in (shared, np.tile(shared, (3, 1))):
             with ad.Tape():
                 m = make_mixture(logw, means, log_stds)
-                x = mixture_implicit_rsample(m, us, eps)
-                grads = ad.grad((x * ad.constant(g)).sum(), [m.log_weights, m.means, m.log_stds])
+                x = implicit_draws(m, us, eps)
+                grads = ad.grad((x * ad.constant(g)).sum(), list(m))
             runs.append((x.data, grads))
         (x_shared, g_shared), (x_tiled, g_tiled) = runs
         np.testing.assert_array_equal(x_shared, x_tiled)
@@ -470,11 +512,28 @@ class TestImplicitRsample:
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-13 * max(float(np.max(np.abs(b))), 1.0)
 
+    def test_node_keeps_the_draws_it_is_given(self):
+        """The node draws nothing: its value is the x it is handed, on one tape node."""
+        x = RngStream(8).normals(6).reshape(3, 2)
+        with ad.Tape() as tape:
+            m = make_mixture([0.2, -0.3], [[0.0, 1.0], [1.0, -1.0]], [[0.1, 0.0]])
+            before = len(tape.nodes)
+            out = mixture_implicit_rsample(*m, x)
+            assert len(tape.nodes) == before + 1
+        np.testing.assert_array_equal(out.data, x)
+
     def test_log_std_rows_must_match_components_or_be_shared(self):
-        with pytest.raises(ValueError, match="one row per component or one shared row"):
-            make_mixture([0.1, 0.2, 0.3], np.zeros((3, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="one row per component or one shared row"):
-            make_mixture([0.1, 0.2, 0.3], np.zeros((3, 2)), np.zeros((1, 3)))
+        """The node checks its mixture: normalized weights, one weight per
+        component, one log-std row per component or one shared row."""
+        x = np.zeros((1, 2))
+        log_w = np.log(np.full(3, 1.0 / 3.0))
+        for log_stds in (np.zeros((2, 2)), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="one row per component or one shared row"):
+                mixture_implicit_rsample(log_w, np.zeros((3, 2)), log_stds, x)
+        with pytest.raises(ValueError, match="not normalized"):
+            mixture_implicit_rsample([0.1, 0.2, 0.3], np.zeros((3, 2)), np.zeros((3, 2)), x)
+        with pytest.raises(ValueError, match="component count mismatch"):
+            mixture_implicit_rsample(log_w, np.zeros((2, 2)), np.zeros((1, 2)), x)
 
 
 class TestImplicitRule:

@@ -12,6 +12,9 @@ the run's bound model (``models.bind``) and name no family either.
 
 No module imports a thread pool or threads: every run goes on the
 calling thread.
+
+No module names numpy's ``logaddexp`` or scipy's ``logsumexp``: the one
+numpy logsumexp is ``autodiff.np_logsumexp``.
 """
 
 import ast
@@ -161,3 +164,43 @@ def test_thread_import_checker_catches_every_form():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_thread_pool_or_threads(path):
     assert thread_imports(path.read_text()) == []
+
+
+def foreign_logsumexps(source: str) -> list:
+    """(line, text) for every ``logaddexp`` and every scipy ``logsumexp`` a module names."""
+    tree = ast.parse(source)
+    scipy_names = set()  # local names bound to scipy modules or their members
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            scipy_names.update(a.asname or "scipy" for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "scipy":
+            for a in node.names:
+                if a.name == "logsumexp":
+                    found.append((node.lineno, f"from {node.module} import logsumexp"))
+                scipy_names.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "logaddexp":
+            found.append((node.lineno, "logaddexp"))
+        elif isinstance(node, ast.Attribute) and node.attr == "logaddexp":
+            found.append((node.lineno, f"{_dotted(node.value)}.logaddexp"))
+        elif isinstance(node, ast.Attribute) and node.attr == "logsumexp":
+            base = _dotted(node.value) or ""
+            if base.split(".")[0] in scipy_names:
+                found.append((node.lineno, f"{base}.logsumexp"))
+    return sorted(found)
+
+
+def test_logsumexp_checker_catches_every_form():
+    source = (
+        "import numpy as np\nimport scipy.special\nfrom scipy import special as sp\n"
+        "from scipy.special import logsumexp\nfrom numpy import logaddexp\n"
+        "a = np.logaddexp.reduce(x)\nb = np.logaddexp(x, y)\nc = scipy.special.logsumexp(x)\n"
+        "d = sp.logsumexp(x)\ne = ad.logsumexp(x)\nf = ad.np_logsumexp(x)\ng = logaddexp(x, y)\n"
+    )
+    assert [line for line, _ in foreign_logsumexps(source)] == [4, 6, 7, 8, 9, 12]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_numpy_logsumexp(path):
+    assert foreign_logsumexps(path.read_text()) == []
