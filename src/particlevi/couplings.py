@@ -246,13 +246,6 @@ def _last_state(value):
     return value
 
 
-def trajectory_of(value) -> list:
-    """Flatten the nested (history, state) pairs grown by extend_target."""
-    if isinstance(value, tuple):
-        return trajectory_of(value[0]) + [value[1]]
-    return [value]
-
-
 def _row(value) -> Var | None:
     """The newest state of a value as the (1, d) row the filters' kernels take.
 

@@ -8,11 +8,13 @@ signature; two switches tell the paper's bounds apart: ``run_smc``'s
 ``resample`` (vsmc, or iwvi) and ``run_mpf``'s ``implicit`` (vmpf-ug, or
 vmpf-bg).
 
-Each filter has one body for every model family.  It binds the model to
-the run once (``models.bind``, on the caller's tape), asks the bound
-model's builders for rows (``models.GaussRows`` or, for the HMM,
-``models.TableRows``) and scores and draws through their methods, so only
-``models.bind`` decides what a family is.
+The four filters share one step loop, ``_filter``, and each passes it
+only its weight rule.  The loop binds the model to the run once
+(``models.bind``, on the caller's tape), calls the rule for t = 1..T,
+checks each step's weights for degeneracy and records the run.  A rule
+asks the bound model's builders for rows (``models.GaussRows`` or, for the
+HMM, ``models.TableRows``) and scores and draws through their methods, so
+only ``models.bind`` decides what a family is.
 
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
@@ -32,9 +34,10 @@ log mean weight, resampling and mixture draws, the mixture densities, the
 degeneracy check, and every matrix product or solve over particle rows,
 which each run makes as it would alone (``ad.np_matmul``).  So each run is
 bit-identical to the same run alone, and a step's log weights stay one
-vector.  ``objectives.bound_estimate`` picks R from N, T and the
-observation width; a tape records one run, so a pass of R > 1 under a tape
-is refused.
+vector.  Only the loop, ``_RunDraws`` and ``models.bind`` know the pass
+layout; a weight rule sees it only as ``draws.runs``.
+``objectives.bound_estimate`` picks R from N, T and the observation width;
+a tape records one run, so a pass of R > 1 under a tape is refused.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class RandomBackend:
     runs, a sequence of integer labels, makes the backend serve a pass of
     len(runs) stacked runs: run r draws what ``RandomBackend(rng.split(
     runs[r]))`` draws, through the label paths (runs[r], t, purpose).  Such
-    a backend serves run-level reads only.
+    a backend serves run-level reads only: its per-step reads raise
+    ``ValueError``.
     """
 
     def __init__(self, rng: RngStream, runs=None):
@@ -89,7 +93,7 @@ class RandomBackend:
         self.runs = runs
 
     def _labels(self, purpose: int, t_max: int) -> np.ndarray:
-        steps = _step_labels(purpose, t_max)
+        steps = np.stack([np.arange(1, t_max + 1), np.full(t_max, purpose)], axis=1)
         if self.runs is None:
             return steps
         runs = np.asarray(self.runs)
@@ -103,21 +107,20 @@ class RandomBackend:
         """(t_max, R * count) normals; row t-1 is each run's ``normals(t, purpose, range(count))`` in turn."""
         return self.rng.split_normals_at(self._labels(purpose, t_max), np.arange(count)).reshape(t_max, -1)
 
+    def _step(self, t: int, purpose: int) -> RngStream:
+        if self.runs is not None:
+            raise ValueError("a backend with run labels serves run-level reads only")
+        return self.rng.split(t, purpose)
+
     def uniforms(self, t: int, purpose: int, offsets) -> np.ndarray:
-        return self.rng.split(t, purpose).uniforms_at(np.asarray(offsets))
+        return self._step(t, purpose).uniforms_at(np.asarray(offsets))
 
     def normals(self, t: int, purpose: int, offsets) -> np.ndarray:
-        return self.rng.split(t, purpose).normals_at(np.asarray(offsets))
+        return self._step(t, purpose).normals_at(np.asarray(offsets))
 
     def choose_one(self, t: int, purpose: int, offset: int, probs: np.ndarray) -> int:
         u = self.uniforms(t, purpose, np.asarray([offset]))[0]
         return int(categorical_sample_many(probs, np.asarray([u]))[0])
-
-
-def _step_labels(purpose: int, t_max: int) -> np.ndarray:
-    """The (t, purpose) label paths of steps 1..t_max, one row per step."""
-    steps = np.arange(1, t_max + 1)
-    return np.stack([steps, np.full(t_max, purpose)], axis=1)
 
 
 class _RunDraws:
@@ -149,8 +152,7 @@ class _RunDraws:
             return getattr(self.backend, kind)(t, purpose, np.arange(count))
         block = self.blocks.get((kind, purpose))
         if block is None:
-            block = getattr(self.backend, "run_" + kind)(purpose, self.t_max, count)
-            self.blocks[kind, purpose] = block
+            block = self.blocks[kind, purpose] = getattr(self.backend, "run_" + kind)(purpose, self.t_max, count)
         return block[t - 1]
 
     def uniforms(self, t: int, purpose: int, count: int) -> np.ndarray:
@@ -268,7 +270,7 @@ def enumerate_expectation(run_fn, cap: int = 1_000_000) -> float:
 
 
 # ---------------------------------------------------------------------------
-# run record
+# run record and the step loop
 
 
 @dataclass
@@ -319,32 +321,6 @@ class ParticleRun:
         return len(self.log_weights)
 
 
-def _check_alive(logw: Var, t: int, runs: int):
-    """Raise for the lowest run whose weights are all zero or hold a NaN or +inf.
-
-    The largest log weight of such a run, and only of such a run, is not finite.
-    """
-    if runs == 1:
-        if not math.isfinite(logw.data.max()):
-            raise DegeneracyError(t)
-        return
-    live = np.isfinite(logw.data.reshape(runs, -1).max(axis=1))
-    if not live.all():
-        raise DegeneracyError(t, int(np.argmin(live)))
-
-
-def _logsumexp(logw: Var, runs: int) -> Var:
-    """logsumexp of each run's weights: the tape's node for one run, (R,) values for a pass."""
-    if runs == 1:
-        return ad.logsumexp(logw)
-    return ad.constant(ad.np_logsumexp(logw.data.reshape(runs, -1), axis=1))
-
-
-def _per_row(lse: Var, n: int) -> Var:
-    """Each run's value on its n particle rows; one run's scalar stays as it is."""
-    return lse if lse.data.ndim == 0 else ad.constant(np.repeat(lse.data, n))
-
-
 def make_backend(source):
     """The one seed/stream -> backend step: a seed or an ``RngStream`` gives a
     ``RandomBackend`` on that root stream, a backend is returned as it is."""
@@ -357,20 +333,47 @@ def make_backend(source):
     return source
 
 
-def _start(model, params, data, n_particles: int, source) -> tuple:
-    """(the pass's ``models.bind`` result, its draws, log N): the set-up every filter shares.
+def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, **record) -> ParticleRun:
+    """The step loop of every filter; step(bound, draws, t, x, logw, lse) is its weight rule.
 
-    A backend with ``runs`` labels asks for a pass of that many runs, which
-    a tape cannot record: it holds one run's nodes.
+    The rule returns step t's particles and log weights from the previous
+    step's x, logw and their logsumexp lse, spread to each particle row (a
+    scalar for one run); all three are None at t=1.  A backend with
+    ``runs`` labels asks for a pass of that many runs, which a tape cannot
+    record.  record holds the filter's own ``ParticleRun`` fields.
     """
-    if n_particles < 1:
+    if n < 1:
         raise ValueError("n_particles must be >= 1")
     backend = make_backend(source)
     runs = 1 if getattr(backend, "runs", None) is None else len(backend.runs)
     if runs > 1 and ad.recording():
         raise ValueError(f"a pass of {runs} runs is off tape only; a tape records one run")
     bound = mo.bind(model, params, data, runs)
-    return bound, _RunDraws(backend, bound.ys.shape[0], runs), math.log(n_particles)
+    draws = _RunDraws(backend, bound.ys.shape[0], runs)
+    log_n = math.log(n)
+
+    particles, log_weights, log_mean_weights = [], [], []
+    x = logw = lse = None
+    for t in range(1, draws.t_max + 1):
+        x, logw = step(bound, draws, t, x, logw, lse)
+        # a run's weights are all zero or hold a NaN or +inf exactly when its largest is not finite
+        if runs == 1:
+            if not math.isfinite(logw.data.max()):
+                raise DegeneracyError(t)
+            lse = ad.logsumexp(logw)
+            log_mean_weights.append(lse - log_n)
+        else:
+            per_run = logw.data.reshape(runs, -1)
+            live = np.isfinite(per_run.max(axis=1))
+            if not live.all():
+                raise DegeneracyError(t, int(np.argmin(live)))
+            each = ad.np_logsumexp(per_run, axis=1)
+            log_mean_weights.append(ad.constant(each) - log_n)
+            lse = ad.constant(np.repeat(each, n))
+        particles.append(x)
+        log_weights.append(logw)
+
+    return ParticleRun(kind, particles, log_weights, log_mean_weights, cumulative, bound=bound, runs=runs, **record)
 
 
 # ---------------------------------------------------------------------------
@@ -381,50 +384,33 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
     """Multinomial-resampling particle filter.
 
     Per step: ancestors drawn from the normalized previous weights, states
-    extended through the proposal, weight f*g/r.  The logsumexp node of a
-    step's log mean weight also normalizes the next step's resampling
+    extended through the proposal, weight f*g/r.  The loop's logsumexp of
+    a step's log weights also normalizes the next step's resampling
     probabilities.  The run records each step's ancestor indices.  Under
     a tape the reparameterization path runs through every state but none
     through the resampling probabilities (vsmc).  resample=False turns the
     run into independent importance-sampling chains (ancestors i -> i)
     whose weights accumulate across steps (iwvi).
     """
-    bound, draws, log_n = _start(model, params, data, n_particles, source)
-    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
+    n = n_particles
+    ancestors = []
 
-    particles, log_weights, log_mean_weights, ancestors = [], [], [], []
-    x = None
-    lse = None  # logsumexp of the previous step's log weights
-
-    for t in range(1, t_max + 1):
-        if t == 1:
-            anc = None
-        elif resample:
-            probs = np.exp(log_weights[-1].data - _per_row(lse, n).data)
-            anc = draws.choose_shared(t, ANCESTOR, n, probs.reshape(runs, n))
-        else:
-            anc = np.arange(runs * n)
-        if anc is not None:
+    def step(bound, draws, t, x, logw, lse):
+        if t > 1:  # x becomes the resampled parents
+            anc = (draws.choose_shared(t, ANCESTOR, n, np.exp(logw.data - lse.data).reshape(draws.runs, n))
+                   if resample else np.arange(draws.runs * n))
             ancestors.append(anc)
-
-        parent = None if t == 1 else ad.gather_rows(x, anc)
-        proposal = mo.proposal_build_many(bound, t, parent)
-        x = proposal.draw(draws, t, n)
+            x = ad.gather_rows(x, anc)
+        proposal = mo.proposal_build_many(bound, t, x)
+        x_new = proposal.draw(draws, t, n)
         inc = (
-            mo.transition_build_many(bound, t, parent).logpdf_rows(x)
-            + mo.emission_logpdf_rows(bound, t, x)
-            - proposal.logpdf_rows(x)
+            mo.transition_build_many(bound, t, x).logpdf_rows(x_new)
+            + mo.emission_logpdf_rows(bound, t, x_new)
+            - proposal.logpdf_rows(x_new)
         )
+        return x_new, (inc if (resample or t == 1) else logw + inc)
 
-        logw = inc if (resample or t == 1) else log_weights[-1] + inc
-        _check_alive(logw, t, runs)
-        particles.append(x)
-        log_weights.append(logw)
-        lse = _logsumexp(logw, runs)
-        log_mean_weights.append(lse - log_n)
-
-    return ParticleRun("smc", particles, log_weights, log_mean_weights, cumulative=not resample,
-                       ancestors=ancestors, bound=bound, runs=runs)
+    return _filter("smc", model, params, data, n, source, step, not resample, ancestors=ancestors)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +430,8 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     proposal rows, on continuous models one ``models.gauss_mixture_logpdf``
     node, so the (N, N) pair terms never reach the tape.  At N=1 the row
     kernel plus log vbar stands in, which keeps the run bit-aligned with
-    run_smc.  log vbar reuses the logsumexp node of the previous
-    step's log mean weight.  The HMM's rows are tables: each logsumexp is
+    run_smc.  log vbar reuses the loop's logsumexp node of the previous
+    step's log weights.  The HMM's rows are tables: each logsumexp is
     one over table entries, and a step draws its states from the marginal
     row sum_j vbar_j r_t(. | x_{t-1}^j).
 
@@ -460,37 +446,23 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     proposal is drawn the same way in both.  Tail draws of the implicit
     gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
     """
-    bound, draws, log_n = _start(model, params, data, n_particles, source)
-    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
+    n = n_particles
     tail = TailCounter()
 
-    particles, log_weights, log_mean_weights = [], [], []
-    x = None
-    lse = None  # logsumexp of the previous step's log weights
-
-    for t in range(1, t_max + 1):
-        log_vbar = None if t == 1 else log_weights[-1] - _per_row(lse, n)
+    def step(bound, draws, t, x, logw, lse):
+        log_vbar = None if t == 1 else logw - lse
         proposal = mo.proposal_build_many(bound, t, x)
         if t == 1:
             x_new = proposal.draw(draws, 1, n)
             log_g = mo.emission_logpdf_rows(bound, 1, x_new)
-            logv = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
-        else:
-            x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
-            log_g = mo.emission_logpdf_rows(bound, t, x_new)
-            num = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_vbar, runs)
-            den = proposal.mixture_logpdf(x_new, log_vbar, runs)
-            logv = num + log_g - den
-        x = x_new
+            return x_new, mo.transition_build_many(bound, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
+        x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
+        log_g = mo.emission_logpdf_rows(bound, t, x_new)
+        num = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_vbar, draws.runs)
+        den = proposal.mixture_logpdf(x_new, log_vbar, draws.runs)
+        return x_new, num + log_g - den
 
-        _check_alive(logv, t, runs)
-        particles.append(x)
-        log_weights.append(logv)
-        lse = _logsumexp(logv, runs)
-        log_mean_weights.append(lse - log_n)
-
-    return ParticleRun("mpf", particles, log_weights, log_mean_weights, cumulative=False,
-                       bound=bound, tail=tail, runs=runs)
+    return _filter("mpf", model, params, data, n, source, step, False, tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -523,39 +495,25 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
 
         u_t^i = sum_l u_{t-1}^{k_li} f(x_t^i | x_{t-1}^{k_li}) g_i / (L r_t(x_t^i))
     """
-    bound, draws, log_n = _start(model, params, data, n_particles, source)
-    if not 1 <= l_perms <= n_particles:
+    n = n_particles
+    if n >= 1 and not 1 <= l_perms <= n:  # the loop reports N < 1 first
         raise ValueError("l_perms must satisfy 1 <= L <= N")
-    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
-    log_l = math.log(l_perms)
 
-    particles, log_weights, log_mean_weights = [], [], []
-    x = None
-
-    for t in range(1, t_max + 1):
+    def step(bound, draws, t, x, logw, lse):
         proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
         extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
         if t == 1:
-            logu = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
-        else:
-            base = _permutation(draws, t, n).reshape(runs, n)
-            terms = []
-            for l in range(l_perms):
-                k_l = base[:, (np.arange(n) + l) % n].reshape(-1)
-                log_f_l = mo.transition_build_many(bound, t, ad.gather_rows(x, k_l)).logpdf_rows(x_new)
-                terms.append(ad.gather_rows(log_weights[-1], k_l) + log_f_l)
-            pooled = ad.logsumexp(ad.stack_rows(terms), axis=0) - log_l
-            logu = pooled + extra
+            return x_new, mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
+        base = _permutation(draws, t, n).reshape(draws.runs, n)
+        terms = []
+        for l in range(l_perms):
+            k_l = base[:, (np.arange(n) + l) % n].reshape(-1)
+            log_f_l = mo.transition_build_many(bound, t, ad.gather_rows(x, k_l)).logpdf_rows(x_new)
+            terms.append(ad.gather_rows(logw, k_l) + log_f_l)
+        return x_new, (ad.logsumexp(ad.stack_rows(terms), axis=0) - math.log(l_perms)) + extra
 
-        _check_alive(logu, t, runs)
-        x = x_new
-        particles.append(x)
-        log_weights.append(logu)
-        log_mean_weights.append(_logsumexp(logu, runs) - log_n)
-
-    return ParticleRun("ipf", particles, log_weights, log_mean_weights, cumulative=True, bound=bound,
-                       runs=runs)
+    return _filter("ipf", model, params, data, n, source, step, True)
 
 
 # ---------------------------------------------------------------------------
@@ -576,29 +534,17 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
     far below the node's shift bound, which the top weight sets; the node
     redoes such rows with their own maximum.
     """
-    bound, draws, log_n = _start(model, params, data, n_particles, source)
-    n, t_max, runs = n_particles, bound.ys.shape[0], draws.runs
+    n = n_particles
 
-    particles, log_weights, log_mean_weights = [], [], []
-    x = None
-
-    for t in range(1, t_max + 1):
+    def step(bound, draws, t, x, logw, lse):
         proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
         extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
         if t == 1:
-            logz = mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
-        else:
-            logz = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_weights[-1], runs) - log_n + extra
+            return x_new, mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
+        return x_new, mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, logw, draws.runs) - math.log(n) + extra
 
-        _check_alive(logz, t, runs)
-        x = x_new
-        particles.append(x)
-        log_weights.append(logz)
-        log_mean_weights.append(_logsumexp(logz, runs) - log_n)
-
-    return ParticleRun("tmc", particles, log_weights, log_mean_weights, cumulative=True, bound=bound,
-                       runs=runs)
+    return _filter("tmc", model, params, data, n, source, step, True)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,11 @@ class TrainRecord:
 _NORM_ABORT = 1e6
 
 
+def _stream(rng) -> RngStream:
+    """A seed's root stream; an ``RngStream`` is returned as it is."""
+    return rng if isinstance(rng, RngStream) else RngStream(int(rng))
+
+
 def train(
     obj: Objective,
     data,
@@ -276,7 +281,7 @@ def train(
         raise ValueError(f"clip must be > 0 (or None for no clipping), got {clip}")
     if probe_every < 0 or (probe_every and probe_samples < 2):
         raise ValueError("probe_every must be >= 0 and probe_samples >= 2")
-    rng = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    rng = _stream(rng)
     grad_fn = _grad_fn(obj)
     packed = pack_params(obj)
     for name in freeze:
@@ -340,7 +345,7 @@ def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | Non
         raise ValueError("n_samples must be >= 2")
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    rng = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    rng = _stream(rng)
     runs = _runs_per_pass(obj, data, n_samples)
     values = []
     for start in range(0, n_samples, runs):
@@ -362,7 +367,7 @@ def grad_variance_probe(obj: Objective, data, n_samples: int, rng) -> float:
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    rng = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    rng = _stream(rng)
     grad_fn = _grad_fn(obj)
     grads = [grad_fn(obj, data, rng.split(i))[1] for i in range(n_samples)]
     names = sorted(grads[0])

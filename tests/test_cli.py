@@ -340,6 +340,15 @@ class TestVerifyCmd:
         with pytest.raises(cli.CliError, match="unknown suite"):
             cli.cmd_verify("nope")
 
+    def test_verify_all_prints_the_pinned_report(self, capsys):
+        """Every check's name, measured value and limit, byte for byte.
+
+        tests/verify_all.txt holds the output of ``particlevi verify all``;
+        a change that moves a measured value must say why and rewrite it.
+        """
+        assert cli.main(["verify", "all"]) == 0
+        assert capsys.readouterr().out == (Path(__file__).parent / "verify_all.txt").read_text()
+
 
 class TestBenchCmd:
     def test_fit_recovers_planted_coefficients(self):

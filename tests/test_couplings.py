@@ -18,6 +18,13 @@ def _hmm_idx(value) -> int:
     return int(data.reshape(-1)[0])
 
 
+def trajectory_of(value) -> list:
+    """Flatten the nested (history, state) pairs grown by extend_target."""
+    if isinstance(value, tuple):
+        return trajectory_of(value[0]) + [value[1]]
+    return [value]
+
+
 def table_proposal(row: np.ndarray, t: int = 1) -> cp.StepProposal:
     """Finite-support proposal shared by every parent."""
     row = np.asarray(row, dtype=np.float64)
@@ -54,7 +61,7 @@ def atom_expectations(pair) -> dict:
     for d, prob, _ in fl.enumerate_paths(lambda be: pair.draw(be)):
         r = math.exp(float(d.log_r.data))
         for value, lw in d.coupling.atoms:
-            key = tuple(_hmm_idx(v) for v in cp.trajectory_of(value))
+            key = tuple(_hmm_idx(v) for v in trajectory_of(value))
             out[key] = out.get(key, 0.0) + prob * r * math.exp(lw)
     return out
 
@@ -166,7 +173,7 @@ class TestExtendTarget:
         base, tr = two_state_chain([0.3, 0.9], np.outer(np.ones(2), h), [1.0, 1.0], h, drop_old=False)
         ext = cp.extend_target(base, tr)
         for d, _, _ in fl.enumerate_paths(lambda be: ext.draw(be)):
-            first = _hmm_idx(cp.trajectory_of(d.coupling.atoms[0][0])[0])
+            first = _hmm_idx(trajectory_of(d.coupling.atoms[0][0])[0])
             base_log_r = math.log(np.asarray([0.3, 0.9])[first] / 0.5)
             assert abs(float(d.log_r.data) - base_log_r) < 1e-12
 
@@ -347,4 +354,4 @@ class TestDerivations:
         params = mo.proposal_init(m, 3)
         d = cp.derive_smc(m, params, ds, 2).draw(RngStream(1))
         for value, _ in d.coupling.atoms:
-            assert len(cp.trajectory_of(value)) == 3
+            assert len(trajectory_of(value)) == 3

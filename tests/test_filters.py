@@ -154,12 +154,21 @@ class TestSmc:
             assert abs(g[k, 0] - (value(up) - value(dn)) / (2 * h)) < 1e-6
 
     def test_degeneracy_names_step(self):
+        """Symbol 1 has zero emission probability: every filter stops at t=2, alone or in a pass."""
         h = mo.DiscreteHmm(
             np.asarray([0.5, 0.5]), np.full((2, 2), 0.5), np.asarray([[1.0, 0.0], [1.0, 0.0]])
         )
-        with pytest.raises(fl.DegeneracyError, match="t=2") as err:
-            fl.run_smc(h, None, np.asarray([[0.0], [1.0]]), 3, 1)
-        assert err.value.t == 2
+        ys = np.asarray([[0.0], [1.0], [0.0]])
+        for source in (1, fl.RandomBackend(RngStream(1), [0, 1, 2])):
+            for run in (
+                lambda: fl.run_smc(h, None, ys, 3, source),
+                lambda: fl.run_mpf(h, None, ys, 3, source),
+                lambda: fl.run_ipf(h, None, ys, 3, 2, source),
+                lambda: fl.run_tmc(h, None, ys, 3, source),
+            ):
+                with pytest.raises(fl.DegeneracyError, match="t=2 in run 0") as err:
+                    run()
+                assert (err.value.t, err.value.sample) == (2, 0)
 
 
 class TestMpf:
@@ -566,6 +575,36 @@ class TestBackends:
         b = fl.RandomBackend(RngStream(4)).normals(3, fl.PROPOSAL, np.asarray([4, 5]))
         assert np.array_equal(a[4:], b)
 
+    def test_labelled_backend_serves_run_level_reads_only(self):
+        """Per-step reads of a backend with run labels raise; they would read the root stream.
+
+        A plain backend's per-step reads stay the draws of rng.split(t, purpose).
+        """
+        labelled = fl.RandomBackend(RngStream(5), [3])
+        probs = np.asarray([0.2, 0.3, 0.5])
+        for read in (
+            lambda: labelled.uniforms(2, fl.ANCESTOR, np.arange(3)),
+            lambda: labelled.normals(2, fl.PROPOSAL, np.arange(3)),
+            lambda: labelled.choose_one(2, fl.ANCESTOR, 1, probs),
+        ):
+            with pytest.raises(ValueError, match="run-level reads only"):
+                read()
+        m = mo.lgssm_make(2, 2, 0.42, "dense", RngStream(0))
+        ds = mo.generate(m, 3, RngStream(7))
+        params = mo.proposal_init(m, 3)
+        with pytest.raises(ValueError, match="run-level reads only"):
+            cp.derive_smc(m, params, ds, 3).draw(labelled)
+        assert float(fl.run_smc(m, params, ds, 3, labelled).log_evidence.data) == float(
+            fl.run_smc(m, params, ds, 3, RngStream(5).split(3)).log_evidence.data)
+
+        plain, root = fl.RandomBackend(RngStream(5)), RngStream(5)
+        assert np.array_equal(plain.uniforms(2, fl.ANCESTOR, np.arange(3)),
+                              root.split(2, fl.ANCESTOR).uniforms_at(np.arange(3)))
+        assert np.array_equal(plain.normals(2, fl.PROPOSAL, np.arange(3)),
+                              root.split(2, fl.PROPOSAL).normals_at(np.arange(3)))
+        u = root.split(2, fl.ANCESTOR).uniforms_at(np.asarray([1]))
+        assert plain.choose_one(2, fl.ANCESTOR, 1, probs) == int(distributions.categorical_sample_many(probs, u)[0])
+
 
 class OneStepBackend:
     """A RandomBackend that serves one (t, purpose) read at a time: no run-level reads."""
@@ -815,9 +854,23 @@ class TestRunAxis:
         ([-700.0, 3.0], False),
     ])
     def test_check_alive(self, weights, degenerate):
-        logw = ad.constant(np.asarray(weights))
-        if degenerate:
-            with pytest.raises(fl.DegeneracyError, match="t=3"):
-                fl._check_alive(logw, 3, 1)
-        else:
-            fl._check_alive(logw, 3, 1)
+        """The step loop's check, through a stub rule: the last run's step 3 gives these weights.
+
+        A lone run and a pass of three runs; the pass names run 2.
+        """
+        m, ds, params = lgssm_setup(t_max=4)
+
+        def step(bound, draws, t, x, logw, lse):
+            rows = np.zeros((draws.runs, 2))
+            if t == 3:
+                rows[-1] = weights
+            return None, ad.constant(rows.reshape(-1))
+
+        for source, last in ((1, 0), (fl.RandomBackend(RngStream(1), [5, 6, 7]), 2)):
+            if degenerate:
+                with pytest.raises(fl.DegeneracyError, match=f"t=3 in run {last}") as err:
+                    fl._filter("stub", m, params, ds, 2, source, step, False)
+                assert (err.value.t, err.value.sample) == (3, last)
+            else:
+                run = fl._filter("stub", m, params, ds, 2, source, step, False)
+                assert run.t_max == 4 and np.all(np.isfinite(run.log_evidence.data))
