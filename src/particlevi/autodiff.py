@@ -2,10 +2,18 @@
 
 Values are dense float64 numpy arrays of rank at most 2 (scalars, vectors,
 matrices).  Every operation computes its forward value immediately and, when
-a tape is active, appends one node holding the parent ids and a closure that
-maps the incoming cotangent to one cotangent per parent.  ``grad`` walks the
-node list once in reverse id order, which is a reverse topological order
-because ids strictly increase at creation.
+a tape is active and some parent is on it, records one node through
+``custom_vjp``, the one place op nodes are made.  A node is the pair
+(parent ids, rule): one id per parent in the op's own order, None for a
+constant parent, and the rule, which maps the incoming cotangent to one
+cotangent per parent.  A leaf is ((), None).  ``grad`` walks the node list
+once in reverse id order, which is a reverse topological order because ids
+strictly increase at creation, and skips the None parents.
+
+A rule closes over arrays, shapes and flags only, never over a ``Var``: a
+Var refers to its tape, so a rule holding one would tie the tape into a
+reference cycle that only the cyclic collector frees.  Without cycles a
+tape is freed by reference counting when its last Var goes.
 
 The contract callers may rely on for elementwise shapes is scalar-with-tensor
 and equal-shape; internally the library also leans on general numpy
@@ -14,13 +22,12 @@ back to the parent shape.  A -inf log-value (a zero weight, a mixture row
 with no live component) only ever reaches logsumexp, whose softmax backward
 assigns it exactly zero weight, so no infinite gradient is materialized.
 
-A node's closure forms cotangents for its live parents only: a constant
-parent (a Var off the tape) gets none, and the analytic kernels of
-``models`` skip the work for it (``custom_vjp`` lets a rule return None
-there).  ``np_logsumexp`` and the logsumexp node's backward take a short
-path, with no masks or error-state guards, when every maximum is finite;
-the guarded path serves a maximum of -inf, +inf or NaN and gives the
-short path's bits on finite rows.
+A rule may return None for a constant parent (a Var off the tape);
+``mul``, ``matmul`` and the analytic kernels of ``models`` form no
+cotangent there.  ``np_logsumexp`` and the logsumexp node's backward take
+a short path, with no masks or error-state guards, when every maximum is
+finite; the guarded path serves a maximum of -inf, +inf or NaN and gives
+the short path's bits on finite rows.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ _ACTIVE: ContextVar["Tape | None"] = ContextVar("particlevi_tape", default=None)
 
 
 class Tape:
-    """Recording context; nodes are (parent-ids, multi-cotangent closure)."""
+    """Recording context; nodes are (parent ids, rule) pairs."""
 
     __slots__ = ("nodes", "_token")
 
@@ -98,7 +105,15 @@ class Var:
         return matmul(self, other)
 
     def sum(self, axis=None):
-        return _reduce_sum(_nonempty(self), axis)
+        a = _nonempty(self)
+        shape = a.data.shape
+
+        def rule(g):
+            acc = np.empty(shape)
+            acc[...] = g if axis is None else np.expand_dims(g, axis)
+            return (acc,)
+
+        return custom_vjp(np.sum(a.data, axis=axis), (a,), rule)
 
 
 def constant(x) -> Var:
@@ -117,35 +132,6 @@ def leaf(x) -> Var:
     nid = len(tape.nodes)
     tape.nodes.append(((), None))
     return Var(data, nid, tape)
-
-
-def _rec1(out, a: Var, fa) -> Var:
-    if a.nid is None:
-        return Var(out)
-    tape = _ACTIVE.get()
-    if tape is None:
-        return Var(out)
-    nid = len(tape.nodes)
-    tape.nodes.append(((a.nid,), lambda g: (fa(g),)))
-    return Var(out, nid, tape)
-
-
-def _rec2(out, a: Var, fa, b: Var, fb) -> Var:
-    tape = _ACTIVE.get()
-    if tape is None:
-        return Var(out)
-    la, lb = a.nid is not None, b.nid is not None
-    if la and lb:
-        pids, fn = (a.nid, b.nid), (lambda g: (fa(g), fb(g)))
-    elif la:
-        pids, fn = (a.nid,), (lambda g: (fa(g),))
-    elif lb:
-        pids, fn = (b.nid,), (lambda g: (fb(g),))
-    else:
-        return Var(out)
-    nid = len(tape.nodes)
-    tape.nodes.append((pids, fn))
-    return Var(out, nid, tape)
 
 
 def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -169,33 +155,39 @@ def unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Var:
     a, b = constant(a), constant(b)
     sa, sb = a.data.shape, b.data.shape
-    return _rec2(a.data + b.data, a, lambda g: unbroadcast(g, sa), b, lambda g: unbroadcast(g, sb))
+    return custom_vjp(a.data + b.data, (a, b), lambda g: (unbroadcast(g, sa), unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Var:
     a, b = constant(a), constant(b)
     sa, sb = a.data.shape, b.data.shape
-    return _rec2(a.data - b.data, a, lambda g: unbroadcast(g, sa), b, lambda g: unbroadcast(-g, sb))
+    return custom_vjp(a.data - b.data, (a, b), lambda g: (unbroadcast(g, sa), unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Var:
     a, b = constant(a), constant(b)
     da, db = a.data, b.data
-    return _rec2(
-        da * db, a, lambda g: unbroadcast(g * db, da.shape), b, lambda g: unbroadcast(g * da, db.shape)
-    )
+    la, lb = a.nid is not None, b.nid is not None
+
+    def rule(g):
+        return (
+            unbroadcast(g * db, da.shape) if la else None,
+            unbroadcast(g * da, db.shape) if lb else None,
+        )
+
+    return custom_vjp(da * db, (a, b), rule)
 
 
 def exp(a) -> Var:
     a = constant(a)
     out = np.exp(a.data)
-    return _rec1(out, a, lambda g: g * out)
+    return custom_vjp(out, (a,), lambda g: (g * out,))
 
 
 def sigmoid(a) -> Var:
     a = constant(a)
     out = _special.expit(a.data)
-    return _rec1(out, a, lambda g: g * out * (1.0 - out))
+    return custom_vjp(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +215,12 @@ def matmul(a, b, blocks: int = 1) -> Var:
         raise ValueError(f"matmul expects matrices, got ranks {da.ndim} and {db.ndim}")
     if da.shape[1] != db.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {da.shape} @ {db.shape}")
-    return _rec2(
-        np_matmul(da, db, blocks), a, lambda g: np.matmul(g, db.T), b, lambda g: np.matmul(da.T, g)
-    )
+    la, lb = a.nid is not None, b.nid is not None
 
+    def rule(g):
+        return (np.matmul(g, db.T) if la else None, np.matmul(da.T, g) if lb else None)
 
-def _reduce_sum(a: Var, axis) -> Var:
-    shape = a.data.shape
-    out = np.sum(a.data, axis=axis)
-
-    def back(g):
-        acc = np.empty(shape)
-        acc[...] = g if axis is None else np.expand_dims(g, axis)
-        return acc
-
-    return _rec1(out, a, back)
+    return custom_vjp(np_matmul(da, db, blocks), (a, b), rule)
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -278,25 +261,6 @@ def np_logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     return out.reshape(()) if axis is None else np.squeeze(out, axis=axis)
 
 
-def _reduce_logsumexp(a: Var, axis) -> Var:
-    data = a.data
-    out = np_logsumexp(data, axis)
-    outk = out if axis is None else np.expand_dims(out, axis)
-
-    def back(g):
-        finite = math.isfinite(out) if axis is None else _all_finite(out)
-        if finite:
-            soft = np.exp(data - outk)
-        else:  # a row whose logsumexp is -inf (all weights zero) passes back exact zeros
-            with np.errstate(invalid="ignore"):
-                soft = np.exp(data - outk)
-            soft = np.where(np.isfinite(outk), soft, 0.0)
-        soft *= g if axis is None else np.expand_dims(g, axis)
-        return soft
-
-    return _rec1(out, a, back)
-
-
 def _nonempty(a) -> Var:
     a = constant(a)
     if a.data.size == 0:
@@ -305,7 +269,23 @@ def _nonempty(a) -> Var:
 
 
 def logsumexp(a, axis=None) -> Var:
-    return _reduce_logsumexp(_nonempty(a), axis)
+    a = _nonempty(a)
+    data = a.data
+    out = np_logsumexp(data, axis)
+    outk = out if axis is None else np.expand_dims(out, axis)
+
+    def rule(g):
+        finite = math.isfinite(out) if axis is None else _all_finite(out)
+        if finite:
+            soft = np.exp(data - outk)
+        else:  # a row whose logsumexp is -inf (all weights zero) passes back exact zeros
+            with np.errstate(invalid="ignore"):
+                soft = np.exp(data - outk)
+            soft = np.where(np.isfinite(outk), soft, 0.0)
+        soft *= g if axis is None else np.expand_dims(g, axis)
+        return (soft,)
+
+    return custom_vjp(out, (a,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +295,7 @@ def logsumexp(a, axis=None) -> Var:
 def reshape(a, shape) -> Var:
     a = constant(a)
     old = a.data.shape
-    return _rec1(a.data.reshape(shape), a, lambda g: g.reshape(old))
+    return custom_vjp(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def gather_rows(a, idx) -> Var:
@@ -325,32 +305,22 @@ def gather_rows(a, idx) -> Var:
     out = a.data[idx]
     shape = a.data.shape
 
-    def back(g):
+    def rule(g):
         acc = np.zeros(shape)
         if idx.shape == (1,):  # one row (a step's parameter row): no scatter
             acc[idx[0]] += g[0]
         else:
             np.add.at(acc, idx, g)
-        return acc
+        return (acc,)
 
-    return _rec1(out, a, back)
+    return custom_vjp(out, (a,), rule)
 
 
 def stack_rows(rows) -> Var:
     """Stack equal-shape Vars along a new leading axis; backward splits rows."""
     rows = [constant(r) for r in rows]
-    out = np.stack([r.data for r in rows])
-    tape = _ACTIVE.get()
-    live = [(i, r.nid) for i, r in enumerate(rows) if r.nid is not None]
-    if tape is None or not live:
-        return Var(out)
-
-    def fn(g):
-        return tuple(g[i] for i, _ in live)
-
-    nid = len(tape.nodes)
-    tape.nodes.append((tuple(pid for _, pid in live), fn))
-    return Var(out, nid, tape)
+    # the rule ``tuple`` splits the cotangent into one row per parent
+    return custom_vjp(np.stack([r.data for r in rows]), rows, tuple)
 
 
 def custom_vjp(forward_value, parents, backward_rule) -> Var:
@@ -359,29 +329,18 @@ def custom_vjp(forward_value, parents, backward_rule) -> Var:
     The rule receives the incoming cotangent and must return one cotangent
     per parent, in order; it is invoked exactly once per backward call.
     Entries for constant parents are ignored, so a rule may return None
-    there instead of forming them.
+    there instead of forming them.  No node is recorded off tape or when
+    every parent is a constant.
     """
     out = np.asarray(forward_value, dtype=np.float64)
     tape = _ACTIVE.get()
     if tape is None:
         return Var(out)
-    pids = tuple(p.nid for p in parents if p.nid is not None)
-    if not pids:
+    pids = tuple([p.nid for p in parents])
+    if pids.count(None) == len(pids):
         return Var(out)
-    n_parents = len(parents)
-    # None when every parent is live: the rule's cotangents pass through as they are
-    live = None if len(pids) == n_parents else [i for i, p in enumerate(parents) if p.nid is not None]
-
-    def fn(g):
-        outs = backward_rule(g)
-        if len(outs) != n_parents:
-            raise ValueError(
-                f"custom_vjp rule returned {len(outs)} cotangents for {n_parents} parents"
-            )
-        return outs if live is None else [outs[i] for i in live]
-
     nid = len(tape.nodes)
-    tape.nodes.append((pids, fn))
+    tape.nodes.append((pids, backward_rule))
     return Var(out, nid, tape)
 
 
@@ -393,7 +352,8 @@ def grad(loss: Var, wrt) -> list:
     """Gradient of a scalar loss w.r.t. each requested Var.
 
     Pure given the tape: repeated calls return identical arrays.  Constants
-    and untouched leaves get exact zeros.
+    and untouched leaves get exact zeros.  A rule that returns a cotangent
+    count other than its node's parent count raises ValueError.
     """
     if loss.data.shape != ():
         raise ValueError("grad requires a scalar loss")
@@ -407,11 +367,16 @@ def grad(loss: Var, wrt) -> list:
         g = acc.get(nid)
         if g is None:
             continue
-        pids, fn = nodes[nid]
-        if fn is None:
+        pids, rule = nodes[nid]
+        if rule is None:
             continue  # leaf; value stays in acc for collection
         del acc[nid]
-        for pid, pg in zip(pids, fn(g)):
+        outs = rule(g)
+        if len(outs) != len(pids):
+            raise ValueError(f"custom_vjp rule returned {len(outs)} cotangents for {len(pids)} parents")
+        for pid, pg in zip(pids, outs):
+            if pid is None:
+                continue
             prev = acc.get(pid)
             acc[pid] = pg if prev is None else prev + pg
     for k, w in enumerate(wrt):

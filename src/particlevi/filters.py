@@ -558,10 +558,12 @@ def mpf_tmc_identity_check(run: ParticleRun) -> float:
     weight recursion applied to the recorded particles, rescored by the
     run's bound model, must reproduce z_t^i = v_t^i * prod_{tau<t}
     mean(v_tau).  Returns the largest absolute log-space discrepancy over
-    all (t, i).
+    all (t, i).  It takes one run: a pass stacks R runs' rows, and raises.
     """
     if run.kind != "mpf":
         raise ValueError("identity check expects an MPF run")
+    if run.runs != 1:
+        raise ValueError(f"identity check expects one run, got a pass of {run.runs} runs")
     n = run.n_particles
     log_n = math.log(n)
     worst = 0.0

@@ -219,11 +219,22 @@ class TestCustomVjp:
         assert len(calls) == 1
 
     def test_wrong_arity_raises(self):
-        with pytest.raises(ValueError):
-            with ad.Tape():
-                x = ad.leaf(np.asarray(1.0))
-                y = ad.custom_vjp(np.asarray(1.0), [x], lambda g: (g, g))
+        """grad checks each rule's cotangent count against its node's parents."""
+        with ad.Tape():
+            x = ad.leaf(np.asarray(1.0))
+            y = ad.custom_vjp(np.asarray(1.0), [x], lambda g: (g, g))
+            with pytest.raises(ValueError, match="returned 2 cotangents for 1 parents"):
                 ad.grad(y, [x])
+
+    def test_constant_parent_id_is_none(self):
+        """An op node is (parent ids, rule); a constant parent's id is None and grad skips it."""
+        with ad.Tape() as tape:
+            x = ad.leaf(np.asarray([1.0, 2.0]))
+            c = ad.constant(np.asarray([3.0, 4.0]))
+            y = ad.stack_rows([c, x, c])
+            (g,) = ad.grad((y * y).sum(), [x])
+        assert tape.nodes[y.nid][0] == (None, x.nid, None)
+        assert np.array_equal(g, [2.0, 4.0])
 
 
 class TestGrad:

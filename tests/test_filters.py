@@ -235,6 +235,14 @@ class TestMpf:
         with pytest.raises(ValueError):
             fl.mpf_tmc_identity_check(run)
 
+    def test_identity_check_rejects_a_pass(self):
+        """A pass stacks R runs' rows, so the check would mix the runs' weights: it names the run count."""
+        m = mo.lgssm_make(2, 2, 0.42, "dense", RngStream(1))
+        ds = mo.generate(m, 3, RngStream(11))
+        run = fl.run_mpf(m, mo.proposal_init(m, 3), ds, 3, fl.RandomBackend(RngStream(5), [0, 1]))
+        with pytest.raises(ValueError, match="pass of 2 runs"):
+            fl.mpf_tmc_identity_check(run)
+
     def test_biased_and_unbiased_share_the_forward_trace(self):
         m, ds, params = lgssm_setup(t_max=4)
         sv = mo.sv_make(2, "diagonal", RngStream(8))

@@ -15,6 +15,9 @@ calling thread.
 
 No module names numpy's ``logaddexp`` or scipy's ``logsumexp``: the one
 numpy logsumexp is ``autodiff.np_logsumexp``.
+
+One place records op nodes: a tape's node list is appended to only in
+``autodiff.custom_vjp`` (every op) and ``autodiff.leaf``.
 """
 
 import ast
@@ -204,3 +207,40 @@ def test_logsumexp_checker_catches_every_form():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_one_numpy_logsumexp(path):
     assert foreign_logsumexps(path.read_text()) == []
+
+
+NODE_RECORDERS = ("autodiff.custom_vjp", "autodiff.leaf")
+
+
+def node_appends(source: str) -> list:
+    """(line, enclosing function path) for every ``<x>.nodes.append(...)`` and ``nodes.append(...)`` call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "append":
+                target = child.func.value
+                if (isinstance(target, ast.Attribute) and target.attr == "nodes") or (
+                    isinstance(target, ast.Name) and target.id == "nodes"
+                ):
+                    found.append((child.lineno, ".".join(scope)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_node_append_checker_names_the_enclosing_function():
+    source = (
+        "def f():\n    tape.nodes.append(1)\n\n    def g():\n        nodes.append(2)\n"
+        "class V:\n    def m(self):\n        self.tape.nodes.append(3)\n        rows.append(4)\n"
+    )
+    assert node_appends(source) == [(2, "f"), (5, "f.g"), (8, "V.m")]
+
+
+def test_one_place_records_op_nodes():
+    found = sorted(
+        f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py")) for _, where in node_appends(path.read_text())
+    )
+    assert found == sorted(NODE_RECORDERS)

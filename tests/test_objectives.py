@@ -1,5 +1,6 @@
 """Objectives: bound wiring, gradient exactness, Adam, and the train loop."""
 
+import gc
 import math
 import threading
 
@@ -175,6 +176,33 @@ class TestGradients:
         _, grads = self.grads_of("vmpf-ug", m, wide, ds, 2)
         for k, g in grads.items():
             assert np.all(g[3:] == 0.0), k
+
+    @pytest.mark.parametrize("family", ["lgssm", "sv", "dmm"])
+    def test_tape_holds_no_reference_cycle(self, family):
+        """A rule closes over arrays, never over a Var, so a tape and its Vars are freed by reference counting.
+
+        Two gradients of every kind the family runs (with VEM where it has
+        model parameters), the cyclic collector off throughout, leave
+        nothing for it to find.
+        """
+        model = {
+            "lgssm": lambda: mo.lgssm_make(3, 3, 0.42, "sparse", RngStream(0)),
+            "sv": lambda: mo.sv_make(3, "triangular", RngStream(0)),
+            "dmm": lambda: mo.dmm_make(3, 4, 8, RngStream(0)),
+        }[family]()
+        ds = mo.generate(model, 4, RngStream(7))
+        params = mo.proposal_init(model, 4, RngStream(1))
+        objs = [ob.Objective(kind, model, params, 4, learn_theta=family != "lgssm") for kind in bound_kinds(model)]
+        gc.collect()
+        gc.disable()
+        try:
+            for obj in objs:
+                fn = ob.gradient_unbiased if obj.kind == "vmpf-ug" else ob.gradient_biased
+                for seed in (1, 2):
+                    fn(obj, ds, RngStream(seed))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @staticmethod
     def tape_size(monkeypatch, obj, ds):
