@@ -5,6 +5,8 @@ a typo in a key or section is an error, never a silently ignored default.
 Every artifact is referenced by a 12-hex content hash of the resolved
 config, so outputs are self-describing.  CSV is the canonical output
 format; SVG plots are hand-rolled vector files with no extra deps.
+``verify`` runs the suites of ``particlevi.checks``, prints each row as
+PASS or FAIL and can write the rows to a CSV.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-import particlevi.autodiff as ad
-from particlevi import couplings as cp
+from particlevi import checks as ck
 from particlevi import filters as fl
 from particlevi import models as mo
 from particlevi import objectives as ob
-from particlevi.distributions import gauss_product_fuse
 from particlevi.rng import RngStream
 
 
@@ -409,254 +409,22 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path, params_path: Path | None = No
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-
-
-def _suite_unbiasedness():
-    h = mo.hmm_reference()
-    ys = np.zeros((2, 1))
-    truth = math.exp(mo.hmm_forward(h, [0, 0]))
-    checks = []
-
-    def expectation(run_fn):
-        return fl.enumerate_expectation(lambda be: math.exp(float(run_fn(be).log_evidence.data)))
-
-    for n in (2, 3):
-        val = expectation(lambda be: fl.run_smc(h, None, ys, n, be))
-        checks.append((f"smc-n{n}", abs(val - truth), 1e-12))
-        val = expectation(lambda be: fl.run_mpf(h, None, ys, n, be))
-        checks.append((f"mpf-n{n}", abs(val - truth), 1e-12))
-        val = expectation(lambda be: fl.run_tmc(h, None, ys, n, be))
-        checks.append((f"tmc-n{n}", abs(val - truth), 1e-12))
-        for l_perms in (1, 2):
-            val = expectation(lambda be: fl.run_ipf(h, None, ys, n, l_perms, be))
-            checks.append((f"ipf-n{n}-l{l_perms}", abs(val - truth), 1e-12))
-    return checks
-
-
-def _verify_cases():
-    m = mo.lgssm_make(2, 2, 0.42, "dense", RngStream(1))
-    sv = mo.sv_make(2, "triangular", RngStream(3))
-    dmm = mo.dmm_make(2, 3, 8, RngStream(4))
-    return [
-        ("lgssm", m, mo.proposal_init(m, 4), mo.generate(m, 4, RngStream(11))),
-        ("sv", sv, mo.proposal_init(sv, 4), mo.generate(sv, 4, RngStream(12))),
-        ("dmm", dmm, mo.proposal_init(dmm, 4, RngStream(5)), mo.generate(dmm, 4, RngStream(13))),
-    ]
-
-
-def _suite_identity():
-    checks = []
-    cases = _verify_cases()
-    for name, model, params, data in cases:
-        runs = (fl.run_mpf(model, params, data, 4, seed) for seed in range(1, 21))
-        checks.append((f"mpf-tmc-{name}", max(map(fl.mpf_tmc_identity_check, runs)), 1e-9))
-    # the coupling derivation reproduces each filter's estimate on shared draws
-    for algo, derive, run in (("smc", cp.derive_smc, fl.run_smc), ("mpf", cp.derive_mpf, fl.run_mpf)):
-        for name, model, params, data in cases:
-            pair = derive(model, params, data, 3)
-            gap = max(abs(float(pair.draw(RngStream(seed)).log_r.data)
-                          - float(run(model, params, data, 3, seed).log_evidence.data)) for seed in range(1, 5))
-            checks.append((f"derive-{algo}-{name}", gap, 1e-10))
-    return checks
-
-
-def _suite_gradients():
-    rng = RngStream(17)
-    checks = []
-    # fixed labels, clear of the split(1..6) streams below: the points are
-    # the same in every process (str hashes are salted per process) and stay
-    # put when a check is added or removed
-    unary = {
-        "exp": (ad.exp, 0.0, 100),
-        "sigmoid": (ad.sigmoid, 0.0, 104),
-    }
-    for name, (op, shift, label) in unary.items():
-        pts = np.abs(rng.split(label).normals(12)) + shift
-        err = ad.finite_diff_check(lambda x: op(x).sum(), [pts])
-        checks.append((f"op-{name}", err, 1e-5))
-    a = rng.split(1).normals(6) + 3.0
-    b = rng.split(2).normals(6) + 3.0
-    for name, op in (("add", ad.add), ("sub", ad.sub), ("mul", ad.mul)):
-        err = ad.finite_diff_check(lambda x, y: op(x, y).sum(), [a, b])
-        checks.append((f"op-{name}", err, 1e-5))
-    w = rng.split(3).normals(6).reshape(2, 3)
-    v = rng.split(4).normals(6).reshape(3, 2)
-    checks.append(("op-matmul", ad.finite_diff_check(lambda x, y: (x @ y).sum(), [w, v]), 1e-5))
-    checks.append(("op-logsumexp", ad.finite_diff_check(ad.logsumexp, [rng.split(5).normals(8)]), 1e-5))
-    checks.append((
-        "op-gather",
-        ad.finite_diff_check(lambda x: ad.gather_rows(x, np.asarray([1, 0, 1])).sum(), [rng.split(6).normals(6).reshape(3, 2)]),
-        1e-5,
-    ))
-    pts = rng.split(107)
-    weights = ad.constant(pts.split(0).normals(6).reshape(2, 3))
-    checks.append((
-        "op-stack",
-        ad.finite_diff_check(lambda x, y: (ad.stack_rows([x, y]) * weights).sum(),
-                             [pts.split(1).normals(3), pts.split(2).normals(3)]),
-        1e-5,
-    ))
-    # the density kernels' analytic backwards, in x, means and log-stds (and
-    # the mixture's log-weights); a fixed non-uniform cotangent reaches every
-    # entry of each rule.  In the -far cases the first row sits 60 units out
-    # in each coordinate, thousands of nats below the mixture kernel's shift
-    # bound, so it is redone with its own maximum.
-    kernels = {
-        "kernel-rows": (mo.gauss_logpdf_rows, 3, 200),
-        "kernel-matrix": (mo.gauss_logpdf_matrix, 3, 201),
-        "kernel-matrix-shared": (mo.gauss_logpdf_matrix, 1, 202),
-        "kernel-mixture": (mo.gauss_mixture_logpdf, 3, 203),
-        "kernel-mixture-shared": (mo.gauss_mixture_logpdf, 1, 204),
-        "kernel-mixture-far": (mo.gauss_mixture_logpdf, 3, 213),
-        "kernel-mixture-shared-far": (mo.gauss_mixture_logpdf, 1, 214),
-    }
-    for name, (kernel, ls_rows, label) in kernels.items():
-        pts = rng.split(label)
-        weights = pts.split(0).normals(9).reshape(3, 3)
-        if kernel is not mo.gauss_logpdf_matrix:
-            weights = weights[:, 0]
-        point = [
-            pts.split(1).normals(6).reshape(3, 2),
-            pts.split(2).normals(6).reshape(3, 2),
-            pts.split(3).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
-        ]
-        if name.endswith("-far"):
-            point[0][0] += 60.0
-        if kernel is mo.gauss_mixture_logpdf:
-            point.insert(1, pts.split(4).normals(3))
-        err = ad.finite_diff_check(lambda *args: (kernel(*args) * ad.constant(weights)).sum(), point)
-        checks.append((name, err, 1e-5))
-    # the DMM nodes: the dense layer under each activation, the Bernoulli
-    # emission, and the two outputs of the Gaussian product with a (1, d)
-    # factor against (3, d) rows
-    for name, act, label in (
-        ("kernel-affine", None, 205),
-        ("kernel-affine-leaky", "leaky", 206),
-        ("kernel-affine-half", "half", 207),
-    ):
-        pts = rng.split(label)
-        weights = ad.constant(pts.split(0).normals(12).reshape(3, 4))
-        point = [
-            pts.split(1).normals(6).reshape(3, 2),
-            pts.split(2).normals(8).reshape(2, 4),
-            pts.split(3).normals(4),
-        ]
-        err = ad.finite_diff_check(lambda x, w, b: (mo.dense(x, w, b, act) * weights).sum(), point)
-        checks.append((name, err, 1e-5))
-    pts = rng.split(208)
-    weights = ad.constant(pts.split(0).normals(3))
-    y = np.asarray([1.0, 0.0, 1.0, 0.0])
-    err = ad.finite_diff_check(
-        lambda logits: (mo.bernoulli_logpmf_rows(logits, y) * weights).sum(),
-        [pts.split(1).normals(12).reshape(3, 4) * 2.0],
-    )
-    checks.append(("kernel-bernoulli", err, 1e-5))
-    pts = rng.split(209)
-    w_mean, w_ls = (ad.constant(pts.split(k).normals(6).reshape(3, 2)) for k in (0, 1))
-
-    def product(ma, la, mb, lb):
-        mean, log_std = gauss_product_fuse(ma, la, mb, lb)
-        return (mean * w_mean).sum() + (log_std * w_ls).sum()
-
-    point = [
-        pts.split(2).normals(6).reshape(3, 2),
-        pts.split(3).normals(6).reshape(3, 2) * 0.3,
-        pts.split(4).normals(2).reshape(1, 2),
-        pts.split(5).normals(2).reshape(1, 2) * 0.3,
-    ]
-    checks.append(("kernel-product", ad.finite_diff_check(product, point), 1e-5))
-    # the reparameterized draw, with a (1, d) log-std shared by (3, d) means
-    # and with components picked by ancestor rows, and the LGSSM proposal mean
-    for name, ls_rows, rows, label in (
-        ("kernel-rsample", 1, None, 210),
-        ("kernel-rsample-rows", 4, np.asarray([3, 0, 3]), 211),
-    ):
-        pts = rng.split(label)
-        weights = ad.constant(pts.split(0).normals(6).reshape(3, 2))
-        eps = pts.split(1).normals(6).reshape(3, 2)
-        point = [
-            pts.split(2).normals(6 if rows is None else 8).reshape(-1, 2),
-            pts.split(3).normals(2 * ls_rows).reshape(ls_rows, 2) * 0.3,
-        ]
-        err = ad.finite_diff_check(
-            lambda means, ls: (mo.gauss_rsample(means, ls, eps, rows=rows) * weights).sum(), point)
-        checks.append((name, err, 1e-5))
-    pts = rng.split(212)
-    weights = ad.constant(pts.split(0).normals(6).reshape(3, 2))
-    a = pts.split(4).normals(4).reshape(2, 2)  # not symmetric, unlike the model's
-    point = [pts.split(k).normals(6).reshape(3, 2) for k in (1, 2, 3)]
-    err = ad.finite_diff_check(
-        lambda mu, beta, x: (mo.lgssm_proposal_mean(mu, beta, x, a, 2) * weights).sum(), point)
-    checks.append(("kernel-lgssm-mean", err, 1e-5))
-
-    # biased and unbiased particle gradients coincide at a single particle
-    m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))
-    data = mo.generate(m, 3, RngStream(7))
-    phi = mo.proposal_init(m, 3)
-    _, gb = ob.gradient_biased(ob.Objective("vmpf-bg", m, phi, 1), data, RngStream(5))
-    _, gu = ob.gradient_unbiased(ob.Objective("vmpf-ug", m, phi, 1), data, RngStream(5))
-    gap = max(float(np.max(np.abs(gb[k] - gu[k]))) for k in gb)
-    checks.append(("n1-biased-vs-unbiased", gap, 1e-10))
-    return checks
-
-
-def _suite_collapse():
-    m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))
-    data = mo.generate(m, 3, RngStream(7))
-    phi = mo.proposal_init(m, 3)
-    phi["beta"][:] = 0.0  # state-independent, so tmc draws the same points
-    vals = [
-        float(ob.objective_value(ob.Objective(kind, m, phi, 1), data, RngStream(42)).data)
-        for kind in ob.KINDS
-    ]
-    spread = max(vals) - min(vals)
-    return [("n1-all-kinds", spread, 1e-12)]
-
-
-def _suite_bounds():
-    m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(1))
-    data = mo.generate(m, 4, RngStream(9))
-    kal = mo.kalman_loglik(m, data.ys)
-    phi = mo.proposal_init(m, 4)
-    checks = []
-    for kind in ("iwvi", "vsmc", "vmpf-bg"):
-        mean, se = ob.bound_estimate(ob.Objective(kind, m, phi, 4), data, 200, RngStream(3))
-        # signed slack: positive means the bound is below kalman + 3 SE
-        checks.append((f"bound-{kind}", kal + 3.0 * se - mean, 0.0))
-    return [(name, val, limit, val >= limit) for name, val, limit in checks]
-
-
-_SUITES = {
-    "unbiasedness": _suite_unbiasedness,
-    "identity": _suite_identity,
-    "gradients": _suite_gradients,
-    "collapse": _suite_collapse,
-    "bounds": _suite_bounds,
-}
+# verify
 
 
 def cmd_verify(suite: str, out: Path | None = None) -> int:
-    names = list(_SUITES) if suite == "all" else [suite]
-    for name in names:
-        if name not in _SUITES:
-            raise CliError(f"unknown suite {suite!r}; pick from {list(_SUITES)} or 'all'")
+    if suite != "all" and suite not in ck.SUITES:
+        raise CliError(f"unknown suite {suite!r}; pick from {list(ck.SUITES)} or 'all'")
     failures = 0
     lines = []
-    for name in names:
-        for check in _SUITES[name]():
-            if len(check) == 4:
-                check_name, measured, limit, ok = check
-            else:
-                check_name, measured, limit = check
-                ok = measured <= limit
-            status = "PASS" if ok else "FAIL"
-            failures += 0 if ok else 1
-            print(f"{status} {name}/{check_name} measured={measured:.3e} limit={limit:.3e}")
-            lines.append(f"{name},{check_name},{float(measured)!r},{float(limit)!r},{status}")
+    for name, check in ck.run(list(ck.SUITES) if suite == "all" else [suite]):
+        status = "PASS" if check.ok else "FAIL"
+        failures += 0 if check.ok else 1
+        print(f"{status} {name}/{check.name} measured={check.measured:.3e} limit={check.limit:.3e}")
+        lines.append(f"{name},{check.name},{float(check.measured)!r},{float(check.limit)!r},{status}")
     if out is not None:
         _write_text(out / f"verify_{suite}.csv", "suite,check,measured,limit,status\n" + "\n".join(lines) + "\n")
-    print(f"{'FAIL' if failures else 'PASS'}: {failures} failing check(s)" if failures else "PASS: all checks green")
+    print(f"FAIL: {failures} failing check(s)" if failures else "PASS: all checks green")
     return 1 if failures else 0
 
 
@@ -935,7 +703,7 @@ def main(argv=None) -> int:
     p_eval.add_argument("--samples", type=int, default=1000)
 
     p_verify = sub.add_parser("verify", help="run an oracle/property suite")
-    p_verify.add_argument("suite", help=f"one of {list(_SUITES)} or 'all'")
+    p_verify.add_argument("suite", help=f"one of {list(ck.SUITES)} or 'all'")
     p_verify.add_argument("--out", default=None, help="also write a CSV report here")
 
     p_bench = sub.add_parser("bench", help="time SMC vs MPF across N")

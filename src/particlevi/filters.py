@@ -19,11 +19,12 @@ only ``models.bind`` decides what a family is.
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
 same noise can be replayed under a different estimator, and runs on finite
-models can be enumerated exhaustively instead of sampled.  A filter's
-``source`` is a seed, an ``RngStream`` or a backend with ``uniforms``,
-``normals`` and ``choose_one``.  A backend may also serve one purpose for
-every step of a run in one read (RandomBackend does); a run then reads
-each purpose it uses once, and gets the same values as step-by-step reads.
+models can be enumerated exhaustively instead of sampled (a scripted
+backend, ``checks.ScriptBackend``).  A filter's ``source`` is a seed, an
+``RngStream`` or a backend with ``uniforms``, ``normals`` and
+``choose_one``.  A backend may also serve one purpose for every step of a
+run in one read (RandomBackend does); a run then reads each purpose it
+uses once, and gets the same values as step-by-step reads.
 
 Off tape, one pass of a filter can run R independent runs at once: a
 ``RandomBackend`` given R run labels serves each run the draws of its own
@@ -193,82 +194,6 @@ class _RunDraws:
         return categorical_sample_many(probs, us)
 
 
-class ScriptBackend:
-    """Replays a prescribed branch at each discrete choice point.
-
-    Used by enumerate_expectation to walk every realization of a run on a
-    finite model.  Positions beyond the script take the first branch with
-    positive probability and extend the script; the trace records every
-    (branch, probability vector) so the driver can compute the path weight
-    and advance to the next path.  Continuous draws are rejected.
-    """
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.trace = []
-        self._pos = 0
-
-    def uniforms(self, t, purpose, offsets):
-        raise RuntimeError("exhaustive enumeration requires a fully discrete model")
-
-    normals = uniforms
-
-    def _choose(self, probs: np.ndarray) -> int:
-        probs = np.asarray(probs, dtype=np.float64)
-        if self._pos < len(self.script):
-            k = self.script[self._pos]
-        else:
-            nonzero = np.flatnonzero(probs > 0.0)
-            if nonzero.size == 0:
-                raise ValueError("all branches have zero probability")
-            k = int(nonzero[0])
-            self.script.append(k)
-        self.trace.append((k, probs))
-        self._pos += 1
-        return k
-
-    def choose_one(self, t, purpose, offset, probs):
-        return self._choose(probs)
-
-
-def enumerate_paths(run_fn, cap: int = 1_000_000):
-    """Yield (value, probability, trace) for every realization of run_fn.
-
-    run_fn(backend) -> value.  Depth-first walk with an odometer over the
-    recorded choice points; zero-probability branches are skipped.  Raises
-    once the number of realizations exceeds cap.
-    """
-    script: list = []
-    realizations = 0
-    while True:
-        backend = ScriptBackend(script)
-        value = run_fn(backend)
-        prob = 1.0
-        for k, probs in backend.trace:
-            prob *= probs[k]
-        yield value, prob, list(backend.trace)
-        realizations += 1
-        if realizations > cap:
-            raise RuntimeError(f"enumeration exceeded {cap} realizations")
-        nxt = None
-        pos = len(backend.trace) - 1
-        while pos >= 0:
-            k, probs = backend.trace[pos]
-            later = np.flatnonzero(probs[k + 1 :] > 0.0)
-            if later.size:
-                nxt = k + 1 + int(later[0])
-                break
-            pos -= 1
-        if nxt is None:
-            return
-        script = [k for k, _ in backend.trace[:pos]] + [nxt]
-
-
-def enumerate_expectation(run_fn, cap: int = 1_000_000) -> float:
-    """Exact E[run_fn] over every branch of its discrete draws."""
-    return sum(value * prob for value, prob, _ in enumerate_paths(run_fn, cap))
-
-
 # ---------------------------------------------------------------------------
 # run record and the step loop
 
@@ -282,7 +207,8 @@ class ParticleRun:
     u_t / z_t for the cumulative ones (flagged by ``cumulative``).  Either
     way log_mean_weights[t] = logsumexp(log_weights[t]) - log N, and
     log_evidence is the last of them (cumulative) or their sum.  bound is
-    the run's ``models.bind`` result: its model, proposal and observations.
+    the run's ``models.bind`` result: its model, proposal and observations,
+    through which ``checks.mpf_tmc_identity_check`` rescores the run.
     A pass of runs > 1 stacks each run's N particle rows in turn, so each
     step's log weights stay one vector of R * N, and its log mean weights
     and the log evidence hold one value per run.
@@ -545,42 +471,3 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
         return x_new, mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, logw, draws.runs) - math.log(n) + extra
 
     return _filter("tmc", model, params, data, n, source, step, True)
-
-
-# ---------------------------------------------------------------------------
-# cross-estimator identity
-
-
-def mpf_tmc_identity_check(run: ParticleRun) -> float:
-    """Max log-space gap between the MPF weights and TMC under its mixture.
-
-    With proposal q_t(x) = sum_j vbar_{t-1}^j r_t(x | x_{t-1}^j), the TMC
-    weight recursion applied to the recorded particles, rescored by the
-    run's bound model, must reproduce z_t^i = v_t^i * prod_{tau<t}
-    mean(v_tau).  Returns the largest absolute log-space discrepancy over
-    all (t, i).  It takes one run: a pass stacks R runs' rows, and raises.
-    """
-    if run.kind != "mpf":
-        raise ValueError("identity check expects an MPF run")
-    if run.runs != 1:
-        raise ValueError(f"identity check expects one run, got a pass of {run.runs} runs")
-    n = run.n_particles
-    log_n = math.log(n)
-    worst = 0.0
-    log_z = run.log_weights[0].data
-    running = 0.0
-    for t in range(2, run.t_max + 1):
-        x, xp = run.particles[t - 1], run.particles[t - 2]
-        logv_prev = run.log_weights[t - 2].data
-        log_vbar = logv_prev - ad.np_logsumexp(logv_prev)
-        log_f = mo.transition_build_many(run.bound, t, xp).logpdf_matrix(x).data
-        log_r = mo.proposal_build_many(run.bound, t, xp).logpdf_matrix(x).data
-        log_g = mo.emission_logpdf_rows(run.bound, t, x).data
-        log_q = ad.np_logsumexp(log_vbar[None, :] + log_r, axis=1)
-        line6 = ad.np_logsumexp(log_z[None, :] + log_f, axis=1) + log_g - log_n - log_q
-        running += float(run.log_mean_weights[t - 2].data)
-        identity = run.log_weights[t - 1].data + running
-        worst = max(worst, float(np.max(np.abs(line6 - identity))))
-        log_z = identity
-    return worst
-

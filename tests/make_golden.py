@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from particlevi import checks as ck
 from particlevi import couplings as cp
 from particlevi import filters as fl
 from particlevi import models as mo
@@ -178,7 +179,7 @@ def _objective_entries(name, model, params, data, learn_theta) -> dict:
 
 def _enumeration_entry(runner) -> list:
     paths = []
-    for value, prob, trace in fl.enumerate_paths(lambda be: float(runner(be).log_evidence.data)):
+    for value, prob, trace in ck.enumerate_paths(lambda be: float(runner(be).log_evidence.data)):
         paths.append([_hex(value), _hex(prob), [k for k, _ in trace]])
     return paths
 

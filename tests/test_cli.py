@@ -1,4 +1,4 @@
-"""CLI harness: config schema, artifact plumbing, suites, bench, plots."""
+"""CLI harness: config schema, artifact plumbing, the verify report, bench, plots."""
 
 import json
 import os
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from particlevi import checks as ck
 from particlevi import cli
 from particlevi import models as mo
 from particlevi import objectives as ob
@@ -296,34 +297,6 @@ seed = 1
 
 
 class TestVerifyCmd:
-    def test_collapse_suite_green_and_reported(self, tmp_path, capsys):
-        assert cli.cmd_verify("collapse", tmp_path) == 0
-        assert "PASS collapse/n1-all-kinds" in capsys.readouterr().out
-        lines = (tmp_path / "verify_collapse.csv").read_text().strip().splitlines()
-        assert lines[0] == "suite,check,measured,limit,status"
-        assert lines[1].startswith("collapse,n1-all-kinds,") and lines[1].endswith("PASS")
-
-    def test_unbiasedness_suite_green_and_reported(self, tmp_path):
-        assert cli.cmd_verify("unbiasedness", tmp_path) == 0
-        rows = [
-            line.split(",")
-            for line in (tmp_path / "verify_unbiasedness.csv").read_text().strip().splitlines()[1:]
-        ]
-        status = {row[1]: row[-1] for row in rows}
-        assert status["smc-n2"] == "PASS"
-        assert status["smc-n3"] == "PASS"
-        assert set(status.values()) == {"PASS"}
-
-    def test_identity_suite_has_the_derivation_rows(self, tmp_path):
-        """The MPF-TMC rows, then the derived pairs against both filters, all green."""
-        assert cli.cmd_verify("identity", tmp_path) == 0
-        rows = [line.split(",") for line in (tmp_path / "verify_identity.csv").read_text().strip().splitlines()[1:]]
-        cases = ("lgssm", "sv", "dmm")
-        want = [f"mpf-tmc-{c}" for c in cases] + [f"derive-{a}-{c}" for a in ("smc", "mpf") for c in cases]
-        assert [row[1] for row in rows] == want
-        assert [float(row[3]) for row in rows] == [1e-9] * 3 + [1e-10] * 6
-        assert {row[-1] for row in rows} == {"PASS"}
-
     def test_gradients_csv_cells_are_numbers(self, tmp_path):
         assert cli.cmd_verify("gradients", tmp_path) == 0
         lines = (tmp_path / "verify_gradients.csv").read_text().strip().splitlines()[1:]
@@ -332,9 +305,23 @@ class TestVerifyCmd:
             measured, limit = line.split(",")[2:4]
             float(measured), float(limit)
 
-    def test_gradients_suite_green(self):
-        checks = cli._suite_gradients()
-        assert all(measured <= limit for _, measured, limit in checks)
+    def test_failing_rows_fail_the_run(self, tmp_path, capsys, monkeypatch):
+        """A row over its "<=" limit and one under its ">=" limit each print FAIL, land in the CSV and exit 1."""
+        rows = [ck.Check("low", 1.0, 2.0), ck.Check("over", 3.0, 2.0), ck.Check("under", 1.0, 2.0, ">=")]
+        monkeypatch.setattr(ck, "SUITES", {"fake": lambda: rows})
+        assert cli.main(["verify", "fake", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS fake/low measured=1.000e+00 limit=2.000e+00",
+            "FAIL fake/over measured=3.000e+00 limit=2.000e+00",
+            "FAIL fake/under measured=1.000e+00 limit=2.000e+00",
+            "FAIL: 2 failing check(s)",
+        ]
+        assert (tmp_path / "verify_fake.csv").read_text().splitlines() == [
+            "suite,check,measured,limit,status",
+            "fake,low,1.0,2.0,PASS",
+            "fake,over,3.0,2.0,FAIL",
+            "fake,under,1.0,2.0,FAIL",
+        ]
 
     def test_unknown_suite(self):
         with pytest.raises(cli.CliError, match="unknown suite"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import particlevi.autodiff as ad
+from particlevi import checks as ck
 from particlevi import couplings as cp
 from particlevi import filters as fl
 from particlevi import models as mo
@@ -47,7 +48,7 @@ def table_density(gamma: np.ndarray):
 def moments(pair) -> tuple:
     """(E[R], E[R^2], E[log R]) by exhaustive enumeration."""
     first = second = logmean = 0.0
-    for d, prob, _ in fl.enumerate_paths(lambda be: pair.draw(be)):
+    for d, prob, _ in ck.enumerate_paths(lambda be: pair.draw(be)):
         r = math.exp(float(d.log_r.data))
         first += prob * r
         second += prob * r * r
@@ -58,7 +59,7 @@ def moments(pair) -> tuple:
 def atom_expectations(pair) -> dict:
     """E[R * a(x)] per support point x, keyed by the flattened state path."""
     out = {}
-    for d, prob, _ in fl.enumerate_paths(lambda be: pair.draw(be)):
+    for d, prob, _ in ck.enumerate_paths(lambda be: pair.draw(be)):
         r = math.exp(float(d.log_r.data))
         for value, lw in d.coupling.atoms:
             key = tuple(_hmm_idx(v) for v in trajectory_of(value))
@@ -85,7 +86,7 @@ class TestDomainTypes:
 class TestBasicPair:
     def test_perfect_proposal_gives_unit_estimator(self):
         pair = cp.basic_pair(table_density([0.5, 0.5]), table_proposal([0.5, 0.5]))
-        for d, _, _ in fl.enumerate_paths(lambda be: pair.draw(be)):
+        for d, _, _ in ck.enumerate_paths(lambda be: pair.draw(be)):
             assert float(d.log_r.data) == 0.0
 
     def test_expectation_is_total_mass(self):
@@ -121,13 +122,13 @@ class TestReplicate:
     def test_n1_preserves_every_path(self):
         base = cp.basic_pair(table_density([0.3, 0.9]), table_proposal([0.5, 0.5]))
         rep = cp.replicate(base, 1)
-        a = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: base.draw(be))]
-        b = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: rep.draw(be))]
+        a = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: base.draw(be))]
+        b = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: rep.draw(be))]
         assert a == b
 
     def test_constant_estimator_stays_constant(self):
         pair = cp.replicate(cp.basic_pair(table_density([0.6, 0.6]), table_proposal([0.5, 0.5])), 3)
-        for d, _, _ in fl.enumerate_paths(lambda be: pair.draw(be)):
+        for d, _, _ in ck.enumerate_paths(lambda be: pair.draw(be)):
             assert abs(float(d.log_r.data) - math.log(1.2)) < 1e-12
 
     def test_per_atom_unbiasedness(self):
@@ -172,7 +173,7 @@ class TestExtendTarget:
         h = np.asarray([0.4, 0.6])
         base, tr = two_state_chain([0.3, 0.9], np.outer(np.ones(2), h), [1.0, 1.0], h, drop_old=False)
         ext = cp.extend_target(base, tr)
-        for d, _, _ in fl.enumerate_paths(lambda be: ext.draw(be)):
+        for d, _, _ in ck.enumerate_paths(lambda be: ext.draw(be)):
             first = _hmm_idx(trajectory_of(d.coupling.atoms[0][0])[0])
             base_log_r = math.log(np.asarray([0.3, 0.9])[first] / 0.5)
             assert abs(float(d.log_r.data) - base_log_r) < 1e-12
@@ -236,8 +237,8 @@ class TestMarginalize:
     def test_single_atom_auxiliary_is_identity(self):
         base = cp.basic_pair(table_density([0.3, 0.9]), table_proposal([0.5, 0.5]))
         same = cp.marginalize(base, lambda d: [(0.0, d.log_r, d.coupling)])
-        a = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: base.draw(be))]
-        b = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: same.draw(be))]
+        a = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: base.draw(be))]
+        b = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: same.draw(be))]
         assert a == b
 
     def test_same_mean_lower_variance(self):
@@ -264,11 +265,11 @@ class TestDerivations:
         derived = cp.derive_smc(h, None, ys, 2)
         bound = mo.bind(h, None, ys)
         manual = cp.replicate(cp.basic_pair(cp.step_density(bound), cp.step_proposal(bound, 1)), 2)
-        a = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: derived.draw(be))]
-        b = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: manual.draw(be))]
+        a = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: derived.draw(be))]
+        b = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: manual.draw(be))]
         assert a == b
         same = cp.derive_mpf(h, None, ys, 2)
-        c = [(float(d.log_r.data), p) for d, p, _ in fl.enumerate_paths(lambda be: same.draw(be))]
+        c = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: same.draw(be))]
         assert a == c
 
     def test_hmm_mass_matches_forward(self):

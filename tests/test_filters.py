@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import particlevi.autodiff as ad
+from particlevi import checks as ck
 from particlevi import couplings as cp
 from particlevi import distributions
 from particlevi import filters as fl
@@ -92,7 +93,7 @@ class TestSmc:
             run = fl.run_smc(h, None, ys, 2, backend)
             return math.exp(float(run.log_evidence.data))
 
-        assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
+        assert abs(ck.enumerate_expectation(phat) - truth) <= 1e-12
 
     def test_hmm_enumeration_unbiased_without_resampling(self):
         """resample=False on the discrete branch: accumulated weights stay unbiased."""
@@ -104,7 +105,7 @@ class TestSmc:
                 run = fl.run_smc(h, None, ys, n, backend, resample=False)
                 return math.exp(float(run.log_evidence.data))
 
-            assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12, n
+            assert abs(ck.enumerate_expectation(phat) - truth) <= 1e-12, n
 
     def test_mean_phat_matches_kalman(self):
         m, ds, params = lgssm_setup(t_max=5)
@@ -188,7 +189,7 @@ class TestMpf:
             np.full((2, 2), 0.5),
         )
         params = {"trans_proposal": np.asarray([[0.3, 0.7], [0.1, 0.9]])}
-        backend = fl.ScriptBackend([0, 1, 0, 0])  # states (0,1) at t=1 then (0,0)
+        backend = ck.ScriptBackend([0, 1, 0, 0])  # states (0,1) at t=1 then (0,0)
         run = fl.run_mpf(h, params, np.zeros((2, 1)), 2, backend)
         assert abs(math.exp(run.log_weights[1].data[0]) - 0.75) < 1e-12
 
@@ -201,47 +202,7 @@ class TestMpf:
             run = fl.run_mpf(h, None, ys, 2, backend)
             return math.exp(float(run.log_evidence.data))
 
-        assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
-
-    def test_tmc_identity_every_family(self):
-        cases = []
-        m, ds, params = lgssm_setup(t_max=5, dx=2, dy=2)
-        cases.append((m, params, ds))
-        sv = mo.sv_make(2, "triangular", RngStream(3))
-        cases.append((sv, mo.proposal_init(sv, 4), mo.generate(sv, 4, RngStream(11))))
-        dmm = mo.dmm_make(2, 3, 8, RngStream(4))
-        cases.append((dmm, mo.proposal_init(dmm, 4, RngStream(5)), mo.generate(dmm, 4, RngStream(12))))
-        h = mo.hmm_reference()
-        cases.append((h, None, mo.generate(h, 6, RngStream(13))))
-        for model, params, data in cases:
-            for seed in (1, 2, 3):
-                run = fl.run_mpf(model, params, data, 4, seed)
-                assert fl.mpf_tmc_identity_check(run) < 1e-9
-
-    def test_hmm_identity_reads_the_proposal_table(self):
-        """The check's log r matrix comes from trans_proposal, as the run's draws did."""
-        h, params = hmm_tables()
-        data = mo.generate(h, 6, RngStream(13))
-        for seed in (1, 2, 3):
-            run = fl.run_mpf(h, params, data, 4, seed)
-            assert fl.mpf_tmc_identity_check(run) < 1e-9
-            # r_t falls back to model.trans
-            run.bound = mo.bind(h, {"init_proposal": params["init_proposal"]}, data.ys)
-            assert fl.mpf_tmc_identity_check(run) > 1e-3
-
-    def test_identity_check_rejects_other_kinds(self):
-        m, ds, params = lgssm_setup()
-        run = fl.run_smc(m, params, ds, 2, 1)
-        with pytest.raises(ValueError):
-            fl.mpf_tmc_identity_check(run)
-
-    def test_identity_check_rejects_a_pass(self):
-        """A pass stacks R runs' rows, so the check would mix the runs' weights: it names the run count."""
-        m = mo.lgssm_make(2, 2, 0.42, "dense", RngStream(1))
-        ds = mo.generate(m, 3, RngStream(11))
-        run = fl.run_mpf(m, mo.proposal_init(m, 3), ds, 3, fl.RandomBackend(RngStream(5), [0, 1]))
-        with pytest.raises(ValueError, match="pass of 2 runs"):
-            fl.mpf_tmc_identity_check(run)
+        assert abs(ck.enumerate_expectation(phat) - truth) <= 1e-12
 
     def test_biased_and_unbiased_share_the_forward_trace(self):
         m, ds, params = lgssm_setup(t_max=4)
@@ -299,7 +260,7 @@ class TestMpf:
                 key = tuple(k for k, _ in backend.trace[:2])
                 return math.exp(float(run.log_mean_weights[1].data)), key
 
-            for (value, key), prob, _ in fl.enumerate_paths(run_and_key):
+            for (value, key), prob, _ in ck.enumerate_paths(run_and_key):
                 acc = groups.setdefault(key, [0.0, 0.0, 0.0])
                 acc[0] += prob
                 acc[1] += prob * value
@@ -344,7 +305,7 @@ class TestHmmProposalTables:
         def phat(backend):
             return math.exp(float(HMM_TABLE_RUNS[kind](h, params, ys, backend).data))
 
-        assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
+        assert abs(ck.enumerate_expectation(phat) - truth) <= 1e-12
 
     def test_tables_set_the_branch_probabilities(self):
         """Each choice point offers the overriding table's row."""
@@ -355,7 +316,7 @@ class TestHmmProposalTables:
             "tmc": [params["init_proposal"]] * 2 + [params["indep_proposal"]] * 2,
         }
         for kind, rows in expected.items():
-            backend = fl.ScriptBackend([])
+            backend = ck.ScriptBackend([])
             HMM_TABLE_RUNS[kind](h, params, ys, backend)
             offered = [p for _, p in backend.trace if p.shape == (3,)]
             assert all(np.array_equal(a, b) for a, b in zip(offered, rows)), kind
@@ -398,7 +359,7 @@ class TestIpf:
                 run = fl.run_ipf(h, None, ys, 2, l_perms, backend)
                 return math.exp(float(run.log_evidence.data))
 
-            assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
+            assert abs(ck.enumerate_expectation(phat) - truth) <= 1e-12
 
     def test_l_equals_n_matches_tmc(self):
         m, ds, params = lgssm_setup(t_max=5, dx=2, dy=2)
@@ -485,7 +446,7 @@ class TestTmc:
             run = fl.run_tmc(h, None, ys, 2, backend)
             return math.exp(float(run.log_evidence.data))
 
-        assert abs(fl.enumerate_expectation(phat) - truth) <= 1e-12
+        assert abs(ck.enumerate_expectation(phat) - truth) <= 1e-12
 
     def test_brute_force_exponential_sum(self):
         """p_hat equals the explicit N^T-term sum over all pairings."""
@@ -557,26 +518,6 @@ class TestPosteriorDraw:
         assert abs(estimates.mean() - means[-1, 0]) < 4 * se
 
 class TestBackends:
-    def test_script_backend_skips_zero_probability(self):
-        be = fl.ScriptBackend([])
-        assert be.choose_one(1, 0, 0, np.asarray([0.0, 1.0])) == 1
-
-    def test_script_backend_rejects_continuous(self):
-        m, ds, params = lgssm_setup(t_max=2)
-        with pytest.raises(RuntimeError):
-            fl.run_smc(m, params, ds, 2, fl.ScriptBackend([]))
-
-    def test_enumeration_cap(self):
-        h = mo.hmm_reference()
-        ys = np.zeros((2, 1))
-
-        def phat(backend):
-            run = fl.run_smc(h, None, ys, 2, backend)
-            return math.exp(float(run.log_evidence.data))
-
-        with pytest.raises(RuntimeError):
-            fl.enumerate_expectation(phat, cap=3)
-
     def test_random_backend_is_offset_addressed(self):
         be = fl.RandomBackend(RngStream(4))
         a = be.normals(3, fl.PROPOSAL, np.arange(6))

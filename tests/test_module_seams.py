@@ -18,6 +18,10 @@ numpy logsumexp is ``autodiff.np_logsumexp``.
 
 One place records op nodes: a tape's node list is appended to only in
 ``autodiff.custom_vjp`` (every op) and ``autodiff.leaf``.
+
+Verification stays off the filter path: no module a filter run or a
+training step loads imports ``checks`` or ``cli``, and ``checks`` does not
+import ``cli``.
 """
 
 import ast
@@ -244,3 +248,42 @@ def test_one_place_records_op_nodes():
         f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py")) for _, where in node_appends(path.read_text())
     )
     assert found == sorted(NODE_RECORDERS)
+
+
+def package_imports(source: str) -> list:
+    """(line, module) for every particlevi module or name a source imports, as ``particlevi.<name>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.startswith(PACKAGE + ".")]
+        elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+            module = node.module or ""
+            if node.level:  # relative to the package
+                module = f"{PACKAGE}.{module}" if module else PACKAGE
+            if module == PACKAGE:
+                found += [(node.lineno, f"{PACKAGE}.{a.name}") for a in node.names]
+            elif module.startswith(PACKAGE + "."):
+                found.append((node.lineno, module))
+    return sorted(found)
+
+
+def test_package_import_checker_catches_every_form():
+    source = (
+        "import particlevi.checks\nimport particlevi.cli as c\nfrom particlevi import checks as ck, models\n"
+        "from particlevi.checks import run\nfrom .cli import main\nfrom . import checks\nimport numpy\n"
+        "def f():\n    from particlevi import cli\n"
+    )
+    assert package_imports(source) == [
+        (1, "particlevi.checks"), (2, "particlevi.cli"), (3, "particlevi.checks"), (3, "particlevi.models"),
+        (4, "particlevi.checks"), (5, "particlevi.cli"), (6, "particlevi.checks"), (9, "particlevi.cli"),
+    ]
+
+
+FILTER_PATH = ("autodiff", "rng", "distributions", "models", "filters", "couplings", "objectives")
+VERIFY_SEAMS = {**{name: ("checks", "cli") for name in FILTER_PATH}, "checks": ("cli",)}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_SEAMS))
+def test_verification_stays_off_the_filter_path(name):
+    forbidden = {f"{PACKAGE}.{module}" for module in VERIFY_SEAMS[name]}
+    assert [hit for hit in package_imports((SRC / f"{name}.py").read_text()) if hit[1] in forbidden] == []
