@@ -25,6 +25,18 @@ earlier coordinates under component j, the sample is the solution of
 F(x) = u for fixed uniforms, so dx/dtheta solves a lower-triangular system
 whose diagonal is the conditional mixture pdf.  The Phi derivatives are
 analytic (dPhi/dmu = -pdf, dPhi/dsigma = -z*pdf), never finite differences.
+
+The rule has no loop over coordinates.  One batched product gives J^T for
+all N draws, one np.linalg.solve solves them, and one product with a
+triangle of ones gives every draw's tail sums of lam * G.  Two parts keep
+their numpy reductions, although a matmul could do them.  The sums over
+the K components stay numpy sums in component order: a ones-vector
+product for the normalization or for F moved the log-weight cotangents by
+5.9e-13 relative.  The components lead the rule's (K, N, d) arrays, so
+these sums run over axis 0, the fast axis.  And the prefix of
+log-densities stays np.cumsum: a triangular product turns one -inf
+coordinate log-density into NaN for the whole component row, because
+-inf * 0 is NaN.
 """
 
 from __future__ import annotations
@@ -116,57 +128,65 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
     The mixture has log-weights logw (K,), means (K, d) and log-stds
     log_stds (K, d) or one (1, d) row that every component shares.  For
     every draw the rule forms the conditional weights, CDFs and pdfs, then
-    solves J^T lam = g by back-substitution over the coordinates, batched
-    over all N draws.  J is lower triangular with the conditional pdfs on
-    its diagonal; its strictly-lower entries
-    J[f, e] = sum_k G[k, f] s[k, e] (G the weighted CDF gaps,
-    s = d logphi / dx) are applied through the running tail sums of lam * G
-    instead of being formed.  The cotangents of every draw are summed into
+    solves J^T lam = g.  J is lower triangular with the conditional pdfs on
+    its diagonal and strictly-lower entries J[f, e] = sum_k G[k, f] s[k, e]
+    (G the weighted CDF gaps, s = d logphi / dx).  So the (N, d, d) J^T is
+    the strict upper triangle of one batched product s^T G with the pdfs
+    written on its diagonal, and one np.linalg.solve takes every draw.  One
+    product of lam * G with a (d, d + 1) triangle of ones gives, per draw
+    and component, the total over f and the tail sums
+    tail[e] = sum_{f > e} lam_f G[k, f]; the same triangle masks J^T.  The
+    log-std cotangent is (x - mu) times the mean cotangent plus the tail
+    sum, as x - mu = z sig.  The cotangents of every draw are summed into
     (K,), (K, d) and the log-stds' own shape, so a shared row gets one
     (1, d) cotangent.  A draw whose conditional pdf falls below 1e-300 or
     is non-finite in any coordinate contributes zero and adds one to the
-    counter.
+    counter; its J^T is replaced by the identity before the solve, so its
+    NaN or inf entries never reach LAPACK.
     """
 
     def rule(g):
-        sig = np.exp(log_stds)
-        z = (x[:, None, :] - means) / sig  # (N, K, d)
-        logphi = -0.5 * LOG_2PI - log_stds - 0.5 * z * z
+        sig = np.exp(log_stds)[:, None, :]
+        diff = x - means[:, None, :]  # (K, N, d): components lead
+        z = diff / sig
+        logphi = -0.5 * LOG_2PI - log_stds[:, None, :] - 0.5 * z * z
         pdf = np.exp(logphi)
         big_phi = 0.5 * (1.0 + _np_erf(z / math.sqrt(2.0)))
         d = x.shape[1]
-        prefix = np.zeros_like(logphi)
-        if d > 1:
-            prefix[..., 1:] = np.cumsum(logphi, axis=2)[..., : d - 1]
-        lmat = logw[None, :, None] + prefix
-        lmat = lmat - lmat.max(axis=1, keepdims=True)
-        w_post = np.exp(lmat)
-        w_post /= w_post.sum(axis=1, keepdims=True)
-        f_vals = (w_post * big_phi).sum(axis=1)
-        cond_pdf = (w_post * pdf).sum(axis=1)  # (N, d)
+        lmat = np.empty_like(logphi)  # log w_k + sum_{f < e} logphi[k, n, f]
+        lmat[..., 0] = 0.0
+        np.cumsum(logphi[..., :-1], axis=2, out=lmat[..., 1:])
+        lmat += logw[:, None, None]
+        lmat -= lmat.max(axis=0)
+        w_post = np.exp(lmat, out=lmat)
+        w_post /= w_post.sum(axis=0)
+        f_vals = (w_post * big_phi).sum(axis=0)
+        w_pdf = w_post * pdf
+        cond_pdf = w_pdf.sum(axis=0)  # (N, d)
         bad = np.any((cond_pdf < _TAIL_PDF_FLOOR) | ~np.isfinite(cond_pdf), axis=1)
+        n_bad = int(bad.sum())
         if tail_counter is not None:
-            tail_counter.count += int(bad.sum())
-        diag = np.where(bad[:, None], 1.0, cond_pdf)
-        s = -z / sig
-        g_mat = w_post * (big_phi - f_vals[:, None, :])
-        g = np.asarray(g, dtype=np.float64)
-        lam = np.empty(x.shape)
-        tail = np.empty(z.shape)  # tail[n, k, e] = sum_{f > e} lam_f G[k, f]
-        acc = np.zeros(z.shape[:2])
-        for e in range(d - 1, -1, -1):
-            tail[..., e] = acc
-            lam[:, e] = (g[:, e] - (s[..., e] * acc).sum(axis=1)) / diag[:, e]
-            acc = acc + lam[:, None, e] * g_mat[..., e]
-        lam = lam[:, None, :]
-        grad_logw = -(lam * g_mat).sum(axis=2)
-        grad_mu = lam * w_post * pdf - tail * z / sig
-        grad_logstd = lam * w_post * z * (pdf * sig) - tail * (z * z - 1.0)
-        if bad.any():
-            grad_logw = np.where(bad[:, None], 0.0, grad_logw)
-            grad_mu = np.where(bad[:, None, None], 0.0, grad_mu)
-            grad_logstd = np.where(bad[:, None, None], 0.0, grad_logstd)
-        return grad_logw.sum(axis=0), grad_mu.sum(axis=0), ad.unbroadcast(grad_logstd, log_stds.shape)
+            tail_counter.count += n_bad
+        z_sig = z / sig  # -d logphi / dx
+        g_mat = w_post * (big_phi - f_vals)
+        tri = np.tri(d, d + 1, dtype=bool)  # tri[f, c] = c <= f
+        s_g = -(z_sig.transpose(1, 2, 0) @ g_mat.transpose(1, 0, 2))  # (N, d, d): s^T G per draw
+        jac_t = np.where(tri[:, 1:].T, s_g, 0.0)  # its strict upper triangle
+        diag = np.arange(d)
+        jac_t[:, diag, diag] = cond_pdf
+        if n_bad:
+            jac_t[bad] = np.eye(d)
+        lam = np.linalg.solve(jac_t, np.asarray(g, dtype=np.float64)[..., None])[..., 0]
+        sums = (lam * g_mat) @ tri  # [sum_f, then tail[e] = sum_{f > e}] of lam_f G[k, n, f]
+        grad_logw = -sums[..., 0]
+        tail = sums[..., 1:]
+        grad_mu = lam * w_pdf - tail * z_sig
+        grad_logstd = diff * grad_mu + tail
+        if n_bad:
+            grad_logw = np.where(bad, 0.0, grad_logw)
+            grad_mu = np.where(bad[:, None], 0.0, grad_mu)
+            grad_logstd = np.where(bad[:, None], 0.0, grad_logstd)
+        return grad_logw.sum(axis=1), grad_mu.sum(axis=1), ad.unbroadcast(grad_logstd.sum(axis=1), log_stds.shape)
 
     return rule
 

@@ -536,39 +536,89 @@ class TestImplicitRsample:
             mixture_implicit_rsample(log_w, np.zeros((2, 2)), np.zeros((1, 2)), x)
 
 
+def oracle_sums(x, logw, means, log_stds, g):
+    """The per-draw oracle summed over the draws of x (N, d), with the
+    log-std cotangent summed to the shape of log_stds; also the tail count."""
+    k, d = means.shape
+    want = [np.zeros(k), np.zeros((k, d)), np.zeros((k, d))]
+    tails = 0
+    for xi, gi in zip(x, g):
+        *parts, is_tail = per_draw_rule(xi, logw, means, log_stds, gi)
+        tails += is_tail
+        for acc, part in zip(want, parts):
+            acc += part
+    want[2] = want[2].sum(axis=0, keepdims=True) if log_stds.shape[0] == 1 else want[2]
+    return want, tails
+
+
+def assert_close_to(got, want, bound=1e-12):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        scale = max(float(np.max(np.abs(b))), 1.0)
+        assert np.max(np.abs(a - b)) / scale <= bound
+
+
 class TestImplicitRule:
-    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "d, shared",
+        [(1, False), (2, False), (5, False), (10, False), (5, True), (10, True)],
+        ids=["1", "2", "5", "10", "5-shared", "10-shared"],
+    )
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [1, 4])
-    def test_matches_per_draw_oracle(self, d, k, n):
-        """Two mixtures, N draws each, the last draw of mixture 1 in the tail."""
-        rng = np.random.default_rng(100 * d + 10 * k + n)
+    def test_matches_per_draw_oracle(self, d, shared, k, n):
+        """Two mixtures, N draws each, the last draw of mixture 1 in the tail.
+
+        The log-stds are one row per component or, shared, one (1, d) row.
+        """
+        rng = np.random.default_rng(100 * d + 10 * k + n + 1000 * shared)
         logw = rng.normal(size=(2, k))
         logw -= np.logaddexp.reduce(logw, axis=1, keepdims=True)
         means = rng.normal(size=(2, k, d))
-        log_stds = 0.3 * rng.normal(size=(2, k, d))
+        log_stds = 0.3 * rng.normal(size=(2, 1 if shared else k, d))
         x = np.empty((2, n, d))
         for r in range(2):
             j = categorical_sample_many(np.exp(logw[r]), rng.uniform(size=n))
-            x[r] = means[r, j] + np.exp(log_stds[r, j]) * rng.normal(size=(n, d))
+            x[r] = means[r, j] + np.exp(log_stds[r, 0 if shared else j]) * rng.normal(size=(n, d))
         x[1, -1, 0] = 1e3
         g = rng.normal(size=(2, n, d))
 
         for r in range(2):
             counter = TailCounter()
             got = mixture_implicit_rule(x[r], logw[r], means[r], log_stds[r], counter)(g[r])
-            want = [np.zeros(k), np.zeros((k, d)), np.zeros((k, d))]
-            tails = 0
-            for i in range(n):
-                *parts, is_tail = per_draw_rule(x[r, i], logw[r], means[r], log_stds[r], g[r, i])
-                tails += is_tail
-                for acc, part in zip(want, parts):
-                    acc += part
+            want, tails = oracle_sums(x[r], logw[r], means[r], log_stds[r], g[r])
             assert tails == r and counter.count == r
-            for a, b in zip(got, want):
-                assert a.shape == b.shape
-                scale = max(float(np.max(np.abs(b))), 1.0)
-                assert np.max(np.abs(a - b)) / scale <= 1e-12
+            assert_close_to(got, want)
+
+    def test_non_finite_tail_draws_are_zeroed_and_counted(self):
+        """Tail draws with an inf, NaN, overflowing (z * z = inf) or far
+        coordinate raise nothing, count one each and give zero cotangents;
+        the other draws still match the oracle."""
+        rng = np.random.default_rng(7)
+        k, d, n = 3, 5, 8
+        logw = rng.normal(size=k)
+        logw -= np.logaddexp.reduce(logw)
+        means = rng.normal(size=(k, d))
+        log_stds = 0.3 * rng.normal(size=(k, d))
+        j = categorical_sample_many(np.exp(logw), rng.uniform(size=n))
+        x = means[j] + np.exp(log_stds[j]) * rng.normal(size=(n, d))
+        for row, (e, value) in enumerate([(0, np.inf), (2, np.nan), (4, 1e200), (1, 1e3)]):
+            x[row, e] = value
+        g = rng.normal(size=(n, d))
+        tail_only = g.copy()
+        tail_only[4:] = 0.0
+
+        counter = TailCounter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rule = mixture_implicit_rule(x, logw, means, log_stds, counter)
+            got = rule(g)
+            assert counter.count == 4
+            for part in rule(tail_only):
+                assert np.all(part == 0.0)
+            assert counter.count == 8
+            want, tails = oracle_sums(x, logw, means, log_stds, g)
+        assert tails == 4
+        assert_close_to(got, want)
 
 
 def dmm_emission(dmm, y):
