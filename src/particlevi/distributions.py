@@ -26,17 +26,14 @@ F(x) = u for fixed uniforms, so dx/dtheta solves a lower-triangular system
 whose diagonal is the conditional mixture pdf.  The Phi derivatives are
 analytic (dPhi/dmu = -pdf, dPhi/dsigma = -z*pdf), never finite differences.
 
-The rule has no loop over coordinates.  One batched product gives J^T for
+The rule has no loop over coordinates: one batched product gives J^T for
 all N draws, one np.linalg.solve solves them, and one product with a
-triangle of ones gives every draw's tail sums of lam * G.  Two parts keep
-their numpy reductions, although a matmul could do them.  The sums over
-the K components stay numpy sums in component order: a ones-vector
+triangle of ones gives their tail sums.  Two reductions stay numpy's,
+although a matmul could do them.  The sums over the K components (axis 0
+of the rule's (K, N, d) arrays) keep component order: a ones-vector
 product for the normalization or for F moved the log-weight cotangents by
-5.9e-13 relative.  The components lead the rule's (K, N, d) arrays, so
-these sums run over axis 0, the fast axis.  And the prefix of
-log-densities stays np.cumsum: a triangular product turns one -inf
-coordinate log-density into NaN for the whole component row, because
--inf * 0 is NaN.
+5.9e-13 relative.  The log-density prefix stays np.cumsum: a triangular
+product turns one -inf log-density into NaN for its whole component row.
 """
 
 from __future__ import annotations
@@ -127,22 +124,18 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
 
     The mixture has log-weights logw (K,), means (K, d) and log-stds
     log_stds (K, d) or one (1, d) row that every component shares.  For
-    every draw the rule forms the conditional weights, CDFs and pdfs, then
+    every draw the rule forms the conditional weights, CDFs and pdfs and
     solves J^T lam = g.  J is lower triangular with the conditional pdfs on
-    its diagonal and strictly-lower entries J[f, e] = sum_k G[k, f] s[k, e]
-    (G the weighted CDF gaps, s = d logphi / dx).  So the (N, d, d) J^T is
-    the strict upper triangle of one batched product s^T G with the pdfs
-    written on its diagonal, and one np.linalg.solve takes every draw.  One
-    product of lam * G with a (d, d + 1) triangle of ones gives, per draw
-    and component, the total over f and the tail sums
-    tail[e] = sum_{f > e} lam_f G[k, f]; the same triangle masks J^T.  The
-    log-std cotangent is (x - mu) times the mean cotangent plus the tail
-    sum, as x - mu = z sig.  The cotangents of every draw are summed into
-    (K,), (K, d) and the log-stds' own shape, so a shared row gets one
-    (1, d) cotangent.  A draw whose conditional pdf falls below 1e-300 or
-    is non-finite in any coordinate contributes zero and adds one to the
-    counter; its J^T is replaced by the identity before the solve, so its
-    NaN or inf entries never reach LAPACK.
+    its diagonal and J[f, e] = sum_k G[k, f] s[k, e] below it (G the
+    weighted CDF gaps, s = d logphi / dx), so J^T is the strict upper
+    triangle of one batched s^T G.  One product of lam * G with a
+    (d, d + 1) triangle of ones gives each component's total over f and
+    its tail sums sum_{f > e} lam_f G[k, f].  The cotangents of every draw
+    are summed into (K,), (K, d) and the log-stds' own shape, so a shared
+    row gets one (1, d) cotangent.  A draw whose conditional pdf falls below
+    1e-300 or is non-finite in any coordinate contributes zero and adds one
+    to the counter; its J^T becomes the identity, so its NaN or inf entries
+    never reach LAPACK.
     """
 
     def rule(g):
@@ -181,7 +174,7 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
         grad_logw = -sums[..., 0]
         tail = sums[..., 1:]
         grad_mu = lam * w_pdf - tail * z_sig
-        grad_logstd = diff * grad_mu + tail
+        grad_logstd = diff * grad_mu + tail  # x - mu = z sig
         if n_bad:
             grad_logw = np.where(bad, 0.0, grad_logw)
             grad_mu = np.where(bad[:, None], 0.0, grad_mu)

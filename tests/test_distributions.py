@@ -547,7 +547,8 @@ def oracle_sums(x, logw, means, log_stds, g):
         tails += is_tail
         for acc, part in zip(want, parts):
             acc += part
-    want[2] = want[2].sum(axis=0, keepdims=True) if log_stds.shape[0] == 1 else want[2]
+    if log_stds.shape[0] == 1:
+        want[2] = want[2].sum(axis=0, keepdims=True)
     return want, tails
 
 
