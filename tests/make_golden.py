@@ -18,6 +18,10 @@ as a gradient at N = 1, 4, 16 and seeds 1-2.  Every filter runs forward at
 the same sizes, with the first draws of each run-level read recorded (the
 HMM with its default proposals at seed 1 only).  One HMM enumeration keeps
 its path values, and the coupling derivations keep their estimators.
+Training runs on LGSSM d=10, SV and the DMM under vsmc and vmpf-ug (N = 4,
+seed 1, a two-segment schedule, no clip; the LGSSM vsmc run freezes
+``phi.beta``) and keeps its objective column and the projections of the
+trained parameters, all compared exactly.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden.json"
 NS = (1, 4, 16)
 SEEDS = (1, 2)
 N_FIRST = 3  # leading values kept of each run-level read
+TRAIN_CASES = ("lgssm-d10", "sv-tri", "dmm-vem")
+TRAIN_SCHEDULE = ((0.05, 3), (0.02, 3))
 
 
 def _hex(v) -> str:
@@ -177,6 +183,19 @@ def _objective_entries(name, model, params, data, learn_theta) -> dict:
     return out
 
 
+def _train_entries(name, model, params, data, learn_theta) -> dict:
+    out = {}
+    for kind in ("vsmc", "vmpf-ug"):
+        freeze = ("phi.beta",) if name == "lgssm-d10" and kind == "vsmc" else ()
+        obj = ob.Objective(kind, model, params, 4, learn_theta=learn_theta)
+        trained, record = ob.train(obj, data, list(TRAIN_SCHEDULE), 1, freeze=freeze)
+        out[f"train/{name}/{kind}"] = {
+            "objective": _hexes(record.column("objective")),
+            "params": {k: _projections(v) for k, v in sorted(ob.pack_params(trained).items())},
+        }
+    return out
+
+
 def _enumeration_entry(runner) -> list:
     paths = []
     for value, prob, trace in ck.enumerate_paths(lambda be: float(runner(be).log_evidence.data)):
@@ -189,6 +208,8 @@ def compute() -> dict:
     out = {}
     for name, (model, params, data, learn_theta) in continuous_cases().items():
         out.update(_objective_entries(name, model, params, data, learn_theta))
+        if name in TRAIN_CASES:
+            out.update(_train_entries(name, model, params, data, learn_theta))
         for n in NS:
             for seed in SEEDS:
                 for fname, runner in _filter_runs(model, params, data, n, True).items():
