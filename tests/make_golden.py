@@ -4,6 +4,10 @@ Writes ``tests/golden.json`` when run from the repository root:
 
     PYTHONPATH=src python tests/make_golden.py
 
+With ``--check`` it writes nothing: it recomputes every entry in memory,
+prints each key whose stored values differ in any bit, with that key's
+largest relative move, and exits 1 if any key moved.
+
 ``tests/test_golden.py`` recomputes every entry with ``compute`` and compares
 it with the file.  Forward values are stored as ``float.hex`` and compared
 exactly.  Each gradient array is stored as three fixed projections plus its
@@ -26,7 +30,9 @@ trained parameters, all compared exactly.
 
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -237,10 +243,45 @@ def compute() -> dict:
     return out
 
 
-def main() -> int:
-    GOLDEN.write_text(json.dumps(compute(), sort_keys=True, separators=(",", ":")) + "\n")
-    print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
-    return 0
+def _moves(got, want) -> list:
+    """Relative moves of the leaves that differ; inf where a leaf is no float or changed form."""
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        return [m for k in want for m in _moves(got[k], want[k])]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [m for a, b in zip(got, want) for m in _moves(a, b)]
+    if got == want:
+        return []
+    try:
+        a, b = float.fromhex(got), float.fromhex(want)
+    except (TypeError, ValueError):
+        return [math.inf]
+    return [abs(a - b) / abs(b) if b else math.inf]
+
+
+def moved_keys(got: dict, want: dict) -> dict:
+    """key -> largest relative move, for every key whose values differ in any bit."""
+    out = {}
+    for key in sorted(set(got) | set(want)):
+        moves = _moves(got[key], want[key]) if key in got and key in want else [math.inf]
+        if moves:
+            out[key] = max(moves)
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write tests/golden.json, or check it.")
+    parser.add_argument("--check", action="store_true",
+                        help="recompute every entry, write nothing, exit 1 if any key moved")
+    got = compute()
+    if not parser.parse_args(argv).check:
+        GOLDEN.write_text(json.dumps(got, sort_keys=True, separators=(",", ":")) + "\n")
+        print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
+        return 0
+    moved = moved_keys(got, json.loads(GOLDEN.read_text()))
+    for key, move in moved.items():
+        print(f"{key}: largest relative move {move:.3e}")
+    print(f"{len(moved)} of {len(got)} keys moved")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

@@ -48,3 +48,22 @@ def test_golden_values_are_reproduced():
     assert sorted(got) == sorted(want)
     bad = [f"{key}: {m}" for key in sorted(want) for m in mismatches(got[key], want[key])]
     assert not bad, f"{len(bad)} golden mismatches:\n" + "\n".join(bad[:20])
+
+
+def test_check_reports_every_bit_level_move():
+    want = {
+        "same": {"value": "0x1.0p+0", "grads": {"a": [(1.0).hex()]}},
+        "grad": {"value": "0x1.0p+0", "grads": {"a": [(1.0).hex()]}},
+        "states": [[0, 1], [1, 1]],
+        "gone": "0x1.0p+0",
+    }
+    got = {
+        "same": want["same"],
+        "grad": {"value": "0x1.0p+0", "grads": {"a": [(1.0 + 2**-52).hex()]}},  # inside GRAD_RTOL
+        "states": [[0, 1], [1, 0]],
+        "new": "0x1.0p+0",
+    }
+    moved = mg.moved_keys(got, want)
+    assert sorted(moved) == ["gone", "grad", "new", "states"]
+    assert moved["grad"] == 2**-52
+    assert moved["states"] == moved["gone"] == moved["new"] == float("inf")
