@@ -132,7 +132,10 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
     (d, d + 1) triangle of ones gives each component's total over f and
     its tail sums sum_{f > e} lam_f G[k, f].  The cotangents of every draw
     are summed into (K,), (K, d) and the log-stds' own shape, so a shared
-    row gets one (1, d) cotangent.  A draw whose conditional pdf falls below
+    row gets one (1, d) cotangent.  Where z / sigma overflows, that
+    component's density at the coordinate is 0, and so are its later
+    posterior weights; its terms of s^T G and of tail * z / sigma are formed
+    as exact zeros.  A draw whose conditional pdf falls below
     1e-300 or is non-finite in any coordinate contributes zero and adds one
     to the counter; its J^T becomes the identity, so its NaN or inf entries
     never reach LAPACK.
@@ -161,6 +164,8 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
         if tail_counter is not None:
             tail_counter.count += n_bad
         z_sig = z / sig  # -d logphi / dx
+        if not np.isfinite(z_sig).all():  # density 0 there and weight 0 after: inf * 0 terms are zeros
+            z_sig[~np.isfinite(z_sig)] = 0.0
         g_mat = w_post * (big_phi - f_vals)
         tri = np.tri(d, d + 1, dtype=bool)  # tri[f, c] = c <= f
         s_g = -(z_sig.transpose(1, 2, 0) @ g_mat.transpose(1, 0, 2))  # (N, d, d): s^T G per draw

@@ -621,6 +621,30 @@ class TestImplicitRule:
         assert tails == 4
         assert_close_to(got, want)
 
+    @pytest.mark.parametrize("log_std", [-360.0, -400.0])
+    def test_vanishing_component_gives_finite_cotangents(self, log_std):
+        """A component so narrow that z / sigma overflows has density 0 at the
+        draw's coordinate and posterior weight 0 after it.  Its inf * 0 terms
+        are zeros, so the cotangents are finite, equal those at -300 and count
+        no tail draw."""
+        logw = np.log([0.5, 0.5])
+        means = np.array([[0.0, 0.0], [1.0, -1.0]])
+        x = np.array([[0.3, -0.7]])
+        g = np.array([[0.4, -1.3]])
+
+        def rule_at(ls):
+            counter = TailCounter()
+            with np.errstate(over="ignore"):
+                out = mixture_implicit_rule(x, logw, means, np.array([[0.0, 0.0], [ls, ls]]), counter)(g)
+            return out, counter.count
+
+        got, tails = rule_at(log_std)
+        want, want_tails = rule_at(-300.0)
+        assert tails == want_tails == 0
+        for a, b in zip(got, want):
+            assert np.isfinite(b).all()
+            np.testing.assert_array_equal(a, b)
+
 
 def dmm_emission(dmm, y):
     """x -> log g(y | x) per row: the DMM emission of a run bound to the one observation y."""
