@@ -24,7 +24,9 @@ pass's R N^2 pair terms and its (R T, N dy) noise reads stay near 2^18
 words.  Training is Adam ascent on a (learning-rate, iterations) schedule
 with optional global-norm clipping; phi (proposal) and, under VEM, theta
 (model) parameters are updated jointly in one flat namespace: "phi.mu",
-"theta.b_raw", and so on.
+"theta.b_raw", and so on.  Adam works element by element, so the
+parameters, both moments and each iteration's gradient are flat float64
+vectors laid out by ``param_layout``; the model sees views of the vector.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,12 +143,8 @@ def _grad_fn(obj: Objective):
     return gradient_unbiased if obj.kind == "vmpf-ug" else gradient_biased
 
 
-def _global_norm(grads: dict) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-
-
 # ---------------------------------------------------------------------------
-# parameter packing: the optimizer sees one flat name -> array dict
+# parameter packing: one flat name -> array dict, and its layout as one vector
 
 
 def pack_params(obj: Objective) -> dict:
@@ -169,6 +168,16 @@ def apply_params(obj: Objective, packed: dict) -> Objective:
     return replace(obj, model=model, params={**obj.params, **phi})
 
 
+def param_layout(packed: dict) -> tuple:
+    """(name, shape, slice) of each packed array in one flat vector, in pack_params order."""
+    ends = accumulate(a.size for a in packed.values())
+    return tuple((k, a.shape, slice(e - a.size, e)) for (k, a), e in zip(packed.items(), ends))
+
+
+def _flat(layout: tuple, arrays: dict) -> np.ndarray:
+    return np.concatenate([np.ravel(arrays[k]) for k, _, _ in layout])
+
+
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -179,42 +188,39 @@ _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, lazily shaped to the parameters."""
+    """Bias-corrected Adam moments, flat vectors formed at the first step; layout names their slices."""
 
     lr: float
+    layout: tuple  # param_layout's (name, shape, slice) per parameter
     clip: float | None = None  # global-norm threshold, None = off
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(state: AdamState, params: dict, grads: dict) -> dict:
-    """One ascent step (bounds are maximized); returns the updated dict.
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple:
+    """One ascent step (bounds are maximized); returns (updated vector, gradient norm).
 
-    Non-finite gradients fail before any moment is touched, naming the
-    offending parameter; a clip threshold rescales the whole gradient to
-    that global norm first.
+    params and grad are flat vectors in state.layout.  The norm is one dot
+    product, which also serves as the finite check: a non-finite gradient
+    fails before any moment is touched, naming the first offending
+    parameter in sorted order.  A clip threshold rescales the whole
+    gradient to that norm first.  params is not written to.
     """
-    for name in sorted(grads):
-        if not np.all(np.isfinite(grads[name])):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
-    if state.clip is not None:
-        norm = _global_norm(grads)
-        if norm > state.clip:
-            scale = state.clip / norm
-            grads = {k: g * scale for k, g in grads.items()}
+    sq = float(grad @ grad)
+    if not math.isfinite(sq) and not np.isfinite(grad).all():
+        name = min(k for k, _, sl in state.layout if not np.isfinite(grad[sl]).all())
+        raise ValueError(f"non-finite gradient for parameter {name!r}")
+    norm = math.sqrt(sq)
+    if state.clip is not None and norm > state.clip:
+        grad = grad * (state.clip / norm)
     state.step += 1
     c1 = 1.0 - _BETA1**state.step
     c2 = 1.0 - _BETA2**state.step
-    out = dict(params)
-    for name, g in grads.items():
-        m = state.m.get(name)
-        v = state.v.get(name)
-        m = (1.0 - _BETA1) * g if m is None else _BETA1 * m + (1.0 - _BETA1) * g
-        v = (1.0 - _BETA2) * g * g if v is None else _BETA2 * v + (1.0 - _BETA2) * g * g
-        state.m[name], state.v[name] = m, v
-        out[name] = params[name] + state.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
-    return out
+    g, m, v = grad, state.m, state.v
+    state.m = (1.0 - _BETA1) * g if m is None else _BETA1 * m + (1.0 - _BETA1) * g
+    state.v = (1.0 - _BETA2) * g * g if v is None else _BETA2 * v + (1.0 - _BETA2) * g * g
+    return params + state.lr * (state.m / c1) / (np.sqrt(state.v / c2) + _ADAM_EPS), norm
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +271,18 @@ def train(
     """Adam ascent on the bound; returns (trained Objective, TrainRecord).
 
     schedule is a list of (learning_rate, iterations) segments; moments
-    persist across segments.  One objective draw per iteration.  The run
+    persist across segments.  One objective draw per iteration.  Parameters,
+    moments and gradients are flat vectors in one ``param_layout``; the
+    trained Objective holds views of the last vector, and obj's arrays are
+    never written.  grad_norm is ``adam_step``'s one dot product.  The run
     aborts with the iteration index if the objective goes non-finite or the
     raw gradient norm exceeds 1e6 (instability is reported, never papered
     over); a degenerate filter run raises ``DegeneracyError`` naming the
     iteration.  Deterministic for a fixed rng seed and schedule.  Parameters
-    named in freeze keep their initial values; their gradients are zeroed
-    before the update and excluded from the recorded norm.  A clip <= 0
-    (which would freeze or reverse the ascent) or bad probe settings fail
-    before the first iteration.
+    named in freeze keep their initial values; their gradient slices are
+    zeroed before the update and excluded from the recorded norm.  A clip
+    <= 0 (which would freeze or reverse the ascent) or bad probe settings
+    fail before the first iteration.
     """
     if not schedule:
         raise ValueError("schedule must hold at least one (learning-rate, iterations) pair")
@@ -287,8 +296,11 @@ def train(
     for name in freeze:
         if name not in packed:
             raise ValueError(f"unknown frozen parameter {name!r}")
+    layout = param_layout(packed)
+    frozen = [sl for k, _, sl in layout if k in freeze]
+    theta = _flat(layout, packed)
     current = apply_params(obj, packed)
-    state = AdamState(lr=float(schedule[0][0]), clip=clip)
+    state = AdamState(lr=float(schedule[0][0]), layout=layout, clip=clip)
     record = TrainRecord()
     it = 0
     for lr, iters in schedule:
@@ -297,11 +309,12 @@ def train(
             t0 = time.perf_counter()
             try:
                 value, grads = grad_fn(current, data, rng.split(10, it))
-                for name in freeze:
-                    grads[name] = np.zeros_like(grads[name])
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite objective at iteration {it}")
-                gnorm = _global_norm(grads)
+                grad = _flat(layout, grads)
+                for sl in frozen:
+                    grad[sl] = 0.0
+                theta, gnorm = adam_step(state, theta, grad)
                 if gnorm > _NORM_ABORT:
                     raise ValueError(f"gradient norm {gnorm:.3e} at iteration {it}; run diverged")
                 gvar = math.nan
@@ -309,8 +322,7 @@ def train(
                     gvar = grad_variance_probe(current, data, probe_samples, rng.split(11, it))
             except fl.DegeneracyError as exc:
                 raise fl.DegeneracyError(exc.t, it, "iteration") from None
-            packed = adam_step(state, packed, grads)
-            current = apply_params(obj, packed)
+            current = apply_params(obj, {k: theta[sl].reshape(shape) for k, shape, sl in layout})
             record.append(it, value, gnorm, gvar, (time.perf_counter() - t0) * 1e3)
             it += 1
     return current, record

@@ -333,44 +333,108 @@ class TestGradients:
         assert np.any(grads["theta.phi_logit"] != 0.0)
 
 
+def adam_state(lr, sizes: dict, clip=None) -> ob.AdamState:
+    """An AdamState over 1-D parameters of the given sizes, laid out in dict order."""
+    return ob.AdamState(lr=lr, layout=ob.param_layout({k: np.zeros(n) for k, n in sizes.items()}), clip=clip)
+
+
+class ReferenceAdam:
+    """The per-parameter Adam loop over name -> array dicts, the reference of the flat adam_step."""
+
+    def __init__(self, lr, clip=None):
+        self.lr, self.clip, self.step, self.m, self.v = lr, clip, 0, {}, {}
+
+    def __call__(self, params: dict, grads: dict) -> tuple:
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if self.clip is not None and norm > self.clip:
+            grads = {k: g * (self.clip / norm) for k, g in grads.items()}
+        self.step += 1
+        c1 = 1.0 - ob._BETA1**self.step
+        c2 = 1.0 - ob._BETA2**self.step
+        out = {}
+        for k, g in grads.items():
+            m, v = self.m.get(k), self.v.get(k)
+            m = (1.0 - ob._BETA1) * g if m is None else ob._BETA1 * m + (1.0 - ob._BETA1) * g
+            v = (1.0 - ob._BETA2) * g * g if v is None else ob._BETA2 * v + (1.0 - ob._BETA2) * g * g
+            self.m[k], self.v[k] = m, v
+            out[k] = params[k] + self.lr * (m / c1) / (np.sqrt(v / c2) + ob._ADAM_EPS)
+        return out, norm
+
+
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        st = ob.AdamState(lr=0.1)
-        params = {"phi.mu": np.ones(3)}
-        out = ob.adam_step(st, params, {"phi.mu": np.zeros(3)})
-        np.testing.assert_array_equal(out["phi.mu"], params["phi.mu"])
+        st = adam_state(0.1, {"phi.mu": 3})
+        out, norm = ob.adam_step(st, np.ones(3), np.zeros(3))
+        np.testing.assert_array_equal(out, np.ones(3))
+        assert norm == 0.0
 
     def test_constant_gradient_approaches_signed_step(self):
-        st = ob.AdamState(lr=0.01)
-        params = {"p": np.array([0.0])}
-        g = {"p": np.array([3.7])}
-        prev = params["p"].copy()
+        st = adam_state(0.01, {"p": 1})
+        params, g = np.array([0.0]), np.array([3.7])
+        prev = params.copy()
         for _ in range(400):
-            params = ob.adam_step(st, params, g)
-        step = params["p"] - prev
+            params, _ = ob.adam_step(st, params, g)
+        step = params - prev
         # 400 steps in: the last increment is lr * sign(g) to high accuracy
-        last = ob.adam_step(st, params, g)["p"] - params["p"]
+        last = ob.adam_step(st, params, g)[0] - params
         assert abs(last[0] - 0.01) < 1e-6
         assert step[0] > 0
 
     def test_clip_rescales_to_threshold(self):
-        g = {"a": np.array([120.0]), "b": np.array([160.0])}  # norm 200
-        clipped = ob.adam_step(ob.AdamState(lr=0.5, clip=100.0), {"a": np.zeros(1), "b": np.zeros(1)}, g)
-        halved = ob.adam_step(ob.AdamState(lr=0.5), {"a": np.zeros(1), "b": np.zeros(1)}, {k: v / 2 for k, v in g.items()})
-        for k in g:
-            np.testing.assert_allclose(clipped[k], halved[k], atol=1e-15)
+        g = np.array([120.0, 160.0])  # norm 200
+        clipped, norm = ob.adam_step(adam_state(0.5, {"a": 1, "b": 1}, clip=100.0), np.zeros(2), g)
+        halved, _ = ob.adam_step(adam_state(0.5, {"a": 1, "b": 1}), np.zeros(2), g / 2)
+        np.testing.assert_allclose(clipped, halved, atol=1e-15)
+        assert norm == 200.0  # the raw norm, before the clip
 
     def test_non_finite_gradient_names_the_parameter(self):
-        st = ob.AdamState(lr=0.1)
-        with pytest.raises(ValueError, match="phi.mu"):
-            ob.adam_step(st, {"phi.mu": np.zeros(2)}, {"phi.mu": np.array([1.0, np.nan])})
-        assert st.step == 0 and not st.m
+        """The first non-finite parameter in sorted order, not in layout order; nothing moves."""
+        st = adam_state(0.1, {"theta.w": 2, "phi.mu": 2, "phi.sigma": 1})
+        with pytest.raises(ValueError, match="'phi.mu'"):
+            ob.adam_step(st, np.zeros(5), np.array([np.inf, 1.0, 1.0, np.nan, 1.0]))
+        assert st.step == 0 and st.m is None and st.v is None
+        ob.adam_step(st, np.zeros(5), np.ones(5))
+        m, v = st.m.copy(), st.v.copy()
+        with pytest.raises(ValueError, match="'phi.sigma'"):
+            ob.adam_step(st, np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, -np.inf]))
+        assert st.step == 1
+        np.testing.assert_array_equal(st.m, m)
+        np.testing.assert_array_equal(st.v, v)
 
     def test_moments_match_parameter_shapes(self):
-        st = ob.AdamState(lr=0.1)
-        params = {"w": np.zeros((2, 3))}
-        ob.adam_step(st, params, {"w": np.ones((2, 3))})
-        assert st.m["w"].shape == (2, 3) and st.v["w"].shape == (2, 3)
+        layout = ob.param_layout({"w": np.zeros((2, 3)), "b": np.zeros(2)})
+        assert layout == (("w", (2, 3), slice(0, 6)), ("b", (2,), slice(6, 8)))
+        st = ob.AdamState(lr=0.1, layout=layout)
+        ob.adam_step(st, np.zeros(8), np.ones(8))
+        assert st.m.shape == (8,) and st.v.shape == (8,)
+
+    @pytest.mark.parametrize("clip", [None, 3.0])
+    def test_flat_adam_matches_per_parameter_reference(self, clip):
+        """50 steps over mixed shapes, one parameter frozen: the same bits as the
+        per-parameter loop without a clip, and within 1e-15 with one (the
+        flat norm is one dot product, so it and the clip scale may move in
+        the last bits)."""
+        gen = np.random.default_rng(0)
+        shapes = {"phi.mu": (4, 3), "phi.beta": (3,), "theta.w": (2, 2, 2), "theta.b": ()}
+        params = {k: np.asarray(gen.normal(size=s)) for k, s in shapes.items()}
+        layout = ob.param_layout(params)
+        st, ref = ob.AdamState(lr=0.05, layout=layout, clip=clip), ReferenceAdam(0.05, clip)
+        theta = np.concatenate([params[k].ravel() for k, _, _ in layout])
+        clipped = 0
+        for _ in range(50):
+            grads = {k: gen.normal(size=s) * gen.uniform(0.2, 2.0) for k, s in shapes.items()}
+            grads["phi.beta"] = np.zeros(3)  # frozen, as train zeroes its slice
+            params, want_norm = ref(params, grads)
+            theta, norm = ob.adam_step(st, theta, np.concatenate([grads[k].ravel() for k, _, _ in layout]))
+            assert abs(norm - want_norm) <= 1e-14 * want_norm
+            clipped += clip is not None and want_norm > clip
+            for k, shape, sl in layout:
+                got = theta[sl].reshape(shape)
+                if clip is None:
+                    np.testing.assert_array_equal(got, params[k])
+                else:
+                    np.testing.assert_allclose(got, params[k], rtol=1e-15, atol=1e-15)
+        assert st.step == 50 and (clip is None or 0 < clipped < 50)
 
 
 class TestTrain:
@@ -444,6 +508,18 @@ class TestTrain:
         assert len(lines) == 5
         back = np.array([float(lines[2].split(",")[1])])
         assert back[0] == rec.rows[1][1]
+
+    def test_train_never_writes_its_input_arrays(self):
+        sv = mo.sv_make(2, "diagonal", RngStream(2))
+        ds = mo.generate(sv, 4, RngStream(6))
+        o = ob.Objective("vsmc", sv, mo.proposal_init(sv, 4), 3, learn_theta=True)
+        before = {k: v.copy() for k, v in ob.pack_params(o).items()}
+        trained, _ = ob.train(o, ds, [(0.05, 3), (0.02, 2)], 4, freeze=("phi.mu",))
+        after = ob.pack_params(trained)
+        for k, v in ob.pack_params(o).items():
+            np.testing.assert_array_equal(v, before[k])
+        assert not np.array_equal(after["phi.log_sigma"], before["phi.log_sigma"])
+        np.testing.assert_array_equal(after["phi.mu"], before["phi.mu"])
 
     def test_vem_moves_model_parameters(self):
         sv = mo.sv_make(1, "diagonal", RngStream(2))
