@@ -204,13 +204,13 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> tuple:
     params and grad are flat vectors in state.layout.  The norm is one dot
     product, which also serves as the finite check: a non-finite gradient
     fails before any moment is touched, naming the first offending
-    parameter in sorted order.  A clip threshold rescales the whole
+    parameter in sorted order and the iteration (the steps taken so far).  A clip threshold rescales the whole
     gradient to that norm first.  params is not written to.
     """
     sq = float(grad @ grad)
     if not math.isfinite(sq) and not np.isfinite(grad).all():
         name = min(k for k, _, sl in state.layout if not np.isfinite(grad[sl]).all())
-        raise ValueError(f"non-finite gradient for parameter {name!r}")
+        raise ValueError(f"non-finite gradient for parameter {name!r} at iteration {state.step}")
     norm = math.sqrt(sq)
     if state.clip is not None and norm > state.clip:
         grad = grad * (state.clip / norm)

@@ -390,12 +390,12 @@ class TestAdam:
     def test_non_finite_gradient_names_the_parameter(self):
         """The first non-finite parameter in sorted order, not in layout order; nothing moves."""
         st = adam_state(0.1, {"theta.w": 2, "phi.mu": 2, "phi.sigma": 1})
-        with pytest.raises(ValueError, match="'phi.mu'"):
+        with pytest.raises(ValueError, match="'phi.mu' at iteration 0"):
             ob.adam_step(st, np.zeros(5), np.array([np.inf, 1.0, 1.0, np.nan, 1.0]))
         assert st.step == 0 and st.m is None and st.v is None
         ob.adam_step(st, np.zeros(5), np.ones(5))
         m, v = st.m.copy(), st.v.copy()
-        with pytest.raises(ValueError, match="'phi.sigma'"):
+        with pytest.raises(ValueError, match="'phi.sigma' at iteration 1"):
             ob.adam_step(st, np.zeros(5), np.array([1.0, 1.0, 1.0, 1.0, -np.inf]))
         assert st.step == 1
         np.testing.assert_array_equal(st.m, m)
