@@ -26,7 +26,8 @@ with optional global-norm clipping; phi (proposal) and, under VEM, theta
 (model) parameters are updated jointly in one flat namespace: "phi.mu",
 "theta.b_raw", and so on.  Adam works element by element, so the
 parameters, both moments and each iteration's gradient are flat float64
-vectors laid out by ``param_layout``; the model sees views of the vector.
+vectors laid out by ``param_layout``; the model sees views of the vector,
+and the recorded grad_norm is one dot product.
 """
 
 from __future__ import annotations

@@ -272,8 +272,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write tests/golden.json, or check it.")
     parser.add_argument("--check", action="store_true",
                         help="recompute every entry, write nothing, exit 1 if any key moved")
+    check = parser.parse_args(argv).check
     got = compute()
-    if not parser.parse_args(argv).check:
+    if not check:
         GOLDEN.write_text(json.dumps(got, sort_keys=True, separators=(",", ":")) + "\n")
         print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
         return 0
