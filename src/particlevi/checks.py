@@ -250,6 +250,17 @@ def _suite_gradients():
         if kernel is mo.gauss_mixture_logpdf:
             point.insert(1, _normals(pts, 4, (3,)))
         checks.append(_fd_row(name, kernel, point, weights if kernel is mo.gauss_logpdf_matrix else weights[:, 0]))
+    # MPF's step weight in one node, in all seven parents: x, the log-weights,
+    # both mixtures' means and log-stds, and log g
+    for name, ls_rows, label in (("kernel-mixture-pair", 3, 215), ("kernel-mixture-pair-shared", 1, 216),
+                                 ("kernel-mixture-pair-far", 3, 217)):
+        pts = rng.split(label)
+        point = [_normals(pts, 1, (3, 2)), _normals(pts, 2, (3,)), _normals(pts, 3, (3, 2)),
+                 _normals(pts, 4, (ls_rows, 2), 0.3), _normals(pts, 5, (3, 2)), _normals(pts, 6, (ls_rows, 2), 0.3),
+                 _normals(pts, 7, (3,))]
+        if name.endswith("-far"):
+            point[0][0] += 60.0
+        checks.append(_fd_row(name, mo.gauss_mixture_pair, point, _normals(pts, 0, (3,))))
     # the DMM nodes: the dense layer under each activation, the Bernoulli
     # emission, and the two outputs of the Gaussian product with a (1, d)
     # factor against (3, d) rows

@@ -352,14 +352,15 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
         log v_t^i = logsumexp_j(log vbar_j + log f_ij) + log g_i
                   - logsumexp_j(log vbar_j + log r_ij)
 
-    Each logsumexp is the ``mixture_logpdf`` of the transition or the
-    proposal rows, on continuous models one ``models.gauss_mixture_logpdf``
-    node, so the (N, N) pair terms never reach the tape.  At N=1 the row
-    kernel plus log vbar stands in, which keeps the run bit-aligned with
-    run_smc.  log vbar reuses the loop's logsumexp node of the previous
-    step's log weights.  The HMM's rows are tables: each logsumexp is
-    one over table entries, and a step draws its states from the marginal
-    row sum_j vbar_j r_t(. | x_{t-1}^j).
+    ``models.mixture_log_ratio`` forms the whole weight from the
+    transition and the proposal rows.  On continuous models both
+    logsumexps and the log g term are one ``models.gauss_mixture_pair``
+    node, so the (N, N) pair terms never reach the tape.  At N=1 each
+    logsumexp is the row kernel plus log vbar, which keeps the run
+    bit-aligned with run_smc.  log vbar reuses the loop's logsumexp node of
+    the previous step's log weights.  The HMM's rows are tables: each
+    logsumexp is one over table entries, and a step draws its states from
+    the marginal row sum_j vbar_j r_t(. | x_{t-1}^j).
 
     implicit picks the gradient estimator from t=2 on (the proposal rows'
     ``draw_mixture``).  Both draw the same particles: the component index
@@ -384,9 +385,8 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
             return x_new, mo.transition_build_many(bound, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
         x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
         log_g = mo.emission_logpdf_rows(bound, t, x_new)
-        num = mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, log_vbar, draws.runs)
-        den = proposal.mixture_logpdf(x_new, log_vbar, draws.runs)
-        return x_new, num + log_g - den
+        transition = mo.transition_build_many(bound, t, x)
+        return x_new, mo.mixture_log_ratio(transition, proposal, x_new, log_vbar, log_g, draws.runs)
 
     return _filter("mpf", model, params, data, n, source, step, False, tail=tail)
 

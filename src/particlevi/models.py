@@ -21,7 +21,10 @@ Both score a row against row i (``logpdf_rows``), every row against every
 component (``logpdf_matrix``, for the MPF-TMC identity check) and every
 row under a weighted mixture of the components (``mixture_logpdf``), and
 both draw a step's particles from their rows (``draw``) or from the
-weighted mixture (``draw_mixture``).  Each density kernel,
+weighted mixture (``draw_mixture``).  ``mixture_log_ratio`` scores rows
+under the ratio of two such mixtures that share the weights, MPF's step
+weight; on Gaussian rows that is one ``gauss_mixture_pair`` node, the
+two-mixture case of the one mixture kernel.  Each density kernel,
 reparameterized draw, network layer (``dense``) and Gaussian product is one
 tape node with an analytic backward, which forms no cotangent for a
 constant parent (the kernels' rules return None there); the filters call
@@ -385,18 +388,26 @@ def _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls: bool) -> tuple:
 
     Matmul contractions of the (N, M) cotangent G: G @ (m iv), G @ iv,
     G^T @ x and G^T @ x^2, with iv the inverse variances.  None for the
-    log-stds when need_ls is False.
+    log-stds when need_ls is False.  The fourth entry is the column sums
+    of G, which a mixture's log-weights take.  G, the means and the
+    log-stds may stack S mixtures that share x on a leading axis; each
+    mixture's cotangents are then bit-identical to its own call's.
     """
-    col = g.sum(axis=0)[:, None]
-    gt_x = g.T @ xd
-    g_iv = g.sum(axis=1)[:, None] * inv_var if ls.shape[0] == 1 else g @ inv_var
+    shared = ls.shape[-2] == 1
+    col = g.sum(axis=-2)
+    g_t = g.swapaxes(-1, -2)
+    gt_x = g_t @ xd
+    g_iv = g.sum(axis=-1)[..., None] * inv_var if shared else g @ inv_var
     grad_x = g @ m_iv - xd * g_iv
-    grad_means = inv_var * (gt_x - md * col)
+    col_d = col[..., None]
+    grad_means = inv_var * (gt_x - md * col_d)
     grad_ls = None
     if need_ls:
-        quad = g.T @ (xd * xd) - 2.0 * md * gt_x + md * md * col
-        grad_ls = ad.unbroadcast(inv_var * quad - col, ls.shape)
-    return grad_x, grad_means, grad_ls
+        quad = g_t @ (xd * xd) - 2.0 * md * gt_x + md * md * col_d
+        grad_ls = inv_var * quad - col_d
+        if shared:
+            grad_ls = grad_ls.sum(axis=-2, keepdims=True)
+    return grad_x, grad_means, grad_ls, col
 
 
 def gauss_logpdf_matrix(x, means, log_stds) -> Var:
@@ -423,7 +434,7 @@ def gauss_logpdf_matrix(x, means, log_stds) -> Var:
     out += (-0.5 * LOG_2PI - ls).sum(axis=1)
 
     def rule(g):
-        return _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls)
+        return _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls)[:3]
 
     return ad.custom_vjp(out, [x, means, log_stds], rule)
 
@@ -454,83 +465,158 @@ def gauss_mixture_logpdf(x, log_w, means, log_stds, runs: int = 1) -> Var:
     components.  The runs go through the one-run arithmetic in turn, so
     each is bit-identical to the run alone and a pass holds one run's (N, M)
     buffer at a time.
+
+    This is the one-mixture case of ``_mixtures``, the kernel that
+    ``gauss_mixture_pair`` runs on two mixtures at once.
     """
     x, log_w, means, log_stds = (ad.constant(v) for v in (x, log_w, means, log_stds))
+    _check_mixture(x, log_w, means, log_stds)
+    out, rule = _mixtures(x.data, log_w.data, means.data[None], log_stds.data[None], runs, log_stds.nid is not None)
+
+    def one(g):
+        grad_x, grad_means, grad_ls, grad_w = rule(g[None])
+        return grad_x[0], grad_w[0], grad_means[0], None if grad_ls is None else grad_ls[0]
+
+    return ad.custom_vjp(out[0], [x, log_w, means, log_stds], one)
+
+
+def gauss_mixture_pair(x, log_w, num_means, num_log_stds, den_means, den_log_stds, log_g, runs: int = 1) -> Var:
+    """(log sum_j w_j f_j(x_i) + log_g_i) - log sum_j w_j r_j(x_i) in one tape node -> (N,).
+
+    f (num_means, num_log_stds) and r (den_means, den_log_stds) are two
+    Gaussian mixtures over the same weights exp(log_w) and of one layout:
+    (M, d) means, and (M, d) or shared (1, d) log-stds for both.  Each
+    mixture scores x as ``gauss_mixture_logpdf`` does, bit for bit, and the
+    result is formed in the order of the two mixture nodes, the add and the
+    sub that it replaces.  Its rule lists r's cotangents before f's, as that
+    sub and the f node passed them back, so x and log_w, parents of both,
+    sum their cotangents in the same order.  runs is as for
+    ``gauss_mixture_logpdf``.
+    """
+    x, log_w, log_g = ad.constant(x), ad.constant(log_w), ad.constant(log_g)
+    f_m, f_ls, r_m, r_ls = (ad.constant(v) for v in (num_means, num_log_stds, den_means, den_log_stds))
+    if f_m.data.shape != r_m.data.shape or f_ls.data.shape != r_ls.data.shape:
+        raise ValueError("the two mixtures must share one layout of means and log-stds")
+    _check_mixture(x, log_w, f_m, f_ls)
+    md = np.concatenate((f_m.data, r_m.data)).reshape(2, *f_m.data.shape)
+    ls = np.concatenate((f_ls.data, r_ls.data)).reshape(2, *f_ls.data.shape)
+    out, rule = _mixtures(x.data, log_w.data, md, ls, runs, f_ls.nid is not None or r_ls.nid is not None)
+    g_shape = log_g.data.shape
+
+    def pair(g):
+        (gx_f, gx_r), (gm_f, gm_r), grad_ls, (gw_f, gw_r) = rule(np.concatenate((g, -g)).reshape(2, -1))
+        gls_f, gls_r = (None, None) if grad_ls is None else grad_ls
+        return gx_r, gw_r, gm_r, gls_r, gx_f, gw_f, gm_f, gls_f, ad.unbroadcast(g, g_shape)
+
+    return ad.custom_vjp((out[0] + log_g.data) - out[1], [x, log_w, r_m, r_ls, x, log_w, f_m, f_ls, log_g], pair)
+
+
+def _check_mixture(x: Var, log_w: Var, means: Var, log_stds: Var):
     _check_dims(x, means, log_stds)
     if log_w.data.shape != means.data.shape[:1]:
         raise ValueError(f"log-weights {log_w.data.shape} do not match {means.data.shape[0]} components")
-    xd, lw, md, ls = x.data, log_w.data, means.data, log_stds.data
-    need_ls = log_stds.nid is not None
+
+
+def _mixtures(xd, lw, md, ls, runs: int, need_ls: bool) -> tuple:
+    """The kernel of ``gauss_mixture_logpdf`` on S mixtures that share x and log_w.
+
+    md and ls stack the S mixtures' means and log-stds, all of one layout,
+    on a leading axis.  Returns the (S, R N) log-densities and the rule
+    that maps (S, N) cotangents to stacked ones: (S, N, d) to x, (S, M, d)
+    to the means, to the log-stds (None unless need_ls) and (S, M) to
+    log_w.  The rule holds the pair buffers, so it serves a tape only,
+    where runs is 1.
+    """
     inv_var = np.exp(-2.0 * ls)
     m_iv = md * inv_var
     if runs == 1:
-        out, buf, total = _mixture_rows(xd, lw, md, ls, inv_var, m_iv)
+        out, buf, total = _mixture_rows(xd, lw, md, ls, inv_var, m_iv, ad.recording())
     else:
-        n, m = xd.shape[0] // runs, md.shape[0] // runs
+        n, m = xd.shape[0] // runs, md.shape[1] // runs
 
         def run(r):  # run r's rows against its own components
             rows, comps = slice(r * n, (r + 1) * n), slice(r * m, (r + 1) * m)
-            scale = comps if ls.shape[0] > 1 else slice(None)
-            return _mixture_rows(xd[rows], lw[comps], md[comps], ls[scale], inv_var[scale], m_iv[comps])[0]
+            scale = comps if ls.shape[1] > 1 else slice(None)
+            return _mixture_rows(xd[rows], lw[comps], md[:, comps], ls[:, scale], inv_var[:, scale],
+                                 m_iv[:, comps], False)[0]
 
-        out = np.concatenate([run(r) for r in range(runs)])
+        out = np.concatenate([run(r) for r in range(runs)], axis=1)
 
     def rule(g):
-        # runs is 1 on a tape; a dead row (all weights -inf) passes nothing back
+        # a dead row (all weights -inf) passes nothing back
         scale = np.divide(g, total, out=np.zeros_like(total), where=total > 0.0)
-        resp = buf * scale[:, None]
-        grad_x, grad_means, grad_ls = _pair_cotangents(resp, xd, md, ls, inv_var, m_iv, need_ls)
-        return grad_x, resp.sum(axis=0), grad_means, grad_ls
+        resp = buf * scale[..., None]
+        return _pair_cotangents(resp, xd, md, ls, inv_var, m_iv, need_ls)
 
-    return ad.custom_vjp(out, [x, log_w, means, log_stds], rule)
+    return out, rule
 
 
-def _mixture_rows(xd, lw, md, ls, inv_var, m_iv) -> tuple:
-    """One run's (log-densities, shifted pair buffer, row totals) for ``gauss_mixture_logpdf``."""
-    (n, d), m = xd.shape, md.shape[0]
-    peaks = lw + (-0.5 * LOG_2PI - ls).sum(axis=1)
-    top = peaks.max()
-    if top == -np.inf:  # every weight -inf: any finite shift leaves the rows at 0
-        top = 0.0
-    bias = peaks - 0.5 * (md * m_iv).sum(axis=1)
-    if ls.shape[0] == 1:
-        lhs = np.empty((n, d + 2))
-        rhs = np.empty((d + 2, m))
-        lhs[:, d] = 1.0
-        lhs[:, d + 1] = (xd * xd) @ (-0.5 * inv_var[0]) - top
-        rhs[d] = bias
-        rhs[d + 1] = 1.0
+def _mixture_rows(xd, lw, md, ls, inv_var, m_iv, keep: bool) -> tuple:
+    """One run's (log-densities, shifted pair buffers, row totals) under S stacked mixtures.
+
+    The O(M d) work of the S mixtures (peaks, shift, bias, lhs and rhs) is
+    done on the stack, and so is the work on the (S, N) row totals; each
+    mixture's (N, M) buffer is formed, exponentiated and row-summed in
+    turn.  keep writes the buffers into one (S, N, M) array for the
+    backward; without it one (N, M) buffer serves each mixture in turn,
+    and None comes back in place of the buffers.
+    """
+    (n, d), (count, m) = xd.shape, md.shape[:2]
+    peaks = lw + (-0.5 * LOG_2PI - ls).sum(axis=2)
+    top = peaks.max(axis=1)
+    top[top == -np.inf] = 0.0  # every weight -inf: any finite shift leaves the rows at 0
+    bias = peaks - 0.5 * (md * m_iv).sum(axis=2)
+    shared = ls.shape[1] == 1
+    if shared:
+        lhs = np.empty((count, n, d + 2))
+        rhs = np.empty((count, d + 2, m))
+        lhs[:, :, :d] = xd
+        lhs[:, :, d] = 1.0
+        rows = np.matmul(xd * xd, -0.5 * inv_var[:, 0, :, None])  # one gemv per mixture
+        np.subtract(rows[..., 0], top[:, None], out=lhs[:, :, d + 1])
+        rhs[:, d] = bias
+        rhs[:, d + 1] = 1.0
     else:
-        lhs = np.empty((n, 2 * d + 1))
-        rhs = np.empty((2 * d + 1, m))
+        lhs = np.empty((n, 2 * d + 1))  # [x, x^2, 1] serves every mixture
+        rhs = np.empty((count, 2 * d + 1, m))
+        lhs[:, :d] = xd
         np.multiply(xd, xd, out=lhs[:, d:-1])
         lhs[:, -1] = 1.0
-        rhs[d:-1] = -0.5 * inv_var.T
-        rhs[-1] = bias - top
-    lhs[:, :d] = xd
-    rhs[:d] = m_iv.T
-    buf = lhs @ rhs
-    np.exp(buf, out=buf)
-    total = buf @ np.ones(m)
+        np.multiply(inv_var.swapaxes(1, 2), -0.5, out=rhs[:, d:-1])
+        np.subtract(bias, top[:, None], out=rhs[:, -1])
+    rhs[:, :d] = m_iv.swapaxes(1, 2)
+    buf = np.empty((count if keep else 1, n, m))
+    total = np.empty((count, n))
+    ones = np.ones(m)
+    for s in range(count):
+        pair = np.matmul(lhs[s] if shared else lhs, rhs[s], out=buf[s if keep else 0])
+        np.exp(pair, out=pair)
+        np.matmul(pair, ones, out=total[s])
+    if not keep:
+        buf = None
     if total.min() >= _FAR_TOTAL:
         out = np.log(total)
-        out += top
-    else:
-        far = np.flatnonzero(total < _FAR_TOTAL)
+        out += top[:, None]
+        return out, buf, total
+    shift = np.empty((count, n))
+    shift[:] = top[:, None]
+    for s in range(count):
+        far = np.flatnonzero(total[s] < _FAR_TOTAL)
+        if far.size == 0:
+            continue
         # a lone far row makes this a gemv, whose rounding follows the operand's
         # layout; F order is the one the recorded golden and verify values use
-        terms = lhs[far] @ np.asfortranarray(rhs)
+        terms = (lhs[s] if shared else lhs)[far] @ np.asfortranarray(rhs[s])
         peak = terms.max(axis=1)
         peak[peak == -np.inf] = 0.0  # a dead row scores -inf below
         terms -= peak[:, None]
         np.exp(terms, out=terms)
-        buf[far] = terms
-        total[far] = terms.sum(axis=1)
-        shift = np.full(n, top)
-        shift[far] += peak
-        with np.errstate(divide="ignore"):
-            out = np.log(total) + shift
-    return out, buf, total
+        if buf is not None:
+            buf[s, far] = terms
+        total[s, far] = terms.sum(axis=1)
+        shift[s, far] += peak
+    with np.errstate(divide="ignore"):
+        return np.log(total) + shift, buf, total
 
 
 def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
@@ -673,8 +759,10 @@ class GaussRows(NamedTuple):
     def mixture_logpdf(self, x, log_w, runs: int = 1) -> Var:
         """(N,) log sum_j exp(log_w_j) N(x_i; row j), over each run's own rows.
 
-        A single row per run goes through the row kernel plus its
-        log-weight, so N=1 runs stay bit-aligned with the sequential filter.
+        One ``gauss_mixture_logpdf`` node; a single row per run goes
+        through the row kernel plus its log-weight instead, so N=1 runs stay
+        bit-aligned with the sequential filter.  ``mixture_log_ratio``
+        scores two rows objects of one layout in one node.
         """
         if self.means.data.shape[0] == runs:
             return log_w + gauss_logpdf_rows(x, self.means, self.log_stds)
@@ -761,6 +849,21 @@ class TableRows:
         rows = self.probs.reshape(len(w), n, -1)
         marginals = np.stack([w_r @ rows_r for w_r, rows_r in zip(w, rows)])
         return TableRows(np.repeat(marginals, n, axis=0)).draw(draws, t, n)
+
+
+def mixture_log_ratio(num, den, x, log_w, log_g, runs: int = 1) -> Var:
+    """(N,) num.mixture_logpdf(x, log_w) + log_g - den.mixture_logpdf(x, log_w).
+
+    This is the MPF step weight, with num the transition rows and den the
+    proposal rows.  Two ``GaussRows`` of one layout with more than one row
+    per run are scored in one ``gauss_mixture_pair`` node; table rows, one
+    row per run and mixed scale layouts take the two mixture densities in
+    turn, with the same values and gradients.
+    """
+    if (isinstance(num, GaussRows) and isinstance(den, GaussRows) and num.means.data.shape[0] > runs
+            and num.means.data.shape == den.means.data.shape and num.log_stds.data.shape == den.log_stds.data.shape):
+        return gauss_mixture_pair(x, log_w, num.means, num.log_stds, den.means, den.log_stds, log_g, runs)
+    return num.mixture_logpdf(x, log_w, runs) + log_g - den.mixture_logpdf(x, log_w, runs)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,121 @@ class TestDensityKernels:
         assert ad.finite_diff_check(f, [RngStream(5).normals(9).reshape(3, 3) * 0.3, u]) < 1e-5
 
 
+def pair_point(seed: int, n: int, runs: int, d: int, ls_rows, far: bool = False) -> list:
+    """(x, log_w, f means, f log-stds, r means, r log-stds, log g) for the pair kernel.
+
+    ls_rows is 1 (a shared scale) or None (one log-std row per component).
+    far moves two rows of each run 60 units out in every coordinate, more
+    than 700 nats below the kernels' shift bound; their first log-weights
+    are -inf.
+    """
+    stream = RngStream(seed)
+    m = n * runs
+    rows = m if ls_rows is None else ls_rows
+
+    def normals(k, *shape, scale=1.0):
+        return stream.split(k).normals(math.prod(shape)).reshape(shape) * scale
+
+    x = normals(1, m, d)
+    log_w = normals(2, m) - math.log(n)
+    if far:
+        x[0::n] += 60.0
+        x[n - 1 :: n] -= 60.0
+        log_w[0::n] = -np.inf
+    return [x, log_w, normals(3, m, d), normals(4, rows, d, scale=0.3), normals(5, m, d),
+            normals(6, rows, d, scale=0.3), normals(7, m)]
+
+
+def four_nodes(x, log_w, f_m, f_ls, r_m, r_ls, log_g, runs=1):
+    """The composition the pair kernel replaces: two mixture nodes, an add and a sub."""
+    num = mo.gauss_mixture_logpdf(x, log_w, f_m, f_ls, runs)
+    return num + log_g - mo.gauss_mixture_logpdf(x, log_w, r_m, r_ls, runs)
+
+
+class TestMixturePair:
+    """models.gauss_mixture_pair: MPF's step weight in one node, against the composition it replaces."""
+
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+    @pytest.mark.parametrize("runs", [1, 4])
+    @pytest.mark.parametrize("n", [2, 16, 256])
+    @pytest.mark.parametrize("ls_rows", [1, None], ids=["shared", "per-component"])
+    def test_forward_is_bit_identical(self, ls_rows, n, runs, far):
+        point = pair_point(90 + n + runs, n, runs, 3, ls_rows, far)
+        got = mo.gauss_mixture_pair(*point, runs=runs).data
+        want = four_nodes(*point, runs=runs).data
+        assert got.shape == (n * runs,)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, want)
+        if far:  # the far rows of the first run take the kernel's redo path under r
+            x, log_w, r_m, r_ls = point[0][:n], point[1][:n], point[4][:n], point[5][:n]
+            bound = np.max(log_w - (0.5 * math.log(2 * math.pi) + r_ls).sum(axis=1))
+            ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, r_m, r_ls).data, axis=1)
+            assert ref[0] < bound - 700.0 and ref[n - 1] < bound - 700.0
+
+    @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
+    @pytest.mark.parametrize("ls_rows", [1, None], ids=["shared", "per-component"])
+    def test_gradients_match_four_nodes(self, ls_rows, far):
+        point = pair_point(95, 16, 1, 3, ls_rows, far)
+        weights = ad.constant(RngStream(96).normals(16))
+        grads = []
+        for f in (mo.gauss_mixture_pair, four_nodes):
+            with ad.Tape():
+                args = [ad.leaf(a) for a in point]
+                grads.append(ad.grad((f(*args) * weights).sum(), args))
+        for got, want in zip(*grads):
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("ls_rows", [1, None], ids=["shared", "per-component"])
+    def test_finite_difference_in_all_seven_parents(self, ls_rows):
+        weights = ad.constant(RngStream(97).normals(4))
+
+        def f(*args):
+            return (mo.gauss_mixture_pair(*args) * weights).sum()
+
+        assert ad.finite_diff_check(f, pair_point(98, 4, 1, 2, ls_rows)) < 1e-5
+
+    def test_records_one_node(self):
+        with ad.Tape() as tape:
+            args = [ad.leaf(a) for a in pair_point(99, 3, 1, 2, 1)]
+            before = len(tape.nodes)
+            mo.gauss_mixture_pair(*args)
+            assert len(tape.nodes) == before + 1
+
+    def test_rejects_mixed_layouts(self):
+        point = pair_point(100, 3, 1, 2, 1)
+        point[5] = np.zeros((3, 2))  # per-component r against a shared f scale
+        with pytest.raises(ValueError, match="one layout"):
+            mo.gauss_mixture_pair(*point)
+
+    @pytest.mark.parametrize("f_rows,r_rows,n", [(1, 3, 3), (3, 1, 3), (1, 1, 1)],
+                             ids=["shared-f-per-component-r", "per-component-f-shared-r", "n1"])
+    def test_log_ratio_composes_what_one_node_cannot_take(self, f_rows, r_rows, n):
+        """Mixed scale layouts and one row per run go through the two
+        mixture densities in turn, with the composition's values."""
+        x, log_w, f_m, _, r_m, _, log_g = pair_point(101, n, 1, 2, 1)
+        f_ls, r_ls = (RngStream(seed).normals(2 * rows).reshape(rows, 2) * 0.3
+                      for seed, rows in ((102, f_rows), (103, r_rows)))
+        num, den = mo.GaussRows(ad.constant(f_m), ad.constant(f_ls)), mo.GaussRows(ad.constant(r_m), ad.constant(r_ls))
+        with ad.Tape() as tape:
+            args = [ad.leaf(a) for a in (x, log_w, log_g)]
+            before = len(tape.nodes)
+            got = mo.mixture_log_ratio(num, den, *args)
+            assert len(tape.nodes) - before > 1
+        want = num.mixture_logpdf(x, log_w) + log_g - den.mixture_logpdf(x, log_w)
+        assert np.array_equal(got.data, want.data)
+
+    def test_log_ratio_takes_one_layout_in_one_node(self):
+        x, log_w, f_m, f_ls, r_m, r_ls, log_g = pair_point(104, 3, 1, 2, None)
+        num, den = mo.GaussRows(ad.constant(f_m), ad.constant(f_ls)), mo.GaussRows(ad.constant(r_m), ad.constant(r_ls))
+        with ad.Tape() as tape:
+            args = [ad.leaf(a) for a in (x, log_w, log_g)]
+            before = len(tape.nodes)
+            got = mo.mixture_log_ratio(num, den, *args)
+            assert len(tape.nodes) == before + 1
+        assert np.array_equal(got.data, four_nodes(x, log_w, f_m, f_ls, r_m, r_ls, log_g).data)
+
+
 class TestReparamDraw:
     """models.gauss_rsample: means + exp(log_stds) * eps in one node."""
 

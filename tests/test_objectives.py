@@ -229,10 +229,12 @@ class TestGradients:
 
     # One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
     # Each density kernel, draw and proposal mean is one node, so a step
-    # records about 15 nodes: 140 in all for each kind.  The budgets catch a
-    # kernel that falls back to elementwise ops (a three-op draw adds 20
-    # nodes, a five-op proposal mean 36, widening vmpf-ug's shared log-std
-    # for its implicit draw 9).
+    # records about 15 nodes: 140 in all for vsmc.  An MPF step's weight is
+    # one pair-kernel node where two mixture nodes, an add and a sub stood,
+    # so vmpf-bg and vmpf-ug record 113.  The budgets catch a kernel that
+    # falls back to elementwise ops (a three-op draw adds 20 nodes, a
+    # five-op proposal mean 36, widening vmpf-ug's shared log-std for its
+    # implicit draw 9).
 
     def test_vsmc_tape_budget(self, monkeypatch):
         assert self.lgssm_tape_size(monkeypatch, "vsmc") <= 150
@@ -281,9 +283,21 @@ class TestGradients:
         assert at_11 - at_10 <= 23
 
     def test_lgssm_tape_size_is_pinned(self, monkeypatch):
-        """Binding lifts the LGSSM's constants once and adds no node: 140 for every kind."""
-        for kind in ("vsmc", "vmpf-bg", "vmpf-ug"):
-            assert self.lgssm_tape_size(monkeypatch, kind) == 140, kind
+        """Binding lifts the LGSSM's constants once and adds no node: 140 for
+        vsmc.  From t=2 on, an MPF step's weight is one ``gauss_mixture_pair``
+        node instead of four, 27 fewer over nine steps: 113 for vmpf-bg and
+        vmpf-ug."""
+        for kind, nodes in (("vsmc", 140), ("vmpf-bg", 113), ("vmpf-ug", 113)):
+            assert self.lgssm_tape_size(monkeypatch, kind) == nodes, kind
+
+    def test_dmm_vmpf_bg_tape_size_is_pinned(self, monkeypatch):
+        """One vmpf-bg VEM gradient on the dmm-vem-train shape records 216
+        nodes, 27 fewer than vsmc's 243: each of its nine mixture steps scores
+        the per-component transition and proposal mixtures in one node."""
+        m = mo.dmm_make(5, 20, 16, RngStream(0))
+        ds = mo.generate(m, 10, RngStream(7))
+        obj = ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10, RngStream(1)), 16, learn_theta=True)
+        assert self.tape_size(monkeypatch, obj, ds) == 216
 
     @pytest.mark.parametrize("family", ["dmm", "sv"])
     def test_vem_gradients_match_finite_differences(self, family):
