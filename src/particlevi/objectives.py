@@ -376,13 +376,13 @@ def grad_variance_probe(obj: Objective, data, n_samples: int, rng) -> float:
     """Per-coordinate gradient variance, averaged over every coordinate.
 
     The n_samples gradients run one after another; draw i uses
-    rng.split(i), the seeding convention of bound_estimate.
+    rng.split(i), the seeding convention of bound_estimate.  Each is
+    flattened in ``param_layout`` order, as ``train`` flattens its own.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     rng = _stream(rng)
     grad_fn = _grad_fn(obj)
-    grads = [grad_fn(obj, data, rng.split(i))[1] for i in range(n_samples)]
-    names = sorted(grads[0])
-    stacked = np.stack([np.concatenate([g[k].ravel() for k in names]) for g in grads])
+    layout = param_layout(pack_params(obj))
+    stacked = np.stack([_flat(layout, grad_fn(obj, data, rng.split(i))[1]) for i in range(n_samples)])
     return float(stacked.var(axis=0, ddof=1).mean())
