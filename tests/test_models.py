@@ -324,8 +324,8 @@ def pair_point(seed: int, n: int, runs: int, d: int, ls_rows, far: bool = False)
 
     ls_rows is 1 (a shared scale) or None (one log-std row per component).
     far moves two rows of each run 60 units out in every coordinate, more
-    than 700 nats below the kernels' shift bound; their first log-weights
-    are -inf.
+    than 700 nats below the kernels' shift bound, and sets each run's first
+    log-weight to -inf.
     """
     stream = RngStream(seed)
     m = n * runs
