@@ -252,10 +252,17 @@ def data_paths(cfg: ExperimentConfig, out: Path):
 
 
 def load_dataset(cfg: ExperimentConfig, out: Path) -> mo.Dataset:
+    """The config's dataset; a missing file, or a table that is not (t, dy) (dim for SV), is a ``CliError``."""
     csv_path, _ = data_paths(cfg, out)
     if not csv_path.exists():
         raise CliError(f"dataset missing: {csv_path} (run `generate` first)")
-    ys = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        ys = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise CliError(f"dataset {csv_path} is not a numeric table: {exc}") from exc
+    want = (cfg.t, cfg.model["dim"] if cfg.model_kind == "sv" else cfg.model["dy"])
+    if ys.shape != want:
+        raise CliError(f"dataset {csv_path} has shape {ys.shape}; the config needs {want}")
     return mo.Dataset(ys)
 
 

@@ -132,6 +132,11 @@ class StochVol:
     def dim(self) -> int:
         return int(ad.constant(self.mu).data.shape[0])
 
+    @property
+    def dy(self) -> int:
+        """The observation width, which is the state dimension."""
+        return self.dim
+
     def theta(self) -> dict:
         return {
             "mu": self.mu,
@@ -270,6 +275,11 @@ class DiscreteHmm:
         for name, rows, shape in (("pi0", self.pi0, (k,)), ("trans", self.trans, (k, k)),
                                   ("emis", self.emis, (k, self.emis.shape[-1]))):
             _probability_rows(name, rows, shape)
+
+    @property
+    def dy(self) -> int:
+        """The observation width: one symbol a step."""
+        return 1
 
 
 def _probability_rows(name: str, rows, shape: tuple) -> np.ndarray:
@@ -855,13 +865,12 @@ def mixture_log_ratio(num, den, x, log_w, log_g, runs: int = 1) -> Var:
     """(N,) num.mixture_logpdf(x, log_w) + log_g - den.mixture_logpdf(x, log_w).
 
     This is the MPF step weight, with num the transition rows and den the
-    proposal rows.  Two ``GaussRows`` of one layout with more than one row
-    per run are scored in one ``gauss_mixture_pair`` node; table rows, one
-    row per run and mixed scale layouts take the two mixture densities in
-    turn, with the same values and gradients.
+    proposal rows.  Two ``GaussRows`` with more than one row per run are
+    scored in one ``gauss_mixture_pair`` node, which refuses mixed scale
+    layouts (no family builds them); table rows and one row per run take
+    the two mixture densities in turn, with the same values and gradients.
     """
-    if (isinstance(num, GaussRows) and isinstance(den, GaussRows) and num.means.data.shape[0] > runs
-            and num.means.data.shape == den.means.data.shape and num.log_stds.data.shape == den.log_stds.data.shape):
+    if isinstance(num, GaussRows) and isinstance(den, GaussRows) and num.means.data.shape[0] > runs:
         return gauss_mixture_pair(x, log_w, num.means, num.log_stds, den.means, den.log_stds, log_g, runs)
     return num.mixture_logpdf(x, log_w, runs) + log_g - den.mixture_logpdf(x, log_w, runs)
 
@@ -879,12 +888,16 @@ def bind(model, params, data, runs: int = 1):
     object serves one filter pass; nothing is cached across passes.  A pass
     of runs > 1 stacks that many runs' particle rows, and the bound model's
     products and solves over particle rows treat each run's rows alone.
+    ys must have T >= 1 rows of the model's width ``dy`` (SV's is its dim,
+    the HMM's is 1); any other shape is a ``ValueError`` naming the family
+    and both shapes.
     """
     ys = data.ys if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-    if ys.ndim != 2:
-        raise ValueError("observations must be a (T, dy) array")
     for family, run in ((Lgssm, _LgssmRun), (StochVol, _SvRun), (Dmm, _DmmRun), (DiscreteHmm, _HmmRun)):
         if isinstance(model, family):
+            if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != model.dy:
+                raise ValueError(f"{family.__name__} observations must have shape (T, {model.dy}) "
+                                 f"with T >= 1, got {ys.shape}")
             bound = run(model, params, ys)
             bound.runs = runs
             return bound

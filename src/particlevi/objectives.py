@@ -14,11 +14,15 @@ evidence estimator, so every kind is a lower bound on log p(y) by Jensen.
 Each kind is one filter call: ``run_smc`` with or without resampling,
 ``run_tmc``, or ``run_mpf`` with or without the implicit gradient of its
 mixture draws.  Gradients are single-draw: one filter run per call,
-differentiated in reverse mode.  A categorical draw carries no gradient,
-except through vmpf-ug's implicit node on the realized mixture draws; iwvi and tmc contain no categorical draw at all, so their
-gradient is exactly the reparameterized gradient.  ``bound_estimate``
-averages independent runs, R of them per pass of the kind's filter: the
-pass stacks the runs' particle rows, off tape.  R is set by the shapes
+differentiated in reverse mode.  A gradient call packs the parameters
+(``pack_params``), makes each packed array one tape leaf, installs the
+leaves with ``apply_params`` and asks ``grad`` for them in that order, so
+the gradient dict comes back in ``param_layout`` order.  A categorical
+draw carries no gradient, except through vmpf-ug's implicit node on the
+realized mixture draws; iwvi and tmc contain no categorical draw at all,
+so their gradient is exactly the reparameterized gradient.
+``bound_estimate`` averages independent runs, R of them per pass of the
+kind's filter: the pass stacks the runs' particle rows, off tape.  R is set by the shapes
 alone, R = 2^18 // (N max(N, T dy)) capped at the sample count, so that a
 pass's R N^2 pair terms and its (R T, N dy) noise reads stay near 2^18
 words.  Training is Adam ascent on a (learning-rate, iterations) schedule
@@ -80,8 +84,8 @@ class Objective:
             )
 
 
-def _run(obj: Objective, model, params, data, rng) -> fl.ParticleRun:
-    n = obj.n_particles
+def _run(obj: Objective, data, rng) -> fl.ParticleRun:
+    model, params, n = obj.model, obj.params, obj.n_particles
     if obj.kind == "tmc":
         return fl.run_tmc(model, params, data, n, rng)
     if obj.kind in ("iwvi", "vsmc"):
@@ -95,32 +99,24 @@ def objective_value(obj: Objective, data, rng) -> Var:
     The filter run is the kind's own, so the same call serves value
     estimation (no tape) and training (tape active).
     """
-    return _run(obj, obj.model, obj.params, data, rng).log_evidence
+    return _run(obj, data, rng).log_evidence
 
 
 # ---------------------------------------------------------------------------
 # gradients
 
 
-def _lift(obj: Objective):
-    """Leaf copies of every learnable array, prefixed phi. / theta."""
-    phi = {k: (ad.leaf(v) if isinstance(v, np.ndarray) else v) for k, v in obj.params.items()}
-    leaves = {"phi." + k: v for k, v in phi.items() if isinstance(v, Var)}
-    model = obj.model
-    if obj.learn_theta:
-        theta = {k: ad.leaf(v) for k, v in model.theta().items()}
-        model = model.with_theta(theta)
-        leaves.update({"theta." + k: v for k, v in theta.items()})
-    return model, phi, leaves
-
-
 def _gradient(obj: Objective, data, rng) -> tuple:
+    """(value, gradient dict) of one run, in ``param_layout`` order.
+
+    Each ``pack_params`` array becomes one leaf, ``apply_params`` installs
+    the leaves for the kind's filter, and ``grad`` takes them in that order.
+    """
     with ad.Tape():
-        model, phi, leaves = _lift(obj)
-        run = _run(obj, model, phi, data, rng)
-        names = sorted(leaves)
-        grads = ad.grad(run.log_evidence, [leaves[k] for k in names])
-    return float(run.log_evidence.data), dict(zip(names, grads))
+        leaves = {k: ad.leaf(v) for k, v in pack_params(obj).items()}
+        run = _run(apply_params(obj, leaves), data, rng)
+        grads = ad.grad(run.log_evidence, list(leaves.values()))
+    return float(run.log_evidence.data), dict(zip(leaves, grads))
 
 
 def gradient_biased(obj: Objective, data, rng) -> tuple:
@@ -149,6 +145,7 @@ def _grad_fn(obj: Objective):
 
 
 def pack_params(obj: Objective) -> dict:
+    """Float64 copies of the learnable arrays: "phi." proposal names, then "theta." under VEM."""
     packed = {
         "phi." + k: np.array(v, dtype=np.float64)
         for k, v in obj.params.items()
@@ -364,7 +361,7 @@ def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | Non
     for start in range(0, n_samples, runs):
         source = fl.RandomBackend(rng, np.arange(start, min(start + runs, n_samples)))
         try:  # keep the evidence alone: the pass's particles go before the next pass
-            evidence = _run(obj, obj.model, obj.params, data, source).log_evidence
+            evidence = _run(obj, data, source).log_evidence
         except fl.DegeneracyError as exc:
             raise fl.DegeneracyError(exc.t, start + exc.sample, "sample") from None
         values.append(np.ravel(evidence.data))

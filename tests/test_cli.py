@@ -161,6 +161,30 @@ class TestGenerate:
         direct = mo.generate(cli.build_model(lgssm_cfg), lgssm_cfg.t, RngStream(3).split(cli._DATA_STREAM))
         np.testing.assert_array_equal(ds.ys, direct.ys)
 
+    @pytest.mark.parametrize("cut", ["truncated", "narrowed", "ragged"])
+    def test_load_refuses_a_table_the_config_does_not_describe(self, tmp_path, lgssm_cfg, capsys, cut):
+        """t = 4 and dy = 2: three rows, one column, or one short row end in exit 2, never in a run."""
+        out = tmp_path / "runs"
+        csv_path = cli.cmd_generate(lgssm_cfg, out)
+        lines = csv_path.read_text().splitlines()
+        if cut == "truncated":
+            lines = lines[:4]
+        elif cut == "narrowed":
+            lines = [line.split(",")[0] for line in lines]
+        else:
+            lines[2] = lines[2].split(",")[0]
+        csv_path.write_text("\n".join(lines) + "\n")
+        match = {"truncated": r"shape \(3, 2\); the config needs \(4, 2\)",
+                 "narrowed": r"shape \(4, 1\); the config needs \(4, 2\)",
+                 "ragged": "not a numeric table"}[cut]
+        with pytest.raises(cli.CliError, match=match) as exc:
+            cli.load_dataset(lgssm_cfg, out)
+        assert str(csv_path) in str(exc.value)
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        assert cli.main(["evaluate", "--config", cfg_path, "--out", str(out), "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(csv_path) in err, err
+
 
 class TestTrainCmd:
     def test_requires_dataset(self, tmp_path, lgssm_cfg):

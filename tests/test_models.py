@@ -1,6 +1,7 @@
 """Model families against exact oracles: Kalman, forward algorithm, closed forms."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,7 +47,7 @@ def log_fg(model, t, x_t, x_prev, y_t):
 def proposal_row(model, params, t, x_prev, y_t=None):
     """Mean and log-std (d,) of r_t(. | x_prev) for one previous state."""
     xp = None if x_prev is None else np.asarray(x_prev, dtype=float)[None, :]
-    y_t = np.zeros(getattr(model, "dy", 1)) if y_t is None else y_t
+    y_t = np.zeros(model.dy) if y_t is None else y_t
     means, log_stds = mo.proposal_build_many(bound_at(model, t, y_t, params), t, xp)
     return means.data[0], log_stds.data[0]
 
@@ -406,22 +407,36 @@ class TestMixturePair:
         with pytest.raises(ValueError, match="one layout"):
             mo.gauss_mixture_pair(*point)
 
-    @pytest.mark.parametrize("f_rows,r_rows,n", [(1, 3, 3), (3, 1, 3), (1, 1, 1)],
-                             ids=["shared-f-per-component-r", "per-component-f-shared-r", "n1"])
-    def test_log_ratio_composes_what_one_node_cannot_take(self, f_rows, r_rows, n):
-        """Mixed scale layouts and one row per run go through the two
-        mixture densities in turn, with the composition's values."""
-        x, log_w, f_m, _, r_m, _, log_g = pair_point(101, n, 1, 2, 1)
+    @staticmethod
+    def log_ratio_rows(n: int, runs: int, f_rows: int, r_rows: int) -> tuple:
+        """(num, den, x, log_w, log_g) with f_rows and r_rows log-std rows of d = 2."""
+        x, log_w, f_m, _, r_m, _, log_g = pair_point(101, n, runs, 2, 1)
         f_ls, r_ls = (RngStream(seed).normals(2 * rows).reshape(rows, 2) * 0.3
                       for seed, rows in ((102, f_rows), (103, r_rows)))
         num, den = mo.GaussRows(ad.constant(f_m), ad.constant(f_ls)), mo.GaussRows(ad.constant(r_m), ad.constant(r_ls))
+        return num, den, x, log_w, log_g
+
+    @pytest.mark.parametrize("runs", [1, 4], ids=["n1", "n1-runs4"])
+    def test_log_ratio_composes_what_one_node_cannot_take(self, runs):
+        """One row per run (N = 1) goes through the two mixture densities
+        in turn, with the composition's values."""
+        num, den, x, log_w, log_g = self.log_ratio_rows(1, runs, 1, 1)
         with ad.Tape() as tape:
             args = [ad.leaf(a) for a in (x, log_w, log_g)]
             before = len(tape.nodes)
-            got = mo.mixture_log_ratio(num, den, *args)
+            got = mo.mixture_log_ratio(num, den, *args, runs)
             assert len(tape.nodes) - before > 1
-        want = num.mixture_logpdf(x, log_w) + log_g - den.mixture_logpdf(x, log_w)
+        want = num.mixture_logpdf(x, log_w, runs) + log_g - den.mixture_logpdf(x, log_w, runs)
         assert np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("f_rows,r_rows", [(1, 3), (3, 1)],
+                             ids=["shared-f-per-component-r", "per-component-f-shared-r"])
+    def test_log_ratio_rejects_mixed_layouts(self, f_rows, r_rows):
+        """No family pairs a shared scale with per-component ones, so the
+        log ratio meets the pair kernel's own check."""
+        num, den, x, log_w, log_g = self.log_ratio_rows(3, 1, f_rows, r_rows)
+        with pytest.raises(ValueError, match="one layout"):
+            mo.mixture_log_ratio(num, den, x, log_w, log_g)
 
     def test_log_ratio_takes_one_layout_in_one_node(self):
         x, log_w, f_m, f_ls, r_m, r_ls, log_g = pair_point(104, 3, 1, 2, None)
@@ -689,7 +704,7 @@ class TestLogdensities:
         x_prev = np.asarray([[0.3]])
         for m in cases:
             # the whole grid in one row-kernel call against the one transition row
-            f_means, f_ls = mo.transition_build_many(bound_at(m, 2, np.zeros(getattr(m, "dy", 1))), 2, x_prev)
+            f_means, f_ls = mo.transition_build_many(bound_at(m, 2, np.zeros(m.dy)), 2, x_prev)
             vals = np.exp(mo.gauss_logpdf_rows(grid[:, None], f_means, f_ls).data)
             assert 0.999 < np.trapezoid(vals, grid) < 1.001
 
@@ -765,6 +780,37 @@ class TestProposals:
             means, _ = mo.proposal_build_many(bound_at(m, 2, [0.0], params), 2, ad.constant(np.asarray([[0.3]])))
             (g,) = ad.grad(means.sum(), [mu])
         assert np.array_equal(g[:, 0], [0.0, 1.0, 0.0, 0.0])
+
+
+class TestBind:
+    """models.bind takes (T, dy) observations with T >= 1 and refuses every other shape."""
+
+    @staticmethod
+    def refuses_wrong_shapes(model, params):
+        dy = model.dy
+        mo.bind(model, params, np.zeros((3, dy)))
+        for shape in [(3, dy + 1), (3, dy - 1), (0, dy), (3,), (3, dy, 1)]:
+            expected = f"{type(model).__name__} observations must have shape (T, {dy}) with T >= 1, got {shape}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                mo.bind(model, params, np.zeros(shape))
+
+    def test_lgssm(self):
+        m = mo.lgssm_make(3, 2, 0.42, "sparse", RngStream(0))
+        self.refuses_wrong_shapes(m, mo.proposal_init(m, 3))
+
+    def test_sv(self):
+        """SV's width is its dim: one column of a d = 2 model no longer scores."""
+        sv = mo.sv_make(2, "diagonal", RngStream(0))
+        assert sv.dy == 2
+        self.refuses_wrong_shapes(sv, mo.proposal_init(sv, 3))
+
+    def test_dmm(self):
+        dmm = mo.dmm_make(2, 3, 4, RngStream(0))
+        self.refuses_wrong_shapes(dmm, mo.proposal_init(dmm, 3, RngStream(1)))
+
+    def test_hmm(self):
+        """The HMM observes one symbol a step, so a second column is refused, not ignored."""
+        self.refuses_wrong_shapes(mo.hmm_reference(), None)
 
 
 class TestGenerate:

@@ -22,6 +22,9 @@ One place records op nodes: a tape's node list is appended to only in
 Verification stays off the filter path: no module a filter run or a
 training step loads imports ``checks`` or ``cli``, and ``checks`` does not
 import ``cli``.
+
+One lifting path: in ``objectives`` only ``pack_params`` and
+``apply_params`` spell the "phi." and "theta." parameter namespace.
 """
 
 import ast
@@ -287,3 +290,37 @@ VERIFY_SEAMS = {**{name: ("checks", "cli") for name in FILTER_PATH}, "checks": (
 def test_verification_stays_off_the_filter_path(name):
     forbidden = {f"{PACKAGE}.{module}" for module in VERIFY_SEAMS[name]}
     assert [hit for hit in package_imports((SRC / f"{name}.py").read_text()) if hit[1] in forbidden] == []
+
+
+NAMESPACE = ("phi.", "theta.")
+
+
+def namespace_literals(source: str) -> list:
+    """(line, enclosing function) of every string literal that holds "phi." or "theta."; docstrings are prose."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Expr) and isinstance(child.value, ast.Constant):
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if any(prefix in child.value for prefix in NAMESPACE):
+                    found.append((child.lineno, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, child.name if named else scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_namespace_checker_skips_docstrings_and_sees_every_literal():
+    source = (
+        '"""The "phi.mu" name."""\nP = "phi."\n\ndef f(k):\n    """theta. prose"""\n'
+        '    return {"theta." + k: 1, f"phi.{k}": 2, "phi": 3}\n'
+    )
+    assert namespace_literals(source) == [(2, ""), (6, "f"), (6, "f")]
+
+
+def test_one_lifting_path_spells_the_parameter_namespace():
+    found = namespace_literals((SRC / "objectives.py").read_text())
+    assert sorted({scope for _, scope in found}) == ["apply_params", "pack_params"]

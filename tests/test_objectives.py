@@ -155,6 +155,23 @@ class TestGradients:
                 fd = (va - vb) / (2 * h)
                 assert abs(grads[key][t, 0] - fd) / max(abs(fd), 1.0) < 1e-5
 
+    @pytest.mark.parametrize("kind", ["vsmc", "vmpf-ug"])
+    @pytest.mark.parametrize("family", ["lgssm", "dmm-vem"])
+    def test_gradient_names_follow_pack_params(self, family, kind):
+        """A gradient dict holds exactly the packed names and shapes, in
+        ``pack_params`` order: one order from the tape to Adam."""
+        if family == "lgssm":
+            m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+        else:
+            m = mo.dmm_make(2, 3, 4, RngStream(0))
+        obj = ob.Objective(kind, m, mo.proposal_init(m, 3, RngStream(1)), 3, learn_theta=family == "dmm-vem")
+        fn = ob.gradient_unbiased if kind == "vmpf-ug" else ob.gradient_biased
+        _, grads = fn(obj, mo.generate(m, 3, RngStream(7)), RngStream(5))
+        packed = ob.pack_params(obj)
+        assert list(grads) == list(packed)
+        assert [g.shape for g in grads.values()] == [a.shape for a in packed.values()]
+        assert {k.split(".")[0] for k in grads} == ({"phi", "theta"} if obj.learn_theta else {"phi"})
+
     def test_kind_gates(self):
         m, ds, p = lgssm_case()
         with pytest.raises(ValueError, match="unbiased"):
