@@ -125,8 +125,8 @@ def mpf_tmc_identity_check(run: fl.ParticleRun) -> float:
         x, xp = run.particles[t - 1], run.particles[t - 2]
         logv_prev = run.log_weights[t - 2].data
         log_vbar = logv_prev - ad.np_logsumexp(logv_prev)
-        log_f = mo.transition_build_many(run.bound, t, xp).logpdf_matrix(x).data
-        log_r = mo.proposal_build_many(run.bound, t, xp).logpdf_matrix(x).data
+        log_f = mo.transition_build_many(run.bound, t, xp).logpdf_matrix(x)
+        log_r = mo.proposal_build_many(run.bound, t, xp).logpdf_matrix(x)
         log_g = mo.emission_logpdf_rows(run.bound, t, x).data
         log_q = ad.np_logsumexp(log_vbar[None, :] + log_r, axis=1)
         line6 = ad.np_logsumexp(log_z[None, :] + log_f, axis=1) + log_g - log_n - log_q
@@ -235,21 +235,18 @@ def _suite_gradients():
     # bound, so it is redone with its own maximum.
     for name, kernel, ls_rows, label in (
         ("kernel-rows", mo.gauss_logpdf_rows, 3, 200),
-        ("kernel-matrix", mo.gauss_logpdf_matrix, 3, 201),
-        ("kernel-matrix-shared", mo.gauss_logpdf_matrix, 1, 202),
         ("kernel-mixture", mo.gauss_mixture_logpdf, 3, 203),
         ("kernel-mixture-shared", mo.gauss_mixture_logpdf, 1, 204),
         ("kernel-mixture-far", mo.gauss_mixture_logpdf, 3, 213),
         ("kernel-mixture-shared-far", mo.gauss_mixture_logpdf, 1, 214),
     ):
         pts = rng.split(label)
-        weights = _normals(pts, 0, (3, 3))
         point = [_normals(pts, 1, (3, 2)), _normals(pts, 2, (3, 2)), _normals(pts, 3, (ls_rows, 2), 0.3)]
         if name.endswith("-far"):
             point[0][0] += 60.0
         if kernel is mo.gauss_mixture_logpdf:
             point.insert(1, _normals(pts, 4, (3,)))
-        checks.append(_fd_row(name, kernel, point, weights if kernel is mo.gauss_logpdf_matrix else weights[:, 0]))
+        checks.append(_fd_row(name, kernel, point, _normals(pts, 0, (3, 3))[:, 0]))
     # MPF's step weight in one node, in all seven parents: x, the log-weights,
     # both mixtures' means and log-stds, and log g
     for name, ls_rows, label in (("kernel-mixture-pair", 3, 215), ("kernel-mixture-pair-shared", 1, 216),
@@ -293,8 +290,7 @@ def _suite_gradients():
                               [_normals(pts, 2, (3 if rows is None else 4, 2)), _normals(pts, 3, (ls_rows, 2), 0.3)],
                               _normals(pts, 0, (3, 2))))
     pts = rng.split(212)
-    a = _normals(pts, 4, (2, 2))  # not symmetric, unlike the model's
-    checks.append(_fd_row("kernel-lgssm-mean", lambda mu, beta, x: mo.lgssm_proposal_mean(mu, beta, x, a, 2),
+    checks.append(_fd_row("kernel-lgssm-mean", lambda mu, beta, xa: mo.lgssm_proposal_mean(mu, beta, xa, 2),
                           [_normals(pts, k, (3, 2)) for k in (1, 2, 3)], _normals(pts, 0, (3, 2))))
 
     # biased and unbiased particle gradients coincide at a single particle

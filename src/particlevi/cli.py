@@ -51,22 +51,17 @@ def _to_bool(raw: str) -> bool:
 
 def parse_schedule(raw: str):
     """'10K@0.01 10K@0.001' -> ((0.01, 10000), (0.001, 10000))."""
-    segments = raw.replace(",", " ").split()
     out = []
-    for seg in segments:
+    for seg in raw.replace(",", " ").split():
         if "@" not in seg:
             raise ValueError(f"schedule segment {seg!r} is not ITERS@LR")
         left, right = seg.split("@", 1)
         left = left.strip().upper()
-        scale = 1
-        if left.endswith("K"):
-            left, scale = left[:-1], 1_000
-        elif left.endswith("M"):
-            left, scale = left[:-1], 1_000_000
-        iters = int(left) * scale
+        scale = {"K": 1_000, "M": 1_000_000}.get(left[-1:], 1)
+        iters = int(left[:-1] if scale > 1 else left) * scale
         lr = float(right)
-        if iters < 0 or lr < 0:
-            raise ValueError(f"schedule segment {seg!r} must be non-negative")
+        if iters < 0 or not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"schedule segment {seg!r} needs ITERS >= 0 and a finite LR >= 0")
         out.append((lr, iters))
     return tuple(out)
 
@@ -252,7 +247,7 @@ def data_paths(cfg: ExperimentConfig, out: Path):
 
 
 def load_dataset(cfg: ExperimentConfig, out: Path) -> mo.Dataset:
-    """The config's dataset; a missing file, or a table that is not (t, dy) (dim for SV), is a ``CliError``."""
+    """The config's dataset; no file, a table not (t, dy) (dim for SV) or a NaN or infinite cell is a ``CliError``."""
     csv_path, _ = data_paths(cfg, out)
     if not csv_path.exists():
         raise CliError(f"dataset missing: {csv_path} (run `generate` first)")
@@ -263,6 +258,7 @@ def load_dataset(cfg: ExperimentConfig, out: Path) -> mo.Dataset:
     want = (cfg.t, cfg.model["dim"] if cfg.model_kind == "sv" else cfg.model["dy"])
     if ys.shape != want:
         raise CliError(f"dataset {csv_path} has shape {ys.shape}; the config needs {want}")
+    mo.check_finite(ys, f"dataset {csv_path}", CliError)
     return mo.Dataset(ys)
 
 

@@ -11,14 +11,15 @@ proposal tables).  The filters and the couplings bind once per run, then
 call three builders that forward to the bound model and dispatch on
 nothing: ``transition_build_many`` and ``proposal_build_many`` return a
 rows object with one row per previous particle, and
-``emission_logpdf_rows`` scores particle rows against y_t.  There are two
-rows types with the same methods, so no caller asks which family it holds:
+``emission_logpdf_rows`` scores particle rows against y_t.  A step's
+proposal and log f share one transition rows object.  There are two rows
+types with the same methods, so no caller asks which family it holds:
 
   GaussRows  (means, log-stds) of diagonal Gaussians, the continuous families
   TableRows  (rows, K) categorical probabilities, the HMM
 
 Both score a row against row i (``logpdf_rows``), every row against every
-component (``logpdf_matrix``, for the MPF-TMC identity check) and every
+component (``logpdf_matrix``, an array, for the MPF-TMC identity check) and every
 row under a weighted mixture of the components (``mixture_logpdf``), and
 both draw a step's particles from their rows (``draw``) or from the
 weighted mixture (``draw_mixture``).  ``mixture_log_ratio`` scores rows
@@ -420,33 +421,26 @@ def _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls: bool) -> tuple:
     return grad_x, grad_means, grad_ls, col
 
 
-def gauss_logpdf_matrix(x, means, log_stds) -> Var:
-    """All-pairs diagonal Gaussian log-densities: (N, d) against (M, d) -> (N, M).
+def gauss_logpdf_matrix(x, means, log_stds) -> np.ndarray:
+    """All-pairs diagonal Gaussian log-densities: (N, d) against (M, d) -> an (N, M) array.
 
     Expanded quadratic form c_j - 0.5 (sq_ij - 2 cross_ij + msq_j), built in
     one (N, M) buffer.  Log-stds are (M, d), or one (1, d) row that every
     component shares; then sq is a column and the pair work is the single
-    (N, d) @ (d, M) cross matmul.  One tape node, with the backward of
-    ``_pair_cotangents``.
+    (N, d) @ (d, M) cross matmul.  The arguments may be Vars or arrays; it
+    reads their values and records no node.
     """
     x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
     _check_dims(x, means, log_stds)
     xd, md, ls = x.data, means.data, log_stds.data
-    need_ls = log_stds.nid is not None  # constant noise scales need no cotangent
     inv_var = np.exp(-2.0 * ls)
-    m_iv = md * inv_var
-    x_sq = xd * xd
-    out = xd @ m_iv.T
+    out = xd @ (md * inv_var).T
     out *= -2.0
-    out += x_sq @ inv_var.T
+    out += (xd * xd) @ inv_var.T
     out += (md * md * inv_var).sum(axis=1)
     out *= -0.5
     out += (-0.5 * LOG_2PI - ls).sum(axis=1)
-
-    def rule(g):
-        return _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls)[:3]
-
-    return ad.custom_vjp(out, [x, means, log_stds], rule)
+    return out
 
 
 def gauss_mixture_logpdf(x, log_w, means, log_stds, runs: int = 1) -> Var:
@@ -671,23 +665,20 @@ def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
     return ad.custom_vjp(out, [means, log_stds], rule)
 
 
-def lgssm_proposal_mean(mu, beta, x_prev, a: np.ndarray, t: int, runs: int = 1) -> Var:
-    """LGSSM proposal means mu_t + beta_t * (x_prev @ a^T) at step t: (N, d).
+def lgssm_proposal_mean(mu, beta, xa, t: int) -> Var:
+    """LGSSM proposal means mu_t + beta_t * xa at step t: (N, d), xa the step's transition means x_prev @ A^T.
 
-    mu and beta are the (T, d) proposal parameters and x_prev the (N, d)
-    previous states.  One tape node whose cotangents to mu and beta are
-    (T, d) arrays that are zero outside row t - 1: with incoming cotangent g,
-    that row gets the column sums of g and of g * (x_prev @ a^T), and x_prev
-    gets (g * beta_t) @ a; a constant parent gets none.  x_prev may stack
-    several runs' rows (``ad.np_matmul``).
+    mu and beta are the (T, d) proposal parameters.  One tape node whose
+    cotangents to mu and beta are (T, d) arrays that are zero outside row
+    t - 1: with incoming cotangent g, that row gets the column sums of g and
+    of g * xa, and xa gets g * beta_t; a constant parent gets none.
     """
-    mu, beta, x_prev = ad.constant(mu), ad.constant(beta), ad.constant(x_prev)
+    mu, beta, xa = ad.constant(mu), ad.constant(beta), ad.constant(xa)
     i = t - 1
     m_shape, b_shape = mu.data.shape, beta.data.shape
-    need_mu, need_beta, need_x = mu.nid is not None, beta.nid is not None, x_prev.nid is not None
-    b = beta.data[i]
-    xa = ad.np_matmul(x_prev.data, a.T, runs)
-    out = mu.data[i] + b * xa
+    need_mu, need_beta, need_x = mu.nid is not None, beta.nid is not None, xa.nid is not None
+    b, xd = beta.data[i], xa.data
+    out = mu.data[i] + b * xd
 
     def rule(g):
         g_mu = g_beta = None
@@ -696,10 +687,10 @@ def lgssm_proposal_mean(mu, beta, x_prev, a: np.ndarray, t: int, runs: int = 1) 
             g_mu[i] = g.sum(axis=0)
         if need_beta:
             g_beta = np.zeros(b_shape)
-            g_beta[i] = (g * xa).sum(axis=0)
-        return g_mu, g_beta, (g * b) @ a if need_x else None
+            g_beta[i] = (g * xd).sum(axis=0)
+        return g_mu, g_beta, g * b if need_x else None
 
-    return ad.custom_vjp(out, [mu, beta, x_prev], rule)
+    return ad.custom_vjp(out, [mu, beta, xa], rule)
 
 
 def bernoulli_logpmf_rows(logits, y) -> Var:
@@ -763,7 +754,7 @@ class GaussRows(NamedTuple):
     def logpdf_rows(self, x) -> Var:
         return gauss_logpdf_rows(x, self.means, self.log_stds)
 
-    def logpdf_matrix(self, x) -> Var:
+    def logpdf_matrix(self, x) -> np.ndarray:
         return gauss_logpdf_matrix(x, self.means, self.log_stds)
 
     def mixture_logpdf(self, x, log_w, runs: int = 1) -> Var:
@@ -829,10 +820,10 @@ class TableRows:
         with np.errstate(divide="ignore"):
             return ad.constant(np.log(self.probs[rows, idx]))
 
-    def logpdf_matrix(self, x) -> Var:
+    def logpdf_matrix(self, x) -> np.ndarray:
         """(N, rows) log-probabilities of each state under each row."""
         with np.errstate(divide="ignore"):
-            return ad.constant(np.ascontiguousarray(np.log(self.probs[:, _state_index(x)]).T))
+            return np.ascontiguousarray(np.log(self.probs[:, _state_index(x)]).T)
 
     def mixture_logpdf(self, x, log_w, runs: int = 1) -> Var:
         """(N,) log sum_j exp(log_w_j) p_j(x_i), over each run's own rows."""
@@ -890,7 +881,8 @@ def bind(model, params, data, runs: int = 1):
     products and solves over particle rows treat each run's rows alone.
     ys must have T >= 1 rows of the model's width ``dy`` (SV's is its dim,
     the HMM's is 1); any other shape is a ``ValueError`` naming the family
-    and both shapes.
+    and both shapes, and a NaN or infinite entry one naming the family, its
+    row and its column.
     """
     ys = data.ys if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     for family, run in ((Lgssm, _LgssmRun), (StochVol, _SvRun), (Dmm, _DmmRun), (DiscreteHmm, _HmmRun)):
@@ -898,10 +890,18 @@ def bind(model, params, data, runs: int = 1):
             if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != model.dy:
                 raise ValueError(f"{family.__name__} observations must have shape (T, {model.dy}) "
                                  f"with T >= 1, got {ys.shape}")
+            check_finite(ys, f"{family.__name__} observations")
             bound = run(model, params, ys)
-            bound.runs = runs
+            bound.runs, bound.last_transition = runs, None
             return bound
     raise TypeError(f"unsupported model: {type(model).__name__}")
+
+
+def check_finite(ys: np.ndarray, what: str, error=ValueError):
+    """Raise error, naming what and the row and column of ys's first NaN or infinite entry, if there is one."""
+    if not np.isfinite(ys).all():
+        row, col = np.argwhere(~np.isfinite(ys))[0]
+        raise error(f"{what} must be finite; row {row}, column {col} (from 0) holds {ys[row, col]}")
 
 
 def _conditional(family: str, t: int, x_prev):
@@ -916,10 +916,10 @@ def _fuse_row(rows, means, log_stds, t: int) -> GaussRows:
 
 
 class _LgssmRun:
-    """LGSSM: free-form Gaussian proposals mu_t + beta_t * (A x_prev), or mu_t alone."""
+    """LGSSM: free-form Gaussian proposals mu_t + beta_t * (A x_prev), A x_prev the transition means, or mu_t alone."""
 
     def __init__(self, model: Lgssm, params: dict, ys):
-        self.ys, self.a = ys, model.a
+        self.ys = ys
         zeros = ad.constant(np.zeros((1, model.dx)))
         self.prior = GaussRows(zeros, zeros)
         self.a_t, self.c_t = ad.constant(model.a.T), ad.constant(model.c.T)
@@ -936,15 +936,12 @@ class _LgssmRun:
         ls_t = ad.gather_rows(self.log_sigma, np.asarray([t - 1]))
         if t == 1 or x_prev is None:  # beta is unused in the state-independent form
             return GaussRows(ad.gather_rows(self.mu, np.asarray([t - 1])), ls_t)
-        return GaussRows(lgssm_proposal_mean(self.mu, self.beta, x_prev, self.a, t, self.runs), ls_t)
+        xa = transition_build_many(self, t, x_prev).means
+        return GaussRows(lgssm_proposal_mean(self.mu, self.beta, xa, t), ls_t)
 
 
 class _SvRun:
-    """SV: proposals fuse the transition with a learned Gaussian factor (mu_t, log_sigma_t).
-
-    The last step's transition rows are kept, keyed on t and the x_prev
-    object, so the filter's log f reuses the rows its proposal fused.
-    """
+    """SV: proposals fuse the step's transition rows with a learned Gaussian factor (mu_t, log_sigma_t)."""
 
     def __init__(self, model: StochVol, params: dict, ys):
         self.ys, d = ys, model.dim
@@ -956,14 +953,9 @@ class _SvRun:
         log_det_b = (ad.constant(model.b_raw) * ad.constant(np.eye(d))).sum()
         self.log_norm = -0.5 * d * LOG_2PI - log_det_b
         self.p_mu, self.p_ls = ad.constant(params["mu"]), ad.constant(params["log_sigma"])
-        self.last = (1, None, self.prior)
 
     def transition(self, t: int, x_prev=None):
-        last_t, last_x, rows = self.last
-        if t != last_t or x_prev is not last_x:
-            rows = self.prior if t == 1 else GaussRows(self.mu + self.phi * (ad.constant(x_prev) - self.mu), self.q_ls)
-            self.last = (t, x_prev, rows)
-        return rows
+        return self.prior if t == 1 else GaussRows(self.mu + self.phi * (ad.constant(x_prev) - self.mu), self.q_ls)
 
     def emission(self, t: int, x) -> Var:
         x = ad.constant(x)
@@ -972,7 +964,7 @@ class _SvRun:
 
     def proposal(self, t: int, x_prev=None):
         _conditional("StochVol", t, x_prev)
-        return _fuse_row(self.transition(t, x_prev), self.p_mu, self.p_ls, t)
+        return _fuse_row(transition_build_many(self, t, x_prev), self.p_mu, self.p_ls, t)
 
 
 class _DmmRun:
@@ -1031,8 +1023,15 @@ class _HmmRun:
 
 
 def transition_build_many(bound, t: int, x_prev=None):
-    """Rows of f(. | x_prev_j) of a ``bind`` result, one per previous particle; the prior at t=1."""
-    return bound.transition(t, x_prev)
+    """Rows of f(. | x_prev_j) of a ``bind`` result, one per previous particle; the prior at t=1.
+
+    The last rows are kept, keyed on t and the x_prev object, so a step's
+    proposal (the LGSSM's means, SV's fused rows) and log f share them.
+    """
+    last = bound.last_transition
+    if last is None or last[0] != t or last[1] is not x_prev:
+        last = bound.last_transition = (t, x_prev, bound.transition(t, x_prev))
+    return last[2]
 
 
 def emission_logpdf_rows(bound, t: int, x) -> Var:

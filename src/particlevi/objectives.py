@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -75,8 +76,8 @@ class Objective:
         self.kind = self.kind.lower()
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
+        if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 1:
+            raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
         if self.learn_theta and not hasattr(self.model, "with_theta"):
             raise ValueError(
                 f"{type(self.model).__name__} has no learnable model parameters; "
@@ -278,12 +279,16 @@ def train(
     over); a degenerate filter run raises ``DegeneracyError`` naming the
     iteration.  Deterministic for a fixed rng seed and schedule.  Parameters
     named in freeze keep their initial values; their gradient slices are
-    zeroed before the update and excluded from the recorded norm.  A clip
-    <= 0 (which would freeze or reverse the ascent) or bad probe settings
-    fail before the first iteration.
+    zeroed before the update and excluded from the recorded norm.  A
+    learning rate that is not finite and >= 0, an iteration count that is
+    not an integer >= 0, a clip <= 0 (which would freeze or reverse the
+    ascent) or bad probe settings fail before the first iteration.
     """
     if not schedule:
         raise ValueError("schedule must hold at least one (learning-rate, iterations) pair")
+    for lr, iters in schedule:
+        if not (math.isfinite(lr) and lr >= 0 and isinstance(iters, numbers.Integral) and iters >= 0):
+            raise ValueError(f"schedule segment ({lr!r}, {iters!r}) needs a finite rate >= 0 and an integer count >= 0")
     if clip is not None and not clip > 0:
         raise ValueError(f"clip must be > 0 (or None for no clipping), got {clip}")
     if probe_every < 0 or (probe_every and probe_samples < 2):
@@ -303,7 +308,7 @@ def train(
     it = 0
     for lr, iters in schedule:
         state.lr = float(lr)
-        for _ in range(int(iters)):
+        for _ in range(iters):
             t0 = time.perf_counter()
             try:
                 value, grads = grad_fn(current, data, rng.split(10, it))

@@ -123,9 +123,12 @@ fix_beta = true
         ("clip = nan", "train.clip must be > 0"),
         ("probe_every = -1", "train.probe_every must be >= 0"),
         ("probe_samples = 1", "train.probe_samples must be >= 2"),
+        ("schedule = 5@nan", "a finite LR >= 0"),
+        ("schedule = 5@inf", "a finite LR >= 0"),
     ])
     def test_bad_train_settings_rejected(self, tmp_path, line, match):
-        body = LGSSM_INI.replace("schedule = 5@0.05", f"schedule = 5@0.05\n{line}")
+        # a schedule line takes the place of the good one
+        body = LGSSM_INI.replace("schedule = 5@0.05", line if line.startswith("schedule") else f"schedule = 5@0.05\n{line}")
         with pytest.raises(cli.CliError, match=match):
             cli.load_config(write_config(tmp_path / "bad.ini", body))
 
@@ -184,6 +187,20 @@ class TestGenerate:
         assert cli.main(["evaluate", "--config", cfg_path, "--out", str(out), "--samples", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(csv_path) in err, err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_load_refuses_a_non_finite_cell(self, tmp_path, lgssm_cfg, capsys, cell):
+        """A NaN or infinite observation ends train and evaluate in exit 2, naming the file, row and column."""
+        out = tmp_path / "runs"
+        csv_path = cli.cmd_generate(lgssm_cfg, out)
+        lines = csv_path.read_text().splitlines()
+        lines[3] = lines[3].split(",")[0] + "," + cell
+        csv_path.write_text("\n".join(lines) + "\n")
+        cfg_path = write_config(tmp_path / "lg.ini", LGSSM_INI)
+        for command in (["train"], ["evaluate", "--samples", "4"]):
+            assert cli.main([command[0], "--config", cfg_path, "--out", str(out), *command[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"{csv_path} must be finite; row 2, column 1" in err, err
 
 
 class TestTrainCmd:

@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 import particlevi.autodiff as ad
+from particlevi import filters as fl
 from particlevi import models as mo
 from particlevi.rng import RngStream
 
@@ -144,30 +145,25 @@ class TestHmmForward:
 
 class TestDensityKernels:
     def test_matrix_kernel_matches_rows(self):
+        """The pair matrix is an array, off tape, whether its arguments are Vars or arrays."""
         x = RngStream(7).normals(8).reshape(4, 2)
         means = RngStream(8).normals(6).reshape(3, 2)
         log_stds = RngStream(9).normals(6).reshape(3, 2) * 0.3
-        with ad.Tape():
-            mat = mo.gauss_logpdf_matrix(ad.constant(x), ad.constant(means), ad.constant(log_stds)).data
+        with ad.Tape() as tape:
+            mat = mo.gauss_logpdf_matrix(ad.leaf(x), ad.leaf(means), ad.leaf(log_stds))
+            assert len(tape.nodes) == 3
+        assert isinstance(mat, np.ndarray)
+        assert np.array_equal(mat, mo.gauss_logpdf_matrix(x, means, log_stds))
         ref = gauss_logpdf_np(x[:, None, :], means, log_stds)
         assert np.max(np.abs(mat - ref)) < 1e-9
-
-    def test_matrix_kernel_finite_difference(self):
-        x = RngStream(17).normals(4).reshape(2, 2)
-
-        def f(means, log_stds):
-            return mo.gauss_logpdf_matrix(ad.constant(x), means, log_stds).sum()
-
-        point = [RngStream(18).normals(4).reshape(2, 2), RngStream(19).normals(4).reshape(2, 2) * 0.2]
-        assert ad.finite_diff_check(f, point) < 1e-5
 
     def test_shared_log_std_matches_tiled_and_oracle(self):
         x = RngStream(21).normals(12).reshape(4, 3)
         means = RngStream(22).normals(15).reshape(5, 3)
         shared = RngStream(23).normals(3).reshape(1, 3) * 0.3
         tiled = np.tile(shared, (5, 1))
-        mat_shared = mo.gauss_logpdf_matrix(x, means, shared).data
-        mat_tiled = mo.gauss_logpdf_matrix(x, means, tiled).data
+        mat_shared = mo.gauss_logpdf_matrix(x, means, shared)
+        mat_tiled = mo.gauss_logpdf_matrix(x, means, tiled)
         assert np.max(np.abs(mat_shared - mat_tiled)) < 1e-12
         ref = gauss_logpdf_np(x[:, None, :], means, shared[0])
         assert np.max(np.abs(mat_shared - ref)) < 1e-12
@@ -176,13 +172,11 @@ class TestDensityKernels:
         assert np.max(np.abs(rows_shared - rows_tiled)) < 1e-12
         assert np.max(np.abs(rows_shared - np.diag(mat_shared[:, :4]))) < 1e-12
 
-    @pytest.mark.parametrize("kernel", ["rows", "matrix"])
+    @pytest.mark.parametrize("kernel", ["rows"])
     @pytest.mark.parametrize("ls_rows", [1, 3], ids=["shared", "per-row"])
     def test_kernel_finite_difference_in_all_arguments(self, kernel, ls_rows):
         fn = KERNELS[kernel]
-        weights = RngStream(30).normals(9).reshape(3, 3)
-        if kernel == "rows":
-            weights = weights[:, 0]
+        weights = RngStream(30).normals(9).reshape(3, 3)[:, 0]
 
         def f(x, means, log_stds):
             # a non-uniform cotangent exercises every entry of the backward
@@ -195,7 +189,7 @@ class TestDensityKernels:
         ]
         assert ad.finite_diff_check(f, point) < 1e-5
 
-    @pytest.mark.parametrize("kernel", ["rows", "matrix", "mixture"])
+    @pytest.mark.parametrize("kernel", ["rows", "mixture"])
     def test_kernel_records_one_node(self, kernel):
         with ad.Tape() as tape:
             args = [ad.leaf(RngStream(40 + k).normals(6).reshape(3, 2)) for k in range(3)]
@@ -211,7 +205,7 @@ class TestDensityKernels:
         means = RngStream(51).normals(256 * 3).reshape(256, 3)
         log_stds = RngStream(52).normals(3 * ls_rows).reshape(ls_rows, 3) * 0.3
         log_w = RngStream(53).normals(256)
-        ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, means, log_stds).data, axis=1)
+        ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, means, log_stds), axis=1)
         got = mo.gauss_mixture_logpdf(x, log_w, means, log_stds).data
         assert got.shape == (256,)
         assert np.max(np.abs(got - ref)) < 1e-12
@@ -241,7 +235,7 @@ class TestDensityKernels:
         where the bound-shifted total underflows and the row is redone with
         its own maximum.
         """
-        ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, means, log_stds).data, axis=1)
+        ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, means, log_stds), axis=1)
         bound = np.max(log_w - (0.5 * math.log(2 * math.pi) + log_stds).sum(axis=1))
         assert np.sum(ref < bound - 700.0) >= min_far
         weights = ad.constant(RngStream(89).normals(x.shape[0]))
@@ -281,7 +275,7 @@ class TestDensityKernels:
                 args = [ad.leaf(a) for a in (x, np.asarray([-np.inf, 0.2, -0.5]), means, log_stds)]
                 out = mo.gauss_mixture_logpdf(*args)
                 grads = ad.grad(out.sum(), args)
-            ref = ad.np_logsumexp(np.asarray([0.2, -0.5]) + mo.gauss_logpdf_matrix(x, means[1:], log_stds).data, axis=1)
+            ref = ad.np_logsumexp(np.asarray([0.2, -0.5]) + mo.gauss_logpdf_matrix(x, means[1:], log_stds), axis=1)
             assert np.all(np.isfinite(out.data)) and np.max(np.abs(out.data - ref)) < 1e-12
             assert grads[1][0] == 0.0 and np.all(grads[2][0] == 0.0)
             assert all(np.all(np.isfinite(g)) for g in grads)
@@ -368,7 +362,7 @@ class TestMixturePair:
         if far:  # the far rows of the first run take the kernel's redo path under r
             x, log_w, r_m, r_ls = point[0][:n], point[1][:n], point[4][:n], point[5][:n]
             bound = np.max(log_w - (0.5 * math.log(2 * math.pi) + r_ls).sum(axis=1))
-            ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, r_m, r_ls).data, axis=1)
+            ref = ad.np_logsumexp(log_w + mo.gauss_logpdf_matrix(x, r_m, r_ls), axis=1)
             assert ref[0] < bound - 700.0 and ref[n - 1] < bound - 700.0
 
     @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
@@ -497,25 +491,20 @@ class TestReparamDraw:
 
 
 class TestLgssmProposalMean:
-    """models.lgssm_proposal_mean: mu_t + beta_t * (x_prev @ A^T) in one node.
-
-    The model's A is symmetric; a general A tells A from A^T apart.
-    """
-
-    a = RngStream(77).normals(9).reshape(3, 3)
+    """models.lgssm_proposal_mean: mu_t + beta_t * xa in one node, xa the step's transition means."""
 
     def test_forward_matches_elementwise_ops(self):
         mu, beta = RngStream(70).normals(12).reshape(4, 3), RngStream(71).normals(12).reshape(4, 3)
-        x_prev = RngStream(72).normals(15).reshape(5, 3)
-        out = mo.lgssm_proposal_mean(mu, beta, x_prev, self.a, 3)
-        assert np.array_equal(out.data, mu[2:3] + beta[2:3] * (x_prev @ self.a.T))
+        xa = RngStream(72).normals(15).reshape(5, 3)
+        out = mo.lgssm_proposal_mean(mu, beta, xa, 3)
+        assert np.array_equal(out.data, mu[2:3] + beta[2:3] * xa)
 
     def test_finite_difference(self):
-        """In mu, beta and x_prev; the rows of mu and beta off step t get zeros."""
+        """In mu, beta and xa; the rows of mu and beta off step t get zeros."""
         weights = ad.constant(RngStream(73).normals(15).reshape(5, 3))
 
-        def f(mu, beta, x_prev):
-            return (mo.lgssm_proposal_mean(mu, beta, x_prev, self.a, 2) * weights).sum()
+        def f(mu, beta, xa):
+            return (mo.lgssm_proposal_mean(mu, beta, xa, 2) * weights).sum()
 
         point = [
             RngStream(74).normals(12).reshape(4, 3),
@@ -529,12 +518,75 @@ class TestLgssmProposalMean:
         for g in (g_mu, g_beta):
             assert np.all(g[[0, 2, 3]] == 0.0) and np.all(g[1] != 0.0)
 
+    def test_means_through_bind_finite_difference_in_x_prev(self):
+        """The bound proposal's means in x_prev; the model's A is symmetric, this one tells A from A^T apart."""
+        a = RngStream(77).normals(9).reshape(3, 3)
+        m = mo.Lgssm(a, np.eye(3), np.ones(3), np.ones(3))
+        params = mo.proposal_init(m, 3)
+        params["beta"] = params["beta"] + 0.5 * RngStream(78).normals(9).reshape(3, 3)
+        ys = RngStream(79).normals(9).reshape(3, 3)
+        weights = ad.constant(RngStream(80).normals(15).reshape(5, 3))
+
+        def f(x_prev):
+            return (mo.proposal_build_many(mo.bind(m, params, ys), 2, x_prev).means * weights).sum()
+
+        assert ad.finite_diff_check(f, [RngStream(81).normals(15).reshape(5, 3)]) < 1e-5
+
     def test_one_node(self):
         with ad.Tape() as tape:
             args = [ad.leaf(np.ones((3, 2))), ad.leaf(np.ones((3, 2))), ad.leaf(np.ones((4, 2)))]
             before = len(tape.nodes)
-            mo.lgssm_proposal_mean(*args, np.eye(2), 2)
+            mo.lgssm_proposal_mean(*args, 2)
             assert len(tape.nodes) == before + 1
+
+
+class TestOneTransitionPerStep:
+    """A proposal that reads the step's transition rows and the weight's log f share one rows object."""
+
+    @staticmethod
+    def record(model, params, data, run, monkeypatch):
+        """The tape of one run on leaves, the proposal rows of each step and its transition rows objects."""
+        proposals, transitions = {}, {}
+        build_proposal, build_transition = mo.proposal_build_many, mo.transition_build_many
+
+        def spy_proposal(bound, t, x_prev=None):
+            proposals[t] = build_proposal(bound, t, x_prev)
+            return proposals[t]
+
+        def spy_transition(bound, t, x_prev=None):
+            rows = build_transition(bound, t, x_prev)
+            transitions.setdefault(t, []).append(rows)
+            return rows
+
+        monkeypatch.setattr(mo, "proposal_build_many", spy_proposal)
+        monkeypatch.setattr(mo, "transition_build_many", spy_transition)
+        with ad.Tape() as tape:
+            run(model, {k: ad.leaf(v) for k, v in params.items()}, data)
+        return tape, proposals, transitions
+
+    @pytest.mark.parametrize("kind", ["vsmc", "vmpf-bg"])
+    def test_lgssm_proposal_mean_reads_the_transition_matmul(self, kind, monkeypatch):
+        m = mo.lgssm_make(3, 3, 0.42, "sparse", RngStream(0))
+        data = mo.generate(m, 4, RngStream(7))
+        params = mo.proposal_init(m, 4)
+        run = (lambda *a: fl.run_smc(*a, 4, 5)) if kind == "vsmc" else (lambda *a: fl.run_mpf(*a, 4, 5))
+        tape, proposals, transitions = self.record(m, params, data, run, monkeypatch)
+        for t in range(2, 5):
+            rows = transitions[t]
+            assert len(rows) == 2 and rows[0] is rows[1]  # the proposal's read, then the weight's
+            xa = tape.nodes[proposals[t].means.nid][0][2]
+            assert xa is not None and xa == rows[0].means.nid
+            assert tape.nodes[xa][0][1] is None  # x_prev @ A^T, with A^T a constant
+
+    def test_sv_proposal_fuses_the_weights_transition_rows(self, monkeypatch):
+        m = mo.sv_make(2, "triangular", RngStream(3))
+        data = mo.generate(m, 4, RngStream(11))
+        tape, proposals, transitions = self.record(m, mo.proposal_init(m, 4), data,
+                                                   lambda *a: fl.run_smc(*a, 4, 5), monkeypatch)
+        for t in range(2, 5):
+            rows = transitions[t]
+            assert len(rows) == 2 and rows[0] is rows[1]
+            assert tape.nodes[proposals[t].means.nid][0][0] == rows[0].means.nid
 
 
 class TestDenseLayer:
@@ -596,7 +648,7 @@ CONSTANT_PARENT_CASES = {
         [RngStream(94).normals(9).reshape(3, 3), RngStream(95).normals(9).reshape(3, 3) * 0.3],
     ),
     "lgssm_proposal_mean": (
-        lambda mu, beta, x: mo.lgssm_proposal_mean(mu, beta, x, _lower_triangular(96, 3), 2),
+        lambda mu, beta, xa: mo.lgssm_proposal_mean(mu, beta, xa, 2),
         [RngStream(97).normals(15).reshape(5, 3), RngStream(98).normals(15).reshape(5, 3),
          RngStream(99).normals(12).reshape(4, 3)],
     ),
@@ -811,6 +863,21 @@ class TestBind:
     def test_hmm(self):
         """The HMM observes one symbol a step, so a second column is refused, not ignored."""
         self.refuses_wrong_shapes(mo.hmm_reference(), None)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_observations_are_refused(self, value):
+        """A NaN or infinite cell fails at bind, naming the family, its row and its column, not a step later."""
+        cases = [(mo.lgssm_make(3, 2, 0.42, "sparse", RngStream(0)), None),
+                 (mo.sv_make(2, "diagonal", RngStream(0)), None),
+                 (mo.dmm_make(2, 2, 4, RngStream(0)), RngStream(1)),
+                 (mo.hmm_reference(), None)]
+        for model, rng in cases:
+            params = None if isinstance(model, mo.DiscreteHmm) else mo.proposal_init(model, 3, rng)
+            ys = np.zeros((3, model.dy))
+            ys[2, model.dy - 1] = value
+            expected = f"{type(model).__name__} observations must be finite; row 2, column {model.dy - 1} (from 0)"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                mo.bind(model, params, ys)
 
 
 class TestGenerate:

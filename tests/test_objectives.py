@@ -73,6 +73,13 @@ class TestObjective:
         with pytest.raises(ValueError):
             ob.Objective("vsmc", m, p, 0)
 
+    def test_particle_count_must_be_an_integer(self):
+        """2.5 used to pass and fail in the first filter's reshape; numpy integers still pass."""
+        m, ds, p = lgssm_case()
+        with pytest.raises(ValueError, match="n_particles must be an integer >= 1, got 2.5"):
+            ob.Objective("vsmc", m, p, 2.5)
+        assert ob.Objective("vsmc", m, p, np.int64(2)).n_particles == 2
+
     def test_kind_is_case_insensitive(self):
         m, ds, p = lgssm_case()
         assert ob.Objective("VMPF-BG", m, p, 2).kind == "vmpf-bg"
@@ -491,6 +498,10 @@ class TestTrain:
                        {"probe_every": 2, "probe_samples": 1}):
             with pytest.raises(ValueError, match="clip|probe"):
                 ob.train(o, ds, [(0.01, 3)], 1, **kwargs)
+        # every segment is checked first, also one after a good segment
+        for bad in ((math.nan, 3), (math.inf, 3), (-0.01, 3), (0.01, -1), (0.01, 2.5)):
+            with pytest.raises(ValueError, match="schedule segment"):
+                ob.train(o, ds, [(0.01, 3), bad], 1)
 
     def test_deterministic_given_seed(self):
         m, ds, p = lgssm_case()
