@@ -256,6 +256,23 @@ def _row(value) -> Var | None:
     return ad.reshape(ad.constant(_last_state(value)), (1, -1))
 
 
+def _prev_row(bound, value) -> Var | None:
+    """``_row`` of a previous state, the same object for the same state.
+
+    The bound model, which every lane of a derivation shares, keeps the
+    last state asked for and its row.  So a lane's proposal draw, its
+    proposal density and the step ratio hand ``models.transition_build_many``
+    one x_prev, and it builds that state's transition rows once.
+    """
+    if value is None:
+        return None
+    state = _last_state(value)
+    last = getattr(bound, "last_prev_row", None)
+    if last is None or last[0] is not state:
+        last = bound.last_prev_row = (state, _row(state))
+    return last[1]
+
+
 class _Lane:
     """One lane's reads from a draw backend, for a rows object's draw of one particle.
 
@@ -288,7 +305,7 @@ def step_ratio(bound, t: int) -> Callable:
 
     def ratio(old, new):
         x = _row(new)
-        log_f = mo.transition_build_many(bound, t, _row(old)).logpdf_rows(x)
+        log_f = mo.transition_build_many(bound, t, _prev_row(bound, old)).logpdf_rows(x)
         return (log_f + mo.emission_logpdf_rows(bound, t, x)).sum()
 
     return ratio
@@ -298,11 +315,11 @@ def step_proposal(bound, t: int) -> StepProposal:
     """Lane-addressed draw from r_t plus its log-density, as the filters draw it."""
 
     def sample(backend, lane, x_prev):
-        x = mo.proposal_build_many(bound, t, _row(x_prev)).draw(_Lane(backend, lane), t, 1)
+        x = mo.proposal_build_many(bound, t, _prev_row(bound, x_prev)).draw(_Lane(backend, lane), t, 1)
         return ad.reshape(x, (x.data.shape[1],))
 
     def logpdf(x_prev, x):
-        return mo.proposal_build_many(bound, t, _row(x_prev)).logpdf_rows(_row(x)).sum()
+        return mo.proposal_build_many(bound, t, _prev_row(bound, x_prev)).logpdf_rows(_row(x)).sum()
 
     return StepProposal(sample, logpdf)
 
@@ -324,18 +341,15 @@ def _ancestor_selector(proposal: StepProposal, ratio: Callable) -> Callable:
         new = d0.omega["new"]
         log_vs = ad.stack_rows([ld.log_r for ld in lanes])
         log_vbar = log_vs - ad.logsumexp(log_vs)
-        log_qs = [ad.constant(proposal.logpdf(ld.coupling.atoms[0][0], new)) for ld in lanes]
+        olds = [ld.coupling.atoms[0][0] for ld in lanes]
+        # each ancestor's proposal density and ratio in turn, so both read its one x_prev row
+        log_qs, ratios = zip(*[(ad.constant(proposal.logpdf(old, new)), ad.constant(ratio(old, new))) for old in olds])
         mix = [
             ad.gather_rows(log_vbar, np.asarray([j])).sum() + log_qs[j]
             for j in range(len(lanes))
         ]
         norm = ad.logsumexp(ad.stack_rows(mix))
-        branches = []
-        for j, ld in enumerate(lanes):
-            old = ld.coupling.atoms[0][0]
-            log_r0 = prev.log_r + ad.constant(ratio(old, new)) - log_qs[j]
-            branches.append((mix[j] - norm, log_r0, _atom(new)))
-        return branches
+        return [(mix[j] - norm, prev.log_r + ratios[j] - log_qs[j], _atom(new)) for j in range(len(lanes))]
 
     return selector
 

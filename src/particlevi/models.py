@@ -31,6 +31,11 @@ tape node with an analytic backward, which forms no cotangent for a
 constant parent (the kernels' rules return None there); the filters call
 the kernels on N rows and the couplings on one-row arrays, so each
 log-density has one implementation.
+
+Beyond numpy the module needs ``scipy.special`` (``expit``).  The Kalman
+oracle runs on ``numpy.linalg``, and ``scipy.linalg`` is imported only
+inside ``trisolve_rows``, SV's triangular solve, so LGSSM, DMM and HMM runs
+never load it.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import expit
 
 import particlevi.autodiff as ad
@@ -307,8 +311,17 @@ def hmm_reference() -> DiscreteHmm:
 
 
 def kalman_filter(m: Lgssm, ys: np.ndarray):
-    """Predict/update recursion; returns (loglik, filtered means, filtered covs)."""
+    """Predict/update recursion; returns (loglik, filtered means, filtered covs).
+
+    ys is checked as ``bind`` checks it: (T, dy) with T >= 1 and finite.
+    Each innovation covariance S is factored by ``np.linalg.cholesky``,
+    whose diagonal gives log det S; one that is not positive definite or
+    not finite is a ``ValueError`` naming t.  The residual and the gain
+    come from ``np.linalg.solve``: S and the covariance are symmetric, so
+    the gain cov C^T S^{-1} is solve(S, C cov)^T.
+    """
     ys = np.asarray(ys, dtype=np.float64)
+    _check_observations("Lgssm", m.dy, ys)
     t_max, dx = ys.shape[0], m.dx
     q, r = np.diag(m.q_diag), np.diag(m.r_diag)
     mean = np.zeros(dx)
@@ -322,14 +335,15 @@ def kalman_filter(m: Lgssm, ys: np.ndarray):
             cov = m.a @ cov @ m.a.T + q
         innov_cov = m.c @ cov @ m.c.T + r
         try:
-            factor = cho_factor(innov_cov, lower=True)
+            chol = np.linalg.cholesky(innov_cov)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"innovation covariance not positive definite at t={t + 1}") from exc
+        if not np.isfinite(chol).all():
+            raise ValueError(f"innovation covariance not positive definite at t={t + 1}")
         resid = ys[t] - m.c @ mean
-        solved = cho_solve(factor, resid)
-        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        loglik += -0.5 * (m.dy * LOG_2PI + logdet + resid @ solved)
-        gain = cov @ m.c.T @ cho_solve(factor, np.eye(m.dy))
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        loglik += -0.5 * (m.dy * LOG_2PI + logdet + resid @ np.linalg.solve(innov_cov, resid))
+        gain = np.linalg.solve(innov_cov, m.c @ cov).T
         mean = mean + gain @ resid
         shrink = np.eye(dx) - gain @ m.c
         cov = shrink @ cov @ shrink.T + gain @ r @ gain.T  # Joseph form
@@ -717,7 +731,11 @@ def trisolve_rows(b: Var, u: Var, runs: int = 1) -> Var:
 
     With runs > 1, u stacks that many runs' rows and each run is solved
     alone: LAPACK rounds a lone right-hand side unlike a block of them.
+    The solve is scipy's ``solve_triangular``, imported here because SV's
+    emission is its only caller: no other family loads ``scipy.linalg``.
     """
+    from scipy.linalg import solve_triangular  # only SV runs pay for loading scipy.linalg
+
     b, u = ad.constant(b), ad.constant(u)
     b_data, u_data = b.data, u.data
     if runs == 1:
@@ -887,14 +905,18 @@ def bind(model, params, data, runs: int = 1):
     ys = data.ys if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     for family, run in ((Lgssm, _LgssmRun), (StochVol, _SvRun), (Dmm, _DmmRun), (DiscreteHmm, _HmmRun)):
         if isinstance(model, family):
-            if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != model.dy:
-                raise ValueError(f"{family.__name__} observations must have shape (T, {model.dy}) "
-                                 f"with T >= 1, got {ys.shape}")
-            check_finite(ys, f"{family.__name__} observations")
+            _check_observations(family.__name__, model.dy, ys)
             bound = run(model, params, ys)
             bound.runs, bound.last_transition = runs, None
             return bound
     raise TypeError(f"unsupported model: {type(model).__name__}")
+
+
+def _check_observations(family: str, dy: int, ys: np.ndarray):
+    """Refuse ys unless it is (T, dy) with T >= 1 and finite, naming the family and both shapes."""
+    if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != dy:
+        raise ValueError(f"{family} observations must have shape (T, {dy}) with T >= 1, got {ys.shape}")
+    check_finite(ys, f"{family} observations")
 
 
 def check_finite(ys: np.ndarray, what: str, error=ValueError):

@@ -76,13 +76,18 @@ class Objective:
         self.kind = self.kind.lower()
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if not isinstance(self.n_particles, numbers.Integral) or self.n_particles < 1:
-            raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
+        _check_count("n_particles", self.n_particles, 1)
         if self.learn_theta and not hasattr(self.model, "with_theta"):
             raise ValueError(
                 f"{type(self.model).__name__} has no learnable model parameters; "
                 "VEM covers the SV and DMM families"
             )
+
+
+def _check_count(name: str, value, least: int):
+    """Refuse a count that is not an integer >= least, naming it and its value."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _run(obj: Objective, data, rng) -> fl.ParticleRun:
@@ -282,7 +287,9 @@ def train(
     zeroed before the update and excluded from the recorded norm.  A
     learning rate that is not finite and >= 0, an iteration count that is
     not an integer >= 0, a clip <= 0 (which would freeze or reverse the
-    ascent) or bad probe settings fail before the first iteration.
+    ascent), a probe_every that is not an integer >= 0 or, when probing, a
+    probe_samples that is not an integer >= 2 fail before the first
+    iteration.
     """
     if not schedule:
         raise ValueError("schedule must hold at least one (learning-rate, iterations) pair")
@@ -291,8 +298,9 @@ def train(
             raise ValueError(f"schedule segment ({lr!r}, {iters!r}) needs a finite rate >= 0 and an integer count >= 0")
     if clip is not None and not clip > 0:
         raise ValueError(f"clip must be > 0 (or None for no clipping), got {clip}")
-    if probe_every < 0 or (probe_every and probe_samples < 2):
-        raise ValueError("probe_every must be >= 0 and probe_samples >= 2")
+    _check_count("probe_every", probe_every, 0)
+    if probe_every:
+        _check_count("probe_samples", probe_samples, 2)
     rng = _stream(rng)
     grad_fn = _grad_fn(obj)
     packed = pack_params(obj)
@@ -352,12 +360,11 @@ def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | Non
     R to a pass of the kind's filter (``filters.RandomBackend``'s runs);
     R comes from N, T and the observation width alone, and is 1 under a
     tape.  A degenerate pass raises ``DegeneracyError`` for its lowest
-    degenerate sample.  ``workers`` changes neither the result nor the
-    thread: it is kept, with its >= 1 check, until the benchmark stops
-    passing it.
+    degenerate sample.  n_samples must be an integer >= 2.  ``workers``
+    changes neither the result nor the thread: it is kept, with its >= 1
+    check, until the benchmark stops passing it.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    _check_count("n_samples", n_samples, 2)
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     rng = _stream(rng)
@@ -381,8 +388,7 @@ def grad_variance_probe(obj: Objective, data, n_samples: int, rng) -> float:
     rng.split(i), the seeding convention of bound_estimate.  Each is
     flattened in ``param_layout`` order, as ``train`` flattens its own.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    _check_count("n_samples", n_samples, 2)
     rng = _stream(rng)
     grad_fn = _grad_fn(obj)
     layout = param_layout(pack_params(obj))

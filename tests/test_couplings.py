@@ -340,6 +340,24 @@ class TestDerivations:
             for ga, gb in zip(filter_grads(runner), pair_grads(maker)):
                 assert np.max(np.abs(ga - gb)) < 1e-10
 
+    @pytest.mark.parametrize("maker, products", [(cp.derive_smc, 9), (cp.derive_mpf, 23)],
+                             ids=["derive_smc", "derive_mpf"])
+    def test_lanes_share_one_transition_per_previous_state(self, maker, products, monkeypatch):
+        """A lane's proposal draw, its proposal density and the step ratio read one x_prev row.
+
+        So ``transition_build_many`` forms x_prev A^T once per previous state
+        and step.  LGSSM 2x2, T = 3, N = 2, one draw; a fresh row per call
+        would make 18 and 42 ``ad.matmul`` calls.
+        """
+        m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+        ds = mo.generate(m, 3, RngStream(1))
+        pair = maker(m, mo.proposal_init(m, 3), ds, 2)
+        calls = []
+        matmul = ad.matmul
+        monkeypatch.setattr(ad, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
+        pair.draw(RngStream(5))
+        assert len(calls) == products
+
     def test_description_reads_as_a_derivation(self):
         m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))
         ds = mo.generate(m, 2, RngStream(7))

@@ -118,6 +118,52 @@ class TestKalman:
         with pytest.raises(ValueError):
             mo.kalman_loglik(m, np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_innovation_raises_as_non_pd(self, bad):
+        m = mo.Lgssm(np.asarray([[1.0]]), np.asarray([[1.0]]), np.ones(1), np.ones(1))
+        m.r_diag[0] = bad  # sabotage past the constructor check
+        with pytest.raises(ValueError, match="innovation covariance not positive definite at t=1"):
+            mo.kalman_loglik(m, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("dx, c_mode, t_max", [(3, "dense", 5), (10, "sparse", 4)])
+    def test_matches_dense_joint_gaussian(self, dx, c_mode, t_max):
+        """d > 1: y_{1:T} is one zero-mean Gaussian, its covariance built block by block from A, C, Q, R."""
+        m = mo.lgssm_make(dx, dx, 0.42, c_mode, RngStream(3))
+        ys = mo.generate(m, t_max, RngStream(13)).ys
+        a, q = m.a, np.diag(m.q_diag)
+        marginals = [np.eye(dx)]  # Cov(x_t), x_1 ~ N(0, I)
+        for _ in range(1, t_max):
+            marginals.append(a @ marginals[-1] @ a.T + q)
+        cov_x = np.zeros((t_max * dx, t_max * dx))
+        for t in range(t_max):
+            for s in range(t + 1):  # Cov(x_t, x_s) = A^(t-s) Cov(x_s) for s <= t
+                block = np.linalg.matrix_power(a, t - s) @ marginals[s]
+                cov_x[t * dx:(t + 1) * dx, s * dx:(s + 1) * dx] = block
+                cov_x[s * dx:(s + 1) * dx, t * dx:(t + 1) * dx] = block.T
+        c_all = np.kron(np.eye(t_max), m.c)
+        cov_y = c_all @ cov_x @ c_all.T + np.kron(np.eye(t_max), np.diag(m.r_diag))
+        expected = multivariate_normal(np.zeros(t_max * m.dy), cov_y).logpdf(ys.ravel())
+        assert mo.kalman_loglik(m, ys) == pytest.approx(expected, rel=1e-10)
+
+    def test_refuses_what_bind_refuses(self):
+        """A column short or the same data flattened would broadcast into the residual; both are refused."""
+        m = mo.lgssm_make(3, 3, 0.42, "dense", RngStream(1))
+        ys = mo.generate(m, 10, RngStream(2)).ys
+        for bad in (ys[:, :1], ys.ravel(), np.zeros((0, 3))):
+            message = re.escape(f"Lgssm observations must have shape (T, 3) with T >= 1, got {bad.shape}")
+            with pytest.raises(ValueError, match=message):
+                mo.kalman_loglik(m, bad)
+            with pytest.raises(ValueError, match=message):
+                mo.bind(m, mo.proposal_init(m, 10), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_raises(self, bad):
+        m = mo.lgssm_make(3, 3, 0.42, "dense", RngStream(1))
+        ys = mo.generate(m, 4, RngStream(2)).ys
+        ys[2, 1] = bad
+        with pytest.raises(ValueError, match=r"Lgssm observations must be finite; row 2, column 1"):
+            mo.kalman_loglik(m, ys)
+
 
 class TestHmmForward:
     def test_reference_instance(self):

@@ -23,12 +23,20 @@ Verification stays off the filter path: no module a filter run or a
 training step loads imports ``checks`` or ``cli``, and ``checks`` does not
 import ``cli``.
 
+``scipy.linalg`` stays off every run's import path: only
+``models.trisolve_rows``, SV's triangular solve, imports it, inside its
+own body.  A fresh interpreter checks the same at run time.
+
 One lifting path: in ``objectives`` only ``pack_params`` and
 ``apply_params`` spell the "phi." and "theta." parameter namespace.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -290,6 +298,103 @@ VERIFY_SEAMS = {**{name: ("checks", "cli") for name in FILTER_PATH}, "checks": (
 def test_verification_stays_off_the_filter_path(name):
     forbidden = {f"{PACKAGE}.{module}" for module in VERIFY_SEAMS[name]}
     assert [hit for hit in package_imports((SRC / f"{name}.py").read_text()) if hit[1] in forbidden] == []
+
+
+def scipy_linalg_imports(source: str) -> list:
+    """(line, enclosing function path) for every import of ``scipy.linalg`` and every ``scipy.linalg`` read."""
+    found = []
+
+    def names_linalg(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[:2] == ["scipy", "linalg"] for a in node.names)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            module = node.module.split(".")
+            if module == ["scipy"]:
+                return any(a.name == "linalg" for a in node.names)
+            return module[:2] == ["scipy", "linalg"]
+        return isinstance(node, ast.Attribute) and node.attr == "linalg" and _dotted(node.value) == "scipy"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if names_linalg(child):
+                found.append((child.lineno, ".".join(scope)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_scipy_linalg_checker_catches_every_form():
+    source = (
+        "import scipy.linalg\nimport scipy.linalg as la\nfrom scipy.linalg import solve_triangular\n"
+        "from scipy import linalg, special\nimport scipy\nx = scipy.linalg.cho_solve\n"
+        "from scipy.special import expit\nimport numpy.linalg\n"
+        "def f():\n    from scipy.linalg import lu\n"
+    )
+    assert scipy_linalg_imports(source) == [(1, ""), (2, ""), (3, ""), (4, ""), (6, ""), (10, "f")]
+
+
+def test_only_svs_solve_imports_scipy_linalg():
+    found = sorted(
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for _, where in scipy_linalg_imports(path.read_text())
+    )
+    assert found == ["models.trisolve_rows"]
+
+
+# Runs in a fresh interpreter: this test process has loaded scipy.linalg already.
+IMPORT_PATH_SCRIPT = r"""
+import json, sys
+import numpy as np
+import particlevi.cli as cli
+from particlevi import filters as fl, models as mo, objectives as ob
+from particlevi.rng import RngStream
+
+loaded = {}
+m = cli.build_model(cli.load_config(sys.argv[1]))
+ds = mo.generate(m, 3, RngStream(1))
+for kind in ob.KINDS:
+    obj = ob.Objective(kind, m, mo.proposal_init(m, 3), 3)
+    grad_fn = ob.gradient_unbiased if kind == "vmpf-ug" else ob.gradient_biased
+    grad_fn(obj, ds, 2)
+    ob.bound_estimate(obj, ds, 4, 3)
+mo.kalman_loglik(m, ds.ys)
+dmm = mo.dmm_make(2, 3, 4, RngStream(2))
+dmm_obj = ob.Objective("vsmc", dmm, mo.proposal_init(dmm, 3, RngStream(3)), 3, learn_theta=True)
+ob.gradient_biased(dmm_obj, mo.generate(dmm, 3, RngStream(4)), 5)
+hmm = mo.hmm_reference()
+fl.run_smc(hmm, None, mo.generate(hmm, 3, RngStream(5)), 3, 6)
+loaded["lgssm-dmm-hmm"] = "scipy.linalg" in sys.modules
+
+sv = mo.sv_make(2, "triangular", RngStream(7))
+bound = mo.bind(sv, mo.proposal_init(sv, 2), mo.generate(sv, 2, RngStream(8)))
+loaded["sv-bind"] = "scipy.linalg" in sys.modules
+mo.emission_logpdf_rows(bound, 1, np.zeros((3, 2)))
+loaded["sv-emission"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+@pytest.fixture(scope="module")
+def import_path_loads(tmp_path_factory):
+    """Whether scipy.linalg is loaded after each stage of IMPORT_PATH_SCRIPT, run in a fresh interpreter."""
+    cfg = tmp_path_factory.mktemp("import-path") / "lgssm.ini"
+    cfg.write_text("[model]\nkind = lgssm\ndx = 2\ndy = 2\nalpha = 0.42\nc_mode = sparse\nt = 3\n"
+                   "[objective]\nkind = vsmc\nn = 3\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT, str(cfg)], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_lgssm_dmm_and_hmm_runs_never_load_scipy_linalg(import_path_loads):
+    assert import_path_loads["lgssm-dmm-hmm"] is False
+
+
+def test_an_sv_emission_loads_scipy_linalg(import_path_loads):
+    assert (import_path_loads["sv-bind"], import_path_loads["sv-emission"]) == (False, True)
 
 
 NAMESPACE = ("phi.", "theta.")

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import threading
 
 import numpy as np
@@ -503,6 +504,17 @@ class TestTrain:
             with pytest.raises(ValueError, match="schedule segment"):
                 ob.train(o, ds, [(0.01, 3), bad], 1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"probe_every": 1, "probe_samples": 2.5}, "probe_samples must be an integer >= 2, got 2.5"),
+        ({"probe_every": 1.5}, "probe_every must be an integer >= 0, got 1.5"),
+    ], ids=["probe_samples", "probe_every"])
+    def test_probe_settings_must_be_integers(self, kwargs, message, monkeypatch):
+        """Refused before the first gradient, not from inside the probe's range."""
+        m, ds, p = lgssm_case()
+        monkeypatch.setattr(ob, "gradient_biased", None)  # no iteration may start
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ob.train(ob.Objective("vsmc", m, p, 3), ds, [(0.01, 3)], 1, **kwargs)
+
     def test_deterministic_given_seed(self):
         m, ds, p = lgssm_case()
         o = ob.Objective("vmpf-bg", m, p, 3)
@@ -662,6 +674,17 @@ class TestEvaluation:
             ob.bound_estimate(o, ds, 1, 0)
         with pytest.raises(ValueError):
             ob.grad_variance_probe(o, ds, 1, 0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0)], ids=["2.5", "3.0", "float64"])
+    def test_bound_estimate_sample_count_must_be_an_integer(self, count):
+        m, ds, p = lgssm_case()
+        with pytest.raises(ValueError, match=re.escape(f"n_samples must be an integer >= 2, got {count!r}")):
+            ob.bound_estimate(ob.Objective("vsmc", m, p, 2), ds, count, 0)
+
+    def test_probe_sample_count_must_be_an_integer(self):
+        m, ds, p = lgssm_case()
+        with pytest.raises(ValueError, match=re.escape("n_samples must be an integer >= 2, got 2.5")):
+            ob.grad_variance_probe(ob.Objective("vsmc", m, p, 2), ds, 2.5, 0)
 
     def test_probe_replicates_manual_variance_and_pair_halving(self):
         m, ds, p = lgssm_case()
