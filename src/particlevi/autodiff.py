@@ -386,7 +386,7 @@ def grad(loss: Var, wrt) -> list:
         elif isinstance(g, np.ndarray) and g.shape == w.data.shape and g.dtype == np.float64:
             out[k] = g.copy()
         else:
-            out[k] = np.broadcast_to(g, w.data.shape).astype(np.float64).copy()
+            out[k] = np.broadcast_to(g, w.data.shape).astype(np.float64)  # astype copies
     return out
 
 

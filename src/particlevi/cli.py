@@ -493,7 +493,7 @@ def cmd_bench(model_kind: str, n_list, reps: int, t_max: int, out: Path | None =
 
     ns = np.asarray(n_list, dtype=np.float64)
     fits = {algo: _fit_quadratic(ns, ms) for algo, ms in timings.items()}
-    n_top = ns[-1]
+    n_top = ns.max()
     report = {"model": model_kind, "n": list(n_list), "fits": {}, "timings": timings}
     for algo, (quad, lin, const) in fits.items():
         share = abs(quad) * n_top * n_top / max(abs(lin) * n_top, 1e-300)
@@ -681,9 +681,15 @@ def cmd_plot(kind: str, table: Path, out: Path, reference: float | None = None) 
 
 
 def _parse_n_list(raw: str):
-    values = [int(v) for v in raw.replace(",", " ").split()]
+    """Particle counts for ``bench``: at least three distinct sizes >= 1, which its quadratic fit needs."""
+    try:
+        values = [int(v) for v in raw.replace(",", " ").split()]
+    except ValueError:
+        raise CliError(f"bad N list: {raw!r}") from None
     if not values or any(v < 1 for v in values):
         raise CliError(f"bad N list: {raw!r}")
+    if len(set(values)) != len(values) or len(values) < 3:
+        raise CliError(f"--n-list needs at least three distinct sizes for the quadratic fit, got {raw!r}")
     return values
 
 

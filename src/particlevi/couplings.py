@@ -87,6 +87,23 @@ class StepProposal:
 
 
 @dataclass
+class StepRatio:
+    """log[gamma_t / gamma_{t-1}] = log f(x_t | x_{t-1}) + log g(y_t | x_t), term by term.
+
+    log_f(x_prev, x) and log_g(x) score (1, d) state rows; ratio(old, new)
+    is their sum.  The terms apart let the MPF ancestor selector score one
+    new state's log g once against every ancestor's log f.
+    """
+
+    log_f: Callable
+    log_g: Callable
+
+    def __call__(self, old, new):
+        x = _row(new)
+        return (self.log_f(old, x) + self.log_g(x)).sum()
+
+
+@dataclass
 class TargetRatio:
     """The factor log[gamma'(x, x') / gamma(x)] that extends a target by one step.
 
@@ -300,15 +317,12 @@ def step_density(bound) -> Callable:
     return lambda x: ratio(None, x)
 
 
-def step_ratio(bound, t: int) -> Callable:
-    """log[gamma_t / gamma_{t-1}] = log f(x_t | x_{t-1}) + log g(y_t | x_t)."""
-
-    def ratio(old, new):
-        x = _row(new)
-        log_f = mo.transition_build_many(bound, t, _prev_row(bound, old)).logpdf_rows(x)
-        return (log_f + mo.emission_logpdf_rows(bound, t, x)).sum()
-
-    return ratio
+def step_ratio(bound, t: int) -> StepRatio:
+    """log f(x_t | x_{t-1}) + log g(y_t | x_t) of a ``models.bind`` result at step t."""
+    return StepRatio(
+        lambda old, x: mo.transition_build_many(bound, t, _prev_row(bound, old)).logpdf_rows(x),
+        lambda x: mo.emission_logpdf_rows(bound, t, x),
+    )
 
 
 def step_proposal(bound, t: int) -> StepProposal:
@@ -324,13 +338,14 @@ def step_proposal(bound, t: int) -> StepProposal:
     return StepProposal(sample, logpdf)
 
 
-def _ancestor_selector(proposal: StepProposal, ratio: Callable) -> Callable:
+def _ancestor_selector(proposal: StepProposal, ratio: StepRatio) -> Callable:
     """Conditional branches of the drawn ancestor given everything else.
 
     Reads the per-lane draws recorded by the preceding replicate so the
     conditional weights carry the same gradient paths as the direct filter:
     branch weight proportional to vbar_j * r(x' | x_j), branch estimator
-    R_prev * f(x' | x_j) g(y | x') / r(x' | x_j).
+    R_prev * f(x' | x_j) g(y | x') / r(x' | x_j).  g(y | x') is the same in
+    every branch, so it is scored once per lane.
     """
 
     def selector(d0: DrawResult):
@@ -342,8 +357,11 @@ def _ancestor_selector(proposal: StepProposal, ratio: Callable) -> Callable:
         log_vs = ad.stack_rows([ld.log_r for ld in lanes])
         log_vbar = log_vs - ad.logsumexp(log_vs)
         olds = [ld.coupling.atoms[0][0] for ld in lanes]
-        # each ancestor's proposal density and ratio in turn, so both read its one x_prev row
-        log_qs, ratios = zip(*[(ad.constant(proposal.logpdf(old, new)), ad.constant(ratio(old, new))) for old in olds])
+        x = _row(new)
+        log_g = ratio.log_g(x)
+        # each ancestor's proposal density and log f in turn, so both read its one x_prev row
+        log_qs, ratios = zip(*[(ad.constant(proposal.logpdf(old, new)), (ratio.log_f(old, x) + log_g).sum())
+                               for old in olds])
         mix = [
             ad.gather_rows(log_vbar, np.asarray([j])).sum() + log_qs[j]
             for j in range(len(lanes))

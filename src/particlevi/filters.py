@@ -61,13 +61,18 @@ class DegeneracyError(RuntimeError):
     t is the step and sample the degenerate run's index, the lowest if
     several are: its index in the filter pass (``label`` "run"), which
     ``objectives.bound_estimate`` reports as a "sample" and
-    ``objectives.train`` as an "iteration".
+    ``objectives.train`` as an "iteration".  cause names which of the two
+    it is, read off the step's largest log weight (``_degeneracy_cause``).
     """
 
-    def __init__(self, t: int, sample: int = 0, label: str = "run"):
-        super().__init__(f"particle degeneracy at t={t} in {label} {sample}: "
-                         "every weight is zero, or one is NaN or +inf")
-        self.t, self.sample, self.label = t, sample, label
+    def __init__(self, t: int, sample: int, label: str, cause: str):
+        super().__init__(f"particle degeneracy at t={t} in {label} {sample}: {cause}")
+        self.t, self.sample, self.label, self.cause = t, sample, label, cause
+
+
+def _degeneracy_cause(largest: float) -> str:
+    """What a non-finite largest log weight says: -inf when every weight is zero, else NaN or +inf."""
+    return "every weight is zero" if largest == -math.inf else "a weight is NaN or +inf"
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +289,18 @@ def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, *
         x, logw = step(bound, draws, t, x, logw, lse)
         # a run's weights are all zero or hold a NaN or +inf exactly when its largest is not finite
         if runs == 1:
-            if not math.isfinite(logw.data.max()):
-                raise DegeneracyError(t)
+            largest = logw.data.max()
+            if not math.isfinite(largest):
+                raise DegeneracyError(t, 0, "run", _degeneracy_cause(largest))
             lse = ad.logsumexp(logw)
             log_mean_weights.append(lse - log_n)
         else:
             per_run = logw.data.reshape(runs, -1)
-            live = np.isfinite(per_run.max(axis=1))
+            largest = per_run.max(axis=1)
+            live = np.isfinite(largest)
             if not live.all():
-                raise DegeneracyError(t, int(np.argmin(live)))
+                j = int(np.argmin(live))
+                raise DegeneracyError(t, j, "run", _degeneracy_cause(largest[j]))
             each = ad.np_logsumexp(per_run, axis=1)
             log_mean_weights.append(ad.constant(each) - log_n)
             lse = ad.constant(np.repeat(each, n))

@@ -14,13 +14,14 @@ evidence estimator, so every kind is a lower bound on log p(y) by Jensen.
 Each kind is one filter call: ``run_smc`` with or without resampling,
 ``run_tmc``, or ``run_mpf`` with or without the implicit gradient of its
 mixture draws.  Gradients are single-draw: one filter run per call,
-differentiated in reverse mode.  A gradient call packs the parameters
-(``pack_params``), makes each packed array one tape leaf, installs the
-leaves with ``apply_params`` and asks ``grad`` for them in that order, so
-the gradient dict comes back in ``param_layout`` order.  A categorical
-draw carries no gradient, except through vmpf-ug's implicit node on the
-realized mixture draws; iwvi and tmc contain no categorical draw at all,
-so their gradient is exactly the reparameterized gradient.
+differentiated in reverse mode.  A gradient call makes each
+``pack_params`` array one tape leaf, installs the leaves with
+``apply_params`` and returns their cotangents as one flat float64 vector
+in ``param_layout`` order, which Adam, the variance probe and the N=1
+check read as it is.  A categorical draw carries no gradient, except
+through vmpf-ug's implicit node on the realized mixture draws; iwvi and
+tmc contain no categorical draw at all, so their gradient is exactly the
+reparameterized gradient.
 ``bound_estimate`` averages independent runs, R of them per pass of the
 kind's filter: the pass stacks the runs' particle rows, off tape.  R is set by the shapes
 alone, R = 2^18 // (N max(N, T dy)) capped at the sample count, so that a
@@ -113,20 +114,21 @@ def objective_value(obj: Objective, data, rng) -> Var:
 
 
 def _gradient(obj: Objective, data, rng) -> tuple:
-    """(value, gradient dict) of one run, in ``param_layout`` order.
+    """(value, gradient vector in ``param_layout(pack_params(obj))`` order) of one run.
 
     Each ``pack_params`` array becomes one leaf, ``apply_params`` installs
-    the leaves for the kind's filter, and ``grad`` takes them in that order.
+    the leaves for the kind's filter, and ``grad``'s cotangents are
+    concatenated once, in that order.
     """
     with ad.Tape():
         leaves = {k: ad.leaf(v) for k, v in pack_params(obj).items()}
         run = _run(apply_params(obj, leaves), data, rng)
         grads = ad.grad(run.log_evidence, list(leaves.values()))
-    return float(run.log_evidence.data), dict(zip(leaves, grads))
+    return float(run.log_evidence.data), np.concatenate([g.ravel() for g in grads])
 
 
 def gradient_biased(obj: Objective, data, rng) -> tuple:
-    """(value, gradient dict), categorical draws detached.
+    """(value, gradient vector), categorical draws detached.
 
     Exact for iwvi and tmc, which contain no categorical draw at all.
     """
@@ -136,7 +138,7 @@ def gradient_biased(obj: Objective, data, rng) -> tuple:
 
 
 def gradient_unbiased(obj: Objective, data, rng) -> tuple:
-    """(value, gradient dict) with implicit mixture reparameterization."""
+    """(value, gradient vector) with implicit mixture reparameterization."""
     if obj.kind != "vmpf-ug":
         raise ValueError("gradient_unbiased applies to the vmpf-ug kind only")
     return _gradient(obj, data, rng)
@@ -176,10 +178,6 @@ def param_layout(packed: dict) -> tuple:
     """(name, shape, slice) of each packed array in one flat vector, in pack_params order."""
     ends = accumulate(a.size for a in packed.values())
     return tuple((k, a.shape, slice(e - a.size, e)) for (k, a), e in zip(packed.items(), ends))
-
-
-def _flat(layout: tuple, arrays: dict) -> np.ndarray:
-    return np.concatenate([np.ravel(arrays[k]) for k, _, _ in layout])
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +275,20 @@ def train(
     schedule is a list of (learning_rate, iterations) segments; moments
     persist across segments.  One objective draw per iteration.  Parameters,
     moments and gradients are flat vectors in one ``param_layout``; the
+    gradient function's vector goes to ``adam_step`` unconverted.  The
     trained Objective holds views of the last vector, and obj's arrays are
     never written.  grad_norm is ``adam_step``'s one dot product.  The run
     aborts with the iteration index if the objective goes non-finite or the
     raw gradient norm exceeds 1e6 (instability is reported, never papered
     over); a degenerate filter run raises ``DegeneracyError`` naming the
-    iteration.  Deterministic for a fixed rng seed and schedule.  Parameters
-    named in freeze keep their initial values; their gradient slices are
-    zeroed before the update and excluded from the recorded norm.  A
-    learning rate that is not finite and >= 0, an iteration count that is
-    not an integer >= 0, a clip <= 0 (which would freeze or reverse the
-    ascent), a probe_every that is not an integer >= 0 or, when probing, a
-    probe_samples that is not an integer >= 2 fail before the first
-    iteration.
+    iteration and the run's cause.  Deterministic for a fixed rng seed and
+    schedule.  Parameters named in freeze keep their initial values; their
+    gradient slices are zeroed before the update and excluded from the
+    recorded norm.  A learning rate that is not finite and >= 0, an
+    iteration count that is not an integer >= 0, a clip <= 0 (which would
+    freeze or reverse the ascent), a probe_every that is not an integer
+    >= 0 or, when probing, a probe_samples that is not an integer >= 2
+    fail before the first iteration.
     """
     if not schedule:
         raise ValueError("schedule must hold at least one (learning-rate, iterations) pair")
@@ -309,7 +308,7 @@ def train(
             raise ValueError(f"unknown frozen parameter {name!r}")
     layout = param_layout(packed)
     frozen = [sl for k, _, sl in layout if k in freeze]
-    theta = _flat(layout, packed)
+    theta = np.concatenate([a.ravel() for a in packed.values()])
     current = apply_params(obj, packed)
     state = AdamState(lr=float(schedule[0][0]), layout=layout, clip=clip)
     record = TrainRecord()
@@ -319,12 +318,11 @@ def train(
         for _ in range(iters):
             t0 = time.perf_counter()
             try:
-                value, grads = grad_fn(current, data, rng.split(10, it))
+                value, grad = grad_fn(current, data, rng.split(10, it))
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite objective at iteration {it}")
-                grad = _flat(layout, grads)
                 for sl in frozen:
-                    grad[sl] = 0.0
+                    grad[sl] = 0.0  # the vector is the gradient function's own
                 theta, gnorm = adam_step(state, theta, grad)
                 if gnorm > _NORM_ABORT:
                     raise ValueError(f"gradient norm {gnorm:.3e} at iteration {it}; run diverged")
@@ -332,7 +330,7 @@ def train(
                 if probe_every and it % probe_every == 0:
                     gvar = grad_variance_probe(current, data, probe_samples, rng.split(11, it))
             except fl.DegeneracyError as exc:
-                raise fl.DegeneracyError(exc.t, it, "iteration") from None
+                raise fl.DegeneracyError(exc.t, it, "iteration", exc.cause) from None
             current = apply_params(obj, {k: theta[sl].reshape(shape) for k, shape, sl in layout})
             record.append(it, value, gnorm, gvar, (time.perf_counter() - t0) * 1e3)
             it += 1
@@ -360,9 +358,9 @@ def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | Non
     R to a pass of the kind's filter (``filters.RandomBackend``'s runs);
     R comes from N, T and the observation width alone, and is 1 under a
     tape.  A degenerate pass raises ``DegeneracyError`` for its lowest
-    degenerate sample.  n_samples must be an integer >= 2.  ``workers``
-    changes neither the result nor the thread: it is kept, with its >= 1
-    check, until the benchmark stops passing it.
+    degenerate sample, with that run's cause.  n_samples must be an
+    integer >= 2.  ``workers`` changes neither the result nor the thread:
+    it is kept, with its >= 1 check, until the benchmark stops passing it.
     """
     _check_count("n_samples", n_samples, 2)
     if workers is not None and workers < 1:
@@ -375,7 +373,7 @@ def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | Non
         try:  # keep the evidence alone: the pass's particles go before the next pass
             evidence = _run(obj, data, source).log_evidence
         except fl.DegeneracyError as exc:
-            raise fl.DegeneracyError(exc.t, start + exc.sample, "sample") from None
+            raise fl.DegeneracyError(exc.t, start + exc.sample, "sample", exc.cause) from None
         values.append(np.ravel(evidence.data))
     values = np.concatenate(values)
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n_samples))
@@ -385,12 +383,11 @@ def grad_variance_probe(obj: Objective, data, n_samples: int, rng) -> float:
     """Per-coordinate gradient variance, averaged over every coordinate.
 
     The n_samples gradients run one after another; draw i uses
-    rng.split(i), the seeding convention of bound_estimate.  Each is
-    flattened in ``param_layout`` order, as ``train`` flattens its own.
+    rng.split(i), the seeding convention of bound_estimate.  Their flat
+    vectors, the ones ``train`` steps with, are stacked as they are.
     """
     _check_count("n_samples", n_samples, 2)
     rng = _stream(rng)
     grad_fn = _grad_fn(obj)
-    layout = param_layout(pack_params(obj))
-    stacked = np.stack([_flat(layout, grad_fn(obj, data, rng.split(i))[1]) for i in range(n_samples)])
+    stacked = np.stack([grad_fn(obj, data, rng.split(i))[1] for i in range(n_samples)])
     return float(stacked.var(axis=0, ddof=1).mean())

@@ -178,13 +178,14 @@ def _objective_entries(name, model, params, data, learn_theta) -> dict:
         for n in NS:
             obj = ob.Objective(kind, model, params, n, learn_theta=learn_theta)
             grad_fn = ob.gradient_unbiased if kind == "vmpf-ug" else ob.gradient_biased
+            names = sorted((k, sl) for k, _, sl in ob.param_layout(ob.pack_params(obj)))
             for seed in SEEDS:
                 value = ob.objective_value(obj, data, seed)
-                g_value, grads = grad_fn(obj, data, seed)
+                g_value, grad = grad_fn(obj, data, seed)
                 out[f"objective/{name}/{kind}/n{n}/s{seed}"] = {
                     "value": _hex(value.data),
                     "grad_value": _hex(g_value),
-                    "grads": {k: _projections(g) for k, g in sorted(grads.items())},
+                    "grads": {k: _projections(grad[sl]) for k, sl in names},
                 }
     return out
 

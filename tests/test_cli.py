@@ -397,6 +397,14 @@ class TestBenchCmd:
         assert fit_lines[0] == "model,algo,quadratic,linear,constant,crossover_n"
         assert len(fit_lines) == 3
 
+    def test_bench_share_reads_the_largest_n(self, capsys):
+        """An unsorted list reports the N^2 share at its largest N, not at its last."""
+        report = cli.cmd_bench("lgssm", [16, 4, 8], reps=1, t_max=2)
+        fits = [line for line in capsys.readouterr().out.splitlines() if "share" in line]
+        assert len(fits) == 2 and all("N^2 share at N=16:" in line for line in fits), fits
+        fit = report["fits"]["smc"]
+        assert fit["quad_share_at_top"] == pytest.approx(abs(fit["quadratic"]) * 16 / max(abs(fit["linear"]), 1e-300))
+
     def test_unknown_model(self):
         with pytest.raises(cli.CliError, match="bench model"):
             cli.cmd_bench("hmm", [2], 1, 2)
@@ -491,6 +499,11 @@ class TestMain:
             (["evaluate", "--config", cfg_path, "--out", str(tmp_path), "--samples", "1"], "--samples"),
             (["bench", "--model", "lgssm", "--reps", "0"], "--reps"),
             (["bench", "--model", "lgssm", "--t", "0"], "--t"),
+            # the quadratic fit needs three distinct sizes: the list is named
+            (["bench", "--model", "lgssm", "--n-list", "4", "--reps", "1", "--t", "2"], "'4'"),
+            (["bench", "--model", "lgssm", "--n-list", "8,16", "--reps", "1", "--t", "2"], "'8,16'"),
+            (["bench", "--model", "lgssm", "--n-list", "8,8,16", "--reps", "1", "--t", "2"], "'8,8,16'"),
+            (["bench", "--model", "lgssm", "--n-list", "8,x,16", "--reps", "1", "--t", "2"], "'8,x,16'"),
         ):
             assert cli.main(argv) == 2, flag
             err = capsys.readouterr().err

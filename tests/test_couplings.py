@@ -340,14 +340,16 @@ class TestDerivations:
             for ga, gb in zip(filter_grads(runner), pair_grads(maker)):
                 assert np.max(np.abs(ga - gb)) < 1e-10
 
-    @pytest.mark.parametrize("maker, products", [(cp.derive_smc, 9), (cp.derive_mpf, 23)],
+    @pytest.mark.parametrize("maker, products", [(cp.derive_smc, 9), (cp.derive_mpf, 19)],
                              ids=["derive_smc", "derive_mpf"])
     def test_lanes_share_one_transition_per_previous_state(self, maker, products, monkeypatch):
         """A lane's proposal draw, its proposal density and the step ratio read one x_prev row.
 
         So ``transition_build_many`` forms x_prev A^T once per previous state
         and step.  LGSSM 2x2, T = 3, N = 2, one draw; a fresh row per call
-        would make 18 and 42 ``ad.matmul`` calls.
+        would make 18 and 42 ``ad.matmul`` calls.  derive_mpf's ancestor
+        selector scores log g (one C x matmul) once per lane; once per
+        ancestor made 23.
         """
         m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
         ds = mo.generate(m, 3, RngStream(1))
@@ -357,6 +359,22 @@ class TestDerivations:
         monkeypatch.setattr(ad, "matmul", lambda *args, **kwargs: calls.append(1) or matmul(*args, **kwargs))
         pair.draw(RngStream(5))
         assert len(calls) == products
+
+    @pytest.mark.parametrize("maker, scores", [(cp.derive_smc, 6), (cp.derive_mpf, 10)],
+                             ids=["derive_smc", "derive_mpf"])
+    def test_emission_scored_once_per_lane_and_step(self, maker, scores, monkeypatch):
+        """One draw, LGSSM 2x2, T = 3, N = 2: derive_smc scores log g once per
+        lane and step.  derive_mpf adds one score per lane at t >= 2 for its
+        ancestor selector, which every branch shares; one per branch made 14.
+        """
+        m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+        ds = mo.generate(m, 3, RngStream(1))
+        pair = maker(m, mo.proposal_init(m, 3), ds, 2)
+        calls = []
+        emission = mo.emission_logpdf_rows
+        monkeypatch.setattr(mo, "emission_logpdf_rows", lambda *args: calls.append(1) or emission(*args))
+        pair.draw(RngStream(5))
+        assert len(calls) == scores
 
     def test_description_reads_as_a_derivation(self):
         m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))

@@ -1,6 +1,8 @@
 """Filter correctness against enumeration, Kalman, and brute-force oracles."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -823,3 +825,34 @@ class TestRunAxis:
             else:
                 run = fl._filter("stub", m, params, ds, 2, source, step, False)
                 assert run.t_max == 4 and np.all(np.isfinite(run.log_evidence.data))
+
+    def test_degeneracy_names_its_cause(self):
+        """The step's largest log weight names the cause: -inf when every weight
+        is zero, NaN or +inf otherwise; alone and in a pass of three runs.
+
+        Every weight is zero at t=1 in an HMM whose prior starts in state 0
+        while symbol 1 is emitted from state 1 only, and in an LGSSM whose
+        proposal log-std is 400: z * z overflows, so the prior and emission
+        densities of every draw are zero.  At log-std -400 the MPF pair
+        kernel's exp(-2 log-std) overflows and leaves a NaN weight at t=2.
+        The LGSSM cases keep numpy's overflow warning.
+        """
+        h = mo.DiscreteHmm(np.asarray([1.0, 0.0]), np.asarray([[0.9, 0.1], [0.1, 0.9]]),
+                           np.asarray([[1.0, 0.0], [0.0, 1.0]]))
+        m, ds, wide = lgssm_setup(t_max=3, dx=2, dy=2)
+        narrow = {k: v.copy() for k, v in wide.items()}
+        wide["log_sigma"][:] = 400.0
+        narrow["log_sigma"][:] = -400.0
+        zero, nan = "every weight is zero", "a weight is NaN or +inf"
+        cases = [(run, h, None, np.asarray([[1.0], [0.0]]), 1, zero) for run in (fl.run_smc, fl.run_mpf, fl.run_tmc)]
+        cases += [(run, m, wide, ds, 1, zero) for run in (fl.run_smc, fl.run_mpf, fl.run_tmc)]
+        cases += [(fl.run_mpf, m, narrow, ds, 2, nan)]
+        for source in (1, fl.RandomBackend(RngStream(1), [4, 5, 6])):
+            for run, model, params, data, t, cause in cases:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with pytest.raises(fl.DegeneracyError, match=re.escape(f"t={t} in run 0: {cause}")) as err:
+                        run(model, params, data, 3, source)
+                assert (err.value.t, err.value.cause) == (t, cause)
+                overflowed = any("overflow" in str(w.message) for w in caught)
+                assert overflowed == (model is m), (run.__name__, cause)

@@ -4,6 +4,7 @@ import gc
 import math
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -141,11 +142,18 @@ class TestObjectiveValue:
             assert vals.mean() > kal - 0.5
 
 
+def named(obj, grad) -> dict:
+    """A gradient vector's ``param_layout`` slices, by name and in their packed shapes."""
+    return {k: grad[sl].reshape(shape) for k, shape, sl in ob.param_layout(ob.pack_params(obj))}
+
+
 class TestGradients:
     def grads_of(self, kind, m, p, ds, n, seed=5):
+        """(value, name -> gradient slice) of one gradient call."""
         o = ob.Objective(kind, m, p, n)
         fn = ob.gradient_unbiased if kind == "vmpf-ug" else ob.gradient_biased
-        return fn(o, ds, RngStream(seed))
+        value, grad = fn(o, ds, RngStream(seed))
+        return value, named(o, grad)
 
     @pytest.mark.parametrize("kind", ["iwvi", "tmc"])
     def test_reparameterized_kinds_match_finite_differences(self, kind):
@@ -166,19 +174,28 @@ class TestGradients:
     @pytest.mark.parametrize("kind", ["vsmc", "vmpf-ug"])
     @pytest.mark.parametrize("family", ["lgssm", "dmm-vem"])
     def test_gradient_names_follow_pack_params(self, family, kind):
-        """A gradient dict holds exactly the packed names and shapes, in
-        ``pack_params`` order: one order from the tape to Adam."""
+        """The gradient is one float64 vector in ``param_layout(pack_params(obj))``
+        order: each named slice is, bit for bit, that name's gradient on an
+        independent tape with one leaf per packed array.  One order from the
+        tape to Adam."""
         if family == "lgssm":
             m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
         else:
             m = mo.dmm_make(2, 3, 4, RngStream(0))
         obj = ob.Objective(kind, m, mo.proposal_init(m, 3, RngStream(1)), 3, learn_theta=family == "dmm-vem")
+        ds = mo.generate(m, 3, RngStream(7))
         fn = ob.gradient_unbiased if kind == "vmpf-ug" else ob.gradient_biased
-        _, grads = fn(obj, mo.generate(m, 3, RngStream(7)), RngStream(5))
+        value, grad = fn(obj, ds, RngStream(5))
         packed = ob.pack_params(obj)
-        assert list(grads) == list(packed)
-        assert [g.shape for g in grads.values()] == [a.shape for a in packed.values()]
-        assert {k.split(".")[0] for k in grads} == ({"phi", "theta"} if obj.learn_theta else {"phi"})
+        with ad.Tape():
+            leaves = {k: ad.leaf(v) for k, v in packed.items()}
+            loss = ob.objective_value(ob.apply_params(obj, leaves), ds, RngStream(5))
+            want = ad.grad(loss, list(leaves.values()))
+        assert value == float(loss.data)
+        assert grad.dtype == np.float64 and grad.shape == (sum(a.size for a in packed.values()),)
+        for (k, shape, sl), w in zip(ob.param_layout(packed), want, strict=True):
+            assert np.array_equal(grad[sl].reshape(shape), w), k
+        assert {k.split(".")[0] for k in packed} == ({"phi", "theta"} if obj.learn_theta else {"phi"})
 
     def test_kind_gates(self):
         m, ds, p = lgssm_case()
@@ -344,7 +361,7 @@ class TestGradients:
             p["log_sigma"] -= 0.3
         ds = mo.generate(m, 3, RngStream(8))
         obj = ob.Objective("iwvi", m, p, 3, learn_theta=True)
-        _, grads = ob.gradient_biased(obj, ds, RngStream(5))
+        grads = named(obj, ob.gradient_biased(obj, ds, RngStream(5))[1])
         packed = ob.pack_params(obj)
         assert set(grads) == set(packed)
         assert any(k.startswith("theta.") for k in packed)
@@ -366,7 +383,7 @@ class TestGradients:
         sv = mo.sv_make(1, "diagonal", RngStream(2))
         ds = mo.generate(sv, 4, RngStream(6))
         o = ob.Objective("vsmc", sv, mo.proposal_init(sv, 4), 3, learn_theta=True)
-        _, grads = ob.gradient_biased(o, ds, RngStream(1))
+        grads = named(o, ob.gradient_biased(o, ds, RngStream(1))[1])
         assert {"theta.mu", "theta.phi_logit", "theta.log_q_std", "theta.b_raw"} <= set(grads)
         assert np.any(grads["theta.mu"] != 0.0)
         assert np.any(grads["theta.phi_logit"] != 0.0)
@@ -650,6 +667,30 @@ class TestEvaluation:
             ob.bound_estimate(ob.Objective("vsmc", m, p, 4), ds, 7, 3)
         assert (err.value.t, err.value.sample, err.value.label) == (1, 5, "sample")
 
+    @pytest.mark.parametrize("kind, log_sigma, t, cause", [
+        ("vsmc", 400.0, 1, "every weight is zero"),
+        ("vmpf-bg", -400.0, 2, "a weight is NaN or +inf"),
+    ], ids=["zero", "nan"])
+    def test_degeneracy_cause_survives_the_relabel(self, kind, log_sigma, t, cause):
+        """``train`` and ``bound_estimate`` rename the run as an iteration or a
+        sample and keep its cause.  At proposal log-std 400, z * z overflows
+        and every weight is zero at t=1; at -400, the MPF pair kernel's
+        exp(-2 log-std) overflows and leaves a NaN weight at t=2.  Numpy's
+        overflow warning stays."""
+        m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+        ds = mo.generate(m, 3, RngStream(1))
+        p = mo.proposal_init(m, 3)
+        p["log_sigma"][:] = log_sigma
+        obj = ob.Objective(kind, m, p, 3)
+        for call, label in ((lambda: ob.train(obj, ds, [(0.01, 2)], 1), "iteration"),
+                            (lambda: ob.bound_estimate(obj, ds, 4, 1), "sample")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(fl.DegeneracyError, match=re.escape(f"t={t} in {label} 0: {cause}")) as err:
+                    call()
+            assert (err.value.t, err.value.sample, err.value.label, err.value.cause) == (t, 0, label, cause)
+            assert any("overflow" in str(w.message) for w in caught)
+
     def test_bound_estimate_worker_count_irrelevant(self):
         m, ds, p = lgssm_case()
         o = ob.Objective("vsmc", m, p, 2)
@@ -691,11 +732,7 @@ class TestEvaluation:
         o = ob.Objective("vsmc", m, p, 3)
         n = 80
         got = ob.grad_variance_probe(o, ds, n, RngStream(13))
-        draws = []
-        for i in range(n):
-            _, g = ob.gradient_biased(o, ds, RngStream(13).split(i))
-            draws.append(np.concatenate([g[k].ravel() for k in sorted(g)]))
-        stacked = np.stack(draws)
+        stacked = np.stack([ob.gradient_biased(o, ds, RngStream(13).split(i))[1] for i in range(n)])
         want = stacked.var(axis=0, ddof=1).mean()
         assert got == pytest.approx(want, rel=1e-12)
         pairs = 0.5 * (stacked[0::2] + stacked[1::2])
