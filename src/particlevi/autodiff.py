@@ -390,7 +390,10 @@ def grad(loss: Var, wrt) -> list:
     return out
 
 
-def finite_diff_check(f, point, step: float = 1e-5) -> float:
+_FD_STEP = 1e-5  # finite_diff_check's central-difference step
+
+
+def finite_diff_check(f, point) -> float:
     """Max relative error between reverse-mode and central-difference grads.
 
     ``f`` maps one Var per entry of ``point`` to a scalar Var.  The error
@@ -413,11 +416,11 @@ def finite_diff_check(f, point, step: float = 1e-5) -> float:
         gflat = gs[i].reshape(-1)
         for j in range(flat.size):
             bumped = [q.copy() for q in point]
-            bumped[i].reshape(-1)[j] = flat[j] + step
+            bumped[i].reshape(-1)[j] = flat[j] + _FD_STEP
             fp = value_at(bumped)
-            bumped[i].reshape(-1)[j] = flat[j] - step
+            bumped[i].reshape(-1)[j] = flat[j] - _FD_STEP
             fm = value_at(bumped)
-            numeric = (fp - fm) / (2.0 * step)
+            numeric = (fp - fm) / (2.0 * _FD_STEP)
             err = abs(gflat[j] - numeric) / max(1.0, abs(numeric))
             if not np.isfinite(err):
                 return np.inf

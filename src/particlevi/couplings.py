@@ -16,7 +16,10 @@ combinators are enough to build particle filters out of such pairs:
 derive_smc and derive_mpf perform the corresponding folds literally, one
 operation per time step.  Each binds the model once (``models.bind``), and
 the step densities and proposals score and draw through that bound model,
-as the filters do.  Randomness routes through the same (step, purpose,
+as the filters do.  A state is the (1, d) row its proposal drew, kept as
+that object from draw through ratio and selector; a lane's x_prev is that
+object, so the bound model's transition memo builds one transition per
+previous state.  Randomness routes through the same (step, purpose,
 offset) backend seam as the filters module, so a derived pair executed
 against the same root stream reproduces the matching filter's log
 estimator to float-roundoff precision.  Execution here favors mechanical
@@ -47,10 +50,9 @@ class WeightedAtoms:
     """Finite atomic measure as (value, log-weight) pairs."""
 
     atoms: list
-    normalized: bool = True
 
     def __post_init__(self):
-        if self.normalized and abs(float(ad.np_logsumexp(self.log_weights()))) > 1e-10:
+        if abs(float(ad.np_logsumexp(self.log_weights()))) > 1e-10:
             raise ValueError("normalized atom weights must logsumexp to 0")
 
     def log_weights(self) -> np.ndarray:
@@ -78,8 +80,10 @@ class DrawResult:
 class StepProposal:
     """Conditional proposal with draw addressing baked into its closures.
 
-    sample(backend, lane, x_prev) -> value; logpdf(x_prev, value) -> scalar.
-    x_prev may be a nested (history, state) tuple; closures unwrap it.
+    sample(backend, lane, x_prev) -> the drawn (1, d) state row;
+    logpdf(x_prev, value) -> scalar.  x_prev may be a nested (history,
+    state) tuple; closures unwrap it to its newest state, the row object
+    an earlier sample returned.
     """
 
     sample: Callable
@@ -99,8 +103,7 @@ class StepRatio:
     log_g: Callable
 
     def __call__(self, old, new):
-        x = _row(new)
-        return (self.log_f(old, x) + self.log_g(x)).sum()
+        return (self.log_f(old, new) + self.log_g(new)).sum()
 
 
 @dataclass
@@ -263,33 +266,6 @@ def _last_state(value):
     return value
 
 
-def _row(value) -> Var | None:
-    """The newest state of a value as the (1, d) row the filters' kernels take.
-
-    None, the previous state at t=1, stays None.
-    """
-    if value is None:
-        return None
-    return ad.reshape(ad.constant(_last_state(value)), (1, -1))
-
-
-def _prev_row(bound, value) -> Var | None:
-    """``_row`` of a previous state, the same object for the same state.
-
-    The bound model, which every lane of a derivation shares, keeps the
-    last state asked for and its row.  So a lane's proposal draw, its
-    proposal density and the step ratio hand ``models.transition_build_many``
-    one x_prev, and it builds that state's transition rows once.
-    """
-    if value is None:
-        return None
-    state = _last_state(value)
-    last = getattr(bound, "last_prev_row", None)
-    if last is None or last[0] is not state:
-        last = bound.last_prev_row = (state, _row(state))
-    return last[1]
-
-
 class _Lane:
     """One lane's reads from a draw backend, for a rows object's draw of one particle.
 
@@ -320,7 +296,7 @@ def step_density(bound) -> Callable:
 def step_ratio(bound, t: int) -> StepRatio:
     """log f(x_t | x_{t-1}) + log g(y_t | x_t) of a ``models.bind`` result at step t."""
     return StepRatio(
-        lambda old, x: mo.transition_build_many(bound, t, _prev_row(bound, old)).logpdf_rows(x),
+        lambda old, x: mo.transition_build_many(bound, t, _last_state(old)).logpdf_rows(x),
         lambda x: mo.emission_logpdf_rows(bound, t, x),
     )
 
@@ -329,11 +305,10 @@ def step_proposal(bound, t: int) -> StepProposal:
     """Lane-addressed draw from r_t plus its log-density, as the filters draw it."""
 
     def sample(backend, lane, x_prev):
-        x = mo.proposal_build_many(bound, t, _prev_row(bound, x_prev)).draw(_Lane(backend, lane), t, 1)
-        return ad.reshape(x, (x.data.shape[1],))
+        return mo.proposal_build_many(bound, t, _last_state(x_prev)).draw(_Lane(backend, lane), t, 1)
 
     def logpdf(x_prev, x):
-        return mo.proposal_build_many(bound, t, _prev_row(bound, x_prev)).logpdf_rows(_row(x)).sum()
+        return mo.proposal_build_many(bound, t, _last_state(x_prev)).logpdf_rows(x).sum()
 
     return StepProposal(sample, logpdf)
 
@@ -345,7 +320,8 @@ def _ancestor_selector(proposal: StepProposal, ratio: StepRatio) -> Callable:
     conditional weights carry the same gradient paths as the direct filter:
     branch weight proportional to vbar_j * r(x' | x_j), branch estimator
     R_prev * f(x' | x_j) g(y | x') / r(x' | x_j).  g(y | x') is the same in
-    every branch, so it is scored once per lane.
+    every branch, so it is scored once per lane.  The x_j are the lanes'
+    (1, d) state rows, the objects their proposals drew, and x' the new row.
     """
 
     def selector(d0: DrawResult):
@@ -357,10 +333,9 @@ def _ancestor_selector(proposal: StepProposal, ratio: StepRatio) -> Callable:
         log_vs = ad.stack_rows([ld.log_r for ld in lanes])
         log_vbar = log_vs - ad.logsumexp(log_vs)
         olds = [ld.coupling.atoms[0][0] for ld in lanes]
-        x = _row(new)
-        log_g = ratio.log_g(x)
-        # each ancestor's proposal density and log f in turn, so both read its one x_prev row
-        log_qs, ratios = zip(*[(ad.constant(proposal.logpdf(old, new)), (ratio.log_f(old, x) + log_g).sum())
+        log_g = ratio.log_g(new)
+        # each ancestor's proposal density and log f in turn, so both read its one transition
+        log_qs, ratios = zip(*[(ad.constant(proposal.logpdf(old, new)), (ratio.log_f(old, new) + log_g).sum())
                                for old in olds])
         mix = [
             ad.gather_rows(log_vbar, np.asarray([j])).sum() + log_qs[j]

@@ -273,8 +273,7 @@ def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, *
     ``runs`` labels asks for a pass of that many runs, which a tape cannot
     record.  record holds the filter's own ``ParticleRun`` fields.
     """
-    if n < 1:
-        raise ValueError("n_particles must be >= 1")
+    mo.check_count("n_particles", n, 1)
     backend = make_backend(source)
     runs = 1 if getattr(backend, "runs", None) is None else len(backend.runs)
     if runs > 1 and ad.recording():
@@ -430,7 +429,9 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
         u_t^i = sum_l u_{t-1}^{k_li} f(x_t^i | x_{t-1}^{k_li}) g_i / (L r_t(x_t^i))
     """
     n = n_particles
-    if n >= 1 and not 1 <= l_perms <= n:  # the loop reports N < 1 first
+    mo.check_count("n_particles", n, 1)  # N is reported before L
+    mo.check_count("l_perms", l_perms, 1)
+    if l_perms > n:
         raise ValueError("l_perms must satisfy 1 <= L <= N")
 
     def step(bound, draws, t, x, logw, lse):

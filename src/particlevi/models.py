@@ -41,6 +41,7 @@ never load it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -733,20 +734,23 @@ def trisolve_rows(b: Var, u: Var, runs: int = 1) -> Var:
     alone: LAPACK rounds a lone right-hand side unlike a block of them.
     The solve is scipy's ``solve_triangular``, imported here because SV's
     emission is its only caller: no other family loads ``scipy.linalg``.
+    Its finiteness check is off, so an overflowed u gives non-finite rows
+    and the filter reports the step's weights, as it does for every family.
     """
     from scipy.linalg import solve_triangular  # only SV runs pay for loading scipy.linalg
 
     b, u = ad.constant(b), ad.constant(u)
     b_data, u_data = b.data, u.data
     if runs == 1:
-        z = solve_triangular(b_data, u_data.T, lower=True).T
+        z = solve_triangular(b_data, u_data.T, lower=True, check_finite=False).T
     else:
-        z = np.concatenate([solve_triangular(b_data, rows.T, lower=True).T for rows in np.split(u_data, runs)])
+        z = np.concatenate([solve_triangular(b_data, rows.T, lower=True, check_finite=False).T
+                            for rows in np.split(u_data, runs)])
 
     need_b, need_u = b.nid is not None, u.nid is not None
 
     def rule(g):
-        gt = solve_triangular(b_data.T, np.asarray(g).T, lower=False)
+        gt = solve_triangular(b_data.T, np.asarray(g).T, lower=False, check_finite=False)
         return -np.tril(gt @ z) if need_b else None, gt.T if need_u else None
 
     return ad.custom_vjp(z, [b, u], rule)
@@ -919,6 +923,12 @@ def _check_observations(family: str, dy: int, ys: np.ndarray):
     check_finite(ys, f"{family} observations")
 
 
+def check_count(name: str, value, least: int):
+    """Refuse a count that is not an integer >= least, naming it and its value; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_finite(ys: np.ndarray, what: str, error=ValueError):
     """Raise error, naming what and the row and column of ys's first NaN or infinite entry, if there is one."""
     if not np.isfinite(ys).all():
@@ -1049,6 +1059,8 @@ def transition_build_many(bound, t: int, x_prev=None):
 
     The last rows are kept, keyed on t and the x_prev object, so a step's
     proposal (the LGSSM's means, SV's fused rows) and log f share them.
+    The filters pass a step's particle rows; the coupling derivations pass
+    a lane's (1, d) state row, the object its proposal drew.
     """
     last = bound.last_transition
     if last is None or last[0] != t or last[1] is not x_prev:

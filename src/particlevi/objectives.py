@@ -49,6 +49,7 @@ import numpy as np
 import particlevi.autodiff as ad
 from particlevi.autodiff import Var
 from particlevi import filters as fl
+from particlevi.models import check_count
 from particlevi.rng import RngStream
 
 KINDS = ("iwvi", "vsmc", "tmc", "vmpf-bg", "vmpf-ug")
@@ -77,18 +78,12 @@ class Objective:
         self.kind = self.kind.lower()
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        _check_count("n_particles", self.n_particles, 1)
+        check_count("n_particles", self.n_particles, 1)
         if self.learn_theta and not hasattr(self.model, "with_theta"):
             raise ValueError(
                 f"{type(self.model).__name__} has no learnable model parameters; "
                 "VEM covers the SV and DMM families"
             )
-
-
-def _check_count(name: str, value, least: int):
-    """Refuse a count that is not an integer >= least, naming it and its value."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _run(obj: Objective, data, rng) -> fl.ParticleRun:
@@ -297,9 +292,9 @@ def train(
             raise ValueError(f"schedule segment ({lr!r}, {iters!r}) needs a finite rate >= 0 and an integer count >= 0")
     if clip is not None and not clip > 0:
         raise ValueError(f"clip must be > 0 (or None for no clipping), got {clip}")
-    _check_count("probe_every", probe_every, 0)
+    check_count("probe_every", probe_every, 0)
     if probe_every:
-        _check_count("probe_samples", probe_samples, 2)
+        check_count("probe_samples", probe_samples, 2)
     rng = _stream(rng)
     grad_fn = _grad_fn(obj)
     packed = pack_params(obj)
@@ -362,7 +357,7 @@ def bound_estimate(obj: Objective, data, n_samples: int, rng, workers: int | Non
     integer >= 2.  ``workers`` changes neither the result nor the thread:
     it is kept, with its >= 1 check, until the benchmark stops passing it.
     """
-    _check_count("n_samples", n_samples, 2)
+    check_count("n_samples", n_samples, 2)
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
     rng = _stream(rng)
@@ -386,7 +381,7 @@ def grad_variance_probe(obj: Objective, data, n_samples: int, rng) -> float:
     rng.split(i), the seeding convention of bound_estimate.  Their flat
     vectors, the ones ``train`` steps with, are stacked as they are.
     """
-    _check_count("n_samples", n_samples, 2)
+    check_count("n_samples", n_samples, 2)
     rng = _stream(rng)
     grad_fn = _grad_fn(obj)
     stacked = np.stack([grad_fn(obj, data, rng.split(i))[1] for i in range(n_samples)])

@@ -72,8 +72,6 @@ class TestDomainTypes:
         cp.WeightedAtoms([(0, math.log(0.5)), (1, math.log(0.5))])
         with pytest.raises(ValueError):
             cp.WeightedAtoms([(0, 0.0), (1, 0.0)])
-        unnorm = cp.WeightedAtoms([(0, 0.0), (1, 0.0)], normalized=False)
-        assert np.allclose(unnorm.probs(), [1.0, 1.0])
 
     def test_log_r_must_not_be_nan_or_positive_inf(self):
         atom = cp.WeightedAtoms([(0, 0.0)])
@@ -105,6 +103,12 @@ class TestBasicPair:
         )
         pair = cp.basic_pair(table_density([0.5, 0.5]), broken)
         with pytest.raises(ValueError, match="vanished"):
+            pair.draw(RngStream(0))
+
+    def test_vanished_mass_rejected(self):
+        """Lanes whose estimators are all zero leave the replicated coupling no mass."""
+        pair = cp.replicate(cp.basic_pair(lambda x: -np.inf, table_proposal([0.5, 0.5])), 2)
+        with pytest.raises(ValueError, match="every atom weight vanished"):
             pair.draw(RngStream(0))
 
     def test_matches_first_filter_weight(self):
@@ -207,6 +211,14 @@ class TestExtendTarget:
             marginal = sum(gamma1[x] * trans[x, xp] * emit2[xp] for x in range(2))
             assert abs(per_atom[(xp,)] - marginal) < 1e-12
 
+    def test_zero_density_extension_rejected(self):
+        base = cp.basic_pair(table_density([0.5, 0.5]), table_proposal([0.5, 0.5]))
+        broken = cp.StepProposal(sample=lambda backend, lane, x_prev: np.asarray([1.0]),
+                                 logpdf=lambda x_prev, x: -np.inf)
+        tr = cp.TargetRatio(lambda old, new: 0.0, broken, t=2)
+        with pytest.raises(ValueError, match="proposal density vanished"):
+            cp.extend_target(base, tr).draw(RngStream(0))
+
     def test_infinite_ratio_rejected(self):
         base = cp.basic_pair(table_density([0.5, 0.5]), table_proposal([0.5, 0.5]))
         tr = cp.TargetRatio(lambda old, new: np.inf, table_proposal([0.5, 0.5], t=2), t=2)
@@ -240,6 +252,16 @@ class TestMarginalize:
         a = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: base.draw(be))]
         b = [(float(d.log_r.data), p) for d, p, _ in ck.enumerate_paths(lambda be: same.draw(be))]
         assert a == b
+
+    def test_ancestor_selector_needs_a_replicated_parent(self):
+        """The selector reads the lanes of the replicate before the extension; a lone pair has none."""
+        h = mo.hmm_reference()
+        bound = mo.bind(h, None, np.zeros((2, 1)))
+        proposal, ratio = cp.step_proposal(bound, 2), cp.step_ratio(bound, 2)
+        lone = cp.basic_pair(cp.step_density(bound), cp.step_proposal(bound, 1))
+        changed = cp.extend_target(lone, cp.TargetRatio(ratio, proposal, drop_old=True, t=2))
+        with pytest.raises(ValueError, match="expects a replicated parent"):
+            cp.marginalize(changed, cp._ancestor_selector(proposal, ratio)).draw(RngStream(0))
 
     def test_same_mean_lower_variance(self):
         _, changed, marged = mpf_step_pair()
@@ -346,10 +368,11 @@ class TestDerivations:
         """A lane's proposal draw, its proposal density and the step ratio read one x_prev row.
 
         So ``transition_build_many`` forms x_prev A^T once per previous state
-        and step.  LGSSM 2x2, T = 3, N = 2, one draw; a fresh row per call
-        would make 18 and 42 ``ad.matmul`` calls.  derive_mpf's ancestor
-        selector scores log g (one C x matmul) once per lane; once per
-        ancestor made 23.
+        and step.  LGSSM 2x2, T = 3, N = 2, one draw.  The count holds
+        because a lane's x_prev is the (1, d) row its proposal drew, the
+        same object in every call, which the bound model's transition memo
+        keys on.  derive_mpf's ancestor selector scores log g (one C x
+        matmul) once per lane; once per ancestor made 23.
         """
         m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
         ds = mo.generate(m, 3, RngStream(1))
@@ -375,6 +398,32 @@ class TestDerivations:
         monkeypatch.setattr(mo, "emission_logpdf_rows", lambda *args: calls.append(1) or emission(*args))
         pair.draw(RngStream(5))
         assert len(calls) == scores
+
+    @pytest.mark.parametrize("maker, nodes", [(cp.derive_smc, 97), (cp.derive_mpf, 251)],
+                             ids=["derive_smc", "derive_mpf"])
+    def test_states_stay_the_rows_the_proposals_drew(self, maker, nodes, monkeypatch):
+        """A derivation keeps each state as the (1, d) row its proposal drew.
+
+        One draw, LGSSM 2x2, T = 3, N = 2: no ``ad.reshape`` node, every
+        atom's newest state a (1, 2) ``Var``, and with mu, beta and
+        log_sigma as leaves a tape of 97 (derive_smc) and 251 (derive_mpf)
+        nodes.  States of shape (d,) reshaped to rows made 21 and 39
+        reshapes and tapes of 118 and 290 nodes.
+        """
+        m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+        ds = mo.generate(m, 3, RngStream(1))
+        p0 = mo.proposal_init(m, 3)
+        calls = []
+        reshape = ad.reshape
+        monkeypatch.setattr(ad, "reshape", lambda *args, **kwargs: calls.append(1) or reshape(*args, **kwargs))
+        d = maker(m, p0, ds, 2).draw(RngStream(5))
+        assert calls == []
+        for value, _ in d.coupling.atoms:
+            state = cp._last_state(value)
+            assert isinstance(state, ad.Var) and state.data.shape == (1, 2)
+        with ad.Tape() as tape:
+            maker(m, {k: ad.leaf(v) for k, v in p0.items()}, ds, 2).draw(RngStream(5))
+        assert len(tape.nodes) == nodes
 
     def test_description_reads_as_a_derivation(self):
         m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))

@@ -51,10 +51,42 @@ class TestConfig:
             lambda: fl.run_ipf(m, params, ds, 0, 1, 1),
             lambda: fl.run_tmc(m, params, ds, 0, 1),
         ):
-            with pytest.raises(ValueError, match="n_particles must be >= 1"):
+            with pytest.raises(ValueError, match="n_particles must be an integer >= 1, got 0"):
                 run()
         with pytest.raises(TypeError, match="source must be"):
             fl.run_smc(m, params, ds, 2, None)
+
+    def test_particle_counts_must_be_integers(self):
+        """N and IPF's L are integers, not floats or bools; numpy integers pass.
+
+        2.5 particles used to fail in numpy's reshape, True with "an integer
+        is required" and L = 1.5 in ``range``; each now names the count and its value.
+        """
+        m, ds, params = lgssm_setup()
+        for run, message in (
+            (lambda: fl.run_smc(m, params, ds, 2.5, 1), "n_particles must be an integer >= 1, got 2.5"),
+            (lambda: fl.run_mpf(m, params, ds, True, 1), "n_particles must be an integer >= 1, got True"),
+            (lambda: fl.run_ipf(m, params, ds, 2, 1.5, 1), "l_perms must be an integer >= 1, got 1.5"),
+            (lambda: fl.run_ipf(m, params, ds, 2.5, 1, 1), "n_particles must be an integer >= 1, got 2.5"),
+            (lambda: fl.run_ipf(m, params, ds, 2, 3, 1), "l_perms must satisfy 1 <= L <= N"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run()
+        expected = float(fl.run_ipf(m, params, ds, 2, 2, 1).log_evidence.data)
+        assert float(fl.run_ipf(m, params, ds, np.int64(2), np.int64(2), 1).log_evidence.data) == expected
+        assert float(fl.run_smc(m, params, ds, np.int64(2), 1).log_evidence.data) == float(
+            fl.run_smc(m, params, ds, 2, 1).log_evidence.data)
+
+    def test_state_independent_filters_name_the_family(self):
+        """tmc and ipf need proposals that ignore the previous state; SV and the DMM have none."""
+        for model, rng in ((mo.sv_make(2, "diagonal", RngStream(0)), None),
+                           (mo.dmm_make(2, 3, 4, RngStream(0)), RngStream(1))):
+            ds = mo.generate(model, 3, RngStream(7))
+            params = mo.proposal_init(model, 3, rng)
+            expected = f"{type(model).__name__} proposals condition on the previous state; none is state-independent"
+            for run in (lambda: fl.run_tmc(model, params, ds, 2, 1), lambda: fl.run_ipf(model, params, ds, 2, 1, 1)):
+                with pytest.raises(ValueError, match=re.escape(expected)):
+                    run()
 
     def test_discrete_models_are_value_only(self):
         """The HMM's mixture draw has no implicit reparameterization; the plain run works."""

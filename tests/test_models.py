@@ -76,6 +76,12 @@ class TestLgssmMake:
         with pytest.raises(ValueError):
             mo.lgssm_make(2, 3, 0.42, "sparse", RngStream(0))
 
+    def test_noise_variances_must_be_positive(self):
+        m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+        for q, r in ((np.asarray([1.0, 0.0]), m.r_diag), (m.q_diag, np.asarray([1.0, -1.0]))):
+            with pytest.raises(ValueError, match="noise variances must be positive"):
+                mo.Lgssm(m.a, m.c, q, r)
+
 
 class TestKalman:
     def test_t1_closed_form(self):
@@ -393,6 +399,15 @@ def four_nodes(x, log_w, f_m, f_ls, r_m, r_ls, log_g, runs=1):
 
 class TestMixturePair:
     """models.gauss_mixture_pair: MPF's step weight in one node, against the composition it replaces."""
+
+    def test_weights_must_match_the_components(self):
+        """Both mixture kernels refuse M log-weights for another number of components."""
+        x, means, log_stds = np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((4, 3))
+        log_w = np.zeros(5)
+        with pytest.raises(ValueError, match=re.escape("log-weights (5,) do not match 4 components")):
+            mo.gauss_mixture_logpdf(x, log_w, means, log_stds)
+        with pytest.raises(ValueError, match=re.escape("log-weights (5,) do not match 4 components")):
+            mo.gauss_mixture_pair(x, log_w, means, log_stds, means, log_stds, np.zeros(2))
 
     @pytest.mark.parametrize("far", [False, True], ids=["near", "far"])
     @pytest.mark.parametrize("runs", [1, 4])
@@ -910,6 +925,14 @@ class TestBind:
         """The HMM observes one symbol a step, so a second column is refused, not ignored."""
         self.refuses_wrong_shapes(mo.hmm_reference(), None)
 
+    def test_unsupported_model_is_a_type_error(self):
+        """bind, proposal_init and generate name a model of no family they know."""
+        for call in (lambda: mo.bind(object(), None, np.zeros((3, 1))),
+                     lambda: mo.proposal_init(object(), 3),
+                     lambda: mo.generate(object(), 3, RngStream(0))):
+            with pytest.raises(TypeError, match="unsupported model: object"):
+                call()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_observations_are_refused(self, value):
         """A NaN or infinite cell fails at bind, naming the family, its row and its column, not a step later."""
@@ -927,6 +950,11 @@ class TestBind:
 
 
 class TestGenerate:
+    def test_t_max_must_be_positive(self):
+        m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
+        with pytest.raises(ValueError, match="t_max must be >= 1"):
+            mo.generate(m, 0, RngStream(0))
+
     def test_deterministic(self):
         m = mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0))
         a = mo.generate(m, 5, RngStream(33))

@@ -76,10 +76,12 @@ class TestObjective:
             ob.Objective("vsmc", m, p, 0)
 
     def test_particle_count_must_be_an_integer(self):
-        """2.5 used to pass and fail in the first filter's reshape; numpy integers still pass."""
+        """2.5 used to pass and fail in the first filter's reshape, and True (an
+        ``Integral``) passed as one particle; numpy integers still pass."""
         m, ds, p = lgssm_case()
-        with pytest.raises(ValueError, match="n_particles must be an integer >= 1, got 2.5"):
-            ob.Objective("vsmc", m, p, 2.5)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match=f"n_particles must be an integer >= 1, got {count}"):
+                ob.Objective("vsmc", m, p, count)
         assert ob.Objective("vsmc", m, p, np.int64(2)).n_particles == 2
 
     def test_kind_is_case_insensitive(self):
@@ -690,6 +692,43 @@ class TestEvaluation:
                     call()
             assert (err.value.t, err.value.sample, err.value.label, err.value.cause) == (t, 0, label, cause)
             assert any("overflow" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("make", [
+        lambda: mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0)),
+        lambda: mo.sv_make(2, "diagonal", RngStream(0)),
+        lambda: mo.sv_make(2, "triangular", RngStream(0)),
+    ], ids=["lgssm", "sv-diagonal", "sv-triangular"])
+    def test_log_std_sweep_is_finite_or_names_its_cause(self, make):
+        """Every kind at proposal log-std -400, -300, 0, 50 and 400 (T = 6, N = 4)
+        returns a finite bound or raises ``DegeneracyError`` naming its cause.
+
+        SV at +400 overflows its emission's scaled observation; the
+        triangular solve passes the non-finite rows on, and the weights
+        report them at t=1 rather than scipy refusing its input.
+        """
+        m = make()
+        ds = mo.generate(m, 6, RngStream(1))
+        for scale in (-400.0, -300.0, 0.0, 50.0, 400.0):
+            p = mo.proposal_init(m, 6)
+            p["log_sigma"][:] = scale
+            for kind in bound_kinds(m):
+                with warnings.catch_warnings(record=True):
+                    warnings.simplefilter("always")
+                    try:
+                        value = float(ob.objective_value(ob.Objective(kind, m, p, 4), ds, 3).data)
+                    except fl.DegeneracyError as err:
+                        assert err.cause in ("every weight is zero", "a weight is NaN or +inf"), (scale, kind)
+                        continue
+                assert math.isfinite(value), (scale, kind)
+
+    def test_bound_estimate_under_a_tape_matches_off_tape(self):
+        """Under an active tape a pass holds one run; the samples and so (mean, se) are the same."""
+        m, ds, p = lgssm_case()
+        for kind in ob.KINDS:
+            o = ob.Objective(kind, m, p, 3)
+            with ad.Tape():
+                taped = ob.bound_estimate(o, ds, 6, 5)
+            assert taped == ob.bound_estimate(o, ds, 6, 5), kind
 
     def test_bound_estimate_worker_count_irrelevant(self):
         m, ds, p = lgssm_case()
