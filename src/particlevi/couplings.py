@@ -187,8 +187,7 @@ def replicate(p: CouplingPair, n: int) -> CouplingPair:
     R = mean of the lane estimators; the coupling is the union of lane atoms
     reweighted by their estimators.
     """
-    if n < 1:
-        raise ValueError("replication count must be >= 1")
+    mo.check_count("replication count", n, 1)
 
     def nu(backend, omega, lane):
         if lane != 0:

@@ -393,9 +393,15 @@ def gauss_logpdf_rows(x, means, log_stds) -> Var:
     need_x, need_m, need_ls = x.nid is not None, means.nid is not None, log_stds.nid is not None
     # the rule closes over arrays only: a Var would tie the tape into a cycle
     x_shape, m_shape, ls = x.data.shape, means.data.shape, log_stds.data
-    inv_std = np.exp(-ls)
+    # the terms of c - ls - 0.5 z z are formed in place, with its IEEE
+    # operations in their order: c - ls is c + (-ls), and 0.5 z z is (0.5 z) z
+    neg_ls = -ls
+    inv_std = np.exp(neg_ls)
     z = (x.data - means.data) * inv_std
-    out = (-0.5 * LOG_2PI - ls - 0.5 * z * z).sum(axis=1)
+    neg_ls += -0.5 * LOG_2PI
+    terms = 0.5 * z
+    terms *= z
+    out = np.subtract(neg_ls, terms, out=terms).sum(axis=1)
 
     def rule(g):
         g = g[:, None]
@@ -659,7 +665,8 @@ def gauss_rsample(means, log_stds, eps, rows=None) -> Var:
         if pick_ls:
             ls = ls[rows]
     std = np.exp(ls)
-    out = md + std * eps
+    out = std * eps
+    out += md  # md + std eps, in place: eps holds every draw's row
     m_shape, ls_shape = means.data.shape, log_stds.data.shape
 
     def rule(g):
@@ -693,7 +700,8 @@ def lgssm_proposal_mean(mu, beta, xa, t: int) -> Var:
     m_shape, b_shape = mu.data.shape, beta.data.shape
     need_mu, need_beta, need_x = mu.nid is not None, beta.nid is not None, xa.nid is not None
     b, xd = beta.data[i], xa.data
-    out = mu.data[i] + b * xd
+    out = b * xd
+    out += mu.data[i]  # mu_t + beta_t xa, in place
 
     def rule(g):
         g_mu = g_beta = None

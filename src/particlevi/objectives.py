@@ -25,14 +25,16 @@ reparameterized gradient.
 ``bound_estimate`` averages independent runs, R of them per pass of the
 kind's filter: the pass stacks the runs' particle rows, off tape.  R is set by the shapes
 alone, R = 2^18 // (N max(N, T dy)) capped at the sample count, so that a
-pass's R N^2 pair terms and its (R T, N dy) noise reads stay near 2^18
-words.  Training is Adam ascent on a (learning-rate, iterations) schedule
-with optional global-norm clipping; phi (proposal) and, under VEM, theta
-(model) parameters are updated jointly in one flat namespace: "phi.mu",
-"theta.b_raw", and so on.  Adam works element by element, so the
-parameters, both moments and each iteration's gradient are flat float64
-vectors laid out by ``param_layout``; the model sees views of the vector,
-and the recorded grad_norm is one dot product.
+pass's R N^2 pair terms stay near 2^18 words.  Its (R T, N dx) noise reads
+are evaluated in row blocks of at most ``rng._BLOCK_WORDS`` words, so their
+temporaries are block-sized whatever R is.  Training is Adam ascent on a
+(learning-rate, iterations) schedule with optional global-norm clipping;
+phi (proposal) and, under VEM, theta (model) parameters are updated
+jointly in one flat namespace: "phi.mu", "theta.b_raw", and so on.  Adam
+works element by element, so the parameters, both moments and each
+iteration's gradient are flat float64 vectors laid out by
+``param_layout``; the model sees views of the vector, and the recorded
+grad_norm is one dot product.
 """
 
 from __future__ import annotations
@@ -280,15 +282,16 @@ def train(
     schedule.  Parameters named in freeze keep their initial values; their
     gradient slices are zeroed before the update and excluded from the
     recorded norm.  A learning rate that is not finite and >= 0, an
-    iteration count that is not an integer >= 0, a clip <= 0 (which would
-    freeze or reverse the ascent), a probe_every that is not an integer
-    >= 0 or, when probing, a probe_samples that is not an integer >= 2
-    fail before the first iteration.
+    iteration count that is not an integer >= 0 (a bool is none), a clip
+    <= 0 (which would freeze or reverse the ascent), a probe_every that is
+    not an integer >= 0 or, when probing, a probe_samples that is not an
+    integer >= 2 fail before the first iteration.
     """
     if not schedule:
         raise ValueError("schedule must hold at least one (learning-rate, iterations) pair")
     for lr, iters in schedule:
-        if not (math.isfinite(lr) and lr >= 0 and isinstance(iters, numbers.Integral) and iters >= 0):
+        if not (math.isfinite(lr) and lr >= 0 and isinstance(iters, numbers.Integral)
+                and not isinstance(iters, bool) and iters >= 0):
             raise ValueError(f"schedule segment ({lr!r}, {iters!r}) needs a finite rate >= 0 and an integer count >= 0")
     if clip is not None and not clip > 0:
         raise ValueError(f"clip must be > 0 (or None for no clipping), got {clip}")

@@ -14,7 +14,11 @@ is what makes one stream per (step, purpose) affordable inside hot filter
 loops.  ``split_uniforms_at`` and ``split_normals_at`` key many child streams
 at once with the same arithmetic on uint64 arrays, so a filter run reads one
 purpose for all of its steps in one call, bit-identical to one
-``split(t, purpose)`` read per step.
+``split(t, purpose)`` read per step.  Such a read is evaluated in blocks of
+whole rows of at most ``_BLOCK_WORDS`` words (one row when a row is longer),
+written into one preallocated output, so its uint64 and float temporaries
+stay block-sized however large the read.  Every word is computed on its own,
+so the bits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ _U_STREAM_SALT = np.uint64(_STREAM_SALT)
 _INV53 = 2.0 ** -53
 _HALF54 = 2.0 ** -54
 _BELOW_ONE = 1.0 - 2.0 ** -53  # the largest double below 1
+# 128 KB of words per block: the allocator reuses block-sized temporaries
+# from one read to the next, where read-sized ones (800 KB on a pass of 4
+# runs of 256 10-d particles over 10 steps) came back as fresh pages that
+# faulted in on every read
+_BLOCK_WORDS = 2 ** 14
 
 
 def _mix_int(z: int) -> int:
@@ -76,23 +85,25 @@ def _raw_at(keys, offsets) -> np.ndarray:
     return _mix_array(keys + (np.asarray(offsets, dtype=np.uint64) + np.uint64(1)) * _U_GOLDEN)
 
 
-def _uniforms_of(raw: np.ndarray) -> np.ndarray:
-    """Raw words -> uniforms in [0, 1) from their top 53 bits; raw is shifted in place."""
+def _uniforms_of(raw: np.ndarray, out=None) -> np.ndarray:
+    """Raw words -> uniforms in [0, 1) from their top 53 bits, into out if given; raw is shifted in place.
+
+    The shifted words are below 2^53, so their conversion to double and the
+    scaling by 2^-53 are exact.
+    """
     raw >>= _SH11
-    u = raw.astype(np.float64)
-    u *= _INV53
-    return u
+    return np.multiply(raw, _INV53, out=out)
 
 
-def _normals_of(raw: np.ndarray) -> np.ndarray:
+def _normals_of(raw: np.ndarray, out=None) -> np.ndarray:
     """Raw words -> standard normals by inverse CDF at the bin centres of the top 53 bits.
 
     The top bin's centre rounds to 1.0, where ndtri is +inf; it is held at
     the largest double below 1 (a normal of 8.21), and every other word keeps
     its centre.  Every normal is finite, between -8.30 and 8.21.  raw is
-    shifted in place, and the doubles are mapped in place.
+    shifted in place, and the doubles are mapped in place, in out if given.
     """
-    u = _uniforms_of(raw)
+    u = _uniforms_of(raw, out)
     u += _HALF54
     np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u)
@@ -141,17 +152,36 @@ class RngStream:
         b = _mix_array(s ^ _U_STREAM_SALT)
         return _mix_array(np.uint64(_mix_int(self.seed ^ _SEED_SALT)) ^ (b * _U_GOLDEN))
 
+    def _split_read(self, words_of, labels, offsets) -> np.ndarray:
+        """(K, M) words_of(raw words) of K child streams, evaluated in blocks of whole rows.
+
+        A block holds as many rows as fit in ``_BLOCK_WORDS`` words, and at
+        least one; a read that fits one block is one iteration.
+        """
+        keys = self._split_keys(labels)[:, None]
+        offsets = np.asarray(offsets, dtype=np.uint64)
+        out = np.empty((len(keys), offsets.size))
+        rows = max(1, _BLOCK_WORDS // max(1, offsets.size))
+        for lo in range(0, len(keys), rows):
+            words_of(_raw_at(keys[lo : lo + rows], offsets), out[lo : lo + rows])
+        return out
+
     def split_uniforms_at(self, labels, offsets) -> np.ndarray:
         """(K, M) uniforms: row k is ``split(*labels[k]).uniforms_at(offsets)``.
 
         One vectorized read over K child streams; labels is a (K, L) integer
-        array of label paths (int64 range) and offsets has M entries.
+        array of label paths (int64 range) and offsets has M entries.  The
+        read is evaluated in row blocks of at most ``_BLOCK_WORDS`` words;
+        the bits do not depend on the block size.
         """
-        return _uniforms_of(_raw_at(self._split_keys(labels)[:, None], offsets))
+        return self._split_read(_uniforms_of, labels, offsets)
 
     def split_normals_at(self, labels, offsets) -> np.ndarray:
-        """(K, M) normals: row k is ``split(*labels[k]).normals_at(offsets)``."""
-        return _normals_of(_raw_at(self._split_keys(labels)[:, None], offsets))
+        """(K, M) normals: row k is ``split(*labels[k]).normals_at(offsets)``.
+
+        Evaluated in row blocks, as ``split_uniforms_at`` is.
+        """
+        return self._split_read(_normals_of, labels, offsets)
 
     def uniforms(self, n: int) -> np.ndarray:
         out = self.uniforms_at(np.arange(self.counter, self.counter + n))

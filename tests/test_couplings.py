@@ -157,6 +157,16 @@ class TestReplicate:
         with pytest.raises(ValueError, match="lane"):
             nested.draw(RngStream(0))
 
+    @pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+    def test_count_must_be_an_integer(self, n):
+        """A fractional count used to fail inside ``range`` at the first draw, and True ran as 1."""
+        base = cp.basic_pair(table_density([0.5, 0.5]), table_proposal([0.5, 0.5]))
+        message = f"replication count must be an integer >= 1, got {n!r}"
+        with pytest.raises(ValueError, match=message):
+            cp.replicate(base, n)
+        with pytest.raises(ValueError, match=message):
+            cp.derive_smc(mo.hmm_reference(), None, np.zeros((2, 1)), n)
+
 
 def two_state_chain(gamma1, trans, emit2, proposal_row, drop_old):
     """gamma'(x, x') = gamma1(x) * trans[x, x'] * emit2[x'] as one extension."""

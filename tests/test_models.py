@@ -504,6 +504,27 @@ class TestMixturePair:
         assert np.array_equal(got.data, four_nodes(x, log_w, f_m, f_ls, r_m, r_ls, log_g).data)
 
 
+class TestInPlaceKernels:
+    """The row kernels form their values in place, with the elementwise expressions' IEEE operations in order."""
+
+    FORMS = {"shared-scale": (4, 1), "per-row": (4, 4), "x-row": (1, 1), "x-row-per-row": (1, 4)}
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_forward_matches_elementwise_ops(self, form):
+        """x is a (1, d) row in the emission form: one observation against every particle's means."""
+        x_rows, ls_rows = self.FORMS[form]
+        x = RngStream(90).normals(3 * x_rows).reshape(x_rows, 3)
+        means = RngStream(91).normals(12).reshape(4, 3)
+        log_stds = RngStream(92).normals(3 * ls_rows).reshape(ls_rows, 3)
+        eps = RngStream(93).normals(12).reshape(4, 3)
+        z = (x - means) * np.exp(-log_stds)
+        want = (-0.5 * mo.LOG_2PI - log_stds - 0.5 * z * z).sum(axis=1)
+        assert np.array_equal(mo.gauss_logpdf_rows(x, means, log_stds).data, want)
+        assert np.array_equal(mo.gauss_rsample(x, log_stds, eps).data, x + np.exp(log_stds) * eps)
+        beta = RngStream(94).normals(12).reshape(4, 3)
+        assert np.array_equal(mo.lgssm_proposal_mean(means, beta, x, 2).data, means[1] + beta[1] * x)
+
+
 class TestReparamDraw:
     """models.gauss_rsample: means + exp(log_stds) * eps in one node."""
 

@@ -519,7 +519,7 @@ class TestTrain:
             with pytest.raises(ValueError, match="clip|probe"):
                 ob.train(o, ds, [(0.01, 3)], 1, **kwargs)
         # every segment is checked first, also one after a good segment
-        for bad in ((math.nan, 3), (math.inf, 3), (-0.01, 3), (0.01, -1), (0.01, 2.5)):
+        for bad in ((math.nan, 3), (math.inf, 3), (-0.01, 3), (0.01, -1), (0.01, 2.5), (0.01, True)):
             with pytest.raises(ValueError, match="schedule segment"):
                 ob.train(o, ds, [(0.01, 3), bad], 1)
 

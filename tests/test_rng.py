@@ -1,6 +1,7 @@
 """Counter-based RNG: determinism, stream independence, offset addressing."""
 
 import numpy as np
+import pytest
 
 from scipy.special import ndtri
 
@@ -123,3 +124,33 @@ class TestSplitReads:
             got = root.split_normals_at(labels, [5, 0])
             want = [root.split(*lab).normals_at([5, 0]) for lab in labels]
             assert np.array_equal(got, np.stack(want))
+
+
+class TestBlockedSplitReads:
+    """A many-stream read is evaluated in row blocks of at most ``_BLOCK_WORDS`` words."""
+
+    @pytest.mark.parametrize("k, m", [(13, 3000), (3, 2**14 + 5), (6, 100)],
+                             ids=["several-rows-a-block", "one-row-a-block", "one-block"])
+    def test_rows_equal_per_split_reads(self, k, m):
+        """Blocks of 5, 5 and 3 rows (3000 does not divide 2^14); rows longer than a block; one block."""
+        assert (k * m > rng_module._BLOCK_WORDS) == (m != 100)
+        root = RngStream(31337, stream=5)
+        labels = np.stack([np.arange(k) - 2, np.arange(k) % 4], axis=1)
+        offsets = 3 * np.arange(m) + 11
+        normals = root.split_normals_at(labels, offsets)
+        uniforms = root.split_uniforms_at(labels, offsets)
+        assert normals.shape == uniforms.shape == (k, m)
+        for row, lab in enumerate(labels):
+            child = root.split(*lab)
+            assert np.array_equal(normals[row], child.normals_at(offsets))
+            assert np.array_equal(uniforms[row], child.uniforms_at(offsets))
+
+    @pytest.mark.parametrize("words", [1, 40, 100, 2**20])
+    def test_bits_do_not_depend_on_the_block_size(self, words, monkeypatch):
+        root = RngStream(99, stream=3)
+        labels = np.stack([np.arange(9), np.full(9, 2)], axis=1)
+        offsets = np.arange(37)
+        want = root.split_normals_at(labels, offsets), root.split_uniforms_at(labels, offsets)
+        monkeypatch.setattr(rng_module, "_BLOCK_WORDS", words)
+        got = root.split_normals_at(labels, offsets), root.split_uniforms_at(labels, offsets)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
