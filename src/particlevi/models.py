@@ -512,11 +512,11 @@ def gauss_mixture_pair(x, log_w, num_means, num_log_stds, den_means, den_log_std
     Gaussian mixtures over the same weights exp(log_w) and of one layout:
     (M, d) means, and (M, d) or shared (1, d) log-stds for both.  Each
     mixture scores x as ``gauss_mixture_logpdf`` does, bit for bit, and the
-    result is formed in the order of the two mixture nodes, the add and the
-    sub that it replaces.  Its rule lists r's cotangents before f's, as that
-    sub and the f node passed them back, so x and log_w, parents of both,
-    sum their cotangents in the same order.  runs is as for
-    ``gauss_mixture_logpdf``.
+    result keeps the order of the composed form, (f + log_g) - r: f's
+    mixture plus log_g, then minus r's.  Its rule lists r's cotangents
+    before f's, as that sub and the f node would pass them back, so x and
+    log_w, parents of both, sum their cotangents in the same order.  runs
+    is as for ``gauss_mixture_logpdf``.
     """
     x, log_w, log_g = ad.constant(x), ad.constant(log_w), ad.constant(log_g)
     f_m, f_ls, r_m, r_ls = (ad.constant(v) for v in (num_means, num_log_stds, den_means, den_log_stds))
@@ -549,23 +549,20 @@ def _mixtures(xd, lw, md, ls, runs: int, need_ls: bool) -> tuple:
     on a leading axis.  Returns the (S, R N) log-densities and the rule
     that maps (S, N) cotangents to stacked ones: (S, N, d) to x, (S, M, d)
     to the means, to the log-stds (None unless need_ls) and (S, M) to
-    log_w.  The rule holds the pair buffers, so it serves a tape only,
-    where runs is 1.
+    log_w.  Each run's rows meet its own components in turn.  The pair
+    buffers are kept only for a tape, which records one run, and the rule
+    reads that run's.
     """
     inv_var = np.exp(-2.0 * ls)
     m_iv = md * inv_var
-    if runs == 1:
-        out, buf, total = _mixture_rows(xd, lw, md, ls, inv_var, m_iv, ad.recording())
-    else:
-        n, m = xd.shape[0] // runs, md.shape[1] // runs
-
-        def run(r):  # run r's rows against its own components
-            rows, comps = slice(r * n, (r + 1) * n), slice(r * m, (r + 1) * m)
-            scale = comps if ls.shape[1] > 1 else slice(None)
-            return _mixture_rows(xd[rows], lw[comps], md[:, comps], ls[:, scale], inv_var[:, scale],
-                                 m_iv[:, comps], False)[0]
-
-        out = np.concatenate([run(r) for r in range(runs)], axis=1)
+    n, m = xd.shape[0] // runs, md.shape[1] // runs
+    keep = runs == 1 and ad.recording()
+    out = np.empty((md.shape[0], xd.shape[0]))
+    for r in range(runs):
+        rows, comps = slice(r * n, (r + 1) * n), slice(r * m, (r + 1) * m)
+        scale = comps if ls.shape[1] > 1 else slice(None)
+        out[:, rows], buf, total = _mixture_rows(xd[rows], lw[comps], md[:, comps], ls[:, scale],
+                                                 inv_var[:, scale], m_iv[:, comps], keep)
 
     def rule(g):
         # a dead row (all weights -inf) passes nothing back
@@ -748,12 +745,9 @@ def trisolve_rows(b: Var, u: Var, runs: int = 1) -> Var:
     from scipy.linalg import solve_triangular  # only SV runs pay for loading scipy.linalg
 
     b, u = ad.constant(b), ad.constant(u)
-    b_data, u_data = b.data, u.data
-    if runs == 1:
-        z = solve_triangular(b_data, u_data.T, lower=True, check_finite=False).T
-    else:
-        z = np.concatenate([solve_triangular(b_data, rows.T, lower=True, check_finite=False).T
-                            for rows in np.split(u_data, runs)])
+    b_data = b.data
+    z = np.concatenate([solve_triangular(b_data, rows.T, lower=True, check_finite=False).T
+                        for rows in np.split(u.data, runs)])
 
     need_b, need_u = b.nid is not None, u.nid is not None
 
@@ -905,10 +899,11 @@ def bind(model, params, data, runs: int = 1):
 
     It has ``transition(t, x_prev)``, ``emission(t, x)``, ``proposal(t,
     x_prev)``, the (T, dy) ``ys`` and ``runs``.  What no particle changes is
-    built here, on the caller's tape, so its gradient flows as before.  One
-    object serves one filter pass; nothing is cached across passes.  A pass
-    of runs > 1 stacks that many runs' particle rows, and the bound model's
-    products and solves over particle rows treat each run's rows alone.
+    built here, once, on the caller's tape: when that tape records, the
+    gradient of every step that reads it reaches params.  One object serves
+    one filter pass; nothing is cached across passes.  A pass of runs > 1
+    stacks that many runs' particle rows, and the bound model's products and
+    solves over particle rows treat each run's rows alone.
     ys must have T >= 1 rows of the model's width ``dy`` (SV's is its dim,
     the HMM's is 1); any other shape is a ``ValueError`` naming the family
     and both shapes, and a NaN or infinite entry one naming the family, its

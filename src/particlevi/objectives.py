@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -290,9 +289,9 @@ def train(
     if not schedule:
         raise ValueError("schedule must hold at least one (learning-rate, iterations) pair")
     for lr, iters in schedule:
-        if not (math.isfinite(lr) and lr >= 0 and isinstance(iters, numbers.Integral)
-                and not isinstance(iters, bool) and iters >= 0):
-            raise ValueError(f"schedule segment ({lr!r}, {iters!r}) needs a finite rate >= 0 and an integer count >= 0")
+        if not (math.isfinite(lr) and lr >= 0):
+            raise ValueError(f"schedule segment ({lr!r}, {iters!r}) needs a finite rate >= 0")
+        check_count(f"schedule segment ({lr!r}, {iters!r})'s iteration count", iters, 0)
     if clip is not None and not clip > 0:
         raise ValueError(f"clip must be > 0 (or None for no clipping), got {clip}")
     check_count("probe_every", probe_every, 0)

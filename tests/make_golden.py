@@ -6,7 +6,9 @@ Writes ``tests/golden.json`` when run from the repository root:
 
 With ``--check`` it writes nothing: it recomputes every entry in memory,
 prints each key whose stored values differ in any bit, with that key's
-largest relative move, and exits 1 if any key moved.
+largest relative move and the top-level fields that moved (``[grads]``, say,
+or ``[log_evidence, log_mean_weights, weight_sums]``), and exits 1 if any
+key moved.
 
 ``tests/test_golden.py`` recomputes every entry with ``compute`` and compares
 it with the file.  Forward values are stored as ``float.hex`` and compared
@@ -269,6 +271,13 @@ def moved_keys(got: dict, want: dict) -> dict:
     return out
 
 
+def moved_fields(got, want) -> list:
+    """The top-level fields of an entry whose values differ in any bit; [] unless both are dicts."""
+    if not (isinstance(got, dict) and isinstance(want, dict)):
+        return []
+    return sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Write tests/golden.json, or check it.")
     parser.add_argument("--check", action="store_true",
@@ -279,9 +288,11 @@ def main(argv=None) -> int:
         GOLDEN.write_text(json.dumps(got, sort_keys=True, separators=(",", ":")) + "\n")
         print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)")
         return 0
-    moved = moved_keys(got, json.loads(GOLDEN.read_text()))
+    want = json.loads(GOLDEN.read_text())
+    moved = moved_keys(got, want)
     for key, move in moved.items():
-        print(f"{key}: largest relative move {move:.3e}")
+        fields = moved_fields(got.get(key), want.get(key))
+        print(f"{key}: largest relative move {move:.3e}" + (f" [{', '.join(fields)}]" if fields else ""))
     print(f"{len(moved)} of {len(got)} keys moved")
     return 1 if moved else 0
 

@@ -67,3 +67,12 @@ def test_check_reports_every_bit_level_move():
     assert sorted(moved) == ["gone", "grad", "new", "states"]
     assert moved["grad"] == 2**-52
     assert moved["states"] == moved["gone"] == moved["new"] == float("inf")
+
+
+def test_check_names_the_fields_that_moved():
+    want = {"value": "0x1.0p+0", "grad_value": "0x1.0p+0", "grads": {"a": [(1.0).hex()]}}
+    got = {**want, "grads": {"a": [(1.0 + 2**-52).hex()]}, "extra": "0x1.0p+0"}
+    assert mg.moved_fields(got, want) == ["extra", "grads"]
+    assert mg.moved_fields(want, want) == []
+    assert mg.moved_fields([[0, 1]], [[1, 0]]) == []  # an enumeration's paths are no fields
+    assert mg.moved_fields(None, want) == []  # a key on one side only
