@@ -10,11 +10,13 @@ vmpf-bg).
 
 The four filters share one step loop, ``_filter``, and each passes it
 only its weight rule.  The loop binds the model to the run once
-(``models.bind``, on the caller's tape), calls the rule for t = 1..T,
-checks each step's weights for degeneracy and records the run.  A rule
-asks the bound model's builders for rows (``models.GaussRows`` or, for the
-HMM, ``models.TableRows``) and scores and draws through their methods, so
-only ``models.bind`` decides what a family is.
+(``models.bind``, on the caller's tape), runs step 1, the importance step
+w_1 = f_1 g_1 / r_1 that every filter starts from, and calls the rule for
+t = 2..T; the rules describe t >= 2 only.  It checks each step's weights
+for degeneracy and records the run.  A rule asks the bound model's
+builders for rows (``models.GaussRows`` or, for the HMM,
+``models.TableRows``) and scores and draws through their methods, so only
+``models.bind`` decides what a family is.
 
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
@@ -264,14 +266,25 @@ def make_backend(source):
     return source
 
 
+def _increment(bound, draws, t: int, x, n: int) -> tuple:
+    """n draws of step t's proposal given parents x (None at t=1) and their (log f + log g) - log r.
+
+    Step 1 of every filter, and each step of ``run_smc``."""
+    proposal = mo.proposal_build_many(bound, t, x)
+    x_new = proposal.draw(draws, t, n)
+    log_f = mo.transition_build_many(bound, t, x).logpdf_rows(x_new)
+    return x_new, log_f + mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
+
+
 def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, **record) -> ParticleRun:
     """The step loop of every filter; step(bound, draws, t, x, logw, lse) is its weight rule.
 
-    The rule returns step t's particles and log weights from the previous
-    step's x, logw and their logsumexp lse, spread to each particle row (a
-    scalar for one run); all three are None at t=1.  A backend with
-    ``runs`` labels asks for a pass of that many runs, which a tape cannot
-    record.  record holds the filter's own ``ParticleRun`` fields.
+    The loop runs step 1, ``_increment`` from no parents, for every filter.
+    The rule returns step t >= 2's particles and log weights from the
+    previous step's x, logw and their logsumexp lse, spread to each particle
+    row (a scalar for one run).  A backend with ``runs`` labels asks for a
+    pass of that many runs, which a tape cannot record.  record holds the
+    filter's own ``ParticleRun`` fields.
     """
     mo.check_count("n_particles", n, 1)
     backend = make_backend(source)
@@ -283,9 +296,8 @@ def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, *
     log_n = math.log(n)
 
     particles, log_weights, log_mean_weights = [], [], []
-    x = logw = lse = None
     for t in range(1, draws.t_max + 1):
-        x, logw = step(bound, draws, t, x, logw, lse)
+        x, logw = _increment(bound, draws, 1, None, n) if t == 1 else step(bound, draws, t, x, logw, lse)
         # a run's weights are all zero or hold a NaN or +inf exactly when its largest is not finite
         if runs == 1:
             largest = logw.data.max()
@@ -329,19 +341,11 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
     ancestors = []
 
     def step(bound, draws, t, x, logw, lse):
-        if t > 1:  # x becomes the resampled parents
-            anc = (draws.choose_shared(t, ANCESTOR, n, np.exp(logw.data - lse.data).reshape(draws.runs, n))
-                   if resample else np.arange(draws.runs * n))
-            ancestors.append(anc)
-            x = ad.gather_rows(x, anc)
-        proposal = mo.proposal_build_many(bound, t, x)
-        x_new = proposal.draw(draws, t, n)
-        inc = (
-            mo.transition_build_many(bound, t, x).logpdf_rows(x_new)
-            + mo.emission_logpdf_rows(bound, t, x_new)
-            - proposal.logpdf_rows(x_new)
-        )
-        return x_new, (inc if (resample or t == 1) else logw + inc)
+        anc = (draws.choose_shared(t, ANCESTOR, n, np.exp(logw.data - lse.data).reshape(draws.runs, n))
+               if resample else np.arange(draws.runs * n))
+        ancestors.append(anc)
+        x_new, inc = _increment(bound, draws, t, ad.gather_rows(x, anc), n)
+        return x_new, (inc if resample else logw + inc)
 
     return _filter("smc", model, params, data, n, source, step, not resample, ancestors=ancestors)
 
@@ -376,20 +380,16 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     implicit=True attaches one mixture_implicit_rsample node to a step's N
     realized draws, so the mixture weights themselves carry gradients
     (vmpf-ug), and the HMM's tables reject it.  Their forward values are
-    bit-identical, and off tape implicit=True changes nothing.  The t=1
-    proposal is drawn the same way in both.  Tail draws of the implicit
+    bit-identical, and off tape implicit=True changes nothing.  Step 1,
+    the loop's, is drawn the same way in both.  Tail draws of the implicit
     gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
     """
     n = n_particles
     tail = TailCounter()
 
     def step(bound, draws, t, x, logw, lse):
-        log_vbar = None if t == 1 else logw - lse
+        log_vbar = logw - lse
         proposal = mo.proposal_build_many(bound, t, x)
-        if t == 1:
-            x_new = proposal.draw(draws, 1, n)
-            log_g = mo.emission_logpdf_rows(bound, 1, x_new)
-            return x_new, mo.transition_build_many(bound, 1).logpdf_rows(x_new) + log_g - proposal.logpdf_rows(x_new)
         x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
         log_g = mo.emission_logpdf_rows(bound, t, x_new)
         transition = mo.transition_build_many(bound, t, x)
@@ -438,8 +438,6 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
         proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
         extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
-        if t == 1:
-            return x_new, mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
         base = _permutation(draws, t, n).reshape(draws.runs, n)
         terms = []
         for l in range(l_perms):
@@ -475,8 +473,6 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
         proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
         extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
-        if t == 1:
-            return x_new, mo.transition_build_many(bound, 1).logpdf_rows(x_new) + extra
         return x_new, mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, logw, draws.runs) - math.log(n) + extra
 
     return _filter("tmc", model, params, data, n, source, step, True)

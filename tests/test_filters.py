@@ -98,6 +98,32 @@ class TestConfig:
             fl.run_smc(h, {"trans_proposal": ad.leaf(h.trans)}, np.zeros((2, 1)), 2, 1)
 
 
+class TestFirstStep:
+    """Step 1 is the one importance step w_1 = f_1 g_1 / r_1 of every filter, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["lgssm-d10", "sv-tri", "dmm-vem", "hmm-tables"])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_every_filter_takes_the_same_first_step(self, family, n):
+        model, params, data, _ = run_axis_cases()[family]
+        ys = data.ys[:1]  # T = 1: no filter reaches its own rule
+        runners = {
+            "smc-no-resampling": lambda: fl.run_smc(model, params, ys, n, 5, resample=False),
+            "mpf": lambda: fl.run_mpf(model, params, ys, n, 5),
+            "mpf-implicit": lambda: fl.run_mpf(model, params, ys, n, 5, implicit=True),
+            "ipf-l1": lambda: fl.run_ipf(model, params, ys, n, 1, 5),
+            "tmc": lambda: fl.run_tmc(model, params, ys, n, 5),
+        }
+        smc = fl.run_smc(model, params, ys, n, 5)
+        differ = []
+        for name, runner in runners.items():
+            run = runner()
+            assert run.t_max == 1
+            if not (np.array_equal(run.particles[0].data, smc.particles[0].data)
+                    and np.array_equal(run.log_weights[0].data, smc.log_weights[0].data)):
+                differ.append(name)
+        assert differ == []
+
+
 class TestSmc:
     def test_n1_is_joint_minus_proposal(self):
         """Single chain: log-evidence = log p(x, y) - log q(x) on the drawn path."""
