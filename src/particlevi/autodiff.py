@@ -13,7 +13,8 @@ strictly increase at creation, and skips the None parents.
 A rule closes over arrays, shapes and flags only, never over a ``Var``: a
 Var refers to its tape, so a rule holding one would tie the tape into a
 reference cycle that only the cyclic collector frees.  Without cycles a
-tape is freed by reference counting when its last Var goes.
+tape is freed by reference counting when its last Var goes, which
+``objectives._gradient`` relies on to pause the collector while it lives.
 
 The contract callers may rely on for elementwise shapes is scalar-with-tensor
 and equal-shape; internally the library also leans on general numpy

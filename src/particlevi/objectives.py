@@ -18,10 +18,12 @@ differentiated in reverse mode.  A gradient call makes each
 ``pack_params`` array one tape leaf, installs the leaves with
 ``apply_params`` and returns their cotangents as one flat float64 vector
 in ``param_layout`` order, which Adam, the variance probe and the N=1
-check read as it is.  A categorical draw carries no gradient, except
-through vmpf-ug's implicit node on the realized mixture draws; iwvi and
-tmc contain no categorical draw at all, so their gradient is exactly the
-reparameterized gradient.
+check read as it is.  The cyclic collector, which would walk the acyclic
+tape and free nothing, is paused until the tape is freed (after
+``Tape.__exit__``) and then restored, process-wide.  A categorical draw
+carries no gradient, except through vmpf-ug's implicit node on the
+realized mixture draws; iwvi and tmc contain no categorical draw at all,
+so their gradient is exactly the reparameterized gradient.
 ``bound_estimate`` averages independent runs, R of them per pass of the
 kind's filter: the pass stacks the runs' particle rows, off tape.  R is set by the shapes
 alone, R = 2^18 // (N max(N, T dy)) capped at the sample count, so that a
@@ -40,6 +42,7 @@ grad_norm is one dot product.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -112,9 +115,25 @@ def objective_value(obj: Objective, data, rng) -> Var:
 def _gradient(obj: Objective, data, rng) -> tuple:
     """(value, gradient vector in ``param_layout(pack_params(obj))`` order) of one run.
 
-    Each ``pack_params`` array becomes one leaf, ``apply_params`` installs
+    The cyclic collector, which would walk the acyclic tape and free
+    nothing, is paused until the tape is freed as ``_taped_gradient``
+    returns: at ``Tape.__exit__`` the tape is still live.  It is then left
+    on or off as found.  Its state is process-wide: a caller that switches
+    it on another thread meanwhile may find it switched back.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _taped_gradient(obj, data, rng)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _taped_gradient(obj: Objective, data, rng) -> tuple:
+    """Each ``pack_params`` array becomes one leaf, ``apply_params`` installs
     the leaves for the kind's filter, and ``grad``'s cotangents are
-    concatenated once, in that order.
+    concatenated once, in that order; only the two results outlive the call.
     """
     with ad.Tape():
         leaves = {k: ad.leaf(v) for k, v in pack_params(obj).items()}

@@ -1,5 +1,6 @@
 """Verification helpers and suites: enumeration, the MPF-TMC identity, the ``verify`` rows."""
 
+import functools
 import math
 
 import numpy as np
@@ -105,3 +106,85 @@ class TestSuites:
 
     def test_gradients_suite_green(self):
         assert all(row.measured <= row.limit for row in suite_rows("gradients"))
+
+
+# Non-bootstrap proposal tables for the two-state reference HMM
+RB_TABLES = {
+    "init_proposal": np.asarray([0.3, 0.7]),
+    "trans_proposal": np.asarray([[0.6, 0.4], [0.25, 0.75]]),
+    "indep_proposal": np.asarray([0.4, 0.6]),
+}
+RB_CELLS = [(2, 2), (2, 3), (3, 2)]
+RB_REL = 1e-12  # rounding only: every gate below is exact in theory
+
+
+@functools.lru_cache(maxsize=None)
+def rb_moments(t_max: int, n: int, bootstrap: bool = False) -> dict:
+    """kind -> (E[p̂]/p, Var(p̂/p), E[log p̂] - log p), exact over every
+    realization on ``hmm_reference`` with t_max zero symbols.
+
+    Kinds are smc, mpf, tmc and ipf-l1..ipf-lN under ``RB_TABLES``; at the
+    bootstrap proposal (params None) only smc and mpf.
+    """
+    h = mo.hmm_reference()
+    ys = np.zeros((t_max, 1))
+    log_p = mo.hmm_forward(h, np.zeros(t_max, dtype=np.intp))
+    params = None if bootstrap else RB_TABLES
+    runs = {
+        "smc": lambda be: fl.run_smc(h, params, ys, n, be),
+        "mpf": lambda be: fl.run_mpf(h, params, ys, n, be),
+    }
+    if not bootstrap:
+        runs["tmc"] = lambda be: fl.run_tmc(h, params, ys, n, be)
+        runs.update({f"ipf-l{l}": lambda be, l=l: fl.run_ipf(h, params, ys, n, l, be) for l in range(1, n + 1)})
+    moments = {}
+    for kind, run in runs.items():
+        m1 = m2 = m_log = 0.0
+        for log_ratio, prob, _ in ck.enumerate_paths(lambda be, run=run: float(run(be).log_evidence.data) - log_p):
+            ratio = math.exp(log_ratio)
+            m1, m2, m_log = m1 + prob * ratio, m2 + prob * ratio * ratio, m_log + prob * log_ratio
+        moments[kind] = (m1, m2 - m1 * m1, m_log)
+    return moments
+
+
+def at_most(a: float, b: float) -> bool:
+    """a <= b up to RB_REL of b's size."""
+    return a <= b + RB_REL * abs(b)
+
+
+@pytest.mark.parametrize("t_max, n", RB_CELLS)
+class TestRaoBlackwellization:
+    """MPF is SMC Rao-Blackwellized over the ancestor, and TMC is IPF
+    averaged over its parent indices; the exact moments of every
+    estimator on the reference HMM must show it."""
+
+    def test_every_estimator_is_unbiased(self, t_max, n):
+        for kind, (mean, _, _) in rb_moments(t_max, n).items():
+            assert mean == pytest.approx(1.0, rel=RB_REL, abs=0), kind
+
+    def test_mpf_variance_at_most_smc(self, t_max, n):
+        moments = rb_moments(t_max, n)
+        assert at_most(moments["mpf"][1], moments["smc"][1])
+
+    def test_mpf_bound_at_least_smc(self, t_max, n):
+        """Conditional Jensen: E[log p̂_MPF] >= E[log p̂_SMC]."""
+        moments = rb_moments(t_max, n)
+        assert at_most(moments["smc"][2], moments["mpf"][2])
+
+    def test_ipf_with_every_parent_is_tmc(self, t_max, n):
+        moments = rb_moments(t_max, n)
+        _, var, m_log = moments[f"ipf-l{n}"]
+        assert var == pytest.approx(moments["tmc"][1], rel=RB_REL, abs=0)
+        assert m_log == pytest.approx(moments["tmc"][2], rel=RB_REL, abs=0)
+
+    def test_tmc_variance_at_most_ipf(self, t_max, n):
+        moments = rb_moments(t_max, n)
+        for l_perms in range(1, n):
+            assert at_most(moments["tmc"][1], moments[f"ipf-l{l_perms}"][1]), l_perms
+
+    def test_bootstrap_smc_equals_mpf(self, t_max, n):
+        """Both weights reduce to g at the bootstrap proposal, so smc and mpf
+        agree there in Var and in E[log p̂]."""
+        moments = rb_moments(t_max, n, bootstrap=True)
+        for i in (1, 2):
+            assert moments["mpf"][i] == pytest.approx(moments["smc"][i], rel=RB_REL, abs=0)

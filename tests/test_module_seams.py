@@ -19,6 +19,10 @@ numpy logsumexp is ``autodiff.np_logsumexp``.
 One place records op nodes: a tape's node list is appended to only in
 ``autodiff.custom_vjp`` (every op) and ``autodiff.leaf``.
 
+One place switches the cyclic garbage collector: ``gc.disable``,
+``gc.enable``, ``gc.freeze`` and ``gc.set_threshold`` are named only in
+``objectives._gradient``, which pauses it while a tape lives.
+
 Verification stays off the filter path: no module a filter run or a
 training step loads imports ``checks`` or ``cli``, and ``checks`` does not
 import ``cli``.
@@ -227,23 +231,33 @@ def test_one_numpy_logsumexp(path):
 NODE_RECORDERS = ("autodiff.custom_vjp", "autodiff.leaf")
 
 
-def node_appends(source: str) -> list:
-    """(line, enclosing function path) for every ``<x>.nodes.append(...)`` and ``nodes.append(...)`` call."""
+def scoped_hits(tree, hit) -> list:
+    """(line, enclosing function path) for every node of tree that hit(node) accepts."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "append":
-                target = child.func.value
-                if (isinstance(target, ast.Attribute) and target.attr == "nodes") or (
-                    isinstance(target, ast.Name) and target.id == "nodes"
-                ):
-                    found.append((child.lineno, ".".join(scope)))
+            if hit(child):
+                found.append((child.lineno, ".".join(scope)))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, scope + (child.name,) if named else scope)
 
-    visit(ast.parse(source), ())
+    visit(tree, ())
     return found
+
+
+def node_appends(source: str) -> list:
+    """(line, enclosing function path) for every ``<x>.nodes.append(...)`` and ``nodes.append(...)`` call."""
+
+    def appends_nodes(node) -> bool:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "append"):
+            return False
+        target = node.func.value
+        return (isinstance(target, ast.Attribute) and target.attr == "nodes") or (
+            isinstance(target, ast.Name) and target.id == "nodes"
+        )
+
+    return scoped_hits(ast.parse(source), appends_nodes)
 
 
 def test_node_append_checker_names_the_enclosing_function():
@@ -259,6 +273,44 @@ def test_one_place_records_op_nodes():
         f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py")) for _, where in node_appends(path.read_text())
     )
     assert found == sorted(NODE_RECORDERS)
+
+
+GC_SWITCHES = ("disable", "enable", "freeze", "set_threshold")
+
+
+def gc_switches(source: str) -> list:
+    """(line, enclosing function path) for every name of a ``gc`` call that switches the collector."""
+    tree = ast.parse(source)
+    modules, names = set(), set()  # local names bound to gc, and to its switches
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "gc":
+            names.update(a.asname or a.name for a in node.names if a.name in GC_SWITCHES)
+
+    def names_switch(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in GC_SWITCHES and _dotted(node.value) in modules
+        return isinstance(node, ast.Name) and node.id in names
+
+    return scoped_hits(tree, names_switch)
+
+
+def test_gc_switch_checker_catches_every_form():
+    source = (
+        "import gc\nimport gc as g\nfrom gc import disable, collect\nfrom gc import set_threshold as st\n"
+        "gc.disable()\ndef f():\n    g.enable()\n    disable()\n    st(0)\n"
+        "class C:\n    def m(self):\n        gc.freeze()\n"
+        "gc.collect()\ngc.isenabled()\ncollect()\nnp.disable()\n"
+    )
+    assert gc_switches(source) == [(5, ""), (7, "f"), (8, "f"), (9, "f"), (12, "C.m")]
+
+
+def test_one_place_switches_the_collector():
+    found = sorted(
+        f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py")) for _, where in gc_switches(path.read_text())
+    )
+    assert found == ["objectives._gradient", "objectives._gradient"]
 
 
 def package_imports(source: str) -> list:
@@ -302,7 +354,6 @@ def test_verification_stays_off_the_filter_path(name):
 
 def scipy_linalg_imports(source: str) -> list:
     """(line, enclosing function path) for every import of ``scipy.linalg`` and every ``scipy.linalg`` read."""
-    found = []
 
     def names_linalg(node) -> bool:
         if isinstance(node, ast.Import):
@@ -314,15 +365,7 @@ def scipy_linalg_imports(source: str) -> list:
             return module[:2] == ["scipy", "linalg"]
         return isinstance(node, ast.Attribute) and node.attr == "linalg" and _dotted(node.value) == "scipy"
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if names_linalg(child):
-                found.append((child.lineno, ".".join(scope)))
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            visit(child, scope + (child.name,) if named else scope)
-
-    visit(ast.parse(source), ())
-    return found
+    return scoped_hits(ast.parse(source), names_linalg)
 
 
 def test_scipy_linalg_checker_catches_every_form():

@@ -226,8 +226,10 @@ class TestGradients:
         """A rule closes over arrays, never over a Var, so a tape and its Vars are freed by reference counting.
 
         Two gradients of every kind the family runs (with VEM where it has
-        model parameters), the cyclic collector off throughout, leave
-        nothing for it to find.
+        model parameters), then two ``train`` iterations that probe the
+        gradient variance at each (so every caller of the gradient runs),
+        the cyclic collector off throughout, leave nothing for it to find.
+        ``objectives._gradient`` pauses the collector on this contract.
         """
         model = {
             "lgssm": lambda: mo.lgssm_make(3, 3, 0.42, "sparse", RngStream(0)),
@@ -244,6 +246,7 @@ class TestGradients:
                 fn = ob.gradient_unbiased if obj.kind == "vmpf-ug" else ob.gradient_biased
                 for seed in (1, 2):
                     fn(obj, ds, RngStream(seed))
+                ob.train(obj, ds, [(0.01, 2)], 3, probe_every=1, probe_samples=2)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -389,6 +392,76 @@ class TestGradients:
         assert {"theta.mu", "theta.phi_logit", "theta.log_q_std", "theta.b_raw"} <= set(grads)
         assert np.any(grads["theta.mu"] != 0.0)
         assert np.any(grads["theta.phi_logit"] != 0.0)
+
+
+class TestCollectorPause:
+    """A gradient pauses the cyclic collector while its tape lives, and leaves it as it found it."""
+
+    FAMILIES = {
+        "lgssm": lambda: mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0)),
+        "dmm-vem": lambda: mo.dmm_make(2, 3, 4, RngStream(0)),
+    }
+
+    @pytest.mark.parametrize("family, kind", [("lgssm", k) for k in ob.KINDS]
+                             + [("dmm-vem", k) for k in ob.KINDS if k != "tmc"])
+    def test_training_runs_no_collection(self, family, kind):
+        """No collection of any generation during 30 iterations.  A T = 10
+        tape holds more objects than generation 0's threshold, so with the
+        collector on during the gradient there is about one collection an
+        iteration.  ``gc.collect()`` also empties the interpreter's free
+        lists, so the first gradient after it leaves generation 0's count
+        high and sets off one collection, over no tape, at the next
+        allocation; one uncounted iteration after it takes that."""
+        model = self.FAMILIES[family]()
+        ds = mo.generate(model, 10, RngStream(7))
+        obj = ob.Objective(kind, model, mo.proposal_init(model, 10, RngStream(1)), 4,
+                           learn_theta=family == "dmm-vem")
+        generations = []
+
+        def count(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.collect()
+        ob.train(obj, ds, [(0.01, 1)], 2)
+        gc.callbacks.append(count)
+        try:
+            ob.train(obj, ds, [(0.01, 30)], 3)
+        finally:
+            gc.callbacks.remove(count)
+        assert generations == []
+
+    def test_collector_left_as_found(self):
+        m, ds, p = lgssm_case()
+        obj = ob.Objective("vsmc", m, p, 3)
+        try:
+            for enabled in (True, False, True):
+                gc.enable() if enabled else gc.disable()
+                ob.gradient_biased(obj, ds, RngStream(1))
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("make, kind, log_sigma", [
+        (lambda: mo.sv_make(2, "triangular", RngStream(0)), "vsmc", 400.0),
+        (lambda: mo.lgssm_make(2, 2, 0.42, "sparse", RngStream(0)), "vmpf-bg", -400.0),
+    ], ids=["sv-vsmc-plus-400", "lgssm-vmpf-bg-minus-400"])
+    def test_collector_restored_after_a_degenerate_run(self, make, kind, log_sigma):
+        """A ``DegeneracyError`` raised inside the tape leaves the collector as it was."""
+        m = make()
+        ds = mo.generate(m, 3, RngStream(1))
+        p = mo.proposal_init(m, 3)
+        p["log_sigma"][:] = log_sigma
+        obj = ob.Objective(kind, m, p, 3)
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                with pytest.raises(fl.DegeneracyError):
+                    ob.gradient_biased(obj, ds, RngStream(1))
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
 
 
 def adam_state(lr, sizes: dict, clip=None) -> ob.AdamState:
