@@ -258,6 +258,18 @@ def _suite_gradients():
         if name.endswith("-far"):
             point[0][0] += 60.0
         checks.append(_fd_row(name, mo.gauss_mixture_pair, point, _normals(pts, 0, (3,))))
+    # a draw's f g / r in one node, differentiated with the draw it scores:
+    # its cotangents hold only for x made from r's own rows and noise
+    for name, ls_rows, label in (("kernel-draw-ratio-shared", 1, 218), ("kernel-draw-ratio-per-row", 3, 219)):
+        pts = rng.split(label)
+        eps = _normals(pts, 1, (3, 2))
+
+        def draw_ratio(r_means, r_ls, f_means, f_ls, log_g, eps=eps):
+            return mo.gauss_draw_ratio(mo.gauss_rsample(r_means, r_ls, eps), eps, f_means, f_ls, r_ls, log_g)
+
+        point = [_normals(pts, 2, (3, 2)), _normals(pts, 3, (ls_rows, 2), 0.3), _normals(pts, 4, (3, 2)),
+                 _normals(pts, 5, (3, 2), 0.3), _normals(pts, 6, (3,))]
+        checks.append(_fd_row(name, draw_ratio, point, _normals(pts, 0, (3,))))
     # the DMM nodes: the dense layer under each activation, the Bernoulli
     # emission, and the two outputs of the Gaussian product with a (1, d)
     # factor against (3, d) rows

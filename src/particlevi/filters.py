@@ -15,8 +15,11 @@ w_1 = f_1 g_1 / r_1 that every filter starts from, and calls the rule for
 t = 2..T; the rules describe t >= 2 only.  It checks each step's weights
 for degeneracy and records the run.  A rule asks the bound model's
 builders for rows (``models.GaussRows`` or, for the HMM,
-``models.TableRows``) and scores and draws through their methods, so only
-``models.bind`` decides what a family is.
+``models.TableRows``) and scores and draws through their methods and
+``models``' two weight dispatches, so only ``models.bind`` decides what a
+family is.  A draw scored under the rows that drew it (f g / r, or IPF's
+and TMC's g / r) goes through ``models.draw_log_ratio``: on Gaussian rows
+one node that takes log r from the draw's own noise.
 
 All randomness is routed through a draw backend keyed by (step, purpose,
 offset), so a run is bit-reproducible regardless of evaluation order, the
@@ -269,11 +272,14 @@ def make_backend(source):
 def _increment(bound, draws, t: int, x, n: int) -> tuple:
     """n draws of step t's proposal given parents x (None at t=1) and their (log f + log g) - log r.
 
-    Step 1 of every filter, and each step of ``run_smc``."""
+    Step 1 of every filter, each step of ``run_smc`` and ``run_mpf``'s step
+    at N=1.  The weight is ``models.draw_log_ratio`` of the draw under the
+    transition and proposal rows: on Gaussian rows one node, which scores
+    log r from the draw's noise."""
     proposal = mo.proposal_build_many(bound, t, x)
     x_new = proposal.draw(draws, t, n)
-    log_f = mo.transition_build_many(bound, t, x).logpdf_rows(x_new)
-    return x_new, log_f + mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
+    transition = mo.transition_build_many(bound, t, x)
+    return x_new, mo.draw_log_ratio(transition, proposal, draws, t, n, x_new, mo.emission_logpdf_rows(bound, t, x_new))
 
 
 def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, **record) -> ParticleRun:
@@ -331,7 +337,9 @@ def run_smc(model, params, data, n_particles: int, source, resample: bool = True
     Per step: ancestors drawn from the normalized previous weights, states
     extended through the proposal, weight f*g/r.  The loop's logsumexp of
     a step's log weights also normalizes the next step's resampling
-    probabilities.  The run records each step's ancestor indices.  Under
+    probabilities.  The run records each step's ancestor indices.  Each
+    step is ``_increment`` on the resampled parents, so its weight is one
+    ``models.gauss_draw_ratio`` node on the continuous families.  Under
     a tape the reparameterization path runs through every state but none
     through the resampling probabilities (vsmc).  resample=False turns the
     run into independent importance-sampling chains (ancestors i -> i)
@@ -366,12 +374,15 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     ``models.mixture_log_ratio`` forms the whole weight from the
     transition and the proposal rows.  On continuous models both
     logsumexps and the log g term are one ``models.gauss_mixture_pair``
-    node, so the (N, N) pair terms never reach the tape.  At N=1 each
-    logsumexp is the row kernel plus log vbar, which keeps the run
-    bit-aligned with run_smc.  log vbar reuses the loop's logsumexp node of
-    the previous step's log weights.  The HMM's rows are tables: each
-    logsumexp is one over table entries, and a step draws its states from
-    the marginal row sum_j vbar_j r_t(. | x_{t-1}^j).
+    node, so the (N, N) pair terms never reach the tape.  log vbar reuses
+    the loop's logsumexp node of the previous step's log weights.  The
+    HMM's rows are tables: each logsumexp is one over table entries, and a
+    step draws its states from the marginal row sum_j vbar_j r_t(. | x_{t-1}^j).
+
+    At N=1 the mixture is its one row and log vbar is 0, so the step is
+    run_smc's, ``_increment``: the run is run_smc's bit for bit, gradients
+    included.  It skips run_smc's one-way ANCESTOR choice; draws are
+    addressed by (t, purpose, offset), so no other draw moves.
 
     implicit picks the gradient estimator from t=2 on (the proposal rows'
     ``draw_mixture``).  Both draw the same particles: the component index
@@ -381,13 +392,16 @@ def run_mpf(model, params, data, n_particles: int, source, implicit: bool = Fals
     realized draws, so the mixture weights themselves carry gradients
     (vmpf-ug), and the HMM's tables reject it.  Their forward values are
     bit-identical, and off tape implicit=True changes nothing.  Step 1,
-    the loop's, is drawn the same way in both.  Tail draws of the implicit
-    gradient are counted in ``tail_failures`` as ``grad`` runs the rules.
+    the loop's, is drawn the same way in both, and so is every step at
+    N=1.  Tail draws of the implicit gradient are counted in
+    ``tail_failures`` as ``grad`` runs the rules.
     """
     n = n_particles
     tail = TailCounter()
 
     def step(bound, draws, t, x, logw, lse):
+        if n == 1:  # the mixture is the one row: the step is SMC's
+            return _increment(bound, draws, t, x, n)
         log_vbar = logw - lse
         proposal = mo.proposal_build_many(bound, t, x)
         x_new = proposal.draw_mixture(draws, t, n, log_vbar, implicit, tail)
@@ -427,6 +441,9 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
     cyclic shifts) and accumulates
 
         u_t^i = sum_l u_{t-1}^{k_li} f(x_t^i | x_{t-1}^{k_li}) g_i / (L r_t(x_t^i))
+
+    The L pairings share g_i / r_t(x_t^i), ``models.draw_log_ratio`` with no
+    transition: one node from the draw's noise on Gaussian rows.
     """
     n = n_particles
     mo.check_count("n_particles", n, 1)  # N is reported before L
@@ -437,7 +454,7 @@ def run_ipf(model, params, data, n_particles: int, l_perms: int, source) -> Part
     def step(bound, draws, t, x, logw, lse):
         proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
-        extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
+        extra = mo.draw_log_ratio(None, proposal, draws, t, n, x_new, mo.emission_logpdf_rows(bound, t, x_new))
         base = _permutation(draws, t, n).reshape(draws.runs, n)
         terms = []
         for l in range(l_perms):
@@ -465,14 +482,15 @@ def run_tmc(model, params, data, n_particles: int, source) -> ParticleRun:
     ``models.gauss_mixture_logpdf`` node.  Those can spread over
     hundreds of nats, so a particle near only low-weight parents can fall
     far below the node's shift bound, which the top weight sets; the node
-    redoes such rows with their own maximum.
+    redoes such rows with their own maximum.  g_i / r_t(x_t^i) is
+    ``models.draw_log_ratio`` with no transition, as in ``run_ipf``.
     """
     n = n_particles
 
     def step(bound, draws, t, x, logw, lse):
         proposal = mo.proposal_build_many(bound, t)
         x_new = proposal.draw(draws, t, n)
-        extra = mo.emission_logpdf_rows(bound, t, x_new) - proposal.logpdf_rows(x_new)
+        extra = mo.draw_log_ratio(None, proposal, draws, t, n, x_new, mo.emission_logpdf_rows(bound, t, x_new))
         return x_new, mo.transition_build_many(bound, t, x).mixture_logpdf(x_new, logw, draws.runs) - math.log(n) + extra
 
     return _filter("tmc", model, params, data, n, source, step, True)

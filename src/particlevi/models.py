@@ -22,10 +22,16 @@ Both score a row against row i (``logpdf_rows``), every row against every
 component (``logpdf_matrix``, an array, for the MPF-TMC identity check) and every
 row under a weighted mixture of the components (``mixture_logpdf``), and
 both draw a step's particles from their rows (``draw``) or from the
-weighted mixture (``draw_mixture``).  ``mixture_log_ratio`` scores rows
-under the ratio of two such mixtures that share the weights, MPF's step
-weight; on Gaussian rows that is one ``gauss_mixture_pair`` node, the
-two-mixture case of the one mixture kernel.  Each density kernel,
+weighted mixture (``draw_mixture``).  Two dispatches score a step's
+weight from two rows objects, one node each on Gaussian rows and the
+composed row methods on tables.  ``mixture_log_ratio`` scores rows under
+the ratio of two such mixtures that share the weights, MPF's step weight;
+on Gaussian rows that is one ``gauss_mixture_pair`` node, the two-mixture
+case of the one mixture kernel.  ``draw_log_ratio`` scores a draw under
+the rows that drew it, f g / r, SMC's step weight (or g / r without f,
+IPF's and TMC's term); on Gaussian rows that is one ``gauss_draw_ratio``
+node, which takes log r from the draw's own noise, read again from the
+step's draws, so the rows carry no noise.  Each density kernel,
 reparameterized draw, network layer (``dense``) and Gaussian product is one
 tape node with an analytic backward, which forms no cotangent for a
 constant parent (the kernels' rules return None there); the filters call
@@ -393,15 +399,10 @@ def gauss_logpdf_rows(x, means, log_stds) -> Var:
     need_x, need_m, need_ls = x.nid is not None, means.nid is not None, log_stds.nid is not None
     # the rule closes over arrays only: a Var would tie the tape into a cycle
     x_shape, m_shape, ls = x.data.shape, means.data.shape, log_stds.data
-    # the terms of c - ls - 0.5 z z are formed in place, with its IEEE
-    # operations in their order: c - ls is c + (-ls), and 0.5 z z is (0.5 z) z
     neg_ls = -ls
     inv_std = np.exp(neg_ls)
     z = (x.data - means.data) * inv_std
-    neg_ls += -0.5 * LOG_2PI
-    terms = 0.5 * z
-    terms *= z
-    out = np.subtract(neg_ls, terms, out=terms).sum(axis=1)
+    out = _standard_rows(z, neg_ls)
 
     def rule(g):
         g = g[:, None]
@@ -413,6 +414,18 @@ def gauss_logpdf_rows(x, means, log_stds) -> Var:
         )
 
     return ad.custom_vjp(out, [x, means, log_stds], rule)
+
+
+def _standard_rows(z, neg_ls) -> np.ndarray:
+    """sum_e (c - ls_e - 0.5 z_e^2) per row, c = -log(2 pi) / 2, given z and -ls (which it overwrites).
+
+    The terms are formed in place, with the IEEE operations of the
+    expression in their order: c - ls is c + (-ls), and 0.5 z z is (0.5 z) z.
+    """
+    neg_ls += -0.5 * LOG_2PI
+    terms = 0.5 * z
+    terms *= z
+    return np.subtract(neg_ls, terms, out=terms).sum(axis=1)
 
 
 def _pair_cotangents(g, xd, md, ls, inv_var, m_iv, need_ls: bool) -> tuple:
@@ -534,6 +547,67 @@ def gauss_mixture_pair(x, log_w, num_means, num_log_stds, den_means, den_log_std
         return gx_r, gw_r, gm_r, gls_r, gx_f, gw_f, gm_f, gls_f, ad.unbroadcast(g, g_shape)
 
     return ad.custom_vjp((out[0] + log_g.data) - out[1], [x, log_w, r_m, r_ls, x, log_w, f_m, f_ls, log_g], pair)
+
+
+def gauss_draw_ratio(x, eps, num_means, num_log_stds, den_log_stds, log_g) -> Var:
+    """(log f(x_i) + log_g_i) - log r(x_i) in one tape node, for x drawn from r -> (N,).
+
+    x is the (N, d) draw m_r + exp(ls_r) eps of the diagonal Gaussian rows
+    r, made from the constant (N, d) standard-normal noise eps
+    (``gauss_rsample``); den_log_stds are r's (N|1, d) log-stds.  Under that
+    change of variables log r(x) = sum_e (-ls_e - log(2 pi) / 2 - eps_e^2 / 2),
+    which needs no x - m_r and no division by exp(ls_r).  f
+    (num_means, num_log_stds) is one (N|1, d) Gaussian row per draw, scored
+    with ``gauss_logpdf_rows``' operations in their order; num_means None
+    leaves it out, for log_g - log r.  The result keeps the composed form's
+    order, (log f + log_g) - log r.
+
+    With z = (x - m_f) / std_f and incoming cotangent g, the cotangents are
+    -g z / std_f to x, g z / std_f to f's means, g (z^2 - 1) to f's
+    log-stds, g to log_g and +g in each coordinate to r's log-stds, each
+    summed back to its parent's shape; a constant parent gets none.  r's
+    means are no parent: with eps fixed, log r does not depend on them.
+    With the draw's own node these give the x-form's gradients: there, log
+    r's terms to x and to r's means cancel through the draw, and its terms
+    to r's log-stds sum to g.
+    """
+    x, log_g, r_ls = ad.constant(x), ad.constant(log_g), ad.constant(den_log_stds)
+    if eps.shape != x.data.shape or r_ls.data.shape[-1] != eps.shape[-1]:
+        raise ValueError(f"noise {eps.shape} must match the draws {x.data.shape} and the log-stds' width")
+    need_g, need_rls = log_g.nid is not None, r_ls.nid is not None
+    g_shape, rls_shape = log_g.data.shape, r_ls.data.shape
+    log_r = _standard_rows(eps, -r_ls.data)
+    if num_means is None:
+
+        def ratio(g):
+            return (ad.unbroadcast(g, g_shape) if need_g else None,
+                    ad.unbroadcast(np.repeat(g[:, None], eps.shape[1], axis=1), rls_shape) if need_rls else None)
+
+        return ad.custom_vjp(log_g.data - log_r, [log_g, r_ls], ratio)
+
+    means, log_stds = ad.constant(num_means), ad.constant(num_log_stds)
+    _check_dims(x, means, log_stds)
+    need_x, need_m, need_ls = x.nid is not None, means.nid is not None, log_stds.nid is not None
+    x_shape, m_shape, ls_shape = x.data.shape, means.data.shape, log_stds.data.shape
+    neg_ls = -log_stds.data
+    inv_std = np.exp(neg_ls)
+    z = (x.data - means.data) * inv_std
+    out = _standard_rows(z, neg_ls)
+    out += log_g.data
+    out -= log_r
+
+    def rule(g):
+        g_col = g[:, None]
+        gz = g_col * z * inv_std if need_x or need_m else None
+        return (
+            ad.unbroadcast(-gz, x_shape) if need_x else None,
+            ad.unbroadcast(gz, m_shape) if need_m else None,
+            ad.unbroadcast(g_col * (z * z - 1.0), ls_shape) if need_ls else None,
+            ad.unbroadcast(g, g_shape) if need_g else None,
+            ad.unbroadcast(np.repeat(g_col, eps.shape[1], axis=1), rls_shape) if need_rls else None,
+        )
+
+    return ad.custom_vjp(out, [x, means, log_stds, log_g, r_ls], rule)
 
 
 def _check_mixture(x: Var, log_w: Var, means: Var, log_stds: Var):
@@ -784,10 +858,10 @@ class GaussRows(NamedTuple):
     def mixture_logpdf(self, x, log_w, runs: int = 1) -> Var:
         """(N,) log sum_j exp(log_w_j) N(x_i; row j), over each run's own rows.
 
-        One ``gauss_mixture_logpdf`` node; a single row per run goes
-        through the row kernel plus its log-weight instead, so N=1 runs stay
-        bit-aligned with the sequential filter.  ``mixture_log_ratio``
-        scores two rows objects of one layout in one node.
+        One ``gauss_mixture_logpdf`` node; a single row per run (TMC's
+        step at N=1) goes through the row kernel plus its log-weight
+        instead.  ``mixture_log_ratio`` scores two rows objects of one
+        layout in one node.
         """
         if self.means.data.shape[0] == runs:
             return log_w + gauss_logpdf_rows(x, self.means, self.log_stds)
@@ -884,10 +958,30 @@ def mixture_log_ratio(num, den, x, log_w, log_g, runs: int = 1) -> Var:
     scored in one ``gauss_mixture_pair`` node, which refuses mixed scale
     layouts (no family builds them); table rows and one row per run take
     the two mixture densities in turn, with the same values and gradients.
+    MPF's step at one row per run is SMC's (``draw_log_ratio``) and does
+    not come here.
     """
     if isinstance(num, GaussRows) and isinstance(den, GaussRows) and num.means.data.shape[0] > runs:
         return gauss_mixture_pair(x, log_w, num.means, num.log_stds, den.means, den.log_stds, log_g, runs)
     return num.mixture_logpdf(x, log_w, runs) + log_g - den.mixture_logpdf(x, log_w, runs)
+
+
+def draw_log_ratio(num, den, draws, t: int, n: int, x, log_g) -> Var:
+    """(N,) (num.logpdf_rows(x) + log_g) - den.logpdf_rows(x), for x den's draw ``den.draw(draws, t, n)``.
+
+    This is a draw's importance weight f g / r under the rows that drew it:
+    SMC's step weight, with num the transition rows; num None leaves f out,
+    for IPF's and TMC's log g - log r.  On Gaussian rows it is one
+    ``gauss_draw_ratio`` node, which scores log r from the draw's noise:
+    the step's PROPOSAL normals, read from draws again.  A backend serves
+    each (t, purpose, offset) one value, so that is the noise the draw was
+    made from.  Table rows are scored in turn, in the same order.
+    """
+    if isinstance(den, GaussRows):
+        f_m, f_ls = (None, None) if num is None else num
+        return gauss_draw_ratio(x, den._normals(draws, t, n), f_m, f_ls, den.log_stds, log_g)
+    log_r = den.logpdf_rows(x)
+    return (log_g if num is None else num.logpdf_rows(x) + log_g) - log_r
 
 
 # ---------------------------------------------------------------------------

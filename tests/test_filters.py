@@ -13,6 +13,7 @@ from particlevi import couplings as cp
 from particlevi import distributions
 from particlevi import filters as fl
 from particlevi import models as mo
+from particlevi import objectives as ob
 from particlevi.rng import RngStream
 
 
@@ -339,6 +340,61 @@ class TestMpf:
             var_mpf = m2 / mass - e_mpf**2
             assert abs(e_smc - e_mpf) < 1e-12
             assert var_mpf <= var_smc + 1e-15
+
+
+def one_particle_cases():
+    """name -> (model, params, data): LGSSM d=3, SV (triangular) and the DMM at T=8.
+
+    The proposals sit off their defaults (log-stds -1.3, means +0.37), where
+    scoring a draw from x and from its noise round differently.
+    """
+    lgssm = mo.lgssm_make(3, 3, 0.42, "dense", RngStream(1))
+    sv = mo.sv_make(3, "triangular", RngStream(3))
+    dmm = mo.dmm_make(3, 4, 8, RngStream(4))
+    cases = {}
+    for name, model, params, ls_key, mean_key, ls_scale in (
+        ("lgssm-d3", lgssm, mo.proposal_init(lgssm, 8), "log_sigma", "mu", 1.0),
+        ("sv-tri", sv, mo.proposal_init(sv, 8), "log_sigma", "mu", 1.0),
+        # the DMM's log-std head halves its output, so its bias moves twice as far
+        ("dmm", dmm, mo.proposal_init(dmm, 8, RngStream(5)), "x_sig_b", "x_mu_b", 2.0),
+    ):
+        params = dict(params)
+        params[ls_key] = params[ls_key] - 1.3 * ls_scale
+        params[mean_key] = params[mean_key] + 0.37
+        cases[name] = (model, params, mo.generate(model, 8, RngStream(17)))
+    return cases
+
+
+class TestOneParticle:
+    """At N = 1 a step's mixture is its one row, so MPF's step is SMC's step, bit for bit."""
+
+    @pytest.mark.parametrize("family", sorted(one_particle_cases()))
+    def test_mpf_step_weights_equal_smc_bitwise(self, family):
+        model, params, data = one_particle_cases()[family]
+        differ = steps = 0
+        for seed in range(40):
+            a = fl.run_smc(model, params, data, 1, seed)
+            b = fl.run_mpf(model, params, data, 1, seed)
+            for xa, xb in zip(a.particles, b.particles):
+                assert np.array_equal(xa.data, xb.data)
+            differ += sum(not np.array_equal(wa.data, wb.data) for wa, wb in zip(a.log_weights, b.log_weights))
+            steps += a.t_max
+        assert differ == 0, f"{differ} of {steps} step weights differ"
+
+    @pytest.mark.parametrize("family", sorted(one_particle_cases()))
+    def test_every_kind_has_the_same_gradient(self, family):
+        """vsmc, vmpf-bg and vmpf-ug agree on value and gradient, bit for bit."""
+        model, params, data = one_particle_cases()[family]
+        for seed in range(4):
+            results = {}
+            for kind in ("vsmc", "vmpf-bg", "vmpf-ug"):
+                obj = ob.Objective(kind, model, params, 1)
+                grad_fn = ob.gradient_unbiased if kind == "vmpf-ug" else ob.gradient_biased
+                results[kind] = grad_fn(obj, data, RngStream(seed))
+            value, vector = results.pop("vsmc")
+            for kind, (other_value, other_vector) in results.items():
+                assert other_value == value, kind
+                assert np.array_equal(other_vector, vector), kind
 
 
 HMM_TABLE_RUNS = {

@@ -504,6 +504,119 @@ class TestMixturePair:
         assert np.array_equal(got.data, four_nodes(x, log_w, f_m, f_ls, r_m, r_ls, log_g).data)
 
 
+def draw_point(seed: int, n: int, d: int, r_rows: int, f: bool) -> dict:
+    """A proposal (r_means, r_ls), its noise, f's rows (or None) and log g for n draws."""
+    stream = RngStream(seed)
+
+    def normals(k, *shape, scale=1.0):
+        return stream.split(k).normals(math.prod(shape)).reshape(shape) * scale
+
+    return {
+        "r_means": normals(1, n, d), "r_ls": normals(2, r_rows, d, scale=0.3) - 0.5, "eps": normals(3, n, d),
+        "f_means": normals(4, n, d) if f else None, "f_ls": normals(5, n, d, scale=0.3) if f else None,
+        "log_g": normals(6, n),
+    }
+
+
+def draw_and_weigh(r_means, r_ls, eps, f_means, f_ls, log_g, kernel=True):
+    """The draw and its (log f + log g) - log r: one ``gauss_draw_ratio`` node, or the x-form it replaces."""
+    x = mo.gauss_rsample(r_means, r_ls, eps)
+    if kernel:
+        return x, mo.gauss_draw_ratio(x, eps, f_means, f_ls, r_ls, log_g)
+    log_r = mo.gauss_logpdf_rows(x, r_means, r_ls)
+    if f_means is None:
+        return x, log_g - log_r
+    return x, mo.gauss_logpdf_rows(x, f_means, f_ls) + log_g - log_r
+
+
+# name -> (proposal log-std rows, or None for one per draw; f: "leaf", "constant" or None)
+DRAW_FORMS = {
+    "shared": (1, "leaf"),
+    "shared-constant-f": (1, "constant"),  # the LGSSM: one log-std row, a constant transition scale
+    "shared-no-f": (1, None),  # IPF's and TMC's log g - log r
+    "per-row": (None, "leaf"),  # SV's and the DMM's fused products
+    "per-row-constant-f": (None, "constant"),
+    "per-row-no-f": (None, None),
+}
+
+
+class TestDrawRatio:
+    """models.gauss_draw_ratio scores a draw's f g / r from its noise, against the x-form it replaces."""
+
+    @staticmethod
+    def grads(form: str, kernel: bool) -> tuple:
+        r_rows, f = DRAW_FORMS[form]
+        point = draw_point(45, 5, 3, 5 if r_rows is None else r_rows, f is not None)
+        weights = ad.constant(RngStream(49).normals(5))
+        with ad.Tape():
+            live = {k: ad.leaf(v) for k, v in point.items()
+                    if v is not None and k != "eps" and not (f == "constant" and k == "f_ls")}
+            args = {**point, **live}
+            x, out = draw_and_weigh(**args, kernel=kernel)
+            # the draw feeds the loss too, as it feeds the next step and log g
+            loss = (out * weights).sum() + (x * x).sum() * 0.25
+            return out.data, dict(zip(live, ad.grad(loss, list(live.values()))))
+
+    @pytest.mark.parametrize("form", list(DRAW_FORMS))
+    def test_matches_the_x_form(self, form):
+        got, got_grads = self.grads(form, True)
+        want, want_grads = self.grads(form, False)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert sorted(got_grads) == sorted(want_grads)
+        for name, g in got_grads.items():
+            assert np.max(np.abs(g - want_grads[name])) <= 1e-13 * max(1.0, np.max(np.abs(want_grads[name]))), name
+
+    @pytest.mark.parametrize("form", list(DRAW_FORMS))
+    def test_pass_equals_runs_alone(self, form):
+        """Each draw's weight is its own row's: R = 4 stacked runs of 3 draws give each run's bits."""
+        r_rows, f = DRAW_FORMS[form]
+        runs, n = 4, 3
+        point = draw_point(60, runs * n, 2, runs * n if r_rows is None else r_rows, f is not None)
+        _, stacked = draw_and_weigh(**point)
+        for r in range(runs):
+            rows = slice(r * n, (r + 1) * n)
+            alone = {k: v if v is None or (k == "r_ls" and r_rows == 1) else v[rows] for k, v in point.items()}
+            assert np.array_equal(stacked.data[rows], draw_and_weigh(**alone)[1].data), r
+
+    @pytest.mark.parametrize("r_rows", [1, None], ids=["shared", "per-row"])
+    def test_finite_difference_through_the_draw(self, r_rows):
+        """The kernel's cotangents hold only with x drawn from r's own rows and noise, so both are differentiated."""
+        point = draw_point(70, 4, 2, 4 if r_rows is None else r_rows, True)
+        eps = point.pop("eps")
+        weights = ad.constant(RngStream(71).normals(4))
+
+        def f(r_means, r_ls, f_means, f_ls, log_g):
+            x, out = draw_and_weigh(r_means, r_ls, eps, f_means, f_ls, log_g)
+            return (out * weights).sum() + (x * x).sum() * 0.25
+
+        assert ad.finite_diff_check(f, list(point.values())) < 1e-5
+
+    def test_records_one_node(self):
+        point = draw_point(80, 3, 2, 1, True)
+        with ad.Tape() as tape:
+            args = {k: ad.leaf(v) if k != "eps" else v for k, v in point.items()}
+            x = mo.gauss_rsample(args["r_means"], args["r_ls"], point["eps"])
+            before = len(tape.nodes)
+            mo.gauss_draw_ratio(x, point["eps"], args["f_means"], args["f_ls"], args["r_ls"], args["log_g"])
+            mo.gauss_draw_ratio(x, point["eps"], None, None, args["r_ls"], args["log_g"])
+            assert len(tape.nodes) == before + 2
+
+    def test_noise_must_match_the_draws(self):
+        point = draw_point(81, 3, 2, 1, True)
+        x = mo.gauss_rsample(point["r_means"], point["r_ls"], point["eps"])
+        with pytest.raises(ValueError, match="noise"):
+            mo.gauss_draw_ratio(x, point["eps"][:2], point["f_means"], point["f_ls"], point["r_ls"], point["log_g"])
+
+    def test_table_rows_take_the_composed_form(self):
+        """The HMM's rows score a draw as logpdf_rows does, with or without f."""
+        num, den = mo.TableRows([[0.2, 0.8], [0.6, 0.4]]), mo.TableRows([[0.5, 0.5]])
+        x, log_g = ad.constant(np.asarray([[1.0], [0.0]])), ad.constant(np.asarray([-0.3, -1.2]))
+        want = num.logpdf_rows(x) + log_g - den.logpdf_rows(x)
+        assert np.array_equal(mo.draw_log_ratio(num, den, None, 2, 2, x, log_g).data, want.data)
+        want = log_g - den.logpdf_rows(x)
+        assert np.array_equal(mo.draw_log_ratio(None, den, None, 2, 2, x, log_g).data, want.data)
+
+
 class TestInPlaceKernels:
     """The row kernels form their values in place, with the elementwise expressions' IEEE operations in order."""
 
@@ -737,6 +850,18 @@ CONSTANT_PARENT_CASES = {
     "dense": (
         lambda x, w, b: mo.dense(x, w, b, "leaky"),
         [RngStream(100).normals(8).reshape(4, 2), RngStream(101).normals(6).reshape(2, 3), RngStream(102).normals(3)],
+    ),
+    "gauss_draw_ratio": (
+        lambda x, f_m, f_ls, log_g, r_ls: mo.gauss_draw_ratio(x, RngStream(106).normals(12).reshape(4, 3),
+                                                              f_m, f_ls, r_ls, log_g),
+        [RngStream(107).normals(12).reshape(4, 3), RngStream(108).normals(12).reshape(4, 3),
+         RngStream(109).normals(3).reshape(1, 3) * 0.3, RngStream(110).normals(4),
+         RngStream(111).normals(3).reshape(1, 3) * 0.3],
+    ),
+    "gauss_draw_ratio-no-f": (
+        lambda log_g, r_ls: mo.gauss_draw_ratio(np.zeros((4, 3)), RngStream(106).normals(12).reshape(4, 3),
+                                                None, None, r_ls, log_g),
+        [RngStream(110).normals(4), RngStream(111).normals(12).reshape(4, 3) * 0.3],
     ),
     "trisolve_rows": (
         mo.trisolve_rows,

@@ -275,10 +275,12 @@ class TestGradients:
         return TestGradients.tape_size(monkeypatch, obj, ds)
 
     # One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
-    # Each density kernel, draw and proposal mean is one node, so a step
-    # records about 15 nodes: 140 in all for vsmc.  An MPF step's weight is
-    # one pair-kernel node where two mixture nodes, an add and a sub stood,
-    # so vmpf-bg and vmpf-ug record 113.  The budgets catch a kernel that
+    # Each density kernel, draw and proposal mean is one node, and a vsmc
+    # step's weight f g / r is one ``gauss_draw_ratio`` node where two row
+    # kernels, an add and a sub stood, so a step records about 11 nodes: 110
+    # in all for vsmc.  An MPF step's weight is one pair-kernel node where
+    # two mixture nodes, an add and a sub stood, so vmpf-bg and vmpf-ug
+    # record 110 too.  The budgets catch a kernel that
     # falls back to elementwise ops (a three-op draw adds 20 nodes, a
     # five-op proposal mean 36, widening vmpf-ug's shared log-std for its
     # implicit draw 9).
@@ -296,8 +298,8 @@ class TestGradients:
         """One VEM gradient on the dmm-vem-train shape (dx=5, dy=20, dh=16,
         T=10, N=16) stays small.
 
-        Each network layer, Bernoulli emission, Gaussian product output and
-        draw is one node, so the gradient records 243 nodes; the budget
+        Each network layer, Bernoulli emission, Gaussian product output,
+        draw and step weight is one node, so the gradient records 213 nodes; the budget
         catches a layer that falls back to elementwise ops.
         """
         m = mo.dmm_make(5, 20, 16, RngStream(0))
@@ -330,21 +332,23 @@ class TestGradients:
         assert at_11 - at_10 <= 23
 
     def test_lgssm_tape_size_is_pinned(self, monkeypatch):
-        """Binding lifts the LGSSM's constants once and adds no node: 140 for
-        vsmc.  From t=2 on, an MPF step's weight is one ``gauss_mixture_pair``
-        node instead of four, 27 fewer over nine steps: 113 for vmpf-bg and
-        vmpf-ug."""
-        for kind, nodes in (("vsmc", 140), ("vmpf-bg", 113), ("vmpf-ug", 113)):
+        """Binding lifts the LGSSM's constants once and adds no node: 110 for
+        vsmc, whose step weight takes one ``gauss_draw_ratio`` node beside
+        the emission's where four stood.  From t=2 on, an MPF step's weight
+        is one ``gauss_mixture_pair`` node beside the emission's, and step 1
+        is vsmc's: 110 for vmpf-bg and vmpf-ug."""
+        for kind, nodes in (("vsmc", 110), ("vmpf-bg", 110), ("vmpf-ug", 110)):
             assert self.lgssm_tape_size(monkeypatch, kind) == nodes, kind
 
     def test_dmm_vmpf_bg_tape_size_is_pinned(self, monkeypatch):
-        """One vmpf-bg VEM gradient on the dmm-vem-train shape records 216
-        nodes, 27 fewer than vsmc's 243: each of its nine mixture steps scores
-        the per-component transition and proposal mixtures in one node."""
+        """One vmpf-bg VEM gradient on the dmm-vem-train shape records 213
+        nodes, as many as vsmc's: each of its nine mixture steps scores the
+        per-component transition and proposal mixtures and log g in one node,
+        as each vsmc step scores f g / r in one node."""
         m = mo.dmm_make(5, 20, 16, RngStream(0))
         ds = mo.generate(m, 10, RngStream(7))
         obj = ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10, RngStream(1)), 16, learn_theta=True)
-        assert self.tape_size(monkeypatch, obj, ds) == 216
+        assert self.tape_size(monkeypatch, obj, ds) == 213
 
     @pytest.mark.parametrize("family", ["dmm", "sv"])
     def test_vem_gradients_match_finite_differences(self, family):
