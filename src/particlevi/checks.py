@@ -305,7 +305,8 @@ def _suite_gradients():
     checks.append(_fd_row("kernel-lgssm-mean", lambda mu, beta, xa: mo.lgssm_proposal_mean(mu, beta, xa, 2),
                           [_normals(pts, k, (3, 2)) for k in (1, 2, 3)], _normals(pts, 0, (3, 2))))
 
-    # biased and unbiased particle gradients coincide at a single particle
+    # biased and unbiased particle gradients coincide at a single particle;
+    # MPF's step at N = 1 is SMC's, so both kinds record one tape here
     m = mo.lgssm_make(1, 1, 0.42, "sparse", RngStream(0))
     data = mo.generate(m, 3, RngStream(7))
     phi = mo.proposal_init(m, 3)
@@ -313,6 +314,18 @@ def _suite_gradients():
     _, gu = ob.gradient_unbiased(ob.Objective("vmpf-ug", m, phi, 1), data, RngStream(5))
     gap = float(np.max(np.abs(gb - gu)))
     checks.append(Check("n1-biased-vs-unbiased", gap, 1e-10))
+    # and at N = 3 through the implicit node: a step-1 log-std of -40 puts
+    # every step-1 particle on one point, so step 2's mixture is one
+    # Gaussian three times, whose implicit gradient is the pathwise one
+    m = mo.lgssm_make(2, 2, 0.42, "dense", RngStream(0))
+    data = mo.generate(m, 2, RngStream(7))
+    phi = mo.proposal_init(m, 2)
+    phi["mu"] += 0.3
+    phi["log_sigma"][0] = -40.0
+    _, gb = ob.gradient_biased(ob.Objective("vmpf-bg", m, phi, 3), data, RngStream(5))
+    _, gu = ob.gradient_unbiased(ob.Objective("vmpf-ug", m, phi, 3), data, RngStream(5))
+    gap = float(np.max(np.abs(gb - gu)))
+    checks.append(Check("coincident-biased-vs-unbiased", gap, 1e-10))
     return checks
 
 

@@ -26,29 +26,36 @@ F(x) = u for fixed uniforms, so dx/dtheta solves a lower-triangular system
 whose diagonal is the conditional mixture pdf.  The Phi derivatives are
 analytic (dPhi/dmu = -pdf, dPhi/dsigma = -z*pdf), never finite differences.
 
-The rule has no loop over coordinates: one batched product gives J^T for
-all N draws, one np.linalg.solve solves them, and one product with a
-triangle of ones gives their tail sums.  Two reductions stay numpy's,
-although a matmul could do them.  The sums over the K components (axis 0
-of the rule's (K, N, d) arrays) keep component order: a ones-vector
-product for the normalization or for F moved the log-weight cotangents by
-5.9e-13 relative.  The log-density prefix stays np.cumsum: a triangular
-product turns one -inf log-density into NaN for its whole component row.
+The rule has no loop over coordinates.  One product of z^2 with a constant
+strict upper triangle, scaled by -1/2, forms every draw's log-density
+prefix over the earlier coordinates; z^2 is capped at 1e300, so a z that
+overflowed keeps that product finite instead of turning its whole component
+row into NaN.  The prefix leaves out what every component shares, which
+cancels in the posterior weights: the -log(2 pi) / 2 terms, and the -ls
+terms of a shared scale.  Phi is scipy's ``ndtr``.  One batched product
+gives J^T for all N draws, one np.linalg.solve solves them, and one product
+with a triangle of ones gives their tail sums.  The sums over the N draws
+are products with a ones vector.  The sums over the K components (axis 0 of
+the rule's (K, N, d) arrays) stay numpy's and keep component order: a
+ones-vector product for the normalization or for F moved the log-weight
+cotangents by 5.9e-13 relative.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _np_erf
+from scipy.special import ndtr as _ndtr
 
 from particlevi import autodiff as ad
 from particlevi.autodiff import Var
 
 LOG_2PI = math.log(2.0 * math.pi)
 _TAIL_PDF_FLOOR = 1e-300
+_Z2_CAP = 1e300  # z^2 capped here still scores density 0, and keeps the prefix product finite
 
 
 @dataclass
@@ -119,6 +126,22 @@ def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     return idx
 
 
+@functools.lru_cache(maxsize=None)
+def _triangles(d: int) -> tuple:
+    """The implicit rule's constant (d, d) and (d, d + 1) triangles, read-only.
+
+    (-1/2 times the strict upper triangle of ones, that triangle itself, its
+    boolean mask, and tri[f, c] = 1 for c <= f): a product with the first
+    sums -z^2 / 2 over the earlier coordinates, with the second the -ls
+    prefix, and with the last a row's total and tail sums.
+    """
+    upper = np.triu(np.ones((d, d)), 1)
+    out = (upper * -0.5, upper, upper.astype(bool), np.tri(d, d + 1))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | None = None):
     """Custom-VJP rule for realized draws x (N, d) of one mixture.
 
@@ -131,60 +154,76 @@ def mixture_implicit_rule(x, logw, means, log_stds, tail_counter: TailCounter | 
     triangle of one batched s^T G.  One product of lam * G with a
     (d, d + 1) triangle of ones gives each component's total over f and
     its tail sums sum_{f > e} lam_f G[k, f].  The cotangents of every draw
-    are summed into (K,), (K, d) and the log-stds' own shape, so a shared
-    row gets one (1, d) cotangent.  Where z / sigma overflows, that
-    component's density at the coordinate is 0, and so are its later
-    posterior weights; its terms of s^T G and of tail * z / sigma are formed
-    as exact zeros.  A draw whose conditional pdf falls below
-    1e-300 or is non-finite in any coordinate contributes zero and adds one
-    to the counter; its J^T becomes the identity, so its NaN or inf entries
-    never reach LAPACK.
+    are summed, by products with a ones vector, into (K,), (K, d) and the
+    log-stds' own shape, so a shared row gets one (1, d) cotangent.  z and
+    z / sigma are products with exp(-ls), and the (K, N, d) work arrays are
+    reused in place; the rule writes to none of its inputs and returns
+    bit-identical arrays for the same g.  The triangles are built once per d.
+
+    Where z / sigma overflows, that component's density at the coordinate
+    is 0, and so are its later posterior weights; its terms of s^T G and of
+    tail * z / sigma are formed as exact zeros.  A draw whose conditional
+    pdf falls below 1e-300 or is non-finite in any coordinate contributes
+    zero and adds one to the counter; its J^T becomes the identity, so its
+    NaN or inf entries never reach LAPACK.  The per-draw mask is built only
+    when the smallest or largest conditional pdf fails that test.
     """
 
     def rule(g):
-        sig = np.exp(log_stds)[:, None, :]
+        k, (n, d) = means.shape[0], x.shape
+        prefix, upper, strict, tri = _triangles(d)
+        inv_sig = np.exp(-log_stds)[:, None, :]
         diff = x - means[:, None, :]  # (K, N, d): components lead
-        z = diff / sig
-        logphi = -0.5 * LOG_2PI - log_stds[:, None, :] - 0.5 * z * z
-        pdf = np.exp(logphi)
-        big_phi = 0.5 * (1.0 + _np_erf(z / math.sqrt(2.0)))
-        d = x.shape[1]
-        lmat = np.empty_like(logphi)  # log w_k + sum_{f < e} logphi[k, n, f]
-        lmat[..., 0] = 0.0
-        np.cumsum(logphi[..., :-1], axis=2, out=lmat[..., 1:])
+        z = diff * inv_sig
+        z2 = z * z
+        np.minimum(z2, _Z2_CAP, out=z2)
+        # log w_k + sum_{f < e} logphi[k, n, f], less the terms no component changes
+        lmat = (z2.reshape(-1, d) @ prefix).reshape(k, n, d)
+        if log_stds.shape[0] > 1:
+            lmat -= (log_stds @ upper)[:, None, :]
         lmat += logw[:, None, None]
         lmat -= lmat.max(axis=0)
         w_post = np.exp(lmat, out=lmat)
         w_post /= w_post.sum(axis=0)
-        f_vals = (w_post * big_phi).sum(axis=0)
-        w_pdf = w_post * pdf
+        g_mat = _ndtr(z)  # Phi
+        f_vals = (w_post * g_mat).sum(axis=0)
+        w_pdf = np.multiply(z2, -0.5, out=z2)  # logphi, then phi, then w_post * phi
+        w_pdf -= log_stds[:, None, :] + 0.5 * LOG_2PI
+        np.exp(w_pdf, out=w_pdf)
+        w_pdf *= w_post
         cond_pdf = w_pdf.sum(axis=0)  # (N, d)
-        bad = np.any((cond_pdf < _TAIL_PDF_FLOOR) | ~np.isfinite(cond_pdf), axis=1)
-        n_bad = int(bad.sum())
+        n_bad = 0
+        if not (cond_pdf.min() >= _TAIL_PDF_FLOOR and math.isfinite(cond_pdf.max())):  # NaN fails both
+            bad = np.any((cond_pdf < _TAIL_PDF_FLOOR) | ~np.isfinite(cond_pdf), axis=1)
+            n_bad = int(bad.sum())
         if tail_counter is not None:
             tail_counter.count += n_bad
-        z_sig = z / sig  # -d logphi / dx
+        z_sig = np.multiply(z, inv_sig, out=z)  # -d logphi / dx
         if not np.isfinite(z_sig).all():  # density 0 there and weight 0 after: inf * 0 terms are zeros
             z_sig[~np.isfinite(z_sig)] = 0.0
-        g_mat = w_post * (big_phi - f_vals)
-        tri = np.tri(d, d + 1, dtype=bool)  # tri[f, c] = c <= f
-        s_g = -(z_sig.transpose(1, 2, 0) @ g_mat.transpose(1, 0, 2))  # (N, d, d): s^T G per draw
-        jac_t = np.where(tri[:, 1:].T, s_g, 0.0)  # its strict upper triangle
+        g_mat -= f_vals
+        g_mat *= w_post
+        s_g = z_sig.transpose(1, 2, 0) @ g_mat.transpose(1, 0, 2)  # (N, d, d): -s^T G per draw
+        jac_t = np.where(strict, np.negative(s_g, out=s_g), 0.0)  # its strict upper triangle
         diag = np.arange(d)
         jac_t[:, diag, diag] = cond_pdf
         if n_bad:
             jac_t[bad] = np.eye(d)
         lam = np.linalg.solve(jac_t, np.asarray(g, dtype=np.float64)[..., None])[..., 0]
-        sums = (lam * g_mat) @ tri  # [sum_f, then tail[e] = sum_{f > e}] of lam_f G[k, n, f]
-        grad_logw = -sums[..., 0]
+        g_mat *= lam
+        sums = (g_mat.reshape(-1, d) @ tri).reshape(k, n, d + 1)  # [sum_f, then tail[e] = sum_{f > e}] of lam_f G[k, n, f]
+        grad_logw = np.negative(sums[..., 0])
         tail = sums[..., 1:]
-        grad_mu = lam * w_pdf - tail * z_sig
-        grad_logstd = diff * grad_mu + tail  # x - mu = z sig
+        grad_mu = np.multiply(w_pdf, lam, out=w_pdf)
+        grad_mu -= np.multiply(z_sig, tail, out=z_sig)
+        grad_logstd = np.multiply(diff, grad_mu, out=diff)  # x - mu = z sig
+        grad_logstd += tail
         if n_bad:
-            grad_logw = np.where(bad, 0.0, grad_logw)
-            grad_mu = np.where(bad[:, None], 0.0, grad_mu)
-            grad_logstd = np.where(bad[:, None], 0.0, grad_logstd)
-        return grad_logw.sum(axis=1), grad_mu.sum(axis=1), ad.unbroadcast(grad_logstd.sum(axis=1), log_stds.shape)
+            grad_logw[:, bad] = 0.0
+            grad_mu[:, bad] = 0.0
+            grad_logstd[:, bad] = 0.0
+        ones = np.ones(n)
+        return grad_logw @ ones, ones @ grad_mu, ad.unbroadcast(ones @ grad_logstd, log_stds.shape)
 
     return rule
 

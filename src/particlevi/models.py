@@ -954,14 +954,13 @@ def mixture_log_ratio(num, den, x, log_w, log_g, runs: int = 1) -> Var:
     """(N,) num.mixture_logpdf(x, log_w) + log_g - den.mixture_logpdf(x, log_w).
 
     This is the MPF step weight, with num the transition rows and den the
-    proposal rows.  Two ``GaussRows`` with more than one row per run are
-    scored in one ``gauss_mixture_pair`` node, which refuses mixed scale
-    layouts (no family builds them); table rows and one row per run take
-    the two mixture densities in turn, with the same values and gradients.
+    proposal rows.  Two ``GaussRows`` are scored in one
+    ``gauss_mixture_pair`` node, which refuses mixed scale layouts (no
+    family builds them); table rows take the two mixture densities in turn.
     MPF's step at one row per run is SMC's (``draw_log_ratio``) and does
     not come here.
     """
-    if isinstance(num, GaussRows) and isinstance(den, GaussRows) and num.means.data.shape[0] > runs:
+    if isinstance(num, GaussRows) and isinstance(den, GaussRows):
         return gauss_mixture_pair(x, log_w, num.means, num.log_stds, den.means, den.log_stds, log_g, runs)
     return num.mixture_logpdf(x, log_w, runs) + log_g - den.mixture_logpdf(x, log_w, runs)
 

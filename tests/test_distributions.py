@@ -559,14 +559,20 @@ def assert_close_to(got, want, bound=1e-12):
         assert np.max(np.abs(a - b)) / scale <= bound
 
 
+def oracle_case(d: int, shared: bool, k: int, n: int):
+    return pytest.param(d, shared, k, n, id=f"{n}-{k}-{d}" + ("-shared" if shared else ""))
+
+
+ORACLE_CASES = [
+    oracle_case(d, shared, k, n)
+    for n in (1, 4)
+    for k in (1, 3)
+    for d, shared in ((1, False), (2, False), (5, False), (10, False), (5, True), (10, True))
+] + [oracle_case(10, True, 16, 16), oracle_case(5, False, 16, 16)]  # the LGSSM and DMM benchmark shapes
+
+
 class TestImplicitRule:
-    @pytest.mark.parametrize(
-        "d, shared",
-        [(1, False), (2, False), (5, False), (10, False), (5, True), (10, True)],
-        ids=["1", "2", "5", "10", "5-shared", "10-shared"],
-    )
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("d, shared, k, n", ORACLE_CASES)
     def test_matches_per_draw_oracle(self, d, shared, k, n):
         """Two mixtures, N draws each, the last draw of mixture 1 in the tail.
 
@@ -620,6 +626,30 @@ class TestImplicitRule:
             want, tails = oracle_sums(x, logw, means, log_stds, g)
         assert tails == 4
         assert_close_to(got, want)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+    def test_rule_is_pure(self, shared):
+        """The rule works in place on its own arrays only: two calls with one g
+        return bit-identical cotangents, and x, logw, means and log_stds keep
+        every bit.  A tail draw takes the masked path."""
+        rng = np.random.default_rng(13)
+        k, d, n = 4, 3, 6
+        logw = rng.normal(size=k)
+        logw -= np.logaddexp.reduce(logw)
+        means = rng.normal(size=(k, d))
+        log_stds = 0.3 * rng.normal(size=(1 if shared else k, d))
+        x = rng.normal(size=(n, d))
+        x[-1, 0] = 1e3
+        g = rng.normal(size=(n, d))
+        inputs = (x, logw, means, log_stds, g)
+        before = [a.copy() for a in inputs]
+        rule = mixture_implicit_rule(x, logw, means, log_stds)
+        first, second = rule(g), rule(g)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+            assert a is not b
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("log_std", [-360.0, -400.0])
     def test_vanishing_component_gives_finite_cotangents(self, log_std):

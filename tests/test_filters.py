@@ -303,6 +303,37 @@ class TestMpf:
         for gb, gu in zip(grads(False), grads(True)):
             assert np.max(np.abs(gb - gu)) <= 1e-10
 
+    def test_coincident_particles_give_the_pathwise_gradient(self, monkeypatch):
+        """vmpf-ug equals vmpf-bg through the implicit node at N = 3.
+
+        A step-1 log-std of -40 puts every step-1 particle on one point, so
+        step 2's mixture is one Gaussian three times and its implicit
+        gradient is the pathwise one.  The case reaches the node, and at a
+        step-1 log-std of 0 the two gradients differ, so the check can fail.
+        """
+        m = mo.lgssm_make(2, 2, 0.42, "dense", RngStream(0))
+        data = mo.generate(m, 2, RngStream(7))
+        calls = []
+        node = mo.mixture_implicit_rsample
+
+        def counted(*args):
+            calls.append(args)
+            return node(*args)
+
+        monkeypatch.setattr(mo, "mixture_implicit_rsample", counted)
+
+        def gap(step1_log_sigma):
+            phi = mo.proposal_init(m, 2)
+            phi["mu"] += 0.3
+            phi["log_sigma"][0] = step1_log_sigma
+            _, gb = ob.gradient_biased(ob.Objective("vmpf-bg", m, phi, 3), data, RngStream(5))
+            _, gu = ob.gradient_unbiased(ob.Objective("vmpf-ug", m, phi, 3), data, RngStream(5))
+            return float(np.max(np.abs(gb - gu)))
+
+        assert gap(-40.0) <= 1e-10
+        assert len(calls) == 1  # step 2 of the vmpf-ug run
+        assert gap(0.0) > 1e-2
+
     def test_rao_blackwell_conditional_variance(self):
         """Given the step-1 outcome, the marginal weight never has more variance."""
         h = mo.DiscreteHmm(

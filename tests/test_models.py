@@ -472,17 +472,36 @@ class TestMixturePair:
         return num, den, x, log_w, log_g
 
     @pytest.mark.parametrize("runs", [1, 4], ids=["n1", "n1-runs4"])
-    def test_log_ratio_composes_what_one_node_cannot_take(self, runs):
-        """One row per run (N = 1) goes through the two mixture densities
-        in turn, with the composition's values."""
+    def test_log_ratio_takes_one_row_per_run_in_one_node(self, runs):
+        """One row per run (N = 1) is one ``gauss_mixture_pair`` node too.
+
+        Its value is the composition's to 1e-14 relative.  So are its
+        gradients in all seven inputs at one run, the only pass whose pair
+        buffers a tape keeps."""
         num, den, x, log_w, log_g = self.log_ratio_rows(1, runs, 1, 1)
-        with ad.Tape() as tape:
-            args = [ad.leaf(a) for a in (x, log_w, log_g)]
-            before = len(tape.nodes)
-            got = mo.mixture_log_ratio(num, den, *args, runs)
-            assert len(tape.nodes) - before > 1
-        want = num.mixture_logpdf(x, log_w, runs) + log_g - den.mixture_logpdf(x, log_w, runs)
-        assert np.array_equal(got.data, want.data)
+        arrays = [x, log_w, log_g, num.means.data, num.log_stds.data, den.means.data, den.log_stds.data]
+
+        def log_ratio(compose):
+            with ad.Tape() as tape:
+                leaves = [ad.leaf(a) for a in arrays]
+                xs, lw, lg = leaves[:3]
+                f, r = mo.GaussRows(*leaves[3:5]), mo.GaussRows(*leaves[5:])
+                before = len(tape.nodes)
+                if compose:
+                    out = f.mixture_logpdf(xs, lw, runs) + lg - r.mixture_logpdf(xs, lw, runs)
+                else:
+                    out = mo.mixture_log_ratio(f, r, xs, lw, lg, runs)
+                nodes = len(tape.nodes) - before
+                grads = ad.grad(out.sum(), leaves) if runs == 1 else []
+            return out.data, nodes, grads
+
+        got, nodes, got_grads = log_ratio(False)
+        want, _, want_grads = log_ratio(True)
+        assert nodes == 1
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert len(got_grads) == len(want_grads) == (7 if runs == 1 else 0)
+        for a, b in zip(got_grads, want_grads):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
     @pytest.mark.parametrize("f_rows,r_rows", [(1, 3), (3, 1)],
                              ids=["shared-f-per-component-r", "per-component-f-shared-r"])

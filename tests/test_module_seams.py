@@ -31,6 +31,11 @@ import ``cli``.
 ``models.trisolve_rows``, SV's triangular solve, imports it, inside its
 own body.  A fresh interpreter checks the same at run time.
 
+The scipy names each module takes are pinned: ``rng`` takes ``ndtri``,
+``distributions`` ``ndtr``, ``models`` and ``autodiff`` ``expit``, and
+``models`` the ``solve_triangular`` above.  A new scipy import is a change
+to this file.
+
 One lifting path: in ``objectives`` only ``pack_params`` and
 ``apply_params`` spell the "phi." and "theta." parameter namespace.
 """
@@ -438,6 +443,59 @@ def test_lgssm_dmm_and_hmm_runs_never_load_scipy_linalg(import_path_loads):
 
 def test_an_sv_emission_loads_scipy_linalg(import_path_loads):
     assert (import_path_loads["sv-bind"], import_path_loads["sv-emission"]) == (False, True)
+
+
+def scipy_names(source: str) -> list:
+    """Sorted dotted names of the scipy members a source imports or reads through a scipy module alias."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> the scipy module it binds
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname and a.name.split(".")[0] == "scipy":
+                    modules[a.asname] = a.name
+                elif a.name.split(".")[0] == "scipy":
+                    modules["scipy"] = "scipy"  # import scipy.special binds scipy
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "scipy":
+            for a in node.names:
+                if node.module == "scipy":  # a subpackage: from scipy import special
+                    modules[a.asname or a.name] = f"scipy.{a.name}"
+                else:
+                    found.add(f"{node.module}.{a.name}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            head, _, rest = (_dotted(node) or "").partition(".")
+            if head in modules:
+                found.add(f"{modules[head]}.{rest}")
+    # scipy.special.expit also reads scipy.special on its way
+    return sorted(name for name in found if not any(other.startswith(name + ".") for other in found))
+
+
+def test_scipy_name_checker_catches_every_form():
+    source = (
+        "import scipy.special\nimport scipy.linalg as la\nfrom scipy import special as sp\n"
+        "from scipy.special import ndtr as _ndtr, expit\nimport numpy as np\n"
+        "a = scipy.special.erf(x)\nb = la.solve_triangular(m, y)\nc = sp.ndtri(u)\nd = np.exp(x)\n"
+        "def f():\n    from scipy.stats import norm\n"
+    )
+    assert scipy_names(source) == [
+        "scipy.linalg.solve_triangular", "scipy.special.erf", "scipy.special.expit", "scipy.special.ndtr",
+        "scipy.special.ndtri", "scipy.stats.norm",
+    ]
+
+
+SCIPY_NAMES = {
+    "autodiff": ["scipy.special.expit"],
+    "distributions": ["scipy.special.ndtr"],
+    "models": ["scipy.linalg.solve_triangular", "scipy.special.expit"],
+    "rng": ["scipy.special.ndtri"],
+}
+
+
+def test_each_module_takes_its_pinned_scipy_names():
+    found = {path.stem: scipy_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == SCIPY_NAMES
 
 
 NAMESPACE = ("phi.", "theta.")
