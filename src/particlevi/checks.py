@@ -348,7 +348,7 @@ def _suite_bounds():
     kal = mo.kalman_loglik(m, data.ys)
     phi = mo.proposal_init(m, 4)
     checks = []
-    for kind in ("iwvi", "vsmc", "vmpf-bg"):
+    for kind in ("iwvi", "vsmc", "tmc", "vmpf-bg"):
         mean, se = ob.bound_estimate(ob.Objective(kind, m, phi, 4), data, 200, RngStream(3))
         # signed slack: positive means the bound is below kalman + 3 SE
         checks.append(Check(f"bound-{kind}", kal + 3.0 * se - mean, 0.0, ">="))

@@ -259,14 +259,17 @@ class ParticleRun:
 
 def make_backend(source):
     """The one seed/stream -> backend step: a seed or an ``RngStream`` gives a
-    ``RandomBackend`` on that root stream, a backend is returned as it is."""
+    ``RandomBackend`` on that root stream, a backend is returned as it is.
+    A seed is what ``RngStream`` takes: an integer that is not a bool."""
     if isinstance(source, RngStream):
         return RandomBackend(source)
-    if isinstance(source, (int, np.integer)):
-        return RandomBackend(RngStream(int(source)))
-    if not hasattr(source, "normals"):
-        raise TypeError(f"source must be a seed, an RngStream or a draw backend, got {source!r}")
-    return source
+    if hasattr(source, "normals"):
+        return source
+    try:
+        return RandomBackend(RngStream(source))
+    except TypeError:
+        raise TypeError("source must be a seed (an integer that is not a bool), an RngStream or a draw backend, "
+                        f"got {source!r}") from None
 
 
 def _increment(bound, draws, t: int, x, n: int) -> tuple:

@@ -31,7 +31,10 @@ case of the one mixture kernel.  ``draw_log_ratio`` scores a draw under
 the rows that drew it, f g / r, SMC's step weight (or g / r without f,
 IPF's and TMC's term); on Gaussian rows that is one ``gauss_draw_ratio``
 node, which takes log r from the draw's own noise, read again from the
-step's draws, so the rows carry no noise.  Each density kernel,
+step's draws, so the rows carry no noise.  Every Gaussian row score,
+``gauss_logpdf_rows``, both forms of ``gauss_draw_ratio`` and the mixture
+of one row per run, is a node of one builder, ``_row_score``, with one
+rule.  Each density kernel,
 reparameterized draw, network layer (``dense``) and Gaussian product is one
 tape node with an analytic backward, which forms no cotangent for a
 constant parent (the kernels' rules return None there); the filters call
@@ -389,31 +392,64 @@ def _check_dims(x: Var, means: Var, log_stds: Var):
 def gauss_logpdf_rows(x, means, log_stds) -> Var:
     """Row-aligned diagonal Gaussian log-densities: (N|1, d) against (N|1, d) -> (N,).
 
-    One tape node.  With z = (x - mean) / std and incoming cotangent g, the
-    cotangents are -g z / std to x, g z / std to the means and g (z^2 - 1)
-    to the log-stds, each summed back to its parent's shape; a constant
-    parent gets none.
+    One tape node, the f-only form of ``_row_score``, with its rule.
     """
-    x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
-    _check_dims(x, means, log_stds)
-    need_x, need_m, need_ls = x.nid is not None, means.nid is not None, log_stds.nid is not None
-    # the rule closes over arrays only: a Var would tie the tape into a cycle
-    x_shape, m_shape, ls = x.data.shape, means.data.shape, log_stds.data
-    neg_ls = -ls
-    inv_std = np.exp(neg_ls)
-    z = (x.data - means.data) * inv_std
-    out = _standard_rows(z, neg_ls)
+    return _row_score(x, means, log_stds)
+
+
+def _row_score(x, means=None, log_stds=None, log_g=None, eps=None, r_ls=None) -> Var:
+    """(log f(x_i) + log_g_i) - log r(x_i) in one tape node -> (N,); a term with None arguments is left out.
+
+    The one builder of a Gaussian row score.  f is one diagonal Gaussian
+    row (means, log_stds) per row of x, scored from z = (x - mean) / std;
+    log_g is an added per-row term; log r is scored from the constant (N, d)
+    noise eps of the draw x = m_r + exp(r_ls) eps, as sum_e (-ls_e - log(2
+    pi) / 2 - eps_e^2 / 2).  The terms are summed in that order.  The node's
+    parents are those of the present terms, in the order x, means, log-stds,
+    log_g, r_ls; with incoming cotangent g they get -g z / std, g z / std,
+    g (z^2 - 1), g and +g in each coordinate, each summed back to its
+    parent's shape, and a constant parent gets none.
+    """
+    has_f, has_g, has_r = means is not None, log_g is not None, r_ls is not None
+    parents, out = [], None
+    if has_f:
+        x, means, log_stds = ad.constant(x), ad.constant(means), ad.constant(log_stds)
+        _check_dims(x, means, log_stds)
+        parents += (x, means, log_stds)
+        need_x, need_m, need_ls = x.nid is not None, means.nid is not None, log_stds.nid is not None
+        # the rule closes over arrays only: a Var would tie the tape into a cycle
+        x_shape, m_shape, ls_shape = x.data.shape, means.data.shape, log_stds.data.shape
+        neg_ls = -log_stds.data
+        inv_std = np.exp(neg_ls)
+        z = (x.data - means.data) * inv_std
+        out = _standard_rows(z, neg_ls)
+    if has_g:
+        log_g = ad.constant(log_g)
+        parents.append(log_g)
+        need_g, g_shape = log_g.nid is not None, log_g.data.shape
+        out = log_g.data if out is None else out + log_g.data
+    if has_r:
+        r_ls = ad.constant(r_ls)
+        parents.append(r_ls)
+        need_rls, rls_shape, width = r_ls.nid is not None, r_ls.data.shape, eps.shape[1]
+        log_r = _standard_rows(eps, -r_ls.data)
+        out = -log_r if out is None else out - log_r
 
     def rule(g):
-        g = g[:, None]
-        gz = g * z * inv_std if need_x or need_m else None
-        return (
-            ad.unbroadcast(-gz, x_shape) if need_x else None,
-            ad.unbroadcast(gz, m_shape) if need_m else None,
-            ad.unbroadcast(g * (z * z - 1.0), ls.shape) if need_ls else None,
-        )
+        grads = []
+        g_col = g[:, None]
+        if has_f:
+            gz = g_col * z * inv_std if need_x or need_m else None
+            grads += (ad.unbroadcast(-gz, x_shape) if need_x else None,
+                      ad.unbroadcast(gz, m_shape) if need_m else None,
+                      ad.unbroadcast(g_col * (z * z - 1.0), ls_shape) if need_ls else None)
+        if has_g:
+            grads.append(ad.unbroadcast(g, g_shape) if need_g else None)
+        if has_r:
+            grads.append(ad.unbroadcast(np.repeat(g_col, width, axis=1), rls_shape) if need_rls else None)
+        return grads
 
-    return ad.custom_vjp(out, [x, means, log_stds], rule)
+    return ad.custom_vjp(out, parents, rule)
 
 
 def _standard_rows(z, neg_ls) -> np.ndarray:
@@ -552,62 +588,18 @@ def gauss_mixture_pair(x, log_w, num_means, num_log_stds, den_means, den_log_std
 def gauss_draw_ratio(x, eps, num_means, num_log_stds, den_log_stds, log_g) -> Var:
     """(log f(x_i) + log_g_i) - log r(x_i) in one tape node, for x drawn from r -> (N,).
 
-    x is the (N, d) draw m_r + exp(ls_r) eps of the diagonal Gaussian rows
-    r, made from the constant (N, d) standard-normal noise eps
-    (``gauss_rsample``); den_log_stds are r's (N|1, d) log-stds.  Under that
-    change of variables log r(x) = sum_e (-ls_e - log(2 pi) / 2 - eps_e^2 / 2),
-    which needs no x - m_r and no division by exp(ls_r).  f
-    (num_means, num_log_stds) is one (N|1, d) Gaussian row per draw, scored
-    with ``gauss_logpdf_rows``' operations in their order; num_means None
-    leaves it out, for log_g - log r.  The result keeps the composed form's
-    order, (log f + log_g) - log r.
-
-    With z = (x - m_f) / std_f and incoming cotangent g, the cotangents are
-    -g z / std_f to x, g z / std_f to f's means, g (z^2 - 1) to f's
-    log-stds, g to log_g and +g in each coordinate to r's log-stds, each
-    summed back to its parent's shape; a constant parent gets none.  r's
-    means are no parent: with eps fixed, log r does not depend on them.
-    With the draw's own node these give the x-form's gradients: there, log
-    r's terms to x and to r's means cancel through the draw, and its terms
-    to r's log-stds sum to g.
+    x is the (N, d) draw m_r + exp(ls_r) eps (``gauss_rsample``) of the
+    Gaussian rows r with (N|1, d) log-stds den_log_stds, and log r is scored
+    from the noise eps alone.  f (num_means, num_log_stds) is one (N|1, d)
+    row per draw; num_means None leaves it out, for log_g - log r.  Both
+    forms are ``_row_score`` nodes.  r's means are no parent: with the
+    draw's own node the cotangents give the x-form's gradients, where log
+    r's terms to x and to r's means cancel through the draw.
     """
-    x, log_g, r_ls = ad.constant(x), ad.constant(log_g), ad.constant(den_log_stds)
-    if eps.shape != x.data.shape or r_ls.data.shape[-1] != eps.shape[-1]:
+    x = ad.constant(x)
+    if eps.shape != x.data.shape or ad.constant(den_log_stds).data.shape[-1] != eps.shape[-1]:
         raise ValueError(f"noise {eps.shape} must match the draws {x.data.shape} and the log-stds' width")
-    need_g, need_rls = log_g.nid is not None, r_ls.nid is not None
-    g_shape, rls_shape = log_g.data.shape, r_ls.data.shape
-    log_r = _standard_rows(eps, -r_ls.data)
-    if num_means is None:
-
-        def ratio(g):
-            return (ad.unbroadcast(g, g_shape) if need_g else None,
-                    ad.unbroadcast(np.repeat(g[:, None], eps.shape[1], axis=1), rls_shape) if need_rls else None)
-
-        return ad.custom_vjp(log_g.data - log_r, [log_g, r_ls], ratio)
-
-    means, log_stds = ad.constant(num_means), ad.constant(num_log_stds)
-    _check_dims(x, means, log_stds)
-    need_x, need_m, need_ls = x.nid is not None, means.nid is not None, log_stds.nid is not None
-    x_shape, m_shape, ls_shape = x.data.shape, means.data.shape, log_stds.data.shape
-    neg_ls = -log_stds.data
-    inv_std = np.exp(neg_ls)
-    z = (x.data - means.data) * inv_std
-    out = _standard_rows(z, neg_ls)
-    out += log_g.data
-    out -= log_r
-
-    def rule(g):
-        g_col = g[:, None]
-        gz = g_col * z * inv_std if need_x or need_m else None
-        return (
-            ad.unbroadcast(-gz, x_shape) if need_x else None,
-            ad.unbroadcast(gz, m_shape) if need_m else None,
-            ad.unbroadcast(g_col * (z * z - 1.0), ls_shape) if need_ls else None,
-            ad.unbroadcast(g, g_shape) if need_g else None,
-            ad.unbroadcast(np.repeat(g_col, eps.shape[1], axis=1), rls_shape) if need_rls else None,
-        )
-
-    return ad.custom_vjp(out, [x, means, log_stds, log_g, r_ls], rule)
+    return _row_score(x, num_means, num_log_stds, log_g, eps, den_log_stds)
 
 
 def _check_mixture(x: Var, log_w: Var, means: Var, log_stds: Var):
@@ -859,12 +851,12 @@ class GaussRows(NamedTuple):
         """(N,) log sum_j exp(log_w_j) N(x_i; row j), over each run's own rows.
 
         One ``gauss_mixture_logpdf`` node; a single row per run (TMC's
-        step at N=1) goes through the row kernel plus its log-weight
-        instead.  ``mixture_log_ratio`` scores two rows objects of one
-        layout in one node.
+        step at N=1) is one ``_row_score`` node instead, the row's f plus
+        its log-weight.  ``mixture_log_ratio`` scores two rows objects of
+        one layout in one node.
         """
         if self.means.data.shape[0] == runs:
-            return log_w + gauss_logpdf_rows(x, self.means, self.log_stds)
+            return _row_score(x, self.means, self.log_stds, log_w)
         return gauss_mixture_logpdf(x, log_w, self.means, self.log_stds, runs)
 
     def _normals(self, draws, t: int, n: int) -> np.ndarray:

@@ -271,8 +271,8 @@ _NORM_ABORT = 1e6
 
 
 def _stream(rng) -> RngStream:
-    """A seed's root stream; an ``RngStream`` is returned as it is."""
-    return rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    """A seed's root stream, by ``RngStream``'s seed rule; an ``RngStream`` is returned as it is."""
+    return rng if isinstance(rng, RngStream) else RngStream(rng)
 
 
 def train(

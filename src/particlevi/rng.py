@@ -23,6 +23,8 @@ so the bits do not depend on the block size.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -123,7 +125,10 @@ class RngStream:
     __slots__ = ("seed", "stream", "counter", "_key")
 
     def __init__(self, seed: int, stream: int = 0, counter: int = 0):
-        self.seed = seed & _MASK
+        """The one seed rule: a seed is an integer that is not a bool (numpy's integers too), else TypeError."""
+        if seed.__class__ is not int and (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)):
+            raise TypeError(f"a seed must be an integer that is not a bool, got {seed!r}")
+        self.seed = int(seed) & _MASK
         self.stream = stream & _MASK
         self.counter = counter
         self._key = _key(self.seed, self.stream)

@@ -249,6 +249,16 @@ class TestGrad:
         assert float(gx) == 5.0
         assert float(gc) == 0.0
 
+    def test_loss_off_the_tape_gives_zeros(self):
+        """A loss of constants alone records no node: every requested Var gets exact zeros of its shape."""
+        with ad.Tape() as tape:
+            x = ad.leaf(RngStream(56).normals(6).reshape(2, 3))
+            loss = (ad.constant(np.ones(3)) * 2.0).sum()
+            assert loss.nid is None and len(tape.nodes) == 1
+            gx, gc = ad.grad(loss, [x, ad.constant(np.ones(4))])
+        assert gx.shape == (2, 3) and gc.shape == (4,)
+        assert not gx.any() and not gc.any()
+
     def test_repeated_calls_identical(self):
         with ad.Tape():
             x = ad.leaf(RngStream(55).normals(5))

@@ -1,7 +1,9 @@
 """CLI harness: config schema, artifact plumbing, the verify report, bench, plots."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +103,18 @@ fix_beta = true
             cli.load_config(write_config(tmp_path / "c.ini", LGSSM_INI.replace("kind = vsmc", "kind = elbo")))
         with pytest.raises(cli.CliError, match="objective.n"):
             cli.load_config(write_config(tmp_path / "c.ini", LGSSM_INI.replace("n = 3", "n = 0")))
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("kind = lgssm\n", "", "missing required key model.kind"),
+        ("t = 4\n", "", "missing required key model.t"),
+        ("kind = vsmc\n", "", "missing required key objective.kind"),
+        ("n = 3\n", "", "missing required key objective.n"),
+        ("kind = lgssm", "kind = hmm", "model.kind must be one of ['dmm', 'lgssm', 'sv']"),
+        ("t = 4", "t = 0", "model.t must be >= 1"),
+    ], ids=["no-model-kind", "no-t", "no-objective-kind", "no-n", "unknown-model-kind", "t-0"])
+    def test_bad_model_settings_rejected(self, tmp_path, old, new, match):
+        with pytest.raises(cli.CliError, match=re.escape(match)):
+            cli.load_config(write_config(tmp_path / "c.ini", LGSSM_INI.replace(old, new, 1)))
 
     def test_hashes_split_data_and_experiment_identity(self, tmp_path, lgssm_cfg):
         other = cli.load_config(
@@ -219,6 +233,21 @@ class TestTrainCmd:
         assert lines[0] == "iter,objective,grad_norm,grad_var,wall_ms"
         assert len(lines) == 6
 
+    def test_no_schedule_is_refused(self, tmp_path):
+        cfg = cli.load_config(write_config(tmp_path / "c.ini", LGSSM_INI.replace("[train]\nschedule = 5@0.05\n", "")))
+        assert cfg.schedule == ()
+        with pytest.raises(cli.CliError, match=re.escape("config has no [train] schedule")):
+            cli.cmd_train(cfg, tmp_path / "empty")
+
+    def test_aborted_training_exits_1_and_writes_no_params(self, tmp_path, lgssm_cfg, capsys, monkeypatch):
+        out = tmp_path / "runs"
+        cli.cmd_generate(lgssm_cfg, out)
+        real = ob.gradient_biased
+        monkeypatch.setattr(ob, "gradient_biased", lambda *args: (math.inf, real(*args)[1]))
+        assert cli.cmd_train(lgssm_cfg, out) == (None, 1)
+        assert capsys.readouterr().err == "training aborted: non-finite objective at iteration 0\n"
+        assert sorted(p.name for p in out.iterdir()) == [f"data_{lgssm_cfg.data_hash}.{ext}" for ext in ("csv", "json")]
+
     def test_zero_iterations_emits_initial_params(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path / "c.ini", LGSSM_INI.replace("5@0.05", "0@0.05")))
         out = tmp_path / "runs"
@@ -329,6 +358,17 @@ seed = 1
         assert cli.cmd_evaluate(cfg, out, n_samples=20) == 0
         row = (out / "results.csv").read_text().strip().splitlines()[1]
         assert row.split(",")[5] == ""
+
+    def test_bound_above_kalman_fails(self, tmp_path, lgssm_cfg, capsys, monkeypatch):
+        """A bound over the Kalman log-likelihood by more than 3 SE is a FAIL and exit 1; its row is still kept."""
+        out = tmp_path / "runs"
+        cli.cmd_generate(lgssm_cfg, out)
+        cli.cmd_train(lgssm_cfg, out)
+        capsys.readouterr()
+        monkeypatch.setattr(mo, "kalman_loglik", lambda model, ys: -1e6)
+        assert cli.cmd_evaluate(lgssm_cfg, out, n_samples=20) == 1
+        assert capsys.readouterr().err.startswith("FAIL bound ")
+        assert (out / "results.csv").read_text().splitlines()[1].split(",")[5] == "-1000000.0"
 
     def test_missing_params_file(self, tmp_path, lgssm_cfg):
         out = tmp_path / "runs"
@@ -504,6 +544,7 @@ class TestMain:
             (["bench", "--model", "lgssm", "--n-list", "8,16", "--reps", "1", "--t", "2"], "'8,16'"),
             (["bench", "--model", "lgssm", "--n-list", "8,8,16", "--reps", "1", "--t", "2"], "'8,8,16'"),
             (["bench", "--model", "lgssm", "--n-list", "8,x,16", "--reps", "1", "--t", "2"], "'8,x,16'"),
+            (["bench", "--model", "lgssm", "--n-list", "0,8,16", "--reps", "1", "--t", "2"], "'0,8,16'"),
         ):
             assert cli.main(argv) == 2, flag
             err = capsys.readouterr().err

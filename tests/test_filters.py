@@ -702,6 +702,30 @@ class TestBackends:
         assert plain.choose_one(2, fl.ANCESTOR, 1, probs) == int(distributions.categorical_sample_many(probs, u)[0])
 
 
+class TestSeeds:
+    """A filter's source: a draw backend, an RngStream, or a seed by RngStream's one rule."""
+
+    @pytest.mark.parametrize("seed", [True, False, 3.7, 3.0, "3", None], ids=repr)
+    def test_a_seed_that_is_no_integer_is_refused(self, seed):
+        with pytest.raises(TypeError, match=re.escape(f"a seed (an integer that is not a bool), an RngStream or a "
+                                                      f"draw backend, got {seed!r}")):
+            fl.make_backend(seed)
+
+    def test_implicit_passed_as_the_source_is_refused(self):
+        """run_mpf(m, p, d, 4, True), meant as implicit=True, is no run of seed 1."""
+        m, ds, params = lgssm_setup(t_max=2)
+        with pytest.raises(TypeError, match="got True"):
+            fl.run_mpf(m, params, ds, 4, True)
+
+    def test_a_numpy_integer_is_the_same_seed(self):
+        m, ds, params = lgssm_setup(t_max=2)
+        want = fl.run_smc(m, params, ds, 3, 5).log_evidence.data
+        for seed in (np.int64(5), np.uint8(5)):
+            assert fl.run_smc(m, params, ds, 3, seed).log_evidence.data == want
+        stream = RngStream(5)
+        assert fl.make_backend(stream).rng is stream
+
+
 class OneStepBackend:
     """A RandomBackend that serves one (t, purpose) read at a time: no run-level reads."""
 

@@ -882,6 +882,11 @@ CONSTANT_PARENT_CASES = {
                                                 None, None, r_ls, log_g),
         [RngStream(110).normals(4), RngStream(111).normals(12).reshape(4, 3) * 0.3],
     ),
+    "mixture_logpdf-one-row": (
+        lambda x, m, ls, log_w: mo.GaussRows(m, ls).mixture_logpdf(x, log_w, runs=4),
+        [RngStream(112).normals(12).reshape(4, 3), RngStream(113).normals(12).reshape(4, 3),
+         RngStream(114).normals(3).reshape(1, 3) * 0.3, RngStream(115).normals(4)],
+    ),
     "trisolve_rows": (
         mo.trisolve_rows,
         [_lower_triangular(103, 3), RngStream(104).normals(12).reshape(4, 3)],
@@ -924,6 +929,63 @@ class TestConstantParents:
             assert [c is not None for c in formed] == live, live
             want = [g for g, on in zip(every, live) if on]
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), live
+
+
+def cell_value(cell):
+    """A closure cell's value; None for an empty cell, a name that only another form sets."""
+    try:
+        return cell.cell_contents
+    except ValueError:
+        return None
+
+
+class TestRowScore:
+    """gauss_logpdf_rows, both forms of gauss_draw_ratio and the one-row mixture are one row-score node."""
+
+    @staticmethod
+    def forms():
+        """Each form's (call on its parents, the parents' values), from CONSTANT_PARENT_CASES."""
+        names = ("gauss_logpdf_rows", "gauss_draw_ratio", "gauss_draw_ratio-no-f", "mixture_logpdf-one-row")
+        return [CONSTANT_PARENT_CASES[name] for name in names]
+
+    def test_every_form_is_one_node_whose_rule_holds_no_var(self):
+        """The rule closes over arrays, shapes and flags: a Var in it would tie the tape into a cycle."""
+        for call, values in self.forms():
+            with ad.Tape() as tape:
+                parents = [ad.leaf(v) for v in values]
+                before = len(tape.nodes)
+                call(*parents)
+                assert len(tape.nodes) == before + 1
+                pids, rule = tape.nodes[-1]
+            assert list(pids) == [p.nid for p in parents]
+            cells = [c for c in map(cell_value, rule.__closure__) if c is not None]
+            assert cells and not any(isinstance(c, ad.Var) for c in cells)
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_one_row_mixture_is_the_row_kernel_plus_its_log_weight(self, runs):
+        """TMC's step at N=1: one node where a row node and an add stood, with the composition's bits."""
+        stream = RngStream(116)
+        arrays = [stream.split(k).normals(runs * 2).reshape(runs, 2) for k in range(2)]
+        arrays += [stream.split(2).normals(2).reshape(1, 2) * 0.3, stream.split(3).normals(runs)]
+        weights = ad.constant(stream.split(4).normals(runs))
+
+        def score(compose):
+            with ad.Tape() as tape:
+                x, means, log_stds, log_w = (ad.leaf(a) for a in arrays)
+                before = len(tape.nodes)
+                if compose:
+                    out = log_w + mo.gauss_logpdf_rows(x, means, log_stds)
+                else:
+                    out = mo.GaussRows(means, log_stds).mixture_logpdf(x, log_w, runs)
+                nodes = len(tape.nodes) - before
+                grads = ad.grad((out * weights).sum(), [x, means, log_stds, log_w])
+            return out.data, nodes, grads
+
+        got, nodes, got_grads = score(False)
+        want, composed, want_grads = score(True)
+        assert (nodes, composed) == (1, 2)
+        assert got.tobytes() == want.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got_grads, want_grads))
 
 
 class TestLogdensities:

@@ -19,6 +19,9 @@ numpy logsumexp is ``autodiff.np_logsumexp``.
 One place records op nodes: a tape's node list is appended to only in
 ``autodiff.custom_vjp`` (every op) and ``autodiff.leaf``.
 
+One builder forms a Gaussian row score: only ``models._row_score`` calls
+``_standard_rows``, the row arithmetic.
+
 One place switches the cyclic garbage collector: ``gc.disable``,
 ``gc.enable``, ``gc.freeze`` and ``gc.set_threshold`` are named only in
 ``objectives._gradient``, which pauses it while a tape lives.
@@ -278,6 +281,39 @@ def test_one_place_records_op_nodes():
         f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py")) for _, where in node_appends(path.read_text())
     )
     assert found == sorted(NODE_RECORDERS)
+
+
+def name_reads(source: str, name: str) -> list:
+    """(line, enclosing function path) for every read of name, bare or as an attribute; its def is no read."""
+
+    def reads(node) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        return isinstance(node, ast.Attribute) and node.attr == name
+
+    return scoped_hits(ast.parse(source), reads)
+
+
+def test_name_read_checker_catches_every_form():
+    source = (
+        "def _standard_rows(z):\n    return z\n\ndef f():\n    return _standard_rows(1)\n"
+        "def g():\n    h = _standard_rows\n    return mo._standard_rows(2) + h(3)\n"
+        "class C:\n    def m(self):\n        def inner():\n            return _standard_rows(4)\n"
+        "_standard_rows = None\nx = standard_rows(5)\n"
+    )
+    assert name_reads(source, "_standard_rows") == [(5, "f"), (7, "g"), (8, "g"), (12, "C.m.inner")]
+
+
+def test_one_builder_forms_the_row_arithmetic():
+    """Only ``models._row_score`` calls ``_standard_rows``: every Gaussian row
+    score (``gauss_logpdf_rows``, both forms of ``gauss_draw_ratio``, TMC's
+    one-row mixture) is a node of that one builder, with its one rule."""
+    found = sorted(
+        f"{path.stem}.{where}"
+        for path in sorted(SRC.glob("*.py"))
+        for _, where in name_reads(path.read_text(), "_standard_rows")
+    )
+    assert sorted(set(found)) == ["models._row_score"]
 
 
 GC_SWITCHES = ("disable", "enable", "freeze", "set_threshold")

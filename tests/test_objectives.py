@@ -350,6 +350,15 @@ class TestGradients:
         obj = ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10, RngStream(1)), 16, learn_theta=True)
         assert self.tape_size(monkeypatch, obj, ds) == 213
 
+    def test_tmc_one_particle_tape_size_is_pinned(self, monkeypatch):
+        """A tmc gradient on the lgssm-train shape records 119 nodes at N=1, as
+        at N=2: from t=2 on, a step at N=1 scores its one-row mixture, f plus
+        the log-weight, in one node where a row node and an add stood (128)."""
+        m = mo.lgssm_make(10, 10, 0.42, "sparse", RngStream(0))
+        ds = mo.generate(m, 10, RngStream(7))
+        for n in (1, 2):
+            assert self.tape_size(monkeypatch, ob.Objective("tmc", m, mo.proposal_init(m, 10), n), ds) == 119, n
+
     @pytest.mark.parametrize("family", ["dmm", "sv"])
     def test_vem_gradients_match_finite_differences(self, family):
         """iwvi under VEM, end to end: in every phi and theta array, the
@@ -641,6 +650,22 @@ class TestTrain:
         assert np.isfinite(gv[[0, 3, 6]]).all()
         assert np.isnan(gv[[1, 2, 4, 5]]).all()
 
+    def test_non_finite_objective_aborts_with_iteration(self, monkeypatch):
+        """A NaN objective stops the run at its iteration, before Adam steps on its gradient."""
+        m, ds, p = lgssm_case()
+        real = ob.gradient_biased
+        calls = []
+
+        def nan_at_second(obj, data, rng):
+            calls.append(rng)
+            value, grad = real(obj, data, rng)
+            return (math.nan if len(calls) == 2 else value), grad
+
+        monkeypatch.setattr(ob, "gradient_biased", nan_at_second)
+        with pytest.raises(ValueError, match=re.escape("non-finite objective at iteration 1")):
+            ob.train(ob.Objective("vsmc", m, p, 2), ds, [(0.01, 3)], 1)
+        assert len(calls) == 2
+
     def test_divergence_aborts_with_iteration(self):
         m, ds, p = lgssm_case()
         p = {k: v.copy() for k, v in p.items()}
@@ -678,6 +703,25 @@ class TestTrain:
         trained, _ = ob.train(o, ds, [(0.05, 10)], 4)
         assert not np.array_equal(trained.model.mu, sv.mu)
         assert not np.array_equal(trained.params["mu"], o.params["mu"])
+
+
+class TestSeeds:
+    """train, bound_estimate and grad_variance_probe take an RngStream or a seed by RngStream's one rule."""
+
+    @pytest.mark.parametrize("seed", [True, False, 3.7, 3.0, "3", None], ids=repr)
+    def test_a_seed_that_is_no_integer_is_refused(self, seed, monkeypatch):
+        m, ds, p = lgssm_case()
+        o = ob.Objective("vsmc", m, p, 2)
+        monkeypatch.setattr(ob, "gradient_biased", None)  # no draw may start
+        for call in (lambda: ob.train(o, ds, [(0.01, 1)], seed), lambda: ob.bound_estimate(o, ds, 2, seed),
+                     lambda: ob.grad_variance_probe(o, ds, 2, seed)):
+            with pytest.raises(TypeError, match="seed must be an integer that is not a bool"):
+                call()
+
+    def test_a_numpy_integer_is_the_same_seed(self):
+        m, ds, p = lgssm_case()
+        o = ob.Objective("vsmc", m, p, 2)
+        assert ob.bound_estimate(o, ds, 4, np.int64(3)) == ob.bound_estimate(o, ds, 4, 3)
 
 
 class TestEvaluation:

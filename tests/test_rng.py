@@ -42,6 +42,20 @@ class TestDeterminism:
         assert np.array_equal(a, c)
 
 
+class TestSeedRule:
+    """A seed is an integer that is not a bool; numpy's integers are the same seed as Python's."""
+
+    @pytest.mark.parametrize("seed", [True, False, 3.7, 3.0, "3", None, np.float64(2.0), np.bool_(True)], ids=repr)
+    def test_refused(self, seed):
+        with pytest.raises(TypeError, match="seed must be an integer that is not a bool"):
+            RngStream(seed)
+
+    def test_numpy_integers(self):
+        for seed in (np.int64(5), np.uint64(5), np.int8(5)):
+            assert np.array_equal(RngStream(seed).normals(4), RngStream(5).normals(4))
+        assert RngStream(np.uint64(2**64 - 1)).seed == RngStream(-1).seed == 2**64 - 1
+
+
 class TestOffsetAddressing:
     def test_uniforms_at_matches_sequential(self):
         """Drawing at explicit counter offsets equals consuming the stream in order."""
