@@ -15,6 +15,7 @@ filter path imports this one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,48 @@ def mpf_tmc_identity_check(run: fl.ParticleRun) -> float:
 
 
 # ---------------------------------------------------------------------------
+# exact moments on the reference HMM
+
+# Non-bootstrap proposal tables for ``hmm_reference``
+RB_TABLES = {
+    "init_proposal": np.asarray([0.3, 0.7]),
+    "trans_proposal": np.asarray([[0.6, 0.4], [0.25, 0.75]]),
+    "indep_proposal": np.asarray([0.4, 0.6]),
+}
+RB_CELLS = ((2, 2), (2, 3), (3, 2))  # (T, N) of the Rao-Blackwellization gates
+RB_REL = 1e-12  # rounding only: every gate is exact in theory
+
+
+@functools.lru_cache(maxsize=None)
+def rb_moments(symbols: tuple, n: int, bootstrap: bool = False) -> dict:
+    """kind -> (E[p̂]/p, Var(p̂/p), E[log p̂] - log p), exact over every
+    realization of N-particle runs on ``hmm_reference`` emitting symbols.
+
+    Kinds are smc, mpf, tmc and ipf-l1..ipf-lN under ``RB_TABLES``; at the
+    bootstrap proposal (params None) only smc and mpf.
+    """
+    h = mo.hmm_reference()
+    ys = np.asarray(symbols, dtype=np.float64)[:, None]
+    log_p = mo.hmm_forward(h, symbols)
+    params = None if bootstrap else RB_TABLES
+    runs = {
+        "smc": lambda be: fl.run_smc(h, params, ys, n, be),
+        "mpf": lambda be: fl.run_mpf(h, params, ys, n, be),
+    }
+    if not bootstrap:
+        runs["tmc"] = lambda be: fl.run_tmc(h, params, ys, n, be)
+        runs.update({f"ipf-l{l}": lambda be, l=l: fl.run_ipf(h, params, ys, n, l, be) for l in range(1, n + 1)})
+    moments = {}
+    for kind, run in runs.items():
+        m1 = m2 = m_log = 0.0
+        for log_ratio, prob, _ in enumerate_paths(lambda be, run=run: float(run(be).log_evidence.data) - log_p):
+            ratio = math.exp(log_ratio)
+            m1, m2, m_log = m1 + prob * ratio, m2 + prob * ratio * ratio, m_log + prob * log_ratio
+        moments[kind] = (m1, m2 - m1 * m1, m_log)
+    return moments
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -145,7 +188,8 @@ def mpf_tmc_identity_check(run: fl.ParticleRun) -> float:
 class Check:
     """One suite row: it passes when ``measured op limit`` holds ("<=" or ">=").
 
-    A NaN measurement fails either way.
+    A NaN measurement fails either way.  A row with limit inf reports a
+    figure and gates only that it is not NaN.
     """
 
     name: str
@@ -355,8 +399,43 @@ def _suite_bounds():
     return checks
 
 
+def _excess(a: float, b: float) -> float:
+    """How far a exceeds b, relative to b: a <= b holds to RB_REL when this is at most RB_REL."""
+    return (a - b) / abs(b)
+
+
+def _suite_rao_blackwell():
+    """MPF is SMC Rao-Blackwellized over the ancestor, and TMC is IPF averaged
+    over its parent indices; the exact moments under all-zero symbols show it,
+    one row per gate and (T, N).  The ungated rows report IPF's variance
+    against L, and the moments under the symbols (0, 1, 0)."""
+    checks, report = [], []
+    for t_max, n in RB_CELLS:
+        cell = f"t{t_max}-n{n}"
+        m = rb_moments((0,) * t_max, n)
+        boot = rb_moments((0,) * t_max, n, bootstrap=True)
+        var = {kind: v for kind, (_, v, _) in m.items()}
+        checks += [
+            Check(f"unbiased-{cell}", max(abs(mean - 1.0) for mean, _, _ in m.values()), RB_REL),
+            Check(f"mpf-var-at-most-smc-{cell}", _excess(var["mpf"], var["smc"]), RB_REL),
+            Check(f"mpf-bound-at-least-smc-{cell}", _excess(m["smc"][2], m["mpf"][2]), RB_REL),
+            Check(f"ipf-every-parent-is-tmc-{cell}",
+                  max(abs(_excess(m[f"ipf-l{n}"][i], m["tmc"][i])) for i in (1, 2)), RB_REL),
+            Check(f"tmc-var-at-most-ipf-{cell}",
+                  max(_excess(var["tmc"], var[f"ipf-l{l}"]) for l in range(1, n)), RB_REL),
+            Check(f"bootstrap-smc-is-mpf-{cell}",
+                  max(abs(_excess(boot["mpf"][i], boot["smc"][i])) for i in (1, 2)), RB_REL),
+        ]
+        report += [Check(f"var-ipf-l{l}-{cell}", var[f"ipf-l{l}"], math.inf) for l in range(1, n + 1)]
+    m = rb_moments((0, 1, 0), 2)
+    report += [Check(f"var-{kind}-t3-n2-symbols-010", v, math.inf) for kind, (_, v, _) in m.items()]
+    report += [Check(f"log-gap-{kind}-t3-n2-symbols-010", m[kind][2], math.inf) for kind in ("smc", "mpf")]
+    return checks + report
+
+
 SUITES = {
     "unbiasedness": _suite_unbiasedness,
+    "rao-blackwell": _suite_rao_blackwell,
     "identity": _suite_identity,
     "gradients": _suite_gradients,
     "collapse": _suite_collapse,

@@ -56,6 +56,7 @@ from particlevi.autodiff import Var
 LOG_2PI = math.log(2.0 * math.pi)
 _TAIL_PDF_FLOOR = 1e-300
 _Z2_CAP = 1e300  # z^2 capped here still scores density 0, and keeps the prefix product finite
+_ALL_ZERO = "total particle degeneracy: all categorical weights zero"
 
 
 @dataclass
@@ -109,19 +110,26 @@ def categorical_sample_many(probs: np.ndarray, us: np.ndarray) -> np.ndarray:
     (M, K) table whose row m draws with us[m]; a table's rows may be
     zero-padded on the right.  A u beyond a row's total picks its last
     atom, and no draw lands on a zero-weight atom: stepping back through a
-    row's zero padding ends where clamping to its own length would.
+    row's zero padding ends where clamping to its own length would.  A
+    vector, a filter step's ancestor or component weights, takes a short
+    path: one searchsorted over its cumulative sums and the step-back on
+    plain indices, with the table's choices index for index.
     """
-    if not (probs > 0.0).any(axis=-1).all():
-        raise ValueError("total particle degeneracy: all categorical weights zero")
     if probs.ndim == 1:
-        idx = np.cumsum(probs).searchsorted(us, side="right")
-        rows = ()
-    else:
-        idx = (np.cumsum(probs, axis=1) <= us[:, None]).sum(axis=1)
-        rows = (np.arange(idx.size),)
+        if not (probs > 0.0).any():
+            raise ValueError(_ALL_ZERO)
+        idx = probs.cumsum().searchsorted(us, side="right")
+        np.minimum(idx, probs.shape[0] - 1, out=idx)
+        # float-tail guard: never land on a zero-weight atom
+        while (zero := probs[idx] == 0.0).any():
+            idx[zero] -= 1
+        return idx
+    if not (probs > 0.0).any(axis=-1).all():
+        raise ValueError(_ALL_ZERO)
+    idx = (np.cumsum(probs, axis=1) <= us[:, None]).sum(axis=1)
+    rows = np.arange(idx.size)
     idx = np.minimum(idx, probs.shape[-1] - 1)
-    # float-tail guard: never land on a zero-weight atom
-    while (zero := probs[(*rows, idx)] == 0.0).any():
+    while (zero := probs[rows, idx] == 0.0).any():
         idx = np.where(zero, idx - 1, idx)
     return idx
 

@@ -13,7 +13,10 @@ only its weight rule.  The loop binds the model to the run once
 (``models.bind``, on the caller's tape), runs step 1, the importance step
 w_1 = f_1 g_1 / r_1 that every filter starts from, and calls the rule for
 t = 2..T; the rules describe t >= 2 only.  It checks each step's weights
-for degeneracy and records the run.  A rule asks the bound model's
+for degeneracy and records the run.  The run's log evidence, the sum over
+steps of logsumexp(log w_t) - log N (or its last term for the cumulative
+filters), is one tape node over the step logsumexp nodes, and the per-step
+log mean weights are plain values.  A rule asks the bound model's
 builders for rows (``models.GaussRows`` or, for the HMM,
 ``models.TableRows``) and scores and draws through their methods and
 ``models``' two weight dispatches, so only ``models.bind`` decides what a
@@ -49,7 +52,7 @@ a tape records one run, so a pass of R > 1 under a tape is refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,8 +218,11 @@ class ParticleRun:
     log_weights holds the per-step quantity native to the algorithm: the
     increment w_t / v_t for the resampling filters, the running product
     u_t / z_t for the cumulative ones (flagged by ``cumulative``).  Either
-    way log_mean_weights[t] = logsumexp(log_weights[t]) - log N, and
-    log_evidence is the last of them (cumulative) or their sum.  bound is
+    way log_mean_weights[t] = logsumexp(log_weights[t]) - log N, a constant
+    per step, and log_evidence is the last of them (cumulative) or their
+    left-to-right sum.  On a tape log_evidence is the run's one evidence
+    node, whose parents are the step logsumexp nodes it reads; the log mean
+    weights carry no gradient of their own.  bound is
     the run's ``models.bind`` result: its model, proposal and observations,
     through which ``checks.mpf_tmc_identity_check`` rescores the run.
     A pass of runs > 1 stacks each run's N particle rows in turn, so each
@@ -229,15 +235,11 @@ class ParticleRun:
     log_weights: list
     log_mean_weights: list
     cumulative: bool
+    log_evidence: Var
     ancestors: list | None = None
     bound: object = None
     tail: TailCounter | None = None
     runs: int = 1
-    log_evidence: Var = field(init=False)
-
-    def __post_init__(self):
-        lmw = self.log_mean_weights
-        self.log_evidence = lmw[-1] if self.cumulative else sum(lmw[1:], lmw[0])
 
     @property
     def tail_failures(self) -> int:
@@ -304,7 +306,7 @@ def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, *
     draws = _RunDraws(backend, bound.ys.shape[0], runs)
     log_n = math.log(n)
 
-    particles, log_weights, log_mean_weights = [], [], []
+    particles, log_weights, step_lse = [], [], []
     for t in range(1, draws.t_max + 1):
         x, logw = _increment(bound, draws, 1, None, n) if t == 1 else step(bound, draws, t, x, logw, lse)
         # a run's weights are all zero or hold a NaN or +inf exactly when its largest is not finite
@@ -313,7 +315,7 @@ def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, *
             if not math.isfinite(largest):
                 raise DegeneracyError(t, 0, "run", _degeneracy_cause(largest))
             lse = ad.logsumexp(logw)
-            log_mean_weights.append(lse - log_n)
+            step_lse.append(lse)
         else:
             per_run = logw.data.reshape(runs, -1)
             largest = per_run.max(axis=1)
@@ -322,12 +324,26 @@ def _filter(kind, model, params, data, n: int, source, step, cumulative: bool, *
                 j = int(np.argmin(live))
                 raise DegeneracyError(t, j, "run", _degeneracy_cause(largest[j]))
             each = ad.np_logsumexp(per_run, axis=1)
-            log_mean_weights.append(ad.constant(each) - log_n)
+            step_lse.append(ad.constant(each))
             lse = ad.constant(np.repeat(each, n))
         particles.append(x)
         log_weights.append(logw)
 
-    return ParticleRun(kind, particles, log_weights, log_mean_weights, cumulative, bound=bound, runs=runs, **record)
+    log_mean_weights = [ad.constant(s.data - log_n) for s in step_lse]
+    read = slice(-1, None) if cumulative else slice(None)
+    return ParticleRun(kind, particles, log_weights, log_mean_weights, cumulative,
+                       _log_evidence(step_lse[read], log_mean_weights[read]), bound=bound, runs=runs, **record)
+
+
+def _log_evidence(step_lse: list, terms: list) -> Var:
+    """log p-hat, the left-to-right sum of terms, as one node over the step logsumexps they come from.
+
+    terms[k] is step_lse[k] - log N, so d log p-hat / d lse is 1 for each
+    parent and the rule hands each the incoming cotangent.  Off tape, and so
+    for a pass, it records nothing.
+    """
+    k = len(step_lse)
+    return ad.custom_vjp(sum([v.data for v in terms[1:]], terms[0].data), step_lse, lambda g: (g,) * k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Verification helpers and suites: enumeration, the MPF-TMC identity, the ``verify`` rows."""
 
-import functools
 import math
 
 import numpy as np
@@ -104,47 +103,36 @@ class TestSuites:
         assert [row.limit for row in rows] == [1e-9] * 3 + [1e-10] * 6
         assert all(row.ok for row in rows)
 
+    def test_rao_blackwell_suite_has_one_row_per_gate_and_cell(self):
+        """Six gates at each (T, N), all green, then the reported figures: IPF's
+        variance for each L, and the moments under the symbols (0, 1, 0)."""
+        rows = suite_rows("rao-blackwell")
+        gates = ("unbiased", "mpf-var-at-most-smc", "mpf-bound-at-least-smc", "ipf-every-parent-is-tmc",
+                 "tmc-var-at-most-ipf", "bootstrap-smc-is-mpf")
+        cells = [f"t{t}-n{n}" for t, n in RB_CELLS]
+        want = [f"{gate}-{cell}" for cell in cells for gate in gates]
+        want += [f"var-ipf-l{l}-t{t}-n{n}" for t, n in RB_CELLS for l in range(1, n + 1)]
+        want += [f"var-{kind}-t3-n2-symbols-010" for kind in ("smc", "mpf", "tmc", "ipf-l1", "ipf-l2")]
+        want += [f"log-gap-{kind}-t3-n2-symbols-010" for kind in ("smc", "mpf")]
+        assert [row.name for row in rows] == want
+        assert {(row.limit, row.op) for row in rows[:18]} == {(RB_REL, "<=")}
+        assert {row.limit for row in rows[18:]} == {math.inf}
+        assert all(row.ok for row in rows)
+        # the reported variances are the moments' own
+        var = {row.name: row.measured for row in rows}
+        assert var["var-ipf-l2-t3-n2"] == rb_moments(3, 2)["ipf-l2"][1]
+        assert var["var-mpf-t3-n2-symbols-010"] == ck.rb_moments((0, 1, 0), 2)["mpf"][1]
+
     def test_gradients_suite_green(self):
         assert all(row.measured <= row.limit for row in suite_rows("gradients"))
 
 
-# Non-bootstrap proposal tables for the two-state reference HMM
-RB_TABLES = {
-    "init_proposal": np.asarray([0.3, 0.7]),
-    "trans_proposal": np.asarray([[0.6, 0.4], [0.25, 0.75]]),
-    "indep_proposal": np.asarray([0.4, 0.6]),
-}
-RB_CELLS = [(2, 2), (2, 3), (3, 2)]
-RB_REL = 1e-12  # rounding only: every gate below is exact in theory
+RB_CELLS, RB_REL = ck.RB_CELLS, ck.RB_REL
 
 
-@functools.lru_cache(maxsize=None)
 def rb_moments(t_max: int, n: int, bootstrap: bool = False) -> dict:
-    """kind -> (E[p̂]/p, Var(p̂/p), E[log p̂] - log p), exact over every
-    realization on ``hmm_reference`` with t_max zero symbols.
-
-    Kinds are smc, mpf, tmc and ipf-l1..ipf-lN under ``RB_TABLES``; at the
-    bootstrap proposal (params None) only smc and mpf.
-    """
-    h = mo.hmm_reference()
-    ys = np.zeros((t_max, 1))
-    log_p = mo.hmm_forward(h, np.zeros(t_max, dtype=np.intp))
-    params = None if bootstrap else RB_TABLES
-    runs = {
-        "smc": lambda be: fl.run_smc(h, params, ys, n, be),
-        "mpf": lambda be: fl.run_mpf(h, params, ys, n, be),
-    }
-    if not bootstrap:
-        runs["tmc"] = lambda be: fl.run_tmc(h, params, ys, n, be)
-        runs.update({f"ipf-l{l}": lambda be, l=l: fl.run_ipf(h, params, ys, n, l, be) for l in range(1, n + 1)})
-    moments = {}
-    for kind, run in runs.items():
-        m1 = m2 = m_log = 0.0
-        for log_ratio, prob, _ in ck.enumerate_paths(lambda be, run=run: float(run(be).log_evidence.data) - log_p):
-            ratio = math.exp(log_ratio)
-            m1, m2, m_log = m1 + prob * ratio, m2 + prob * ratio * ratio, m_log + prob * log_ratio
-        moments[kind] = (m1, m2 - m1 * m1, m_log)
-    return moments
+    """``checks.rb_moments`` under t_max zero symbols."""
+    return ck.rb_moments((0,) * t_max, n, bootstrap)
 
 
 def at_most(a: float, b: float) -> bool:

@@ -253,6 +253,37 @@ class TestCategorical:
         with pytest.raises(ValueError, match="degeneracy"):
             categorical_sample_many(padded([[0.5, 0.5], [0.0, 0.0]]), np.zeros(2))
 
+    @pytest.mark.parametrize("k", [1, 2, 16, 256])
+    def test_vector_path_matches_the_table(self, k):
+        """A (K,) vector picks, index for index, what a table of copies of it picks.
+
+        Seeded vectors with zero atoms at the front, in the middle and at the
+        end, against random uniforms, 0, each cumulative sum, and values at
+        and above the float total; no draw lands on a zero atom.
+        """
+        rng = RngStream(40 + k)
+        holes = {"none": [], "front": [0], "middle": [k // 2], "end": [k - 1], "all-three": [0, k // 2, k - 1]}
+        for name, zeros in holes.items():
+            probs = rng.split(len(zeros)).uniforms(k) + 0.05
+            probs[zeros] = 0.0
+            if not probs.any():
+                continue  # K = 1 holds no zero atom beside a live one
+            probs /= probs.sum()
+            total = probs.cumsum()[-1]
+            us = np.concatenate([rng.split(9).uniforms(64), [0.0], probs.cumsum(),
+                                 [total, np.nextafter(total, 2.0), 1.0 - 2.0**-53, 1.0, 1.5]])
+            got = categorical_sample_many(probs, us)
+            assert got.tolist() == categorical_sample_many(np.tile(probs, (len(us), 1)), us).tolist(), name
+            assert (probs[got] > 0.0).all(), name
+
+    def test_all_zero_vector_raises_as_the_table_does(self):
+        us = np.asarray([0.0, 0.5])
+        with pytest.raises(ValueError) as vector:
+            categorical_sample_many(np.zeros(4), us)
+        with pytest.raises(ValueError) as table:
+            categorical_sample_many(np.zeros((2, 4)), us)
+        assert str(vector.value) == str(table.value)
+
     def test_empirical_frequencies(self):
         probs = np.asarray([0.1, 0.6, 0.3])
         idx = categorical_sample_many(probs, RngStream(10).uniforms(100_000))

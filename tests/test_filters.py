@@ -664,6 +664,83 @@ class TestPosteriorDraw:
         se = estimates.std(ddof=1) / math.sqrt(len(estimates))
         assert abs(estimates.mean() - means[-1, 0]) < 4 * se
 
+def taped_runs():
+    """kind -> runner(params, source) on a d=2 LGSSM (T=4, N=3), and whether it reads every step."""
+    m = mo.lgssm_make(2, 2, 0.42, "dense", RngStream(1))
+    ds = mo.generate(m, 4, RngStream(11))
+    return {
+        "vsmc": (lambda p, src: fl.run_smc(m, p, ds, 3, src), True),
+        "iwvi": (lambda p, src: fl.run_smc(m, p, ds, 3, src, resample=False), False),
+        "vmpf-bg": (lambda p, src: fl.run_mpf(m, p, ds, 3, src), True),
+        "vmpf-ug": (lambda p, src: fl.run_mpf(m, p, ds, 3, src, implicit=True), True),
+        "ipf": (lambda p, src: fl.run_ipf(m, p, ds, 3, 2, src), False),
+        "tmc": (lambda p, src: fl.run_tmc(m, p, ds, 3, src), False),
+    }, mo.proposal_init(m, 4)
+
+
+class TestLogEvidenceNode:
+    """A taped run's log evidence is one node over the step logsumexps it reads."""
+
+    @staticmethod
+    def taped(runner, params, seed=5):
+        with ad.Tape() as tape:
+            leaves = {k: ad.leaf(v) for k, v in params.items()}
+            run = runner(leaves, seed)
+        return tape, run
+
+    @pytest.mark.parametrize("kind", sorted(taped_runs()[0]))
+    def test_one_node_over_the_steps_it_reads(self, kind):
+        """After the last step's weights the tape holds its logsumexp and the
+        evidence node, nothing else; the node's parents are the logsumexp
+        nodes of every step, or of the last one only for the cumulative kinds."""
+        runs, params = taped_runs()
+        runner, every_step = runs[kind]
+        tape, run = self.taped(runner, params)
+        assert len(tape.nodes) == run.log_weights[-1].nid + 3
+        assert run.log_evidence.nid == len(tape.nodes) - 1
+        pids, _ = tape.nodes[run.log_evidence.nid]
+        read = run.log_weights if every_step else run.log_weights[-1:]
+        assert [tape.nodes[pid][0] for pid in pids] == [(w.nid,) for w in read]
+
+    @pytest.mark.parametrize("kind", sorted(taped_runs()[0]))
+    def test_rule_hands_each_step_its_cotangent(self, kind):
+        """Each parent gets the incoming cotangent itself, and the rule holds no Var."""
+        runs, params = taped_runs()
+        tape, run = self.taped(runs[kind][0], params)
+        pids, rule = tape.nodes[run.log_evidence.nid]
+        g = np.asarray(-0.37)
+        outs = rule(g)
+        assert len(outs) == len(pids) and all(out is g for out in outs)
+        assert not any(isinstance(c.cell_contents, ad.Var) for c in rule.__closure__ or ())
+
+    @pytest.mark.parametrize("kind", sorted(taped_runs()[0]))
+    def test_values_are_the_old_sums_bit_for_bit(self, kind):
+        """log_mean_weights[t] is logsumexp(log w_t) - log N, a constant, and the
+        evidence is their left-to-right sum (the last of them when cumulative)."""
+        runs, params = taped_runs()
+        runner, every_step = runs[kind]
+        tape, run = self.taped(runner, params)
+        lmw = [float(v.data) for v in run.log_mean_weights]
+        for v, w in zip(run.log_mean_weights, run.log_weights):
+            assert v.nid is None
+            assert float(v.data) == float(ad.np_logsumexp(w.data)) - math.log(3)
+        assert float(run.log_evidence.data) == (sum(lmw[1:], lmw[0]) if every_step else lmw[-1])
+        off = runner(params, 5)
+        assert off.log_evidence.nid is None and off.log_evidence.data == run.log_evidence.data
+
+    @pytest.mark.parametrize("kind", sorted(taped_runs()[0]))
+    def test_a_pass_records_no_node(self, kind):
+        """A pass of four runs goes through the same code and records nothing
+        (a tape refuses it); each run's evidence is that run's alone, bit for bit."""
+        runs, params = taped_runs()
+        runner = runs[kind][0]
+        labels, root = [3, 0, 8, 1], RngStream(5)
+        stacked = runner(params, fl.RandomBackend(root, labels))
+        assert stacked.log_evidence.nid is None and stacked.log_evidence.data.shape == (4,)
+        for r, label in enumerate(labels):
+            assert stacked.log_evidence.data[r] == runner(params, root.split(label)).log_evidence.data, r
+
+
 class TestBackends:
     def test_random_backend_is_offset_addressed(self):
         be = fl.RandomBackend(RngStream(4))

@@ -277,10 +277,11 @@ class TestGradients:
     # One gradient on the lgssm-train shape (d=10, T=10, N=16) stays small.
     # Each density kernel, draw and proposal mean is one node, and a vsmc
     # step's weight f g / r is one ``gauss_draw_ratio`` node where two row
-    # kernels, an add and a sub stood, so a step records about 11 nodes: 110
-    # in all for vsmc.  An MPF step's weight is one pair-kernel node where
-    # two mixture nodes, an add and a sub stood, so vmpf-bg and vmpf-ug
-    # record 110 too.  The budgets catch a kernel that
+    # kernels, an add and a sub stood.  The run's log evidence is one node
+    # over the ten step logsumexps where ten subs and nine adds stood, so a
+    # step records about 9 nodes: 92 in all for vsmc.  An MPF step's weight
+    # is one pair-kernel node where two mixture nodes, an add and a sub
+    # stood, so vmpf-bg and vmpf-ug record 92 too.  The budgets catch a kernel that
     # falls back to elementwise ops (a three-op draw adds 20 nodes, a
     # five-op proposal mean 36, widening vmpf-ug's shared log-std for its
     # implicit draw 9).
@@ -299,7 +300,8 @@ class TestGradients:
         T=10, N=16) stays small.
 
         Each network layer, Bernoulli emission, Gaussian product output,
-        draw and step weight is one node, so the gradient records 213 nodes; the budget
+        draw and step weight is one node, and so is the log evidence, so the
+        gradient records 195 nodes; the budget
         catches a layer that falls back to elementwise ops.
         """
         m = mo.dmm_make(5, 20, 16, RngStream(0))
@@ -332,32 +334,36 @@ class TestGradients:
         assert at_11 - at_10 <= 23
 
     def test_lgssm_tape_size_is_pinned(self, monkeypatch):
-        """Binding lifts the LGSSM's constants once and adds no node: 110 for
+        """Binding lifts the LGSSM's constants once and adds no node: 92 for
         vsmc, whose step weight takes one ``gauss_draw_ratio`` node beside
-        the emission's where four stood.  From t=2 on, an MPF step's weight
-        is one ``gauss_mixture_pair`` node beside the emission's, and step 1
-        is vsmc's: 110 for vmpf-bg and vmpf-ug."""
-        for kind, nodes in (("vsmc", 110), ("vmpf-bg", 110), ("vmpf-ug", 110)):
+        the emission's where four stood, and whose log evidence is one node
+        where 19 stood (110).  From t=2 on, an MPF step's weight is one
+        ``gauss_mixture_pair`` node beside the emission's, and step 1 is
+        vsmc's: 92 for vmpf-bg and vmpf-ug."""
+        for kind, nodes in (("vsmc", 92), ("vmpf-bg", 92), ("vmpf-ug", 92)):
             assert self.lgssm_tape_size(monkeypatch, kind) == nodes, kind
 
     def test_dmm_vmpf_bg_tape_size_is_pinned(self, monkeypatch):
-        """One vmpf-bg VEM gradient on the dmm-vem-train shape records 213
+        """One vmpf-bg VEM gradient on the dmm-vem-train shape records 195
         nodes, as many as vsmc's: each of its nine mixture steps scores the
         per-component transition and proposal mixtures and log g in one node,
-        as each vsmc step scores f g / r in one node."""
+        as each vsmc step scores f g / r in one node.  The log evidence is one
+        node over the ten step logsumexps where 19 stood (213)."""
         m = mo.dmm_make(5, 20, 16, RngStream(0))
         ds = mo.generate(m, 10, RngStream(7))
         obj = ob.Objective("vmpf-bg", m, mo.proposal_init(m, 10, RngStream(1)), 16, learn_theta=True)
-        assert self.tape_size(monkeypatch, obj, ds) == 213
+        assert self.tape_size(monkeypatch, obj, ds) == 195
 
     def test_tmc_one_particle_tape_size_is_pinned(self, monkeypatch):
-        """A tmc gradient on the lgssm-train shape records 119 nodes at N=1, as
+        """A tmc gradient on the lgssm-train shape records 110 nodes at N=1, as
         at N=2: from t=2 on, a step at N=1 scores its one-row mixture, f plus
-        the log-weight, in one node where a row node and an add stood (128)."""
+        the log-weight, in one node where a row node and an add stood (128).
+        tmc reads its log evidence off the last step only: one node over that
+        step's logsumexp where a sub on each of the ten stood (119)."""
         m = mo.lgssm_make(10, 10, 0.42, "sparse", RngStream(0))
         ds = mo.generate(m, 10, RngStream(7))
         for n in (1, 2):
-            assert self.tape_size(monkeypatch, ob.Objective("tmc", m, mo.proposal_init(m, 10), n), ds) == 119, n
+            assert self.tape_size(monkeypatch, ob.Objective("tmc", m, mo.proposal_init(m, 10), n), ds) == 110, n
 
     @pytest.mark.parametrize("family", ["dmm", "sv"])
     def test_vem_gradients_match_finite_differences(self, family):
@@ -422,9 +428,12 @@ class TestCollectorPause:
         tape holds more objects than generation 0's threshold, so with the
         collector on during the gradient there is about one collection an
         iteration.  ``gc.collect()`` also empties the interpreter's free
-        lists, so the first gradient after it leaves generation 0's count
-        high and sets off one collection, over no tape, at the next
-        allocation; one uncounted iteration after it takes that."""
+        lists, so the first gradient after it allocates afresh what later
+        ones take from those lists, and leaves generation 0's count high:
+        how high depends on the tape's size, and a collection, over no
+        tape, follows at some later allocation.  The uncounted iteration
+        refills the lists, and a generation-0 collection after it clears
+        that count, so the counted iterations start from zero."""
         model = self.FAMILIES[family]()
         ds = mo.generate(model, 10, RngStream(7))
         obj = ob.Objective(kind, model, mo.proposal_init(model, 10, RngStream(1)), 4,
@@ -437,6 +446,7 @@ class TestCollectorPause:
 
         gc.collect()
         ob.train(obj, ds, [(0.01, 1)], 2)
+        gc.collect(0)
         gc.callbacks.append(count)
         try:
             ob.train(obj, ds, [(0.01, 30)], 3)
